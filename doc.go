@@ -18,9 +18,14 @@
 //     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more.
 //
 // Both extension points are fully public. A custom method implements
-// Rounder against Env and EngineConfig — one synchronous round of training
-// over env.Batch, ExtractUpdate, and Aggregate — and registers with
-// RegisterMethod; a custom execution substrate implements Transport. Neither
+// Rounder against Env and EngineConfig around one contract — fan the round's
+// cohort out with ForEachCohort, fill one SlotResult per slot (update,
+// modeled traffic, per-phase simulated seconds), and return
+// env.FinishRound(cohort, slots), which owns the server side of the round:
+// straggler deadline, aggregation in whichever mode the run selected,
+// traffic and census accounting, observability records, and the round's
+// phase map — and registers with RegisterMethod; a custom execution
+// substrate implements Transport. Neither
 // requires code inside this module: examples/external_method is a complete
 // method in its own Go module, and package fluxtest is the conformance
 // suite (determinism, cancellation, aggregation order, event-stream shape,
@@ -31,10 +36,11 @@
 // worker pool (WithParallelism; the default is GOMAXPROCS) with a strict
 // determinism contract: convergence curves, observed traffic, and simulated
 // phase timings are bit-identical at every worker count. Rounders get the
-// same machinery through ForEachParticipant — pre-split env.RNG per
-// participant, write only per-participant state, reduce in index order —
-// with per-worker Scratch buffers (local-model clone, gradient accumulator,
-// update-flatten arena) that persist across rounds to keep the hot path
+// same machinery through ForEachCohort — pre-split env.RNG per participant,
+// write only the slot's own SlotResult, and leave every cross-participant
+// reduction to FinishRound, which folds in cohort order — with per-worker
+// Scratch buffers (local-model clone, gradient accumulator, update-flatten
+// arena) that persist across rounds to keep the hot path
 // allocation-lean. fluxtest's ParallelDeterminism check enforces the
 // contract on built-ins and third-party methods alike.
 //
@@ -74,9 +80,9 @@
 //
 // Server aggregation is a policy, not a barrier. An AggregationSpec
 // (WithAggregation; the "aggregation" scenario field; `fluxsim -agg`)
-// selects among three modes run by an event-driven server core: "sync" (the
-// default — the historical barrier reduction, bit-identical to the
-// pre-aggregation engine and pinned by the golden fixtures), "async"
+// selects among three modes of the one server core (Env.FinishRound):
+// "sync" (the default — one barrier per round over the slots that made the
+// deadline, every per-round output pinned by the golden fixtures), "async"
 // (FedBuff-style buffered aggregation: the server flushes every BufferK
 // arrivals into a version-tagged global model, scaling an update s versions
 // stale by 1/(1+s)^StalenessAlpha, and never idles at a deadline), and

@@ -19,13 +19,17 @@ import (
 // is the same value the built-in methods, both transports, and the
 // experiment harness operate on — no translation layer, no drift.
 //
-// A method implementation typically looks like the synchronous FedAvg loop:
-// for each participant, clone the global model (env.Global.Clone), run local
-// SGD over env.Batch(i, r) with NewGrads/ForwardBackward/ApplySGD, extract
-// the tuned experts with ExtractUpdate, then fold all updates back with
-// Aggregate and report per-phase simulated seconds. See
-// examples/external_method for a complete out-of-module method, and package
-// fluxtest for the conformance suite every implementation should pass.
+// A method implementation has one shape: resolve the round's cohort
+// (env.Cohort), fan it out over the worker pool (ForEachCohort), and in each
+// slot clone the global model into the worker's Scratch, run local SGD over
+// env.Batch(i, r), extract the tuned experts, and fill one SlotResult — the
+// update, its modeled traffic, and the participant's per-phase simulated
+// seconds. Then `return env.FinishRound(cohort, slots)`: the server side of
+// the round (deadline, FedAvg, traffic and census accounting, the round's
+// simulated time, every aggregation mode) is the engine's, not the method's.
+// See examples/external_method for a complete out-of-module method, and
+// package fluxtest for the conformance suite every implementation should
+// pass.
 
 // EngineConfig is the engine-level configuration a Rounder constructor
 // receives: fleet size, round budget, local-SGD settings, and the simulated
@@ -39,30 +43,34 @@ func DefaultEngineConfig() EngineConfig { return fed.DefaultConfig() }
 
 // Env is a fully materialized federated experiment: the pre-trained global
 // model, per-participant non-IID shards and device profiles, a held-out test
-// set, and per-round observability counters. Rounders mutate env.Global in
-// place and report traffic through ObserveUplink/ObserveAggregated; drivers
+// set, and the server core. A Rounder reads env.Global during the fan-out
+// and never writes it: env.FinishRound is the model's one writer, and also
+// reports the round's traffic, census, and observability records. Drivers
 // score progress with Evaluate. Build one with NewEnv, or let Experiment.Run
 // build it for you.
 type Env = fed.Env
 
-// Rounder is a federated fine-tuning method: it executes one synchronous
-// round, mutating env.Global, and returns the simulated duration of the
-// round broken down by Phase. Implementations must be deterministic in the
-// environment's seed, must poll env.Canceled between participants so a long
-// round can be abandoned promptly, and must aggregate participants in a
-// fixed order so floating-point accumulation is reproducible. Package
-// fluxtest checks all of these contracts.
+// Rounder is a federated fine-tuning method. Round runs round r's cohort
+// and returns env.FinishRound's phase map — the simulated duration of the
+// round broken down by Phase — or nil when ForEachCohort reports
+// cancellation. Implementations must be deterministic in the environment's
+// seed: split env.RNG per participant before the fan-out, and have each
+// slot write only its own SlotResult and per-participant state. The
+// aggregation mode, the straggler deadline, and reduction order are
+// FinishRound's concern, not the method's. Package fluxtest checks these
+// contracts.
 type Rounder = fed.Rounder
 
 // Update is one participant's contribution to a round: the flattened
 // parameters of each expert it fine-tuned plus its FedAvg weight.
 type Update = fed.Update
 
-// Scratch is the per-worker reusable memory ForEachParticipant hands to a
+// Scratch is the per-worker reusable memory ForEachCohort hands to a
 // participant body: a persistent local-model clone buffer (LocalClone), a
-// gradient accumulator (Grads), and a flatten arena (ExtractUpdate). Buffers
-// persist across rounds of the same environment; do not retain references
-// past the round's reduction.
+// gradient accumulator (Grads), a forward/backward Workspace, and a flatten
+// arena (ExtractUpdate). Buffers persist across rounds of the same
+// environment; an update extracted into the arena is valid through the
+// round's FinishRound and no longer.
 type Scratch = fed.Scratch
 
 // ExpertKey identifies an expert by layer and original index.
@@ -158,40 +166,29 @@ func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
 // NewGrads → ForwardBackward → ApplySGD local-training loop.
 func NewGrads(m *Model) *Grads { return moe.NewGrads(m, false) }
 
-// ForEachParticipant executes fn once for every participant index over the
-// environment's worker pool (EngineConfig.Workers wide; zero means
-// GOMAXPROCS), handing each invocation its worker's Scratch. It is how a
-// custom Rounder gets deterministic parallel participant execution: split
-// env.RNG per participant before calling it, have fn write only
-// per-participant state against the read-only env.Global, and reduce
-// (aggregate, sum uplink bytes, take phase maxima) in participant-index
-// order after it returns. A non-nil error means the round was canceled; the
-// Rounder must then return nil phases without aggregating. The built-in
-// methods all run on this pool; fluxtest verifies the resulting bit-identity
-// between serial and parallel execution.
+// ForEachParticipant is ForEachCohort over the whole fleet: fn runs once for
+// every participant index over the environment's worker pool, handed its
+// worker's Scratch. A Rounder uses ForEachCohort instead, so the fleet's
+// cohort selection applies; the determinism and cancellation contract is the
+// same.
 func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
 	return fed.ForEachParticipant(env, fn)
 }
 
 // ForEachCohort executes fn once for every listed participant over the
-// environment's worker pool, handing each invocation its worker's Scratch,
+// environment's worker pool (EngineConfig.Workers wide; zero means
+// GOMAXPROCS), handing each invocation its worker's Scratch,
 // the participant's slot in the cohort, and the participant index. It is the
-// cohort-aware counterpart of ForEachParticipant: a fleet-aware Rounder
-// resolves the round's cohort with env.Cohort(r), fans work out with
-// ForEachCohort(env, cohort, ...), writes results by slot, and reduces in
-// slot order; end-to-end per-participant seconds then go through
-// env.ResolveStragglers so the configured deadline and drop policy apply.
-// The determinism and cancellation contract is ForEachParticipant's.
+// first half of every Rounder: resolve the round's cohort with
+// env.Cohort(r), fan work out with ForEachCohort(env, cohort, ...), and have
+// each invocation fill slots[slot]. On a nil error the Rounder returns
+// env.FinishRound(cohort, slots); a non-nil error means the round was
+// canceled and the Rounder returns nil phases. Determinism: split env.RNG
+// per participant before the call, and have fn write only its own slot and
+// per-participant state against the read-only env.Global.
 func ForEachCohort(env *Env, cohort []int, fn func(s *Scratch, slot, participant int)) error {
 	return fed.ForEachOf(env, cohort, fn)
 }
-
-// StragglerOutcome is env.ResolveStragglers' verdict: which cohort slots
-// made the deadline. env.AddStragglerWait attributes the server's idle tail
-// at the deadline — the shortfall between the deadline and the kept
-// cohort's participant window — to the PhaseStraggler entry of a Rounder's
-// phase map when the drop policy cut someone.
-type StragglerOutcome = fed.StragglerOutcome
 
 // AggregationSpec selects the server's aggregation mode: synchronous (the
 // zero value), buffered-async, or semi-synchronous. See WithAggregation and
@@ -218,11 +215,13 @@ const (
 	AggSemiSync = fed.ModeSemiSync
 )
 
-// SlotResult is one cohort slot's finished work, handed to Env.FinishRound
-// by a Rounder running under an active AggregationSpec: the participant's
-// update, its modeled uplink and downlink payloads, and its per-phase
-// simulated seconds (whose sum is the participant's end-to-end round time,
-// used to order arrivals at the server).
+// SlotResult is one cohort slot's finished work, the second half of every
+// Rounder: the participant's update, its modeled uplink and downlink
+// payloads, and its per-phase simulated seconds. The phases must sum to the
+// participant's end-to-end round time — Env.FinishRound tests that sum
+// against the straggler deadline and, under async/semisync aggregation,
+// orders arrivals at the server by it. The round's own phase map, traffic
+// totals, and census are all derived from the cohort's SlotResults.
 type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m
@@ -237,16 +236,7 @@ func ExtractUpdate(local *Model, participant int, weight float64, tuning [][]int
 	return fed.ExtractUpdate(local, participant, weight, tuning)
 }
 
-// Aggregate applies FedAvg to the global model: every expert touched by at
-// least one update becomes the weight-averaged participant parameters;
-// untouched experts keep their values. It returns the number of distinct
-// experts updated — report it via env.ObserveAggregated.
-func Aggregate(global *Model, updates []Update) int {
-	return fed.Aggregate(global, updates)
-}
-
-// UpdateBytes returns the FP32 wire size of an update — report the per-round
-// sum via env.ObserveUplink.
+// UpdateBytes returns the FP32 wire size of an update — a SlotResult's Bytes.
 func UpdateBytes(u Update) float64 { return fed.UpdateBytes(u) }
 
 // TrainFlops returns the arithmetic cost of local training over tokens
@@ -257,7 +247,7 @@ func TrainFlops(m *Model, tokens int, tuningFrac float64) float64 {
 }
 
 // ModelBytes returns the FP32 size of the full model, the downlink payload
-// of a round broadcast.
+// of a round broadcast (a full-model method's SlotResult.DownBytes).
 func ModelBytes(m *Model) float64 { return simtime.ModelBytes(m.Cfg) }
 
 // ExpertBytes returns the FP32 size of one expert of m.

@@ -11,55 +11,57 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math"
 	"sync"
 
 	flux "repro"
 )
 
-// fedAvg is plain synchronous FedAvg over every expert — deliberately the
-// exact behavior of the TCP wire protocol (broadcast, local SGD over the
-// round batch, upload, sample-count-weighted aggregation), which is what
-// makes it wire-capable: fluxtest asserts its in-process and TCP executions
-// converge bit-identically.
+// fedAvg is plain FedAvg over every expert — deliberately the exact behavior
+// of the TCP wire protocol (broadcast, local SGD over the round batch, upload,
+// sample-count-weighted aggregation), which is what makes it wire-capable:
+// fluxtest asserts its in-process and TCP executions converge bit-identically.
+//
+// It has the shape of every method: fan the round's cohort out over the
+// worker pool, fill one SlotResult per slot, and hand the server side of the
+// round — deadline, aggregation mode, traffic and census accounting, the
+// round's simulated time — to env.FinishRound.
 type fedAvg struct{}
 
 func (fedAvg) Name() string { return "fedavg-lite" }
 
 func (fedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 	tuning := flux.TuneAllExperts(env.Global)
-	var updates []flux.Update
-	var slowest, comm, uplink float64
-	for i := 0; i < env.Cfg.Participants; i++ {
-		if env.Canceled() {
-			return nil
-		}
+	down := flux.ModelBytes(env.Global) // the broadcast every participant receives
+	cohort := env.Cohort(round)
+	slots := make([]flux.SlotResult, len(cohort))
+	err := flux.ForEachCohort(env, cohort, func(ws *flux.Scratch, slot, i int) {
 		dev := env.Devices[i]
-		local := env.Global.Clone()
-		grads := flux.NewGrads(local)
+		local := ws.LocalClone(env.Global)
+		grads := ws.Grads(local)
 		batch := env.Batch(i, round)
 		tokens := 0
 		for it := 0; it < env.Cfg.LocalIters; it++ {
 			for _, s := range batch {
 				seq, mask := s.FullSequence()
-				local.ForwardBackward(seq, mask, grads, nil, -1)
+				local.ForwardBackwardWS(ws.Workspace(), seq, mask, grads, nil, -1)
 				tokens += len(seq)
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		u := flux.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-		updates = append(updates, u)
+		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := flux.UpdateBytes(u)
-		uplink += bytes
-		slowest = math.Max(slowest, dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)))
-		comm = math.Max(comm, dev.UplinkSeconds(bytes)+dev.UplinkSeconds(flux.ModelBytes(env.Global)))
+		slots[slot] = flux.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[flux.Phase]float64{
+				flux.PhaseFineTuning: dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
+				flux.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
+		}
+	})
+	if err != nil {
+		return nil // canceled: the driver discards the round
 	}
-	env.ObserveAggregated(flux.Aggregate(env.Global, updates))
-	env.ObserveUplink(uplink)
-	return map[flux.Phase]float64{
-		flux.PhaseFineTuning: slowest,
-		flux.PhaseComm:       comm + uplink/env.Cfg.ServerBw,
-	}
+	return env.FinishRound(cohort, slots)
 }
 
 var (
@@ -72,7 +74,7 @@ var (
 func register() error {
 	registerOnce.Do(func() {
 		registerErr = flux.RegisterMethod("fedavg-lite",
-			"external example: plain synchronous FedAvg over every expert",
+			"external example: plain FedAvg over every expert",
 			true, // wire-capable: the round IS the TCP protocol's exchange
 			func(cfg flux.EngineConfig) flux.Rounder { return fedAvg{} })
 	})

@@ -129,8 +129,8 @@ type Result struct {
 	// both zero under synchronous aggregation (see RoundEvent).
 	ModelVersion int
 	Stale        int
-	Phases    map[string]float64
-	Events    []RoundEvent // the full convergence curve, round 0 included
+	Phases       map[string]float64
+	Events       []RoundEvent // the full convergence curve, round 0 included
 }
 
 func (e *Experiment) ensureEnv(ctx context.Context) (*Env, error) {

@@ -154,10 +154,10 @@ func TestRounder(t *testing.T, s RounderSpec) {
 	t.Run("ParallelDeterminism", func(t *testing.T) {
 		// The engine's parallel-execution contract: the convergence curve
 		// must be bit-identical whether participants run serially
-		// (workers=1) or over a saturated worker pool. A Rounder that runs
-		// its own serial loop passes trivially; one built on
-		// flux.ForEachParticipant passes only if it pre-splits randomness
-		// and reduces in participant order.
+		// (workers=1) or over a saturated worker pool. A Rounder built on
+		// flux.ForEachCohort passes only if it pre-splits randomness and
+		// writes nothing but its own slot; env.FinishRound reduces in
+		// cohort order.
 		if reference == nil {
 			t.Skip("no reference run (Determinism failed)")
 		}
@@ -173,10 +173,9 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		// The fleet contract: under heterogeneous profiles, cohort
 		// selection, and a drop deadline, two runs with the same seed are
 		// bit-identical — including the per-round participation census —
-		// and so are serial and pooled execution. A Rounder that ignores
-		// cohorts (running every participant via ForEachParticipant) passes
-		// as long as it is deterministic; one that consumes env.Cohort must
-		// derive randomness and reduce in cohort order.
+		// and so are serial and pooled execution. A Rounder must derive
+		// per-participant randomness in cohort order; the deadline and the
+		// census are env.FinishRound's.
 		fcfg := QuickConfig("fluxtest/fleet/"+s.Name, method)
 		fcfg.Fleet = flux.FleetSpec{
 			Distribution: "tiered",

@@ -16,13 +16,11 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/fed"
 	"repro/internal/flux/profile"
 	"repro/internal/moe"
-	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/simtime"
 )
@@ -36,17 +34,6 @@ type FMD struct{}
 // Name implements fed.Rounder.
 func (FMD) Name() string { return "fmd" }
 
-// baselineResult is one participant's contribution to a baseline round,
-// written into its own slot during the parallel fan-out and reduced in
-// participant order afterwards.
-type baselineResult struct {
-	update            fed.Update
-	bytes             float64 // uplink payload
-	downBytes         float64 // modeled broadcast payload received
-	localSec, profSec float64
-	commSec           float64
-}
-
 // Round implements fed.Rounder.
 func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	cfg := env.Global.Cfg
@@ -54,7 +41,7 @@ func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	total := env.TotalExperts()
 
 	cohort := env.Cohort(round)
-	results := make([]baselineResult, len(cohort))
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
@@ -81,102 +68,18 @@ func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := simtime.ModelBytes(cfg)
-		results[slot] = baselineResult{
-			update:    u,
-			bytes:     bytes,
-			downBytes: down,
-			localSec:  trainSec + offloadSec,
-			commSec:   dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+		slots[slot] = fed.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[simtime.Phase]float64{
+				simtime.PhaseFineTuning: trainSec + offloadSec,
+				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
 		}
 	})
 	if err != nil {
 		return nil
 	}
-	return finishRound(env, cohort, results)
-}
-
-// finishRound is the shared baseline reduction: resolve stragglers against
-// the deadline, aggregate the kept updates in cohort order, report the
-// round's census, and build the phase map. All floating-point folding runs
-// in cohort order, so results are independent of worker scheduling.
-//
-// Under an active aggregation spec the reduction is the event-driven server
-// core's instead: per-slot results are handed to env.FinishRound, which owns
-// buffering, staleness weighting, and the round's time. The synchronous path
-// below is untouched by that branch — bit-identical to the pre-core engine.
-func finishRound(env *fed.Env, cohort []int, results []baselineResult) map[simtime.Phase]float64 {
-	if env.Cfg.Agg.Active() {
-		slots := make([]fed.SlotResult, len(results))
-		for slot, p := range results {
-			phases := map[simtime.Phase]float64{
-				simtime.PhaseFineTuning: p.localSec,
-				simtime.PhaseComm:       p.commSec,
-			}
-			if p.profSec > 0 {
-				phases[simtime.PhaseProfiling] = p.profSec
-			}
-			slots[slot] = fed.SlotResult{Update: p.update, Bytes: p.bytes, DownBytes: p.downBytes, Phases: phases}
-		}
-		return env.FinishRound(cohort, slots)
-	}
-
-	totals := make([]float64, len(results))
-	for slot, p := range results {
-		totals[slot] = p.localSec + p.profSec + p.commSec
-	}
-	outcome := env.ResolveStragglers(totals)
-
-	updates := make([]fed.Update, 0, outcome.Kept)
-	var aggBytes, maxLocal, profMax, commMax float64
-	for slot, p := range results {
-		if !outcome.Keep[slot] {
-			continue
-		}
-		updates = append(updates, p.update)
-		aggBytes += p.bytes
-		maxLocal = math.Max(maxLocal, p.localSec)
-		profMax = math.Max(profMax, p.profSec)
-		commMax = math.Max(commMax, p.commSec)
-	}
-	env.ObserveAggregated(fed.Aggregate(env.Global, updates))
-	env.ObserveUplink(aggBytes)
-	env.ObserveCohort(len(cohort), outcome.Kept)
-	var downBytes float64
-	for _, p := range results {
-		downBytes += p.downBytes // whole cohort: the broadcast precedes the deadline
-	}
-	env.ObserveDownlink(downBytes)
-
-	// Observability: per-participant phase splits in slot order, mirroring
-	// the totals above. The nil check keeps the disabled path allocation-free.
-	if rec := env.Obs(); rec != nil {
-		for slot, p := range results {
-			i := cohort[slot]
-			phases := map[string]float64{
-				string(simtime.PhaseFineTuning): p.localSec,
-				string(simtime.PhaseComm):       p.commSec,
-			}
-			if p.profSec > 0 {
-				phases[string(simtime.PhaseProfiling)] = p.profSec
-			}
-			rec.Participant(obs.Participant{
-				Index: i, Device: env.Devices[i].Name,
-				Phases:      phases,
-				UplinkBytes: p.bytes, DownlinkBytes: p.downBytes,
-				Dropped: !outcome.Keep[slot],
-			})
-		}
-	}
-
-	phases := map[simtime.Phase]float64{
-		simtime.PhaseFineTuning: maxLocal,
-		simtime.PhaseComm:       commMax + aggBytes/env.Cfg.ServerBw,
-	}
-	if profMax > 0 {
-		phases[simtime.PhaseProfiling] = profMax
-	}
-	env.AddStragglerWait(phases, outcome, maxLocal+profMax+commMax)
-	return phases
+	return env.FinishRound(cohort, slots)
 }
 
 // FMQ fine-tunes an INT-quantized model.
@@ -201,7 +104,7 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	}
 
 	cohort := env.Cohort(round)
-	results := make([]baselineResult, len(cohort))
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
@@ -230,18 +133,18 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u) * float64(bits) / 32
 		down := simtime.ModelBytes(cfg) * float64(bits) / 32
-		results[slot] = baselineResult{
-			update:    u,
-			bytes:     bytes,
-			downBytes: down,
-			localSec:  trainSec + dev.QuantizeSeconds(cfg),
-			commSec:   dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+		slots[slot] = fed.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[simtime.Phase]float64{
+				simtime.PhaseFineTuning: trainSec + dev.QuantizeSeconds(cfg),
+				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
 		}
 	})
 	if err != nil {
 		return nil
 	}
-	return finishRound(env, cohort, results)
+	return env.FinishRound(cohort, slots)
 }
 
 func requantizeExperts(m *moe.Model, bits quant.Bits) {
@@ -272,7 +175,7 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	prof := profile.Profiler{Bits: s.ProfileBits}
 
 	cohort := env.Cohort(round)
-	results := make([]baselineResult, len(cohort))
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseProfiling)
@@ -311,19 +214,19 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := float64(tune) * simtime.ExpertBytes(cfg)
-		results[slot] = baselineResult{
-			update:    u,
-			bytes:     bytes,
-			downBytes: down,
-			localSec:  trainSec,
-			profSec:   profSec,
-			commSec:   dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+		slots[slot] = fed.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[simtime.Phase]float64{
+				simtime.PhaseProfiling:  profSec,
+				simtime.PhaseFineTuning: trainSec,
+				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
 		}
 	})
 	if err != nil {
 		return nil
 	}
-	return finishRound(env, cohort, results)
+	return env.FinishRound(cohort, slots)
 }
 
 // topByFrequency picks the budget highest-frequency experts across all

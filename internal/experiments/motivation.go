@@ -165,22 +165,18 @@ func (keepMergedFMES) Name() string { return "fmes-keep" }
 func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	// Delegate everything to FMES but swap the discard for a merge by
 	// giving the merged expert the real average weights: reuse merge plan
-	// with single-expert budgets. Participants run over the environment's
-	// worker pool; RNG streams are split serially up front and aggregation
-	// consumes updates in participant order, keeping the curve bit-identical
-	// at every worker count.
+	// with single-expert budgets. RNG streams are split serially up front,
+	// keeping the curve bit-identical at every worker count.
 	cfg := env.Global.Cfg
 	cohort := env.Cohort(round)
 	rngs := make([]*tensor.RNG, len(cohort))
 	for slot, i := range cohort {
 		rngs[slot] = env.RNG.Split(fmt.Sprintf("fig3/%d/%d", i, round))
 	}
-	updates := make([]fed.Update, len(cohort))
-	// Per-participant end-to-end seconds, priced with FMES's cost model, so
-	// a straggler deadline drops the same devices in both Figure-3 arms.
-	// Figure 3 itself reports accuracy only (the phase map stays a
-	// placeholder), but participation must match the comparison arm.
-	totals := make([]float64, len(cohort))
+	// Slots are priced with FMES's cost model, so a straggler deadline drops
+	// the same devices in both Figure-3 arms (Figure 3 itself reports
+	// accuracy only).
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		mws := ws.Workspace()
@@ -211,46 +207,27 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		updates[slot] = ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
+		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 
 		total := env.TotalExperts()
 		if total < 1 {
 			total = 1
 		}
-		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, float64(tune)/float64(total)))
-		bytes := fed.UpdateBytes(updates[slot])
-		totals[slot] = res.Seconds(dev, cfg) + trainSec +
-			dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(float64(tune)*simtime.ExpertBytes(cfg))
+		bytes := fed.UpdateBytes(u)
+		down := float64(tune) * simtime.ExpertBytes(cfg)
+		slots[slot] = fed.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[simtime.Phase]float64{
+				simtime.PhaseProfiling:  res.Seconds(dev, cfg),
+				simtime.PhaseFineTuning: dev.Seconds(simtime.TrainFlops(cfg, tokens, float64(tune)/float64(total))),
+				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
+		}
 	})
 	if err != nil {
 		return nil
 	}
-	if env.Cfg.Agg.Active() {
-		// Event-driven aggregation: hand per-slot results to the server core.
-		// Figure 3 itself never runs this way, but the Rounder must honor the
-		// engine's aggregation contract like any other method.
-		slots := make([]fed.SlotResult, len(cohort))
-		for slot, i := range cohort {
-			_, tune := env.Budgets(i)
-			slots[slot] = fed.SlotResult{
-				Update:    updates[slot],
-				Bytes:     fed.UpdateBytes(updates[slot]),
-				DownBytes: float64(tune) * simtime.ExpertBytes(cfg),
-				Phases:    map[simtime.Phase]float64{simtime.PhaseFineTuning: totals[slot]},
-			}
-		}
-		return env.FinishRound(cohort, slots)
-	}
-	outcome := env.ResolveStragglers(totals)
-	kept := make([]fed.Update, 0, outcome.Kept)
-	for slot := range updates {
-		if outcome.Keep[slot] {
-			kept = append(kept, updates[slot])
-		}
-	}
-	fed.Aggregate(env.Global, kept)
-	env.ObserveCohort(len(cohort), outcome.Kept)
-	return map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}
+	return env.FinishRound(cohort, slots)
 }
 
 // Figure5 reproduces the activation-frequency estimation error of 2/4/8-bit

@@ -5,8 +5,10 @@
 // round.
 //
 // Method implementations (Flux and the FMD/FMQ/FMES baselines) plug in as
-// Rounders: the engine owns data, devices, evaluation, and time accounting;
-// a Rounder owns what happens inside one round.
+// Rounders: the engine owns data, devices, evaluation, and the server side of
+// a round (Env.FinishRound — deadline, aggregation, traffic and census
+// accounting, the round's simulated time); a Rounder owns what happens inside
+// one participant's round.
 package fed
 
 import (
@@ -58,8 +60,7 @@ type Config struct {
 	Fleet fleet.Spec
 
 	// Agg selects the server's aggregation discipline: synchronous barrier
-	// rounds (the zero value, bit-identical to runs predating the
-	// event-driven core), buffered-async, or semi-sync. See AggSpec.
+	// rounds (the zero value), buffered-async, or semi-sync. See AggSpec.
 	Agg AggSpec
 }
 
@@ -162,8 +163,8 @@ type envState struct {
 // envStateInit guards lazy state allocation for Env values assembled by
 // composite literal outside this package (everything in-repo goes through
 // NewEnv/CloneForMethod, which allocate state at construction). A global
-// mutex keeps the goroutine-safety promise of Observe*/TakeRoundObs even on
-// such hand-built environments; it is taken once per round-level call, never
+// mutex keeps the goroutine-safety promise of FinishRound/TakeRoundObs even
+// on such hand-built environments; it is taken once per round-level call, never
 // on a hot path.
 var envStateInit sync.Mutex
 
@@ -193,17 +194,16 @@ func (e *Env) scratches(n int) []*Scratch {
 	return st.scratch[:n]
 }
 
-// RoundObs collects per-round observability counters that Rounders report
-// into: the payload bytes participants uploaded, the number of distinct
-// experts the server aggregated, and the round's participation census. The
-// driver drains it after each round with TakeRoundObs.
+// RoundObs is the per-round observability FinishRound reports: the payload
+// bytes participants uploaded, the number of distinct experts the server
+// aggregated, and the round's participation census. The driver drains it
+// after each round with TakeRoundObs.
 type RoundObs struct {
 	UplinkBytes    float64
 	ExpertsTouched int
 
 	// DownlinkBytes is the modeled broadcast payload participants received
-	// this round (the model or expert subset the server pushed down). Zero
-	// when a Rounder predates downlink reporting.
+	// this round (the model or expert subset the server pushed down).
 	DownlinkBytes float64
 
 	// Selected is how many participants the cohort selector picked for the
@@ -212,8 +212,7 @@ type RoundObs struct {
 	// normally counts participants that made the deadline, with one
 	// exception: when every cohort member misses it, the server waits past
 	// the deadline for the single fastest update (Completed = 1 even though
-	// that participant, too, was late). All zero when a Rounder predates
-	// cohort reporting.
+	// that participant, too, was late).
 	Selected  int
 	Completed int
 	Dropped   int
@@ -243,50 +242,6 @@ func (e *Env) Context() context.Context {
 // Canceled reports whether the attached context has been canceled.
 func (e *Env) Canceled() bool { return e.Context().Err() != nil }
 
-// ObserveUplink accumulates uploaded payload bytes for the current round.
-// It is goroutine-safe, but a deterministic Rounder must still reduce
-// per-participant byte counts in participant-index order before reporting —
-// float accumulation order is part of the bit-identity contract. The
-// built-ins sum after ForEachParticipant joins and call this once per round.
-func (e *Env) ObserveUplink(bytes float64) {
-	st := e.st()
-	st.mu.Lock()
-	st.obs.UplinkBytes += bytes
-	st.mu.Unlock()
-}
-
-// ObserveDownlink accumulates modeled broadcast payload bytes (server →
-// participants) for the current round. The ordered-reduction contract of
-// ObserveUplink applies: the built-ins sum per-participant downlink bytes in
-// cohort order after the pool joins and call this once per round.
-func (e *Env) ObserveDownlink(bytes float64) {
-	st := e.st()
-	st.mu.Lock()
-	st.obs.DownlinkBytes += bytes
-	st.mu.Unlock()
-}
-
-// ObserveAggregated records how many distinct experts the current round's
-// aggregation touched. It is goroutine-safe.
-func (e *Env) ObserveAggregated(n int) {
-	st := e.st()
-	st.mu.Lock()
-	st.obs.ExpertsTouched = n
-	st.mu.Unlock()
-}
-
-// ObserveCohort records the round's participation census: how many
-// participants were selected and how many completed within the straggler
-// deadline (equal when nothing was dropped). It is goroutine-safe.
-func (e *Env) ObserveCohort(selected, completed int) {
-	st := e.st()
-	st.mu.Lock()
-	st.obs.Selected = selected
-	st.obs.Completed = completed
-	st.obs.Dropped = selected - completed
-	st.mu.Unlock()
-}
-
 // TakeRoundObs returns the counters accumulated since the last call and
 // resets them. It is goroutine-safe.
 func (e *Env) TakeRoundObs() RoundObs {
@@ -298,9 +253,8 @@ func (e *Env) TakeRoundObs() RoundObs {
 	return o
 }
 
-// SetRecorder attaches an observability recorder. Rounders and the
-// event-driven server report per-participant and per-flush observations into
-// it; the round driver owns its lifecycle (BeginRun/EndRound/Close). A nil
+// SetRecorder attaches an observability recorder. FinishRound reports
+// per-participant and per-flush observations into it; the round driver owns its lifecycle (BeginRun/EndRound/Close). A nil
 // recorder detaches — the default, and the state every clone starts in.
 func (e *Env) SetRecorder(rec *obs.Recorder) {
 	st := e.st()
@@ -560,9 +514,10 @@ func UpdateBytes(u Update) float64 {
 	return float64(params) * 4
 }
 
-// Rounder is a federated fine-tuning method: it executes one synchronous
-// round, mutating env.Global, and reports the simulated duration of the
-// round broken down by phase.
+// Rounder is a federated fine-tuning method: Round runs the round's cohort
+// (env.Cohort) over the pool (ForEachOf), fills one SlotResult per slot, and
+// returns env.FinishRound(cohort, slots) — the simulated duration of the
+// round broken down by phase — or nil when the pool reports cancellation.
 type Rounder interface {
 	Name() string
 	Round(env *Env, r int) map[simtime.Phase]float64

@@ -1,15 +1,12 @@
 // Cohort selection and straggler semantics.
 //
 // The fleet subsystem (internal/fleet) decides WHO runs a round and WHEN the
-// server stops waiting; this file is the engine-side glue every Rounder uses:
-// Cohort resolves the round's participant set, ForEachOf fans work over it,
-// and ResolveStragglers applies the deadline to the per-participant times a
-// Rounder measured. With an inactive fleet spec all of it degrades to the
-// engine's historical behavior — full participation, no deadline — and the
-// results are bit-identical to runs predating the subsystem.
+// server stops waiting; this file is the engine-side glue: Cohort resolves
+// the round's participant set for a Rounder to fan out over (ForEachOf), and
+// resolveStragglers applies the deadline inside FinishRound's synchronous
+// barrier. With an inactive fleet spec both degrade to full participation
+// with no deadline, bit-identical to runs predating the subsystem.
 package fed
-
-import "repro/internal/simtime"
 
 // Cohort returns the sorted participant indices executing round r: the full
 // fleet when the configuration has no active fleet spec, otherwise the
@@ -33,27 +30,9 @@ func identityIndices(n int) []int {
 	return out
 }
 
-// Deadline returns the straggler deadline in simulated seconds (zero = no
-// deadline) and whether participants missing it are dropped from
-// aggregation (false = the server waits for everyone).
-func (e *Env) Deadline() (sec float64, drop bool) {
-	return e.Cfg.Fleet.Deadline, e.Cfg.Fleet.Drop
-}
-
-// StragglerOutcome is the deadline resolution of one round.
-type StragglerOutcome struct {
-	// Keep flags, per cohort slot, whether that participant's update is
-	// aggregated. All true without a deadline or under the wait policy.
-	Keep []bool
-	// Kept is the number of true entries in Keep.
-	Kept int
-}
-
-// Dropped reports how many cohort slots missed the deadline.
-func (o StragglerOutcome) Dropped() int { return len(o.Keep) - o.Kept }
-
-// ResolveStragglers applies the configured deadline to the per-cohort-slot
-// end-to-end round seconds a Rounder measured. Semantics:
+// resolveStragglers applies the configured deadline to the per-cohort-slot
+// end-to-end round seconds and returns which slots the synchronous barrier
+// aggregates; nil means all of them. Semantics:
 //
 //   - No deadline, or a deadline with the wait policy: every participant is
 //     kept and the deadline changes nothing (it is observational).
@@ -61,56 +40,31 @@ func (o StragglerOutcome) Dropped() int { return len(o.Keep) - o.Kept }
 //     dropped. The server never proceeds empty-handed — if everyone would
 //     miss the deadline it waits for the single fastest participant.
 //
-// The reduction is deterministic: Keep depends only on the measured totals,
-// never on worker scheduling.
-func (e *Env) ResolveStragglers(totals []float64) StragglerOutcome {
-	out := StragglerOutcome{Keep: make([]bool, len(totals))}
-	deadline, drop := e.Deadline()
-	if deadline <= 0 || !drop {
-		for i := range out.Keep {
-			out.Keep[i] = true
-		}
-		out.Kept = len(totals)
-		return out
+// The reduction is deterministic: the mask depends only on the measured
+// totals, never on worker scheduling.
+func (e *Env) resolveStragglers(totals []float64) []bool {
+	deadline := e.Cfg.Fleet.Deadline
+	if deadline <= 0 || !e.Cfg.Fleet.Drop {
+		return nil
 	}
-	fastest := -1
+	keep := make([]bool, len(totals))
+	kept, fastest := 0, 0
 	for i, t := range totals {
-		if fastest < 0 || t < totals[fastest] {
+		if t < totals[fastest] {
 			fastest = i
 		}
 		if t <= deadline {
-			out.Keep[i] = true
-			out.Kept++
+			keep[i] = true
+			kept++
 		}
 	}
-	if out.Kept == 0 && fastest >= 0 {
+	switch kept {
+	case len(totals):
+		return nil
+	case 0:
 		// A synchronous round cannot aggregate nothing: wait (past the
 		// deadline) for the single fastest update.
-		out.Keep[fastest] = true
-		out.Kept = 1
+		keep[fastest] = true
 	}
-	return out
-}
-
-// AddStragglerWait attributes the server's idle tail at the deadline to the
-// straggler phase of a Rounder's phase map. participantSec is the kept
-// cohort's barriered participant window — the sum of per-phase maxima over
-// kept participants, excluding server-side aggregation time. When the drop
-// policy cut at least one participant, the server proceeded at the deadline,
-// so the participant window lasts the full deadline and the shortfall
-// (deadline - participantSec) is idle time. The window can also exceed the
-// deadline — per-participant totals decide who is dropped, and the maxima of
-// different phases may come from different kept participants — in which case
-// no idle time is added.
-func (e *Env) AddStragglerWait(phases map[simtime.Phase]float64, outcome StragglerOutcome, participantSec float64) {
-	deadline, drop := e.Deadline()
-	if deadline <= 0 || !drop || outcome.Dropped() == 0 {
-		return
-	}
-	if wait := deadline - participantSec; wait > 0 {
-		// Accumulate: a Rounder may already have straggler time in the map
-		// (e.g. a retry or a phase it attributes there itself); assignment
-		// would silently clobber it.
-		phases[simtime.PhaseStraggler] += wait
-	}
+	return keep
 }

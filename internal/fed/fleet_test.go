@@ -44,104 +44,113 @@ func TestCohortSelected(t *testing.T) {
 
 func TestResolveStragglersNoDeadline(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{})
-	out := env.ResolveStragglers([]float64{5, 100, 2})
-	if out.Kept != 3 || out.Dropped() != 0 {
-		t.Fatalf("no deadline must keep everyone: %+v", out)
+	if keep := env.resolveStragglers([]float64{5, 100, 2}); keep != nil {
+		t.Fatalf("no deadline must keep everyone: %v", keep)
 	}
 }
 
 func TestResolveStragglersWaitPolicy(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: false})
-	out := env.ResolveStragglers([]float64{5, 100, 2})
-	if out.Kept != 3 || out.Dropped() != 0 {
-		t.Fatalf("wait policy must keep everyone: %+v", out)
+	if keep := env.resolveStragglers([]float64{5, 100, 2}); keep != nil {
+		t.Fatalf("wait policy must keep everyone: %v", keep)
 	}
 }
 
 func TestResolveStragglersDrop(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{5, 100, 2, 11})
-	if !reflect.DeepEqual(out.Keep, []bool{true, false, true, false}) {
-		t.Fatalf("keep mask %v", out.Keep)
-	}
-	if out.Kept != 2 || out.Dropped() != 2 {
-		t.Fatalf("kept %d, want 2", out.Kept)
+	keep := env.resolveStragglers([]float64{5, 100, 2, 11})
+	if !reflect.DeepEqual(keep, []bool{true, false, true, false}) {
+		t.Fatalf("keep mask %v", keep)
 	}
 }
 
 func TestResolveStragglersAllMissKeepsFastest(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{50, 30, 40})
-	if !reflect.DeepEqual(out.Keep, []bool{false, true, false}) {
-		t.Fatalf("keep mask %v, want only the fastest", out.Keep)
-	}
-	if out.Kept != 1 {
-		t.Fatalf("outcome %+v", out)
+	keep := env.resolveStragglers([]float64{50, 30, 40})
+	if !reflect.DeepEqual(keep, []bool{false, true, false}) {
+		t.Fatalf("keep mask %v, want only the fastest", keep)
 	}
 }
 
 func TestResolveStragglersAllWithinDeadline(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{5, 7})
-	if out.Kept != 2 || out.Dropped() != 0 {
-		t.Fatalf("nobody within the deadline may be dropped: %+v", out)
+	if keep := env.resolveStragglers([]float64{5, 7}); keep != nil {
+		t.Fatalf("nobody within the deadline may be dropped: %v", keep)
 	}
 }
 
-// TestAddStragglerWait pins the deadline accounting: when the drop policy
-// cut someone, the participant window lasts the full deadline, so the
-// shortfall between the deadline and the kept cohort's barriered phase time
-// becomes PhaseStraggler idle time — and nothing is added under the wait
-// policy, with no drops, or when the window already exceeds the deadline.
+// TestAddStragglerWait pins the deadline accounting of the synchronous
+// barrier: when the drop policy cut someone, the participant window lasts the
+// full deadline, so the shortfall between the deadline and the kept cohort's
+// barriered phase time becomes PhaseStraggler idle time — and nothing is
+// added under the wait policy, with no drops, or when the window already
+// exceeds the deadline.
 func TestAddStragglerWait(t *testing.T) {
-	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	outcome := env.ResolveStragglers([]float64{5, 100}) // one dropped
+	finish := func(spec fleet.Spec, results ...SlotResult) map[simtime.Phase]float64 {
+		return fleetEnv(t, spec).FinishRound(identityIndices(len(results)), results)
+	}
+	drop := fleet.Spec{Deadline: 10, Drop: true}
 
-	phases := map[simtime.Phase]float64{simtime.PhaseFineTuning: 6}
-	env.AddStragglerWait(phases, outcome, 6)
+	phases := finish(drop, slot(0, 6), slot(1, 100)) // one dropped
 	if got := phases[simtime.PhaseStraggler]; got != 4 {
 		t.Fatalf("idle %v, want deadline(10) - window(6) = 4", got)
 	}
 
-	// Regression: a Rounder may already have straggler time in the map (a
-	// retry, or a phase it attributes there itself). AddStragglerWait must
-	// accumulate onto it, not clobber it.
-	phases = map[simtime.Phase]float64{simtime.PhaseStraggler: 3, simtime.PhaseFineTuning: 6}
-	env.AddStragglerWait(phases, outcome, 6)
-	if got := phases[simtime.PhaseStraggler]; got != 7 {
-		t.Fatalf("idle %v, want pre-existing(3) + shortfall(4) = 7 (clobbered, not accumulated?)", got)
+	// Regression: a slot may itself report straggler time (a retry, or a
+	// phase the method attributes there). The idle tail must accumulate onto
+	// it, not clobber it.
+	own := slot(0, 6)
+	own.Phases[simtime.PhaseStraggler] = 3
+	phases = finish(drop, own, slot(1, 100))
+	if got := phases[simtime.PhaseStraggler]; got != 4 {
+		t.Fatalf("idle %v, want reported(3) + shortfall(10-9) = 4 (clobbered, not accumulated?)", got)
 	}
 
 	// Window past the deadline: drop decisions are per-participant, the
 	// barriered window may still overshoot — no negative idle time.
-	phases = map[simtime.Phase]float64{}
-	env.AddStragglerWait(phases, outcome, 12)
+	phases = finish(drop,
+		SlotResult{Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 8, simtime.PhaseComm: 1}},
+		SlotResult{Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 8}},
+		slot(2, 100))
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
-		t.Fatalf("window past deadline must add no idle time: %v", phases)
+		t.Fatalf("window (16) past deadline must add no idle time: %v", phases)
 	}
 
 	// Nobody dropped: the server proceeded when the last update arrived.
-	phases = map[simtime.Phase]float64{}
-	env.AddStragglerWait(phases, env.ResolveStragglers([]float64{5, 7}), 7)
+	phases = finish(drop, slot(0, 5), slot(1, 7))
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("no drop must add no idle time: %v", phases)
 	}
 
 	// Wait policy: observational deadline, never idle time.
-	waitEnv := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: false})
-	phases = map[simtime.Phase]float64{}
-	waitEnv.AddStragglerWait(phases, waitEnv.ResolveStragglers([]float64{5, 100}), 6)
+	phases = finish(fleet.Spec{Deadline: 10, Drop: false}, slot(0, 6), slot(1, 100))
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("wait policy must add no idle time: %v", phases)
 	}
+	if got := phases[simtime.PhaseFineTuning]; got != 100 {
+		t.Fatalf("wait policy round lasts the straggler's 100s, got %v", got)
+	}
 }
 
+// TestObserveCohort pins the synchronous census: Selected is the cohort,
+// Completed the kept slots, Dropped the rest; uplink counts kept slots only,
+// downlink the whole cohort; and the counters reset once taken.
 func TestObserveCohort(t *testing.T) {
-	env := fleetEnv(t, fleet.Spec{})
-	env.ObserveCohort(10, 8)
+	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
+	results := []SlotResult{slot(1, 5), slot(3, 100), slot(4, 7)}
+	for i := range results {
+		results[i].Bytes, results[i].DownBytes = 100, 400
+	}
+	env.FinishRound([]int{1, 3, 4}, results)
 	obs := env.TakeRoundObs()
-	if obs.Selected != 10 || obs.Completed != 8 || obs.Dropped != 2 {
+	if obs.Selected != 3 || obs.Completed != 2 || obs.Dropped != 1 {
 		t.Fatalf("census %+v", obs)
+	}
+	if obs.UplinkBytes != 200 || obs.DownlinkBytes != 1200 {
+		t.Fatalf("traffic %+v, want uplink over kept slots (200) and downlink over the cohort (1200)", obs)
+	}
+	if obs.ModelVersion != 0 || obs.Stale != 0 || obs.Pending != 0 {
+		t.Fatalf("sync mode reported event-driven accounting: %+v", obs)
 	}
 	if obs := env.TakeRoundObs(); obs.Selected != 0 {
 		t.Fatalf("census not reset: %+v", obs)

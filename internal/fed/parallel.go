@@ -1,22 +1,24 @@
 // Deterministic parallel participant execution.
 //
-// The synchronous round of every method in this repository is embarrassingly
+// The participant phase of every method in this repository is embarrassingly
 // parallel: each participant profiles, merges, and fine-tunes against a
-// read-only global model, and only server-side aggregation mutates shared
-// state. ForEachParticipant exploits that structure — participant bodies fan
-// out over a worker pool — while keeping results bit-identical to a serial
-// loop. The determinism contract has three legs:
+// read-only global model, and only server-side aggregation (FinishRound)
+// mutates shared state. ForEachOf exploits that structure — participant
+// bodies fan out over a worker pool — while keeping results bit-identical to
+// a serial loop. The determinism contract has three legs, the first two the
+// Rounder's and the third FinishRound's:
 //
 //  1. Randomness: rounders split env.RNG once per participant *before*
 //     dispatching work (splitting advances the parent stream, so it must
 //     happen in participant order on one goroutine). A participant body
 //     consumes only its own pre-split stream.
-//  2. Disjoint writes: a body writes only per-participant state — its result
-//     slot, its utility table, its worker's scratch. The global model is
-//     read-only until the pool joins.
+//  2. Disjoint writes: a body writes only per-participant state — its
+//     SlotResult, its utility table, its worker's scratch. The global model
+//     is read-only until the pool joins.
 //  3. Ordered reduction: floating-point accumulation (uplink-byte sums,
-//     FedAvg aggregation) happens after the join, iterating participants in
-//     index order, so accumulation order never depends on scheduling.
+//     FedAvg aggregation, phase maxima) happens after the join, iterating
+//     slots in cohort order, so accumulation order never depends on
+//     scheduling.
 //
 // Each worker owns a Scratch whose buffers (local model clone, gradient
 // accumulator, update-flattening arena) persist across rounds, so steady-state
@@ -130,16 +132,16 @@ func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 // ForEachParticipant executes fn once for every participant index over the
 // environment's worker pool, passing each invocation its worker's Scratch.
 // It returns the environment context's error if the round was canceled — the
-// caller must then abandon the round (skip aggregation and return nil
-// phases), exactly as a serial loop polling env.Canceled would.
+// caller must then abandon the round (return nil phases without calling
+// FinishRound), exactly as a serial loop polling env.Canceled would.
 //
 // fn must follow the determinism contract documented at the top of this
 // file: consume only pre-split randomness, write only per-participant state,
-// and leave all cross-participant reduction to the caller.
+// and leave all cross-participant reduction to FinishRound.
 //
-// Cohort-aware Rounders use ForEachOf(env, env.Cohort(r), ...) instead so
-// only the selected participants execute; ForEachParticipant remains the
-// full-fleet loop (and is exactly ForEachOf over every index).
+// Rounders use ForEachOf(env, env.Cohort(r), ...) instead so only the
+// selected participants execute; ForEachParticipant remains the full-fleet
+// loop (and is exactly ForEachOf over every index).
 func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
 	idx := identityIndices(env.Cfg.Participants)
 	return ForEachOf(env, idx, func(s *Scratch, _ int, participant int) { fn(s, participant) })
@@ -148,10 +150,10 @@ func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
 // ForEachOf executes fn once for every listed participant over the
 // environment's worker pool, passing each invocation its worker's Scratch,
 // the participant's slot in the list, and the participant index itself.
-// Slots let a Rounder write results into a cohort-sized array and reduce in
-// cohort order, which — with cohorts sorted ascending — keeps floating-point
-// accumulation deterministic at every worker count. The cancellation and
-// determinism contract is ForEachParticipant's.
+// Slots let a Rounder fill a cohort-sized []SlotResult that FinishRound
+// reduces in cohort order, which — with cohorts sorted ascending — keeps
+// floating-point accumulation deterministic at every worker count. The
+// cancellation and determinism contract is ForEachParticipant's.
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
 	n := len(participants)
 	workers := env.workersFor(n)

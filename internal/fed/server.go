@@ -1,10 +1,22 @@
-// Event-driven server core: buffered-asynchronous and semi-synchronous
-// aggregation.
+// The server core: the one in-process round reduction.
 //
-// The synchronous engine is a barrier loop — every round waits for the whole
-// cohort (or its deadline) before aggregating once. This file adds the two
-// production-shaped alternatives behind AggSpec:
+// A Rounder owns what happens inside a participant's round; what the server
+// does with the cohort's results afterwards is method-independent and lives
+// here. The contract is: fan the cohort out over the pool (ForEachOf), fill
+// one SlotResult per cohort slot, and end with
 //
+//	return env.FinishRound(cohort, slots)
+//
+// FinishRound owns the straggler deadline, FedAvg over the kept updates,
+// uplink/downlink and census accounting, the per-participant observability
+// records, and the round's simulated phase map — env.Global has exactly one
+// writer between pool join and round end. AggSpec picks the discipline:
+//
+//   - Sync ("sync", the zero value): one barrier per round. Participants past
+//     a drop deadline are cut, the rest aggregate once in slot order, and the
+//     round lasts the per-phase maxima over the kept slots plus the server's
+//     aggregation seconds (plus idle time up to the deadline if someone was
+//     dropped).
 //   - Buffered-async ("async", FedBuff-style): the server aggregates as soon
 //     as K updates sit in its buffer, tagging the global model with a version
 //     that increments per flush. Updates born against an older version are
@@ -16,24 +28,16 @@
 //     on-time arrivals — and late arrivals carry into the next round's buffer
 //     instead of being dropped.
 //
-// The driver's round loop is unchanged: a Rounder still runs the cohort and
-// returns a phase map. What moves here is the *reduction*: when the spec is
-// active, a Rounder hands its per-slot results to Env.FinishRound instead of
-// running its own barrier reduction, and the core owns buffering, versioning,
-// staleness weighting, aggregation order, and the round's simulated time.
-// When the spec is inactive (zero value or explicit "sync"), FinishRound is
-// never called and every Rounder's historical reduction runs untouched —
-// synchronous results stay bit-identical to the pre-core engine.
-//
-// Determinism: arrivals are ordered by (simulated total seconds, slot), both
-// deterministic in the seed; all floating-point folding walks that order or
-// sorted phase keys. Carried updates are deep-copied out of the worker
-// scratch arena (whose buffers are invalidated by the next round's pool run).
+// Determinism: every floating-point fold walks slot order, arrival order
+// (simulated total seconds, then slot), or a fixed phase order — never map or
+// scheduling order. Carried updates are deep-copied out of the worker scratch
+// arena (whose buffers are invalidated by the next round's pool run).
 package fed
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -42,8 +46,8 @@ import (
 
 // Aggregation modes accepted by AggSpec.Mode.
 const (
-	// ModeSync is the synchronous barrier round — the default, and exactly
-	// the engine's historical behavior (an empty Mode means the same).
+	// ModeSync is the synchronous barrier round — the default (an empty Mode
+	// means the same).
 	ModeSync = "sync"
 	// ModeAsync is FedBuff-style buffered-asynchronous aggregation.
 	ModeAsync = "async"
@@ -52,8 +56,7 @@ const (
 )
 
 // AggSpec selects the server's aggregation discipline. The zero value (and
-// an explicit "sync" mode) is the synchronous barrier round, bit-identical
-// to runs predating the event-driven core.
+// an explicit "sync" mode) is the synchronous barrier round.
 type AggSpec struct {
 	// Mode is "sync" (or empty), "async", or "semisync".
 	Mode string `json:"mode,omitempty"`
@@ -69,9 +72,8 @@ type AggSpec struct {
 	StalenessAlpha float64 `json:"staleness_alpha,omitempty"`
 }
 
-// Active reports whether the spec changes engine behavior at all — that is,
-// whether rounds go through the event-driven core instead of the Rounders'
-// synchronous barrier reduction.
+// Active reports whether the spec selects an event-driven mode (async or
+// semisync) rather than the synchronous barrier.
 func (a AggSpec) Active() bool {
 	return a.Mode == ModeAsync || a.Mode == ModeSemiSync
 }
@@ -106,13 +108,12 @@ func (a AggSpec) bufferFor(n int) int {
 	return k
 }
 
-// SlotResult is one cohort slot's contribution to an event-driven round: the
-// participant's update, its modeled wire traffic, and its per-phase simulated
-// seconds. A Rounder running under an active AggSpec builds one per slot
-// (in place of its synchronous barrier reduction) and hands the cohort to
+// SlotResult is one cohort slot's finished work: the participant's update,
+// its modeled wire traffic, and its per-phase simulated seconds. A Rounder's
+// pool body fills one per slot and the Rounder hands the cohort's worth to
 // Env.FinishRound. The phase map must cover the participant's full
-// end-to-end round time — its sorted-key sum is the arrival time that orders
-// the server's event queue.
+// end-to-end round time — its sum is tested against the straggler deadline
+// and orders arrivals in the event-driven modes.
 type SlotResult struct {
 	Update Update
 	// Bytes is the uplink payload of Update (what the participant uploads).
@@ -152,7 +153,8 @@ func staleScale(staleness int, alpha float64) float64 {
 }
 
 // sortedPhaseSum folds a phase map into seconds in sorted-key order, so the
-// float total is bit-reproducible run to run.
+// float total is bit-reproducible run to run. The event-driven modes total
+// arrivals this way.
 func sortedPhaseSum(phases map[simtime.Phase]float64) float64 {
 	keys := make([]string, 0, len(phases))
 	for p := range phases {
@@ -166,7 +168,59 @@ func sortedPhaseSum(phases map[simtime.Phase]float64) float64 {
 	return sec
 }
 
-// serverRound accumulates the effects of one event-driven round's flushes.
+// canonicalPhaseSum folds a phase map into seconds in execution order
+// (simtime.CanonicalPhases, then method-specific phases sorted) — the order
+// the observability layer lays a round out in. The synchronous barrier totals
+// slots and its kept window this way; the fold order is part of the
+// bit-identity contract, so it must not be swapped for sortedPhaseSum.
+func canonicalPhaseSum(phases map[simtime.Phase]float64) float64 {
+	canonical := simtime.CanonicalPhases()
+	var sec float64
+	extra := len(phases)
+	for _, p := range canonical {
+		if v, ok := phases[p]; ok {
+			sec += v
+			extra--
+		}
+	}
+	if extra > 0 {
+		keys := make([]string, 0, extra)
+		//fluxvet:unordered keys are collected then sorted before the float fold
+		for p := range phases {
+			if !slices.Contains(canonical, p) {
+				keys = append(keys, string(p))
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			sec += phases[simtime.Phase(k)]
+		}
+	}
+	return sec
+}
+
+// arrivalOrder is the event-driven server's queue: slots ordered by simulated
+// completion time (ties by slot), with each slot's total. Totals come from
+// sorted-key folds, so the order is deterministic in the seed at every worker
+// count.
+func arrivalOrder(results []SlotResult) (order []int, totals []float64) {
+	totals = make([]float64, len(results))
+	order = make([]int, len(results))
+	for slot, p := range results {
+		totals[slot] = sortedPhaseSum(p.Phases)
+		order[slot] = slot
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if totals[order[a]] != totals[order[b]] {
+			return totals[order[a]] < totals[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	return order, totals
+}
+
+// serverRound accumulates the effects of one round's aggregations: the single
+// barrier FedAvg in sync mode, every buffer flush in the event-driven modes.
 type serverRound struct {
 	version   int     // global model version, bumped once per flush
 	completed int     // updates aggregated this round (carried + fresh)
@@ -196,7 +250,7 @@ type aggEntry struct {
 
 // flush aggregates the buffered updates in buffer order, staleness-discounted
 // against the current version, then bumps the version. It is the single
-// model-mutation point of the event-driven core.
+// model-mutation point of the event-driven modes.
 //
 // Aggregate replaces an expert's parameters with the weighted mean of the
 // updates handed to it — correct for a synchronous barrier, where one call
@@ -267,12 +321,18 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 	}
 }
 
-// FinishRound is the event-driven replacement for a Rounder's synchronous
-// barrier reduction. A Rounder whose environment has an active AggSpec
-// (env.Cfg.Agg.Active()) calls it after the participant fan-out joins,
-// handing one SlotResult per cohort slot; FinishRound owns aggregation and
-// returns the round's phase map. Behavior by mode:
+// FinishRound is the round reduction every Rounder ends with: after the
+// participant fan-out joins it takes one SlotResult per cohort slot, owns
+// everything the server does with them, and returns the round's phase map.
+// It panics if results does not hold exactly one entry per slot of a
+// non-empty cohort. Behavior by Cfg.Agg mode:
 //
+//   - sync (the default): slots whose end-to-end seconds miss a drop deadline
+//     are cut (never all of them — see resolveStragglers); the kept updates
+//     aggregate once, in slot order. The round's time is the per-phase maximum
+//     over kept slots plus server aggregation seconds on the communication
+//     phase; when someone was dropped the server proceeded at the deadline, so
+//     any shortfall of the kept window is straggler-wait idle time.
 //   - async: arrivals are ordered by simulated completion time and buffered;
 //     every K buffered updates are flushed (staleness-discounted FedAvg, then
 //     version++). Leftovers carry into the next round's buffer. The round's
@@ -287,13 +347,16 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 //     nothing is flushable the server waits past the clock for the single
 //     fastest arrival.
 //
-// It also reports the round's observability: uplink/downlink traffic in slot
-// order, the census (Selected = cohort, Completed = aggregated, Dropped = 0 —
-// these modes never drop), and the model version, stale-update count, and
-// carry-over buffer size.
+// It also reports the round's observability, all folded in slot order:
+// downlink over the whole cohort (the broadcast precedes any deadline),
+// uplink over every slot not dropped, the census (Selected = cohort,
+// Completed = aggregated, Dropped = cut at a sync deadline — the event-driven
+// modes never drop), and under those modes the model version, stale-update
+// count, and carry-over buffer size (all zero in sync).
 func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]float64 {
-	if !e.Cfg.Agg.Active() {
-		panic("fed: FinishRound called without an active aggregation spec")
+	if len(cohort) == 0 || len(results) != len(cohort) {
+		panic(fmt.Sprintf("fed: FinishRound needs one SlotResult per slot of a non-empty cohort: got %d results for a cohort of %d",
+			len(results), len(cohort)))
 	}
 	rec := e.Obs() // fetched before taking st.mu (Obs locks it too)
 	st := e.st()
@@ -303,40 +366,31 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 	st.pending = nil
 	st.mu.Unlock()
 
-	// Traffic is observed where it happens: every cohort member receives the
-	// broadcast and uploads its update this round, whether or not the server
-	// consumes it before the round closes. Folded in slot order.
-	var upBytes, downBytes float64
-	for _, p := range results {
-		upBytes += p.Bytes
-		downBytes += p.DownBytes
-	}
-
-	// Order arrivals by simulated completion time (ties by slot): the
-	// server's event queue. Totals come from sorted-key folds, so the order
-	// is deterministic in the seed at every worker count.
-	totals := make([]float64, len(results))
-	for slot, p := range results {
-		totals[slot] = sortedPhaseSum(p.Phases)
-	}
-	order := make([]int, len(results))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if totals[order[a]] != totals[order[b]] {
-			return totals[order[a]] < totals[order[b]]
-		}
-		return order[a] < order[b]
-	})
-
 	var phases map[simtime.Phase]float64
 	var leftovers []pendingUpdate
+	var keep []bool // sync only: which slots made the deadline; nil = nobody dropped
 	switch e.Cfg.Agg.Mode {
 	case ModeAsync:
-		phases, leftovers = e.finishAsync(order, totals, results, carried, &sr)
+		phases, leftovers = e.finishAsync(results, carried, &sr)
 	case ModeSemiSync:
-		phases, leftovers = e.finishSemiSync(order, totals, results, carried, &sr)
+		phases, leftovers = e.finishSemiSync(results, carried, &sr)
+	default:
+		phases, keep = e.finishSync(results, &sr)
+	}
+
+	// Traffic is observed where it happens: every cohort member receives the
+	// broadcast, and every member the server did not cut uploads its update —
+	// whether or not an event-driven server consumes it before the round
+	// closes.
+	var upBytes, downBytes float64
+	dropped := 0
+	for slot, p := range results {
+		downBytes += p.DownBytes
+		if keep != nil && !keep[slot] {
+			dropped++
+			continue
+		}
+		upBytes += p.Bytes
 	}
 
 	if rec != nil {
@@ -363,6 +417,7 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 				Phases:      phaseStrings(p.Phases),
 				UplinkBytes: p.Bytes, DownlinkBytes: p.DownBytes,
 				Staleness: freshStale[id], Pending: pendingSet[id],
+				Dropped: keep != nil && !keep[slot],
 			})
 		}
 		for _, f := range sr.flushes {
@@ -378,7 +433,7 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 	st.obs.ExpertsTouched = sr.experts
 	st.obs.Selected = len(cohort)
 	st.obs.Completed = sr.completed
-	st.obs.Dropped = 0
+	st.obs.Dropped = dropped
 	st.obs.ModelVersion = sr.version
 	st.obs.Stale = sr.stale
 	st.obs.Pending = len(leftovers)
@@ -386,9 +441,55 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 	return phases
 }
 
+// finishSync is the synchronous barrier: cut the slots that miss a drop
+// deadline, FedAvg the kept updates in slot order, and build the round's
+// phase map. keep is nil when every slot was kept.
+func (e *Env) finishSync(results []SlotResult, sr *serverRound) (phases map[simtime.Phase]float64, keep []bool) {
+	totals := make([]float64, len(results))
+	for slot, p := range results {
+		totals[slot] = canonicalPhaseSum(p.Phases)
+	}
+	keep = e.resolveStragglers(totals)
+
+	updates := make([]Update, 0, len(results))
+	phases = make(map[simtime.Phase]float64)
+	var bytes float64
+	for slot, p := range results {
+		if keep != nil && !keep[slot] {
+			continue
+		}
+		updates = append(updates, p.Update)
+		bytes += p.Bytes
+		//fluxvet:unordered per-phase max fold; max is order-independent
+		for ph, v := range p.Phases {
+			phases[ph] = math.Max(phases[ph], v)
+		}
+	}
+	sr.experts = Aggregate(e.Global, updates)
+	sr.completed = len(updates)
+	sr.serverSec = bytes / e.Cfg.ServerBw
+
+	// The participant window is barriered per phase; server aggregation
+	// follows it. When the deadline cut someone the server proceeded at the
+	// deadline, so the window lasts the full deadline and its shortfall is
+	// idle time. The window can also exceed the deadline — per-slot totals
+	// decide who is dropped, and the maxima of different phases may come
+	// from different kept slots — in which case no idle time is added.
+	window := canonicalPhaseSum(phases)
+	phases[simtime.PhaseComm] += sr.serverSec
+	if len(updates) < len(results) {
+		if wait := e.Cfg.Fleet.Deadline - window; wait > 0 {
+			// Accumulate: a slot may itself report straggler time.
+			phases[simtime.PhaseStraggler] += wait
+		}
+	}
+	return phases, keep
+}
+
 // finishAsync walks the arrival order, buffering updates and flushing every
 // K. Returns the round's phase map and the deep-copied leftovers.
-func (e *Env) finishAsync(order []int, totals []float64, results []SlotResult, carried []pendingUpdate, sr *serverRound) (map[simtime.Phase]float64, []pendingUpdate) {
+func (e *Env) finishAsync(results []SlotResult, carried []pendingUpdate, sr *serverRound) (map[simtime.Phase]float64, []pendingUpdate) {
+	order, totals := arrivalOrder(results)
 	k := e.Cfg.Agg.bufferFor(len(results))
 	alpha := e.Cfg.Agg.StalenessAlpha
 	// Every arrival trained against the model broadcast at round entry; a
@@ -436,7 +537,8 @@ func (e *Env) finishAsync(order []int, totals []float64, results []SlotResult, c
 // finishSemiSync flushes once at the fixed round clock: carried updates plus
 // on-time arrivals aggregate; late arrivals carry over. Returns the round's
 // phase map and the deep-copied leftovers.
-func (e *Env) finishSemiSync(order []int, totals []float64, results []SlotResult, carried []pendingUpdate, sr *serverRound) (map[simtime.Phase]float64, []pendingUpdate) {
+func (e *Env) finishSemiSync(results []SlotResult, carried []pendingUpdate, sr *serverRound) (map[simtime.Phase]float64, []pendingUpdate) {
+	order, totals := arrivalOrder(results)
 	clock := e.Cfg.Fleet.Deadline
 	alpha := e.Cfg.Agg.StalenessAlpha
 	birth := sr.version

@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -223,12 +225,57 @@ func TestFinishRoundObservesTraffic(t *testing.T) {
 	}
 }
 
-func TestFinishRoundSyncPanics(t *testing.T) {
-	env := asyncEnv(t, AggSpec{}, fleet.Spec{})
-	defer func() {
-		if recover() == nil {
-			t.Error("FinishRound without an active aggregation spec must panic")
+// TestFinishRoundArgumentCheck pins the entry check of the one reduction
+// every method author calls: a cohort/results length mismatch or an empty
+// cohort panics once, up front, naming both lengths — in every mode.
+func TestFinishRoundArgumentCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cohort  []int
+		results []SlotResult
+		want    string // substring of the panic message; "" = must not panic
+	}{
+		{"matched", []int{0, 1}, []SlotResult{slot(0, 1), slot(1, 2)}, ""},
+		{"empty cohort", nil, nil, "got 0 results for a cohort of 0"},
+		{"missing result", []int{0, 1}, []SlotResult{slot(0, 1)}, "got 1 results for a cohort of 2"},
+		{"extra result", []int{0}, []SlotResult{slot(0, 1), slot(1, 2)}, "got 2 results for a cohort of 1"},
+		{"results without cohort", nil, []SlotResult{slot(0, 1)}, "got 1 results for a cohort of 0"},
+	} {
+		for _, spec := range []AggSpec{{Mode: ModeSync}, {Mode: ModeAsync, BufferK: 1}} {
+			t.Run(tc.name+"/"+spec.Mode, func(t *testing.T) {
+				env := asyncEnv(t, spec, fleet.Spec{})
+				defer func() {
+					got := fmt.Sprint(recover())
+					if tc.want == "" && got != "<nil>" {
+						t.Errorf("unexpected panic: %s", got)
+					}
+					if !strings.Contains(got, tc.want) {
+						t.Errorf("panic %q, want it to contain %q", got, tc.want)
+					}
+				}()
+				env.FinishRound(tc.cohort, tc.results)
+			})
 		}
-	}()
-	env.FinishRound([]int{0}, []SlotResult{slot(0, 1)})
+	}
+}
+
+// TestCanonicalPhaseSumOrder pins the fold order of the synchronous barrier's
+// totals: canonical execution order first, method-specific phases after in
+// sorted order. The values make float addition order observable — a
+// sorted-key fold of the same map returns 3, not 2.
+func TestCanonicalPhaseSumOrder(t *testing.T) {
+	const big = 1 << 53
+	phases := map[simtime.Phase]float64{
+		simtime.PhaseProfiling:  big,
+		simtime.PhaseAssignment: 1, // absorbed: big+1 rounds back to big
+		simtime.PhaseComm:       -big,
+		"b-custom":              1,
+		"a-custom":              1,
+	}
+	if got := canonicalPhaseSum(phases); got != 2 {
+		t.Errorf("canonical fold %v, want 2", got)
+	}
+	if got := sortedPhaseSum(phases); got != 3 {
+		t.Errorf("sorted fold %v, want 3 (the test values no longer tell the orders apart)", got)
+	}
 }

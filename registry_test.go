@@ -1,7 +1,6 @@
 package flux_test
 
 import (
-	"math"
 	"testing"
 
 	flux "repro"
@@ -85,41 +84,43 @@ func TestMethodsOrdering(t *testing.T) {
 }
 
 // pubFedAvg is the in-module twin of examples/external_method: a plain
-// synchronous FedAvg written purely against the public extension surface.
-// Running it through fluxtest here keeps the public-API path covered by the
-// root test suite (the external module exercises the out-of-module path).
+// FedAvg written purely against the public extension surface (cohort fan-out,
+// one SlotResult per slot, env.FinishRound). Running it through fluxtest here
+// keeps the public-API path covered by the root test suite (the external
+// module exercises the out-of-module path).
 type pubFedAvg struct{}
 
 func (pubFedAvg) Name() string { return "pub-fedavg" }
 
 func (pubFedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 	tuning := flux.TuneAllExperts(env.Global)
-	var updates []flux.Update
-	var slowest, uplink float64
-	for i := 0; i < env.Cfg.Participants; i++ {
-		if env.Canceled() {
-			return nil
-		}
-		local := env.Global.Clone()
-		grads := flux.NewGrads(local)
+	cohort := env.Cohort(round)
+	slots := make([]flux.SlotResult, len(cohort))
+	err := flux.ForEachCohort(env, cohort, func(ws *flux.Scratch, slot, i int) {
+		local := ws.LocalClone(env.Global)
+		grads := ws.Grads(local)
 		batch := env.Batch(i, round)
 		tokens := 0
 		for it := 0; it < env.Cfg.LocalIters; it++ {
 			for _, s := range batch {
 				seq, mask := s.FullSequence()
-				local.ForwardBackward(seq, mask, grads, nil, -1)
+				local.ForwardBackwardWS(ws.Workspace(), seq, mask, grads, nil, -1)
 				tokens += len(seq)
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		u := flux.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-		updates = append(updates, u)
-		uplink += flux.UpdateBytes(u)
-		slowest = math.Max(slowest, env.Devices[i].Seconds(flux.TrainFlops(env.Global, tokens, 1.0)))
+		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
+		slots[slot] = flux.SlotResult{
+			Update: u, Bytes: flux.UpdateBytes(u), DownBytes: flux.ModelBytes(env.Global),
+			Phases: map[flux.Phase]float64{
+				flux.PhaseFineTuning: env.Devices[i].Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
+			},
+		}
+	})
+	if err != nil {
+		return nil
 	}
-	env.ObserveAggregated(flux.Aggregate(env.Global, updates))
-	env.ObserveUplink(uplink)
-	return map[flux.Phase]float64{flux.PhaseFineTuning: slowest}
+	return env.FinishRound(cohort, slots)
 }
 
 func TestPublicAPIMethodConformsOnBothTransports(t *testing.T) {

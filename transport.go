@@ -179,7 +179,7 @@ func (t *tcpTransport) Start(ctx context.Context, env *Env, method string) error
 	if env.Cfg.Fleet.Active() {
 		return errors.New("flux: the TCP transport does not model fleets (device profiles, cohort selection, deadlines); run fleet scenarios on the in-process transport")
 	}
-	if env.Cfg.Agg.Active() {
+	if mode := env.Cfg.Agg.Mode; mode != "" && mode != AggSync {
 		return errors.New("flux: the TCP transport's wire protocol is synchronous; run async/semisync aggregation on the in-process transport")
 	}
 	ln, err := net.Listen("tcp", t.addr)
