@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/fed"
 	"repro/internal/fleet"
@@ -197,6 +198,37 @@ func BenchmarkForwardBackward(b *testing.B) {
 			m.ForwardBackwardWS(ws, seq, nil, grads, nil, -1)
 		}
 	})
+}
+
+// BenchmarkEvaluate is the evaluation rung of the ladder: one sweep over 16
+// held-out samples on a warm workspace, which is what Env.Evaluate runs
+// after every round. task=generation greedy-decodes gsm8k completions on the
+// LLaMA stand-in; task=choice scores mmlu options on the DeepSeek stand-in.
+// The K/V-cached decode path leaves three allocations per generated sample
+// (the returned tokens and RougeL's two LCS rows) and none per scored one;
+// benchguard gates that through bench/BENCH_micro.json.
+func BenchmarkEvaluate(b *testing.B) {
+	cases := []struct {
+		task    string
+		cfg     moe.Config
+		profile data.Profile
+	}{
+		{"generation", moe.SimConfigLLaMATrain(), data.GSM8K()},
+		{"choice", moe.SimConfigDeepSeekTrain(), data.MMLU()},
+	}
+	for _, c := range cases {
+		b.Run("task="+c.task, func(b *testing.B) {
+			m := moe.MustNew(c.cfg, tensor.Named("bench-eval"))
+			test := data.Generate(c.profile, c.cfg.VocabSize, 16, tensor.NewRNG(6)).Samples
+			ws := moe.NewWorkspace()
+			eval.Evaluate(m, ws, c.profile, test)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eval.Evaluate(m, ws, c.profile, test)
+			}
+		})
+	}
 }
 
 // BenchmarkMatMul tracks the tiled kernel at the model's own shapes (small:

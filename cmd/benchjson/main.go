@@ -5,8 +5,12 @@
 //
 //	go test -run '^$' -bench '^BenchmarkRound$' -benchmem . | benchjson > BENCH_round.json
 //
-// Lines that are not benchmark results (headers, PASS/ok trailers) are
-// ignored.
+// Every result is stamped with the machine it was measured on, because a
+// ns/op (or a workers=8 row) means nothing without it: GOOS, GOARCH and the
+// CPU model from the header lines go test prints, GOMAXPROCS from the -N
+// suffix of the result line, and the CPU count and Go version of benchjson
+// itself, which runs on the same machine at the other end of the pipe.
+// Other lines (pkg headers, PASS/ok trailers) are ignored.
 package main
 
 import (
@@ -14,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -33,15 +38,32 @@ type Result struct {
 	// non-pair segments ignored, so adding a new benchmark dimension never
 	// breaks publishing.
 	Params map[string]string `json:"params,omitempty"`
+
+	// Machine context (see the package comment).
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
 }
 
 func main() {
 	var results []Result
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	var goos, goarch, cpu string // most recent go test header lines
 	for sc.Scan() {
 		line := sc.Text()
-		if r, ok := parseLine(line); ok {
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			goos = v
+		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			goarch = v
+		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = v
+		} else if r, ok := parseLine(line); ok {
+			r.GOOS, r.GOARCH, r.CPU = goos, goarch, cpu
+			r.NumCPU, r.GoVersion = runtime.NumCPU(), runtime.Version()
 			results = append(results, r)
 		}
 	}
@@ -72,8 +94,8 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	name := trimProcSuffix(fields[0])
-	r := Result{Name: name, Iterations: iters, Params: parseParams(name)}
+	name, procs := splitProcSuffix(fields[0])
+	r := Result{Name: name, Iterations: iters, Params: parseParams(name), GOMAXPROCS: procs}
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -93,17 +115,19 @@ func parseLine(line string) (Result, bool) {
 	return r, seen
 }
 
-// trimProcSuffix drops the trailing -GOMAXPROCS marker go test appends to
-// benchmark names ("BenchmarkRound/workers=1-8" → "BenchmarkRound/workers=1").
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits off the trailing -GOMAXPROCS marker go test appends
+// to benchmark names ("BenchmarkRound/workers=1-8" → "BenchmarkRound/workers=1",
+// 8). go test omits the marker when GOMAXPROCS is 1.
+func splitProcSuffix(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 // parseParams extracts the key=value dimensions of a sub-benchmark name.

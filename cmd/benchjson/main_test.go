@@ -15,7 +15,7 @@ func TestParseLine(t *testing.T) {
 		{
 			name: "plain benchmark",
 			line: "BenchmarkMoEForward-8  120  9876543 ns/op",
-			want: Result{Name: "BenchmarkMoEForward", Iterations: 120, NsPerOp: 9876543},
+			want: Result{Name: "BenchmarkMoEForward", Iterations: 120, NsPerOp: 9876543, GOMAXPROCS: 8},
 			ok:   true,
 		},
 		{
@@ -24,7 +24,8 @@ func TestParseLine(t *testing.T) {
 			want: Result{
 				Name: "BenchmarkRound/method=flux/workers=8", Iterations: 3,
 				NsPerOp: 345678, BytesPerOp: 120, AllocsPerOp: 7,
-				Params: map[string]string{"method": "flux", "workers": "8"},
+				Params:     map[string]string{"method": "flux", "workers": "8"},
+				GOMAXPROCS: 8,
 			},
 			ok: true,
 		},
@@ -33,8 +34,9 @@ func TestParseLine(t *testing.T) {
 			line: "BenchmarkRound/method=flux/workers=8/fleet=longtail/deadline=8000-16  2  1234 ns/op",
 			want: Result{
 				Name: "BenchmarkRound/method=flux/workers=8/fleet=longtail/deadline=8000", Iterations: 2,
-				NsPerOp: 1234,
-				Params:  map[string]string{"method": "flux", "workers": "8", "fleet": "longtail", "deadline": "8000"},
+				NsPerOp:    1234,
+				Params:     map[string]string{"method": "flux", "workers": "8", "fleet": "longtail", "deadline": "8000"},
+				GOMAXPROCS: 16,
 			},
 			ok: true,
 		},
@@ -43,8 +45,9 @@ func TestParseLine(t *testing.T) {
 			line: "BenchmarkRound/method=fmd/workers=8/fleet=longtail/mode=async-8  4  5678 ns/op",
 			want: Result{
 				Name: "BenchmarkRound/method=fmd/workers=8/fleet=longtail/mode=async", Iterations: 4,
-				NsPerOp: 5678,
-				Params:  map[string]string{"method": "fmd", "workers": "8", "fleet": "longtail", "mode": "async"},
+				NsPerOp:    5678,
+				Params:     map[string]string{"method": "fmd", "workers": "8", "fleet": "longtail", "mode": "async"},
+				GOMAXPROCS: 8,
 			},
 			ok: true,
 		},
@@ -53,7 +56,7 @@ func TestParseLine(t *testing.T) {
 			line: "BenchmarkRound/quick/workers=2-4  5  99 ns/op",
 			want: Result{
 				Name: "BenchmarkRound/quick/workers=2", Iterations: 5, NsPerOp: 99,
-				Params: map[string]string{"workers": "2"},
+				Params: map[string]string{"workers": "2"}, GOMAXPROCS: 4,
 			},
 			ok: true,
 		},
@@ -62,7 +65,16 @@ func TestParseLine(t *testing.T) {
 			line: "BenchmarkRound/fleet=long-tail-8  5  99 ns/op",
 			want: Result{
 				Name: "BenchmarkRound/fleet=long-tail", Iterations: 5, NsPerOp: 99,
-				Params: map[string]string{"fleet": "long-tail"},
+				Params: map[string]string{"fleet": "long-tail"}, GOMAXPROCS: 8,
+			},
+			ok: true,
+		},
+		{
+			name: "no suffix means GOMAXPROCS=1",
+			line: "BenchmarkRound/fleet=long-tail  5  99 ns/op",
+			want: Result{
+				Name: "BenchmarkRound/fleet=long-tail", Iterations: 5, NsPerOp: 99,
+				Params: map[string]string{"fleet": "long-tail"}, GOMAXPROCS: 1,
 			},
 			ok: true,
 		},

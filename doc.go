@@ -63,6 +63,19 @@
 // floating-point accumulation order exactly, so the fast path is
 // bit-identical to the naive one — see README "Performance".
 //
+// The per-round evaluation decodes incrementally on a workspace of its own
+// (one per Env, kept across rounds). The decode state — a per-layer
+// key/value cache and the count of positions in it — is owned by the
+// Workspace, reset at the start of every GenerateWS or ScoreOptionsWS call
+// and never valid across calls; within a call the prompt runs once and
+// each new token, or each multiple-choice option, only extends it. The
+// result is bit-identical to re-running the whole sequence, not close to
+// it: the attention mask is causal and there is no positional term, so a
+// cached row never changes; every other kernel works row by row; attention
+// output accumulates in ascending position order in both forms; and the
+// +0·v terms the full matmul adds for masked positions leave a float64
+// accumulator's bits unchanged.
+//
 // Heterogeneous fleets are a first-class axis. A FleetSpec (WithFleet,
 // WithFleetDistribution, WithSelector, WithDeadline) gives each participant
 // a device profile — compute and uplink/downlink multipliers plus per-round

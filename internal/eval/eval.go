@@ -11,22 +11,21 @@ import (
 )
 
 // Evaluate scores the model on the given test samples using the profile's
-// task metric and returns the raw score in [0,1].
-func Evaluate(m *moe.Model, p data.Profile, test []*data.Sample) float64 {
+// task metric and returns the raw score in [0,1]. All model state for the
+// sweep comes from ws, which the caller owns for the duration of the call; a
+// nil ws allocates a private one.
+func Evaluate(m *moe.Model, ws *moe.Workspace, p data.Profile, test []*data.Sample) float64 {
 	if len(test) == 0 {
 		return 0
 	}
-	ws := moe.NewWorkspace() // one forward workspace for the whole sweep
+	if ws == nil {
+		ws = moe.NewWorkspace()
+	}
 	var sum float64
 	for _, s := range test {
 		sum += scoreSample(m, ws, p, s)
 	}
 	return sum / float64(len(test))
-}
-
-// ScoreSample scores a single sample.
-func ScoreSample(m *moe.Model, p data.Profile, s *data.Sample) float64 {
-	return scoreSample(m, nil, p, s)
 }
 
 func scoreSample(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample) float64 {
@@ -35,10 +34,8 @@ func scoreSample(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample
 		gen := m.GenerateWS(ws, s.Prompt, len(s.Completion))
 		return metrics.RougeL(gen, s.Completion)
 	case data.MultipleChoice:
-		scores := make([]float64, len(s.Options))
-		for i, opt := range s.Options {
-			scores[i] = m.ScoreContinuationWS(ws, s.Prompt, opt)
-		}
+		scores := ws.Scores(len(s.Options))
+		m.ScoreOptionsWS(ws, s.Prompt, s.Options, scores)
 		if tensor.ArgMax(scores) == s.Answer {
 			return 1
 		}
@@ -48,20 +45,18 @@ func scoreSample(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample
 	}
 }
 
-// EvaluateSubset scores the model on at most n samples from test, chosen
-// deterministically (every k-th sample). Convergence experiments use this to
-// keep evaluation cost proportional to training cost.
-func EvaluateSubset(m *moe.Model, p data.Profile, test []*data.Sample, n int) float64 {
+// Subset returns at most n samples of test, chosen deterministically (every
+// k-th sample); n <= 0 or n >= len(test) selects all of it. Convergence
+// experiments evaluate on it to keep evaluation cost proportional to
+// training cost.
+func Subset(test []*data.Sample, n int) []*data.Sample {
 	if n <= 0 || n >= len(test) {
-		return Evaluate(m, p, test)
+		return test
 	}
 	stride := len(test) / n
-	if stride == 0 {
-		stride = 1
-	}
 	sub := make([]*data.Sample, 0, n)
 	for i := 0; i < len(test) && len(sub) < n; i += stride {
 		sub = append(sub, test[i])
 	}
-	return Evaluate(m, p, sub)
+	return sub
 }

@@ -19,7 +19,7 @@ func TestEvaluateBounds(t *testing.T) {
 	g := tensor.NewRNG(1)
 	for _, p := range data.Profiles() {
 		ds := data.Generate(p, 64, 12, g)
-		score := Evaluate(m, p, ds.Samples)
+		score := Evaluate(m, nil, p, ds.Samples)
 		if score < 0 || score > 1 {
 			t.Fatalf("%s: score %v out of [0,1]", p.Name, score)
 		}
@@ -28,7 +28,7 @@ func TestEvaluateBounds(t *testing.T) {
 
 func TestEvaluateEmpty(t *testing.T) {
 	m := testModel(t)
-	if Evaluate(m, data.Dolly(), nil) != 0 {
+	if Evaluate(m, nil, data.Dolly(), nil) != 0 {
 		t.Fatal("empty test set should score 0")
 	}
 }
@@ -44,7 +44,7 @@ func TestTrainingImprovesScore(t *testing.T) {
 	ds := data.Generate(p, 64, 120, g)
 	train, test := ds.Split(0.8, g)
 
-	before := Evaluate(m, p, test)
+	before := Evaluate(m, nil, p, test)
 	grads := moe.NewGrads(m, true)
 	for epoch := 0; epoch < 8; epoch++ {
 		for _, s := range train {
@@ -53,7 +53,7 @@ func TestTrainingImprovesScore(t *testing.T) {
 		}
 		m.ApplySGD(grads, 1.0/float64(len(train)))
 	}
-	after := Evaluate(m, p, test)
+	after := Evaluate(m, nil, p, test)
 	if after <= before {
 		t.Fatalf("training did not improve score: %v -> %v", before, after)
 	}
@@ -64,14 +64,16 @@ func TestEvaluateSubset(t *testing.T) {
 	g := tensor.NewRNG(3)
 	p := data.PIQA()
 	ds := data.Generate(p, 64, 40, g)
-	full := Evaluate(m, p, ds.Samples)
-	sub := EvaluateSubset(m, p, ds.Samples, 10)
-	if sub < 0 || sub > 1 {
-		t.Fatalf("subset score %v", sub)
+	sub := Subset(ds.Samples, 10)
+	if len(sub) != 10 || sub[0] != ds.Samples[0] || sub[1] != ds.Samples[4] {
+		t.Fatalf("Subset(40 samples, 10) = %d samples, want every 4th", len(sub))
 	}
-	// Subset with n >= len falls back to full.
-	if got := EvaluateSubset(m, p, ds.Samples, 1000); got != full {
-		t.Fatalf("subset fallback mismatch: %v vs %v", got, full)
+	if score := Evaluate(m, nil, p, sub); score < 0 || score > 1 {
+		t.Fatalf("subset score %v", score)
+	}
+	// n <= 0 and n >= len select the whole set.
+	if len(Subset(ds.Samples, 1000)) != 40 || len(Subset(ds.Samples, 0)) != 40 {
+		t.Fatal("out-of-range subset sizes must select every sample")
 	}
 }
 
@@ -80,10 +82,20 @@ func TestScoreSampleMC(t *testing.T) {
 	g := tensor.NewRNG(4)
 	p := data.MMLU()
 	ds := data.Generate(p, 64, 10, g)
+	ws := moe.NewWorkspace()
 	for _, s := range ds.Samples {
-		v := ScoreSample(m, p, s)
+		v := scoreSample(m, ws, p, s)
 		if v != 0 && v != 1 {
 			t.Fatalf("MC score %v must be 0/1", v)
 		}
+	}
+	// A malformed sample with an empty option must not be scored as "the
+	// empty option was chosen": it used to score NaN, which ArgMax reads as
+	// index 0.
+	bad := *ds.Samples[0]
+	bad.Options = append([][]int{nil}, bad.Options...)
+	bad.Answer = 0
+	if v := scoreSample(m, ws, p, &bad); v != 0 {
+		t.Fatalf("empty option chosen: score %v", v)
 	}
 }

@@ -132,6 +132,10 @@ type Env struct {
 	Devices []simtime.Device
 	RNG     *tensor.RNG
 
+	// evalSub is the fixed every-k-th slice of Test that Evaluate scores,
+	// built once by NewEnv and shared (read-only) by CloneForMethod copies.
+	evalSub []*data.Sample
+
 	ctx   context.Context
 	state *envState
 }
@@ -143,6 +147,11 @@ type envState struct {
 	mu      sync.Mutex
 	obs     RoundObs
 	scratch []*Scratch
+
+	// evalWS is Evaluate's workspace, kept across rounds so the serial
+	// per-round evaluation stops allocating once warm. Evaluate runs on the
+	// driver goroutine only, never concurrently with itself.
+	evalWS *moe.Workspace
 
 	// Event-driven server core (AggSpec active): the global model's version
 	// (bumped once per buffer flush) and the carry-over buffer of updates
@@ -375,6 +384,7 @@ func NewEnvContext(ctx context.Context, modelCfg moe.Config, profile data.Profil
 		Test:    test,
 		Devices: devices,
 		RNG:     root.Split("run"),
+		evalSub: eval.Subset(test, cfg.EvalSubset),
 		state:   &envState{},
 	}, nil
 }
@@ -433,9 +443,19 @@ func (e *Env) Batch(i, r int) []*data.Sample {
 	return out
 }
 
-// Evaluate scores the global model on the held-out test subset.
+// Evaluate scores the global model on the held-out test subset. It is
+// serial and must not be called concurrently with itself on one Env: all
+// calls share the environment's evaluation workspace.
 func (e *Env) Evaluate() float64 {
-	return eval.EvaluateSubset(e.Global, e.Profile, e.Test, e.Cfg.EvalSubset)
+	st := e.st()
+	if st.evalWS == nil {
+		st.evalWS = moe.NewWorkspace()
+	}
+	sub := e.evalSub
+	if sub == nil { // Env assembled by composite literal rather than NewEnv
+		sub = eval.Subset(e.Test, e.Cfg.EvalSubset)
+	}
+	return eval.Evaluate(e.Global, st.evalWS, e.Profile, sub)
 }
 
 // ExpertKey identifies an expert by layer and original index.

@@ -176,6 +176,17 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 		}
 	}
 
+	return l.moeBlock(layerIdx, c, ws, stats, sampleID)
+}
+
+// moeBlock is the second half of the layer, shared by Forward and extend:
+// pre-norm of the attention residual c.x1, gate softmax, top-k routing, the
+// routed experts' FFNs and the weighted residual sum into c.out, which it
+// returns. Every step is per row, so a row's output depends only on that
+// row of c.x1 — the property extend's bit-identity rests on.
+func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID int) *tensor.Matrix {
+	T, D := c.x1.Rows, c.x1.Cols
+
 	// Pre-norm for MoE.
 	c.xMid = tensor.Grow(c.xMid, T, D)
 	c.invStd2 = growFloats(c.invStd2, T)
@@ -221,6 +232,50 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 		}
 	}
 	return out
+}
+
+// extend is the inference-only incremental form of Forward: x holds the n
+// rows at positions [p, p+n) of a sequence whose first p rows already went
+// through this layer, leaving their key/value rows in kv. The new rows' keys
+// and values are written straight into cache rows [p, p+n) and new row t
+// attends over cache rows [0, p+t]. The output (n × D, owned by c) is
+// bit-identical to rows [p, p+n) of Forward on the whole sequence: the
+// projections, layer norms and moeBlock are per row; a masked position's
+// score softmaxes to exactly 0, and the +0·v terms Forward's attention
+// matmul adds for them leave every accumulator's bits unchanged, so summing
+// only u ≤ p+t in the same ascending order gives the same sums.
+func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *Workspace) *tensor.Matrix {
+	n, D := x.Rows, x.Cols
+
+	c.xNorm = tensor.Grow(c.xNorm, n, D)
+	for t := 0; t < n; t++ {
+		layerNormRow(c.xNorm.Row(t), x.Row(t))
+	}
+
+	ws.q = tensor.Grow(ws.q, n, D)
+	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
+	ws.mul.MatMulInto(ws.cacheRows(kv.k, p, n), c.xNorm, l.Wk)
+	ws.mul.MatMulInto(ws.cacheRows(kv.v, p, n), c.xNorm, l.Wv)
+	scale := 1 / math.Sqrt(float64(D))
+	ws.attnOut = tensor.Grow(ws.attnOut, n, D)
+	ws.attnOut.Zero()
+	ws.attnScores = growFloats(ws.attnScores, p+n)
+	for t := 0; t < n; t++ {
+		scores := ws.attnScores[:p+t+1]
+		qrow := ws.q.Row(t)
+		for u := range scores {
+			scores[u] = tensor.Dot(qrow, kv.k.Row(u)) * scale
+		}
+		tensor.SoftmaxInPlace(scores)
+		arow := ws.attnOut.Row(t)
+		for u, pu := range scores {
+			tensor.Axpy(pu, kv.v.Row(u), arow)
+		}
+	}
+	c.x1 = tensor.Grow(c.x1, n, D)
+	c.x1.CopyFrom(x)
+	c.x1.Add(ws.attnOut)
+	return l.moeBlock(-1, c, ws, nil, -1) // no stats, so the layer index is unused
 }
 
 // Backward propagates dOut (gradient of the loss w.r.t. the layer output)

@@ -134,14 +134,16 @@ func (m *Model) embedWS(ws *Workspace, seq []int) *tensor.Matrix {
 }
 
 // headLogits applies the final pre-head layer norm (frozen-statistics
-// backward) and the output head to the last layer's activation x, returning
-// the logits (ws.normed and ws.invStd hold the LN state for backward).
-func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
-	T := x.Rows
+// backward) and the output head to rows [from, x.Rows) of the last layer's
+// activation x, returning their logits (ws.normed and ws.invStd hold the LN
+// state for backward). Training and full-sequence inference pass from == 0;
+// decoding passes the first row whose logits it reads.
+func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from int) *tensor.Matrix {
+	T := x.Rows - from
 	ws.normed = tensor.Grow(ws.normed, T, m.Cfg.Dim)
 	ws.invStd = growFloats(ws.invStd, T)
 	for t := 0; t < T; t++ {
-		ws.invStd[t] = layerNormRow(ws.normed.Row(t), x.Row(t))
+		ws.invStd[t] = layerNormRow(ws.normed.Row(t), x.Row(from+t))
 	}
 	ws.logits = tensor.Grow(ws.logits, T, m.Head.Cols)
 	ws.mul.MatMulInto(ws.logits, ws.normed, m.Head)
@@ -158,7 +160,7 @@ func (m *Model) forwardFull(ws *Workspace, seq []int, stats *ActivationStats, sa
 	for l, layer := range m.Layers {
 		x = layer.Forward(l, x, caches[l], ws, stats, sampleID)
 	}
-	return m.headLogits(ws, x), caches, ws.normed, ws.invStd
+	return m.headLogits(ws, x, 0), caches, ws.normed, ws.invStd
 }
 
 // ForwardPrefixWS runs the embedding and layers [0, stop), returning the
@@ -205,7 +207,7 @@ func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []i
 	for l := start; l < len(m.Layers); l++ {
 		x = m.Layers[l].Forward(l, x, caches[l], ws, nil, -1)
 	}
-	logits := m.headLogits(ws, x)
+	logits := m.headLogits(ws, x, 0)
 	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
 	loss, _ := crossEntropy(logits, seq, mask, nil, ws.ceProbs)
 	return loss
@@ -337,11 +339,7 @@ func crossEntropy(logits *tensor.Matrix, seq []int, mask []bool, dLogits *tensor
 		}
 		target := seq[t+1]
 		tensor.Softmax(probs, logits.Row(t))
-		p := probs[target]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss += -math.Log(p)
+		loss += -logProb(probs[target])
 		if dLogits != nil {
 			drow := dLogits.Row(t)
 			inv := 1 / float64(n)
@@ -354,58 +352,113 @@ func crossEntropy(logits *tensor.Matrix, seq []int, mask []bool, dLogits *tensor
 	return loss / float64(n), n
 }
 
-// Generate greedily decodes n tokens following prefix.
-func (m *Model) Generate(prefix []int, n int) []int {
-	return m.GenerateWS(NewWorkspace(), prefix, n)
+// extendWS pushes toks — the tokens at positions [decLen, decLen+len(toks)) of
+// the sequence being decoded on ws — through every layer against the cached
+// key/value rows, and returns their final-layer activations (len(toks) × Dim,
+// aliasing ws). Callers start a sequence with ws.resetDecode and may rewind
+// ws.decLen to re-extend from an earlier position: rows at or beyond decLen
+// are never read before they are rewritten.
+//
+//fluxvet:hotpath incremental decode step of per-round evaluation; a warm workspace must stay 0 allocs/op (TestDecodeZeroAllocs)
+func (m *Model) extendWS(ws *Workspace, toks []int) *tensor.Matrix {
+	x := m.embedWS(ws, toks)
+	caches := ws.cachesFor(len(m.Layers))
+	for l, layer := range m.Layers {
+		x = layer.extend(x, ws.decLen, &ws.kv[l], caches[l], ws)
+	}
+	ws.decLen += len(toks)
+	return x
 }
 
-// GenerateWS is Generate with caller-provided workspace, reused across the
-// decode steps.
+// GenerateWS greedily decodes n tokens following prefix: one prefill of the
+// prompt, then one single-row extend per generated token, bit-identical to
+// re-running ForwardWS on the growing sequence. A nil ws allocates a private
+// workspace. Once the sequence reaches MaxSeqLen the attention window slides
+// (the oldest tokens are dropped), which invalidates every cached row above
+// layer 0, so each such step re-prefills the truncated window.
 func (m *Model) GenerateWS(ws *Workspace, prefix []int, n int) []int {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	seq := append([]int(nil), prefix...)
-	for i := 0; i < n; i++ {
-		if len(seq) >= m.Cfg.MaxSeqLen {
-			seq = seq[len(seq)-m.Cfg.MaxSeqLen+1:]
+	buf := make([]int, len(prefix)+n)
+	copy(buf, prefix)
+	ws.resetDecode(len(m.Layers), min(len(buf), m.Cfg.MaxSeqLen), m.Cfg.Dim)
+	lo := 0 // start of the attention window within buf
+	for end := len(prefix); end < len(buf); end++ {
+		if end-lo >= m.Cfg.MaxSeqLen {
+			lo = end - m.Cfg.MaxSeqLen + 1
+			ws.decLen = 0
 		}
-		logits := m.ForwardWS(ws, seq, nil, -1)
-		next := tensor.ArgMax(logits.Row(logits.Rows - 1))
-		seq = append(seq, next)
+		x := m.extendWS(ws, buf[lo+ws.decLen:end])
+		buf[end] = tensor.ArgMax(m.headLogits(ws, x, x.Rows-1).Row(0))
 	}
-	return seq[len(seq)-n:]
+	return buf[len(prefix):]
 }
 
-// ScoreContinuation returns the mean log-probability the model assigns to
-// cont following prefix. Used for multiple-choice evaluation.
-func (m *Model) ScoreContinuation(prefix, cont []int) float64 {
-	return m.ScoreContinuationWS(NewWorkspace(), prefix, cont)
-}
-
-// ScoreContinuationWS is ScoreContinuation with caller-provided workspace.
-func (m *Model) ScoreContinuationWS(ws *Workspace, prefix, cont []int) float64 {
+// ScoreOptionsWS writes into scores[i] the mean log-probability the model
+// assigns to opts[i] following prefix — the multiple-choice evaluation
+// score. The prompt is run once: each option rewinds the decode state to the
+// end of the prompt and extends it by its own tokens (all but the last,
+// whose logits nobody reads). An empty option scores -Inf, so it is never
+// preferred; with an empty prefix an option's first token is unscored but
+// still counts in the mean. A nil ws allocates a private workspace.
+//
+//fluxvet:hotpath multiple-choice scoring of per-round evaluation; a warm workspace must stay 0 allocs/op (TestDecodeZeroAllocs)
+func (m *Model) ScoreOptionsWS(ws *Workspace, prefix []int, opts [][]int, scores []float64) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	seq := append(append([]int(nil), prefix...), cont...)
-	logits := m.ForwardWS(ws, seq, nil, -1)
-	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
+	longest := 0
+	for _, opt := range opts {
+		longest = max(longest, len(opt))
+	}
+	ws.resetDecode(len(m.Layers), len(prefix)+longest, m.Cfg.Dim)
+	ws.ceProbs = growFloats(ws.ceProbs, m.Head.Cols)
 	probs := ws.ceProbs
-	var lp float64
-	for i, tok := range cont {
-		pos := len(prefix) + i - 1 // prediction for cont[i] is made at pos
-		if pos < 0 {
+	if len(prefix) > 0 {
+		// The prompt's last row predicts every option's first token.
+		x := m.extendWS(ws, prefix)
+		tensor.Softmax(probs, m.headLogits(ws, x, x.Rows-1).Row(0))
+	}
+	// First-token terms are taken now: the option rows below reuse probs.
+	for i, opt := range opts {
+		scores[i] = 0
+		if len(prefix) > 0 && len(opt) > 0 {
+			scores[i] = logProb(probs[opt[0]])
+		}
+	}
+	for i, opt := range opts {
+		if len(opt) == 0 {
+			scores[i] = math.Inf(-1)
 			continue
 		}
-		tensor.Softmax(probs, logits.Row(pos))
-		p := probs[tok]
-		if p < 1e-12 {
-			p = 1e-12
+		if len(opt) > 1 {
+			ws.decLen = len(prefix)
+			logits := m.headLogits(ws, m.extendWS(ws, opt[:len(opt)-1]), 0)
+			for j, tok := range opt[1:] {
+				tensor.Softmax(probs, logits.Row(j))
+				scores[i] += logProb(probs[tok])
+			}
 		}
-		lp += math.Log(p)
+		scores[i] /= float64(len(opt))
 	}
-	return lp / float64(len(cont))
+}
+
+// logProb is log p with p floored at 1e-12, so one impossible token cannot
+// make a loss or a score infinite.
+func logProb(p float64) float64 {
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	return math.Log(p)
+}
+
+// ScoreContinuationWS returns the mean log-probability the model assigns to
+// cont following prefix: ScoreOptionsWS with a single option.
+func (m *Model) ScoreContinuationWS(ws *Workspace, prefix, cont []int) float64 {
+	var score [1]float64
+	m.ScoreOptionsWS(ws, prefix, [][]int{cont}, score[:])
+	return score[0]
 }
 
 // OutputEmbedding returns the final-token embedding the model produces for

@@ -290,7 +290,7 @@ func TestStatsMerge(t *testing.T) {
 
 func TestGenerateLengthAndRange(t *testing.T) {
 	m := tinyModel(t, "gen")
-	out := m.Generate([]int{1, 2, 3}, 5)
+	out := m.GenerateWS(nil, []int{1, 2, 3}, 5)
 	if len(out) != 5 {
 		t.Fatalf("generate returned %d tokens", len(out))
 	}
@@ -315,7 +315,8 @@ func TestScoreContinuationPrefersLikely(t *testing.T) {
 		m.ApplySGD(grads, 0.5)
 	}
 	_ = g
-	if m.ScoreContinuation(prefix, good) <= m.ScoreContinuation(prefix, bad) {
+	ws := NewWorkspace()
+	if m.ScoreContinuationWS(ws, prefix, good) <= m.ScoreContinuationWS(ws, prefix, bad) {
 		t.Fatal("trained continuation should score higher")
 	}
 }

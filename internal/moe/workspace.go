@@ -21,6 +21,12 @@ import "repro/internal/tensor"
 // are sized per call — and changes no math: every buffer is either fully
 // overwritten or explicitly zeroed before use, so results are bit-identical
 // to the allocating path.
+//
+// The workspace also owns the decode state of incremental inference: one
+// key/value cache per layer plus the count of positions cached. GenerateWS
+// and ScoreOptionsWS reset it on entry, so it is valid for exactly one call
+// and nothing a previous call (or a forward/backward pass, which shares the
+// per-layer activation buffers) left behind can leak into the next.
 type Workspace struct {
 	mul tensor.MulScratch
 
@@ -29,6 +35,16 @@ type Workspace struct {
 	x       *tensor.Matrix // token embeddings (layer 0 input)
 	q, k, v *tensor.Matrix // attention projections (transient per layer)
 	attnOut *tensor.Matrix
+
+	// Decode state (resetDecode / Model.extendWS): kv[l] holds layer l's
+	// key/value rows for the decLen positions already pushed through the
+	// model; kvNew is the MatMulInto target viewing the cache rows being
+	// written; attnScores is one new row's attention scores.
+	kv         []kvCache
+	decLen     int
+	kvNew      tensor.Matrix
+	attnScores []float64
+	scores     []float64 // Scores: the caller-facing per-option result buffer
 
 	// Routing scratch, reused across tokens.
 	gateLogits *tensor.Matrix
@@ -73,6 +89,40 @@ func (ws *Workspace) cachesFor(n int) []*layerCache {
 		ws.caches = append(ws.caches, &layerCache{})
 	}
 	return ws.caches[:n]
+}
+
+// kvCache is one layer's attention keys and values, one row per cached
+// position.
+type kvCache struct{ k, v *tensor.Matrix }
+
+// resetDecode empties the decode state and sizes every layer's cache for a
+// sequence of up to rows positions.
+func (ws *Workspace) resetDecode(layers, rows, dim int) {
+	for len(ws.kv) < layers {
+		//fluxvet:allow hotalloc pool growth to the layer-count high-water mark; once the pool is full the loop body never executes again
+		ws.kv = append(ws.kv, kvCache{})
+	}
+	for l := range ws.kv[:layers] {
+		ws.kv[l].k = tensor.Grow(ws.kv[l].k, rows, dim)
+		ws.kv[l].v = tensor.Grow(ws.kv[l].v, rows, dim)
+	}
+	ws.decLen = 0
+}
+
+// cacheRows returns ws.kvNew pointed at rows [p, p+n) of the cache matrix m,
+// so a matmul writes new key/value rows straight into the cache. The view
+// never leaves the layer that asked for it.
+func (ws *Workspace) cacheRows(m *tensor.Matrix, p, n int) *tensor.Matrix {
+	ws.kvNew.Rows, ws.kvNew.Cols = n, m.Cols
+	ws.kvNew.Data = m.Data[p*m.Cols : (p+n)*m.Cols]
+	return &ws.kvNew
+}
+
+// Scores returns a length-n scratch slice for ScoreOptionsWS results, owned
+// by ws and valid until its next call. Contents are unspecified.
+func (ws *Workspace) Scores(n int) []float64 {
+	ws.scores = growFloats(ws.scores, n)
+	return ws.scores
 }
 
 // scratchGrad returns a parameter-gradient sink shaped like e for the
