@@ -11,6 +11,7 @@ package flux
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
@@ -105,10 +106,17 @@ func BenchmarkRound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// One untimed round builds the worker pool and the rounder's own
+		// state, and warmPool then touches every worker's scratch, so
+		// allocs/op is the steady state at any -benchtime instead of that
+		// warm-up amortised over b.N.
+		r.Round(env, 0)
+		env.TakeRoundObs()
+		warmPool(b, env)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.Round(env, i)
+			r.Round(env, i+1)
 			env.TakeRoundObs()
 		}
 	}
@@ -142,6 +150,43 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
+// warmPool grows every scratch of env's worker pool to its steady state: the
+// model clone, the update arena, and — over a few full-length random
+// sequences, enough to route tokens to every expert — the workspace and the
+// lazily allocated expert gradients. A round alone does not: the pool hands
+// out slots first come, first served, so on a box with fewer cores than
+// workers some scratches sit a round out and would do that growing inside
+// the timed region instead. The barrier holds each worker goroutine in its
+// first slot until all of them have one.
+func warmPool(b *testing.B, env *fed.Env) {
+	cohort := env.Cohort(0)
+	workers := min(env.Workers(), len(cohort))
+	var arrived atomic.Int32
+	release := make(chan struct{})
+	cfg := env.Global.Cfg
+	tuning := fed.IdentityTuning(cfg)
+	err := fed.ForEachOf(env, cohort, func(s *fed.Scratch, _, i int) {
+		if int(arrived.Add(1)) == workers {
+			close(release)
+		}
+		<-release
+		local := s.LocalClone(env.Global)
+		grads := s.Grads(local)
+		g := tensor.NewRNG(int64(i))
+		seq := make([]int, cfg.MaxSeqLen)
+		for k := 0; k < 4; k++ {
+			for t := range seq {
+				seq[t] = g.Intn(cfg.VocabSize)
+			}
+			local.ForwardBackwardWS(s.Workspace(), seq, nil, grads, nil, -1)
+		}
+		s.ExtractUpdate(local, i, 1, tuning)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // Micro-benchmarks for the substrate's hot paths.
 
 func BenchmarkMoEForward(b *testing.B) {
@@ -153,28 +198,14 @@ func BenchmarkMoEForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(seq, nil, -1)
+		m.ForwardWS(nil, seq, nil, -1)
 	}
 }
 
-func BenchmarkMoEForwardBackward(b *testing.B) {
-	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-bwd"))
-	g := tensor.NewRNG(2)
-	seq := make([]int, 48)
-	for i := range seq {
-		seq[i] = g.Intn(m.Cfg.VocabSize)
-	}
-	grads := moe.NewGrads(m, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBackward(seq, nil, grads, nil, -1)
-	}
-}
-
-// BenchmarkForwardBackward contrasts the allocating training step (ws=none,
-// a fresh workspace per call — the pre-workspace behavior) with the warm
-// per-worker workspace the federated engine actually runs (ws=warm, zero
-// steady-state allocations). CI publishes it into bench/BENCH_micro.json.
+// BenchmarkForwardBackward contrasts a nil workspace (ws=none: the pass
+// allocates a private one per call) with the warm per-worker workspace the
+// federated engine actually runs (ws=warm, zero steady-state allocations).
+// CI publishes it into bench/BENCH_micro.json.
 func BenchmarkForwardBackward(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-fb-ws"))
 	g := tensor.NewRNG(4)
@@ -264,9 +295,12 @@ func BenchmarkMatMul(b *testing.B) {
 
 func BenchmarkQuantizeModel(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant"))
+	qm := m.Clone() // the profiling clone, reused as a worker scratch reuses it
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		moe.QuantizedClone(m, quant.Bits4)
+		qm = m.CloneInto(qm)
+		moe.Quantize(qm, quant.Bits4)
 	}
 }
 

@@ -61,7 +61,11 @@
 // workspace-returned *tensor.Matrix anywhere that outlives the call. All
 // workspace-backed kernels preserve the reference implementations'
 // floating-point accumulation order exactly, so the fast path is
-// bit-identical to the naive one — see README "Performance".
+// bit-identical to the naive one — see README "Performance". The workspace
+// and in-place forms are the only forms: a model entry point takes a
+// *moe.Workspace (nil allocates a private one for the call), a matrix
+// product writes into a caller-owned output, and the naive kernels survive
+// only as test oracles.
 //
 // The per-round evaluation decodes incrementally on a workspace of its own
 // (one per Env, kept across rounds). The decode state — a per-layer
@@ -116,7 +120,7 @@
 // process-global or wall-clock-seeded math/rand; split streams from the
 // experiment seed), strictdecode (config JSON must be decoded with
 // DisallowUnknownFields, as LoadScenario does), sharedwrite
-// (ForEachParticipant/ForEachOf callbacks write only participant-indexed
+// (ForEachOf/ForEachCohort callbacks write only participant-indexed
 // state), hotalloc (no allocating constructs reachable from a
 // //fluxvet:hotpath root), and wsalias (no retaining workspace-returned
 // *tensor.Matrix values). wallclock and globalrand are transitive: the

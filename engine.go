@@ -162,18 +162,11 @@ func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
 	return env.CloneForMethod(cfg.Method), nil
 }
 
-// NewGrads returns a full-precision gradient accumulator for m, for the
-// NewGrads → ForwardBackward → ApplySGD local-training loop.
+// NewGrads returns a full-precision gradient accumulator for m, for a
+// local-training loop that owns its buffers: NewGrads once, then
+// ForwardBackwardWS into it and ApplySGD per step. Inside a Rounder use the
+// worker's Scratch.Grads instead, which persists across rounds.
 func NewGrads(m *Model) *Grads { return moe.NewGrads(m, false) }
-
-// ForEachParticipant is ForEachCohort over the whole fleet: fn runs once for
-// every participant index over the environment's worker pool, handed its
-// worker's Scratch. A Rounder uses ForEachCohort instead, so the fleet's
-// cohort selection applies; the determinism and cancellation contract is the
-// same.
-func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
-	return fed.ForEachParticipant(env, fn)
-}
 
 // ForEachCohort executes fn once for every listed participant over the
 // environment's worker pool (EngineConfig.Workers wide; zero means
@@ -225,16 +218,9 @@ const (
 type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m
-// — the tuning set of a full-model method, and exactly what the TCP wire
-// protocol fine-tunes by default.
+// — the tuning set of a full-model method (pass it to Scratch.ExtractUpdate),
+// and exactly what the TCP wire protocol fine-tunes by default.
 func TuneAllExperts(m *Model) [][]int { return fed.IdentityTuning(m.Cfg) }
-
-// ExtractUpdate collects the current parameters of the given tuning experts
-// (per-layer id lists, as produced by TuneAllExperts) from a participant's
-// local model, weighted for FedAvg by its sample count.
-func ExtractUpdate(local *Model, participant int, weight float64, tuning [][]int) Update {
-	return fed.ExtractUpdate(local, participant, weight, tuning)
-}
 
 // UpdateBytes returns the FP32 wire size of an update — a SlotResult's Bytes.
 func UpdateBytes(u Update) float64 { return fed.UpdateBytes(u) }

@@ -5,7 +5,9 @@ package fluxtest
 import (
 	"context"
 	"encoding/gob"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +26,10 @@ import (
 //   - a participant that disconnects mid-round fails the deployment
 //     cleanly (Serve returns an error instead of hanging),
 //   - a participant that stalls past the per-message deadline does the
-//     same.
+//     same,
+//   - a participant whose update names an expert the model does not have
+//     and carries a NaN fails the deployment with an error naming it,
+//     instead of panicking the server or poisoning the model.
 //
 // The battery is self-contained: call it from a single test function.
 func TestDeployment(t *testing.T) {
@@ -138,6 +143,35 @@ func TestDeployment(t *testing.T) {
 			t.Fatal("Serve completed despite a stalled participant; want a deadline error")
 		}
 		<-done1
+	})
+
+	t.Run("HostileUpdateFailsServe", func(t *testing.T) {
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 3,
+			PretrainSteps: 60, IOTimeout: 10 * time.Second,
+		})
+		hostile := dialRaw(t, ln.Addr().String(), 0)
+		survivor := dialRaw(t, ln.Addr().String(), 1)
+		done1 := survivor.participateAsync()
+
+		var msg fed.RoundMsg
+		hostile.conn.SetReadDeadline(time.Now().Add(deployBound))
+		if err := hostile.dec.Decode(&msg); err != nil {
+			t.Fatalf("hostile peer never saw round 0: %v", err)
+		}
+		bad := fed.UpdateMsg{Participant: 0, Weight: 1, Experts: map[fed.ExpertKey][]float64{
+			{Layer: 1 << 20, Expert: -1}: {math.NaN()},
+		}}
+		if err := hostile.enc.Encode(bad); err != nil {
+			t.Fatalf("hostile upload: %v", err)
+		}
+
+		err := waitErr(t, errc, "Serve")
+		if err == nil || !strings.Contains(err.Error(), "update from 0 rejected") {
+			t.Fatalf("Serve = %v, want an error rejecting participant 0's update", err)
+		}
+		waitErr(t, done1, "participant 1") // released by the teardown, not left hanging
 	})
 }
 

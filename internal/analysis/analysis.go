@@ -64,8 +64,7 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package, reporting findings through
 	// pass.Reportf and exporting facts about declared functions through
-	// pass.ExportFact. Packages are visited in dependency order, so facts
-	// about imported packages are already available via pass.ImportFact.
+	// pass.ExportFact. Packages are visited in dependency order.
 	Run func(*Pass) error
 	// RunModule, if set, runs once after every per-package pass, with the
 	// whole analyzed package set, the call graph, and all exported facts.
@@ -97,12 +96,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // and to this analyzer's module pass. Facts are namespaced per analyzer.
 func (p *Pass) ExportFact(fn *types.Func, f Fact) {
 	p.run.facts.export(p.Analyzer.Name, KeyOf(fn), f)
-}
-
-// ImportFact retrieves a fact this analyzer previously exported about the
-// function named by key, from this or any already-analyzed package.
-func (p *Pass) ImportFact(key FuncKey) (Fact, bool) {
-	return p.run.facts.get(p.Analyzer.Name, key)
 }
 
 // SuppressedAt reports whether a finding by this analyzer at pos would be

@@ -11,7 +11,7 @@ import (
 // A CallEdge records one syntactic use of a function from inside another:
 // either a direct call (`f(x)`, `v.M(x)`) or a reference that captures the
 // function as a value (`go f`, `time.Now` passed as a callback, a method
-// value handed to ForEachParticipant). References matter as much as calls —
+// value handed to ForEachOf). References matter as much as calls —
 // a captured function runs later with the same effects.
 type CallEdge struct {
 	Caller    FuncKey
@@ -39,15 +39,11 @@ type CallNode struct {
 type CallGraph struct {
 	nodes   map[FuncKey]*CallNode
 	callers map[FuncKey][]CallEdge
-	keys    []FuncKey // sorted node keys, for deterministic iteration
 }
 
 // Node returns the graph node for key, or nil if key names no module-local
 // function body (std function, interface method, or unanalyzed package).
 func (g *CallGraph) Node(key FuncKey) *CallNode { return g.nodes[key] }
-
-// Keys returns every node key in sorted order.
-func (g *CallGraph) Keys() []FuncKey { return g.keys }
 
 // Callers returns the edges pointing at key, sorted by caller then position.
 func (g *CallGraph) Callers(key FuncKey) []CallEdge { return g.callers[key] }
@@ -90,7 +86,6 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 		}
 	}
 	for _, key := range sortedNodeKeys(g.nodes) {
-		g.keys = append(g.keys, key)
 		for _, e := range g.nodes[key].Out {
 			g.callers[e.Callee] = append(g.callers[e.Callee], e)
 		}

@@ -87,9 +87,6 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 // ModuleRoot returns the directory of the main module.
 func (l *Loader) ModuleRoot() string { return l.modules[0].dir }
 
-// ModulePath returns the import path of the main module.
-func (l *Loader) ModulePath() string { return l.modules[0].path }
-
 // findModules walks up from dir to the enclosing go.mod and parses its
 // module path plus any replace directives pointing at local directories.
 // The result is sorted longest-module-path-first so import resolution picks

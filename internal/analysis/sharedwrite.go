@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// SharedWrite enforces the disjoint-write half of the ForEachParticipant
-// determinism contract (internal/fed/parallel.go): a participant body runs
-// concurrently with its siblings, so it may write only per-participant
-// state. Inside a function literal passed to ForEachParticipant or
-// ForEachOf, an assignment to a variable captured from the enclosing scope
+// SharedWrite enforces the disjoint-write half of the ForEachOf determinism
+// contract (internal/fed/parallel.go): a participant body runs concurrently
+// with its siblings, so it may write only per-participant state. Inside a
+// function literal passed to ForEachOf or its public alias ForEachCohort, an
+// assignment to a variable captured from the enclosing scope
 // is flagged unless the write targets a slice or map element indexed by one
 // of the callback's parameters (the slot/participant index or something
 // derived from it) — the pattern that keeps writes disjoint across workers.
@@ -23,16 +23,16 @@ import (
 // -race CI leg backstops those.
 var SharedWrite = &Analyzer{
 	Name: "sharedwrite",
-	Doc:  "flags writes to captured variables inside ForEachParticipant/ForEachOf bodies that are not element writes indexed by the participant",
+	Doc:  "flags writes to captured variables inside ForEachOf/ForEachCohort bodies that are not element writes indexed by the participant",
 	Run:  runSharedWrite,
 }
 
 // parallelEntrypoints are the worker-pool fan-out functions whose callback
 // bodies must keep writes disjoint. Matched by name so the check follows
-// the public flux aliases and out-of-module callers too.
+// the public flux alias and out-of-module callers too.
 var parallelEntrypoints = map[string]bool{
-	"ForEachParticipant": true,
-	"ForEachOf":          true,
+	"ForEachOf":     true,
+	"ForEachCohort": true,
 }
 
 func runSharedWrite(pass *Pass) error {

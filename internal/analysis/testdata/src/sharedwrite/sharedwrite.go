@@ -1,18 +1,20 @@
 // Fixture for the sharedwrite analyzer: participant bodies handed to
-// ForEachParticipant/ForEachOf may write captured slice or map elements
+// ForEachOf/ForEachCohort may write captured slice or map elements
 // indexed by a callback parameter, but never captured scalars, slices, or
 // pointers directly — those are races or order-dependent reductions.
 //
 // The fan-out functions are stubbed locally with the real signatures; the
 // analyzer matches them by name so the check also follows the public flux
-// aliases and out-of-module callers.
+// alias and out-of-module callers.
 package fed
 
 type Scratch struct{ buf []float64 }
 
 type Env struct{ n int }
 
-func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error { return nil }
+func ForEachCohort(env *Env, cohort []int, fn func(s *Scratch, slot, participant int)) error {
+	return nil
+}
 
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
 	return nil
@@ -40,7 +42,7 @@ func capturedScalarSum(env *Env, cohort []int) float64 {
 
 func capturedAppend(env *Env) []int {
 	var order []int
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachCohort(env, nil, func(s *Scratch, _, i int) {
 		order = append(order, i) // want `writes captured "order" without indexing by the participant`
 	})
 	return order
@@ -48,7 +50,7 @@ func capturedAppend(env *Env) []int {
 
 func capturedIncrement(env *Env) int {
 	count := 0
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachCohort(env, nil, func(s *Scratch, _, i int) {
 		count++ // want `writes captured "count" without indexing by the participant`
 	})
 	return count
@@ -63,13 +65,13 @@ func fixedIndexWrite(env *Env, cohort []int) []float64 {
 }
 
 func mapKeyedByParticipant(env *Env, scores map[int]float64) {
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachCohort(env, nil, func(s *Scratch, _, i int) {
 		scores[i] = float64(i) // map element keyed by the participant: the contract's disjoint form
 	})
 }
 
 func localsAndScratchAreFine(env *Env) {
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachCohort(env, nil, func(s *Scratch, _, i int) {
 		acc := 0.0
 		acc += float64(i)
 		s.buf = append(s.buf, acc) // scratch is per-worker state handed in by the pool
@@ -86,7 +88,7 @@ func nestedFieldThroughIndex(env *Env, cohort []int) []update {
 
 func justifiedReduction(env *Env) int {
 	serialOnly := 0
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachCohort(env, nil, func(s *Scratch, _, i int) {
 		//fluxvet:allow sharedwrite fixture: pretend this pool is documented to run with workers=1
 		serialOnly += i
 	})

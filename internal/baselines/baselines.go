@@ -150,8 +150,8 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 func requantizeExperts(m *moe.Model, bits quant.Bits) {
 	for _, layer := range m.Layers {
 		for _, e := range layer.Experts {
-			e.W1.CopyFrom(quant.RoundTrip(e.W1, bits))
-			e.W2.CopyFrom(quant.RoundTrip(e.W2, bits))
+			quant.RoundTripInPlace(e.W1, bits)
+			quant.RoundTripInPlace(e.W2, bits)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		batch := env.Batch(i, round)
 		// Fresh profiling each round (FMES has no stale pipeline). The
 		// quantized profiling model is built in the worker scratch
-		// (clone-into + in-place round-trip ≡ moe.QuantizedClone).
+		// (clone-into + in-place round-trip).
 		qm := ws.LocalClone(env.Global)
 		moe.Quantize(qm, prof.Bits)
 		res := prof.RunOn(qm, cfg, batch, mws)

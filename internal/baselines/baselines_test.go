@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/moe"
 	"repro/internal/quant"
 	"repro/internal/simtime"
+	"repro/internal/tensor"
 )
 
 func testEnv(t *testing.T, seed string) *fed.Env {
@@ -83,6 +85,24 @@ func TestFMQRequantizesExperts(t *testing.T) {
 	score := env.Evaluate()
 	if score < 0 || score > 1 {
 		t.Fatalf("score %v out of range", score)
+	}
+
+	// requantizeExperts rounds in place; it must leave exactly the bits the
+	// materialised code matrix (Quantize then Dequantize) reconstructs.
+	m := env.Global.Clone()
+	requantizeExperts(m, q.Bits)
+	for l, layer := range env.Global.Layers {
+		for e, src := range layer.Experts {
+			got := m.Layers[l].Experts[e]
+			for _, p := range []struct{ got, src *tensor.Matrix }{{got.W1, src.W1}, {got.W2, src.W2}} {
+				want := quant.Quantize(p.src, q.Bits).Dequantize()
+				for i, w := range want.Data {
+					if math.Float64bits(p.got.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("layer %d expert %d element %d: in-place %v != round-trip oracle %v", l, e, i, p.got.Data[i], w)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -191,7 +211,7 @@ func TestDiscardModelZeroesNonTuning(t *testing.T) {
 		if zero == nil {
 			t.Fatalf("layer %d has no placeholder", l)
 		}
-		if zero.W1.MaxAbs() != 0 || zero.W2.MaxAbs() != 0 {
+		if tensor.Norm2(zero.W1.Data) != 0 || tensor.Norm2(zero.W2.Data) != 0 {
 			t.Fatal("placeholder not zeroed")
 		}
 		if !zero.Frozen {

@@ -49,7 +49,7 @@ func TestTrainingImprovesScore(t *testing.T) {
 	for epoch := 0; epoch < 8; epoch++ {
 		for _, s := range train {
 			seq, mask := s.FullSequence()
-			m.ForwardBackward(seq, mask, grads, nil, -1)
+			m.ForwardBackwardWS(nil, seq, mask, grads, nil, -1)
 		}
 		m.ApplySGD(grads, 1.0/float64(len(train)))
 	}

@@ -288,8 +288,9 @@ func Figure18(o Options) *Table {
 
 func mostActiveExpert(m *moe.Model, seqs [][]int) assign.Key {
 	stats := moe.NewActivationStats(m.Cfg, false)
+	ws := moe.NewWorkspace()
 	for _, seq := range seqs {
-		m.Forward(seq, stats, -1)
+		m.ForwardWS(ws, seq, stats, -1)
 	}
 	layer := m.Cfg.Layers() / 2
 	fr := stats.FrequencyMatrix()[layer]

@@ -46,7 +46,7 @@ type Config struct {
 	// producing the diminishing scalability returns of Figures 12–13.
 	ServerBw float64
 
-	// Workers bounds the pool ForEachParticipant fans participant execution
+	// Workers bounds the pool ForEachOf fans participant execution
 	// over. Zero (the default) resolves to GOMAXPROCS; one forces the serial
 	// path. Convergence results are bit-identical at every setting — the
 	// parallel layer only changes wall-clock time, never the math.
@@ -472,17 +472,11 @@ type Update struct {
 	Experts     map[ExpertKey][]float64
 }
 
-// ExtractUpdate collects the current parameters of the given tuning experts
-// from a participant's local model.
+// ExtractUpdate is (*Scratch).ExtractUpdate without a scratch: every expert's
+// parameters land in a fresh slice (the wire client's form, whose update
+// outlives any round).
 func ExtractUpdate(local *moe.Model, participant int, weight float64, tuning [][]int) Update {
-	u := Update{Participant: participant, Weight: weight, Experts: make(map[ExpertKey][]float64)}
-	for l, ids := range tuning {
-		for _, orig := range ids {
-			e := local.ExpertAt(l, orig)
-			u.Experts[ExpertKey{Layer: l, Expert: orig}] = e.FlattenTo(nil)
-		}
-	}
-	return u
+	return (*Scratch)(nil).ExtractUpdate(local, participant, weight, tuning)
 }
 
 // Aggregate applies FedAvg to the global model: for every expert touched by

@@ -35,10 +35,10 @@ import (
 	"repro/internal/moe"
 )
 
-// Scratch is the per-worker reusable memory ForEachParticipant hands to a
-// participant body. Its buffers persist across rounds of the same
-// environment; a body may freely overwrite them, but must not retain
-// references past the round's reduction — the next round's pool reuses them.
+// Scratch is the per-worker reusable memory ForEachOf hands to a participant
+// body. Its buffers persist across rounds of the same environment; a body may
+// freely overwrite them, but must not retain references past the round's
+// reduction — the next round's pool reuses them.
 type Scratch struct {
 	model *moe.Model
 	grads *moe.Grads
@@ -91,17 +91,21 @@ func (s *Scratch) takeFloats(n int) []float64 {
 	return out
 }
 
-// ExtractUpdate is ExtractUpdate backed by the scratch's reusable flatten
-// arena: expert parameters land in pooled buffers instead of fresh
-// allocations. The returned update is valid until the next round's
-// ForEachParticipant on the same environment — exactly long enough to reach
-// end-of-round aggregation.
+// ExtractUpdate collects the current parameters of the given tuning experts
+// from a participant's local model, flattened into the scratch's reusable
+// arena: the returned update is valid until the next ForEachOf on the same
+// environment rewinds it — exactly long enough to reach end-of-round
+// aggregation. A nil scratch gives every expert a fresh slice the caller owns
+// outright.
 func (s *Scratch) ExtractUpdate(local *moe.Model, participant int, weight float64, tuning [][]int) Update {
 	u := Update{Participant: participant, Weight: weight, Experts: make(map[ExpertKey][]float64)}
 	for l, ids := range tuning {
 		for _, orig := range ids {
 			e := local.ExpertAt(l, orig)
-			buf := s.takeFloats(e.Params())
+			var buf []float64
+			if s != nil {
+				buf = s.takeFloats(e.Params())
+			}
 			u.Experts[ExpertKey{Layer: l, Expert: orig}] = e.FlattenTo(buf[:0])
 		}
 	}
@@ -129,8 +133,13 @@ func (e *Env) workersFor(n int) int {
 // zero meaning GOMAXPROCS, clamped to the fleet size.
 func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 
-// ForEachParticipant executes fn once for every participant index over the
-// environment's worker pool, passing each invocation its worker's Scratch.
+// ForEachOf executes fn once for every listed participant over the
+// environment's worker pool, passing each invocation its worker's Scratch,
+// the participant's slot in the list, and the participant index itself.
+// Slots let a Rounder fill a cohort-sized []SlotResult that FinishRound
+// reduces in cohort order, which — with cohorts sorted ascending — keeps
+// floating-point accumulation deterministic at every worker count.
+//
 // It returns the environment context's error if the round was canceled — the
 // caller must then abandon the round (return nil phases without calling
 // FinishRound), exactly as a serial loop polling env.Canceled would.
@@ -138,22 +147,6 @@ func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 // fn must follow the determinism contract documented at the top of this
 // file: consume only pre-split randomness, write only per-participant state,
 // and leave all cross-participant reduction to FinishRound.
-//
-// Rounders use ForEachOf(env, env.Cohort(r), ...) instead so only the
-// selected participants execute; ForEachParticipant remains the full-fleet
-// loop (and is exactly ForEachOf over every index).
-func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
-	idx := identityIndices(env.Cfg.Participants)
-	return ForEachOf(env, idx, func(s *Scratch, _ int, participant int) { fn(s, participant) })
-}
-
-// ForEachOf executes fn once for every listed participant over the
-// environment's worker pool, passing each invocation its worker's Scratch,
-// the participant's slot in the list, and the participant index itself.
-// Slots let a Rounder fill a cohort-sized []SlotResult that FinishRound
-// reduces in cohort order, which — with cohorts sorted ascending — keeps
-// floating-point accumulation deterministic at every worker count. The
-// cancellation and determinism contract is ForEachParticipant's.
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
 	n := len(participants)
 	workers := env.workersFor(n)

@@ -33,9 +33,12 @@ func TestForEachParticipantCoversEveryIndexOnce(t *testing.T) {
 		env := parallelTestEnv(t, 7, workers)
 		var mu sync.Mutex
 		visits := make(map[int]int)
-		if err := ForEachParticipant(env, func(s *Scratch, i int) {
+		if err := ForEachOf(env, identityIndices(7), func(s *Scratch, slot, i int) {
 			if s == nil {
 				t.Error("nil scratch")
+			}
+			if slot != i {
+				t.Errorf("participant %d ran in slot %d of the identity list", i, slot)
 			}
 			mu.Lock()
 			visits[i]++
@@ -59,7 +62,7 @@ func TestForEachParticipantDistinctScratchPerWorker(t *testing.T) {
 	env := parallelTestEnv(t, 6, 3)
 	var mu sync.Mutex
 	seen := make(map[*Scratch]bool)
-	if err := ForEachParticipant(env, func(s *Scratch, i int) {
+	if err := ForEachOf(env, identityIndices(env.Cfg.Participants), func(s *Scratch, _, i int) {
 		mu.Lock()
 		seen[s] = true
 		mu.Unlock()
@@ -90,7 +93,7 @@ func TestForEachParticipantDistinctScratchPerWorker(t *testing.T) {
 	// Scratches persist across rounds: a second fan-out reuses the same pool
 	// (which worker gets which participant is scheduling-dependent, but every
 	// scratch must come from the persistent pool).
-	if err := ForEachParticipant(env, func(s *Scratch, i int) {
+	if err := ForEachOf(env, identityIndices(env.Cfg.Participants), func(s *Scratch, _, i int) {
 		if !inPool(s) {
 			t.Errorf("second round handed out a scratch outside the persistent pool")
 		}
@@ -110,7 +113,7 @@ func TestForEachParticipantCancellation(t *testing.T) {
 		env.SetContext(ctx)
 		ran := 0
 		var mu sync.Mutex
-		err := ForEachParticipant(env, func(s *Scratch, i int) {
+		err := ForEachOf(env, identityIndices(env.Cfg.Participants), func(s *Scratch, _, i int) {
 			mu.Lock()
 			//fluxvet:allow sharedwrite mutex-held counter of canceled bodies; the test reduces it only after the pool joins
 			ran++
@@ -132,7 +135,7 @@ func TestForEachParticipantPanicPropagates(t *testing.T) {
 			t.Fatal("participant panic did not propagate to the caller")
 		}
 	}()
-	_ = ForEachParticipant(env, func(s *Scratch, i int) {
+	_ = ForEachOf(env, identityIndices(env.Cfg.Participants), func(s *Scratch, _, i int) {
 		if i == 2 {
 			panic("participant body failure")
 		}
@@ -163,13 +166,13 @@ func TestConfigValidateRejectsNegativeWorkers(t *testing.T) {
 }
 
 // TestScratchExtractUpdateMatchesPlain pins the scratch-arena extraction to
-// the allocating reference, including across arena rewinds.
+// the nil-scratch form (fresh slices), including across arena rewinds.
 func TestScratchExtractUpdateMatchesPlain(t *testing.T) {
 	env := parallelTestEnv(t, 2, 1)
 	tuning := IdentityTuning(env.Global.Cfg)
 	s := &Scratch{}
 	for round := 0; round < 2; round++ {
-		s.off = 0 // what ForEachParticipant does at round start
+		s.off = 0 // what ForEachOf does at round start
 		var got []Update
 		for i := 0; i < 2; i++ {
 			got = append(got, s.ExtractUpdate(env.Global, i, 3, tuning))

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -25,9 +26,9 @@ import (
 // experts locally and uploads them, the server FedAvg-aggregates.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish —
-// so an external driver owns the round loop; Serve composes the steps for
-// standalone use. Every message exchange carries a read/write deadline and
-// the whole lifecycle honors context cancellation.
+// so an external driver owns the round loop; ServeContext composes the steps
+// for standalone use. Every message exchange carries a read/write deadline
+// and the whole lifecycle honors context cancellation.
 
 // DefaultIOTimeout bounds a single message exchange (one gob encode or
 // decode) when the caller does not set an explicit timeout. It must cover
@@ -94,7 +95,7 @@ type RoundIO struct {
 // Server coordinates federated fine-tuning over TCP.
 type Server struct {
 	Global  *moe.Model
-	Rounds  int // rounds Serve runs; stepwise drivers may ignore it
+	Rounds  int // rounds ServeContext runs; stepwise drivers may ignore it
 	Clients int // participants expected before training starts
 
 	// IOTimeout bounds every single message exchange (Hello, broadcast,
@@ -226,8 +227,10 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 }
 
 // RunRound executes synchronous round r: broadcast the global model, collect
-// one update from every participant, FedAvg-aggregate. Cancelling ctx closes
-// the peer connections, aborting in-flight exchanges promptly.
+// and validate one update from every participant, FedAvg-aggregate. A peer
+// whose update fails checkUpdate fails the round with an error naming it, and
+// nothing from that round is aggregated. Cancelling ctx closes the peer
+// connections, aborting in-flight exchanges promptly.
 func (s *Server) RunRound(ctx context.Context, r int) (RoundIO, error) {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
@@ -262,6 +265,10 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundIO, error) {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
 				return
 			}
+			if err := checkUpdate(s.Global, p.id, u); err != nil {
+				errs[i] = fmt.Errorf("fed: update from %d rejected: %w", p.id, err)
+				return
+			}
 			updates[i] = Update{Participant: u.Participant, Weight: u.Weight, Experts: u.Experts}
 		}(i, p)
 	}
@@ -282,6 +289,44 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundIO, error) {
 	s.mu.Unlock()
 	s.observeRound(r, io)
 	return io, nil
+}
+
+// checkUpdate rejects a decoded update that Aggregate could not apply safely:
+// one that claims another participant's id, carries a negative or non-finite
+// weight, names an expert the global model does not have, or whose parameter
+// slice has the wrong length or a non-finite value.
+func checkUpdate(global *moe.Model, peerID int, u UpdateMsg) error {
+	if u.Participant != peerID {
+		return fmt.Errorf("claims participant %d", u.Participant)
+	}
+	if !(u.Weight >= 0) || math.IsInf(u.Weight, 1) {
+		return fmt.Errorf("weight %v", u.Weight)
+	}
+	// Walk the model's experts rather than the update's map, so the first
+	// error found does not depend on map order.
+	known := 0
+	for l, layer := range global.Layers {
+		for orig := range layer.Routing {
+			key := ExpertKey{Layer: l, Expert: orig}
+			params, ok := u.Experts[key]
+			if !ok {
+				continue
+			}
+			known++
+			if want := global.ExpertAt(l, orig).Params(); len(params) != want {
+				return fmt.Errorf("expert %+v has %d parameters, want %d", key, len(params), want)
+			}
+			for _, v := range params {
+				if v-v != 0 { // NaN or ±Inf
+					return fmt.Errorf("expert %+v has a non-finite parameter", key)
+				}
+			}
+		}
+	}
+	if known != len(u.Experts) {
+		return fmt.Errorf("names %d experts the model does not have", len(u.Experts)-known)
+	}
+	return nil
 }
 
 // Finish broadcasts the final global model, releasing every participant,
@@ -342,11 +387,6 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	return s.Finish(ctx)
 }
 
-// Serve is ServeContext without cancellation.
-func (s *Server) Serve(ln net.Listener) error {
-	return s.ServeContext(context.Background(), ln)
-}
-
 // ClientConfig configures a TCP participant.
 type ClientConfig struct {
 	Participant int
@@ -370,14 +410,9 @@ func (cfg ClientConfig) timeout() time.Duration {
 	return DefaultIOTimeout
 }
 
-// RunClient joins the server at cfg.Addr and participates until the final
-// model arrives, which it returns.
-func RunClient(cfg ClientConfig) (*moe.Model, error) {
-	return RunClientContext(context.Background(), cfg)
-}
-
-// RunClientContext is RunClient with cancellation: cancelling ctx closes the
-// connection, aborting whatever exchange or wait is in flight.
+// RunClientContext joins the server at cfg.Addr and participates until the
+// final model arrives, which it returns. Cancelling ctx closes the connection,
+// aborting whatever exchange or wait is in flight.
 func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error) {
 	if len(cfg.Shard) == 0 {
 		return nil, fmt.Errorf("fed: client %d has no data", cfg.Participant)

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ func TestTCPFederatedRound(t *testing.T) {
 	snapshot := global.Clone()
 	srv := &Server{Global: global, Rounds: 2, Clients: 3}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
 	var wg sync.WaitGroup
 	finals := make([]*moe.Model, 3)
@@ -40,7 +42,7 @@ func TestTCPFederatedRound(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			finals[i], errs[i] = RunClient(ClientConfig{
+			finals[i], errs[i] = RunClientContext(context.Background(), ClientConfig{
 				Participant: i,
 				Addr:        ln.Addr().String(),
 				Shard:       shards[i],
@@ -81,16 +83,16 @@ func TestTCPFederatedRound(t *testing.T) {
 	for i := range seq {
 		seq[i] = g.Intn(48)
 	}
-	ref := global.Forward(seq, nil, -1)
+	ref := global.ForwardWS(nil, seq, nil, -1)
 	for i, m := range finals {
-		if !m.Forward(seq, nil, -1).Equal(ref, 1e-9) {
+		if !m.ForwardWS(nil, seq, nil, -1).Equal(ref, 1e-9) {
 			t.Fatalf("client %d final model differs from server's", i)
 		}
 	}
 }
 
 func TestRunClientNoData(t *testing.T) {
-	if _, err := RunClient(ClientConfig{Participant: 0, Addr: "127.0.0.1:1"}); err == nil {
+	if _, err := RunClientContext(context.Background(), ClientConfig{Participant: 0, Addr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("expected error for empty shard")
 	}
 }
@@ -108,9 +110,9 @@ func TestTCPTuningSubset(t *testing.T) {
 	defer ln.Close()
 	srv := &Server{Global: global, Rounds: 1, Clients: 1}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
-	_, err = RunClient(ClientConfig{
+	_, err = RunClientContext(context.Background(), ClientConfig{
 		Participant: 0,
 		Addr:        ln.Addr().String(),
 		Shard:       ds.Samples,
@@ -153,7 +155,7 @@ func TestServeRejectsDuplicateHello(t *testing.T) {
 
 	srv := &Server{Global: global, Rounds: 0, Clients: 2, IOTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
+	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
 	conn0, dec0 := dialHello(t, ln.Addr().String(), 0)
 	defer conn0.Close()
@@ -281,5 +283,88 @@ func TestRunClientContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client did not return after cancellation")
+	}
+}
+
+// TestRunRoundRejectsMalformedUpdates sends RunRound one well-formed update
+// (peer 0, parameters moved off the global's so any aggregation would show)
+// and one malformed one (peer 1) per case. Every case must fail the round
+// with an error naming peer 1, without panicking, and leave Global bit for
+// bit as it was.
+func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
+	key := ExpertKey{Layer: 1, Expert: 2}
+	cases := []struct {
+		name    string
+		corrupt func(u *UpdateMsg)
+	}{
+		{"participant is not the peer", func(u *UpdateMsg) { u.Participant = 0 }},
+		{"layer out of range", func(u *UpdateMsg) { u.Experts[ExpertKey{Layer: 9, Expert: 0}] = u.Experts[key] }},
+		{"expert out of range", func(u *UpdateMsg) { u.Experts[ExpertKey{Layer: 0, Expert: -1}] = u.Experts[key] }},
+		{"short parameter slice", func(u *UpdateMsg) { u.Experts[key] = u.Experts[key][:3] }},
+		{"length differs from the other peer's", func(u *UpdateMsg) { u.Experts[key] = append(u.Experts[key], 1, 2, 3) }},
+		{"NaN parameter", func(u *UpdateMsg) { u.Experts[key][5] = math.NaN() }},
+		{"infinite parameter", func(u *UpdateMsg) { u.Experts[key][0] = math.Inf(-1) }},
+		{"NaN weight", func(u *UpdateMsg) { u.Weight = math.NaN() }},
+		{"negative weight", func(u *UpdateMsg) { u.Weight = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			global := moe.MustNew(moe.Uniform("tcp-bad", 48, 12, 16, 2, 4, 2, 32), tensor.Named("tcp-bad"))
+			snapshot := global.Clone()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			srv := &Server{Global: global, Clients: 2, IOTimeout: 5 * time.Second}
+			defer srv.Close()
+
+			var wg sync.WaitGroup
+			for id := 0; id < 2; id++ {
+				conn, dec := dialHello(t, ln.Addr().String(), id)
+				defer conn.Close()
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					var msg RoundMsg
+					if err := dec.Decode(&msg); err != nil {
+						t.Errorf("peer %d: %v", id, err)
+						return
+					}
+					moved := snapshot.Clone()
+					for _, layer := range moved.Layers {
+						for _, e := range layer.Experts {
+							e.W1.Scale(2)
+						}
+					}
+					u := ExtractUpdate(moved, id, 1, IdentityTuning(moved.Cfg))
+					out := UpdateMsg{Participant: u.Participant, Weight: u.Weight, Experts: u.Experts}
+					if id == 1 {
+						tc.corrupt(&out)
+					}
+					if err := gob.NewEncoder(conn).Encode(out); err != nil {
+						t.Errorf("peer %d: %v", id, err)
+					}
+				}(id)
+			}
+			if err := srv.Accept(context.Background(), ln); err != nil {
+				t.Fatal(err)
+			}
+			_, err = srv.RunRound(context.Background(), 0)
+			wg.Wait()
+			if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {
+				t.Fatalf("RunRound error = %v, want peer 1's update rejected", err)
+			}
+			for l, layer := range snapshot.Layers {
+				for e, want := range layer.Experts {
+					got := global.Layers[l].Experts[e].FlattenTo(nil)
+					for i, w := range want.FlattenTo(nil) {
+						if math.Float64bits(got[i]) != math.Float64bits(w) {
+							t.Fatalf("layer %d expert %d moved although the round failed", l, e)
+						}
+					}
+				}
+			}
+		})
 	}
 }

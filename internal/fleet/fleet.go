@@ -440,15 +440,6 @@ func (s Spec) Cohort(r, n int) []int {
 	return sorted
 }
 
-// SelectorName returns the effective selection policy name.
-func (s Spec) SelectorName() string {
-	sel, err := s.Selector.selector()
-	if err != nil {
-		return s.Selector.Policy
-	}
-	return sel.Name()
-}
-
 func allIndices(n int) []int {
 	out := make([]int, n)
 	for i := range out {

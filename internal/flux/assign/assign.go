@@ -227,39 +227,83 @@ type SPSAResult struct {
 // key.Layer is re-run per probe. Results are bit-identical to perturbed full
 // forward passes.
 func EstimateGradientSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma float64, g *tensor.RNG) SPSAResult {
-	return estimateSPSA(m, ws, key, seqs, masks, probes, sigma, false, 0, g)
-}
-
-// EstimateGradientSPSAWithBase is EstimateGradientSPSA with the unperturbed
-// baseline loss (as computed by MeanLoss over the same seqs/masks) supplied
-// by the caller. The exploration sweep computes the baseline once per
-// participant and shares it across explore experts — the probe cost model
-// (one baseline pass plus one pass per probe) already bills it that way, and
-// the value is identical across experts because the model is restored
-// exactly after every perturbation.
-func EstimateGradientSPSAWithBase(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma, base float64, g *tensor.RNG) SPSAResult {
-	return estimateSPSA(m, ws, key, seqs, masks, probes, sigma, true, base, g)
-}
-
-// MeanLoss returns the mean masked loss of m over seqs, the SPSA baseline.
-// The accumulation order (per-sequence losses summed in order, divided once)
-// matches the internal baseline of EstimateGradientSPSA, so the value can be
-// shared across per-expert probe calls bit-identically.
-//
-//fluxvet:hotpath probe-loss evaluation inside the SPSA assignment search inner loop
-func MeanLoss(m *moe.Model, ws *moe.Workspace, seqs [][]int, masks [][]bool) float64 {
 	if ws == nil {
 		ws = moe.NewWorkspace()
 	}
-	var s float64
-	for i, seq := range seqs {
+	ex := m.ExpertAt(key.Layer, key.Expert)
+	flat := ex.FlattenTo(nil)
+	dim := len(flat)
+
+	// Draw every probe direction up front. The RNG stream is unchanged from
+	// drawing them between evaluations (loss passes consume no randomness),
+	// and it lets one forward prefix per sequence serve the baseline and all
+	// probes. Zero-norm draws stay in the stream but are skipped, exactly as
+	// before.
+	us := make([]float64, probes*dim)
+	live := make([]bool, probes)
+	for p := 0; p < probes; p++ {
+		u := us[p*dim : (p+1)*dim]
+		for i := range u {
+			u[i] = g.Norm()
+		}
+		n := tensor.Norm2(u)
+		if n == 0 {
+			continue
+		}
+		live[p] = true
+		for i := range u {
+			u[i] /= n
+		}
+	}
+
+	pert := make([]float64, dim)
+	lossSum := make([]float64, probes)
+	var baseSum float64
+	for si, seq := range seqs {
 		var mask []bool
 		if masks != nil {
-			mask = masks[i]
+			mask = masks[si]
 		}
-		s += m.LossWS(ws, seq, mask)
+		x := m.ForwardPrefixWS(ws, seq, key.Layer)
+		baseSum += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
+		for p := 0; p < probes; p++ {
+			if !live[p] {
+				continue
+			}
+			u := us[p*dim : (p+1)*dim]
+			for i := range pert {
+				pert[i] = flat[i] + sigma*u[i]
+			}
+			ex.LoadFlat(pert)
+			lossSum[p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
+			ex.LoadFlat(flat)
+		}
 	}
-	return s / float64(len(seqs))
+	base := baseSum / float64(len(seqs))
+
+	dir := make([]float64, dim)
+	var sqSum float64
+	for p := 0; p < probes; p++ {
+		if !live[p] {
+			continue
+		}
+		u := us[p*dim : (p+1)*dim]
+		delta := (lossSum[p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
+		sqSum += delta * delta
+		for i := range dir {
+			dir[i] += delta * u[i]
+		}
+	}
+	res := SPSAResult{Probes: probes, Direction: dir}
+	if probes > 0 {
+		// For random unit u in R^dim, E[(∇·u)²] = ‖∇‖²/dim.
+		res.Norm = math.Sqrt(sqSum / float64(probes) * float64(dim))
+		scale := float64(dim) / float64(probes)
+		for i := range dir {
+			dir[i] *= scale
+		}
+	}
+	return res
 }
 
 // ProbeExploreSPSA runs EstimateGradientSPSA for several experts of one
@@ -370,90 +414,6 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 		}
 	}
 	return results
-}
-
-func estimateSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma float64, haveBase bool, base float64, g *tensor.RNG) SPSAResult {
-	if ws == nil {
-		ws = moe.NewWorkspace()
-	}
-	ex := m.ExpertAt(key.Layer, key.Expert)
-	flat := ex.FlattenTo(nil)
-	dim := len(flat)
-
-	// Draw every probe direction up front. The RNG stream is unchanged from
-	// drawing them between evaluations (loss passes consume no randomness),
-	// and it lets one forward prefix per sequence serve the baseline and all
-	// probes. Zero-norm draws stay in the stream but are skipped, exactly as
-	// before.
-	us := make([]float64, probes*dim)
-	live := make([]bool, probes)
-	for p := 0; p < probes; p++ {
-		u := us[p*dim : (p+1)*dim]
-		for i := range u {
-			u[i] = g.Norm()
-		}
-		n := tensor.Norm2(u)
-		if n == 0 {
-			continue
-		}
-		live[p] = true
-		for i := range u {
-			u[i] /= n
-		}
-	}
-
-	pert := make([]float64, dim)
-	lossSum := make([]float64, probes)
-	var baseSum float64
-	for si, seq := range seqs {
-		var mask []bool
-		if masks != nil {
-			mask = masks[si]
-		}
-		x := m.ForwardPrefixWS(ws, seq, key.Layer)
-		if !haveBase {
-			baseSum += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
-		}
-		for p := 0; p < probes; p++ {
-			if !live[p] {
-				continue
-			}
-			u := us[p*dim : (p+1)*dim]
-			for i := range pert {
-				pert[i] = flat[i] + sigma*u[i]
-			}
-			ex.LoadFlat(pert)
-			lossSum[p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
-			ex.LoadFlat(flat)
-		}
-	}
-	if !haveBase {
-		base = baseSum / float64(len(seqs))
-	}
-
-	dir := make([]float64, dim)
-	var sqSum float64
-	for p := 0; p < probes; p++ {
-		if !live[p] {
-			continue
-		}
-		u := us[p*dim : (p+1)*dim]
-		delta := (lossSum[p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
-		sqSum += delta * delta
-		for i := range dir {
-			dir[i] += delta * u[i]
-		}
-	}
-	res := SPSAResult{Probes: probes, Direction: dir}
-	if probes > 0 {
-		// For random unit u in R^dim, E[(∇·u)²] = ‖∇‖²/dim.
-		res.Norm = math.Sqrt(sqSum / float64(probes) * float64(dim))
-		scale := float64(dim) / float64(probes)
-		for i := range dir {
-			dir[i] *= scale
-		}
-	}
-	return res
 }
 
 // TrueExpertGradient computes the reference backpropagation gradient of one

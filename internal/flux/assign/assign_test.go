@@ -39,7 +39,7 @@ func TestNewUtilityTableFromStats(t *testing.T) {
 	m, seqs, _ := fixture(t)
 	stats := moe.NewActivationStats(m.Cfg, false)
 	for _, seq := range seqs {
-		m.Forward(seq, stats, -1)
+		m.ForwardWS(nil, seq, stats, -1)
 	}
 	tb := NewUtilityTable(stats)
 	var sum float64
@@ -155,7 +155,7 @@ func TestRefreshFromGrads(t *testing.T) {
 	m, seqs, masks := fixture(t)
 	grads := moe.NewGrads(m, false)
 	for i, seq := range seqs {
-		m.ForwardBackward(seq, masks[i], grads, nil, -1)
+		m.ForwardBackwardWS(nil, seq, masks[i], grads, nil, -1)
 	}
 	tb := &UtilityTable{U: map[Key]float64{}}
 	tb.Refresh(grads)
@@ -192,7 +192,7 @@ func TestSPSAApproximatesTrueGradient(t *testing.T) {
 	// Find an expert that actually receives gradient.
 	grads := moe.NewGrads(m, false)
 	for i, seq := range seqs {
-		m.ForwardBackward(seq, masks[i], grads, nil, -1)
+		m.ForwardBackwardWS(nil, seq, masks[i], grads, nil, -1)
 	}
 	var key Key
 	var bestNorm float64
@@ -225,7 +225,7 @@ func referenceSPSA(m *moe.Model, key Key, seqs [][]int, masks [][]bool, probes i
 	lossAt := func() float64 {
 		var s float64
 		for i, seq := range seqs {
-			s += m.Loss(seq, masks[i])
+			s += m.LossWS(nil, seq, masks[i])
 		}
 		return s / float64(len(seqs))
 	}
@@ -266,13 +266,11 @@ func referenceSPSA(m *moe.Model, key Key, seqs [][]int, masks [][]bool, probes i
 }
 
 // TestSPSAPrefixCacheBitIdentity pins the prefix-cached SPSA (shared forward
-// prefix below the probed layer, pre-drawn directions, optionally a shared
-// baseline) bit-identical to the reference full-forward implementation, for
+// prefix below the probed layer, pre-drawn directions) bit-identical to the reference full-forward implementation, for
 // experts at every layer depth.
 func TestSPSAPrefixCacheBitIdentity(t *testing.T) {
 	m, seqs, masks := fixture(t)
 	ws := moe.NewWorkspace()
-	base := MeanLoss(m, ws, seqs[:3], masks[:3])
 	for l := 0; l < len(m.Layers); l++ {
 		key := Key{l, 1}
 		want := referenceSPSA(m, key, seqs[:3], masks[:3], 4, 0.02, tensor.NewRNG(31))
@@ -283,15 +281,6 @@ func TestSPSAPrefixCacheBitIdentity(t *testing.T) {
 		for i, w := range want.Direction {
 			if got.Direction[i] != w {
 				t.Fatalf("layer %d: direction[%d] %v != reference %v", l, i, got.Direction[i], w)
-			}
-		}
-		withBase := EstimateGradientSPSAWithBase(m, ws, key, seqs[:3], masks[:3], 4, 0.02, base, tensor.NewRNG(31))
-		if withBase.Norm != want.Norm {
-			t.Fatalf("layer %d: shared-base norm %v != reference %v", l, withBase.Norm, want.Norm)
-		}
-		for i, w := range want.Direction {
-			if withBase.Direction[i] != w {
-				t.Fatalf("layer %d: shared-base direction[%d] differs", l, i)
 			}
 		}
 	}

@@ -112,8 +112,8 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 
 		// --- Profiling (§4): quantized, stale-pipelined. ---
 		// The quantized profiling model is built in the worker scratch
-		// (clone-into + in-place round-trip ≡ moe.QuantizedClone, bit for bit)
-		// so steady-state profiling allocates no model.
+		// (clone-into + in-place round-trip) so steady-state profiling
+		// allocates no model.
 		env.MarkPhase(simtime.PhaseProfiling)
 		shardSeqs := env.Batch(i, round)
 		qm := ws.LocalClone(env.Global)

@@ -71,7 +71,7 @@ func TestFluxImprovesModel(t *testing.T) {
 		var s float64
 		for _, smp := range env.Test {
 			seq, mask := smp.FullSequence()
-			s += env.Global.Loss(seq, mask)
+			s += env.Global.LossWS(nil, seq, mask)
 		}
 		return s / float64(len(env.Test))
 	}

@@ -36,7 +36,8 @@ type Result struct {
 // Run quantizes model to p.Bits and measures activation statistics over the
 // given samples. The returned stats are indexed by original expert id.
 func (p Profiler) Run(model *moe.Model, samples []*data.Sample) *Result {
-	qm := moe.QuantizedClone(model, p.Bits)
+	qm := model.Clone()
+	moe.Quantize(qm, p.Bits)
 	return p.RunOn(qm, model.Cfg, samples, nil)
 }
 

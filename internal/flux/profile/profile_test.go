@@ -47,7 +47,7 @@ func TestTrackSamples(t *testing.T) {
 	res := p.Run(m, samples)
 	var tracked int
 	for e := 0; e < m.Cfg.ExpertsPerLayer[0]; e++ {
-		tracked += res.Stats.SampleCount(0, e)
+		tracked += len(res.Stats.SampleSet(0, e))
 	}
 	if tracked == 0 {
 		t.Fatal("sample tracking recorded nothing")
@@ -122,7 +122,7 @@ func TestStaleVsFreshErrorSmall(t *testing.T) {
 	grads := moe.NewGrads(m, false)
 	for _, s := range samples[:6] {
 		seq, mask := s.FullSequence()
-		m.ForwardBackward(seq, mask, grads, nil, -1)
+		m.ForwardBackwardWS(nil, seq, mask, grads, nil, -1)
 	}
 	m.ApplySGD(grads, 0.05)
 

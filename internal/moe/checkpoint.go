@@ -41,16 +41,6 @@ func (m *Model) SaveFile(path string) error {
 	return f.Sync()
 }
 
-// LoadFile reads a model checkpoint from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
 // EncodeBytes serializes the model to a byte slice (gob).
 func (m *Model) EncodeBytes() ([]byte, error) {
 	var buf bytes.Buffer

@@ -88,7 +88,7 @@ func TestGradsReset(t *testing.T) {
 	}
 	// Accumulate something, then reset: same object, zeroed.
 	seq := []int{1, 2, 3, 4, 5}
-	m.ForwardBackward(seq, nil, g, nil, -1)
+	m.ForwardBackwardWS(nil, seq, nil, g, nil, -1)
 	g2 := g.Reset(m)
 	if g2 != g {
 		t.Fatal("Reset reallocated for an unchanged layout")
@@ -115,9 +115,25 @@ func TestGradsReset(t *testing.T) {
 	}
 }
 
+// TestQuantizeMatchesQuantizedClone pins the in-place Quantize against a
+// test-local oracle: a clone whose every quantized matrix is replaced by its
+// materialised code matrix's reconstruction.
 func TestQuantizeMatchesQuantizedClone(t *testing.T) {
 	m := testModel(t, "quantize")
-	want := QuantizedClone(m, quant.Bits4)
+	want := m.Clone()
+	rt := func(mat *tensor.Matrix) { mat.CopyFrom(quant.Quantize(mat, quant.Bits4).Dequantize()) }
+	rt(want.Embed)
+	rt(want.Head)
+	for _, layer := range want.Layers {
+		rt(layer.Wq)
+		rt(layer.Wk)
+		rt(layer.Wv)
+		rt(layer.Gate)
+		for _, e := range layer.Experts {
+			rt(e.W1)
+			rt(e.W2)
+		}
+	}
 	got := m.Clone()
 	Quantize(got, quant.Bits4)
 	modelsEqual(t, want, got)

@@ -96,16 +96,6 @@ func (c Config) TotalParams() int {
 	return p
 }
 
-// ExpertParamFraction returns the share of parameters held by experts. The
-// paper notes experts are typically more than two-thirds of an MoE model.
-func (c Config) ExpertParamFraction() float64 {
-	var ep int
-	for _, e := range c.ExpertsPerLayer {
-		ep += e * c.ExpertParams()
-	}
-	return float64(ep) / float64(c.TotalParams())
-}
-
 // CatalogEntry is one row of the paper's Table 1: a published MoE LLM with
 // its real layer/expert topology and size. These are reference metadata, not
 // runnable configs; see SimConfig* for the trainable scaled-down equivalents.

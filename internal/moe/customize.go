@@ -172,8 +172,10 @@ func Customize(global *Model, specs []LayerSpec) (*Model, error) {
 }
 
 // Quantize round-trips m's expert, gate, attention, and embedding weights
-// through b-bit quantization in place, so a scratch-held clone can be
-// re-quantized every round without allocating a whole model.
+// through b-bit quantization in place. Applied to a scratch-held CloneInto of
+// the global model it yields the profiling model of §4.1 — real forward
+// passes with real rounding error — without allocating a whole model per
+// round.
 func Quantize(m *Model, b quant.Bits) {
 	rt := func(mat *tensor.Matrix) { quant.RoundTripInPlace(mat, b) }
 	rt(m.Embed)
@@ -188,29 +190,4 @@ func Quantize(m *Model, b quant.Bits) {
 			rt(e.W2)
 		}
 	}
-}
-
-// QuantizedClone returns a copy of m whose expert, gate, attention, and
-// embedding weights have been round-tripped through b-bit quantization.
-// The clone runs real forward passes with real rounding error — it is the
-// profiling model of §4.1.
-func QuantizedClone(m *Model, b quant.Bits) *Model {
-	c := m.Clone()
-	Quantize(c, b)
-	return c
-}
-
-// TuningExpertIDs returns, per layer, the original expert indices whose
-// serving expert is trainable (not frozen, not merged).
-func (m *Model) TuningExpertIDs() [][]int {
-	out := make([][]int, len(m.Layers))
-	for l, layer := range m.Layers {
-		for orig, pos := range layer.Routing {
-			e := layer.Experts[pos]
-			if !e.Frozen && len(e.MergedFrom) == 0 {
-				out[l] = append(out[l], orig)
-			}
-		}
-	}
-	return out
 }

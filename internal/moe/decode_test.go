@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -66,8 +67,10 @@ func decodeVariants(t *testing.T, cfg Config) []decodeVariant {
 	t.Helper()
 	fresh := MustNew(cfg, tensor.Named("decode/"+cfg.Name))
 	trained := fresh.Clone()
-	Pretrain(trained, func(g *tensor.RNG) []int { return wsSeq(g, cfg.VocabSize, 12) },
-		6, 2, 0.5, tensor.NewRNG(31))
+	if _, err := PretrainContext(context.Background(), trained, func(g *tensor.RNG) []int { return wsSeq(g, cfg.VocabSize, 12) },
+		6, 2, 0.5, tensor.NewRNG(31)); err != nil {
+		t.Fatal(err)
+	}
 	specs := make([]LayerSpec, cfg.Layers())
 	for l, n := range cfg.ExpertsPerLayer {
 		spec := LayerSpec{Tuning: []int{0}, MergeWeights: map[int]float64{1: 2, 2: 0.5}}
@@ -82,12 +85,21 @@ func decodeVariants(t *testing.T, cfg Config) []decodeVariant {
 	if err != nil {
 		t.Fatal(err)
 	}
+	quantized := trained.Clone()
+	Quantize(quantized, quant.Bits4)
 	return []decodeVariant{
 		{"fresh", fresh},
 		{"pretrained", trained},
 		{"customized", custom},
-		{"quantized", QuantizedClone(trained, quant.Bits4)},
+		{"quantized", quantized},
 	}
+}
+
+// scoreContinuation is ScoreOptionsWS with cont as the only option.
+func scoreContinuation(m *Model, ws *Workspace, prefix, cont []int) float64 {
+	var score [1]float64
+	m.ScoreOptionsWS(ws, prefix, [][]int{cont}, score[:])
+	return score[0]
 }
 
 func sameBits(a, b []float64) bool {
@@ -144,8 +156,8 @@ func checkDecode(t *testing.T, m *Model, ws *Workspace, prefix []int, n int, opt
 		if want := scoreOracle(m, prefix, opt); math.Float64bits(scores[i]) != math.Float64bits(want) {
 			t.Fatalf("prompt %d, option %d %v: score %v, oracle %v", len(prefix), i, opt, scores[i], want)
 		}
-		if one := m.ScoreContinuationWS(ws, prefix, opt); math.Float64bits(one) != math.Float64bits(scores[i]) {
-			t.Fatalf("prompt %d, option %d: ScoreContinuationWS %v != ScoreOptionsWS %v", len(prefix), i, one, scores[i])
+		if one := scoreContinuation(m, ws, prefix, opt); math.Float64bits(one) != math.Float64bits(scores[i]) {
+			t.Fatalf("prompt %d, option %d: scored alone %v != scored with the others %v", len(prefix), i, one, scores[i])
 		}
 	}
 }
@@ -241,8 +253,8 @@ func TestScoreOptionsEdgeCases(t *testing.T) {
 			if math.Float64bits(scores[i]) != math.Float64bits(want) {
 				t.Errorf("%s: option %d scores %v, want %v", tc.name, i, scores[i], want)
 			}
-			if got := m.ScoreContinuationWS(ws, tc.prefix, opt); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: ScoreContinuationWS(option %d) = %v, want %v", tc.name, i, got, want)
+			if got := scoreContinuation(m, ws, tc.prefix, opt); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: option %d scored alone = %v, want %v", tc.name, i, got, want)
 			}
 		}
 		if got := tensor.ArgMax(scores); len(tc.opts[got]) == 0 {
@@ -250,7 +262,7 @@ func TestScoreOptionsEdgeCases(t *testing.T) {
 		}
 	}
 	// A single-token option after an empty prefix has nothing scored: 0/1.
-	if got := m.ScoreContinuationWS(ws, nil, []int{4}); got != 0 {
+	if got := scoreContinuation(m, ws, nil, []int{4}); got != 0 {
 		t.Errorf("empty prefix, one-token option: score %v, want 0", got)
 	}
 }

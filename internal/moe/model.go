@@ -213,16 +213,11 @@ func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []i
 	return loss
 }
 
-// Forward runs inference on seq and returns the T × VocabSize logits.
+// ForwardWS runs inference on seq and returns the T × VocabSize logits, with
+// every temporary drawn from ws (nil allocates a private workspace). The
+// returned logits alias ws storage and are valid only until ws is next used.
 // Routing statistics are recorded into stats when non-nil; sampleID tags the
 // sequence for per-expert data-set tracking (pass -1 to skip).
-func (m *Model) Forward(seq []int, stats *ActivationStats, sampleID int) *tensor.Matrix {
-	//fluxvet:allow wsalias the workspace is freshly allocated and never reused, so the returned logits have no other owner
-	return m.ForwardWS(NewWorkspace(), seq, stats, sampleID)
-}
-
-// ForwardWS is Forward with caller-provided workspace. The returned logits
-// alias ws storage and are valid only until ws is next used.
 //
 //fluxvet:hotpath per-sequence inference; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs)
 func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, sampleID int) *tensor.Matrix {
@@ -233,14 +228,10 @@ func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, samp
 	return logits
 }
 
-// Loss computes the mean next-token cross-entropy of seq under the model,
+// LossWS computes the mean next-token cross-entropy of seq under the model,
 // restricted to positions where mask is true (mask[t] gates the prediction
-// made *at* position t for token t+1). A nil mask scores all positions.
-func (m *Model) Loss(seq []int, mask []bool) float64 {
-	return m.LossWS(NewWorkspace(), seq, mask)
-}
-
-// LossWS is Loss with caller-provided workspace.
+// made *at* position t for token t+1). A nil mask scores all positions; a nil
+// ws allocates a private workspace.
 //
 //fluxvet:hotpath per-sequence eval loss; runs across the eval subset every round
 func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
@@ -253,17 +244,13 @@ func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 	return loss
 }
 
-// ForwardBackward runs a training step's forward and backward passes for one
-// sequence, accumulating expert gradients into grads. It returns the mean
-// masked cross-entropy loss. Embedding/head gradients are accumulated only
-// when grads was created with trainEmbed.
-func (m *Model) ForwardBackward(seq []int, mask []bool, grads *Grads, stats *ActivationStats, sampleID int) float64 {
-	return m.ForwardBackwardWS(NewWorkspace(), seq, mask, grads, stats, sampleID)
-}
-
-// ForwardBackwardWS is ForwardBackward with caller-provided workspace. With a
-// warm workspace the whole pass performs zero heap allocations; results are
-// bit-identical to the allocating path.
+// ForwardBackwardWS runs a training step's forward and backward passes for
+// one sequence, accumulating expert gradients into grads, and returns the
+// mean masked cross-entropy loss. Embedding/head gradients are accumulated
+// only when grads was created with trainEmbed. Every temporary is drawn from
+// ws (nil allocates a private workspace): with a warm workspace the whole pass
+// performs zero heap allocations, and results are bit-identical whether ws is
+// fresh or reused.
 //
 //fluxvet:hotpath steady-state training step; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs, benchguard)
 func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *Grads, stats *ActivationStats, sampleID int) float64 {
@@ -453,14 +440,6 @@ func logProb(p float64) float64 {
 	return math.Log(p)
 }
 
-// ScoreContinuationWS returns the mean log-probability the model assigns to
-// cont following prefix: ScoreOptionsWS with a single option.
-func (m *Model) ScoreContinuationWS(ws *Workspace, prefix, cont []int) float64 {
-	var score [1]float64
-	m.ScoreOptionsWS(ws, prefix, [][]int{cont}, score[:])
-	return score[0]
-}
-
 // OutputEmbedding returns the final-token embedding the model produces for
 // seq (the pre-head normalized hidden state). The paper's "output error"
 // metrics compare these embeddings between a modified and a reference model
@@ -492,16 +471,6 @@ func (m *Model) ApplySGD(grads *Grads, lr float64) {
 		m.Head.AddScaled(grads.Head, -lr)
 		grads.Embed.Zero()
 		grads.Head.Zero()
-	}
-}
-
-// SetExpertsFrozen marks every expert in the model frozen (true) or
-// trainable (false).
-func (m *Model) SetExpertsFrozen(frozen bool) {
-	for _, layer := range m.Layers {
-		for _, e := range layer.Experts {
-			e.Frozen = frozen
-		}
 	}
 }
 

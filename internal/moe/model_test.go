@@ -2,6 +2,7 @@ package moe
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -63,9 +64,29 @@ func TestParamCounts(t *testing.T) {
 	if c.TotalParams() <= 0 {
 		t.Fatal("total params must be positive")
 	}
-	frac := c.ExpertParamFraction()
-	if frac <= 0 || frac >= 1 {
-		t.Fatalf("expert fraction = %v", frac)
+	experts := 0
+	for _, n := range c.ExpertsPerLayer {
+		experts += n
+	}
+	if ep := experts * c.ExpertParams(); ep <= 0 || ep >= c.TotalParams() {
+		t.Fatalf("experts hold %d of %d parameters", ep, c.TotalParams())
+	}
+}
+
+// TestLayerNorm pins layerNormRow's contract: zero mean, unit variance up to
+// the epsilon, and the returned 1/std is the scale it applied.
+func TestLayerNorm(t *testing.T) {
+	src := []float64{1, 2, 3, 4}
+	dst := make([]float64, 4)
+	inv := layerNormRow(dst, src)
+	if m := tensor.Mean(dst); math.Abs(m) > 1e-9 {
+		t.Fatalf("layernorm mean = %v", m)
+	}
+	if va := tensor.Variance(dst); math.Abs(va-1) > 1e-4 {
+		t.Fatalf("layernorm variance = %v", va)
+	}
+	if want := (src[3] - 2.5) * inv; dst[3] != want {
+		t.Fatalf("dst[3] = %v, want (x-mean)*inv = %v", dst[3], want)
 	}
 }
 
@@ -88,8 +109,8 @@ func TestForwardShapeAndDeterminism(t *testing.T) {
 	m := tinyModel(t, "fwd")
 	g := tensor.NewRNG(1)
 	seq := seqOf(g, m.Cfg.VocabSize, 10)
-	a := m.Forward(seq, nil, -1)
-	b := m.Forward(seq, nil, -1)
+	a := m.ForwardWS(nil, seq, nil, -1)
+	b := m.ForwardWS(nil, seq, nil, -1)
 	if a.Rows != 10 || a.Cols != m.Cfg.VocabSize {
 		t.Fatalf("logits shape %dx%d", a.Rows, a.Cols)
 	}
@@ -108,10 +129,10 @@ func TestCausality(t *testing.T) {
 	m := tinyModel(t, "causal")
 	g := tensor.NewRNG(2)
 	seq := seqOf(g, m.Cfg.VocabSize, 12)
-	base := m.Forward(seq, nil, -1)
+	base := m.ForwardWS(nil, seq, nil, -1)
 	seq2 := append([]int(nil), seq...)
 	seq2[11] = (seq2[11] + 1) % m.Cfg.VocabSize
-	pert := m.Forward(seq2, nil, -1)
+	pert := m.ForwardWS(nil, seq2, nil, -1)
 	for t2 := 0; t2 < 11; t2++ {
 		for j := 0; j < base.Cols; j++ {
 			if math.Abs(base.At(t2, j)-pert.At(t2, j)) > 1e-9 {
@@ -133,7 +154,7 @@ func TestGradientCheck(t *testing.T) {
 	last := len(m.Layers) - 1
 
 	grads := NewGrads(m, false)
-	m.ForwardBackward(seq, nil, grads, nil, -1)
+	m.ForwardBackwardWS(nil, seq, nil, grads, nil, -1)
 
 	const eps = 1e-5
 	checked := 0
@@ -150,9 +171,9 @@ func TestGradientCheck(t *testing.T) {
 			for _, idx := range []int{0, len(probe.mat.Data) / 2, len(probe.mat.Data) - 1} {
 				orig := probe.mat.Data[idx]
 				probe.mat.Data[idx] = orig + eps
-				lossPlus := m.Loss(seq, nil)
+				lossPlus := m.LossWS(nil, seq, nil)
 				probe.mat.Data[idx] = orig - eps
-				lossMinus := m.Loss(seq, nil)
+				lossMinus := m.LossWS(nil, seq, nil)
 				probe.mat.Data[idx] = orig
 				numeric := (lossPlus - lossMinus) / (2 * eps)
 				analytic := probe.grad.Data[idx]
@@ -180,14 +201,14 @@ func TestTrainingReducesLoss(t *testing.T) {
 	lossAt := func() float64 {
 		var s float64
 		for _, seq := range corpus {
-			s += m.Loss(seq, nil)
+			s += m.LossWS(nil, seq, nil)
 		}
 		return s / float64(len(corpus))
 	}
 	before := lossAt()
 	for step := 0; step < 60; step++ {
 		for _, seq := range corpus {
-			m.ForwardBackward(seq, nil, grads, nil, -1)
+			m.ForwardBackwardWS(nil, seq, nil, grads, nil, -1)
 		}
 		m.ApplySGD(grads, 0.5/float64(len(corpus)))
 	}
@@ -199,12 +220,16 @@ func TestTrainingReducesLoss(t *testing.T) {
 
 func TestFrozenExpertsDoNotMove(t *testing.T) {
 	m := tinyModel(t, "frozen")
-	m.SetExpertsFrozen(true)
+	for _, layer := range m.Layers {
+		for _, e := range layer.Experts {
+			e.Frozen = true
+		}
+	}
 	snapshot := m.Layers[0].Experts[0].W1.Clone()
 	g := tensor.NewRNG(5)
 	grads := NewGrads(m, false)
 	for i := 0; i < 5; i++ {
-		m.ForwardBackward(seqOf(g, m.Cfg.VocabSize, 10), nil, grads, nil, -1)
+		m.ForwardBackwardWS(nil, seqOf(g, m.Cfg.VocabSize, 10), nil, grads, nil, -1)
 		m.ApplySGD(grads, 0.1)
 	}
 	if !m.Layers[0].Experts[0].W1.Equal(snapshot, 0) {
@@ -218,14 +243,14 @@ func TestLossMask(t *testing.T) {
 	seq := seqOf(g, m.Cfg.VocabSize, 10)
 	mask := make([]bool, len(seq))
 	// Mask with no positions: loss must be 0 tokens -> returns 0.
-	if l := m.Loss(seq, mask); l != 0 {
+	if l := m.LossWS(nil, seq, mask); l != 0 {
 		t.Fatalf("empty mask loss = %v", l)
 	}
 	for i := 5; i < len(mask); i++ {
 		mask[i] = true
 	}
-	full := m.Loss(seq, nil)
-	masked := m.Loss(seq, mask)
+	full := m.LossWS(nil, seq, nil)
+	masked := m.LossWS(nil, seq, mask)
 	if masked == full {
 		t.Fatal("mask had no effect")
 	}
@@ -239,7 +264,7 @@ func TestActivationStatsSumToTopK(t *testing.T) {
 	g := tensor.NewRNG(7)
 	stats := NewActivationStats(m.Cfg, true)
 	for i := 0; i < 8; i++ {
-		m.Forward(seqOf(g, m.Cfg.VocabSize, 12), stats, i)
+		m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 12), stats, i)
 	}
 	for l := range m.Layers {
 		var sum float64
@@ -259,7 +284,7 @@ func TestSampleTracking(t *testing.T) {
 	m := tinyModel(t, "samples")
 	g := tensor.NewRNG(8)
 	stats := NewActivationStats(m.Cfg, true)
-	m.Forward(seqOf(g, m.Cfg.VocabSize, 12), stats, 42)
+	m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 12), stats, 42)
 	found := false
 	for e := 0; e < m.Cfg.ExpertsPerLayer[0]; e++ {
 		ids := stats.SampleSet(0, e)
@@ -279,8 +304,8 @@ func TestStatsMerge(t *testing.T) {
 	g := tensor.NewRNG(9)
 	a := NewActivationStats(m.Cfg, true)
 	b := NewActivationStats(m.Cfg, true)
-	m.Forward(seqOf(g, m.Cfg.VocabSize, 10), a, 1)
-	m.Forward(seqOf(g, m.Cfg.VocabSize, 10), b, 2)
+	m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 10), a, 1)
+	m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 10), b, 2)
 	tok := a.Tokens + b.Tokens
 	a.Merge(b)
 	if a.Tokens != tok {
@@ -311,12 +336,12 @@ func TestScoreContinuationPrefersLikely(t *testing.T) {
 	seq := append(append([]int(nil), prefix...), good...)
 	grads := NewGrads(m, true)
 	for i := 0; i < 120; i++ {
-		m.ForwardBackward(seq, nil, grads, nil, -1)
+		m.ForwardBackwardWS(nil, seq, nil, grads, nil, -1)
 		m.ApplySGD(grads, 0.5)
 	}
 	_ = g
 	ws := NewWorkspace()
-	if m.ScoreContinuationWS(ws, prefix, good) <= m.ScoreContinuationWS(ws, prefix, bad) {
+	if scoreContinuation(m, ws, prefix, good) <= scoreContinuation(m, ws, prefix, bad) {
 		t.Fatal("trained continuation should score higher")
 	}
 }
@@ -333,7 +358,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	g := tensor.NewRNG(11)
 	seq := seqOf(g, m.Cfg.VocabSize, 10)
-	if !m.Forward(seq, nil, -1).Equal(m2.Forward(seq, nil, -1), 0) {
+	if !m.ForwardWS(nil, seq, nil, -1).Equal(m2.ForwardWS(nil, seq, nil, -1), 0) {
 		t.Fatal("loaded model produces different logits")
 	}
 }
@@ -355,7 +380,9 @@ func TestEncodeDecodeBytes(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	m := tinyModel(t, "clone")
 	c := m.Clone()
-	c.Layers[0].Experts[0].W1.Fill(9)
+	for i := range c.Layers[0].Experts[0].W1.Data {
+		c.Layers[0].Experts[0].W1.Data[i] = 9
+	}
 	if m.Layers[0].Experts[0].W1.Equal(c.Layers[0].Experts[0].W1, 0) {
 		t.Fatal("clone shares expert storage")
 	}
@@ -371,13 +398,14 @@ func TestQuantizedCloneApproximatesRouting(t *testing.T) {
 	full := NewActivationStats(m.Cfg, false)
 	q8 := NewActivationStats(m.Cfg, false)
 	q2 := NewActivationStats(m.Cfg, false)
-	qm8 := QuantizedClone(m, quant.Bits8)
-	qm2 := QuantizedClone(m, quant.Bits2)
+	qm8, qm2 := m.Clone(), m.Clone()
+	Quantize(qm8, quant.Bits8)
+	Quantize(qm2, quant.Bits2)
 	for i := 0; i < 20; i++ {
 		seq := seqOf(g, m.Cfg.VocabSize, 16)
-		m.Forward(seq, full, -1)
-		qm8.Forward(seq, q8, -1)
-		qm2.Forward(seq, q2, -1)
+		m.ForwardWS(nil, seq, full, -1)
+		qm8.ForwardWS(nil, seq, q8, -1)
+		qm2.ForwardWS(nil, seq, q2, -1)
 	}
 	e8 := q8.EstimationError(full)
 	e2 := q2.EstimationError(full)
@@ -463,7 +491,7 @@ func TestCustomizeShrinksAndReroutes(t *testing.T) {
 	// A customized model still runs forward and has fewer parameters.
 	g := tensor.NewRNG(14)
 	seq := seqOf(g, m.Cfg.VocabSize, 10)
-	logits := local.Forward(seq, nil, -1)
+	logits := local.ForwardWS(nil, seq, nil, -1)
 	for _, v := range logits.Data {
 		if math.IsNaN(v) {
 			t.Fatal("customized model produced NaN")
@@ -471,9 +499,6 @@ func TestCustomizeShrinksAndReroutes(t *testing.T) {
 	}
 	if local.MemoryBytes() >= m.MemoryBytes() {
 		t.Fatal("customized model should be smaller")
-	}
-	if got := local.TuningExpertIDs(); len(got[0]) != 1 || got[0][0] != 0 {
-		t.Fatalf("tuning ids = %v", got)
 	}
 }
 
@@ -546,7 +571,10 @@ func TestPretrainLearns(t *testing.T) {
 		}
 		return seq
 	}
-	losses := Pretrain(m, sampler, 40, 4, 0.5, g)
+	losses, err := PretrainContext(context.Background(), m, sampler, 40, 4, 0.5, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(losses) != 40 {
 		t.Fatalf("loss curve length %d", len(losses))
 	}

@@ -119,14 +119,6 @@ func (s *ActivationStats) SampleSet(layer, expert int) []int {
 	return ids
 }
 
-// SampleCount returns |D_e| for (layer, expert).
-func (s *ActivationStats) SampleCount(layer, expert int) int {
-	if !s.trackSamples || s.Samples[layer] == nil {
-		return 0
-	}
-	return len(s.Samples[layer][expert])
-}
-
 // Merge folds other's counts into s. Sample sets are unioned when both sides
 // track them.
 func (s *ActivationStats) Merge(other *ActivationStats) {

@@ -8,7 +8,7 @@ import "repro/internal/tensor"
 // and softmax scratch, the backward-pass gradient matrices, and the tiled
 // matmul packing buffer. Buffers grow on demand to the high-water shape and
 // are then reused across tokens, layers, local iterations, and participants,
-// so steady-state ForwardBackward performs zero heap allocations
+// so steady-state ForwardBackwardWS performs zero heap allocations
 // (TestForwardBackwardZeroAllocs pins this).
 //
 // A Workspace is NOT goroutine-safe: it must be owned by exactly one
@@ -20,7 +20,7 @@ import "repro/internal/tensor"
 // Reusing one workspace across models of different shapes is fine — buffers
 // are sized per call — and changes no math: every buffer is either fully
 // overwritten or explicitly zeroed before use, so results are bit-identical
-// to the allocating path.
+// to a fresh workspace's.
 //
 // The workspace also owns the decode state of incremental inference: one
 // key/value cache per layer plus the count of positions cached. GenerateWS

@@ -20,8 +20,8 @@ func wsSeq(g *tensor.RNG, vocab, n int) []int {
 	return seq
 }
 
-// TestForwardBackwardWSBitIdentity pins the workspace path bit-identical to
-// the allocating path: same losses, same accumulated gradients, across
+// TestForwardBackwardWSBitIdentity pins a warm, reused workspace bit-identical
+// to a fresh one (nil): same losses, same accumulated gradients, across
 // repeated reuse of one workspace (stale buffer contents must not leak into
 // results) and across varying sequence lengths (shrinking reuse).
 func TestForwardBackwardWSBitIdentity(t *testing.T) {
@@ -40,7 +40,7 @@ func TestForwardBackwardWSBitIdentity(t *testing.T) {
 		}
 		gRef := NewGrads(m, false)
 		gWS := NewGrads(m, false)
-		lossRef := m.ForwardBackward(seq, mask, gRef, nil, -1)
+		lossRef := m.ForwardBackwardWS(nil, seq, mask, gRef, nil, -1)
 		lossWS := m.ForwardBackwardWS(ws, seq, mask, gWS, nil, -1)
 		if lossRef != lossWS {
 			t.Fatalf("trial %d: loss %v (fresh) != %v (reused ws)", trial, lossRef, lossWS)
@@ -66,8 +66,8 @@ func TestForwardBackwardWSBitIdentity(t *testing.T) {
 	}
 }
 
-// TestForwardWSBitIdentity pins inference and stats recording on the
-// workspace path against the allocating path.
+// TestForwardWSBitIdentity pins inference and stats recording on a warm,
+// reused workspace against a fresh one (nil).
 func TestForwardWSBitIdentity(t *testing.T) {
 	m := workspaceTestModel(t)
 	g := tensor.NewRNG(6)
@@ -76,7 +76,7 @@ func TestForwardWSBitIdentity(t *testing.T) {
 		seq := wsSeq(g, m.Cfg.VocabSize, 5+7*trial)
 		sRef := NewActivationStats(m.Cfg, true)
 		sWS := NewActivationStats(m.Cfg, true)
-		ref := m.Forward(seq, sRef, trial)
+		ref := m.ForwardWS(nil, seq, sRef, trial)
 		got := m.ForwardWS(ws, seq, sWS, trial)
 		if !ref.Equal(got, 0) {
 			t.Fatalf("trial %d: logits differ", trial)
@@ -103,7 +103,7 @@ func TestPrefixSuffixBitIdentity(t *testing.T) {
 	for i := range mask {
 		mask[i] = i%3 != 0
 	}
-	want := m.Loss(seq, mask)
+	want := m.LossWS(nil, seq, mask)
 	for stop := 0; stop <= len(m.Layers); stop++ {
 		x := m.ForwardPrefixWS(ws, seq, stop)
 		for rep := 0; rep < 3; rep++ {

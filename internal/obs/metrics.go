@@ -32,9 +32,6 @@ type Metric struct {
 	bits atomic.Uint64
 }
 
-// Name returns the metric's exposition name.
-func (m *Metric) Name() string { return m.name }
-
 // Value returns the current value.
 func (m *Metric) Value() float64 { return math.Float64frombits(m.bits.Load()) }
 

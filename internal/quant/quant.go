@@ -35,9 +35,6 @@ func (b Bits) Levels() int { return (1 << (int(b) - 1)) - 1 }
 
 func (b Bits) String() string { return fmt.Sprintf("bit-%d", int(b)) }
 
-// CompressionRatio returns the model-size reduction relative to FP32.
-func (b Bits) CompressionRatio() float64 { return 32 / float64(b) }
-
 // QuantizedMatrix stores a per-row symmetrically quantized matrix: int8
 // codes plus one float scale per row. Row granularity matches the common
 // per-output-channel scheme used by real MoE quantizers.
@@ -48,7 +45,9 @@ type QuantizedMatrix struct {
 	Bits       Bits
 }
 
-// Quantize converts m to b-bit symmetric codes with per-row scales.
+// Quantize converts m to b-bit symmetric codes with per-row scales. Together
+// with Dequantize it is the reference form of the round trip that
+// RoundTripInPlace fuses, and what tests compare it against.
 func Quantize(m *tensor.Matrix, b Bits) *QuantizedMatrix {
 	if !b.Valid() {
 		panic(fmt.Sprintf("quant: unsupported bit width %d", b))
@@ -96,28 +95,15 @@ func (q *QuantizedMatrix) Dequantize() *tensor.Matrix {
 	return out
 }
 
-// SizeBytes returns the storage footprint of the quantized matrix, packing
-// codes at the nominal bit width (codes are stored as int8 in memory for
-// simplicity but billed at Bits for cost modeling).
-func (q *QuantizedMatrix) SizeBytes() int {
-	bits := q.Rows*q.Cols*int(q.Bits) + q.Rows*32
-	return (bits + 7) / 8
-}
-
-// RoundTrip quantizes and immediately dequantizes m, returning the lossy
-// reconstruction. This is the standard way the rest of the repo perturbs a
-// model "as if" it were running at reduced precision.
-func RoundTrip(m *tensor.Matrix, b Bits) *tensor.Matrix {
-	return Quantize(m, b).Dequantize()
-}
-
 // RoundTripInPlace overwrites m with its b-bit round-trip reconstruction
 // without materializing the code matrix: each element becomes
 // Round(v/scale), clamped to the grid, times the per-row scale — bit for bit
-// the value RoundTrip produces (codes fit exactly in the int8 grid, so the
-// integer conversion in Quantize/Dequantize is value-preserving). The
-// profiling path re-quantizes a scratch model every round and uses this to
-// do it in one pass with zero allocations.
+// the value Quantize followed by Dequantize produces (codes fit exactly in
+// the int8 grid, so the integer conversion is value-preserving;
+// TestRoundTripInPlaceBitIdentity). This is how the rest of the repo perturbs
+// a model "as if" it were running at reduced precision: the profiling path
+// and FMQ re-quantize scratch-held models every round or step, in one pass
+// with zero allocations.
 func RoundTripInPlace(m *tensor.Matrix, b Bits) {
 	if !b.Valid() {
 		panic(fmt.Sprintf("quant: unsupported bit width %d", b))
@@ -151,20 +137,4 @@ func RoundTripInPlace(m *tensor.Matrix, b Bits) {
 			row[j] = c * scale
 		}
 	}
-}
-
-// Error reports the mean absolute elementwise reconstruction error of
-// quantizing m at b bits, normalized by the mean absolute weight value.
-// It is ~0 at high precision and grows as bits shrink.
-func Error(m *tensor.Matrix, b Bits) float64 {
-	rt := RoundTrip(m, b)
-	var errSum, magSum float64
-	for i, v := range m.Data {
-		errSum += math.Abs(v - rt.Data[i])
-		magSum += math.Abs(v)
-	}
-	if magSum == 0 {
-		return 0
-	}
-	return errSum / magSum
 }

@@ -15,6 +15,28 @@ func randMat(seed int64, rows, cols int) *tensor.Matrix {
 	return m
 }
 
+// roundTrip is m's b-bit reconstruction in a fresh matrix.
+func roundTrip(m *tensor.Matrix, b Bits) *tensor.Matrix {
+	rt := m.Clone()
+	RoundTripInPlace(rt, b)
+	return rt
+}
+
+// relError is the mean absolute reconstruction error of quantizing m at b
+// bits, relative to the mean absolute weight.
+func relError(m *tensor.Matrix, b Bits) float64 {
+	rt := roundTrip(m, b)
+	var errSum, magSum float64
+	for i, v := range m.Data {
+		errSum += math.Abs(v - rt.Data[i])
+		magSum += math.Abs(v)
+	}
+	if magSum == 0 {
+		return 0
+	}
+	return errSum / magSum
+}
+
 func TestBitsValid(t *testing.T) {
 	for _, b := range []Bits{Bits2, Bits4, Bits8} {
 		if !b.Valid() {
@@ -35,7 +57,7 @@ func TestLevels(t *testing.T) {
 func TestRoundTripBounded(t *testing.T) {
 	m := randMat(1, 8, 16)
 	for _, b := range []Bits{Bits2, Bits4, Bits8} {
-		rt := RoundTrip(m, b)
+		rt := roundTrip(m, b)
 		for i := 0; i < m.Rows; i++ {
 			// Per-row error bounded by half a quantization step.
 			var mx float64
@@ -56,7 +78,7 @@ func TestRoundTripBounded(t *testing.T) {
 
 func TestMoreBitsLessError(t *testing.T) {
 	m := randMat(2, 32, 64)
-	e2, e4, e8 := Error(m, Bits2), Error(m, Bits4), Error(m, Bits8)
+	e2, e4, e8 := relError(m, Bits2), relError(m, Bits4), relError(m, Bits8)
 	if !(e2 > e4 && e4 > e8) {
 		t.Fatalf("error should decrease with bits: %v %v %v", e2, e4, e8)
 	}
@@ -67,13 +89,13 @@ func TestMoreBitsLessError(t *testing.T) {
 
 func TestQuantizeZeroMatrix(t *testing.T) {
 	m := tensor.NewMatrix(4, 4)
-	rt := RoundTrip(m, Bits4)
+	rt := roundTrip(m, Bits4)
 	for _, v := range rt.Data {
 		if v != 0 {
 			t.Fatal("zero matrix should round-trip to zero")
 		}
 	}
-	if Error(m, Bits4) != 0 {
+	if relError(m, Bits4) != 0 {
 		t.Fatal("zero matrix error should be 0")
 	}
 }
@@ -116,25 +138,6 @@ func TestCodesWithinRange(t *testing.T) {
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
-	m := randMat(3, 16, 64)
-	s2 := Quantize(m, Bits2).SizeBytes()
-	s8 := Quantize(m, Bits8).SizeBytes()
-	if s2 >= s8 {
-		t.Fatalf("2-bit (%d) should be smaller than 8-bit (%d)", s2, s8)
-	}
-	fp32 := 16 * 64 * 4
-	if s8 >= fp32 {
-		t.Fatalf("8-bit (%d) should be smaller than fp32 (%d)", s8, fp32)
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	if Bits4.CompressionRatio() != 8 {
-		t.Fatalf("4-bit ratio = %v", Bits4.CompressionRatio())
-	}
-}
-
 // TestRoundTripInPlaceBitIdentity pins the fused in-place round-trip bit for
 // bit against the allocating Quantize→Dequantize path, including a -0.0
 // entry, an all-zero row (where Dequantize normalizes -0.0 to +0.0), and
@@ -147,7 +150,7 @@ func TestRoundTripInPlaceBitIdentity(t *testing.T) {
 		for j := 0; j < m.Cols; j++ {
 			m.Data[3*m.Cols+j] = math.Copysign(0, -1) // all-(-0.0) row
 		}
-		want := RoundTrip(m, b)
+		want := Quantize(m, b).Dequantize()
 		got := m.Clone()
 		RoundTripInPlace(got, b)
 		for i, w := range want.Data {
@@ -160,7 +163,7 @@ func TestRoundTripInPlaceBitIdentity(t *testing.T) {
 
 func TestDequantizePreservesSign(t *testing.T) {
 	m := tensor.FromSlice(1, 4, []float64{-1, -0.5, 0.5, 1})
-	rt := RoundTrip(m, Bits8)
+	rt := Quantize(m, Bits8).Dequantize()
 	for i, v := range m.Data {
 		if v*rt.Data[i] < 0 {
 			t.Fatalf("sign flipped at %d: %v -> %v", i, v, rt.Data[i])

@@ -79,13 +79,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // RandInit fills m with Gaussian(0, std) values from g.
 func (m *Matrix) RandInit(g *RNG, std float64) {
 	for i := range m.Data {
@@ -97,13 +90,6 @@ func (m *Matrix) RandInit(g *RNG, std float64) {
 func (m *Matrix) XavierInit(g *RNG) {
 	std := math.Sqrt(2.0 / float64(m.Rows+m.Cols))
 	m.RandInit(g, std)
-}
-
-// MatMul returns a×b. Panics on shape mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
 }
 
 // Tile sizes for the blocked matmul: a kTile×jTile block of b is packed into
@@ -122,18 +108,13 @@ type MulScratch struct {
 	pack []float64
 }
 
-// MatMulInto computes out = a×b into a preallocated matrix.
+// MatMulInto computes out = a×b into a preallocated matrix, packing through
+// ms's buffer. Panics on shape mismatch.
 //
 // The kernel is tiled over output blocks only: every out element still
 // accumulates its a[i][k]*b[k][j] terms in ascending-k order starting from
 // zero, exactly like the naive ikj loop, so results are bit-identical to the
 // reference kernel at every shape (TestMatMulTiledBitIdentity pins this).
-func MatMulInto(out, a, b *Matrix) {
-	var ms MulScratch
-	ms.MatMulInto(out, a, b)
-}
-
-// MatMulInto is the package-level MatMulInto backed by ms's packing buffer.
 //
 //fluxvet:hotpath innermost matmul kernel of every forward/backward; reuses packed scratch, 0 allocs/op when warm
 func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
@@ -198,13 +179,6 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 	}
 }
 
-// MatMulTransB returns a×bᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
 // MatMulTransBInto computes out = a×bᵀ into a preallocated matrix. Every
 // element is overwritten.
 func MatMulTransBInto(out, a, b *Matrix) {
@@ -221,13 +195,6 @@ func MatMulTransBInto(out, a, b *Matrix) {
 			orow[j] = Dot(arow, b.Row(j))
 		}
 	}
-}
-
-// MatMulTransA returns aᵀ×b.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	MatMulTransAInto(out, a, b)
-	return out
 }
 
 // MatMulTransAInto computes out = aᵀ×b into a preallocated matrix (zeroed
@@ -258,13 +225,6 @@ func MatMulTransAInto(out, a, b *Matrix) {
 	}
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	TransposeInto(out, m)
-	return out
-}
-
 // TransposeInto writes mᵀ into a preallocated out. Every element is
 // overwritten.
 func TransposeInto(out, m *Matrix) {
@@ -287,14 +247,6 @@ func (m *Matrix) Add(other *Matrix) {
 	}
 }
 
-// Sub computes m -= other elementwise.
-func (m *Matrix) Sub(other *Matrix) {
-	checkSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
@@ -308,47 +260,6 @@ func (m *Matrix) AddScaled(other *Matrix, s float64) {
 	for i, v := range other.Data {
 		m.Data[i] += s * v
 	}
-}
-
-// AddRowVector adds vector v to every row of m.
-func (m *Matrix) AddRowVector(v []float64) {
-	if len(v) != m.Cols {
-		panic("tensor: row vector length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
-// Hadamard computes m *= other elementwise.
-func (m *Matrix) Hadamard(other *Matrix) {
-	checkSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equal reports whether m and other have identical shape and elements within tol.

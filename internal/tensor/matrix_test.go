@@ -6,10 +6,35 @@ import (
 	"testing/quick"
 )
 
+// mul is a×b through a fresh MulScratch into a fresh output.
+func mul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	new(MulScratch).MatMulInto(out, a, b)
+	return out
+}
+
+// transposed is mᵀ in a fresh matrix: the explicit-transpose oracle of the
+// TransA/TransB kernel tests.
+func transposed(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	TransposeInto(out, m)
+	return out
+}
+
+// stale returns a rows×cols matrix of garbage that an Into kernel must fully
+// overwrite.
+func stale(rows, cols int) *Matrix {
+	out := NewMatrix(rows, cols)
+	for i := range out.Data {
+		out.Data[i] = 123
+	}
+	return out
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := mul(a, b)
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
 	if !c.Equal(want, 1e-12) {
 		t.Fatalf("matmul got %v want %v", c.Data, want.Data)
@@ -24,10 +49,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(i, i, 1)
 	}
-	if got := MatMul(a, id); !got.Equal(a, 1e-12) {
+	if got := mul(a, id); !got.Equal(a, 1e-12) {
 		t.Fatal("A×I != A")
 	}
-	if got := MatMul(id, a); !got.Equal(a, 1e-12) {
+	if got := mul(id, a); !got.Equal(a, 1e-12) {
 		t.Fatal("I×A != A")
 	}
 }
@@ -38,14 +63,14 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	mul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestTransposeInvolution(t *testing.T) {
 	g := NewRNG(2)
 	a := NewMatrix(3, 5)
 	a.RandInit(g, 1)
-	if !a.Transpose().Transpose().Equal(a, 0) {
+	if !transposed(transposed(a)).Equal(a, 0) {
 		t.Fatal("(Aᵀ)ᵀ != A")
 	}
 }
@@ -56,8 +81,9 @@ func TestMatMulTransBMatchesExplicit(t *testing.T) {
 	b := NewMatrix(5, 6)
 	a.RandInit(g, 1)
 	b.RandInit(g, 1)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, b.Transpose())
+	got := stale(4, 5)
+	MatMulTransBInto(got, a, b)
+	want := mul(a, transposed(b))
 	if !got.Equal(want, 1e-10) {
 		t.Fatal("A×Bᵀ mismatch")
 	}
@@ -69,8 +95,9 @@ func TestMatMulTransAMatchesExplicit(t *testing.T) {
 	b := NewMatrix(6, 5)
 	a.RandInit(g, 1)
 	b.RandInit(g, 1)
-	got := MatMulTransA(a, b)
-	want := MatMul(a.Transpose(), b)
+	got := stale(4, 5)
+	MatMulTransAInto(got, a, b)
+	want := mul(transposed(a), b)
 	if !got.Equal(want, 1e-10) {
 		t.Fatal("Aᵀ×B mismatch")
 	}
@@ -83,9 +110,9 @@ func TestAddSubScale(t *testing.T) {
 	if a.At(0, 1) != 7 {
 		t.Fatalf("add got %v", a.Data)
 	}
-	a.Sub(b)
+	a.AddScaled(b, -1)
 	if a.At(0, 2) != 3 {
-		t.Fatalf("sub got %v", a.Data)
+		t.Fatalf("addscaled(-1) got %v", a.Data)
 	}
 	a.Scale(2)
 	if a.At(0, 0) != 2 {
@@ -194,32 +221,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	v := []float64{1, 3}
-	Normalize(v)
-	if math.Abs(v[0]-0.25) > 1e-12 {
-		t.Fatalf("normalize got %v", v)
-	}
-	z := []float64{0, 0}
-	Normalize(z)
-	if z[0] != 0.5 {
-		t.Fatalf("zero normalize got %v", z)
-	}
-}
-
-func TestLayerNorm(t *testing.T) {
-	src := []float64{1, 2, 3, 4}
-	dst := make([]float64, 4)
-	LayerNorm(dst, src)
-	if m := Mean(dst); math.Abs(m) > 1e-9 {
-		t.Fatalf("layernorm mean = %v", m)
-	}
-	va := Variance(dst)
-	if math.Abs(va-1) > 0.3 {
-		t.Fatalf("layernorm variance = %v", va)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := Named("stream/x")
 	b := Named("stream/x")
@@ -306,11 +307,17 @@ func TestMatMulIntoReuse(t *testing.T) {
 	b := NewMatrix(4, 2)
 	a.RandInit(g, 1)
 	b.RandInit(g, 1)
-	out := NewMatrix(3, 2)
-	out.Fill(123) // stale contents must be overwritten
-	MatMulInto(out, a, b)
-	if !out.Equal(MatMul(a, b), 1e-12) {
-		t.Fatal("MatMulInto differs from MatMul")
+	var ms MulScratch
+	out := stale(3, 2)
+	ms.MatMulInto(out, a, b)
+	want := NewMatrix(3, 2)
+	naiveMatMulInto(want, a, b)
+	if !out.Equal(want, 0) {
+		t.Fatal("MatMulInto over stale contents differs from the naive kernel")
+	}
+	ms.MatMulInto(out, a, b) // and again over its own previous result
+	if !out.Equal(want, 0) {
+		t.Fatal("MatMulInto rerun over its own output differs from the naive kernel")
 	}
 }
 

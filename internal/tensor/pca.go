@@ -37,7 +37,8 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	}
 
 	// Covariance (d×d). d is small by construction (parameter sketches).
-	cov := MatMulTransA(c, c)
+	cov := NewMatrix(d, d)
+	MatMulTransAInto(cov, c, c)
 	cov.Scale(1 / float64(max(n-1, 1)))
 
 	comps := NewMatrix(k, d)
@@ -55,7 +56,9 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	}
 
 	// Project centered data.
-	return MatMulTransB(c, comps)
+	out := NewMatrix(n, k)
+	MatMulTransBInto(out, c, comps)
+	return out
 }
 
 // powerIteration finds the dominant eigenvector of the symmetric matrix a.

@@ -50,9 +50,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative int64 draw.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Norm returns a standard normal draw.
 func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
 
@@ -61,11 +58,6 @@ func (g *RNG) Gauss(mean, std float64) float64 { return mean + std*g.r.NormFloat
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle permutes the integers in s in place.
-func (g *RNG) Shuffle(s []int) {
-	g.r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-}
 
 // Zipf draws from a Zipf-like distribution over [0,n) with exponent s>1.
 // Lower indices are more likely. Used to generate skewed token vocabularies.

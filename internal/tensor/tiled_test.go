@@ -72,36 +72,43 @@ func TestMatMulTiledBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulTransIntoMatchesAlloc pins the Into variants against their
-// allocating wrappers (which delegate to them — this guards the shape checks
-// and full-overwrite contracts).
+// TestMatMulTransIntoMatchesAlloc pins the full-overwrite contract of the
+// TransA/TransB/Transpose Into kernels: run over stale output contents they
+// give exactly what they give over a fresh zeroed output, and a mis-shaped
+// output panics.
 func TestMatMulTransIntoMatchesAlloc(t *testing.T) {
 	g := NewRNG(9)
 	a := NewMatrix(6, 4)
 	b := NewMatrix(5, 4)
+	c := NewMatrix(5, 3)
 	a.RandInit(g, 1)
 	b.RandInit(g, 1)
-	out := NewMatrix(6, 5)
-	out.Fill(123) // stale contents must be fully overwritten
-	MatMulTransBInto(out, a, b)
-	if want := MatMulTransB(a, b); !out.Equal(want, 0) {
-		t.Fatal("MatMulTransBInto != MatMulTransB")
-	}
-
-	c := NewMatrix(5, 3)
 	c.RandInit(g, 1)
-	outTA := NewMatrix(4, 3)
-	outTA.Fill(-7) // MatMulTransAInto zeroes before accumulating
-	MatMulTransAInto(outTA, b, c)
-	if want := MatMulTransA(b, c); !outTA.Equal(want, 0) {
-		t.Fatal("MatMulTransAInto != MatMulTransA")
+	kernels := []struct {
+		name       string
+		rows, cols int
+		run        func(out *Matrix)
+	}{
+		{"MatMulTransBInto", 6, 5, func(out *Matrix) { MatMulTransBInto(out, a, b) }},
+		{"MatMulTransAInto", 4, 3, func(out *Matrix) { MatMulTransAInto(out, b, c) }},
+		{"TransposeInto", 4, 6, func(out *Matrix) { TransposeInto(out, a) }},
 	}
-
-	tr := NewMatrix(4, 6)
-	tr.Fill(1)
-	TransposeInto(tr, a)
-	if want := a.Transpose(); !tr.Equal(want, 0) {
-		t.Fatal("TransposeInto != Transpose")
+	for _, k := range kernels {
+		fresh := NewMatrix(k.rows, k.cols)
+		k.run(fresh)
+		reused := stale(k.rows, k.cols)
+		k.run(reused)
+		if !reused.Equal(fresh, 0) {
+			t.Fatalf("%s over stale output != over fresh output", k.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a mis-shaped output", k.name)
+				}
+			}()
+			k.run(NewMatrix(k.rows+1, k.cols))
+		}()
 	}
 }
 

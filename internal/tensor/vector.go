@@ -176,24 +176,6 @@ func Variance(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// Normalize scales v in place so it sums to 1. Zero vectors become uniform.
-func Normalize(v []float64) {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	if s == 0 {
-		u := 1 / float64(len(v))
-		for i := range v {
-			v[i] = u
-		}
-		return
-	}
-	for i := range v {
-		v[i] /= s
-	}
-}
-
 // Clamp returns x limited to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -203,22 +185,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// LayerNorm writes the layer-normalized src into dst (may alias), using a
-// fixed epsilon. Gain/bias are identity; the models in this repo keep
-// normalization unlearned for simplicity.
-func LayerNorm(dst, src []float64) {
-	const eps = 1e-5
-	m := Mean(src)
-	var va float64
-	for _, x := range src {
-		d := x - m
-		va += d * d
-	}
-	va /= float64(len(src))
-	inv := 1 / math.Sqrt(va+eps)
-	for i, x := range src {
-		dst[i] = (x - m) * inv
-	}
 }
