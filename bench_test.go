@@ -205,7 +205,11 @@ func BenchmarkMoEForward(b *testing.B) {
 // BenchmarkForwardBackward contrasts a nil workspace (ws=none: the pass
 // allocates a private one per call) with the warm per-worker workspace the
 // federated engine actually runs (ws=warm, zero steady-state allocations).
-// CI publishes it into bench/BENCH_micro.json.
+// Both train every expert, as pre-training and FMD do; model=customized is
+// the pass a flux participant runs — a Customize'd local model with 5 of 48
+// experts trainable (one in each layer above the first) and the rest merged
+// into two frozen experts per layer, on a warm workspace. CI publishes it
+// into bench/BENCH_micro.json.
 func BenchmarkForwardBackward(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-fb-ws"))
 	g := tensor.NewRNG(4)
@@ -227,6 +231,32 @@ func BenchmarkForwardBackward(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.ForwardBackwardWS(ws, seq, nil, grads, nil, -1)
+		}
+	})
+	b.Run("model=customized", func(b *testing.B) {
+		specs := make([]moe.LayerSpec, m.Cfg.Layers())
+		for l, n := range m.Cfg.ExpertsPerLayer {
+			rest := make([]int, n)
+			for e := range rest {
+				rest[e] = e
+			}
+			if l > 0 { // expert l of layer l trains
+				specs[l].Tuning = []int{l}
+				rest = append(rest[:l], rest[l+1:]...)
+			}
+			specs[l].MergeGroups = [][]int{rest[:len(rest)/2], rest[len(rest)/2:]}
+		}
+		local, err := moe.Customize(m, specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := moe.NewWorkspace()
+		grads := moe.NewGrads(local, false)
+		local.ForwardBackwardWS(ws, seq, nil, grads, nil, -1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			local.ForwardBackwardWS(ws, seq, nil, grads, nil, -1)
 		}
 	})
 }

@@ -26,10 +26,9 @@ var knownOrphans = map[string]string{
 	"repro/internal/data.TopicHistogram":                 "non-IID skew measurement in the partition test",
 	"(repro/internal/simtime.Device).Validate":           "input check, exercised by TestDeviceValidateRejects",
 	// Features only their own tests reach; each goes with its test.
-	"(*repro/internal/moe.ActivationStats).Merge":        "TestStatsMerge",
-	"(*repro/internal/flux/assign.UtilityTable).Refresh": "TestRefreshFromGrads",
-	"repro/internal/metrics.MeanAbs":                     "TestMeanAbs",
-	"repro/internal/metrics.Speedup":                     "TestSpeedup",
+	"(*repro/internal/moe.ActivationStats).Merge": "TestStatsMerge",
+	"repro/internal/metrics.MeanAbs":              "TestMeanAbs",
+	"repro/internal/metrics.Speedup":              "TestSpeedup",
 }
 
 // TestNoOrphanExports fails when a package under internal/ exports a

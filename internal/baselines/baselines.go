@@ -104,13 +104,13 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	}
 
 	cohort := env.Cohort(round)
+	qm := env.QuantizedGlobal(bits) // shared read-only; each body trains its own copy
 	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
 		// The local working copy lives on the quantization grid.
-		local := ws.LocalClone(env.Global)
-		moe.Quantize(local, bits)
+		local := ws.LocalClone(qm)
 		grads := ws.Grads(local)
 		mws := ws.Workspace()
 		batch := env.Batch(i, round)
@@ -175,17 +175,14 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	prof := profile.Profiler{Bits: s.ProfileBits}
 
 	cohort := env.Cohort(round)
+	qm := env.QuantizedGlobal(prof.Bits) // one profiling model per round, shared read-only
 	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseProfiling)
 		mws := ws.Workspace()
 		batch := env.Batch(i, round)
-		// Fresh profiling each round (FMES has no stale pipeline). The
-		// quantized profiling model is built in the worker scratch
-		// (clone-into + in-place round-trip).
-		qm := ws.LocalClone(env.Global)
-		moe.Quantize(qm, prof.Bits)
+		// Fresh profiling each round (FMES has no stale pipeline).
 		res := prof.RunOn(qm, cfg, batch, mws)
 		profSec := res.Seconds(dev, cfg)
 

@@ -176,14 +176,13 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	// Slots are priced with FMES's cost model, so a straggler deadline drops
 	// the same devices in both Figure-3 arms (Figure 3 itself reports
 	// accuracy only).
+	prof := profile.Profiler{Bits: quant.Bits4, TrackSamples: true}
+	qm := env.QuantizedGlobal(prof.Bits)
 	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		mws := ws.Workspace()
-		prof := profile.Profiler{Bits: quant.Bits4, TrackSamples: true}
 		batch := env.Batch(i, round)
-		qm := ws.LocalClone(env.Global)
-		moe.Quantize(qm, prof.Bits)
 		res := prof.RunOn(qm, cfg, batch, mws)
 		_, tune := env.Budgets(i)
 		tuning := baselines.TopByFrequency(res.Stats, cfg, tune)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/obs"
+	"repro/internal/quant"
 	"repro/internal/simtime"
 	"repro/internal/tensor"
 )
@@ -152,6 +153,10 @@ type envState struct {
 	// per-round evaluation stops allocating once warm. Evaluate runs on the
 	// driver goroutine only, never concurrently with itself.
 	evalWS *moe.Workspace
+
+	// quantized is QuantizedGlobal's buffer. The driver goroutine rewrites
+	// it before a round's fan-out; until the pool joins it is read-only.
+	quantized *moe.Model
 
 	// Event-driven server core (AggSpec active): the global model's version
 	// (bumped once per buffer flush) and the carry-over buffer of updates
@@ -441,6 +446,19 @@ func (e *Env) Batch(i, r int) []*data.Sample {
 		out = append(out, shard[(r*n+k)%len(shard)])
 	}
 	return out
+}
+
+// QuantizedGlobal round-trips a copy of the global model through bits-bit
+// quantization — the profiling model of §4.1 — in a buffer the environment
+// owns, and returns it. It is rebuilt on every call: a Rounder calls it once
+// per round on the driver goroutine, before ForEachOf, and every worker then
+// shares the result read-only (a body that needs a mutable quantized model
+// copies it with Scratch.LocalClone). The next call overwrites it.
+func (e *Env) QuantizedGlobal(bits quant.Bits) *moe.Model {
+	st := e.st()
+	st.quantized = e.Global.CloneInto(st.quantized)
+	moe.Quantize(st.quantized, bits)
+	return st.quantized
 }
 
 // Evaluate scores the global model on the held-out test subset. It is

@@ -68,7 +68,8 @@ func (s *Scratch) LocalClone(src *moe.Model) *moe.Model {
 
 // Grads returns a zeroed gradient accumulator shaped like m, reusing the
 // scratch's persistent buffer when m's expert layout matches the previous
-// round's.
+// round's. Expert buffers are allocated by the backward pass, for trainable
+// experts only; a frozen expert never gets one.
 func (s *Scratch) Grads(m *moe.Model) *moe.Grads {
 	s.grads = s.grads.Reset(m)
 	return s.grads

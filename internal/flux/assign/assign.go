@@ -64,19 +64,6 @@ func (t *UtilityTable) Set(key Key, u float64) { t.U[key] = u }
 // Get returns the utility of key (0 when never estimated).
 func (t *UtilityTable) Get(key Key) float64 { return t.U[key] }
 
-// Refresh folds measured gradients into the table for all experts touched
-// in grads, using token counts as |D_e|.
-func (t *UtilityTable) Refresh(grads *moe.Grads) {
-	for l := range grads.TokenGradCount {
-		for e, c := range grads.TokenGradCount[l] {
-			if c == 0 {
-				continue
-			}
-			t.U[Key{l, e}] = Utility(c, grads.AvgTokenGradNorm(l, e))
-		}
-	}
-}
-
 // Assignment is the server's decision for one participant in one round.
 type Assignment struct {
 	// Exploit experts are fine-tuned with real backpropagation.

@@ -157,8 +157,17 @@ func TestRefreshFromGrads(t *testing.T) {
 	for i, seq := range seqs {
 		m.ForwardBackwardWS(nil, seq, masks[i], grads, nil, -1)
 	}
+	// Fold the measured gradients in the way the flux runner does per
+	// exploited expert (the fixture model has no frozen experts, so every
+	// routed expert has counters).
 	tb := &UtilityTable{U: map[Key]float64{}}
-	tb.Refresh(grads)
+	for l := range grads.TokenGradCount {
+		for e, c := range grads.TokenGradCount[l] {
+			if c > 0 {
+				tb.Set(Key{l, e}, Utility(c, grads.AvgTokenGradNorm(l, e)))
+			}
+		}
+	}
 	var touched int
 	//fluxvet:unordered integer count of positive entries; order cannot affect it
 	for _, u := range tb.U {

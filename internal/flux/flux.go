@@ -103,6 +103,10 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		rngs[slot] = env.RNG.Split(fmt.Sprintf("p%d/r%d", i, round))
 	}
 
+	// Every participant profiles the same quantized global model, so it is
+	// built once, before the fan-out, and only read from then on.
+	qm := env.QuantizedGlobal(r.Opts.ProfileBits)
+
 	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
@@ -111,13 +115,8 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		prof := profile.Profiler{Bits: r.Opts.ProfileBits, TrackSamples: true}
 
 		// --- Profiling (§4): quantized, stale-pipelined. ---
-		// The quantized profiling model is built in the worker scratch
-		// (clone-into + in-place round-trip) so steady-state profiling
-		// allocates no model.
 		env.MarkPhase(simtime.PhaseProfiling)
 		shardSeqs := env.Batch(i, round)
-		qm := ws.LocalClone(env.Global)
-		moe.Quantize(qm, r.Opts.ProfileBits)
 		res := prof.RunOn(qm, env.Global.Cfg, shardSeqs, mws)
 		profSec := res.Seconds(dev, cfg)
 		sched := r.schedulers[i]

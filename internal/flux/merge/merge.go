@@ -337,21 +337,33 @@ func clusterExperts(global *moe.Model, nonTuning [][]int, budgets []int, opt Opt
 // keeps clustering cost independent of expert size while remaining
 // comparable across experts (same positions sampled everywhere).
 func Sketch(e *moe.Expert, dims int) []float64 {
-	flat := e.FlattenTo(nil)
 	out := make([]float64, dims)
-	if len(flat) == 0 {
+	// The sampled positions index the expert's FlattenTo layout, read in
+	// place rather than from a flattened copy.
+	parts := [...][]float64{e.W1.Data, e.B1, e.W2.Data, e.B2}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
 		return out
 	}
-	stride := float64(len(flat)) / float64(dims)
+	stride := float64(n) / float64(dims)
 	if stride < 1 {
 		stride = 1
 	}
-	for i := 0; i < dims; i++ {
+	for i := range out {
 		idx := int(float64(i) * stride)
-		if idx >= len(flat) {
-			idx = len(flat) - 1
+		if idx >= n {
+			idx = n - 1
 		}
-		out[i] = flat[idx]
+		for _, p := range parts {
+			if idx < len(p) {
+				out[i] = p[idx]
+				break
+			}
+			idx -= len(p)
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -224,6 +225,52 @@ func TestSketchFixedLength(t *testing.T) {
 	d := tensor.CosineDist(Sketch(e, 32), Sketch(e2, 32))
 	if d > 1e-12 {
 		t.Fatalf("identical experts sketch distance %v", d)
+	}
+}
+
+// sketchByFlatten is the reference Sketch: stride-sample a flattened copy.
+func sketchByFlatten(e *moe.Expert, dims int) []float64 {
+	flat := e.FlattenTo(nil)
+	out := make([]float64, dims)
+	stride := float64(len(flat)) / float64(dims)
+	if stride < 1 {
+		stride = 1
+	}
+	for i := range out {
+		idx := int(float64(i) * stride)
+		if idx >= len(flat) {
+			idx = len(flat) - 1
+		}
+		out[i] = flat[idx]
+	}
+	return out
+}
+
+// TestSketchMatchesFlatten pins Sketch's in-place indexing bit-equal to
+// sampling the FlattenTo copy it used to make, for a fresh and a merged
+// expert, and at one allocation (the result).
+func TestSketchMatchesFlatten(t *testing.T) {
+	g := tensor.NewRNG(8)
+	a, b := moe.NewExpert(10, 16, g), moe.NewExpert(10, 16, g)
+	for j := range a.B1 { // Xavier leaves biases zero; make every region distinct
+		a.B1[j], b.B1[j] = g.Norm(), g.Norm()
+	}
+	for j := range a.B2 {
+		a.B2[j], b.B2[j] = g.Norm(), g.Norm()
+	}
+	merged := moe.MergeExperts([]*moe.Expert{a, b}, []float64{1, 3})
+	for _, e := range []*moe.Expert{a, merged} {
+		for _, dims := range []int{1, 48, e.Params() + 7} {
+			got, want := Sketch(e, dims), sketchByFlatten(e, dims)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dims %d: sketch[%d] = %v, flatten sample = %v", dims, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { Sketch(a, 48) }); n != 1 {
+		t.Fatalf("Sketch allocates %v times per run, want 1", n)
 	}
 }
 

@@ -50,9 +50,9 @@ func (p Profiler) RunFull(model *moe.Model, samples []*data.Sample) *Result {
 // RunOn measures activation statistics over samples with an already-prepared
 // profiling model m (cfg describes the pre-merge expert layout, which sizes
 // the stats), drawing forward-pass buffers from ws (nil allocates a private
-// one). Participant bodies pass their worker scratch's clone — quantized in
-// place — plus its workspace, so steady-state profiling allocates neither a
-// model nor activations.
+// one). It only reads m's weights, so participant bodies all pass the
+// round's shared fed.Env.QuantizedGlobal plus their own worker workspace,
+// and steady-state profiling allocates neither a model nor activations.
 func (p Profiler) RunOn(m *moe.Model, cfg moe.Config, samples []*data.Sample, ws *moe.Workspace) *Result {
 	if ws == nil {
 		ws = moe.NewWorkspace()

@@ -17,7 +17,9 @@ type Expert struct {
 
 	// Frozen marks a non-tuning expert: it participates in forward and in
 	// gradient propagation to earlier layers, but its own parameters are
-	// never updated.
+	// never updated, so the backward pass computes no parameter gradients
+	// for it (and skips it altogether once no earlier layer has a trainable
+	// expert to propagate to).
 	Frozen bool
 
 	// MergedFrom lists the original expert indices folded into this expert
@@ -167,12 +169,20 @@ func (g *ExpertGrad) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Backward accumulates parameter gradients for one token given the input x,
+// Backward backpropagates one token through the expert given the input x,
 // the cached ReLU output hidden, and the upstream gradient dy (length Dim).
-// It writes the gradient with respect to x into dx (length Dim, accumulated).
-// dh is caller-provided scratch of length FFNDim; its contents on entry are
-// irrelevant (every element is written or explicitly zeroed).
+// It has two outputs and computes each only when asked: parameter gradients
+// are accumulated into g unless g is nil (a frozen expert), and the gradient
+// with respect to x is accumulated into dx (length Dim) unless dx is nil
+// (nothing below consumes it). Whatever is computed is bit-identical to what
+// the full pass computes. dh is caller-provided scratch of length FFNDim;
+// its contents on entry are irrelevant (every element is written or
+// explicitly zeroed).
 func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, dh []float64) {
+	if g == nil {
+		e.backwardInput(x, hidden, dy, dx, dh)
+		return
+	}
 	ffn := len(e.B1)
 	dim := len(e.B2)
 	// dB2 += dy; dW2 += hiddenᵀ·dy
@@ -208,8 +218,21 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, dh []float64) {
 	}
 	w1 := e.W1.Data
 	gw1all := g.W1.Data
-	dx = dx[:len(x)]
 	off = 0
+	if dx == nil {
+		for _, xv := range x {
+			gw1 := gw1all[off : off+ffn]
+			off += ffn
+			for j, d := range dh {
+				if d == 0 {
+					continue
+				}
+				gw1[j] += xv * d
+			}
+		}
+		return
+	}
+	dx = dx[:len(x)]
 	for i, xv := range x {
 		w1row := w1[off : off+ffn]
 		gw1 := gw1all[off : off+ffn]
@@ -226,11 +249,51 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, dh []float64) {
 	}
 }
 
+// backwardInput is Backward for a frozen expert: the same dh and dx loops
+// (single accumulator, ascending index, closed gates skipped) without the
+// parameter-gradient stores.
+func (e *Expert) backwardInput(x, hidden, dy, dx, dh []float64) {
+	ffn := len(e.B1)
+	dim := len(e.B2)
+	dy = dy[:dim]
+	dh = dh[:ffn]
+	w2 := e.W2.Data
+	off := 0
+	for j, h := range hidden[:ffn] {
+		o := off
+		off += dim
+		if h == 0 {
+			dh[j] = 0
+			continue
+		}
+		w2row := w2[o : o+dim]
+		var s float64
+		for k, d := range dy {
+			s += w2row[k] * d
+		}
+		dh[j] = s
+	}
+	w1 := e.W1.Data
+	dx = dx[:len(x)]
+	off = 0
+	for i := range x {
+		w1row := w1[off : off+ffn]
+		off += ffn
+		var s float64
+		for j, d := range dh {
+			if d == 0 {
+				continue
+			}
+			s += w1row[j] * d
+		}
+		dx[i] += s
+	}
+}
+
 // ApplySGD performs a plain SGD step with learning rate lr and then zeroes g.
-// Frozen experts are left untouched.
+// Frozen experts are left untouched (nothing accumulates into g for them).
 func (e *Expert) ApplySGD(g *ExpertGrad, lr float64) {
 	if e.Frozen {
-		g.Zero()
 		return
 	}
 	e.W1.AddScaled(g.W1, -lr)

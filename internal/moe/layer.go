@@ -279,38 +279,53 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 }
 
 // Backward propagates dOut (gradient of the loss w.r.t. the layer output)
-// through the layer, accumulating expert parameter gradients into grads
-// (which may be nil to propagate only) and writing the gradient w.r.t. the
-// layer input into dXIn (fully overwritten; must be T × D). All scratch comes
-// from ws.
+// through the layer. Trainable experts accumulate parameter gradients (and
+// their token-gradient magnitudes) into grads; frozen experts only carry
+// dL/dx and get no entry in grads. The gradient w.r.t. the layer input is
+// written into dXIn (fully overwritten; must be T × D). A nil dXIn means no
+// layer below consumes it: only the trainable experts' parameter gradients
+// are computed — no frozen-expert work, no LN2 or attention backward. All
+// scratch comes from ws.
 func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix, ws *Workspace, grads *Grads) {
 	T, D := dOut.Rows, dOut.Cols
+	propagate := dXIn != nil
 
 	// MoE block backward. out = x1 + Σ w_e · Expert_e(xMid).
-	ws.dX1 = tensor.Grow(ws.dX1, T, D)
-	ws.dX1.CopyFrom(dOut) // residual path
-	ws.dXMid = tensor.Grow(ws.dXMid, T, D)
-	ws.dXMid.Zero() // accumulated into per token-slot below
+	if propagate {
+		ws.dX1 = tensor.Grow(ws.dX1, T, D)
+		ws.dX1.CopyFrom(dOut) // residual path
+		ws.dXMid = tensor.Grow(ws.dXMid, T, D)
+		ws.dXMid.Zero() // accumulated into per token-slot below
+	}
 	ws.dyTok = growFloats(ws.dyTok, D)
 	dyTok := ws.dyTok
 	for t := 0; t < T; t++ {
 		dorow := dOut.Row(t)
 		xt := c.xMid.Row(t)
+		var dx []float64
+		if propagate {
+			dx = ws.dXMid.Row(t)
+		}
 		for s, ei := range c.routedExperts[t] {
+			ex := l.Experts[ei]
+			if ex.Frozen && !propagate {
+				continue
+			}
 			w := c.routedWeights[t][s]
 			for d := 0; d < D; d++ {
 				dyTok[d] = w * dorow[d]
 			}
-			ex := l.Experts[ei]
 			ws.dh = growFloats(ws.dh, len(ex.B1))
-			if grads != nil {
+			var g *ExpertGrad
+			if !ex.Frozen {
 				grads.recordTokenGrad(layerIdx, ei, dyTok)
-				ex.Backward(grads.expertGrad(layerIdx, ei, ex), xt, c.hidden[t][s], dyTok, ws.dXMid.Row(t), ws.dh)
-			} else {
-				// Propagate dx only; the scratch sink's contents are never read.
-				ex.Backward(ws.scratchGrad(ex), xt, c.hidden[t][s], dyTok, ws.dXMid.Row(t), ws.dh)
+				g = grads.expertGrad(layerIdx, ei, ex)
 			}
+			ex.Backward(g, xt, c.hidden[t][s], dyTok, dx, ws.dh)
 		}
+	}
+	if !propagate {
+		return
 	}
 	// LN2 backward (exact).
 	for t := 0; t < T; t++ {

@@ -245,12 +245,14 @@ func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 }
 
 // ForwardBackwardWS runs a training step's forward and backward passes for
-// one sequence, accumulating expert gradients into grads, and returns the
-// mean masked cross-entropy loss. Embedding/head gradients are accumulated
-// only when grads was created with trainEmbed. Every temporary is drawn from
-// ws (nil allocates a private workspace): with a warm workspace the whole pass
-// performs zero heap allocations, and results are bit-identical whether ws is
-// fresh or reused.
+// one sequence, accumulating the trainable experts' gradients into grads,
+// and returns the mean masked cross-entropy loss; a nil grads returns the
+// loss without a backward pass. Embedding/head gradients are accumulated
+// only when grads was created with trainEmbed; without them the backward
+// pass stops at the lowest layer holding a trainable expert. Every temporary
+// is drawn from ws (nil allocates a private workspace): with a warm workspace
+// the whole pass performs zero heap allocations, and results are
+// bit-identical whether ws is fresh or reused.
 //
 //fluxvet:hotpath steady-state training step; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs, benchguard)
 func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *Grads, stats *ActivationStats, sampleID int) float64 {
@@ -265,9 +267,12 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 	if n == 0 {
 		return 0
 	}
+	if grads == nil {
+		return loss
+	}
 
 	// Head backward: logits = normed × Head.
-	if grads != nil && grads.Head != nil {
+	if grads.Head != nil {
 		ws.headGrad = tensor.Grow(ws.headGrad, normed.Cols, ws.dLogits.Cols)
 		tensor.MatMulTransAInto(ws.headGrad, normed, ws.dLogits)
 		grads.Head.Add(ws.headGrad)
@@ -283,16 +288,27 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 		layerNormBackward(dX.Row(t), ws.dNormed.Row(t), normed.Row(t), invStd[t])
 	}
 	// The dL/dx chain ping-pongs between the two workspace matrices: layer
-	// l's input gradient becomes layer l-1's output gradient.
+	// l's input gradient becomes layer l-1's output gradient. Only trainable
+	// experts and the embedding consume it, so unless the embedding trains
+	// the chain ends at the lowest layer holding a trainable expert: that
+	// layer gets a nil input gradient and the layers below are not visited.
+	trainEmbed := grads.Embed != nil
+	stop := 0
+	if !trainEmbed {
+		stop = m.lowestTrainableLayer()
+	}
 	buf := 1
-	for l := len(m.Layers) - 1; l >= 0; l-- {
-		dNext := ws.dX[buf]
+	for l := len(m.Layers) - 1; l >= stop; l-- {
+		var dNext *tensor.Matrix
+		if l > stop || trainEmbed {
+			dNext = ws.dX[buf]
+		}
 		m.Layers[l].Backward(l, caches[l], dX, dNext, ws, grads)
 		dX = dNext
 		buf = 1 - buf
 	}
 	// Embedding backward.
-	if grads != nil && grads.Embed != nil {
+	if trainEmbed {
 		for t, tok := range seq {
 			row := grads.Embed.Row(tok)
 			src := dX.Row(t)
@@ -302,6 +318,19 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 		}
 	}
 	return loss
+}
+
+// lowestTrainableLayer returns the index of the first layer holding a
+// non-frozen expert, or len(m.Layers) when every expert is frozen.
+func (m *Model) lowestTrainableLayer() int {
+	for l, layer := range m.Layers {
+		for _, e := range layer.Experts {
+			if !e.Frozen {
+				return l
+			}
+		}
+	}
+	return len(m.Layers)
 }
 
 // crossEntropy computes mean next-token cross-entropy over masked positions

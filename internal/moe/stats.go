@@ -175,13 +175,16 @@ func (s *ActivationStats) EstimationError(reference *ActivationStats) float64 {
 // Grads accumulates gradients across a batch: per-expert parameter gradients
 // plus optional embedding/head gradients (used only during pre-training), and
 // the per-expert token-gradient magnitudes feeding Flux's utility metric.
+// Only experts the backward pass trains are filled: a frozen expert's entry
+// in Experts stays nil and its token-gradient counters stay zero.
 type Grads struct {
-	Experts [][]*ExpertGrad // [layer][expertIdx], lazily allocated
+	Experts [][]*ExpertGrad // [layer][expertIdx], allocated on a trainable expert's first routed token
 	Embed   *tensor.Matrix
 	Head    *tensor.Matrix
 
 	// TokenGradNorm[l][e] accumulates Σ‖dy_token‖ over tokens routed to the
-	// expert at position e in layer l; TokenGradCount counts those tokens.
+	// trainable expert at position e in layer l; TokenGradCount counts those
+	// tokens.
 	TokenGradNorm  [][]float64
 	TokenGradCount [][]float64
 }

@@ -72,7 +72,6 @@ type Workspace struct {
 	dXNorm   *tensor.Matrix
 	dyTok    []float64
 	dh       []float64
-	nilGrad  *ExpertGrad // parameter-grad sink for the grads-nil backward path
 }
 
 // NewWorkspace returns an empty workspace; buffers are allocated lazily on
@@ -123,24 +122,6 @@ func (ws *Workspace) cacheRows(m *tensor.Matrix, p, n int) *tensor.Matrix {
 func (ws *Workspace) Scores(n int) []float64 {
 	ws.scores = growFloats(ws.scores, n)
 	return ws.scores
-}
-
-// scratchGrad returns a parameter-gradient sink shaped like e for the
-// grads-nil backward path. Its contents are never read — Expert.Backward only
-// consumes weights and dh when computing dx — so the buffer is grown, not
-// zeroed, in steady state.
-func (ws *Workspace) scratchGrad(e *Expert) *ExpertGrad {
-	g := ws.nilGrad
-	if g == nil {
-		//fluxvet:allow hotalloc once-per-workspace lazy init of the shared grad sink; later calls reuse ws.nilGrad
-		g = &ExpertGrad{}
-		ws.nilGrad = g
-	}
-	g.W1 = tensor.Grow(g.W1, e.W1.Rows, e.W1.Cols)
-	g.W2 = tensor.Grow(g.W2, e.W2.Rows, e.W2.Cols)
-	g.B1 = growFloats(g.B1, len(e.B1))
-	g.B2 = growFloats(g.B2, len(e.B2))
-	return g
 }
 
 // growFloats returns a length-n float64 slice, reusing s's storage when its

@@ -59,7 +59,7 @@ func TestForwardBackwardWSBitIdentity(t *testing.T) {
 				}
 			}
 		}
-		// grads-nil propagation path must also be insensitive to reuse.
+		// The grads-nil (loss only) call must also be insensitive to reuse.
 		if lossNil := m.ForwardBackwardWS(ws, seq, mask, nil, nil, -1); lossNil != lossRef {
 			t.Fatalf("trial %d: grads-nil loss %v != %v", trial, lossNil, lossRef)
 		}
