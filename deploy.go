@@ -138,7 +138,11 @@ func Serve(ctx context.Context, cfg ServerConfig) error {
 	}
 	cfg.logf("flux: serving on %s, waiting for %d participants", ln.Addr(), cfg.Clients)
 
-	srv := &fed.Server{Global: model, Rounds: cfg.Rounds, Clients: cfg.Clients, IOTimeout: cfg.IOTimeout, Metrics: metrics}
+	// A deployment's Env is the engine defaults plus the base model: no
+	// shards, devices or test set — participants bring their own data.
+	fcfg := fed.DefaultConfig()
+	fcfg.Participants, fcfg.MaxRounds = cfg.Clients, cfg.Rounds
+	srv := &fed.Server{Env: &fed.Env{Cfg: fcfg, Global: model}, IOTimeout: cfg.IOTimeout, Metrics: metrics}
 	if err := srv.ServeContext(ctx, ln); err != nil {
 		return err
 	}

@@ -13,7 +13,11 @@
 //     assembles an Experiment from composable settings.
 //   - Transports: the same Run(ctx) round loop drives an InProcess
 //     simulation or a real gob/TCP deployment (TCP), and cancelling the
-//     context stops either cleanly.
+//     context stops either cleanly. Both reduce a round through
+//     Env.FinishRound — over TCP the validated arrivals become the
+//     SlotResults — so aggregation, traffic totals, the census and the
+//     participant records come from one core; a TCP round has no simulated
+//     phases, so SimHours stays zero there.
 //   - A method registry: Methods lists the available federated fine-tuning
 //     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more.
 //

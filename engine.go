@@ -219,7 +219,7 @@ type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m
 // — the tuning set of a full-model method (pass it to Scratch.ExtractUpdate),
-// and exactly what the TCP wire protocol fine-tunes by default.
+// and exactly what a TCP wire client fine-tunes and uploads.
 func TuneAllExperts(m *Model) [][]int { return fed.IdentityTuning(m.Cfg) }
 
 // UpdateBytes returns the FP32 wire size of an update — a SlotResult's Bytes.

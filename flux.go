@@ -183,24 +183,6 @@ func (e *Experiment) observeStart() {
 	e.metrics.Gauge(obs.MetricClients, "").Set(float64(e.cfg.Participants))
 }
 
-// observeRound records one completed round in the metrics registry.
-func (e *Experiment) observeRound(r int, stats RoundStats) {
-	if e.metrics == nil {
-		return
-	}
-	version := stats.ModelVersion
-	if version == 0 {
-		// Synchronous aggregation publishes exactly one version per round.
-		version = r + 1
-	}
-	e.metrics.Counter(obs.MetricRounds, "").Add(1)
-	e.metrics.Counter(obs.MetricUplinkBytes, "").Add(stats.UplinkBytes)
-	e.metrics.Counter(obs.MetricDownlinkBytes, "").Add(stats.DownlinkBytes)
-	e.metrics.Counter(obs.MetricStaleUpdates, "").Add(float64(stats.Stale))
-	e.metrics.Gauge(obs.MetricModelVersion, "").Set(float64(version))
-	e.metrics.Gauge(obs.MetricPending, "").Set(float64(stats.Pending))
-}
-
 // Run executes the experiment: one synchronous round protocol, driven over
 // whatever Transport the experiment was built with. Cancelling ctx stops
 // the run — including an in-flight TCP round — and returns the context's
@@ -296,7 +278,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		if score > res.Best {
 			res.Best = score
 		}
-		rec.EndRound(obs.Round{
+		rd := obs.Round{
 			Round:          r + 1,
 			StartSec:       startSec,
 			EndSec:         clock.Seconds(),
@@ -311,8 +293,9 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 			ModelVersion:   stats.ModelVersion,
 			Stale:          stats.Stale,
 			Phases:         stats.Phases,
-		})
-		e.observeRound(r, stats)
+		}
+		rec.EndRound(rd)
+		e.metrics.ObserveRound(rd)
 		e.emit(res, RoundEvent{
 			Round:    r + 1,
 			Score:    score,

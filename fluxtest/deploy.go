@@ -23,6 +23,8 @@ import (
 //     without disturbing the fleet,
 //   - a connection that never completes its Hello is dropped without
 //     stalling fleet formation,
+//   - a participant id far outside any fleet table, or negative, is served
+//     like any other (the id orders aggregation and indexes nothing),
 //   - a participant that disconnects mid-round fails the deployment
 //     cleanly (Serve returns an error instead of hanging),
 //   - a participant that stalls past the per-message deadline does the
@@ -93,6 +95,28 @@ func TestDeployment(t *testing.T) {
 		}
 		if err := waitErr(t, done1, "participant 1"); err != nil {
 			t.Errorf("participant 1 failed: %v", err)
+		}
+	})
+
+	t.Run("ArbitraryParticipantIDServed", func(t *testing.T) {
+		// A participant id is whatever Hello says; the server keys nothing
+		// but ordering on it, so ids far outside any fleet table (and
+		// negative ones) are served like any other.
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 2,
+			PretrainSteps: 60, IOTimeout: 10 * time.Second,
+		})
+		doneBig := dialRaw(t, ln.Addr().String(), 1<<30).participateAsync()
+		doneNeg := dialRaw(t, ln.Addr().String(), -7).participateAsync()
+		if err := waitErr(t, errc, "Serve"); err != nil {
+			t.Fatalf("Serve with out-of-table participant ids failed: %v", err)
+		}
+		if err := waitErr(t, doneBig, "participant 1<<30"); err != nil {
+			t.Errorf("participant 1<<30 failed: %v", err)
+		}
+		if err := waitErr(t, doneNeg, "participant -7"); err != nil {
+			t.Errorf("participant -7 failed: %v", err)
 		}
 	})
 

@@ -22,7 +22,9 @@
 //   - a well-formed event stream (rounds strictly increasing from 0,
 //     non-decreasing elapsed time, finite scores, observed traffic),
 //   - for wire-capable methods, bit-exact equivalence between the
-//     in-process and TCP executions,
+//     in-process and TCP executions, participation census included,
+//   - for transports, one run-log participant record per participant per
+//     round and byte-identical sinks across same-seed runs,
 //   - for the Serve/Join deployment protocol, duplicate-participant
 //     rejection and clean failure on misbehaving clients (TestDeployment).
 //
@@ -267,11 +269,11 @@ func TestRounder(t *testing.T, s RounderSpec) {
 			cfg  flux.Config
 		}{{"fleet-drop", ocfg}, {"async", acfg}} {
 			c.cfg.Workers = 1
-			res, trace, runlog := runWithSinks(t, c.cfg)
+			res, trace, runlog := runWithSinks(t, c.cfg, nil)
 			for i, workers := range []int{1, 8} {
 				wcfg := c.cfg
 				wcfg.Workers = workers
-				_, wtrace, wrunlog := runWithSinks(t, wcfg)
+				_, wtrace, wrunlog := runWithSinks(t, wcfg, nil)
 				rerun := fmt.Sprintf("%s workers=%d run", c.name, workers)
 				if i == 0 {
 					rerun = c.name + " repeat serial run"
@@ -355,6 +357,7 @@ func TestRounder(t *testing.T, s RounderSpec) {
 			}
 			tcp := runOnce(t, cfg, flux.TCP())
 			assertSameCurves(t, reference, tcp, "in-process", "tcp")
+			assertSameCensus(t, reference, tcp, "in-process", "tcp")
 		})
 	}
 }
@@ -424,6 +427,33 @@ func TestTransport(t *testing.T, s TransportSpec) {
 		}
 		ref := runOnce(t, cfg, nil)
 		assertSameCurves(t, ref, reference, "in-process", s.Name)
+		assertSameCensus(t, ref, reference, "in-process", s.Name)
+	})
+
+	t.Run("ObservabilityDeterminism", func(t *testing.T) {
+		// Participant records come from the round core on every transport:
+		// the run log carries exactly one per participant per round, and both
+		// sinks are the same bytes across two same-seed runs — over a socket
+		// too, where connection order is up to the scheduler.
+		res, trace, runlog := runWithSinks(t, cfg, s.New())
+		_, trace2, runlog2 := runWithSinks(t, cfg, s.New())
+		if !bytes.Equal(trace, trace2) {
+			t.Error("trace bytes differ between two same-seed runs")
+		}
+		if !bytes.Equal(runlog, runlog2) {
+			t.Error("run-log bytes differ between two same-seed runs")
+		}
+		for r := 1; r <= res.Rounds; r++ {
+			for p := 0; p < cfg.Participants; p++ {
+				rec := fmt.Sprintf(`{"type":"participant","round":%d,"participant":%d,`, r, p)
+				if n := bytes.Count(runlog, []byte(rec)); n != 1 {
+					t.Errorf("run log has %d participant records for round %d participant %d, want 1", n, r, p)
+				}
+			}
+		}
+		if n, want := bytes.Count(runlog, []byte(`"type":"participant"`)), res.Rounds*cfg.Participants; n != want {
+			t.Errorf("run log has %d participant records, want %d (one per participant per round)", n, want)
+		}
 	})
 
 	t.Run("EventStream", func(t *testing.T) {
@@ -436,8 +466,8 @@ func TestTransport(t *testing.T, s TransportSpec) {
 	t.Run("Census", func(t *testing.T) {
 		// Every transport must report a participation census. Without a
 		// fleet spec all participants run and complete each round, so both
-		// counts equal the fleet size — the built-in TCP's synchronous
-		// protocol reports its full peer count. Downlink traffic must be
+		// counts equal the fleet size — over the built-in TCP the cohort is
+		// the connected peers. Downlink traffic must be
 		// observed too (modeled in-process, actual wire bytes over TCP).
 		if reference == nil {
 			t.Skip("no reference run (Determinism failed)")
@@ -496,12 +526,13 @@ func methodKnown(name string) bool {
 	return false
 }
 
-// runWithSinks executes one experiment with the trace and run-log sinks
-// attached and returns the result alongside the raw sink bytes.
-func runWithSinks(t *testing.T, cfg flux.Config) (*flux.Result, []byte, []byte) {
+// runWithSinks executes one experiment on the given transport (nil means the
+// in-process default) with the trace and run-log sinks attached and returns
+// the result alongside the raw sink bytes.
+func runWithSinks(t *testing.T, cfg flux.Config, tr flux.Transport) (*flux.Result, []byte, []byte) {
 	t.Helper()
 	var trace, runlog bytes.Buffer
-	e, err := flux.New(flux.WithConfig(cfg), flux.WithTrace(&trace), flux.WithRunLog(&runlog))
+	e, err := flux.New(flux.WithConfig(cfg), flux.WithTransport(tr), flux.WithTrace(&trace), flux.WithRunLog(&runlog))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -639,8 +670,8 @@ func assertSameCurves(t *testing.T, a, b *flux.Result, aName, bName string) {
 // assertSameCensus requires two results to agree on the per-round
 // participation census (cohort selected / completed within deadline) and the
 // event-driven aggregation accounting (model version, stale merges, carry-over
-// buffer size). It is a separate check from assertSameCurves because
-// transports that do not model fleets (TCP) legitimately report a zero census.
+// buffer size). Both built-in transports report what Env.FinishRound counted,
+// so the in-process and TCP runs of one configuration agree on it.
 func assertSameCensus(t *testing.T, a, b *flux.Result, aName, bName string) {
 	t.Helper()
 	for i := range a.Events {

@@ -10,9 +10,8 @@ import (
 // knownOrphans are the exported functions under internal/ that no non-test
 // file references and that stay anyway. The list may only shrink:
 // TestNoOrphanExports fails on an orphan that is not listed and on an entry
-// that is no longer an orphan.
+// that is no longer an orphan. What is left is test support and oracles.
 var knownOrphans = map[string]string{
-	// Test support and oracles.
 	"repro/internal/moe.MustNew":                         "fixed-config constructor of eight test files and bench_test.go",
 	"repro/internal/tensor.FromSlice":                    "literal matrices in tensor and quant tests",
 	"(*repro/internal/tensor.Matrix).At":                 "element reads in tests",
@@ -25,10 +24,6 @@ var knownOrphans = map[string]string{
 	"(*repro/internal/simtime.Clock).PhaseSeconds":       "per-phase clock reads in simtime and flux tests",
 	"repro/internal/data.TopicHistogram":                 "non-IID skew measurement in the partition test",
 	"(repro/internal/simtime.Device).Validate":           "input check, exercised by TestDeviceValidateRejects",
-	// Features only their own tests reach; each goes with its test.
-	"(*repro/internal/moe.ActivationStats).Merge": "TestStatsMerge",
-	"repro/internal/metrics.MeanAbs":              "TestMeanAbs",
-	"repro/internal/metrics.Speedup":              "TestSpeedup",
 }
 
 // TestNoOrphanExports fails when a package under internal/ exports a

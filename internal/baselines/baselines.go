@@ -25,9 +25,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// identityTuning returns per-layer lists naming every expert.
-func identityTuning(cfg moe.Config) [][]int { return fed.IdentityTuning(cfg) }
-
 // FMD fine-tunes the full model with expert offloading.
 type FMD struct{}
 
@@ -37,7 +34,7 @@ func (FMD) Name() string { return "fmd" }
 // Round implements fed.Rounder.
 func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	cfg := env.Global.Cfg
-	tuning := identityTuning(cfg)
+	tuning := fed.IdentityTuning(cfg)
 	total := env.TotalExperts()
 
 	cohort := env.Cohort(round)
@@ -46,19 +43,8 @@ func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
 		local := ws.LocalClone(env.Global)
-		grads := ws.Grads(local)
-		mws := ws.Workspace()
-		batch := env.Batch(i, round) // hoisted: identical for every local iteration
-		tokens, steps := 0, 0
-		for it := 0; it < env.Cfg.LocalIters; it++ {
-			for _, s := range batch {
-				seq, mask := s.FullSequence()
-				local.ForwardBackwardWS(mws, seq, mask, grads, nil, -1)
-				tokens += len(seq)
-				steps++
-			}
-			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
-		}
+		tokens, steps := fed.LocalSGD(local, ws.Workspace(), ws.Grads(local),
+			env.Batch(i, round), env.Cfg.LocalIters, env.Cfg.LR)
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, 1.0))
 		// Every step shuttles the uncached fraction of experts in and out.
 		loads := int(2 * (1 - dev.CapacityFrac) * float64(total))
@@ -97,7 +83,7 @@ func (q FMQ) Name() string { return "fmq" }
 // Round implements fed.Rounder.
 func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	cfg := env.Global.Cfg
-	tuning := identityTuning(cfg)
+	tuning := fed.IdentityTuning(cfg)
 	bits := q.Bits
 	if !bits.Valid() {
 		bits = quant.Bits4
@@ -116,12 +102,8 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		batch := env.Batch(i, round)
 		tokens := 0
 		for it := 0; it < env.Cfg.LocalIters; it++ {
-			for _, s := range batch {
-				seq, mask := s.FullSequence()
-				local.ForwardBackwardWS(mws, seq, mask, grads, nil, -1)
-				tokens += len(seq)
-			}
-			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
+			n, _ := fed.LocalSGD(local, mws, grads, batch, 1, env.Cfg.LR)
+			tokens += n
 			// Storage is quantized: every update is immediately re-rounded,
 			// which is where FMQ's accumulated precision error comes from.
 			requantizeExperts(local, bits)
@@ -194,16 +176,7 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		}
 
 		env.MarkPhase(simtime.PhaseFineTuning)
-		grads := ws.Grads(local)
-		tokens := 0
-		for it := 0; it < env.Cfg.LocalIters; it++ {
-			for _, smp := range batch {
-				seq, mask := smp.FullSequence()
-				local.ForwardBackwardWS(mws, seq, mask, grads, nil, -1)
-				tokens += len(seq)
-			}
-			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
-		}
+		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
 		tuneFrac := float64(tune) / float64(maxiB(1, env.TotalExperts()))
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
 

@@ -196,16 +196,7 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		if err != nil {
 			panic(err)
 		}
-		grads := ws.Grads(local)
-		tokens := 0
-		for it := 0; it < env.Cfg.LocalIters; it++ {
-			for _, s := range batch {
-				seq, mask := s.FullSequence()
-				local.ForwardBackwardWS(mws, seq, mask, grads, nil, -1)
-				tokens += len(seq)
-			}
-			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
-		}
+		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 
 		total := env.TotalExperts()

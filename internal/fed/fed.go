@@ -66,8 +66,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the settings used by the paper-shaped experiments:
-// 10 participants, mini-batch fine-tuning with FedAvg, 1 local iteration
-// (§8.1), and a brief pre-training phase so expert routing is non-uniform.
+// 10 participants, mini-batch fine-tuning with FedAvg, 2 local iterations
+// per round, and a brief pre-training phase so expert routing is non-uniform.
 func DefaultConfig() Config {
 	return Config{
 		Participants:  10,
@@ -238,6 +238,18 @@ type RoundObs struct {
 	ModelVersion int
 	Stale        int
 	Pending      int
+}
+
+// round is the report as the observability record of (1-based) round n: its
+// traffic, census and versioning fields. Drivers add what only they know —
+// the round's window, score and phases.
+func (o RoundObs) round(n int) obs.Round {
+	return obs.Round{
+		Round: n, UplinkBytes: o.UplinkBytes, DownlinkBytes: o.DownlinkBytes,
+		ExpertsTouched: o.ExpertsTouched,
+		Selected:       o.Selected, Completed: o.Completed, Dropped: o.Dropped,
+		Pending: o.Pending, ModelVersion: o.ModelVersion, Stale: o.Stale,
+	}
 }
 
 // SetContext attaches a cancellation context to the environment. Round
@@ -433,11 +445,15 @@ func (e *Env) Budgets(i int) (capacity, tune int) {
 	return capacity, tune
 }
 
-// Batch returns participant i's training mini-batch for round r: a
-// deterministic rotation through its shard.
+// Batch returns participant i's training mini-batch for round r.
 func (e *Env) Batch(i, r int) []*data.Sample {
-	shard := e.Shards[i]
-	n := e.Cfg.Batch
+	return BatchOf(e.Shards[i], e.Cfg.Batch, r)
+}
+
+// BatchOf returns round r's mini-batch of (at most) n samples: a
+// deterministic rotation through the shard, the same in-process and on a
+// wire client.
+func BatchOf(shard []*data.Sample, n, r int) []*data.Sample {
 	if n > len(shard) {
 		n = len(shard)
 	}
@@ -446,6 +462,24 @@ func (e *Env) Batch(i, r int) []*data.Sample {
 		out = append(out, shard[(r*n+k)%len(shard)])
 	}
 	return out
+}
+
+// LocalSGD is the local fine-tuning loop of every method that does not read
+// gradients between the backward pass and the step: iters passes over batch,
+// each accumulating into grads and ending in one SGD step at lr/len(batch).
+// It returns the tokens and samples pushed through forward/backward, which
+// callers price into simulated time.
+func LocalSGD(local *moe.Model, ws *moe.Workspace, grads *moe.Grads, batch []*data.Sample, iters int, lr float64) (tokens, steps int) {
+	for it := 0; it < iters; it++ {
+		for _, s := range batch {
+			seq, mask := s.FullSequence()
+			local.ForwardBackwardWS(ws, seq, mask, grads, nil, -1)
+			tokens += len(seq)
+			steps++
+		}
+		local.ApplySGD(grads, lr/float64(len(batch)))
+	}
+	return tokens, steps
 }
 
 // QuantizedGlobal round-trips a copy of the global model through bits-bit
@@ -596,14 +630,9 @@ func RunContext(ctx context.Context, env *Env, m Rounder, target float64) (*metr
 		score := env.Evaluate()
 		tr.Record(r+1, clock.Hours(), score)
 		if rec != nil {
-			rec.EndRound(obs.Round{
-				Round: r + 1, StartSec: startSec, EndSec: clock.Seconds(), Score: score,
-				UplinkBytes: o.UplinkBytes, DownlinkBytes: o.DownlinkBytes,
-				ExpertsTouched: o.ExpertsTouched,
-				Selected:       o.Selected, Completed: o.Completed, Dropped: o.Dropped,
-				Pending: o.Pending, ModelVersion: o.ModelVersion, Stale: o.Stale,
-				Phases: phaseStrings(phases),
-			})
+			rd := o.round(r + 1)
+			rd.StartSec, rd.EndSec, rd.Score, rd.Phases = startSec, clock.Seconds(), score, phaseStrings(phases)
+			rec.EndRound(rd)
 		}
 		if target > 0 && score >= target {
 			break

@@ -113,7 +113,7 @@ func (s *Scratch) ExtractUpdate(local *moe.Model, participant int, weight float6
 	return u
 }
 
-// Workers resolves the participant-phase worker count: Cfg.Workers, with
+// workersFor resolves the participant-phase worker count: Cfg.Workers, with
 // zero meaning GOMAXPROCS, clamped to n concurrent units of work (the fleet
 // size for a full round, the cohort size for a selected one).
 func (e *Env) workersFor(n int) int {
@@ -130,7 +130,7 @@ func (e *Env) workersFor(n int) int {
 	return w
 }
 
-// Workers resolves the participant-phase worker count: Cfg.Workers, with
+// workersFor resolves the participant-phase worker count: Cfg.Workers, with
 // zero meaning GOMAXPROCS, clamped to the fleet size.
 func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 

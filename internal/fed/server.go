@@ -1,8 +1,9 @@
-// The server core: the one in-process round reduction.
+// The server core: the one round reduction.
 //
 // A Rounder owns what happens inside a participant's round; what the server
 // does with the cohort's results afterwards is method-independent and lives
-// here. The contract is: fan the cohort out over the pool (ForEachOf), fill
+// here (the TCP Server's RunRound ends in the same call, its validated
+// arrivals as the slots). The contract is: fan the cohort out over the pool (ForEachOf), fill
 // one SlotResult per cohort slot, and end with
 //
 //	return env.FinishRound(cohort, slots)
@@ -412,8 +413,14 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 		}
 		for slot, p := range results {
 			id := cohort[slot]
+			// Over TCP a cohort id is whatever the peer's Hello said, and a
+			// deployment's Env has no device table: no name, never an index.
+			device := ""
+			if id >= 0 && id < len(e.Devices) {
+				device = e.Devices[id].Name
+			}
 			rec.Participant(obs.Participant{
-				Index: id, Device: e.Devices[id].Name,
+				Index: id, Device: device,
 				Phases:      phaseStrings(p.Phases),
 				UplinkBytes: p.Bytes, DownlinkBytes: p.DownBytes,
 				Staleness: freshStale[id], Pending: pendingSet[id],

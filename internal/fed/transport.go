@@ -23,7 +23,9 @@ import (
 // SDK's TCP transport, not only as the in-process simulation the
 // experiments use. The protocol is synchronous rounds, mirroring Figure 4:
 // server broadcasts the global model, each participant fine-tunes its tuning
-// experts locally and uploads them, the server FedAvg-aggregates.
+// experts locally (LocalSGD over BatchOf, the in-process loop) and uploads
+// them, and the server hands the validated arrivals to Env.FinishRound — the
+// same reduction, census and participant records as an in-process round.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish —
 // so an external driver owns the round loop; ServeContext composes the steps
@@ -80,23 +82,14 @@ func (p *peer) recv(v any) error {
 	return p.dec.Decode(v)
 }
 
-// RoundIO reports the wire traffic and participation of one federated round.
-type RoundIO struct {
-	UpBytes   float64 // participant → server update payloads
-	DownBytes float64 // server → participant model broadcasts
-	Experts   int     // distinct experts aggregated this round
-	// Selected/Completed are the round's participation census. The TCP
-	// protocol is synchronous — a round only returns once every connected
-	// peer's update arrived — so both equal the peer count.
-	Selected  int
-	Completed int
-}
-
 // Server coordinates federated fine-tuning over TCP.
 type Server struct {
-	Global  *moe.Model
-	Rounds  int // rounds ServeContext runs; stepwise drivers may ignore it
-	Clients int // participants expected before training starts
+	// Env is the run being deployed: Env.Global is the model broadcast and
+	// aggregated into, Env.Cfg.Participants the peers Accept waits for, and
+	// Env.Cfg.MaxRounds the rounds ServeContext runs (stepwise drivers may
+	// ignore it). Every round reduces through Env.FinishRound, so a driver
+	// reads the round's traffic and census from Env.TakeRoundObs.
+	Env *Env
 
 	// IOTimeout bounds every single message exchange (Hello, broadcast,
 	// update, final). Zero means DefaultIOTimeout.
@@ -113,32 +106,11 @@ type Server struct {
 	round int // rounds completed, stamps the final broadcast
 }
 
-// observeFleet registers the deployment's metric set and records the
-// connected-participant count. Registering everything up front means a
-// scrape between Accept and the first round already sees the full set at
-// zero rather than a partial exposition.
-func (s *Server) observeFleet(clients int) {
-	if s.Metrics == nil {
-		return
-	}
-	obs.RegisterStandard(s.Metrics)
-	s.Metrics.Gauge(obs.MetricClients, "").Set(float64(clients))
-}
-
-// observeRound records one completed round's traffic and version.
-func (s *Server) observeRound(r int, io RoundIO) {
-	if s.Metrics == nil {
-		return
-	}
-	s.Metrics.Counter(obs.MetricRounds, "").Add(1)
-	s.Metrics.Counter(obs.MetricUplinkBytes, "").Add(io.UpBytes)
-	s.Metrics.Counter(obs.MetricDownlinkBytes, "").Add(io.DownBytes)
-	s.Metrics.Gauge(obs.MetricModelVersion, "").Set(float64(r + 1))
-}
-
-func (s *Server) timeout() time.Duration {
-	if s.IOTimeout > 0 {
-		return s.IOTimeout
+// ioTimeout resolves a per-message timeout setting: zero means
+// DefaultIOTimeout.
+func ioTimeout(d time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
 	return DefaultIOTimeout
 }
@@ -164,9 +136,9 @@ func CtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Accept waits until s.Clients distinct participants have joined on ln. A
-// connection whose Hello carries an already-claimed participant id is
-// rejected (closed) and does not count; a connection that fails to deliver
+// Accept waits until s.Env.Cfg.Participants distinct participants have joined
+// on ln. A connection whose Hello carries an already-claimed participant id
+// is rejected (closed) and does not count; a connection that fails to deliver
 // a Hello within the I/O timeout is dropped the same way. Peers are ordered
 // by participant id so aggregation order — and therefore floating-point
 // accumulation — is deterministic regardless of connection order.
@@ -182,14 +154,14 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 		}
 		return CtxErr(ctx, err)
 	}
-	for len(peers) < s.Clients {
+	for len(peers) < s.Env.Cfg.Participants {
 		conn, err := ln.Accept()
 		if err != nil {
 			return fail(fmt.Errorf("fed: accept: %w", err))
 		}
-		p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: s.timeout()}
+		p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: ioTimeout(s.IOTimeout)}
 		stopConn := context.AfterFunc(ctx, func() { conn.Close() })
-		helloTimeout := min(s.timeout(), maxHelloTimeout)
+		helloTimeout := min(ioTimeout(s.IOTimeout), maxHelloTimeout)
 		//fluxvet:allow wallclock real Hello-handshake deadline on the listener socket
 		conn.SetReadDeadline(time.Now().Add(helloTimeout))
 		var h Hello
@@ -222,84 +194,87 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
 	s.peers = peers
 	s.mu.Unlock()
-	s.observeFleet(len(peers))
 	return nil
 }
 
 // RunRound executes synchronous round r: broadcast the global model, collect
-// and validate one update from every participant, FedAvg-aggregate. A peer
+// and validate one update from every participant, and reduce them through
+// Env.FinishRound with the peers (in id order) as the round's cohort. A peer
 // whose update fails checkUpdate fails the round with an error naming it, and
-// nothing from that round is aggregated. Cancelling ctx closes the peer
+// nothing from that round reaches the core. Cancelling ctx closes the peer
 // connections, aborting in-flight exchanges promptly.
-func (s *Server) RunRound(ctx context.Context, r int) (RoundIO, error) {
+func (s *Server) RunRound(ctx context.Context, r int) error {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
-		return RoundIO{}, errors.New("fed: RunRound before Accept")
+		return errors.New("fed: RunRound before Accept")
 	}
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	blob, err := s.Global.EncodeBytes()
+	blob, err := s.Env.Global.EncodeBytes()
 	if err != nil {
-		return RoundIO{}, err
+		return err
 	}
-	var io RoundIO
 	msg := RoundMsg{Round: r, Model: blob}
 	for _, p := range peers {
 		if err := p.send(msg); err != nil {
-			return io, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
+			return CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
 		}
-		io.DownBytes += float64(len(blob))
 	}
 
 	// Collect updates concurrently; all must arrive (synchronous rounds).
-	updates := make([]Update, len(peers))
+	cohort := make([]int, len(peers))
+	slots := make([]SlotResult, len(peers))
 	var wg sync.WaitGroup
 	errs := make([]error, len(peers))
 	for i, p := range peers {
+		cohort[i] = p.id
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			var u UpdateMsg
-			if err := p.recv(&u); err != nil {
+			var msg UpdateMsg
+			if err := p.recv(&msg); err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
 				return
 			}
-			if err := checkUpdate(s.Global, p.id, u); err != nil {
+			if err := checkUpdate(s.Env.Global, p.id, msg); err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d rejected: %w", p.id, err)
 				return
 			}
-			updates[i] = Update{Participant: u.Participant, Weight: u.Weight, Experts: u.Experts}
+			u := Update{Participant: msg.Participant, Weight: msg.Weight, Experts: msg.Experts}
+			slots[i] = SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: float64(len(blob))}
 		}(i, p)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return io, CtxErr(ctx, err)
+			return CtxErr(ctx, err)
 		}
 	}
-	for _, u := range updates {
-		io.UpBytes += UpdateBytes(u)
-	}
-	io.Experts = Aggregate(s.Global, updates)
-	io.Selected = len(peers)
-	io.Completed = len(peers)
+	// The returned phase map is dropped: without per-slot phases it holds
+	// only the modeled server seconds, and a deployment runs in real time.
+	s.Env.FinishRound(cohort, slots)
 	s.mu.Lock()
 	s.round = r + 1
 	s.mu.Unlock()
-	s.observeRound(r, io)
-	return io, nil
+	return nil
 }
 
+// maxWireWeight bounds an update's aggregation weight (a sample count).
+// Together with the FP32 bound on parameters it keeps FedAvg's Σw·v / Σw
+// finite for any number of accepted updates.
+const maxWireWeight = 1 << 40
+
 // checkUpdate rejects a decoded update that Aggregate could not apply safely:
-// one that claims another participant's id, carries a negative or non-finite
-// weight, names an expert the global model does not have, or whose parameter
-// slice has the wrong length or a non-finite value.
+// one that claims another participant's id, carries a weight that is neither
+// zero (unweighted) nor in [1, maxWireWeight], names an expert the global
+// model does not have, or whose parameter slice has the wrong length or a
+// value outside the FP32 range the wire is priced at (NaN and ±Inf included).
 func checkUpdate(global *moe.Model, peerID int, u UpdateMsg) error {
 	if u.Participant != peerID {
 		return fmt.Errorf("claims participant %d", u.Participant)
 	}
-	if !(u.Weight >= 0) || math.IsInf(u.Weight, 1) {
+	if u.Weight != 0 && !(u.Weight >= 1 && u.Weight <= maxWireWeight) {
 		return fmt.Errorf("weight %v", u.Weight)
 	}
 	// Walk the model's experts rather than the update's map, so the first
@@ -317,8 +292,8 @@ func checkUpdate(global *moe.Model, peerID int, u UpdateMsg) error {
 				return fmt.Errorf("expert %+v has %d parameters, want %d", key, len(params), want)
 			}
 			for _, v := range params {
-				if v-v != 0 { // NaN or ±Inf
-					return fmt.Errorf("expert %+v has a non-finite parameter", key)
+				if !(math.Abs(v) <= math.MaxFloat32) { // also NaN and ±Inf
+					return fmt.Errorf("expert %+v has a parameter outside the FP32 range", key)
 				}
 			}
 		}
@@ -337,7 +312,7 @@ func (s *Server) Finish(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	blob, err := s.Global.EncodeBytes()
+	blob, err := s.Env.Global.EncodeBytes()
 	if err != nil {
 		return err
 	}
@@ -367,27 +342,29 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// ServeContext accepts s.Clients participants on ln, runs s.Rounds
-// synchronous rounds, and leaves the aggregated result in s.Global. It
-// returns after broadcasting the final model, or early with the context's
-// error if canceled.
+// ServeContext accepts the deployment's participants on ln, runs
+// s.Env.Cfg.MaxRounds synchronous rounds, and leaves the aggregated result in
+// s.Env.Global. It returns after broadcasting the final model, or early with
+// the context's error if canceled.
 func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	if err := s.Accept(ctx, ln); err != nil {
 		return err
 	}
 	defer s.Close()
-	for r := 0; r < s.Rounds; r++ {
+	for r := 0; r < s.Env.Cfg.MaxRounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := s.RunRound(ctx, r); err != nil {
+		if err := s.RunRound(ctx, r); err != nil {
 			return err
 		}
+		s.Metrics.ObserveRound(s.Env.TakeRoundObs().round(r + 1))
 	}
 	return s.Finish(ctx)
 }
 
-// ClientConfig configures a TCP participant.
+// ClientConfig configures a TCP participant. Batch, LocalIters and LR have no
+// defaults here: RunClientContext rejects a non-positive one by name.
 type ClientConfig struct {
 	Participant int
 	Addr        string
@@ -395,27 +372,26 @@ type ClientConfig struct {
 	Batch       int
 	LocalIters  int
 	LR          float64
-	// TuneExperts limits fine-tuning to the given per-layer expert ids;
-	// nil fine-tunes every expert.
-	TuneExperts [][]int
 	// IOTimeout bounds every single message exchange; zero means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
 }
 
-func (cfg ClientConfig) timeout() time.Duration {
-	if cfg.IOTimeout > 0 {
-		return cfg.IOTimeout
-	}
-	return DefaultIOTimeout
-}
-
 // RunClientContext joins the server at cfg.Addr and participates until the
-// final model arrives, which it returns. Cancelling ctx closes the connection,
-// aborting whatever exchange or wait is in flight.
+// final model arrives, which it returns: every round it fine-tunes the whole
+// broadcast model with LocalSGD over BatchOf(cfg.Shard, cfg.Batch, round) and
+// uploads every expert. Cancelling ctx closes the connection, aborting
+// whatever exchange or wait is in flight.
 func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error) {
-	if len(cfg.Shard) == 0 {
+	switch {
+	case len(cfg.Shard) == 0:
 		return nil, fmt.Errorf("fed: client %d has no data", cfg.Participant)
+	case cfg.Batch <= 0:
+		return nil, fmt.Errorf("fed: client %d: Batch %d must be positive", cfg.Participant, cfg.Batch)
+	case cfg.LocalIters <= 0:
+		return nil, fmt.Errorf("fed: client %d: LocalIters %d must be positive", cfg.Participant, cfg.LocalIters)
+	case !(cfg.LR > 0):
+		return nil, fmt.Errorf("fed: client %d: LR %v must be positive", cfg.Participant, cfg.LR)
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
@@ -426,7 +402,7 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: cfg.timeout()}
+	p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: ioTimeout(cfg.IOTimeout)}
 	if err := p.send(Hello{Participant: cfg.Participant}); err != nil {
 		return nil, CtxErr(ctx, err)
 	}
@@ -442,12 +418,9 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		if msg.Final {
 			return model, nil
 		}
-		tuning := cfg.TuneExperts
-		if tuning == nil {
-			tuning = IdentityTuning(model.Cfg)
-		}
-		localTrain(model, cfg, msg.Round)
-		u := ExtractUpdate(model, cfg.Participant, float64(len(cfg.Shard)), tuning)
+		LocalSGD(model, moe.NewWorkspace(), moe.NewGrads(model, false),
+			BatchOf(cfg.Shard, cfg.Batch, msg.Round), cfg.LocalIters, cfg.LR)
+		u := ExtractUpdate(model, cfg.Participant, float64(len(cfg.Shard)), IdentityTuning(model.Cfg))
 		if err := p.send(UpdateMsg{Participant: u.Participant, Weight: u.Weight, Experts: u.Experts}); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
@@ -455,8 +428,8 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 }
 
 // IdentityTuning returns per-layer expert-id lists naming every expert — the
-// tuning set of a full-model method, and what the wire protocol fine-tunes
-// when ClientConfig.TuneExperts is nil.
+// tuning set of a full-model method, and what a wire client fine-tunes and
+// uploads.
 func IdentityTuning(cfg moe.Config) [][]int {
 	out := make([][]int, cfg.Layers())
 	for l, n := range cfg.ExpertsPerLayer {
@@ -467,29 +440,4 @@ func IdentityTuning(cfg moe.Config) [][]int {
 		out[l] = ids
 	}
 	return out
-}
-
-func localTrain(model *moe.Model, cfg ClientConfig, round int) {
-	batch := cfg.Batch
-	if batch <= 0 || batch > len(cfg.Shard) {
-		batch = len(cfg.Shard)
-	}
-	iters := cfg.LocalIters
-	if iters <= 0 {
-		iters = 1
-	}
-	lr := cfg.LR
-	if lr <= 0 {
-		lr = 1.0
-	}
-	grads := moe.NewGrads(model, false)
-	ws := moe.NewWorkspace()
-	for it := 0; it < iters; it++ {
-		for k := 0; k < batch; k++ {
-			s := cfg.Shard[(round*batch+k)%len(cfg.Shard)]
-			seq, mask := s.FullSequence()
-			model.ForwardBackwardWS(ws, seq, mask, grads, nil, -1)
-		}
-		model.ApplySGD(grads, lr/float64(batch))
-	}
 }

@@ -3,10 +3,7 @@
 // accuracy against dataset targets, and time-to-accuracy tracking.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // RougeL computes the ROUGE-L F1 score between a candidate and a reference
 // token sequence, based on their longest common subsequence.
@@ -119,25 +116,4 @@ func CDF(values []float64) (xs, ps []float64) {
 		ps[i] = float64(i+1) / float64(len(xs))
 	}
 	return xs, ps
-}
-
-// MeanAbs returns the mean absolute value of v.
-func MeanAbs(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s / float64(len(v))
-}
-
-// Speedup returns baseline/improved, the paper's reported acceleration
-// factor. It returns +Inf if improved is zero.
-func Speedup(baseline, improved float64) float64 {
-	if improved == 0 {
-		return math.Inf(1)
-	}
-	return baseline / improved
 }

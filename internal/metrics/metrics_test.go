@@ -104,21 +104,3 @@ func TestCDF(t *testing.T) {
 		t.Fatal("empty cdf should be nil")
 	}
 }
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 2) != 5 {
-		t.Fatal("speedup wrong")
-	}
-	if !math.IsInf(Speedup(1, 0), 1) {
-		t.Fatal("zero improved should be +Inf")
-	}
-}
-
-func TestMeanAbs(t *testing.T) {
-	if MeanAbs([]float64{-1, 1, -2, 2}) != 1.5 {
-		t.Fatal("meanabs wrong")
-	}
-	if MeanAbs(nil) != 0 {
-		t.Fatal("empty meanabs should be 0")
-	}
-}

@@ -299,20 +299,6 @@ func TestSampleTracking(t *testing.T) {
 	}
 }
 
-func TestStatsMerge(t *testing.T) {
-	m := tinyModel(t, "merge-stats")
-	g := tensor.NewRNG(9)
-	a := NewActivationStats(m.Cfg, true)
-	b := NewActivationStats(m.Cfg, true)
-	m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 10), a, 1)
-	m.ForwardWS(nil, seqOf(g, m.Cfg.VocabSize, 10), b, 2)
-	tok := a.Tokens + b.Tokens
-	a.Merge(b)
-	if a.Tokens != tok {
-		t.Fatalf("merged tokens = %v want %v", a.Tokens, tok)
-	}
-}
-
 func TestGenerateLengthAndRange(t *testing.T) {
 	m := tinyModel(t, "gen")
 	out := m.GenerateWS(nil, []int{1, 2, 3}, 5)

@@ -119,32 +119,6 @@ func (s *ActivationStats) SampleSet(layer, expert int) []int {
 	return ids
 }
 
-// Merge folds other's counts into s. Sample sets are unioned when both sides
-// track them.
-func (s *ActivationStats) Merge(other *ActivationStats) {
-	for l := range s.Counts {
-		for e := range s.Counts[l] {
-			s.Counts[l][e] += other.Counts[l][e]
-			s.AttnSum[l][e] += other.AttnSum[l][e]
-		}
-		if s.trackSamples && other.trackSamples {
-			//fluxvet:unordered per-expert sample-set union; expert keys are disjoint destinations
-			for e, set := range other.Samples[l] {
-				dst := s.Samples[l][e]
-				if dst == nil {
-					dst = make(map[int]struct{}, len(set))
-					s.Samples[l][e] = dst
-				}
-				//fluxvet:unordered set insertion; the resulting set is order-independent
-				for id := range set {
-					dst[id] = struct{}{}
-				}
-			}
-		}
-	}
-	s.Tokens += other.Tokens
-}
-
 // EstimationError returns the mean absolute relative error between the
 // activation frequencies measured by s and by reference, averaged over all
 // experts with nonzero reference frequency. This is the metric of Figure 5.

@@ -103,6 +103,26 @@ func RegisterStandard(r *Registry) {
 	r.Gauge(MetricClients, "Participants currently connected.")
 }
 
+// ObserveRound records one completed round in the standard series — the one
+// place their meaning is defined, whichever driver (Experiment.Run, the TCP
+// server) reports the round. Synchronous aggregation leaves rd.ModelVersion
+// zero and publishes exactly one version per round. A nil registry is a no-op.
+func (r *Registry) ObserveRound(rd Round) {
+	if r == nil {
+		return
+	}
+	version := rd.ModelVersion
+	if version == 0 {
+		version = rd.Round
+	}
+	r.Counter(MetricRounds, "").Add(1)
+	r.Counter(MetricUplinkBytes, "").Add(rd.UplinkBytes)
+	r.Counter(MetricDownlinkBytes, "").Add(rd.DownlinkBytes)
+	r.Counter(MetricStaleUpdates, "").Add(float64(rd.Stale))
+	r.Gauge(MetricModelVersion, "").Set(float64(version))
+	r.Gauge(MetricPending, "").Set(float64(rd.Pending))
+}
+
 // WriteText writes the registry in Prometheus text exposition format,
 // sorted by metric name so the output is stable.
 func (r *Registry) WriteText(w io.Writer) error {

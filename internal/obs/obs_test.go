@@ -215,3 +215,28 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	}()
 	reg.Gauge("x_total", "")
 }
+
+// TestObserveRound: the standard series mean the same thing whichever driver
+// reports a round. A synchronous round (ModelVersion 0) publishes its own
+// number as the version; an event-driven one publishes the core's.
+func TestObserveRound(t *testing.T) {
+	reg := NewRegistry()
+	reg.ObserveRound(Round{Round: 1, UplinkBytes: 10, DownlinkBytes: 40})
+	reg.ObserveRound(Round{Round: 2, UplinkBytes: 5, DownlinkBytes: 40, ModelVersion: 7, Stale: 3, Pending: 2})
+	for _, c := range []struct {
+		name string
+		want float64
+	}{{MetricRounds, 2}, {MetricUplinkBytes, 15}, {MetricDownlinkBytes, 80}, {MetricStaleUpdates, 3}} {
+		if got := reg.Counter(c.name, "").Value(); got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if v, p := reg.Gauge(MetricModelVersion, "").Value(), reg.Gauge(MetricPending, "").Value(); v != 7 || p != 2 {
+		t.Errorf("model version %v pending %v, want 7 and 2", v, p)
+	}
+	reg.ObserveRound(Round{Round: 3})
+	if v := reg.Gauge(MetricModelVersion, "").Value(); v != 3 {
+		t.Errorf("synchronous round 3 published version %v, want 3", v)
+	}
+	(*Registry)(nil).ObserveRound(Round{Round: 1}) // nil registry: no-op, no panic
+}

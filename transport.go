@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fed"
 	"repro/internal/methods"
+	"repro/internal/simtime"
 )
 
 // RoundStats is what a Transport reports back for one executed round.
@@ -25,10 +26,10 @@ type RoundStats struct {
 	DownlinkBytes float64
 	// ExpertsTouched is how many distinct experts aggregation updated.
 	ExpertsTouched int
-	// Selected/Completed/Dropped are the round's participation census under
-	// the fleet subsystem (see RoundEvent); zero for transports that do not
-	// model fleets. The TCP transport's synchronous protocol reports its
-	// full peer count as both Selected and Completed.
+	// Selected/Completed/Dropped are the round's participation census (see
+	// RoundEvent). Both built-in transports report what Env.FinishRound
+	// counted; over TCP the cohort is the connected peers, all of whom
+	// complete a synchronous round.
 	Selected  int
 	Completed int
 	Dropped   int
@@ -94,24 +95,34 @@ func (t *inProcess) Round(ctx context.Context, r int) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
-	obs := t.env.TakeRoundObs()
-	ps := make(map[string]float64, len(phases))
-	//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
-	for p, v := range phases {
-		ps[string(p)] = v
+	return roundStats(t.env.TakeRoundObs(), phases), nil
+}
+
+// roundStats is the one conversion from the round core's report to a
+// transport's RoundStats: whatever FinishRound recorded is what a round says
+// about itself, in-process and over TCP. phases is nil for a transport that
+// runs in real time.
+func roundStats(o fed.RoundObs, phases map[simtime.Phase]float64) RoundStats {
+	var ps map[string]float64
+	if phases != nil {
+		ps = make(map[string]float64, len(phases))
+		//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
+		for p, v := range phases {
+			ps[string(p)] = v
+		}
 	}
 	return RoundStats{
 		Phases:         ps,
-		UplinkBytes:    obs.UplinkBytes,
-		DownlinkBytes:  obs.DownlinkBytes,
-		ExpertsTouched: obs.ExpertsTouched,
-		Selected:       obs.Selected,
-		Completed:      obs.Completed,
-		Dropped:        obs.Dropped,
-		ModelVersion:   obs.ModelVersion,
-		Stale:          obs.Stale,
-		Pending:        obs.Pending,
-	}, nil
+		UplinkBytes:    o.UplinkBytes,
+		DownlinkBytes:  o.DownlinkBytes,
+		ExpertsTouched: o.ExpertsTouched,
+		Selected:       o.Selected,
+		Completed:      o.Completed,
+		Dropped:        o.Dropped,
+		ModelVersion:   o.ModelVersion,
+		Stale:          o.Stale,
+		Pending:        o.Pending,
+	}
 }
 
 func (t *inProcess) Close() error { return nil }
@@ -149,7 +160,6 @@ type tcpTransport struct {
 	addr    string
 	timeout time.Duration
 
-	env        *Env
 	srv        *fed.Server
 	ln         net.Listener
 	cancel     context.CancelFunc
@@ -187,13 +197,7 @@ func (t *tcpTransport) Start(ctx context.Context, env *Env, method string) error
 		return err
 	}
 	t.ln = ln
-	t.env = env
-	t.srv = &fed.Server{
-		Global:    env.Global,
-		Rounds:    env.Cfg.MaxRounds,
-		Clients:   env.Cfg.Participants,
-		IOTimeout: t.timeout,
-	}
+	t.srv = &fed.Server{Env: env, IOTimeout: t.timeout}
 
 	// Participants live for the whole run; their context is canceled only
 	// at Close (or by the caller's ctx), not when Start returns.
@@ -227,17 +231,10 @@ func (t *tcpTransport) Round(ctx context.Context, r int) (RoundStats, error) {
 	if t.srv == nil {
 		return RoundStats{}, errors.New("flux: TCP transport not started")
 	}
-	io, err := t.srv.RunRound(ctx, r)
-	if err != nil {
+	if err := t.srv.RunRound(ctx, r); err != nil {
 		return RoundStats{}, err
 	}
-	return RoundStats{
-		UplinkBytes:    io.UpBytes,
-		DownlinkBytes:  io.DownBytes,
-		ExpertsTouched: io.Experts,
-		Selected:       io.Selected,
-		Completed:      io.Completed,
-	}, nil
+	return roundStats(t.srv.Env.TakeRoundObs(), nil), nil
 }
 
 // Close finishes the deployment: broadcast the final model so every
