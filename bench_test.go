@@ -323,6 +323,23 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkPretrain is the setup rung of the ladder: one cold base-model
+// pre-training (fed.BaseModel with its cache cleared) at the 24 llama steps
+// every fluxbench workload pre-trains for, which is most of fluxbench's
+// setup_s. It runs the all-trainable forward/backward path with embedding
+// gradients, which no other rung covers.
+func BenchmarkPretrain(b *testing.B) {
+	cfg := fed.DefaultConfig()
+	cfg.PretrainSteps = 24
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fed.ResetBaseModelCache()
+		if _, err := fed.BaseModel(moe.SimConfigLLaMATrain(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkQuantizeModel(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant"))
 	qm := m.Clone() // the profiling clone, reused as a worker scratch reuses it

@@ -89,28 +89,24 @@ func (e *Expert) Forward(x, hidden, out []float64) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
 	// hidden = ReLU(x·W1 + b1). The input is a layer-normed activation and
-	// essentially never zero, so the W1 sweep is unconditionally dense (the
-	// accumulator can't be -0.0, so adding a ±0.0 product is bit-neutral).
-	// Rows are addressed by running offset into the flat weight data; the
-	// reslices pin lengths so the inner loops run without bounds checks.
+	// essentially never zero, so the W1 sweep is unconditionally dense: one
+	// AxpyRows over every row of W1.
 	hidden = hidden[:ffn]
 	copy(hidden, e.B1)
-	w1 := e.W1.Data
-	off := 0
-	for _, xv := range x {
-		tensor.Axpy(xv, w1[off:off+ffn], hidden)
-		off += ffn
-	}
+	tensor.AxpyRows(hidden, x, e.W1.Data, ffn)
 	for j := range hidden {
 		if hidden[j] < 0 {
 			hidden[j] = 0
 		}
 	}
-	// out = hidden·W2 + b2
+	// out = hidden·W2 + b2, skipping the units the ReLU closed. A dense
+	// AxpyRows would add their 0·w terms, and a +0.0 added to a -0.0 bias
+	// changes its bits, so this sweep stays one Axpy per open unit. Rows
+	// are addressed by running offset into the flat weight data.
 	out = out[:dim]
 	copy(out, e.B2)
 	w2 := e.W2.Data
-	off = 0
+	off := 0
 	for _, h := range hidden {
 		o := off
 		off += dim

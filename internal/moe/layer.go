@@ -267,10 +267,7 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 			scores[u] = tensor.Dot(qrow, kv.k.Row(u)) * scale
 		}
 		tensor.SoftmaxInPlace(scores)
-		arow := ws.attnOut.Row(t)
-		for u, pu := range scores {
-			tensor.Axpy(pu, kv.v.Row(u), arow)
-		}
+		tensor.AxpyRows(ws.attnOut.Row(t), scores, kv.v.Data, D)
 	}
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)

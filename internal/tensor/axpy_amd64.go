@@ -1,0 +1,41 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// useAVX selects the assembly kernels of axpy_amd64.s. It is decided once,
+// at package init: the CPU must report AVX and OSXSAVE, and the OS must have
+// enabled the YMM register state in XCR0. Without all three the portable
+// loops run, with the same results.
+var useAVX = hasAVX()
+
+func axpy(a float64, x, y []float64) {
+	if useAVX {
+		axpyAVX(a, x, y)
+		return
+	}
+	axpyGeneric(a, x, y)
+}
+
+func axpyRows(y, x, w []float64, stride int) {
+	if useAVX {
+		axpyRowsAVX(y, x, w, stride)
+		return
+	}
+	axpyRowsGeneric(y, x, w, stride)
+}
+
+// hasAVX reports whether 256-bit AVX instructions may be executed.
+func hasAVX() bool
+
+// axpyAVX is axpyGeneric in 256-bit AVX: a broadcast a, then VMULPD followed
+// by VADDPD over 8-, 4- and 1-element steps. Lengths are the caller's check.
+//
+//go:noescape
+func axpyAVX(a float64, x, y []float64)
+
+// axpyRowsAVX is axpyRowsGeneric with y held in YMM registers across every
+// row of w: 16-column panels, then 8-, 4- and 1-column tails, each one pass
+// over the rows in ascending order. Lengths are the caller's check.
+//
+//go:noescape
+func axpyRowsAVX(y, x, w []float64, stride int)

@@ -1,0 +1,230 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// The Axpy kernels' contract is bit-identity: every form (the portable loops
+// here, the AVX assembly in axpy_amd64_test.go) must produce exactly the
+// bits of the one-element reference loop below. The property tests run every
+// length 0–130 (all of the assembly's 16/8/4/1-wide steps and their
+// combinations), unaligned slice starts, row strides len(y)…len(y)+3 and
+// 0–30 rows, over values chosen to expose any reordering or fusion: ±0,
+// subnormals, and magnitudes near 1e±300 whose products overflow to ±Inf or
+// underflow.
+
+// scalarAxpy is the specification: one rounded multiply, then one rounded
+// add, per element, in ascending order.
+func scalarAxpy(a float64, x, y []float64) {
+	for i := range x {
+		y[i] += float64(a * x[i])
+	}
+}
+
+// scalarAxpyRows is AxpyRows' specification: one scalarAxpy per row of w.
+func scalarAxpyRows(y, x, w []float64, stride int) {
+	for k, xv := range x {
+		scalarAxpy(xv, w[k*stride:k*stride+len(y)], y)
+	}
+}
+
+// mixedFill fills v with a deterministic mix of ordinary values, ±0,
+// subnormals and magnitudes near 1e300 and 1e-300.
+func mixedFill(g *RNG, v []float64) {
+	for i := range v {
+		switch g.Intn(10) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = math.Copysign(0, -1)
+		case 2:
+			v[i] = float64(1+g.Intn(1<<20)) * math.SmallestNonzeroFloat64 * sign(g)
+		case 3:
+			v[i] = 1e300 * g.Norm()
+		case 4:
+			v[i] = 1e-300 * g.Norm()
+		default:
+			v[i] = g.Norm()
+		}
+	}
+}
+
+func sign(g *RNG) float64 {
+	if g.Intn(2) == 0 {
+		return -1
+	}
+	return 1
+}
+
+const (
+	axpyMaxLen  = 130
+	axpyMaxRows = 30
+	axpyGuard   = 5 // elements past the end of y that no kernel may write
+)
+
+// sameBits fails the test unless got and want are bit-identical; the whole
+// y backing array is compared, so a write outside y[:n] is caught too.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d of the y buffer is %v (%#x), want %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// checkAxpy runs got and want on identical copies of every Axpy case and
+// compares the results bit for bit.
+func checkAxpy(t *testing.T, got, want func(a float64, x, y []float64)) {
+	t.Helper()
+	g := NewRNG(17)
+	xBuf := make([]float64, axpyMaxLen+3)
+	yInit := make([]float64, axpyMaxLen+3+axpyGuard)
+	yGot := make([]float64, len(yInit))
+	yWant := make([]float64, len(yInit))
+	for n := 0; n <= axpyMaxLen; n++ {
+		mixedFill(g, xBuf)
+		mixedFill(g, yInit)
+		for offX := 0; offX < 4; offX++ {
+			for offY := 0; offY < 4; offY++ {
+				a := xBuf[(n+offX)%len(xBuf)]
+				copy(yGot, yInit)
+				copy(yWant, yInit)
+				x := xBuf[offX : offX+n]
+				got(a, x, yGot[offY:offY+n])
+				want(a, x, yWant[offY:offY+n])
+				sameBits(t, fmt.Sprintf("len %d, x offset %d, y offset %d", n, offX, offY), yGot, yWant)
+			}
+		}
+	}
+}
+
+// checkAxpyRows is checkAxpy for the AxpyRows form: every len(y) 0–130, y/x
+// offsets 0–3 (w offset one more, mod 4), strides len(y)…len(y)+3 and len(x)
+// 0–30. w is cut to exactly the length the last row needs.
+func checkAxpyRows(t *testing.T, got, want func(y, x, w []float64, stride int)) {
+	t.Helper()
+	g := NewRNG(29)
+	xBuf := make([]float64, axpyMaxRows+3)
+	wBuf := make([]float64, axpyMaxRows*(axpyMaxLen+3)+3)
+	yInit := make([]float64, axpyMaxLen+3+axpyGuard)
+	yGot := make([]float64, len(yInit))
+	yWant := make([]float64, len(yInit))
+	for n := 0; n <= axpyMaxLen; n++ {
+		mixedFill(g, xBuf)
+		mixedFill(g, wBuf)
+		mixedFill(g, yInit)
+		for off := 0; off < 4; off++ {
+			offW := (off + 1) % 4
+			for stride := n; stride <= n+3; stride++ {
+				for k := 0; k <= axpyMaxRows; k++ {
+					wLen := 0
+					if k > 0 {
+						wLen = (k-1)*stride + n
+					}
+					x := xBuf[off : off+k]
+					w := wBuf[offW : offW+wLen]
+					copy(yGot, yInit)
+					copy(yWant, yInit)
+					got(yGot[off:off+n], x, w, stride)
+					want(yWant[off:off+n], x, w, stride)
+					sameBits(t, fmt.Sprintf("len(y) %d, offset %d, stride %d, len(x) %d", n, off, stride, k), yGot, yWant)
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyPortableBitIdentity pins the portable forms — what runs off amd64
+// and under -tags purego, and the oracle for the assembly — to the
+// one-element reference: the 4-way unroll and the row loop change no bits.
+func TestAxpyPortableBitIdentity(t *testing.T) {
+	checkAxpy(t, axpyGeneric, scalarAxpy)
+	checkAxpyRows(t, axpyRowsGeneric, scalarAxpyRows)
+}
+
+func TestAxpyKernelsPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"Axpy length mismatch", func() { Axpy(1, make([]float64, 3), make([]float64, 4)) }},
+		{"AxpyRows stride shorter than y", func() { AxpyRows(make([]float64, 4), make([]float64, 2), make([]float64, 8), 3) }},
+		{"AxpyRows negative stride", func() { AxpyRows(nil, make([]float64, 2), make([]float64, 8), -1) }},
+		{"AxpyRows short w", func() { AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+3), 5) }},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.run()
+		}()
+	}
+	// Boundary cases that must not panic: no rows, empty rows, and a w cut
+	// exactly at the end of the last row.
+	AxpyRows(make([]float64, 4), nil, nil, 4)
+	AxpyRows(nil, make([]float64, 3), nil, 0)
+	AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+4), 5)
+}
+
+func TestAxpyKernelsZeroAllocs(t *testing.T) {
+	x := make([]float64, 24)
+	y := make([]float64, 48)
+	w := make([]float64, 24*48)
+	allocs := testing.AllocsPerRun(100, func() {
+		Axpy(0.5, y[:24], x)
+		AxpyRows(y, x, w, 48)
+	})
+	if allocs != 0 {
+		t.Fatalf("Axpy + AxpyRows: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkAxpy runs Axpy at the model's two row lengths (dim 24, ffn 48).
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{24, 48} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := NewRNG(3)
+			x := make([]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = g.Norm() // no subnormals: they take a microcode assist
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Axpy(1e-3, x, y)
+			}
+		})
+	}
+}
+
+// BenchmarkAxpyRows runs AxpyRows at the expert FFN's shapes: rows×cols =
+// 24×48 (the W1 sweep, dim → ffn) and 48×24 (a W2-shaped dense sweep).
+func BenchmarkAxpyRows(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{24, 48}, {48, 24}} {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			g := NewRNG(4)
+			x := make([]float64, sh.rows)
+			w := make([]float64, sh.rows*sh.cols)
+			y := make([]float64, sh.cols)
+			for i := range x {
+				x[i] = g.Norm()
+			}
+			for i := range w {
+				w[i] = g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AxpyRows(y, x, w, sh.cols)
+			}
+		})
+	}
+}

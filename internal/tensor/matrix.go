@@ -128,19 +128,11 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 	if (b.Rows <= matmulTileK && b.Cols <= matmulTileJ) || b.Rows*b.Cols <= matmulTileK*matmulTileJ {
 		// Single-block case — b fits a tile's worth of cache even if one
 		// dimension overhangs (e.g. the thin dim×vocab head projection):
-		// direct dense ikj, streaming contiguous b rows by running offset;
-		// the length-pinned reslice keeps the inner loop free of bounds
-		// checks. Element order per output is the same ascending-k pass as
-		// the blocked path, so path selection never changes bits.
-		bd := b.Data
+		// direct dense ikj, one AxpyRows (out row += a row × b) per row of
+		// a. Element order per output is the same ascending-k pass as the
+		// blocked path, so path selection never changes bits.
 		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			boff := 0
-			for _, av := range arow {
-				Axpy(av, bd[boff:boff+len(orow)], orow)
-				boff += b.Cols
-			}
+			AxpyRows(out.Row(i), a.Row(i), b.Data, b.Cols)
 		}
 		return
 	}
@@ -167,13 +159,7 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 				copy(pack[k*jw:(k+1)*jw], b.Row(k0 + k)[j0:j0+jw])
 			}
 			for i := 0; i < a.Rows; i++ {
-				arow := a.Row(i)[k0 : k0+kw]
-				orow := out.Row(i)[j0 : j0+jw]
-				poff := 0
-				for _, av := range arow {
-					Axpy(av, pack[poff:poff+len(orow)], orow)
-					poff += jw
-				}
+				AxpyRows(out.Row(i)[j0:j0+jw], a.Row(i)[k0:k0+kw], pack, jw)
 			}
 		}
 	}
@@ -217,10 +203,7 @@ func MatMulTransAInto(out, a, b *Matrix) {
 			if av == 0 {
 				continue
 			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			Axpy(av, brow, out.Row(i))
 		}
 	}
 }
@@ -257,9 +240,7 @@ func (m *Matrix) Scale(s float64) {
 // AddScaled computes m += s*other elementwise.
 func (m *Matrix) AddScaled(other *Matrix, s float64) {
 	checkSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] += s * v
-	}
+	Axpy(s, other.Data, m.Data)
 }
 
 // Equal reports whether m and other have identical shape and elements within tol.

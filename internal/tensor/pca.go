@@ -50,7 +50,7 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 		for i := 0; i < d; i++ {
 			row := cov.Row(i)
 			for j := 0; j < d; j++ {
-				row[j] -= lambda * vec[i] * vec[j]
+				row[j] -= float64(lambda * vec[i] * vec[j])
 			}
 		}
 	}

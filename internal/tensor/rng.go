@@ -3,8 +3,15 @@
 // PCA, and deterministic random number generation.
 //
 // Everything is float64 and row-major. The package is deliberately small and
-// allocation-conscious rather than clever: the MoE models in this repo are
-// tiny, and determinism and clarity matter more than SIMD throughput.
+// allocation-conscious: the MoE models in this repo are tiny, and
+// determinism matters more than throughput. The one exception is the pair of
+// Axpy-form kernels (axpy.go), which have an AVX form on amd64 that is
+// bit-identical to the portable loops.
+//
+// Every multiply-add in the package is written s += float64(a*b): the
+// conversion rounds the product, which forbids the compiler to fuse it into
+// the add (it does on arm64, ppc64 and s390x) and changes nothing on amd64,
+// where the goldens are pinned.
 package tensor
 
 import (
@@ -54,7 +61,7 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
 
 // Gauss returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Gauss(mean, std float64) float64 { return mean + std*g.r.NormFloat64() }
+func (g *RNG) Gauss(mean, std float64) float64 { return mean + float64(std*g.r.NormFloat64()) }
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
@@ -117,16 +124,16 @@ func (g *RNG) gamma(alpha float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := g.Norm()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v) // the compiler would fuse this product into 1-v below
 		u := g.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

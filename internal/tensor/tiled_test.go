@@ -7,7 +7,7 @@ import (
 
 // naiveMatMulInto is the reference kernel the tiled MatMulInto must match bit
 // for bit: a plain ikj loop accumulating each output element in ascending-k
-// order from zero.
+// order from zero, each product rounded before it is added.
 func naiveMatMulInto(out, a, b *Matrix) {
 	out.Zero()
 	for i := 0; i < a.Rows; i++ {
@@ -17,7 +17,7 @@ func naiveMatMulInto(out, a, b *Matrix) {
 			av := arow[k]
 			brow := b.Row(k)
 			for j := range brow {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}

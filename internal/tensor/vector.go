@@ -2,46 +2,25 @@ package tensor
 
 import "math"
 
-// Dot returns the inner product of a and b. Lengths must match.
+// Dot returns the inner product of a and b. Lengths must match. It stays a
+// single ascending accumulator on every architecture: a vector form would
+// sum in a different order and change bits.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: dot length mismatch")
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
-}
-
-// Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match. The
-// 4-way unroll only reduces loop overhead — each element still sees exactly
-// one fused accumulation, so results are bit-identical to the plain loop.
-// This is the inner kernel of the matmul fast path and the expert FFN.
-//
-//fluxvet:hotpath innermost vector kernel of expert forward/backward and SGD
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("tensor: axpy length mismatch")
-	}
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += a * x[i]
-	}
 }
 
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -171,7 +150,7 @@ func Variance(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(v))
 }
