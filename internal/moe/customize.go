@@ -96,12 +96,8 @@ func MergeExperts(experts []*Expert, weights []float64) *Expert {
 		w := norm[i]
 		out.W1.AddScaled(e.W1, w)
 		out.W2.AddScaled(e.W2, w)
-		for j, v := range e.B1 {
-			out.B1[j] += w * v
-		}
-		for j, v := range e.B2 {
-			out.B2[j] += w * v
-		}
+		tensor.Axpy(w, e.B1, out.B1)
+		tensor.Axpy(w, e.B2, out.B2)
 	}
 	return out
 }

@@ -85,6 +85,9 @@ func (e *Expert) LoadFlat(src []float64) {
 // Forward computes the expert output for a single token vector x, storing
 // the hidden pre-activation in hidden (length FFNDim) for backward reuse.
 // out must have length Dim.
+//
+// Both sweeps are Axpy form — every output element accumulates its own
+// terms in ascending order — and run on the tensor package's vector kernels.
 func (e *Expert) Forward(x, hidden, out []float64) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
@@ -99,22 +102,13 @@ func (e *Expert) Forward(x, hidden, out []float64) {
 			hidden[j] = 0
 		}
 	}
-	// out = hidden·W2 + b2, skipping the units the ReLU closed. A dense
-	// AxpyRows would add their 0·w terms, and a +0.0 added to a -0.0 bias
-	// changes its bits, so this sweep stays one Axpy per open unit. Rows
-	// are addressed by running offset into the flat weight data.
+	// out = hidden·W2 + b2 over the units the ReLU left open. A closed unit
+	// must be skipped, not added as 0·w: a +0 term added to a -0 bias changes
+	// its bits. AxpyNonzeroRows is exactly one Axpy per open unit, without a
+	// branch per unit.
 	out = out[:dim]
 	copy(out, e.B2)
-	w2 := e.W2.Data
-	off := 0
-	for _, h := range hidden {
-		o := off
-		off += dim
-		if h == 0 {
-			continue
-		}
-		tensor.Axpy(h, w2[o:o+dim], out)
-	}
+	tensor.AxpyNonzeroRows(out, hidden, e.W2.Data, dim)
 }
 
 // ExpertGrad accumulates gradients for one expert across a batch.
@@ -151,16 +145,16 @@ func (g *ExpertGrad) Zero() {
 func (g *ExpertGrad) Norm() float64 {
 	var s float64
 	for _, v := range g.W1.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	for _, v := range g.W2.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	for _, v := range g.B1 {
-		s += v * v
+		s += float64(v * v)
 	}
 	for _, v := range g.B2 {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -170,118 +164,58 @@ func (g *ExpertGrad) Norm() float64 {
 // It has two outputs and computes each only when asked: parameter gradients
 // are accumulated into g unless g is nil (a frozen expert), and the gradient
 // with respect to x is accumulated into dx (length Dim) unless dx is nil
-// (nothing below consumes it). Whatever is computed is bit-identical to what
-// the full pass computes. dh is caller-provided scratch of length FFNDim;
-// its contents on entry are irrelevant (every element is written or
-// explicitly zeroed).
-func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, dh []float64) {
-	if g == nil {
-		e.backwardInput(x, hidden, dy, dx, dh)
-		return
-	}
+// (nothing below consumes it). scratch is caller-provided, of length at
+// least FFNDim+Dim; its contents on entry are irrelevant.
+//
+// Both products through the weights are dot form — one accumulator per
+// output, from +0, terms in ascending order — and run on tensor.DotRows:
+// dh = W2·dy, then zeroed where the ReLU gate is closed, and dx += W1·dh,
+// summed in scratch and then added, so each dx[i] still takes its whole
+// sum in one add. The weight gradients are one Axpy per row: dW2 row j +=
+// hidden[j]·dy for the open units, dW1 row i += x[i]·dh. W1·dh and dW1 do
+// not skip the zero entries of dh as a branch per term would; for finite x
+// and weights that changes no bit, because such a term is ±0, and adding ±0
+// to an accumulator that started at +0 is a no-op — such an accumulator
+// never holds -0.
+func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
-	// dB2 += dy; dW2 += hiddenᵀ·dy
 	dy = dy[:dim]
-	b2 := g.B2[:dim]
-	for k, d := range dy {
-		b2[k] += d
+	dh := scratch[:ffn]
+	tensor.DotRows(dh, dy, e.W2.Data, dim)
+	var gw2 []float64
+	if g != nil {
+		gw2 = g.W2.Data
 	}
-	dh = dh[:ffn]
-	w2 := e.W2.Data
-	gw2all := g.W2.Data
-	off := 0
+	// One pass over the units, so the ReLU pattern is branched on once.
 	for j, h := range hidden[:ffn] {
-		o := off
-		off += dim
 		if h == 0 {
-			dh[j] = 0
-			continue // ReLU gate closed: no gradient through this unit
+			dh[j] = 0 // ReLU gate closed: no gradient through this unit
+		} else if gw2 != nil {
+			tensor.Axpy(h, dy, gw2[j*dim:(j+1)*dim]) // dW2 += hiddenᵀ·dy
 		}
-		w2row := w2[o : o+dim]
-		gw2 := gw2all[o : o+dim]
-		var s float64
+	}
+	if g != nil {
+		// dB2 += dy; dB1 += dh; dW1 += xᵀ·dh
+		b2 := g.B2[:dim]
 		for k, d := range dy {
-			gw2[k] += h * d
-			s += w2row[k] * d
+			b2[k] += d
 		}
-		dh[j] = s
+		b1 := g.B1[:ffn]
+		for j, d := range dh {
+			b1[j] += d
+		}
+		for i, xv := range x {
+			tensor.Axpy(xv, dh, g.W1.Data[i*ffn:(i+1)*ffn])
+		}
 	}
-	// dB1 += dh; dW1 += xᵀ·dh; dx += dh·W1ᵀ
-	b1 := g.B1[:ffn]
-	for j, d := range dh {
-		b1[j] += d
-	}
-	w1 := e.W1.Data
-	gw1all := g.W1.Data
-	off = 0
 	if dx == nil {
-		for _, xv := range x {
-			gw1 := gw1all[off : off+ffn]
-			off += ffn
-			for j, d := range dh {
-				if d == 0 {
-					continue
-				}
-				gw1[j] += xv * d
-			}
-		}
 		return
 	}
+	sum := scratch[ffn : ffn+len(x)]
+	tensor.DotRows(sum, dh, e.W1.Data, ffn)
 	dx = dx[:len(x)]
-	for i, xv := range x {
-		w1row := w1[off : off+ffn]
-		gw1 := gw1all[off : off+ffn]
-		off += ffn
-		var s float64
-		for j, d := range dh {
-			if d == 0 {
-				continue
-			}
-			gw1[j] += xv * d
-			s += w1row[j] * d
-		}
-		dx[i] += s
-	}
-}
-
-// backwardInput is Backward for a frozen expert: the same dh and dx loops
-// (single accumulator, ascending index, closed gates skipped) without the
-// parameter-gradient stores.
-func (e *Expert) backwardInput(x, hidden, dy, dx, dh []float64) {
-	ffn := len(e.B1)
-	dim := len(e.B2)
-	dy = dy[:dim]
-	dh = dh[:ffn]
-	w2 := e.W2.Data
-	off := 0
-	for j, h := range hidden[:ffn] {
-		o := off
-		off += dim
-		if h == 0 {
-			dh[j] = 0
-			continue
-		}
-		w2row := w2[o : o+dim]
-		var s float64
-		for k, d := range dy {
-			s += w2row[k] * d
-		}
-		dh[j] = s
-	}
-	w1 := e.W1.Data
-	dx = dx[:len(x)]
-	off = 0
-	for i := range x {
-		w1row := w1[off : off+ffn]
-		off += ffn
-		var s float64
-		for j, d := range dh {
-			if d == 0 {
-				continue
-			}
-			s += w1row[j] * d
-		}
+	for i, s := range sum {
 		dx[i] += s
 	}
 }
@@ -294,11 +228,7 @@ func (e *Expert) ApplySGD(g *ExpertGrad, lr float64) {
 	}
 	e.W1.AddScaled(g.W1, -lr)
 	e.W2.AddScaled(g.W2, -lr)
-	for i, d := range g.B1 {
-		e.B1[i] -= lr * d
-	}
-	for i, d := range g.B2 {
-		e.B2[i] -= lr * d
-	}
+	tensor.Axpy(-lr, g.B1, e.B1)
+	tensor.Axpy(-lr, g.B2, e.B2)
 	g.Zero()
 }

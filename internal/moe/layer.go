@@ -145,9 +145,9 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	c.attnP = tensor.Grow(c.attnP, T, T)
 	for t := 0; t < T; t++ {
 		row := c.attnP.Row(t)
-		qrow := ws.q.Row(t)
+		tensor.DotRows(row[:t+1], ws.q.Row(t), ws.k.Data, D)
 		for u := 0; u <= t; u++ {
-			row[u] = tensor.Dot(qrow, ws.k.Row(u)) * scale
+			row[u] *= scale
 		}
 		for u := t + 1; u < T; u++ {
 			row[u] = math.Inf(-1)
@@ -262,9 +262,9 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	ws.attnScores = growFloats(ws.attnScores, p+n)
 	for t := 0; t < n; t++ {
 		scores := ws.attnScores[:p+t+1]
-		qrow := ws.q.Row(t)
+		tensor.DotRows(scores, ws.q.Row(t), kv.k.Data, D)
 		for u := range scores {
-			scores[u] = tensor.Dot(qrow, kv.k.Row(u)) * scale
+			scores[u] *= scale
 		}
 		tensor.SoftmaxInPlace(scores)
 		tensor.AxpyRows(ws.attnOut.Row(t), scores, kv.v.Data, D)
@@ -312,7 +312,7 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 			for d := 0; d < D; d++ {
 				dyTok[d] = w * dorow[d]
 			}
-			ws.dh = growFloats(ws.dh, len(ex.B1))
+			ws.dh = growFloats(ws.dh, len(ex.B1)+D)
 			var g *ExpertGrad
 			if !ex.Frozen {
 				grads.recordTokenGrad(layerIdx, ei, dyTok)
@@ -349,11 +349,11 @@ func layerNormBackward(dx, dy, xhat []float64, inv float64) {
 	var sumDy, sumDyXhat float64
 	for i, d := range dy {
 		sumDy += d
-		sumDyXhat += d * xhat[i]
+		sumDyXhat += float64(d * xhat[i])
 	}
 	mDy, mDyXhat := sumDy/n, sumDyXhat/n
 	for i, d := range dy {
-		dx[i] += inv * (d - mDy - xhat[i]*mDyXhat)
+		dx[i] += float64(inv * (d - mDy - float64(xhat[i]*mDyXhat)))
 	}
 }
 
@@ -365,7 +365,7 @@ func layerNormRow(dst, src []float64) float64 {
 	var va float64
 	for _, x := range src {
 		d := x - m
-		va += d * d
+		va += float64(d * d)
 	}
 	va /= float64(len(src))
 	inv := 1 / math.Sqrt(va+eps)

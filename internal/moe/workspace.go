@@ -71,7 +71,7 @@ type Workspace struct {
 	dV       *tensor.Matrix
 	dXNorm   *tensor.Matrix
 	dyTok    []float64
-	dh       []float64
+	dh       []float64 // Expert.Backward scratch: dh, then the dx partial sum
 }
 
 // NewWorkspace returns an empty workspace; buffers are allocated lazily on

@@ -1,18 +1,34 @@
 package tensor
 
-// Axpy-form kernels: y += a·x and y += xᵀW. Each output element gets one
-// rounded multiply and then one rounded add per term, terms in ascending
-// order — never a fused multiply-add — so every form of a kernel gives the
-// same bits: the AVX assembly on amd64 (axpy_amd64.s, chosen at package init
-// when the CPU and OS support it) and the portable loops below, which run
-// everywhere else and under the purego build tag, and which are the oracle
-// the assembly is tested against. Nothing here reorders a sum, which is why
-// the dot-form kernels (Dot, MatMulTransBInto, attention scores, the expert
-// backward's dh/dx) stay scalar: vectorising them would.
+// Vector kernels. There are two forms of product in this engine:
+//
+//   - Axpy form, y += a·x and y += xᵀW: every output element accumulates its
+//     own terms, and neighbouring outputs are independent. Axpy, AxpyRows
+//     and AxpyNonzeroRows.
+//   - Dot form, y = W·x: every output is one reduction, a single accumulator
+//     summed in ascending order from +0. DotRows (and Dot, its one-row case).
+//
+// Each output gets one rounded multiply and then one rounded add per term,
+// terms in ascending order — never a fused multiply-add — so every form of a
+// kernel gives the same bits: the AVX assembly on amd64 (axpy_amd64.s,
+// chosen at package init when the CPU and OS support it) and the portable
+// loops below, which run everywhere else and under the purego build tag, and
+// which are the oracle the assembly is tested against. The one thing the
+// contract leaves open is which NaN payload survives when two NaNs meet in
+// one operation; a NaN result stays a NaN in every form.
+//
+// The assembly vectorises across outputs and never along a reduction. The
+// Axpy forms put neighbouring columns in neighbouring lanes. DotRows keeps
+// four rows of W in the four lanes of one accumulator: it multiplies a 4×4
+// block of W by x elementwise and transposes the products in registers, so
+// each lane still adds its own row's terms in ascending order. Splitting one
+// row's sum across lanes would reorder it and change bits, which is why
+// Dot itself — a single reduction with no second output to vectorise
+// across — stays scalar, as do the softmax and layer-norm reductions.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
-// must not overlap x. It is the inner kernel of the expert FFN's W2 sweep,
-// the weighted expert sum, MatMulTransAInto and SGD.
+// must not overlap x. It is the inner kernel of the weighted expert sum,
+// the trainable experts' weight gradients, MatMulTransAInto and SGD.
 //
 //fluxvet:hotpath innermost vector kernel of expert forward/backward and SGD
 func Axpy(a float64, x, y []float64) {
@@ -33,13 +49,56 @@ func Axpy(a float64, x, y []float64) {
 //
 //fluxvet:hotpath row-times-matrix kernel of every forward matmul and expert W1 sweep
 func AxpyRows(y, x, w []float64, stride int) {
+	checkRowShape("axpyrows", y, x, w, stride)
+	axpyRows(y, x, w, stride)
+}
+
+// AxpyNonzeroRows is AxpyRows over the rows whose x[k] is not zero: it is
+// bit-identical to one Axpy(x[k], row k, y) per k with x[k] != 0, in
+// ascending k. Skipping is not an optimisation but the contract: a row with
+// x[k] == ±0 contributes ±0 terms, and a +0 added to a -0 in y would flip
+// its sign bit. A NaN x[k] is not zero, so its row is added. The assembly
+// form is branch-free — the products of every row are computed and a
+// per-row mask keeps or discards the sums — because the zero pattern of a
+// ReLU output defeats branch prediction. The argument rules are AxpyRows'.
+// It is the inner kernel of the expert FFN's W2 sweep, where x is the ReLU
+// output and roughly half its units are closed.
+//
+//fluxvet:hotpath ReLU-sparse W2 sweep of every expert forward
+func AxpyNonzeroRows(y, x, w []float64, stride int) {
+	checkRowShape("axpynonzerorows", y, x, w, stride)
+	axpyNonzeroRows(y, x, w, stride)
+}
+
+// DotRows computes W·x into y: y[j] = Σₖ w[j·stride+k]·x[k] for every j <
+// len(y), where row j of W starts at w[j·stride]. It overwrites y, and each
+// y[j] is bit-identical to Dot(w[j·stride:j·stride+len(x)], x): one
+// accumulator per row, starting from +0, terms in ascending k. It is the
+// transpose dual of AxpyRows. stride must be at least len(x), w must hold
+// the last row, and y must not overlap x or w. It is the inner kernel of
+// MatMulTransBInto, attention scores, the expert backward's dh and dx, and
+// PCA's power iteration.
+//
+//fluxvet:hotpath matrix-times-vector kernel of attention scores and every backward dot product
+func DotRows(y, x, w []float64, stride int) {
+	if stride < len(x) {
+		panic("tensor: dotrows stride shorter than a row")
+	}
+	if len(y) > 0 && len(w) < (len(y)-1)*stride+len(x) {
+		panic("tensor: dotrows weights shorter than the last row")
+	}
+	dotRows(y, x, w, stride)
+}
+
+// checkRowShape panics unless w holds len(x) rows of len(y) elements at the
+// given stride.
+func checkRowShape(name string, y, x, w []float64, stride int) {
 	if stride < len(y) {
-		panic("tensor: axpyrows stride shorter than a row")
+		panic("tensor: " + name + " stride shorter than a row")
 	}
 	if len(x) > 0 && len(w) < (len(x)-1)*stride+len(y) {
-		panic("tensor: axpyrows weights shorter than the last row")
+		panic("tensor: " + name + " weights shorter than the last row")
 	}
-	axpyRows(y, x, w, stride)
 }
 
 // axpyGeneric is the portable Axpy. The 4-way unroll only reduces loop
@@ -64,6 +123,27 @@ func axpyRowsGeneric(y, x, w []float64, stride int) {
 	off := 0
 	for _, xv := range x {
 		axpyGeneric(xv, w[off:off+len(y)], y)
+		off += stride
+	}
+}
+
+// axpyNonzeroRowsGeneric is the portable AxpyNonzeroRows: one Axpy per
+// nonzero row.
+func axpyNonzeroRowsGeneric(y, x, w []float64, stride int) {
+	off := 0
+	for _, xv := range x {
+		if xv != 0 {
+			axpyGeneric(xv, w[off:off+len(y)], y)
+		}
+		off += stride
+	}
+}
+
+// dotRowsGeneric is the portable DotRows: literally one Dot per row.
+func dotRowsGeneric(y, x, w []float64, stride int) {
+	off := 0
+	for j := range y {
+		y[j] = Dot(w[off:off+len(x)], x)
 		off += stride
 	}
 }

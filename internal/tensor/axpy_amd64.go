@@ -24,6 +24,22 @@ func axpyRows(y, x, w []float64, stride int) {
 	axpyRowsGeneric(y, x, w, stride)
 }
 
+func axpyNonzeroRows(y, x, w []float64, stride int) {
+	if useAVX {
+		axpyNonzeroRowsAVX(y, x, w, stride)
+		return
+	}
+	axpyNonzeroRowsGeneric(y, x, w, stride)
+}
+
+func dotRows(y, x, w []float64, stride int) {
+	if useAVX {
+		dotRowsAVX(y, x, w, stride)
+		return
+	}
+	dotRowsGeneric(y, x, w, stride)
+}
+
 // hasAVX reports whether 256-bit AVX instructions may be executed.
 func hasAVX() bool
 
@@ -39,3 +55,20 @@ func axpyAVX(a float64, x, y []float64)
 //
 //go:noescape
 func axpyRowsAVX(y, x, w []float64, stride int)
+
+// axpyNonzeroRowsAVX is axpyRowsAVX with a per-row VCMPPD mask (x[k] != 0,
+// true for NaN) and a VBLENDVPD that keeps the old y wherever the mask is
+// clear. Lengths are the caller's check.
+//
+//go:noescape
+func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
+
+// dotRowsAVX is dotRowsGeneric with four rows per YMM accumulator: each 4×4
+// block of W is multiplied by four elements of x and transposed in
+// registers, so lane i adds row i's terms in ascending order. Two such row
+// groups are in flight at a time, then a 4-row group, then 1-row tails; a
+// len(x) that is not a multiple of four finishes each group with
+// column-gathered single terms. Lengths are the caller's check.
+//
+//go:noescape
+func dotRowsAVX(y, x, w []float64, stride int)

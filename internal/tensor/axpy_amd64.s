@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// Every kernel here computes y[j] = y[j] + (a*x[j]) per term: one rounded
+// Every kernel here computes acc = acc + (a*b) per term: one rounded
 // VMULPD/VMULSD, then one rounded VADDPD/VADDSD, never VFMADD, terms in the
-// same order as the portable loops in axpy.go — so the bits are theirs.
+// same order as the portable loops in axpy.go — so the bits are theirs. Only
+// AVX1 instructions are used.
 
 // func hasAVX() bool
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
@@ -191,5 +192,344 @@ rows1:
 	JMP    col1
 
 rowsdone:
+	VZEROUPPER
+	RET
+
+// func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
+//
+// Branch-free in two passes per chunk of up to 64 rows. The first compacts
+// the chunk: for every row it writes the entry {x[k], byte offset of row k
+// in w} at the list's end and advances the end by 16 bytes only when
+// VCMPSD predicate 4 (NEQ_UQ: x[k] != 0, true for NaN) sets the mask. The
+// second is axpyRowsAVX's panel sweep (y in registers, 16-, 8-, 4- and
+// 1-column panels) over the listed rows alone, in ascending k: a zero row is
+// never added, exactly as in the portable loop, and no branch depends on
+// the zero pattern.
+//
+// Register use: SI = &x[k], BX = rows left, R8 = stride in bytes, R12 =
+// byte offset of row k, R9 = list end while compacting, R13 = list end
+// while sweeping; per chunk
+// DI, CX and DX are y, len(y) and &w[0] advanced by panel, and R10 walks the
+// list. The list lives in the 1 KB frame.
+TEXT ·axpyNonzeroRowsAVX(SB), $1024-80
+	MOVQ   x_base+24(FP), SI
+	MOVQ   x_len+32(FP), BX
+	MOVQ   stride+72(FP), R8
+	SHLQ   $3, R8
+	XORQ   R12, R12
+	VXORPD X10, X10, X10
+
+nzchunk:
+	TESTQ   BX, BX
+	JEQ     nzdone
+	MOVQ    $64, R11
+	CMPQ    BX, R11
+	CMOVQLT BX, R11
+	SUBQ    R11, BX
+	LEAQ    0(SP), R9
+
+nzcompact:
+	VMOVSD    (SI), X0
+	VCMPSD    $4, X10, X0, X1
+	VMOVMSKPD X1, AX
+	SHLQ      $4, AX
+	VMOVSD    X0, (R9)
+	MOVQ      R12, 8(R9)
+	ADDQ      AX, R9
+	ADDQ      $8, SI
+	ADDQ      R8, R12
+	DECQ      R11
+	JNZ       nzcompact
+	MOVQ      R9, R13
+	MOVQ      y_base+0(FP), DI
+	MOVQ      y_len+8(FP), CX
+	MOVQ      w_base+48(FP), DX
+
+nzpanel16:
+	CMPQ    CX, $16
+	JLT     nzpanel8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	LEAQ    0(SP), R10
+	CMPQ    R10, R13
+	JEQ     nzstore16
+
+nzrows16:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       (DX)(AX*1), Y0, Y5
+	VMULPD       32(DX)(AX*1), Y0, Y6
+	VMULPD       64(DX)(AX*1), Y0, Y7
+	VMULPD       96(DX)(AX*1), Y0, Y8
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	VADDPD       Y8, Y4, Y4
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          nzrows16
+
+nzstore16:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	JMP     nzpanel16
+
+nzpanel8:
+	CMPQ    CX, $8
+	JLT     nzpanel4
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	LEAQ    0(SP), R10
+	CMPQ    R10, R13
+	JEQ     nzstore8
+
+nzrows8:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       (DX)(AX*1), Y0, Y5
+	VMULPD       32(DX)(AX*1), Y0, Y6
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          nzrows8
+
+nzstore8:
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $8, CX
+
+nzpanel4:
+	CMPQ    CX, $4
+	JLT     nzcol1
+	VMOVUPD (DI), Y1
+	LEAQ    0(SP), R10
+	CMPQ    R10, R13
+	JEQ     nzstore4
+
+nzrows4:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       (DX)(AX*1), Y0, Y5
+	VADDPD       Y5, Y1, Y1
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          nzrows4
+
+nzstore4:
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+
+nzcol1:
+	TESTQ  CX, CX
+	JEQ    nzchunk
+	VMOVSD (DI), X1
+	LEAQ   0(SP), R10
+	CMPQ   R10, R13
+	JEQ    nzstore1
+
+nzrows1:
+	VMOVSD (R10), X0
+	MOVQ   8(R10), AX
+	VMULSD (DX)(AX*1), X0, X5
+	VADDSD X5, X1, X1
+	ADDQ   $16, R10
+	CMPQ   R10, R13
+	JNE    nzrows1
+
+nzstore1:
+	VMOVSD X1, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    nzcol1
+
+nzdone:
+	VZEROUPPER
+	RET
+
+// DOTBLOCK adds one 4×4 block of W into the accumulator acc: the rows at
+// base, base+R8, base+AX and base+R12 (lanes 0–3), columns k..k+3. The
+// transpose is half done by the loads: each YMM gets two columns of two rows,
+// lanes 0 and 2 or 1 and 3 (VMOVUPD, then VINSERTF128 from memory into the
+// upper half, both on the load ports). Multiplied by x[k..k+1] or
+// x[k+2..k+3] (broadcast per half in Y8/Y9), one VUNPCKLPD/VUNPCKHPD per
+// column then pairs the halves into a vector of four products, one per row,
+// and the four adds run in ascending k.
+#define DOTBLOCK(base, acc) \
+	VMOVUPD     (base), X0; \
+	VINSERTF128 $1, (base)(AX*1), Y0, Y0; \
+	VMOVUPD     (base)(R8*1), X1; \
+	VINSERTF128 $1, (base)(R12*1), Y1, Y1; \
+	VMOVUPD     16(base), X2; \
+	VINSERTF128 $1, 16(base)(AX*1), Y2, Y2; \
+	VMOVUPD     16(base)(R8*1), X3; \
+	VINSERTF128 $1, 16(base)(R12*1), Y3, Y3; \
+	VMULPD      Y8, Y0, Y0; \
+	VMULPD      Y8, Y1, Y1; \
+	VMULPD      Y9, Y2, Y2; \
+	VMULPD      Y9, Y3, Y3; \
+	VUNPCKLPD   Y1, Y0, Y4; \
+	VUNPCKHPD   Y1, Y0, Y5; \
+	VUNPCKLPD   Y3, Y2, Y6; \
+	VUNPCKHPD   Y3, Y2, Y7; \
+	VADDPD      Y4, acc, acc; \
+	VADDPD      Y5, acc, acc; \
+	VADDPD      Y6, acc, acc; \
+	VADDPD      Y7, acc, acc
+
+// DOTTERM adds one term into acc for the same four rows: column k, gathered
+// from the rows, times x[k] broadcast in Y8.
+#define DOTTERM(base, acc) \
+	VMOVSD      (base), X0; \
+	VMOVHPD     (base)(R8*1), X0, X0; \
+	VMOVSD      (base)(AX*1), X1; \
+	VMOVHPD     (base)(R12*1), X1, X1; \
+	VINSERTF128 $1, X1, Y0, Y0; \
+	VMULPD      Y8, Y0, Y0; \
+	VADDPD      Y0, acc, acc
+
+// func dotRowsAVX(y, x, w []float64, stride int)
+//
+// Register use: DI = &y[j], CX = rows left, SI = &x[0], BX = len(x),
+// DX = &w[j*stride]; R8, AX and R12 = the byte offsets of lanes 1, 2 and 3's
+// rows from lane 0's (stride, 2·stride and 3·stride); per row group R9 =
+// &x[k], R10 = &w[j*stride+k], R13 = R10 four rows down, R11 = terms left.
+// Y14 accumulates rows j..j+3 and Y15 rows j+4..j+7, each lane from +0. The
+// last 1–3 rows run as one more 4-row group whose missing lanes re-read the
+// last row, and only the real lanes are stored.
+TEXT ·dotRowsAVX(SB), NOSPLIT, $0-80
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), BX
+	MOVQ w_base+48(FP), DX
+	MOVQ stride+72(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*1), AX
+	LEAQ (R8)(R8*2), R12
+
+dgroup8:
+	CMPQ    CX, $8
+	JLT     dgroup4
+	VXORPD  Y14, Y14, Y14
+	VXORPD  Y15, Y15, Y15
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	LEAQ    (DX)(R8*4), R13
+	MOVQ    BX, R11
+	PCALIGN $32
+
+dblock8:
+	CMPQ           R11, $4
+	JLT            dterm8
+	VBROADCASTF128 (R9), Y8
+	VBROADCASTF128 16(R9), Y9
+	DOTBLOCK(R10, Y14)
+	DOTBLOCK(R13, Y15)
+	ADDQ           $32, R9
+	ADDQ           $32, R10
+	ADDQ           $32, R13
+	SUBQ           $4, R11
+	JMP            dblock8
+
+dterm8:
+	TESTQ        R11, R11
+	JEQ          dstore8
+	VBROADCASTSD (R9), Y8
+	DOTTERM(R10, Y14)
+	DOTTERM(R13, Y15)
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	ADDQ         $8, R13
+	DECQ         R11
+	JMP          dterm8
+
+dstore8:
+	VMOVUPD Y14, (DI)
+	VMOVUPD Y15, 32(DI)
+	ADDQ    $64, DI
+	LEAQ    (DX)(R8*8), DX
+	SUBQ    $8, CX
+	JMP     dgroup8
+
+dgroup4:
+	TESTQ CX, CX
+	JEQ   ddone
+	CMPQ  CX, $4
+	JGE   dacc4
+	MOVQ  R8, AX  // two rows left: lanes 1–3 read row 1
+	MOVQ  R8, R12
+	CMPQ  CX, $2
+	JEQ   dacc4
+	JGT   dlast3
+	XORL  R8, R8  // one row left: every lane reads row 0
+	XORL  AX, AX
+	XORL  R12, R12
+	JMP   dacc4
+
+dlast3:
+	LEAQ (R8)(R8*1), AX // three rows left: lanes 1–3 read rows 1, 2, 2
+	MOVQ AX, R12
+
+dacc4:
+	VXORPD  Y14, Y14, Y14
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	MOVQ    BX, R11
+	PCALIGN $32
+
+dblock4:
+	CMPQ           R11, $4
+	JLT            dterm4
+	VBROADCASTF128 (R9), Y8
+	VBROADCASTF128 16(R9), Y9
+	DOTBLOCK(R10, Y14)
+	ADDQ           $32, R9
+	ADDQ           $32, R10
+	SUBQ           $4, R11
+	JMP            dblock4
+
+dterm4:
+	TESTQ        R11, R11
+	JEQ          dstore4
+	VBROADCASTSD (R9), Y8
+	DOTTERM(R10, Y14)
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	DECQ         R11
+	JMP          dterm4
+
+dstore4:
+	CMPQ    CX, $4
+	JLT     dstorepart
+	VMOVUPD Y14, (DI)
+	ADDQ    $32, DI
+	LEAQ    (DX)(R8*4), DX
+	SUBQ    $4, CX
+	JMP     dgroup4
+
+dstorepart:
+	VMOVSD       X14, (DI)
+	CMPQ         CX, $2
+	JLT          ddone
+	VMOVHPD      X14, 8(DI)
+	CMPQ         CX, $3
+	JLT          ddone
+	VEXTRACTF128 $1, Y14, X0
+	VMOVSD       X0, 16(DI)
+
+ddone:
 	VZEROUPPER
 	RET

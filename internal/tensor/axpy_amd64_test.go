@@ -4,14 +4,30 @@ package tensor
 
 import "testing"
 
-// TestAxpyAVXBitIdentity pins the assembly kernels to the portable loops bit
-// for bit over the full property grid of axpy_test.go. It calls the assembly
-// directly, so it can only run where the CPU and OS support AVX.
+// The tests below pin the assembly kernels to the portable loops bit for bit
+// over the full property grids of axpy_test.go. They call the assembly
+// directly, so they can only run where the CPU and OS support AVX; elsewhere
+// the portable kernels run, and the *PortableBitIdentity tests cover them.
+
 func TestAxpyAVXBitIdentity(t *testing.T) {
 	t.Logf("AVX detected: %v", useAVX)
 	if !useAVX {
-		t.Skip("no AVX on this machine: the portable kernels run, and TestAxpyPortableBitIdentity covers them")
+		t.Skip("no AVX on this machine")
 	}
 	checkAxpy(t, axpyAVX, axpyGeneric)
 	checkAxpyRows(t, axpyRowsAVX, axpyRowsGeneric)
+}
+
+func TestDotRowsAVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkRows(t, true, false, dotRowsAVX, dotRowsGeneric)
+}
+
+func TestAxpyNonzeroRowsAVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkRows(t, false, true, axpyNonzeroRowsAVX, axpyNonzeroRowsGeneric)
 }

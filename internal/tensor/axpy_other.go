@@ -5,3 +5,7 @@ package tensor
 func axpy(a float64, x, y []float64) { axpyGeneric(a, x, y) }
 
 func axpyRows(y, x, w []float64, stride int) { axpyRowsGeneric(y, x, w, stride) }
+
+func axpyNonzeroRows(y, x, w []float64, stride int) { axpyNonzeroRowsGeneric(y, x, w, stride) }
+
+func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }

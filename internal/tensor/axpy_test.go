@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// The Axpy kernels' contract is bit-identity: every form (the portable loops
-// here, the AVX assembly in axpy_amd64_test.go) must produce exactly the
-// bits of the one-element reference loop below. The property tests run every
-// length 0–130 (all of the assembly's 16/8/4/1-wide steps and their
-// combinations), unaligned slice starts, row strides len(y)…len(y)+3 and
-// 0–30 rows, over values chosen to expose any reordering or fusion: ±0,
-// subnormals, and magnitudes near 1e±300 whose products overflow to ±Inf or
-// underflow.
+// The vector kernels' contract is bit-identity: every form (the portable
+// loops here, the AVX assembly in axpy_amd64_test.go) must produce exactly
+// the bits of the one-element reference loops below. The property tests run
+// every length 0–130 (all of the assembly's 16/8/4/1-wide steps and their
+// combinations), unaligned slice starts, row strides n…n+3 and 0–30 rows
+// (0–70 for the row kernels added with DotRows), over values chosen to
+// expose any reordering or fusion: ±0, subnormals, and magnitudes near
+// 1e±300 whose products overflow to ±Inf or underflow.
 
 // scalarAxpy is the specification: one rounded multiply, then one rounded
 // add, per element, in ascending order.
@@ -27,6 +27,28 @@ func scalarAxpy(a float64, x, y []float64) {
 func scalarAxpyRows(y, x, w []float64, stride int) {
 	for k, xv := range x {
 		scalarAxpy(xv, w[k*stride:k*stride+len(y)], y)
+	}
+}
+
+// scalarAxpyNonzeroRows is AxpyNonzeroRows' specification: one scalarAxpy
+// per row of w whose x[k] is not zero.
+func scalarAxpyNonzeroRows(y, x, w []float64, stride int) {
+	for k, xv := range x {
+		if xv != 0 {
+			scalarAxpy(xv, w[k*stride:k*stride+len(y)], y)
+		}
+	}
+}
+
+// scalarDotRows is DotRows' specification: one accumulator per row, from +0,
+// one rounded multiply and one rounded add per term in ascending k.
+func scalarDotRows(y, x, w []float64, stride int) {
+	for j := range y {
+		var s float64
+		for k, xv := range x {
+			s += float64(w[j*stride+k] * xv)
+		}
+		y[j] = s
 	}
 }
 
@@ -59,10 +81,18 @@ func sign(g *RNG) float64 {
 }
 
 const (
-	axpyMaxLen  = 130
-	axpyMaxRows = 30
-	axpyGuard   = 5 // elements past the end of y that no kernel may write
+	axpyMaxLen   = 130
+	axpyMaxRows  = 30
+	rowsMaxLen   = 70 // len(x) bound of the DotRows/AxpyNonzeroRows grids
+	rowsFullGrid = 20 // lengths up to which those grids cross every offset and stride
+	axpyGuard    = 5  // elements beside y that no kernel may write
 )
+
+// x86NaN is the NaN every amd64 operation produces (Inf−Inf, 0·Inf) and
+// propagates unchanged, so a grid seeded with it has one NaN bit pattern
+// throughout and bit comparison stays meaningful: which payload survives
+// when two NaNs meet is outside the kernels' contract.
+var x86NaN = math.Float64frombits(0xfff8000000000000)
 
 // sameBits fails the test unless got and want are bit-identical; the whole
 // y backing array is compared, so a write outside y[:n] is caught too.
@@ -138,12 +168,105 @@ func checkAxpyRows(t *testing.T, got, want func(y, x, w []float64, stride int)) 
 	}
 }
 
+// checkRows runs got and want on identical copies of every case of the row
+// kernel grid and compares them bit for bit: every len(y) 0–130 × len(x)
+// 0–70, y/x offsets 0–3 (w offset one more, mod 4) behind axpyGuard guard
+// elements, and strides n…n+3, where n is the row length — len(x) for a
+// dot-form kernel (rows of W are indexed by y), len(y) for an Axpy-form one
+// (rows are indexed by x). Lengths up to rowsFullGrid, which reach every
+// panel, row group and tail of the assembly, run all 16 offset × stride
+// combinations; above it each length pair runs one, cycling through all 16,
+// which keeps the grid affordable under the race detector. w is cut to
+// exactly the length the last row needs. nanX puts a NaN into every x as
+// well as the zeros mixedFill gives.
+func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float64, stride int)) {
+	t.Helper()
+	g := NewRNG(31)
+	xBuf := make([]float64, rowsMaxLen+3)
+	wBuf := make([]float64, (axpyMaxLen+3)*(rowsMaxLen+3)+3)
+	yInit := make([]float64, axpyGuard+axpyMaxLen+3+axpyGuard)
+	yGot := make([]float64, len(yInit))
+	yWant := make([]float64, len(yInit))
+	mixedFill(g, wBuf)
+	for ny := 0; ny <= axpyMaxLen; ny++ {
+		mixedFill(g, yInit)
+		for nx := 0; nx <= rowsMaxLen; nx++ {
+			mixedFill(g, xBuf)
+			if nanX {
+				xBuf[g.Intn(len(xBuf))] = x86NaN
+			}
+			rows, n := nx, ny
+			if dotForm {
+				rows, n = ny, nx
+			}
+			for c := 0; c < 16; c++ {
+				if (ny > rowsFullGrid || nx > rowsFullGrid) && c != (ny*(rowsMaxLen+1)+nx)%16 {
+					continue
+				}
+				off, stride := c/4, n+c%4
+				offW := (off + 1) % 4
+				wLen := 0
+				if rows > 0 {
+					wLen = (rows-1)*stride + n
+				}
+				x := xBuf[off : off+nx]
+				w := wBuf[offW : offW+wLen]
+				copy(yGot, yInit)
+				copy(yWant, yInit)
+				got(yGot[axpyGuard+off:axpyGuard+off+ny], x, w, stride)
+				want(yWant[axpyGuard+off:axpyGuard+off+ny], x, w, stride)
+				sameBits(t, fmt.Sprintf("len(y) %d, len(x) %d, offset %d, stride %d", ny, nx, off, stride), yGot, yWant)
+			}
+		}
+	}
+}
+
 // TestAxpyPortableBitIdentity pins the portable forms — what runs off amd64
 // and under -tags purego, and the oracle for the assembly — to the
 // one-element reference: the 4-way unroll and the row loop change no bits.
 func TestAxpyPortableBitIdentity(t *testing.T) {
 	checkAxpy(t, axpyGeneric, scalarAxpy)
 	checkAxpyRows(t, axpyRowsGeneric, scalarAxpyRows)
+}
+
+// TestDotRowsPortableBitIdentity pins the portable DotRows — one Dot per
+// row — to the one-accumulator-per-row reference.
+func TestDotRowsPortableBitIdentity(t *testing.T) {
+	checkRows(t, true, false, dotRowsGeneric, scalarDotRows)
+}
+
+// TestAxpyNonzeroRowsPortableBitIdentity pins the portable AxpyNonzeroRows
+// to the one-Axpy-per-nonzero-row reference, NaN rows included.
+func TestAxpyNonzeroRowsPortableBitIdentity(t *testing.T) {
+	checkRows(t, false, true, axpyNonzeroRowsGeneric, scalarAxpyNonzeroRows)
+}
+
+// TestAxpyNonzeroRowsSkipContract checks the two cases the skip exists for,
+// through the exported kernel (so through the assembly where it runs): rows
+// with x[k] == ±0 leave a -0 in y untouched, and a NaN x[k] is not skipped.
+func TestAxpyNonzeroRowsSkipContract(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 8, 16, 24, 29} {
+		y := make([]float64, n)
+		w := make([]float64, 3*n)
+		for i := range y {
+			y[i] = math.Copysign(0, -1)
+		}
+		for i := range w {
+			w[i] = float64(i%5) - 2 // ±, and exact zeros too
+		}
+		AxpyNonzeroRows(y, []float64{0, math.Copysign(0, -1), 0}, w, n)
+		for i, v := range y {
+			if math.Float64bits(v) != 1<<63 {
+				t.Fatalf("n=%d: y[%d] = %v after zero rows, want -0", n, i, v)
+			}
+		}
+		AxpyNonzeroRows(y, []float64{0, math.NaN(), 0}, w, n)
+		for i, v := range y {
+			if !math.IsNaN(v) {
+				t.Fatalf("n=%d: y[%d] = %v after a NaN row, want NaN", n, i, v)
+			}
+		}
+	}
 }
 
 func TestAxpyKernelsPanic(t *testing.T) {
@@ -155,6 +278,11 @@ func TestAxpyKernelsPanic(t *testing.T) {
 		{"AxpyRows stride shorter than y", func() { AxpyRows(make([]float64, 4), make([]float64, 2), make([]float64, 8), 3) }},
 		{"AxpyRows negative stride", func() { AxpyRows(nil, make([]float64, 2), make([]float64, 8), -1) }},
 		{"AxpyRows short w", func() { AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+3), 5) }},
+		{"AxpyNonzeroRows stride shorter than y", func() { AxpyNonzeroRows(make([]float64, 4), make([]float64, 2), make([]float64, 8), 3) }},
+		{"AxpyNonzeroRows short w", func() { AxpyNonzeroRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+3), 5) }},
+		{"DotRows stride shorter than x", func() { DotRows(make([]float64, 2), make([]float64, 4), make([]float64, 8), 3) }},
+		{"DotRows negative stride", func() { DotRows(make([]float64, 2), nil, make([]float64, 8), -1) }},
+		{"DotRows short w", func() { DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+3), 5) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -171,6 +299,10 @@ func TestAxpyKernelsPanic(t *testing.T) {
 	AxpyRows(make([]float64, 4), nil, nil, 4)
 	AxpyRows(nil, make([]float64, 3), nil, 0)
 	AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+4), 5)
+	AxpyNonzeroRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+4), 5)
+	DotRows(nil, make([]float64, 4), nil, 4)
+	DotRows(make([]float64, 3), nil, nil, 0)
+	DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+4), 5)
 }
 
 func TestAxpyKernelsZeroAllocs(t *testing.T) {
@@ -180,9 +312,11 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		Axpy(0.5, y[:24], x)
 		AxpyRows(y, x, w, 48)
+		AxpyNonzeroRows(y, x, w, 48)
+		DotRows(x, y, w, 48)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -227,4 +361,52 @@ func BenchmarkAxpyRows(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDotRows runs DotRows at the expert backward's shapes: rows×len(x)
+// = 48×24 (dh = W2·dy) and 24×48 (dx = W1·dh).
+func BenchmarkDotRows(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{48, 24}, {24, 48}} {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			g := NewRNG(5)
+			x := make([]float64, sh.cols)
+			w := make([]float64, sh.rows*sh.cols)
+			y := make([]float64, sh.rows)
+			for i := range x {
+				x[i] = g.Norm()
+			}
+			for i := range w {
+				w[i] = g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DotRows(y, x, w, sh.cols)
+			}
+		})
+	}
+}
+
+// BenchmarkAxpyNonzeroRows runs AxpyNonzeroRows at the expert FFN's W2
+// sweep: 48 ReLU units (about half of them closed, in a random pattern) into
+// 24 outputs.
+func BenchmarkAxpyNonzeroRows(b *testing.B) {
+	const rows, cols = 48, 24
+	b.Run(fmt.Sprintf("shape=%dx%d", rows, cols), func(b *testing.B) {
+		g := NewRNG(6)
+		x := make([]float64, rows)
+		w := make([]float64, rows*cols)
+		y := make([]float64, cols)
+		for i := range x {
+			x[i] = max(g.Norm(), 0)
+		}
+		for i := range w {
+			w[i] = g.Norm()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			AxpyNonzeroRows(y, x, w, cols)
+		}
+	})
 }

@@ -166,7 +166,8 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 }
 
 // MatMulTransBInto computes out = a×bᵀ into a preallocated matrix. Every
-// element is overwritten.
+// element is overwritten: row i of out is b times row i of a, one DotRows,
+// so each element is Dot(a row i, b row j) bit for bit.
 func MatMulTransBInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -175,11 +176,7 @@ func MatMulTransBInto(out, a, b *Matrix) {
 		panic("tensor: matmulT output shape mismatch")
 	}
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = Dot(arow, b.Row(j))
-		}
+		DotRows(out.Row(i), a.Row(i), b.Data, b.Cols)
 	}
 }
 

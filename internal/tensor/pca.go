@@ -71,9 +71,7 @@ func powerIteration(a *Matrix, g *RNG) []float64 {
 	normalizeVec(v)
 	tmp := make([]float64, d)
 	for iter := 0; iter < 100; iter++ {
-		for i := 0; i < d; i++ {
-			tmp[i] = Dot(a.Row(i), v)
-		}
+		DotRows(tmp, v, a.Data, d)
 		n := Norm2(tmp)
 		if n < 1e-12 {
 			break
@@ -92,11 +90,8 @@ func powerIteration(a *Matrix, g *RNG) []float64 {
 }
 
 func rayleigh(a *Matrix, v []float64) float64 {
-	d := a.Rows
-	av := make([]float64, d)
-	for i := 0; i < d; i++ {
-		av[i] = Dot(a.Row(i), v)
-	}
+	av := make([]float64, a.Rows)
+	DotRows(av, v, a.Data, a.Cols)
 	return Dot(v, av)
 }
 

@@ -2,9 +2,12 @@ package tensor
 
 import "math"
 
-// Dot returns the inner product of a and b. Lengths must match. It stays a
-// single ascending accumulator on every architecture: a vector form would
-// sum in a different order and change bits.
+// Dot returns the inner product of a and b. Lengths must match. It is one
+// accumulator from +0, terms in ascending order, and it stays scalar: a
+// single sum has no second output to vectorise across, and splitting it
+// across lanes would reorder it and change bits. Where many dot products
+// share one vector — W·x — DotRows vectorises across the rows instead, each
+// lane still one such accumulator, bit for bit.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: dot length mismatch")
