@@ -118,7 +118,7 @@ func (d DynamicEpsilon) Epsilon(round int) float64 {
 	if f > 1 {
 		f = 1
 	}
-	return d.Start + (d.End-d.Start)*f
+	return d.Start + float64((d.End-d.Start)*f)
 }
 
 // Name implements EpsilonSchedule.
@@ -259,7 +259,7 @@ func EstimateGradientSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int
 			}
 			u := us[p*dim : (p+1)*dim]
 			for i := range pert {
-				pert[i] = flat[i] + sigma*u[i]
+				pert[i] = flat[i] + float64(sigma*u[i])
 			}
 			ex.LoadFlat(pert)
 			lossSum[p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
@@ -276,9 +276,9 @@ func EstimateGradientSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int
 		}
 		u := us[p*dim : (p+1)*dim]
 		delta := (lossSum[p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
-		sqSum += delta * delta
+		sqSum += float64(delta * delta)
 		for i := range dir {
-			dir[i] += delta * u[i]
+			dir[i] += float64(delta * u[i])
 		}
 	}
 	res := SPSAResult{Probes: probes, Direction: dir}
@@ -365,7 +365,7 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 				}
 				u := us[i][p*dim : (p+1)*dim]
 				for j := range flat {
-					pert[j] = flat[j] + sigma*u[j]
+					pert[j] = flat[j] + float64(sigma*u[j])
 				}
 				ex.LoadFlat(pert[:dim])
 				sums[i][p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
@@ -386,9 +386,9 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 			}
 			u := us[i][p*dim : (p+1)*dim]
 			delta := (sums[i][p]/float64(len(seqs)) - base) / sigma
-			sqSum += delta * delta
+			sqSum += float64(delta * delta)
 			for j := range dir {
-				dir[j] += delta * u[j]
+				dir[j] += float64(delta * u[j])
 			}
 		}
 		results[i] = SPSAResult{Probes: probes, Direction: dir}

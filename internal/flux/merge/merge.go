@@ -164,7 +164,7 @@ func LayerBudgets(policy BudgetPolicy, nonTuning []int, variance []float64, tota
 		if nonTuning[l] == 0 {
 			continue
 		}
-		exact := scores[l] / sum * float64(remaining)
+		exact := float64(scores[l] / sum * float64(remaining))
 		take := int(exact)
 		if out[l]+take > nonTuning[l] {
 			take = nonTuning[l] - out[l]
@@ -271,7 +271,7 @@ func mergeWeight(s Strategy, stats *moe.ActivationStats, layer, expert int) floa
 	default:
 		f := stats.Frequency(layer, expert)
 		a := stats.AvgAttention(layer, expert)
-		return f*a + 1e-9
+		return float64(f*a) + 1e-9
 	}
 }
 

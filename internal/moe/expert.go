@@ -87,21 +87,20 @@ func (e *Expert) LoadFlat(src []float64) {
 // out must have length Dim.
 //
 // Both sweeps are Axpy form — every output element accumulates its own
-// terms in ascending order — and run on the tensor package's vector kernels.
+// terms in ascending order — and run on the tensor package's vector kernels,
+// as does the clamp between them.
 func (e *Expert) Forward(x, hidden, out []float64) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
 	// hidden = ReLU(x·W1 + b1). The input is a layer-normed activation and
 	// essentially never zero, so the W1 sweep is unconditionally dense: one
-	// AxpyRows over every row of W1.
+	// AxpyRows over every row of W1. tensor.ReLU then clamps the negative
+	// pre-activations to +0 without a branch per unit, whose sign pattern
+	// would mispredict about half the time.
 	hidden = hidden[:ffn]
 	copy(hidden, e.B1)
 	tensor.AxpyRows(hidden, x, e.W1.Data, ffn)
-	for j := range hidden {
-		if hidden[j] < 0 {
-			hidden[j] = 0
-		}
-	}
+	tensor.ReLU(hidden)
 	// out = hidden·W2 + b2 over the units the ReLU left open. A closed unit
 	// must be skipped, not added as 0·w: a +0 term added to a -0 bias changes
 	// its bits. AxpyNonzeroRows is exactly one Axpy per open unit, without a

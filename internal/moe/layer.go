@@ -73,7 +73,7 @@ func (l *Layer) Clone() *Layer {
 // place, so a warm cache serves every sequence without allocating.
 type layerCache struct {
 	xNorm *tensor.Matrix // LN(layer input)
-	attnP *tensor.Matrix // attention probabilities (T × T), treated constant in backward
+	attnP *tensor.Matrix // attention probabilities (T × T, +0 above the diagonal), treated constant in backward
 	x1    *tensor.Matrix // after attention residual
 	xMid  *tensor.Matrix // LN(x1), MoE input
 	out   *tensor.Matrix // layer output (next layer's input; kept alive per layer)
@@ -141,21 +141,18 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
 	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
 	ws.mul.MatMulInto(ws.v, c.xNorm, l.Wv)
+	// Row t attends over its live prefix [0, t] only; the masked positions
+	// above the diagonal get probability +0, which backward's
+	// MatMulTransAInto and the attnRecv sums below read.
 	scale := 1 / math.Sqrt(float64(D))
 	c.attnP = tensor.Grow(c.attnP, T, T)
+	ws.attnOut = tensor.Grow(ws.attnOut, T, D)
+	ws.attnOut.Zero()
 	for t := 0; t < T; t++ {
 		row := c.attnP.Row(t)
-		tensor.DotRows(row[:t+1], ws.q.Row(t), ws.k.Data, D)
-		for u := 0; u <= t; u++ {
-			row[u] *= scale
-		}
-		for u := t + 1; u < T; u++ {
-			row[u] = math.Inf(-1)
-		}
-		tensor.SoftmaxInPlace(row)
+		attendRow(ws.attnOut.Row(t), row[:t+1], ws.q.Row(t), ws.k.Data, ws.v.Data, scale)
+		clear(row[t+1:])
 	}
-	ws.attnOut = tensor.Grow(ws.attnOut, T, D)
-	ws.mul.MatMulInto(ws.attnOut, c.attnP, ws.v)
 	c.x1 = tensor.Grow(c.x1, T, D)
 	c.x1.CopyFrom(x)
 	c.x1.Add(ws.attnOut)
@@ -234,16 +231,37 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	return out
 }
 
+// attendRow computes one causal attention row over its live positions u =
+// 0…len(probs)-1: probs gets the scores of query q against key rows u of k,
+// scaled and softmaxed, and out (zeroed by the caller) gets the
+// probability-weighted sum of value rows u of v, in ascending u. k and v
+// hold len(q) columns per row. Forward and extend both attend through it,
+// so their rows agree bit for bit by construction. Leaving the masked
+// positions out matches the full-row form — −Inf scores, a T-wide softmax
+// and a T×T value matmul — bit for bit whenever the live scores and values
+// are finite: a −Inf score never changes the row maximum, its exp is +0,
+// which leaves the sum unchanged, its probability is +0/sum = +0, and the
+// +0·v terms the matmul would add leave every accumulator unchanged (one
+// that starts at +0 never holds −0).
+func attendRow(out, probs, q, k, v []float64, scale float64) {
+	D := len(q)
+	tensor.DotRows(probs, q, k, D)
+	for u := range probs {
+		probs[u] *= scale
+	}
+	tensor.SoftmaxInPlace(probs)
+	tensor.AxpyRows(out, probs, v, D)
+}
+
 // extend is the inference-only incremental form of Forward: x holds the n
 // rows at positions [p, p+n) of a sequence whose first p rows already went
 // through this layer, leaving their key/value rows in kv. The new rows' keys
 // and values are written straight into cache rows [p, p+n) and new row t
 // attends over cache rows [0, p+t]. The output (n × D, owned by c) is
 // bit-identical to rows [p, p+n) of Forward on the whole sequence: the
-// projections, layer norms and moeBlock are per row; a masked position's
-// score softmaxes to exactly 0, and the +0·v terms Forward's attention
-// matmul adds for them leave every accumulator's bits unchanged, so summing
-// only u ≤ p+t in the same ascending order gives the same sums.
+// projections, layer norms and moeBlock are per row, and row t's attention
+// is the attendRow call Forward makes for position p+t, on the same key and
+// value rows.
 func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *Workspace) *tensor.Matrix {
 	n, D := x.Rows, x.Cols
 
@@ -261,13 +279,7 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	ws.attnOut.Zero()
 	ws.attnScores = growFloats(ws.attnScores, p+n)
 	for t := 0; t < n; t++ {
-		scores := ws.attnScores[:p+t+1]
-		tensor.DotRows(scores, ws.q.Row(t), kv.k.Data, D)
-		for u := range scores {
-			scores[u] *= scale
-		}
-		tensor.SoftmaxInPlace(scores)
-		tensor.AxpyRows(ws.attnOut.Row(t), scores, kv.v.Data, D)
+		attendRow(ws.attnOut.Row(t), ws.attnScores[:p+t+1], ws.q.Row(t), kv.k.Data, kv.v.Data, scale)
 	}
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)

@@ -150,19 +150,6 @@ func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from int) *tensor.Ma
 	return ws.logits
 }
 
-// forwardFull runs the whole model on seq with all transient state drawn
-// from ws, returning logits, per-layer caches, the pre-head normalized
-// hidden states, and their inverse std-devs. Everything returned aliases
-// workspace storage.
-func (m *Model) forwardFull(ws *Workspace, seq []int, stats *ActivationStats, sampleID int) (*tensor.Matrix, []*layerCache, *tensor.Matrix, []float64) {
-	x := m.embedWS(ws, seq)
-	caches := ws.cachesFor(len(m.Layers))
-	for l, layer := range m.Layers {
-		x = layer.Forward(l, x, caches[l], ws, stats, sampleID)
-	}
-	return m.headLogits(ws, x, 0), caches, ws.normed, ws.invStd
-}
-
 // ForwardPrefixWS runs the embedding and layers [0, stop), returning the
 // activation entering layer stop. The result aliases storage owned by layer
 // stop-1's workspace cache (the embedding buffer when stop == 0), which
@@ -217,15 +204,21 @@ func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []i
 // every temporary drawn from ws (nil allocates a private workspace). The
 // returned logits alias ws storage and are valid only until ws is next used.
 // Routing statistics are recorded into stats when non-nil; sampleID tags the
-// sequence for per-expert data-set tracking (pass -1 to skip).
+// sequence for per-expert data-set tracking (pass -1 to skip). The
+// per-layer caches and pre-head layer-norm state the pass leaves in ws are
+// what lossBackward and OutputEmbedding read.
 //
 //fluxvet:hotpath per-sequence inference; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs)
 func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, sampleID int) *tensor.Matrix {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	logits, _, _, _ := m.forwardFull(ws, seq, stats, sampleID)
-	return logits
+	x := m.embedWS(ws, seq)
+	caches := ws.cachesFor(len(m.Layers))
+	for l, layer := range m.Layers {
+		x = layer.Forward(l, x, caches[l], ws, stats, sampleID)
+	}
+	return m.headLogits(ws, x, 0)
 }
 
 // LossWS computes the mean next-token cross-entropy of seq under the model,
@@ -259,7 +252,15 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	logits, caches, normed, invStd := m.forwardFull(ws, seq, stats, sampleID)
+	return m.lossBackward(ws, m.ForwardWS(ws, seq, stats, sampleID), seq, mask, grads)
+}
+
+// lossBackward is the rest of a training step after the forward pass that
+// produced logits on ws: it returns the masked mean cross-entropy of seq
+// and, unless grads is nil, runs the backward pass through the per-layer
+// caches and final layer-norm state that pass left in ws.
+func (m *Model) lossBackward(ws *Workspace, logits *tensor.Matrix, seq []int, mask []bool, grads *Grads) float64 {
+	caches, normed, invStd := ws.caches[:len(m.Layers)], ws.normed, ws.invStd
 	ws.dLogits = tensor.Grow(ws.dLogits, logits.Rows, logits.Cols)
 	ws.dLogits.Zero() // masked rows are never written by crossEntropy
 	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
@@ -474,9 +475,10 @@ func logProb(p float64) float64 {
 // metrics compare these embeddings between a modified and a reference model
 // via cosine distance.
 func (m *Model) OutputEmbedding(seq []int) []float64 {
-	_, _, normed, _ := m.forwardFull(NewWorkspace(), seq, nil, -1)
+	ws := NewWorkspace()
+	m.ForwardWS(ws, seq, nil, -1)
 	out := make([]float64, m.Cfg.Dim)
-	copy(out, normed.Row(normed.Rows-1))
+	copy(out, ws.normed.Row(ws.normed.Rows-1))
 	return out
 }
 

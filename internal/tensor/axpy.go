@@ -8,6 +8,8 @@ package tensor
 //   - Dot form, y = W·x: every output is one reduction, a single accumulator
 //     summed in ascending order from +0. DotRows (and Dot, its one-row case).
 //
+// Beside them is one elementwise kernel, ReLU, the expert FFN's clamp.
+//
 // Each output gets one rounded multiply and then one rounded add per term,
 // terms in ascending order — never a fused multiply-add — so every form of a
 // kernel gives the same bits: the AVX assembly on amd64 (axpy_amd64.s,
@@ -45,7 +47,7 @@ func Axpy(a float64, x, y []float64) {
 // y in registers across all rows instead of loading and storing it once per
 // row. stride must be at least len(y), w must hold the last row, and y must
 // not overlap x or w. It is the inner kernel of MulScratch.MatMulInto, the
-// expert FFN's W1 sweep and incremental attention.
+// expert FFN's W1 sweep and attention's value sum.
 //
 //fluxvet:hotpath row-times-matrix kernel of every forward matmul and expert W1 sweep
 func AxpyRows(y, x, w []float64, stride int) {
@@ -58,9 +60,10 @@ func AxpyRows(y, x, w []float64, stride int) {
 // ascending k. Skipping is not an optimisation but the contract: a row with
 // x[k] == ±0 contributes ±0 terms, and a +0 added to a -0 in y would flip
 // its sign bit. A NaN x[k] is not zero, so its row is added. The assembly
-// form is branch-free — the products of every row are computed and a
-// per-row mask keeps or discards the sums — because the zero pattern of a
-// ReLU output defeats branch prediction. The argument rules are AxpyRows'.
+// form is branch-free — it first compacts the nonzero rows into a list
+// without a branch per row, then sweeps only those — because the zero
+// pattern of a ReLU output defeats branch prediction. The argument rules
+// are AxpyRows'.
 // It is the inner kernel of the expert FFN's W2 sweep, where x is the ReLU
 // output and roughly half its units are closed.
 //
@@ -88,6 +91,19 @@ func DotRows(y, x, w []float64, stride int) {
 		panic("tensor: dotrows weights shorter than the last row")
 	}
 	dotRows(y, x, w, stride)
+}
+
+// ReLU clamps y in place: y[j] = +0 wherever y[j] < 0. Every other element
+// keeps its bits, −0 and NaN (any payload, either sign) included, since
+// neither compares below zero. The assembly form is branch-free — a vector
+// max with +0 as the first operand, which returns the second operand, y[j],
+// when both are zero or either is NaN — because the sign pattern of a
+// pre-activation defeats branch prediction. It is the expert FFN's
+// nonlinearity.
+//
+//fluxvet:hotpath ReLU clamp of every expert forward
+func ReLU(y []float64) {
+	relu(y)
 }
 
 // checkRowShape panics unless w holds len(x) rows of len(y) elements at the
@@ -136,6 +152,16 @@ func axpyNonzeroRowsGeneric(y, x, w []float64, stride int) {
 			axpyGeneric(xv, w[off:off+len(y)], y)
 		}
 		off += stride
+	}
+}
+
+// reluGeneric is the portable ReLU: the compare-and-store loop the assembly
+// reproduces.
+func reluGeneric(y []float64) {
+	for j, v := range y {
+		if v < 0 {
+			y[j] = 0
+		}
 	}
 }
 

@@ -40,6 +40,14 @@ func dotRows(y, x, w []float64, stride int) {
 	dotRowsGeneric(y, x, w, stride)
 }
 
+func relu(y []float64) {
+	if useAVX {
+		reluAVX(y)
+		return
+	}
+	reluGeneric(y)
+}
+
 // hasAVX reports whether 256-bit AVX instructions may be executed.
 func hasAVX() bool
 
@@ -56,9 +64,11 @@ func axpyAVX(a float64, x, y []float64)
 //go:noescape
 func axpyRowsAVX(y, x, w []float64, stride int)
 
-// axpyNonzeroRowsAVX is axpyRowsAVX with a per-row VCMPPD mask (x[k] != 0,
-// true for NaN) and a VBLENDVPD that keeps the old y wherever the mask is
-// clear. Lengths are the caller's check.
+// axpyNonzeroRowsAVX is axpyRowsAVX over a compacted row list: per chunk of
+// up to 64 rows, a VCMPSD not-equal mask (x[k] != 0, true for NaN) decides
+// without a branch whether row k's entry advances the end of a list on the
+// stack, and the panel sweep then runs over the listed rows alone, in
+// ascending k. Lengths are the caller's check.
 //
 //go:noescape
 func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
@@ -72,3 +82,11 @@ func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
 //
 //go:noescape
 func dotRowsAVX(y, x, w []float64, stride int)
+
+// reluAVX is reluGeneric as VMAXPD with +0 as the first source and y as the
+// second, over 16- and 4-element steps, then VMAXSD per element. MAXPD
+// returns the second source when both are zero or either is NaN, so −0 and
+// NaN keep their bits and only a value below zero becomes +0.
+//
+//go:noescape
+func reluAVX(y []float64)

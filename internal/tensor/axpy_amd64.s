@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// Every kernel here computes acc = acc + (a*b) per term: one rounded
+// Every product kernel here computes acc = acc + (a*b) per term: one rounded
 // VMULPD/VMULSD, then one rounded VADDPD/VADDSD, never VFMADD, terms in the
-// same order as the portable loops in axpy.go — so the bits are theirs. Only
+// same order as the portable loops in axpy.go — so the bits are theirs.
+// reluAVX does no arithmetic: a max selects one of its operands' bits. Only
 // AVX1 instructions are used.
 
 // func hasAVX() bool
@@ -531,5 +532,54 @@ dstorepart:
 	VMOVSD       X0, 16(DI)
 
 ddone:
+	VZEROUPPER
+	RET
+
+// func reluAVX(y []float64)
+//
+// Go's VMAXPD m, Y0, Y1 is Intel's VMAXPD ymm1, ymm0, m: Y0 = +0 is the
+// first source and y the second. MAXPD returns the first source only when
+// it is greater than the second, and the second otherwise — also when both
+// are zero or either is NaN — so y[j] keeps its bits unless it is below
+// zero, exactly like reluGeneric's compare. DI = &y[j], CX = elements left.
+TEXT ·reluAVX(SB), NOSPLIT, $0-24
+	MOVQ   y_base+0(FP), DI
+	MOVQ   y_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+
+relu16:
+	CMPQ    CX, $16
+	JLT     relu4
+	VMAXPD  (DI), Y0, Y1
+	VMAXPD  32(DI), Y0, Y2
+	VMAXPD  64(DI), Y0, Y3
+	VMAXPD  96(DI), Y0, Y4
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMOVUPD Y3, 64(DI)
+	VMOVUPD Y4, 96(DI)
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     relu16
+
+relu4:
+	CMPQ    CX, $4
+	JLT     relu1
+	VMAXPD  (DI), Y0, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     relu4
+
+relu1:
+	TESTQ  CX, CX
+	JEQ    reludone
+	VMAXSD (DI), X0, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    relu1
+
+reludone:
 	VZEROUPPER
 	RET

@@ -31,3 +31,10 @@ func TestAxpyNonzeroRowsAVXBitIdentity(t *testing.T) {
 	}
 	checkRows(t, false, true, axpyNonzeroRowsAVX, axpyNonzeroRowsGeneric)
 }
+
+func TestReLUAVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkReLU(t, reluAVX, reluGeneric)
+}

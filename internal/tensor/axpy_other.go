@@ -9,3 +9,5 @@ func axpyRows(y, x, w []float64, stride int) { axpyRowsGeneric(y, x, w, stride) 
 func axpyNonzeroRows(y, x, w []float64, stride int) { axpyNonzeroRowsGeneric(y, x, w, stride) }
 
 func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }
+
+func relu(y []float64) { reluGeneric(y) }

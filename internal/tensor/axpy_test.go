@@ -13,7 +13,8 @@ import (
 // combinations), unaligned slice starts, row strides n…n+3 and 0–30 rows
 // (0–70 for the row kernels added with DotRows), over values chosen to
 // expose any reordering or fusion: ±0, subnormals, and magnitudes near
-// 1e±300 whose products overflow to ±Inf or underflow.
+// 1e±300 whose products overflow to ±Inf or underflow. ReLU's grid adds
+// ±Inf and quiet and signalling NaNs of either sign, whose bits it must keep.
 
 // scalarAxpy is the specification: one rounded multiply, then one rounded
 // add, per element, in ascending order.
@@ -49,6 +50,16 @@ func scalarDotRows(y, x, w []float64, stride int) {
 			s += float64(w[j*stride+k] * xv)
 		}
 		y[j] = s
+	}
+}
+
+// scalarReLU is ReLU's specification: +0 where an element compares below
+// zero, every other element's bits untouched.
+func scalarReLU(y []float64) {
+	for i := range y {
+		if y[i] < 0 {
+			y[i] = 0
+		}
 	}
 }
 
@@ -93,6 +104,33 @@ const (
 // throughout and bit comparison stays meaningful: which payload survives
 // when two NaNs meet is outside the kernels' contract.
 var x86NaN = math.Float64frombits(0xfff8000000000000)
+
+// reluSpecials are the values a ReLU must pass through or clamp exactly:
+// both zeros, quiet and signalling NaNs of either sign with payloads, both
+// infinities, subnormals of either sign, and ±1e300.
+var reluSpecials = []float64{
+	0, math.Copysign(0, -1),
+	math.Float64frombits(0x7ff8000000000123), // quiet NaN
+	math.Float64frombits(0xfff8000000000456), // quiet NaN, sign bit set
+	math.Float64frombits(0x7ff0000000000789), // signalling NaN
+	math.Float64frombits(0xfff0000000000abc), // signalling NaN, sign bit set
+	math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1030, -0x1p-1030,
+	1e300, -1e300,
+}
+
+// reluFill fills v with ordinary values of random sign and, at one element
+// in three, one of reluSpecials.
+func reluFill(g *RNG, v []float64) {
+	for i := range v {
+		if g.Intn(3) == 0 {
+			v[i] = reluSpecials[g.Intn(len(reluSpecials))]
+		} else {
+			v[i] = g.Norm()
+		}
+	}
+}
 
 // sameBits fails the test unless got and want are bit-identical; the whole
 // y backing array is compared, so a write outside y[:n] is caught too.
@@ -221,6 +259,27 @@ func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float6
 	}
 }
 
+// checkReLU runs got and want on identical copies of every ReLU case —
+// lengths 0–130 at offsets 0–3, axpyGuard guard elements on each side — and
+// compares the whole buffers bit for bit.
+func checkReLU(t *testing.T, got, want func(y []float64)) {
+	t.Helper()
+	g := NewRNG(37)
+	yInit := make([]float64, axpyGuard+axpyMaxLen+3+axpyGuard)
+	yGot := make([]float64, len(yInit))
+	yWant := make([]float64, len(yInit))
+	for n := 0; n <= axpyMaxLen; n++ {
+		for off := 0; off < 4; off++ {
+			reluFill(g, yInit)
+			copy(yGot, yInit)
+			copy(yWant, yInit)
+			got(yGot[axpyGuard+off : axpyGuard+off+n])
+			want(yWant[axpyGuard+off : axpyGuard+off+n])
+			sameBits(t, fmt.Sprintf("len %d, offset %d", n, off), yGot, yWant)
+		}
+	}
+}
+
 // TestAxpyPortableBitIdentity pins the portable forms — what runs off amd64
 // and under -tags purego, and the oracle for the assembly — to the
 // one-element reference: the 4-way unroll and the row loop change no bits.
@@ -239,6 +298,36 @@ func TestDotRowsPortableBitIdentity(t *testing.T) {
 // to the one-Axpy-per-nonzero-row reference, NaN rows included.
 func TestAxpyNonzeroRowsPortableBitIdentity(t *testing.T) {
 	checkRows(t, false, true, axpyNonzeroRowsGeneric, scalarAxpyNonzeroRows)
+}
+
+// TestReLUPortableBitIdentity pins the portable ReLU to its specification.
+func TestReLUPortableBitIdentity(t *testing.T) {
+	checkReLU(t, reluGeneric, scalarReLU)
+}
+
+// TestReLUContract checks, through the exported kernel (so through the
+// assembly where it runs), the bits every special value must come out as:
+// the negatives become +0, and −0, +Inf, positive values and every NaN keep
+// their bits.
+func TestReLUContract(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 7, 16, 21} {
+		for _, v := range reluSpecials {
+			y := make([]float64, n)
+			for i := range y {
+				y[i] = v
+			}
+			ReLU(y)
+			want := math.Float64bits(v)
+			if v < 0 {
+				want = 0
+			}
+			for i, got := range y {
+				if math.Float64bits(got) != want {
+					t.Fatalf("n=%d: ReLU(%#x) at %d = %#x, want %#x", n, math.Float64bits(v), i, math.Float64bits(got), want)
+				}
+			}
+		}
+	}
 }
 
 // TestAxpyNonzeroRowsSkipContract checks the two cases the skip exists for,
@@ -314,9 +403,10 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		AxpyRows(y, x, w, 48)
 		AxpyNonzeroRows(y, x, w, 48)
 		DotRows(x, y, w, 48)
+		ReLU(y)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + ReLU: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -382,6 +472,32 @@ func BenchmarkDotRows(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				DotRows(y, x, w, sh.cols)
+			}
+		})
+	}
+}
+
+// BenchmarkReLU runs ReLU at the expert FFN widths (48 on the LLaMA
+// stand-in, 64 on the DeepSeek one) over pre-activations of random sign,
+// the pattern a compare-and-branch loop mispredicts. Each iteration restores
+// its input from one of 64 random rows — a clamped row has no negatives
+// left, and one repeated row would let the branch predictor learn it.
+func BenchmarkReLU(b *testing.B) {
+	const rows = 64
+	for _, n := range []int{48, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := NewRNG(7)
+			src := make([]float64, rows*n)
+			y := make([]float64, n)
+			for i := range src {
+				src[i] = g.Norm() // no subnormals: they take a microcode assist
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := (i % rows) * n
+				copy(y, src[off:off+n])
+				ReLU(y)
 			}
 		})
 	}
