@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/fed"
 	"repro/internal/fleet"
@@ -261,13 +260,15 @@ func BenchmarkForwardBackward(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluate is the evaluation rung of the ladder: one sweep over 16
-// held-out samples on a warm workspace, which is what Env.Evaluate runs
-// after every round. task=generation greedy-decodes gsm8k completions on the
-// LLaMA stand-in; task=choice scores mmlu options on the DeepSeek stand-in.
-// The K/V-cached decode path leaves three allocations per generated sample
-// (the returned tokens and RougeL's two LCS rows) and none per scored one;
-// benchguard gates that through bench/BENCH_micro.json.
+// BenchmarkEvaluate is the evaluation rung of the ladder: the sweep
+// Env.Evaluate runs after every round, over 16 held-out samples on warm
+// worker workspaces, fanned over workers={1,2}. task=generation
+// greedy-decodes gsm8k completions on the LLaMA stand-in; task=choice scores
+// mmlu options on the DeepSeek stand-in. The K/V-cached decode path leaves
+// three allocations per generated sample (the returned tokens and RougeL's
+// two LCS rows) and none per scored one; the rest is the fan-out's fixed
+// per-call cost (labels, score slots, goroutines). benchguard gates that
+// through bench/BENCH_micro.json.
 func BenchmarkEvaluate(b *testing.B) {
 	cases := []struct {
 		task    string
@@ -278,17 +279,22 @@ func BenchmarkEvaluate(b *testing.B) {
 		{"choice", moe.SimConfigDeepSeekTrain(), data.MMLU()},
 	}
 	for _, c := range cases {
-		b.Run("task="+c.task, func(b *testing.B) {
-			m := moe.MustNew(c.cfg, tensor.Named("bench-eval"))
-			test := data.Generate(c.profile, c.cfg.VocabSize, 16, tensor.NewRNG(6)).Samples
-			ws := moe.NewWorkspace()
-			eval.Evaluate(m, ws, c.profile, test)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eval.Evaluate(m, ws, c.profile, test)
-			}
-		})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("task=%s/workers=%d", c.task, workers), func(b *testing.B) {
+				env := &fed.Env{
+					Cfg:     fed.Config{Workers: workers},
+					Profile: c.profile,
+					Global:  moe.MustNew(c.cfg, tensor.Named("bench-eval")),
+					Test:    data.Generate(c.profile, c.cfg.VocabSize, 16, tensor.NewRNG(6)).Samples,
+				}
+				env.Evaluate()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					env.Evaluate()
+				}
+			})
+		}
 	}
 }
 
@@ -348,6 +354,27 @@ func BenchmarkQuantizeModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qm = m.CloneInto(qm)
 		moe.Quantize(qm, quant.Bits4)
+	}
+}
+
+// BenchmarkQuantizedGlobal is the per-round profiling model as Rounders get
+// it: Env.QuantizedGlobal's serial clone into the environment's buffer, then
+// the quantization units fanned over workers={1,2}. BenchmarkQuantizeModel
+// above is the same work on one goroutine.
+func BenchmarkQuantizedGlobal(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			env := &fed.Env{
+				Cfg:    fed.Config{Workers: workers},
+				Global: moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant")),
+			}
+			env.QuantizedGlobal(quant.Bits4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.QuantizedGlobal(quant.Bits4)
+			}
+		})
 	}
 }
 

@@ -55,7 +55,7 @@ func run() int {
 	bufferK := flag.Int("buffer-k", 0, "async aggregation buffer size (0 = half the cohort); requires -agg")
 	stalenessAlpha := flag.Float64("staleness-alpha", 0, "staleness discount exponent for async/semisync aggregation; requires -agg")
 	quick := flag.Bool("quick", false, "reduced rounds/samples; same workload shapes")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "participant worker pool per round (1 = serial); results are bit-identical at any setting")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool for each round's participants, evaluation and profiling model (1 = serial); results are bit-identical at any setting")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	trace := flag.String("trace", "", "write a Chrome trace-event timeline of the scenario run to this file (view in Perfetto); requires -scenario")
 	runlog := flag.String("runlog", "", "write a structured JSONL run log of the scenario run to this file; requires -scenario")

@@ -36,10 +36,11 @@
 // wire equivalence) that both third-party plugins and the built-ins here
 // are tested against.
 //
-// The in-process engine executes each round's participant phase over a
-// worker pool (WithParallelism; the default is GOMAXPROCS) with a strict
-// determinism contract: convergence curves, observed traffic, and simulated
-// phase timings are bit-identical at every worker count. Rounders get the
+// The in-process engine executes each round's participant phase, its
+// evaluation and its quantized profiling model over one worker pool
+// (WithParallelism; the default is GOMAXPROCS) with a strict determinism
+// contract: convergence curves, observed traffic, and simulated phase
+// timings are bit-identical at every worker count. Rounders get the
 // same machinery through ForEachCohort — pre-split env.RNG per participant,
 // write only the slot's own SlotResult, and leave every cross-participant
 // reduction to FinishRound, which folds in cohort order — with per-worker
@@ -71,8 +72,9 @@
 // product writes into a caller-owned output, and the naive kernels survive
 // only as test oracles.
 //
-// The per-round evaluation decodes incrementally on a workspace of its own
-// (one per Env, kept across rounds). The decode state — a per-layer
+// The per-round evaluation scores each held-out sample on a worker's
+// workspace, into the sample's own slot, and sums the slots in sample order,
+// and it decodes incrementally. The decode state — a per-layer
 // key/value cache and the count of positions in it — is owned by the
 // Workspace, reset at the start of every GenerateWS or ScoreOptionsWS call
 // and never valid across calls; within a call the prompt runs once and

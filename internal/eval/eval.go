@@ -10,25 +10,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Evaluate scores the model on the given test samples using the profile's
-// task metric and returns the raw score in [0,1]. All model state for the
-// sweep comes from ws, which the caller owns for the duration of the call; a
-// nil ws allocates a private one.
-func Evaluate(m *moe.Model, ws *moe.Workspace, p data.Profile, test []*data.Sample) float64 {
-	if len(test) == 0 {
-		return 0
-	}
-	if ws == nil {
-		ws = moe.NewWorkspace()
-	}
-	var sum float64
-	for _, s := range test {
-		sum += scoreSample(m, ws, p, s)
-	}
-	return sum / float64(len(test))
-}
-
-func scoreSample(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample) float64 {
+// Score scores one test sample with the profile's task metric: the ROUGE-L
+// of the greedy continuation for generation tasks, 1 or 0 for whether the
+// highest-scoring option is the answer for multiple-choice ones. All model
+// state comes from ws, which the caller owns for the duration of the call.
+// Samples are independent — the decode state is reset on every call — so a
+// sweep may score them on any workspaces in any order.
+func Score(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample) float64 {
 	switch p.Task {
 	case data.Generation:
 		gen := m.GenerateWS(ws, s.Prompt, len(s.Completion))
@@ -43,6 +31,20 @@ func scoreSample(m *moe.Model, ws *moe.Workspace, p data.Profile, s *data.Sample
 	default:
 		return 0
 	}
+}
+
+// Mean is the raw evaluation score in [0,1] of a sweep's per-sample scores:
+// their sum in sample order over the count, or 0 for an empty sweep. The
+// order is part of the result — it fixes the floating-point rounding.
+func Mean(scores []float64) float64 {
+	if len(scores) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range scores {
+		sum += v
+	}
+	return sum / float64(len(scores))
 }
 
 // Subset returns at most n samples of test, chosen deterministically (every

@@ -14,12 +14,23 @@ func testModel(t *testing.T) *moe.Model {
 	return moe.MustNew(cfg, tensor.Named("eval"))
 }
 
+// evaluate is the sweep fed.Env.Evaluate runs, on one workspace: Score every
+// sample, then Mean in sample order.
+func evaluate(m *moe.Model, p data.Profile, test []*data.Sample) float64 {
+	ws := moe.NewWorkspace()
+	scores := make([]float64, len(test))
+	for i, s := range test {
+		scores[i] = Score(m, ws, p, s)
+	}
+	return Mean(scores)
+}
+
 func TestEvaluateBounds(t *testing.T) {
 	m := testModel(t)
 	g := tensor.NewRNG(1)
 	for _, p := range data.Profiles() {
 		ds := data.Generate(p, 64, 12, g)
-		score := Evaluate(m, nil, p, ds.Samples)
+		score := evaluate(m, p, ds.Samples)
 		if score < 0 || score > 1 {
 			t.Fatalf("%s: score %v out of [0,1]", p.Name, score)
 		}
@@ -28,7 +39,7 @@ func TestEvaluateBounds(t *testing.T) {
 
 func TestEvaluateEmpty(t *testing.T) {
 	m := testModel(t)
-	if Evaluate(m, nil, data.Dolly(), nil) != 0 {
+	if Mean(nil) != 0 || evaluate(m, data.Dolly(), nil) != 0 {
 		t.Fatal("empty test set should score 0")
 	}
 }
@@ -44,7 +55,7 @@ func TestTrainingImprovesScore(t *testing.T) {
 	ds := data.Generate(p, 64, 120, g)
 	train, test := ds.Split(0.8, g)
 
-	before := Evaluate(m, nil, p, test)
+	before := evaluate(m, p, test)
 	grads := moe.NewGrads(m, true)
 	for epoch := 0; epoch < 8; epoch++ {
 		for _, s := range train {
@@ -53,7 +64,7 @@ func TestTrainingImprovesScore(t *testing.T) {
 		}
 		m.ApplySGD(grads, 1.0/float64(len(train)))
 	}
-	after := Evaluate(m, nil, p, test)
+	after := evaluate(m, p, test)
 	if after <= before {
 		t.Fatalf("training did not improve score: %v -> %v", before, after)
 	}
@@ -68,7 +79,7 @@ func TestEvaluateSubset(t *testing.T) {
 	if len(sub) != 10 || sub[0] != ds.Samples[0] || sub[1] != ds.Samples[4] {
 		t.Fatalf("Subset(40 samples, 10) = %d samples, want every 4th", len(sub))
 	}
-	if score := Evaluate(m, nil, p, sub); score < 0 || score > 1 {
+	if score := evaluate(m, p, sub); score < 0 || score > 1 {
 		t.Fatalf("subset score %v", score)
 	}
 	// n <= 0 and n >= len select the whole set.
@@ -84,7 +95,7 @@ func TestScoreSampleMC(t *testing.T) {
 	ds := data.Generate(p, 64, 10, g)
 	ws := moe.NewWorkspace()
 	for _, s := range ds.Samples {
-		v := scoreSample(m, ws, p, s)
+		v := Score(m, ws, p, s)
 		if v != 0 && v != 1 {
 			t.Fatalf("MC score %v must be 0/1", v)
 		}
@@ -95,7 +106,7 @@ func TestScoreSampleMC(t *testing.T) {
 	bad := *ds.Samples[0]
 	bad.Options = append([][]int{nil}, bad.Options...)
 	bad.Answer = 0
-	if v := scoreSample(m, ws, p, &bad); v != 0 {
+	if v := Score(m, ws, p, &bad); v != 0 {
 		t.Fatalf("empty option chosen: score %v", v)
 	}
 }

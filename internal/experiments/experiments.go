@@ -28,10 +28,11 @@ type Options struct {
 	// minutes. Shapes (orderings, crossovers) are preserved.
 	Quick bool
 
-	// Parallelism is the per-round participant worker count federated runs
-	// execute with (fed.Config.Workers): zero means GOMAXPROCS, one forces
-	// serial. Results are bit-identical at every setting, so runMemo safely
-	// ignores it.
+	// Parallelism is the per-round worker count federated runs fan
+	// participants, evaluation and the profiling model over
+	// (fed.Config.Workers): zero means GOMAXPROCS, one forces serial.
+	// Results are bit-identical at every setting, so runMemo safely ignores
+	// it.
 	Parallelism int
 
 	// Fleet applies a heterogeneous-fleet spec (profiles, cohort selection,

@@ -47,10 +47,11 @@ type Config struct {
 	// producing the diminishing scalability returns of Figures 12–13.
 	ServerBw float64
 
-	// Workers bounds the pool ForEachOf fans participant execution
-	// over. Zero (the default) resolves to GOMAXPROCS; one forces the serial
-	// path. Convergence results are bit-identical at every setting — the
-	// parallel layer only changes wall-clock time, never the math.
+	// Workers bounds the pool a round's three fan-outs share: participant
+	// execution (ForEachOf), Evaluate and QuantizedGlobal. Zero (the
+	// default) resolves to GOMAXPROCS; one runs each in order on the calling
+	// goroutine. Convergence results are bit-identical at every setting —
+	// the parallel layer only changes wall-clock time, never the math.
 	Workers int
 
 	// Fleet describes heterogeneity: per-participant device profiles,
@@ -149,13 +150,9 @@ type envState struct {
 	obs     RoundObs
 	scratch []*Scratch
 
-	// evalWS is Evaluate's workspace, kept across rounds so the serial
-	// per-round evaluation stops allocating once warm. Evaluate runs on the
-	// driver goroutine only, never concurrently with itself.
-	evalWS *moe.Workspace
-
-	// quantized is QuantizedGlobal's buffer. The driver goroutine rewrites
-	// it before a round's fan-out; until the pool joins it is read-only.
+	// quantized is QuantizedGlobal's buffer. QuantizedGlobal rewrites it
+	// before a round's participant fan-out; until that pool joins it is
+	// read-only.
 	quantized *moe.Model
 
 	// Event-driven server core (AggSpec active): the global model's version
@@ -485,29 +482,40 @@ func LocalSGD(local *moe.Model, ws *moe.Workspace, grads *moe.Grads, batch []*da
 // QuantizedGlobal round-trips a copy of the global model through bits-bit
 // quantization — the profiling model of §4.1 — in a buffer the environment
 // owns, and returns it. It is rebuilt on every call: a Rounder calls it once
-// per round on the driver goroutine, before ForEachOf, and every worker then
-// shares the result read-only (a body that needs a mutable quantized model
-// copies it with Scratch.LocalClone). The next call overwrites it.
+// per round, before ForEachOf, and every worker then shares the result
+// read-only (a body that needs a mutable quantized model copies it with
+// Scratch.LocalClone). The next call overwrites it.
+//
+// The copy is made on the calling goroutine; its quantization units
+// (moe.QuantUnits) are then round-tripped over the worker pool. Each unit
+// scales its own rows, so the result is bit-identical to moe.Quantize at
+// every worker count, and every unit runs even on a canceled context.
 func (e *Env) QuantizedGlobal(bits quant.Bits) *moe.Model {
 	st := e.st()
-	st.quantized = e.Global.CloneInto(st.quantized)
-	moe.Quantize(st.quantized, bits)
-	return st.quantized
+	qm := e.Global.CloneInto(st.quantized)
+	st.quantized = qm
+	e.fanOut(moe.QuantUnits(qm), "quantize", func(_ *Scratch, u int) {
+		moe.QuantizeUnit(qm, u, bits)
+	})
+	return qm
 }
 
-// Evaluate scores the global model on the held-out test subset. It is
-// serial and must not be called concurrently with itself on one Env: all
-// calls share the environment's evaluation workspace.
+// Evaluate scores the global model on the held-out test subset. The samples
+// are scored over the worker pool, each on its worker's workspace and into
+// its own slot, and the mean sums the slots in sample order, so the score is
+// bit-identical at every worker count. Every sample is scored even on a
+// canceled context: the mean is never partial. Like every fan-out it must
+// not run concurrently with another on the same Env.
 func (e *Env) Evaluate() float64 {
-	st := e.st()
-	if st.evalWS == nil {
-		st.evalWS = moe.NewWorkspace()
-	}
 	sub := e.evalSub
 	if sub == nil { // Env assembled by composite literal rather than NewEnv
 		sub = eval.Subset(e.Test, e.Cfg.EvalSubset)
 	}
-	return eval.Evaluate(e.Global, st.evalWS, e.Profile, sub)
+	scores := make([]float64, len(sub))
+	e.fanOut(len(sub), "evaluate", func(s *Scratch, i int) {
+		scores[i] = eval.Score(e.Global, s.Workspace(), e.Profile, sub[i])
+	})
+	return eval.Mean(scores)
 }
 
 // ExpertKey identifies an expert by layer and original index.

@@ -1,12 +1,20 @@
-// Deterministic parallel participant execution.
+// Deterministic parallel execution.
 //
-// The participant phase of every method in this repository is embarrassingly
-// parallel: each participant profiles, merges, and fine-tunes against a
-// read-only global model, and only server-side aggregation (FinishRound)
-// mutates shared state. ForEachOf exploits that structure — participant
-// bodies fan out over a worker pool — while keeping results bit-identical to
-// a serial loop. The determinism contract has three legs, the first two the
-// Rounder's and the third FinishRound's:
+// Three steps of a round are embarrassingly parallel, and all three fan out
+// over one worker pool (fanOut, Cfg.Workers wide) while keeping results
+// bit-identical to a serial loop:
+//
+//   - The participant phase (ForEachOf): each participant profiles, merges,
+//     and fine-tunes against a read-only global model, and only server-side
+//     aggregation (FinishRound) mutates shared state.
+//   - Evaluation (Env.Evaluate): each test sample is scored on its worker's
+//     workspace against the read-only global model.
+//   - The quantized profiling model (Env.QuantizedGlobal): the embedding, the
+//     head and each layer are round-tripped independently, since
+//     quantization scales every row on its own.
+//
+// The participant phase's determinism contract has three legs, the first two
+// the Rounder's and the third FinishRound's:
 //
 //  1. Randomness: rounders split env.RNG once per participant *before*
 //     dispatching work (splitting advances the parent stream, so it must
@@ -20,9 +28,17 @@
 //     slots in cohort order, so accumulation order never depends on
 //     scheduling.
 //
+// Evaluation and quantization draw no randomness, and their legs are the
+// other two: evaluation writes each sample's score into that sample's slot
+// and sums the slots in sample order after the join; quantization writes
+// only its own unit's matrices, and no value in one unit depends on another.
+// Neither stops early on a canceled context, so a mean is never partial and
+// a model never half-quantized. Only one fan-out runs at a time on an Env:
+// they share the worker scratch.
+//
 // Each worker owns a Scratch whose buffers (local model clone, gradient
-// accumulator, update-flattening arena) persist across rounds, so steady-state
-// rounds stop allocating whole models.
+// accumulator, workspace, update-flattening arena) persist across rounds, so
+// steady-state rounds stop allocating whole models.
 package fed
 
 import (
@@ -38,7 +54,8 @@ import (
 // Scratch is the per-worker reusable memory ForEachOf hands to a participant
 // body. Its buffers persist across rounds of the same environment; a body may
 // freely overwrite them, but must not retain references past the round's
-// reduction — the next round's pool reuses them.
+// reduction — the next round's pool, and the evaluation between rounds,
+// reuse them.
 type Scratch struct {
 	model *moe.Model
 	grads *moe.Grads
@@ -113,9 +130,10 @@ func (s *Scratch) ExtractUpdate(local *moe.Model, participant int, weight float6
 	return u
 }
 
-// workersFor resolves the participant-phase worker count: Cfg.Workers, with
-// zero meaning GOMAXPROCS, clamped to n concurrent units of work (the fleet
-// size for a full round, the cohort size for a selected one).
+// workersFor is the width of one fan-out over n independent units:
+// Cfg.Workers, with zero meaning GOMAXPROCS, clamped to n (the cohort for
+// the participant phase, the samples for Evaluate, the quantization units
+// for QuantizedGlobal).
 func (e *Env) workersFor(n int) int {
 	w := e.Cfg.Workers
 	if w <= 0 {
@@ -130,8 +148,10 @@ func (e *Env) workersFor(n int) int {
 	return w
 }
 
-// workersFor resolves the participant-phase worker count: Cfg.Workers, with
-// zero meaning GOMAXPROCS, clamped to the fleet size.
+// Workers is the width of a full round's participant fan-out: Cfg.Workers,
+// with zero meaning GOMAXPROCS, clamped to the fleet size. Evaluate and
+// QuantizedGlobal fan out over the same pool, clamped to their own unit
+// counts instead.
 func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 
 // ForEachOf executes fn once for every listed participant over the
@@ -149,33 +169,49 @@ func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 // file: consume only pre-split randomness, write only per-participant state,
 // and leave all cross-participant reduction to FinishRound.
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
-	n := len(participants)
-	workers := env.workersFor(n)
-	scratch := env.scratches(workers)
-	for _, s := range scratch {
+	for _, s := range env.scratches(env.workersFor(len(participants))) {
 		s.off = 0
 	}
+	env.fanOut(len(participants), "participants", func(s *Scratch, slot int) {
+		if !env.Canceled() {
+			fn(s, slot, participants[slot])
+		}
+	})
+	return env.Context().Err()
+}
 
-	// Worker goroutines run under pprof labels so -cpuprofile samples are
-	// attributable: the pool sets {method, phase=participants} and bodies
-	// refine the phase via env.MarkPhase. A handful of label allocations per
-	// round, well inside the bench alloc budget, and zero behavioral effect.
-	labels := pprof.Labels("method", env.methodName(), "phase", "participants")
-
-	if workers == 1 {
-		s := scratch[0]
-		pprof.Do(env.Context(), labels, func(context.Context) {
-			for slot := 0; slot < n; slot++ {
-				if env.Canceled() {
-					break
+// fanOut runs fn(s, i) once for every i in [0, n) over workersFor(n) workers,
+// each with its own Scratch, and returns when every call has returned. With
+// one worker the calls run in order on the calling goroutine. Workers run
+// under the pprof labels {method, phase} so -cpuprofile samples are
+// attributable; bodies may refine the phase via env.MarkPhase.
+//
+// Every unit runs whatever the context says, so a reduction over the results
+// is never partial; a body that should give up on cancellation (a
+// participant's) checks for it itself. fanOut never rewinds a scratch's
+// update arena, and a panic in fn is re-raised on the calling goroutine.
+func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int)) {
+	scratch := e.scratches(e.workersFor(n))
+	// A handful of label allocations per call, well inside the bench alloc
+	// budget, and zero behavioral effect.
+	labels := pprof.Labels("method", e.methodName(), "phase", phase)
+	var next atomic.Int64
+	work := func(s *Scratch) {
+		pprof.Do(e.Context(), labels, func(context.Context) {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				fn(s, slot, participants[slot])
+				fn(s, i)
 			}
 		})
-		return env.Context().Err()
+	}
+	if len(scratch) == 1 {
+		work(scratch[0])
+		return
 	}
 
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked any
@@ -188,22 +224,13 @@ func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participa
 					panicOnce.Do(func() { panicked = p })
 				}
 			}()
-			pprof.Do(env.Context(), labels, func(context.Context) {
-				for {
-					slot := int(next.Add(1)) - 1
-					if slot >= n || env.Canceled() {
-						return
-					}
-					fn(s, slot, participants[slot])
-				}
-			})
+			work(s)
 		}(s)
 	}
 	wg.Wait()
 	if panicked != nil {
-		// A participant body panicking is a programming error; surface it on
-		// the calling goroutine like the serial loop would.
+		// A body panicking is a programming error; surface it on the calling
+		// goroutine like the serial loop would.
 		panic(panicked)
 	}
-	return env.Context().Err()
 }

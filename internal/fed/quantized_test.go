@@ -2,6 +2,7 @@
 package fed_test
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -107,5 +108,36 @@ func TestQuantizedGlobalSharedReadOnly(t *testing.T) {
 				t.Fatalf("after FinishRound: digest %x, LocalClone+Quantize of the new global %x, before the round %x", got, fresh, want)
 			}
 		})
+	}
+}
+
+// TestQuantizedGlobalWorkersBitIdentity pins the pooled QuantizedGlobal to
+// moe.Quantize on a clone, bit for bit, at one, two and eight workers (more
+// workers than units on the LLaMA stand-in's eight), on both stand-ins and
+// every bit width — and with the environment's context already canceled,
+// when every unit must still be quantized. The race leg sees the workers
+// writing disjoint units of one model.
+func TestQuantizedGlobalWorkersBitIdentity(t *testing.T) {
+	for _, mc := range []moe.Config{moe.SimConfigLLaMATrain(), moe.SimConfigDeepSeekTrain()} {
+		global := moe.MustNew(mc, tensor.Named("quantized-workers"))
+		for _, bits := range []quant.Bits{quant.Bits2, quant.Bits4, quant.Bits8} {
+			want := global.Clone()
+			moe.Quantize(want, bits)
+			wantDigest := modelDigest(want)
+			for _, workers := range []int{1, 2, 8} {
+				for _, canceled := range []bool{false, true} {
+					env := &fed.Env{Cfg: fed.Config{Workers: workers}, Global: global}
+					if canceled {
+						ctx, cancel := context.WithCancel(context.Background())
+						cancel()
+						env.SetContext(ctx)
+					}
+					if got := modelDigest(env.QuantizedGlobal(bits)); got != wantDigest {
+						t.Errorf("%s, %d bits, workers=%d, canceled=%v: digest %x, moe.Quantize on a clone %x",
+							mc.Name, bits, workers, canceled, got, wantDigest)
+					}
+				}
+			}
+		}
 	}
 }

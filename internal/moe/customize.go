@@ -173,10 +173,30 @@ func Customize(global *Model, specs []LayerSpec) (*Model, error) {
 // passes with real rounding error — without allocating a whole model per
 // round.
 func Quantize(m *Model, b quant.Bits) {
+	for u := 0; u < QuantUnits(m); u++ {
+		QuantizeUnit(m, u, b)
+	}
+}
+
+// QuantUnits is the number of units Quantize splits m into: the embedding,
+// the head, and one per layer. quant.RoundTripInPlace scales every row on its
+// own, so no unit's result depends on another's and units may be quantized
+// concurrently, in any order, with the same bits as Quantize.
+func QuantUnits(m *Model) int { return 2 + len(m.Layers) }
+
+// QuantizeUnit round-trips unit u of m (see QuantUnits) through b-bit
+// quantization in place: unit 0 is the embedding, unit 1 the head, and unit
+// 2+l layer l's attention projections, gate and expert FFN weights. Expert
+// biases stay at full precision.
+func QuantizeUnit(m *Model, u int, b quant.Bits) {
 	rt := func(mat *tensor.Matrix) { quant.RoundTripInPlace(mat, b) }
-	rt(m.Embed)
-	rt(m.Head)
-	for _, layer := range m.Layers {
+	switch u {
+	case 0:
+		rt(m.Embed)
+	case 1:
+		rt(m.Head)
+	default:
+		layer := m.Layers[u-2]
 		rt(layer.Wq)
 		rt(layer.Wk)
 		rt(layer.Wv)

@@ -9,7 +9,7 @@ import (
 
 // record drives one small two-round run (one with a flush, straggler time,
 // and two participants) through a recorder and returns the sink bytes.
-func record(t *testing.T) (trace, runlog []byte) {
+func record(t testing.TB) (trace, runlog []byte) {
 	t.Helper()
 	var tb, rb bytes.Buffer
 	r := NewRecorder(&tb, &rb)

@@ -30,9 +30,10 @@ type Config struct {
 	PretrainSteps   int
 	ServerBandwidth float64 // parameter-server ingest/egress bytes/s
 
-	// Workers sets the worker pool the in-process engine fans participant
-	// execution over each round. Zero (the default) uses GOMAXPROCS; one
-	// forces the serial path. Convergence results are bit-identical at every
+	// Workers sets the worker pool the in-process engine fans each round's
+	// participants, its evaluation samples and its quantized profiling model
+	// over. Zero (the default) uses GOMAXPROCS; one runs all three in order
+	// on one goroutine. Convergence results are bit-identical at every
 	// setting — parallelism changes wall-clock time, never the math.
 	Workers int
 
@@ -187,9 +188,10 @@ func WithServerBandwidth(bw float64) Option {
 	return func(e *Experiment) { e.cfg.ServerBandwidth = bw }
 }
 
-// WithParallelism sets the worker pool the in-process engine fans
-// participant execution over each round: n == 1 forces the serial path,
-// n == 0 (the default) uses GOMAXPROCS. Any setting produces bit-identical
+// WithParallelism sets the worker pool the in-process engine fans each
+// round's participants, evaluation samples and quantized profiling model
+// over: n == 1 runs them in order on one goroutine, n == 0 (the default)
+// uses GOMAXPROCS. Any setting produces bit-identical
 // convergence curves and phase timings; parallelism only changes wall-clock
 // time. Leave it at the default unless benchmarking the pool itself or
 // pinning the run to a CPU budget shared with other work.

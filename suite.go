@@ -16,9 +16,10 @@ type ExperimentOptions struct {
 	// Quick shrinks rounds and sample counts (same workload shapes) so the
 	// whole suite completes in minutes.
 	Quick bool
-	// Parallelism is the per-round participant worker count the federated
-	// runs execute with; zero means GOMAXPROCS, one forces serial. Every
-	// setting produces bit-identical tables.
+	// Parallelism is the per-round worker count the federated runs fan
+	// participants, evaluation and the profiling model over; zero means
+	// GOMAXPROCS, one forces serial. Every setting produces bit-identical
+	// tables.
 	Parallelism int
 	// Fleet applies a heterogeneous-fleet spec (device profiles, cohort
 	// selection, straggler deadline) to every federated run of the
@@ -38,7 +39,7 @@ func RunExperiment(id string, quick bool, w io.Writer) error {
 }
 
 // RunExperimentOpts is RunExperiment with full control over experiment
-// execution, including participant-phase parallelism.
+// execution, including the worker pool's width.
 func RunExperimentOpts(id string, opts ExperimentOptions, w io.Writer) error {
 	tab, err := experiments.Run(id, experiments.Options{Quick: opts.Quick, Parallelism: opts.Parallelism, Fleet: opts.Fleet, Agg: opts.Aggregation})
 	if err != nil {
