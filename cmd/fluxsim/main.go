@@ -20,6 +20,10 @@
 //	                                 # and a structured JSONL round log
 //	fluxsim -trace-summary out.json  # critical path, per-phase totals, and
 //	                                 # slowest participants of a saved trace
+//	fluxsim -runlog-diff a.jsonl b.jsonl
+//	                                 # first diverging record (round and
+//	                                 # participant) of two run logs and the
+//	                                 # fields that differ; exit 1 if any
 //
 // The exit status is non-zero if any requested experiment fails; remaining
 // experiments still run.
@@ -60,6 +64,7 @@ func run() int {
 	trace := flag.String("trace", "", "write a Chrome trace-event timeline of the scenario run to this file (view in Perfetto); requires -scenario")
 	runlog := flag.String("runlog", "", "write a structured JSONL run log of the scenario run to this file; requires -scenario")
 	traceSummary := flag.String("trace-summary", "", "summarize a trace file written by -trace (critical path, phase totals, slowest participants) and exit")
+	diffRunlogs := flag.Bool("runlog-diff", false, "compare the two run logs named as arguments (written by -runlog): print the first diverging record and the fields that differ, exit 1 if they differ")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -96,6 +101,21 @@ func run() int {
 	if *list {
 		fmt.Println(strings.Join(flux.Experiments(), "\n"))
 		return 0
+	}
+	if *diffRunlogs {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "fluxsim: -runlog-diff takes two run log files: fluxsim -runlog-diff a.jsonl b.jsonl")
+			return 1
+		}
+		same, err := runlogDiff(os.Stdout, flag.Arg(0), flag.Arg(1))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fluxsim:", err)
+			return 1
+		}
+		if same {
+			return 0
+		}
+		return 1
 	}
 	if *traceSummary != "" {
 		if err := summarizeTrace(*traceSummary); err != nil {

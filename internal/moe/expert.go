@@ -170,31 +170,39 @@ func (g *ExpertGrad) Norm() float64 {
 // output, from +0, terms in ascending order — and run on tensor.DotRows:
 // dh = W2·dy, then zeroed where the ReLU gate is closed, and dx += W1·dh,
 // summed in scratch and then added, so each dx[i] still takes its whole
-// sum in one add. The weight gradients are one Axpy per row: dW2 row j +=
-// hidden[j]·dy for the open units, dW1 row i += x[i]·dh. W1·dh and dW1 do
-// not skip the zero entries of dh as a branch per term would; for finite x
-// and weights that changes no bit, because such a term is ±0, and adding ±0
-// to an accumulator that started at +0 is a no-op — such an accumulator
-// never holds -0.
+// sum in one add. The gate is a conditional move per unit, not a branch:
+// it runs for every expert, frozen ones included, and the ReLU pattern
+// defeats branch prediction. The weight gradients are one Axpy per row, in
+// their own pass that only a trainable expert makes: dW2 row j +=
+// hidden[j]·dy for the open units in ascending j, dW1 row i += x[i]·dh.
+// W1·dh and dW1 do not skip the zero entries of dh as a branch per term
+// would; for finite x and weights that changes no bit, because such a term
+// is ±0, and adding ±0 to an accumulator that started at +0 is a no-op —
+// such an accumulator never holds -0.
 func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
 	dy = dy[:dim]
+	hidden = hidden[:ffn]
 	dh := scratch[:ffn]
 	tensor.DotRows(dh, dy, e.W2.Data, dim)
-	var gw2 []float64
-	if g != nil {
-		gw2 = g.W2.Data
-	}
-	// One pass over the units, so the ReLU pattern is branched on once.
-	for j, h := range hidden[:ffn] {
+	// ReLU gate closed (hidden ±0): no gradient through the unit. The select
+	// is on the bits, which the compiler lowers to a CMOV.
+	for j, h := range hidden {
+		b := math.Float64bits(dh[j])
 		if h == 0 {
-			dh[j] = 0 // ReLU gate closed: no gradient through this unit
-		} else if gw2 != nil {
-			tensor.Axpy(h, dy, gw2[j*dim:(j+1)*dim]) // dW2 += hiddenᵀ·dy
+			b = 0
 		}
+		dh[j] = math.Float64frombits(b)
 	}
 	if g != nil {
+		// dW2 += hiddenᵀ·dy over the open units
+		gw2 := g.W2.Data
+		for j, h := range hidden {
+			if h != 0 {
+				tensor.Axpy(h, dy, gw2[j*dim:(j+1)*dim])
+			}
+		}
 		// dB2 += dy; dB1 += dh; dW1 += xᵀ·dh
 		b2 := g.B2[:dim]
 		for k, d := range dy {

@@ -8,7 +8,8 @@ package tensor
 //   - Dot form, y = W·x: every output is one reduction, a single accumulator
 //     summed in ascending order from +0. DotRows (and Dot, its one-row case).
 //
-// Beside them is one elementwise kernel, ReLU, the expert FFN's clamp.
+// Beside them are one elementwise kernel, ReLU, the expert FFN's clamp,
+// and one row kernel, Softmax (vector.go), whose exp is Exp (exp.go).
 //
 // Each output gets one rounded multiply and then one rounded add per term,
 // terms in ascending order — never a fused multiply-add — so every form of a
@@ -26,7 +27,10 @@ package tensor
 // each lane still adds its own row's terms in ascending order. Splitting one
 // row's sum across lanes would reorder it and change bits, which is why
 // Dot itself — a single reduction with no second output to vectorise
-// across — stays scalar, as do the softmax and layer-norm reductions.
+// across — stays scalar, as do the layer-norm reductions. Softmax
+// vectorises its elementwise work, the exps and the divides, four lanes
+// wide, and adds each lane into its one scalar sum in ascending order; its
+// max is order-free.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
 // must not overlap x. It is the inner kernel of the weighted expert sum,

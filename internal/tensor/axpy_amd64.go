@@ -48,6 +48,14 @@ func relu(y []float64) {
 	reluGeneric(y)
 }
 
+func softmax(dst, src []float64) {
+	if useAVX {
+		softmaxAVX(dst, src)
+		return
+	}
+	softmaxGeneric(dst, src)
+}
+
 // hasAVX reports whether 256-bit AVX instructions may be executed.
 func hasAVX() bool
 
@@ -90,3 +98,14 @@ func dotRowsAVX(y, x, w []float64, stride int)
 //
 //go:noescape
 func reluAVX(y []float64)
+
+// softmaxAVX is softmaxGeneric in three 4-wide passes: the row max (VMAXPD
+// with the element as first source, so a NaN never wins), then Exp's
+// operation sequence on four lanes at once with each lane's sum added in
+// ascending order, then VDIVPD by the sum. A 1–3 element tail runs through
+// the same vector code under a VMASKMOVPD lane mask, and the special cases
+// are blended in per lane, so nothing falls back to scalar code. Lengths are
+// the caller's check.
+//
+//go:noescape
+func softmaxAVX(dst, src []float64)

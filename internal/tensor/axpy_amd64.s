@@ -5,8 +5,10 @@
 // Every product kernel here computes acc = acc + (a*b) per term: one rounded
 // VMULPD/VMULSD, then one rounded VADDPD/VADDSD, never VFMADD, terms in the
 // same order as the portable loops in axpy.go — so the bits are theirs.
-// reluAVX does no arithmetic: a max selects one of its operands' bits. Only
-// AVX1 instructions are used.
+// reluAVX does no arithmetic: a max selects one of its operands' bits.
+// softmaxAVX repeats exp.go's and softmaxGeneric's operations, operand for
+// operand (EXP4 below). Only AVX1 instructions are used: the integer work
+// of building 2ᵏ runs on 128-bit halves.
 
 // func hasAVX() bool
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
@@ -582,4 +584,252 @@ relu1:
 
 reludone:
 	VZEROUPPER
+	RET
+
+// Exp's constants (exp.go), each repeated in four lanes so that it can be a
+// 256-bit memory operand; expBias is 1023 in four int32 lanes and smTail
+// the source of softmaxAVX's tail masks.
+#define CONST4(sym, bits) \
+	DATA sym<>+0(SB)/8, $bits; \
+	DATA sym<>+8(SB)/8, $bits; \
+	DATA sym<>+16(SB)/8, $bits; \
+	DATA sym<>+24(SB)/8, $bits; \
+	GLOBL sym<>(SB), RODATA|NOPTR, $32
+
+CONST4(expLog2e, 0x3ff71547652b82fe)
+CONST4(expLn2Hi, 0x3fe62e42fee00000)
+CONST4(expLn2Lo, 0x3dea39ef35793c76)
+CONST4(expP1, 0x3fc5555555555555)
+CONST4(expP2, 0xbf66c16c16bebd93)
+CONST4(expP3, 0x3f11566aaf25de2c)
+CONST4(expP4, 0xbebbbd41c5d26bf1)
+CONST4(expP5, 0x3e66376972bea4d0)
+CONST4(expOverflow, 0x40862e42fefa39ef)
+CONST4(expUnderflow, 0xc0874910d52d3051)
+CONST4(expNearZero, 0x3e30000000000000)
+CONST4(expHalf, 0x3fe0000000000000)
+CONST4(expOne, 0x3ff0000000000000)
+CONST4(expTwo, 0x4000000000000000)
+CONST4(expInf, 0x7ff0000000000000)
+CONST4(expNegInf, 0xfff0000000000000)
+CONST4(expSign, 0x8000000000000000)
+CONST4(expAbs, 0x7fffffffffffffff)
+
+DATA  expBias<>+0(SB)/8, $0x000003ff000003ff
+DATA  expBias<>+8(SB)/8, $0x000003ff000003ff
+GLOBL expBias<>(SB), RODATA|NOPTR, $16
+
+// smTail is three all-ones quadwords then four zero ones: the 32 bytes at
+// offset 24-8r are the mask of an r-element tail (lanes 0…r-1 set).
+DATA  smTail<>+0(SB)/8, $-1
+DATA  smTail<>+8(SB)/8, $-1
+DATA  smTail<>+16(SB)/8, $-1
+DATA  smTail<>+24(SB)/8, $0
+DATA  smTail<>+32(SB)/8, $0
+DATA  smTail<>+40(SB)/8, $0
+DATA  smTail<>+48(SB)/8, $0
+GLOBL smTail<>(SB), RODATA|NOPTR, $56
+
+// EXP4 sets Y1 to Exp of each lane of Y0, bit for bit, and clobbers Y2–Y7.
+// It follows exp.go operation by operation, every VSUBPD and VDIVPD with
+// the same operands in the same order (Go assembly lists sources last to
+// first): k = int32(log2e·x ± 0.5) by truncation, hi = x − k·ln2Hi, lo =
+// k·ln2Lo, r = hi − lo, t = r·r, the Horner chain c, y = 1 − ((lo −
+// r·c/(2−c)) − hi), then y·2^⌊k/2⌋·2^(k−⌊k/2⌋), each power built from int32
+// lanes with 128-bit integer instructions: (k' + 1023) << 20 is the high
+// dword of 2^k', interleaved with a zero low dword. Every lane takes that
+// path; the special cases are then blended over it, one mask per range
+// check of Exp — |x| < 2⁻²⁸ gives 1+x, x < underflow +0, x > overflow +Inf
+// and a NaN itself — and since the four ranges are disjoint their order
+// does not matter.
+#define EXP4 \
+	VMULPD      expLog2e<>(SB), Y0, Y2; \
+	VANDPD      expSign<>(SB), Y0, Y3; \
+	VORPD       expHalf<>(SB), Y3, Y3; \
+	VADDPD      Y3, Y2, Y2; \
+	VCVTTPD2DQY Y2, X2; \
+	VCVTDQ2PD   X2, Y3; \
+	VMULPD      expLn2Hi<>(SB), Y3, Y4; \
+	VSUBPD      Y4, Y0, Y4; \
+	VMULPD      expLn2Lo<>(SB), Y3, Y5; \
+	VSUBPD      Y5, Y4, Y3; \
+	VMULPD      Y3, Y3, Y6; \
+	VMULPD      expP5<>(SB), Y6, Y7; \
+	VADDPD      expP4<>(SB), Y7, Y7; \
+	VMULPD      Y7, Y6, Y7; \
+	VADDPD      expP3<>(SB), Y7, Y7; \
+	VMULPD      Y7, Y6, Y7; \
+	VADDPD      expP2<>(SB), Y7, Y7; \
+	VMULPD      Y7, Y6, Y7; \
+	VADDPD      expP1<>(SB), Y7, Y7; \
+	VMULPD      Y7, Y6, Y7; \
+	VSUBPD      Y7, Y3, Y7; \
+	VMULPD      Y7, Y3, Y1; \
+	VMOVUPD     expTwo<>(SB), Y6; \
+	VSUBPD      Y7, Y6, Y6; \
+	VDIVPD      Y6, Y1, Y1; \
+	VSUBPD      Y1, Y5, Y1; \
+	VSUBPD      Y4, Y1, Y1; \
+	VMOVUPD     expOne<>(SB), Y6; \
+	VSUBPD      Y1, Y6, Y1; \
+	VPSRAD      $1, X2, X3; \
+	VPSUBD      X3, X2, X2; \
+	VPADDD      expBias<>(SB), X3, X3; \
+	VPADDD      expBias<>(SB), X2, X2; \
+	VPSLLD      $20, X3, X3; \
+	VPSLLD      $20, X2, X2; \
+	VPXOR       X7, X7, X7; \
+	VPUNPCKLDQ  X3, X7, X4; \
+	VPUNPCKHDQ  X3, X7, X5; \
+	VINSERTF128 $1, X5, Y4, Y4; \
+	VMULPD      Y4, Y1, Y1; \
+	VPUNPCKLDQ  X2, X7, X4; \
+	VPUNPCKHDQ  X2, X7, X5; \
+	VINSERTF128 $1, X5, Y4, Y4; \
+	VMULPD      Y4, Y1, Y1; \
+	VANDPD      expAbs<>(SB), Y0, Y2; \
+	VCMPPD      $0x11, expNearZero<>(SB), Y2, Y2; \
+	VADDPD      expOne<>(SB), Y0, Y3; \
+	VBLENDVPD   Y2, Y3, Y1, Y1; \
+	VCMPPD      $0x11, expUnderflow<>(SB), Y0, Y2; \
+	VANDNPD     Y1, Y2, Y1; \
+	VCMPPD      $0x1e, expOverflow<>(SB), Y0, Y2; \
+	VBLENDVPD   Y2, expInf<>(SB), Y1, Y1; \
+	VCMPPD      $3, Y0, Y0, Y2; \
+	VBLENDVPD   Y2, Y0, Y1, Y1
+
+// SUMLANES adds the four lanes of Y1 into the scalar sum X13 in ascending
+// lane order, the sum as first source of every add.
+#define SUMLANES \
+	VADDSD       X1, X13, X13; \
+	VPERMILPD    $1, X1, X2; \
+	VADDSD       X2, X13, X13; \
+	VEXTRACTF128 $1, Y1, X2; \
+	VADDSD       X2, X13, X13; \
+	VPERMILPD    $1, X2, X2; \
+	VADDSD       X2, X13, X13
+
+// func softmaxAVX(dst, src []float64)
+//
+// Register use: DI = &dst[0], SI = &src[0], CX = len, DX = tail length
+// (len mod 4), R8 = full vectors; per pass R9 walks src, R11 walks dst and
+// R10 counts vectors. Y15 is the tail mask, Y14 −Inf, Y8 the row max
+// (broadcast once found), Y13 the sum. VMASKMOVPD reads and writes only the
+// tail's lanes; the others load as +0, run through the arithmetic and are
+// discarded.
+TEXT ·softmaxAVX(SB), NOSPLIT, $0-48
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  src_len+32(FP), CX
+	TESTQ CX, CX
+	JEQ   smret
+	MOVQ  CX, DX
+	ANDQ  $3, DX
+	MOVQ  CX, R8
+	SHRQ  $2, R8
+	MOVQ  DX, AX
+	SHLQ  $3, AX
+	NEGQ  AX
+	LEAQ  smTail<>(SB), R9
+	VMOVUPD 24(R9)(AX*1), Y15
+	VMOVUPD expNegInf<>(SB), Y14
+
+	// Pass 1: the row max, per lane, then across lanes. VMAXPD returns its
+	// second source (the running max) unless the first (the element) is
+	// greater, so a NaN element is passed over, as by the portable compare.
+	// Across lanes the order cannot matter: no lane holds a NaN, and a
+	// max of ±0 differs only in a sign that v − max never shows (x − ±0 is
+	// x, and −0 − ±0 is ±0, whose Exp is 1 either way).
+	VMOVAPD Y14, Y8
+	MOVQ    SI, R9
+	MOVQ    R8, R10
+	TESTQ   R10, R10
+	JEQ     smmaxtail
+
+smmax4:
+	VMOVUPD (R9), Y0
+	VMAXPD  Y8, Y0, Y8
+	ADDQ    $32, R9
+	DECQ    R10
+	JNZ     smmax4
+
+smmaxtail:
+	TESTQ        DX, DX
+	JEQ          smmaxlanes
+	VMASKMOVPD   (R9), Y15, Y0
+	VBLENDVPD    Y15, Y0, Y14, Y0
+	VMAXPD       Y8, Y0, Y8
+
+smmaxlanes:
+	VEXTRACTF128 $1, Y8, X0
+	VMAXPD       X0, X8, X8
+	VPERMILPD    $1, X8, X0
+	VMAXSD       X0, X8, X8
+	VMOVDDUP     X8, X8
+	VINSERTF128  $1, X8, Y8, Y8
+
+	// Pass 2: dst[i] = Exp(src[i] − max), summed in ascending i from +0.
+	VXORPD X13, X13, X13
+	MOVQ   SI, R9
+	MOVQ   DI, R11
+	MOVQ   R8, R10
+	TESTQ  R10, R10
+	JEQ    smexptail
+
+smexp4:
+	VMOVUPD (R9), Y0
+	VSUBPD  Y8, Y0, Y0
+	EXP4
+	VMOVUPD Y1, (R11)
+	SUMLANES
+	ADDQ    $32, R9
+	ADDQ    $32, R11
+	DECQ    R10
+	JNZ     smexp4
+
+smexptail:
+	TESTQ        DX, DX
+	JEQ          smdiv
+	VMASKMOVPD   (R9), Y15, Y0
+	VSUBPD       Y8, Y0, Y0
+	EXP4
+	VMASKMOVPD   Y1, Y15, (R11)
+	VADDSD       X1, X13, X13
+	CMPQ         DX, $2
+	JLT          smdiv
+	VPERMILPD    $1, X1, X2
+	VADDSD       X2, X13, X13
+	CMPQ         DX, $3
+	JLT          smdiv
+	VEXTRACTF128 $1, Y1, X2
+	VADDSD       X2, X13, X13
+
+	// Pass 3: dst[i] /= sum.
+smdiv:
+	VMOVDDUP    X13, X13
+	VINSERTF128 $1, X13, Y13, Y13
+	MOVQ        DI, R11
+	MOVQ        R8, R10
+	TESTQ       R10, R10
+	JEQ         smdivtail
+
+smdiv4:
+	VMOVUPD (R11), Y0
+	VDIVPD  Y13, Y0, Y0
+	VMOVUPD Y0, (R11)
+	ADDQ    $32, R11
+	DECQ    R10
+	JNZ     smdiv4
+
+smdivtail:
+	TESTQ      DX, DX
+	JEQ        smdone
+	VMASKMOVPD (R11), Y15, Y0
+	VDIVPD     Y13, Y0, Y0
+	VMASKMOVPD Y0, Y15, (R11)
+
+smdone:
+	VZEROUPPER
+
+smret:
 	RET

@@ -38,3 +38,10 @@ func TestReLUAVXBitIdentity(t *testing.T) {
 	}
 	checkReLU(t, reluAVX, reluGeneric)
 }
+
+func TestSoftmaxAVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkSoftmax(t, softmaxAVX, softmaxGeneric)
+}

@@ -11,3 +11,5 @@ func axpyNonzeroRows(y, x, w []float64, stride int) { axpyNonzeroRowsGeneric(y, 
 func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }
 
 func relu(y []float64) { reluGeneric(y) }
+
+func softmax(dst, src []float64) { softmaxGeneric(dst, src) }

@@ -404,9 +404,10 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		AxpyNonzeroRows(y, x, w, 48)
 		DotRows(x, y, w, 48)
 		ReLU(y)
+		Softmax(y[:len(x)], x)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + ReLU: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
 }
 

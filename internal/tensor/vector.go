@@ -41,12 +41,24 @@ func CosineSim(a, b []float64) float64 {
 // and 2 for opposite ones. The paper uses this as its "output error" metric.
 func CosineDist(a, b []float64) float64 { return 1 - CosineSim(a, b) }
 
-// Softmax writes the softmax of src into dst (may alias). It is numerically
-// stabilized by max subtraction.
+// Softmax writes the softmax of src into dst, which may be src itself but
+// must not otherwise overlap it. It is numerically stabilized by max
+// subtraction: the row max mx (a NaN element never wins it), then dst[i] =
+// Exp(src[i]-mx), summed in ascending i from +0, then dst[i] /= sum. The
+// max element contributes Exp(0) = 1, so the sum of a non-empty row is
+// never zero; a NaN element, a +Inf element or a row of −Inf makes every
+// output NaN. On amd64 the whole sequence is one AVX kernel, bit-identical
+// to the portable loops — the exp included, because Exp is written out as
+// separately rounded operations that the kernel repeats lane by lane.
 func Softmax(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("tensor: softmax length mismatch")
 	}
+	softmax(dst, src)
+}
+
+// softmaxGeneric is the portable Softmax and the oracle for the assembly.
+func softmaxGeneric(dst, src []float64) {
 	mx := math.Inf(-1)
 	for _, v := range src {
 		if v > mx {
@@ -55,16 +67,9 @@ func Softmax(dst, src []float64) {
 	}
 	var sum float64
 	for i, v := range src {
-		e := math.Exp(v - mx)
+		e := Exp(v - mx)
 		dst[i] = e
 		sum += e
-	}
-	if sum == 0 {
-		u := 1 / float64(len(dst))
-		for i := range dst {
-			dst[i] = u
-		}
-		return
 	}
 	for i := range dst {
 		dst[i] /= sum
@@ -90,7 +95,8 @@ func ArgMax(v []float64) int {
 
 // TopK returns the indices of the k largest elements in descending value
 // order. k is clamped to len(v). Selection is deterministic: ties break
-// toward the lower index.
+// toward the lower index, and a NaN ranks below every number, so the result
+// is always k distinct valid indices (all-NaN or all −Inf rows included).
 func TopK(v []float64, k int) []int {
 	idx, _ := TopKInto(nil, nil, v, k)
 	return idx
@@ -119,10 +125,11 @@ func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 	}
 	idx = idx[:0]
 	for n := 0; n < k; n++ {
-		best := math.Inf(-1)
-		bi := -1
+		// The first unused index is the candidate to beat; a later one wins
+		// only by comparing greater, or by being a number against a NaN.
+		bi, best := -1, 0.0
 		for i, x := range v {
-			if !used[i] && x > best {
+			if !used[i] && (bi < 0 || x > best || (best != best && x == x)) {
 				best, bi = x, i
 			}
 		}
