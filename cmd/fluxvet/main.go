@@ -7,12 +7,10 @@
 //	fluxvet -json ./...            # machine-readable findings
 //	fluxvet -list                  # describe the analyzers
 //
-// Analysis is interprocedural: requested packages are checked together with
-// their module-local dependencies, in dependency order, so cross-package
-// contracts (hot-path allocation reachability, transitive wall-clock and
-// global-rand taint) hold across the whole tree. Test files are analyzed by
-// default — the determinism contract covers the suite too — and can be
-// excluded with -tests=false.
+// Only the requested packages are analyzed; their dependencies are
+// type-checked but not linted. Test files are analyzed by default — the
+// determinism contract covers the suite too — and can be excluded with
+// -tests=false.
 //
 // It exits non-zero if any finding survives suppression filtering, so CI
 // can enforce a clean tree. Run it from inside the module to check (it also
@@ -90,7 +88,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := loader.Analyze(pkgs, suite)
+	findings, err := analysis.AnalyzePackages(pkgs, suite)
 	if err != nil {
 		fatal(err)
 	}

@@ -54,16 +54,15 @@
 // scores, expert hidden states, softmax scratch). A workspace is created
 // once per worker, grows to the model's shapes on first use, and is reused
 // for every subsequent sequence, so steady-state training performs zero
-// heap allocations. That contract is pinned three ways: dynamically by
-// AllocsPerRun tests and the CI allocation guard (cmd/benchguard over the
-// committed bench/BENCH_round.json snapshot), and statically by fluxvet's
-// hotalloc analyzer — the workspace entry points carry //fluxvet:hotpath
-// annotations, and any allocating construct reachable from one (through
-// the whole module's call graph) fails the lint before it ever reaches a
-// benchmark. Workspaces are single-goroutine state: never share one across
-// workers, and never hold references into a workspace across a pass that
-// reuses it — the wsalias analyzer rejects code that stores a
-// workspace-returned *tensor.Matrix anywhere that outlives the call. All
+// heap allocations. That contract is pinned at run time, by AllocsPerRun
+// tests on every workspace entry point (TestForwardBackwardZeroAllocs,
+// TestDecodeZeroAllocs, TestAxpyKernelsZeroAllocs; each entry point's doc
+// comment names its pin) and by the CI allocation guard (cmd/benchguard
+// over the committed bench/BENCH_round.json snapshot). Workspaces are
+// single-goroutine state: never share one across workers, and never hold
+// references into a workspace across a pass that reuses it — a
+// workspace-returned *tensor.Matrix is valid only until the workspace is
+// next used, which the prefix-cache bit-identity tests pin. All
 // workspace-backed kernels preserve the reference implementations'
 // floating-point accumulation order exactly, so the fast path is
 // bit-identical to the naive one — see README "Performance". The workspace
@@ -118,26 +117,23 @@
 // bit-identical async curves at any worker count, and the TCP transport
 // rejects active aggregation specs (its wire protocol is synchronous).
 //
-// The determinism contract is enforced statically. cmd/fluxvet (backed by
-// internal/analysis, dependency-free) lints the tree in CI — test files
-// included — with seven analyzers: maporder (no map-order iteration into
-// results), wallclock (no time.Now/Since/Sleep in simulation code —
-// simulated time flows through internal/simtime), globalrand (no
-// process-global or wall-clock-seeded math/rand; split streams from the
-// experiment seed), strictdecode (config JSON must be decoded with
-// DisallowUnknownFields, as LoadScenario does), sharedwrite
-// (ForEachOf/ForEachCohort callbacks write only participant-indexed
-// state), hotalloc (no allocating constructs reachable from a
-// //fluxvet:hotpath root), and wsalias (no retaining workspace-returned
-// *tensor.Matrix values). wallclock and globalrand are transitive: the
-// analysis loads requested packages with their module-local dependencies
-// in dependency order, exports per-function facts, and propagates them
-// over the static call graph, so a wrapper around time.Now is flagged at
-// every engine-side call site. Deliberate exceptions are annotated in
-// source with //fluxvet:unordered <reason> or
-// //fluxvet:allow <analyzer> <reason>; an empty reason or a stale
-// suppression is itself a finding. Run it locally with
-// `go run ./cmd/fluxvet ./...`; see README "Determinism contract".
+// The determinism contract is pinned at run time by the goldens,
+// serial ≡ parallel and in-process ≡ TCP bit equality, and enforced
+// statically where no runtime test can see a violation. cmd/fluxvet
+// (backed by internal/analysis, dependency-free) lints the tree in CI —
+// test files included — with five analyzers: maporder (no map-order
+// iteration into results), wallclock (no time.Now/Since/Sleep in
+// simulation code — simulated time flows through internal/simtime),
+// globalrand (no process-global or wall-clock-seeded math/rand; split
+// streams from the experiment seed), strictdecode (config JSON must be
+// decoded with DisallowUnknownFields, as LoadScenario does), and
+// sharedwrite (ForEachOf/ForEachCohort callbacks write only
+// participant-indexed state). Each flags the offending site itself.
+// Deliberate exceptions are annotated in source with
+// //fluxvet:unordered <reason> or //fluxvet:allow <analyzer> <reason>; an
+// empty reason, an unknown analyzer name or a stale suppression is itself
+// a finding. Run it locally with `go run ./cmd/fluxvet ./...`; see README
+// "Determinism contract".
 //
 // Observability is deterministic too. Three sinks hang off the round loop:
 // WithTrace streams a Chrome trace-event timeline over simulated time (round

@@ -1,24 +1,19 @@
 // Package analysis is fluxvet's analyzer suite: static checks that enforce
-// this repository's determinism contract (serial ≡ parallel bit-equality,
-// sorted map iteration, pre-split RNG streams, simulated time only, strict
-// scenario decoding) and its hot-path performance contract (zero-alloc
-// forward/backward, no retained workspace aliases) at compile time instead
-// of post hoc via golden tests and benchmarks.
+// the parts of this repository's determinism contract that no runtime test
+// can pin down — sorted map iteration, simulated time only, pre-split RNG
+// streams, strict config decoding, and disjoint writes in parallel
+// participant bodies. The rest of the contract is pinned at run time:
+// goldens on the default and purego builds, serial ≡ parallel and
+// in-process ≡ TCP bit equality, and AllocsPerRun guards on every
+// workspace entry point.
 //
-// The framework deliberately mirrors the golang.org/x/tools/go/analysis API
-// shape (Analyzer, Pass, Diagnostic, Facts) so each checker reads like a
-// standard go/analysis analyzer, but it is self-contained on the standard
-// library: this module carries no external dependencies, and the loader in
-// loader.go type-checks packages with go/build + go/types directly.
-//
-// Analysis is interprocedural: the runner (runner.go) visits packages in
-// dependency order, lets each per-package pass export Facts about the
-// functions it declares (facts.go), builds a static call graph over the
-// whole analyzed set (callgraph.go), and then runs each analyzer's optional
-// module pass, which sees every package, every fact, and the graph at once.
-// That is what lets hotalloc trace reachability from //fluxvet:hotpath
-// roots across packages, and wallclock/globalrand taint callers of wrappers
-// declared elsewhere.
+// The framework mirrors the golang.org/x/tools/go/analysis API shape
+// (Analyzer, Pass, Diagnostic) so each checker reads like a standard
+// go/analysis analyzer, but it is self-contained on the standard library:
+// this module carries no external dependencies, and the loader in
+// loader.go type-checks packages with go/build + go/types directly. Every
+// analyzer is intraprocedural and sees one requested package at a time;
+// dependencies are type-checked but not analyzed.
 //
 // # Suppressions
 //
@@ -31,19 +26,9 @@
 // A suppression comment placed before the package clause suppresses the
 // named analyzer for the whole file (used by real-time test harnesses such
 // as fluxtest). The <reason> is mandatory — a suppression without a written
-// justification is itself reported — and a suppression that matches no
-// finding of an analyzer in the running suite is reported as stale.
-// For hotalloc, an allow on a call-site line additionally prunes the call
-// edge out of hot-path reachability (the cold-branch escape hatch), and
-// allows outside hot-reachable code are exempt from staleness so that
-// package-subset runs do not misreport them.
-//
-// A third directive declares hot-path roots rather than suppressing
-// anything:
-//
-//	//fluxvet:hotpath <reason>
-//
-// placed in a function's doc comment; see the hotalloc analyzer.
+// justification is itself reported — and so is an allow naming an analyzer
+// the suite does not have. A suppression that matches no finding of an
+// analyzer in the running suite is reported as stale.
 package analysis
 
 import (
@@ -63,12 +48,8 @@ type Analyzer struct {
 	// summary, the rest elaborates the contract it enforces.
 	Doc string
 	// Run applies the analyzer to one package, reporting findings through
-	// pass.Reportf and exporting facts about declared functions through
-	// pass.ExportFact. Packages are visited in dependency order.
+	// pass.Reportf.
 	Run func(*Pass) error
-	// RunModule, if set, runs once after every per-package pass, with the
-	// whole analyzed package set, the call graph, and all exported facts.
-	RunModule func(*ModulePass) error
 }
 
 // A Pass connects an Analyzer to one type-checked package.
@@ -79,86 +60,16 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	pkg *Package
 	run *runner
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.run.report(p.pkg, Diagnostic{
+	p.run.diags = append(p.run.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ExportFact records a fact about fn, visible to later-analyzed packages
-// and to this analyzer's module pass. Facts are namespaced per analyzer.
-func (p *Pass) ExportFact(fn *types.Func, f Fact) {
-	p.run.facts.export(p.Analyzer.Name, KeyOf(fn), f)
-}
-
-// SuppressedAt reports whether a finding by this analyzer at pos would be
-// silenced by a //fluxvet: suppression, without consuming the suppression.
-// Per-package passes use it to decide whether a flagged site should also
-// taint its enclosing function: a site the author has justified must not
-// propagate to callers.
-func (p *Pass) SuppressedAt(pos token.Pos) bool {
-	_, ok := p.run.findSuppression(p.Analyzer.Name, pos, false)
-	return ok
-}
-
-// A ModulePass connects an Analyzer's module pass to the whole analyzed set.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Packages is the analyzed set in dependency order: every requested
-	// package plus its module-local transitive dependencies.
-	Packages []*Package
-	// Graph is the static call graph over Packages.
-	Graph *CallGraph
-
-	run *runner
-}
-
-// Reportf records a module-level finding at pos. Unlike per-package
-// findings, module findings are kept even when pos falls in a package that
-// was analyzed only as a dependency — a hot-path violation two packages
-// away is still the requested package's problem.
-func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	mp.run.report(nil, Diagnostic{
-		Pos:      pos,
-		Analyzer: mp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Fact retrieves a fact exported by this analyzer's per-package passes.
-func (mp *ModulePass) Fact(key FuncKey) (Fact, bool) {
-	return mp.run.facts.get(mp.Analyzer.Name, key)
-}
-
-// FactKeys returns the sorted keys of every fact this analyzer exported.
-func (mp *ModulePass) FactKeys() []FuncKey {
-	return mp.run.facts.keys(mp.Analyzer.Name)
-}
-
-// Suppressed reports whether a //fluxvet:allow for this analyzer covers
-// pos, consuming (marking used) every matching suppression. Module passes
-// call it on call-graph edges to let an allow prune traversal — the
-// suppression is "used" by stopping the walk, even though no diagnostic is
-// ever filed there.
-func (mp *ModulePass) Suppressed(pos token.Pos) bool {
-	_, ok := mp.run.findSuppression(mp.Analyzer.Name, pos, true)
-	return ok
-}
-
-// ExemptStale registers a predicate for this analyzer's suppressions:
-// where pred returns true, an unused suppression is not reported as stale.
-// hotalloc uses it to keep allows on cold branches quiet when a package
-// subset run never reaches them from any hot root.
-func (mp *ModulePass) ExemptStale(pred func(pos token.Pos) bool) {
-	mp.run.staleExempt[mp.Analyzer.Name] = pred
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that produced it.
@@ -199,7 +110,6 @@ type suppression struct {
 const (
 	allowPrefix     = "//fluxvet:allow"
 	unorderedPrefix = "//fluxvet:unordered"
-	hotpathPrefix   = "//fluxvet:hotpath"
 	directivePrefix = "//fluxvet:"
 )
 
@@ -212,7 +122,7 @@ func parseSuppressions(fset *token.FileSet, f *ast.File) []*suppression {
 		for _, c := range cg.List {
 			s := parseSuppression(c.Text)
 			if s == nil {
-				if !strings.HasPrefix(c.Text, directivePrefix) || isHotpathDirective(c.Text) {
+				if !strings.HasPrefix(c.Text, directivePrefix) {
 					continue
 				}
 				s = &suppression{unknown: true}
@@ -256,25 +166,6 @@ func parseSuppression(text string) *suppression {
 	return nil
 }
 
-// isHotpathDirective reports whether text is a //fluxvet:hotpath directive
-// (well-formed or not). Hotpath directives are not suppressions — the
-// hotalloc analyzer parses and validates them at the declaring function.
-func isHotpathDirective(text string) bool {
-	rest, ok := strings.CutPrefix(text, hotpathPrefix)
-	return ok && (rest == "" || strings.HasPrefix(rest, " "))
-}
-
-// hotpathReason extracts the reason from a //fluxvet:hotpath directive.
-func hotpathReason(text string) string {
-	return strings.TrimSpace(strings.TrimPrefix(text, hotpathPrefix))
-}
-
-// funcForDecl returns the *types.Func defined by fd, or nil.
-func funcForDecl(info *types.Info, fd *ast.FuncDecl) *types.Func {
-	fn, _ := info.Defs[fd.Name].(*types.Func)
-	return fn
-}
-
 // All returns the full fluxvet suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -283,7 +174,5 @@ func All() []*Analyzer {
 		GlobalRand,
 		StrictDecode,
 		SharedWrite,
-		HotAlloc,
-		WSAlias,
 	}
 }

@@ -79,10 +79,8 @@ func Run(t *testing.T, dir, asPath string, a *analysis.Analyzer) {
 // RunDir loads the fixture module rooted at dir — the directory must hold
 // its own go.mod — analyzes every package under it with the given analyzer
 // set, and compares the unsuppressed findings against the `// want`
-// comments of every fixture file. Unlike Run, this exercises the full
-// cross-package pipeline: dependency-ordered package iteration, fact
-// export/import, and the module call graph, so fixtures can plant a
-// violation several packages away from the contract that forbids it. With
+// comments of every fixture file. Unlike Run, this goes through pattern
+// expansion and the fixture's own module path, as fluxvet does. With
 // includeTests, _test.go files are loaded and their want comments counted.
 func RunDir(t *testing.T, dir string, includeTests bool, analyzers []*analysis.Analyzer) {
 	t.Helper()
@@ -95,7 +93,7 @@ func RunDir(t *testing.T, dir string, includeTests bool, analyzers []*analysis.A
 	if err != nil {
 		t.Fatalf("loading fixture module %s: %v", dir, err)
 	}
-	findings, err := loader.Analyze(pkgs, analyzers)
+	findings, err := analysis.AnalyzePackages(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("analyzing fixture module %s: %v", dir, err)
 	}

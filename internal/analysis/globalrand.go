@@ -14,20 +14,17 @@ import (
 // using one anywhere silently couples unrelated draws and breaks
 // bit-reproducibility.
 //
-// The check is transitive: a function that draws from the global stream —
-// or reads a package-level *rand.Rand, which is the same mistake spelled
-// differently — taints every caller through the call graph, so a wrapper in
-// another package is flagged at each call site.
+// Reading a package-level *rand.Rand is the same mistake spelled
+// differently and is flagged at every use.
 //
 // Constructing an explicitly seeded source is fine (rand.New,
 // rand.NewSource, rand.NewZipf, and the v2 NewPCG/NewChaCha8) — unless the
 // seed expression itself reads the wall clock, which just launders
 // nondeterminism through a constructor.
 var GlobalRand = &Analyzer{
-	Name:      "globalrand",
-	Doc:       "forbids top-level math/rand functions, package-level rand sources, and wall-clock seeding, transitively through the call graph; randomness must derive from the experiment seed",
-	Run:       runGlobalRand,
-	RunModule: runGlobalRandModule,
+	Name: "globalrand",
+	Doc:  "forbids top-level math/rand functions, package-level rand sources, and wall-clock seeding; randomness must derive from the experiment seed",
+	Run:  runGlobalRand,
 }
 
 // randConstructors build sources/generators from an explicit seed and are
@@ -54,88 +51,68 @@ func runGlobalRand(pass *Pass) error {
 
 	for _, f := range pass.Files {
 		callFun := markCallFuns(f)
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			var enclosing *types.Func
-			if isFunc {
-				enclosing = funcForDecl(pass.TypesInfo, fd)
-			}
-			taint := func(pos ast.Node, what string) {
-				if enclosing != nil && !pass.SuppressedAt(pos.Pos()) {
-					pass.ExportFact(enclosing, &taintFact{Origin: pos.Pos(), What: what})
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				// Constructor calls are allowed, but not with a seed
+				// expression that reads the wall clock.
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
 				}
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					// Constructor calls are allowed, but not with a seed
-					// expression that reads the wall clock.
-					sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-					if !ok || fn.Pkg() == nil || !randConstructors[fn.Name()] {
-						return true
-					}
-					if pkg := fn.Pkg().Path(); pkg != "math/rand" && pkg != "math/rand/v2" {
-						return true
-					}
-					if arg := wallClockSeed(pass, n); arg != nil {
-						pass.Reportf(arg.Pos(),
-							"%s.%s seeded from the wall clock; derive the seed from the experiment configuration instead", fn.Pkg().Path(), fn.Name())
-					}
-				case *ast.Ident:
-					// Use of a package-level rand source, ours or another
-					// package's (then reached through a SelectorExpr whose
-					// Sel is this ident).
-					v, ok := pass.TypesInfo.Uses[n].(*types.Var)
-					if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || !isRandSourceType(v.Type()) {
-						return true
-					}
+				fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || !randConstructors[fn.Name()] {
+					return true
+				}
+				if pkg := fn.Pkg().Path(); pkg != "math/rand" && pkg != "math/rand/v2" {
+					return true
+				}
+				if arg := wallClockSeed(pass, n); arg != nil {
+					pass.Reportf(arg.Pos(),
+						"%s.%s seeded from the wall clock; derive the seed from the experiment configuration instead", fn.Pkg().Path(), fn.Name())
+				}
+			case *ast.Ident:
+				// Use of a package-level rand source, ours or another
+				// package's (then reached through a SelectorExpr whose
+				// Sel is this ident).
+				v, ok := pass.TypesInfo.Uses[n].(*types.Var)
+				if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || !isRandSourceType(v.Type()) {
+					return true
+				}
+				pass.Reportf(n.Pos(),
+					"use of package-level math/rand source %q; draws must come from a stream split from the experiment seed", v.Name())
+			case *ast.SelectorExpr:
+				obj := pass.TypesInfo.Uses[n.Sel]
+				if obj == nil || obj.Pkg() == nil {
+					return true
+				}
+				pkg := obj.Pkg().Path()
+				if pkg != "math/rand" && pkg != "math/rand/v2" {
+					return true
+				}
+				fn, isFn := obj.(*types.Func)
+				if !isFn {
+					return true
+				}
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+					return true // method on an explicit *rand.Rand — the approved shape
+				}
+				name := fn.Name()
+				if randConstructors[name] {
+					return true // seed checked at the CallExpr node
+				}
+				if callFun[n] {
 					pass.Reportf(n.Pos(),
-						"use of package-level math/rand source %q; draws must come from a stream split from the experiment seed", v.Name())
-					taint(n, "package-level source "+v.Name())
-				case *ast.SelectorExpr:
-					obj := pass.TypesInfo.Uses[n.Sel]
-					if obj == nil || obj.Pkg() == nil {
-						return true
-					}
-					pkg := obj.Pkg().Path()
-					if pkg != "math/rand" && pkg != "math/rand/v2" {
-						return true
-					}
-					fn, isFn := obj.(*types.Func)
-					if !isFn {
-						return true
-					}
-					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-						return true // method on an explicit *rand.Rand — the approved shape
-					}
-					name := fn.Name()
-					if randConstructors[name] {
-						return true // seed checked at the CallExpr node
-					}
-					if callFun[n] {
-						pass.Reportf(n.Pos(),
-							"%s.%s draws from the process-global source; split a stream from the experiment seed instead (tensor.RNG)", pkg, name)
-					} else {
-						pass.Reportf(n.Pos(),
-							"%s.%s captured as a value draws from the process-global source at every call; split a stream from the experiment seed instead", pkg, name)
-					}
-					taint(n, pkg+"."+name)
+						"%s.%s draws from the process-global source; split a stream from the experiment seed instead (tensor.RNG)", pkg, name)
+				} else {
+					pass.Reportf(n.Pos(),
+						"%s.%s captured as a value draws from the process-global source at every call; split a stream from the experiment seed instead", pkg, name)
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-func runGlobalRandModule(mp *ModulePass) error {
-	return runTaintModule(mp,
-		"draws from the process-global math/rand source",
-		"split a stream from the experiment seed instead (tensor.RNG)", false)
 }
 
 // isRandSourceType reports whether t is (a pointer to) one of math/rand's
@@ -172,8 +149,7 @@ func wallClockSeed(pass *Pass, call *ast.CallExpr) ast.Expr {
 			if !ok {
 				return true
 			}
-			obj := pass.TypesInfo.Uses[sel.Sel]
-			if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" && wallClockFuncs[obj.Name()] {
+			if isWallClockFunc(pass.TypesInfo.Uses[sel.Sel]) {
 				found = true
 				return false
 			}

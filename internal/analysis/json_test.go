@@ -13,18 +13,16 @@ import (
 // finding — suppressed ones included, with their written reason — with
 // fixture-relative file paths.
 func TestJSONReport(t *testing.T) {
-	dir := analysistest.Fixture(t, "wsalias")
+	dir := analysistest.Fixture(t, "wallclock")
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(dir, "repro/internal/wsalias")
+	pkg, err := loader.LoadDir(dir, "repro/internal/fed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.AnalyzePackages(
-		[]*analysis.Package{pkg}, []*analysis.Package{pkg},
-		[]*analysis.Analyzer{analysis.WSAlias})
+	findings, err := analysis.AnalyzePackages([]*analysis.Package{pkg}, []*analysis.Analyzer{analysis.WallClock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +40,13 @@ func TestJSONReport(t *testing.T) {
 	}
 	var sawSuppressed, sawOpen bool
 	for _, f := range got {
-		if f.File != "wsalias.go" {
+		if f.File != "wallclock.go" {
 			t.Errorf("file %q not relative to the fixture dir", f.File)
 		}
 		if f.Line <= 0 || f.Col <= 0 {
 			t.Errorf("finding missing position: %+v", f)
 		}
-		if f.Analyzer != "wsalias" {
+		if f.Analyzer != "wallclock" {
 			t.Errorf("unexpected analyzer %q", f.Analyzer)
 		}
 		if f.Message == "" {
@@ -56,7 +54,7 @@ func TestJSONReport(t *testing.T) {
 		}
 		if f.Suppressed {
 			sawSuppressed = true
-			if !strings.Contains(f.Reason, "never reused") {
+			if !strings.Contains(f.Reason, "real socket read deadline") {
 				t.Errorf("suppressed finding lost its written reason: %+v", f)
 			}
 		} else {

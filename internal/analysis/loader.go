@@ -22,12 +22,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// forTest marks a test view: either the package re-checked with its
-	// in-package _test.go files merged in, or an external _test package
-	// (Path then carries a "_test" suffix). Importers always resolve to the
-	// pure view; test views exist only to be analyzed.
-	forTest bool
 }
 
 // A Loader type-checks packages from source using only the standard
@@ -46,12 +40,11 @@ type Loader struct {
 	// first LoadPatterns call.
 	IncludeTests bool
 
-	fset      *token.FileSet
-	ctx       build.Context
-	modules   []moduleRoot // sorted longest-path-first
-	cache     map[string]*Package
-	testViews map[string]*Package // keyed by Package.Path of the view
-	loading   map[string]bool
+	fset    *token.FileSet
+	ctx     build.Context
+	modules []moduleRoot // sorted longest-path-first
+	cache   map[string]*Package
+	loading map[string]bool
 }
 
 type moduleRoot struct {
@@ -72,12 +65,11 @@ func NewLoader(dir string) (*Loader, error) {
 	ctx := build.Default
 	ctx.CgoEnabled = false // keep every file list pure Go; analyzers never need cgo views
 	return &Loader{
-		fset:      token.NewFileSet(),
-		ctx:       ctx,
-		modules:   mods,
-		cache:     make(map[string]*Package),
-		testViews: make(map[string]*Package),
-		loading:   make(map[string]bool),
+		fset:    token.NewFileSet(),
+		ctx:     ctx,
+		modules: mods,
+		cache:   make(map[string]*Package),
+		loading: make(map[string]bool),
 	}, nil
 }
 
@@ -208,9 +200,10 @@ func (l *Loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pac
 }
 
 // loadDir parses and type-checks the package in dir under import path
-// asPath, memoized by path. Detailed type information (ast.File list,
-// types.Info) is retained for every loaded package; analyzers only see the
-// ones the caller asks for.
+// asPath, memoized by path. Module packages keep their comments and full
+// types.Info, since any of them may be analyzed. Standard-library packages
+// are only ever imported, so they are checked for their declarations alone:
+// no comments, no function bodies, no types.Info.
 func (l *Loader) loadDir(dir, asPath string) (*Package, error) {
 	if pkg, ok := l.cache[asPath]; ok {
 		return pkg, nil
@@ -225,11 +218,12 @@ func (l *Loader) loadDir(dir, asPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("listing %s: %w", dir, err)
 	}
-	files, err := l.parseFiles(dir, bp.GoFiles)
+	_, local := l.moduleDir(asPath)
+	files, err := l.parseFiles(dir, bp.GoFiles, local)
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := l.checkFiles(dir, asPath, files)
+	pkg, err := l.checkFiles(dir, asPath, files, local)
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +231,16 @@ func (l *Loader) loadDir(dir, asPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseFiles parses the named files of dir into the shared file set.
-func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
+// parseFiles parses the named files of dir into the shared file set, with
+// comments when full is set.
+func (l *Loader) parseFiles(dir string, names []string, full bool) ([]*ast.File, error) {
+	mode := parser.SkipObjectResolution
+	if full {
+		mode |= parser.ParseComments
+	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -250,19 +249,24 @@ func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// checkFiles type-checks a file list as the package asPath.
-func (l *Loader) checkFiles(dir, asPath string, files []*ast.File) (*Package, error) {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+// checkFiles type-checks a file list as the package asPath: fully, with
+// types.Info, when full is set, and otherwise its declarations alone.
+func (l *Loader) checkFiles(dir, asPath string, files []*ast.File, full bool) (*Package, error) {
+	var info *types.Info
+	if full {
+		info = &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Scopes:     make(map[ast.Node]*types.Scope),
+		}
 	}
 	var firstErr error
 	conf := types.Config{
-		Importer: l,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+		Importer:         l,
+		Sizes:            types.SizesFor("gc", runtime.GOARCH),
+		IgnoreFuncBodies: !full,
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
@@ -357,68 +361,31 @@ func (l *Loader) LoadPatterns(dir string, patterns ...string) ([]*Package, error
 // external test package, checked as path+"_test". Either may be nil when
 // the package has no test files of that kind.
 func (l *Loader) loadTestViews(dir, path string, pure *Package) (merged, xtest *Package, err error) {
-	if tv, ok := l.testViews[path]; ok {
-		return tv, l.testViews[path+"_test"], nil
-	}
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("listing %s: %w", dir, err)
 	}
 	if len(bp.TestGoFiles) > 0 {
-		testFiles, err := l.parseFiles(dir, bp.TestGoFiles)
+		testFiles, err := l.parseFiles(dir, bp.TestGoFiles, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		merged, err = l.checkFiles(dir, path, append(append([]*ast.File(nil), pure.Files...), testFiles...))
+		merged, err = l.checkFiles(dir, path, append(append([]*ast.File(nil), pure.Files...), testFiles...), true)
 		if err != nil {
 			return nil, nil, err
 		}
-		merged.forTest = true
-		l.testViews[path] = merged
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		xtestFiles, err := l.parseFiles(dir, bp.XTestGoFiles)
+		xtestFiles, err := l.parseFiles(dir, bp.XTestGoFiles, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		xtest, err = l.checkFiles(dir, path+"_test", xtestFiles)
+		xtest, err = l.checkFiles(dir, path+"_test", xtestFiles, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		xtest.forTest = true
-		l.testViews[path+"_test"] = xtest
 	}
 	return merged, xtest, nil
-}
-
-// LocalPackages returns every loaded package that belongs to a known module
-// (i.e. everything except the std closure), with pure views replaced by
-// their test-augmented views where those exist, sorted by import path. This
-// is the analysis set: requested packages plus the module-local
-// dependencies they pulled in.
-func (l *Loader) LocalPackages() []*Package {
-	var out []*Package
-	//fluxvet:unordered packages are collected then sorted before use
-	for path, p := range l.cache {
-		if _, ok := l.moduleDir(path); !ok {
-			continue
-		}
-		if tv := l.testViews[path]; tv != nil {
-			continue // the test view below supersedes the pure view
-		}
-		out = append(out, p)
-	}
-	for _, p := range l.testViews {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Analyze runs analyzers over every loaded module-local package, reporting
-// per-package findings only for the requested ones. See AnalyzePackages.
-func (l *Loader) Analyze(requested []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return AnalyzePackages(l.LocalPackages(), requested, analyzers)
 }
 
 // walkPackages finds every package directory under root, skipping the

@@ -9,110 +9,58 @@ import (
 	"strings"
 )
 
-// runner holds the shared state of one analysis run: the dependency-ordered
-// package set, the call graph, the fact store, every parsed suppression,
-// and the raw diagnostics as passes report them.
+// runner holds the shared state of one analysis run: every parsed
+// suppression and the raw diagnostics as passes report them.
 type runner struct {
-	fset        *token.FileSet
-	pkgs        []*Package // analysis set, dependency order
-	requested   map[*Package]bool
-	graph       *CallGraph
-	facts       *factStore
-	supsByFile  map[string][]*suppression
-	supOrder    []*suppression      // parse order, for deterministic health reports
-	fileOwner   map[string]*Package // filename -> analyzed package owning it
-	diags       []taggedDiag
-	staleExempt map[string]func(pos token.Pos) bool
+	supsByFile map[string][]*suppression
+	diags      []Diagnostic
 }
 
-// taggedDiag remembers which package's per-package pass reported a
-// diagnostic; module-pass diagnostics carry a nil package and are always
-// kept.
-type taggedDiag struct {
-	d   Diagnostic
-	pkg *Package
-}
-
-func (r *runner) report(pkg *Package, d Diagnostic) {
-	r.diags = append(r.diags, taggedDiag{d: d, pkg: pkg})
-}
-
-// findSuppression looks for a suppression of analyzer covering pos
-// (file-wide, same line, or the line above). With consume, every matching
-// suppression is marked used — duplicates included, so a file-wide allow
-// plus a same-line allow both count as exercised. The first match's
-// suppression is returned.
-func (r *runner) findSuppression(analyzer string, pos token.Pos, consume bool) (*suppression, bool) {
-	p := r.fset.Position(pos)
+// suppress looks for suppressions of d's analyzer covering its position
+// (file-wide, same line, or the line above) and marks every match used —
+// duplicates included, so a file-wide allow plus a same-line allow both
+// count as exercised. The first match is returned.
+func (r *runner) suppress(fset *token.FileSet, d Diagnostic) *suppression {
+	p := fset.Position(d.Pos)
 	var first *suppression
 	for _, s := range r.supsByFile[p.Filename] {
-		if s.analyzer != analyzer {
-			continue
-		}
-		if s.fileWide || s.line == p.Line || s.line == p.Line-1 {
+		if s.analyzer == d.Analyzer && (s.fileWide || s.line == p.Line || s.line == p.Line-1) {
 			if first == nil {
 				first = s
-			}
-			if !consume {
-				return first, true
 			}
 			s.used = true
 		}
 	}
-	return first, first != nil
+	return first
 }
 
-// AnalyzePackages runs analyzers over the whole set `all` in dependency
-// order, then runs each analyzer's module pass, and returns findings —
-// suppression-filtered, health-checked, and position-sorted. Per-package
-// findings are reported only for `requested` packages (dependencies are
-// analyzed for their facts, not re-linted); module-pass findings are always
-// kept. Suppression health (unknown directives, missing justifications,
-// stale allows) is likewise reported only inside requested packages.
-func AnalyzePackages(all, requested []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	set := dedupPackages(all)
-	if len(set) == 0 {
+// AnalyzePackages runs analyzers over each package and returns findings —
+// suppression-filtered, health-checked, and position-sorted. Suppression
+// health covers unknown directives, missing justifications, allows naming
+// an analyzer the suite does not have, and stale allows of a running
+// analyzer. An allow for a real analyzer that is idle in this run (fluxvet
+// -only) is left alone.
+func AnalyzePackages(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	if len(pkgs) == 0 {
 		return nil, nil
 	}
-	fset := set[0].Fset
-	set = sortByDependencies(set)
-
-	r := &runner{
-		fset:        fset,
-		pkgs:        set,
-		requested:   make(map[*Package]bool, len(requested)),
-		facts:       newFactStore(),
-		supsByFile:  make(map[string][]*suppression),
-		fileOwner:   make(map[string]*Package),
-		staleExempt: make(map[string]func(token.Pos) bool),
-	}
-	for _, p := range requested {
-		r.requested[p] = true
-	}
-	for _, pkg := range set {
+	fset := pkgs[0].Fset
+	r := &runner{supsByFile: make(map[string][]*suppression)}
+	var sups []*suppression // parse order, for deterministic health reports
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			name := fset.Position(f.Pos()).Filename
-			r.fileOwner[name] = pkg
 			for _, s := range parseSuppressions(fset, f) {
 				r.supsByFile[s.file] = append(r.supsByFile[s.file], s)
-				r.supOrder = append(r.supOrder, s)
+				sups = append(sups, s)
 			}
 		}
-	}
-	r.graph = buildCallGraph(set)
-
-	for _, pkg := range set {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				pkg:       pkg,
 				run:       r,
 			}
 			if err := a.Run(pass); err != nil {
@@ -120,67 +68,39 @@ func AnalyzePackages(all, requested []*Package, analyzers []*Analyzer) ([]Findin
 			}
 		}
 	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Packages: set,
-			Graph:    r.graph,
-			run:      r,
-		}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("module pass %s: %w", a.Name, err)
-		}
-	}
 
 	running := make(map[string]bool, len(analyzers))
+	known := make(map[string]bool)
 	for _, a := range analyzers {
 		running[a.Name] = true
+		known[a.Name] = true
+	}
+	for _, a := range All() {
+		known[a.Name] = true
 	}
 
 	var findings []Finding
-	for _, td := range r.diags {
-		s, matched := r.findSuppression(td.d.Analyzer, td.d.Pos, true)
-		if td.pkg != nil && !r.requested[td.pkg] {
-			continue
-		}
-		f := Finding{Diagnostic: td.d, Suppressed: matched}
-		if matched {
-			f.Reason = s.reason
+	for _, d := range r.diags {
+		f := Finding{Diagnostic: d}
+		if s := r.suppress(fset, d); s != nil {
+			f.Suppressed, f.Reason = true, s.reason
 		}
 		findings = append(findings, f)
 	}
 
-	for _, s := range r.supOrder {
-		owner := r.fileOwner[s.file]
-		if owner == nil || !r.requested[owner] {
-			continue
-		}
+	health := func(s *suppression, msg string) {
+		findings = append(findings, Finding{Diagnostic: Diagnostic{Pos: s.pos, Analyzer: "fluxvet", Message: msg}})
+	}
+	for _, s := range sups {
 		switch {
 		case s.unknown:
-			findings = append(findings, Finding{Diagnostic: Diagnostic{
-				Pos:      s.pos,
-				Analyzer: "fluxvet",
-				Message:  "unknown fluxvet directive (expected //fluxvet:allow, //fluxvet:unordered, or //fluxvet:hotpath)",
-			}})
+			health(s, "unknown fluxvet directive (expected //fluxvet:allow or //fluxvet:unordered)")
 		case s.analyzer == "" || s.reason == "":
-			findings = append(findings, Finding{Diagnostic: Diagnostic{
-				Pos:      s.pos,
-				Analyzer: "fluxvet",
-				Message:  "suppression needs an analyzer name and a written justification: //fluxvet:allow <analyzer> <reason> (or //fluxvet:unordered <reason>)",
-			}})
+			health(s, "suppression needs an analyzer name and a written justification: //fluxvet:allow <analyzer> <reason> (or //fluxvet:unordered <reason>)")
+		case !known[s.analyzer]:
+			health(s, fmt.Sprintf("suppression names unknown analyzer %q (fluxvet -list shows the suite)", s.analyzer))
 		case !s.used && running[s.analyzer]:
-			if exempt := r.staleExempt[s.analyzer]; exempt != nil && exempt(s.pos) {
-				continue
-			}
-			findings = append(findings, Finding{Diagnostic: Diagnostic{
-				Pos:      s.pos,
-				Analyzer: "fluxvet",
-				Message:  fmt.Sprintf("stale suppression: no %s finding here to silence", s.analyzer),
-			}})
+			health(s, fmt.Sprintf("stale suppression: no %s finding here to silence", s.analyzer))
 		}
 	}
 
@@ -200,84 +120,10 @@ func AnalyzePackages(all, requested []*Package, analyzers []*Analyzer) ([]Findin
 	return findings, nil
 }
 
-// dedupPackages drops duplicate entries: repeated pointers, and the pure
-// view of a package when a test-augmented view of the same import path is
-// present (the test view contains a superset of the files).
-func dedupPackages(all []*Package) []*Package {
-	hasTestView := make(map[string]bool)
-	for _, p := range all {
-		if p.forTest {
-			hasTestView[p.Path] = true
-		}
-	}
-	var out []*Package
-	seen := make(map[*Package]bool)
-	seenPath := make(map[string]bool)
-	for _, p := range all {
-		if seen[p] || (!p.forTest && hasTestView[p.Path]) {
-			continue
-		}
-		key := p.Path
-		if p.forTest {
-			key += " [tests]"
-		}
-		if seenPath[key] {
-			continue
-		}
-		seen[p] = true
-		seenPath[key] = true
-		out = append(out, p)
-	}
-	return out
-}
-
-// sortByDependencies orders the set so every package follows its in-set
-// dependencies (facts flow bottom-up), deterministically: roots of the DFS
-// are taken in import-path order, as are each package's imports.
-func sortByDependencies(set []*Package) []*Package {
-	byPath := make(map[string]*Package, len(set))
-	for _, p := range set {
-		// A test view shadows the pure view at the same path (dedup already
-		// dropped the pure one from the set).
-		byPath[p.Types.Path()] = p
-	}
-	roots := append([]*Package(nil), set...)
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Path < roots[j].Path })
-
-	var out []*Package
-	visited := make(map[*Package]bool)
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if visited[p] {
-			return
-		}
-		visited[p] = true
-		imps := p.Types.Imports()
-		paths := make([]string, 0, len(imps))
-		for _, imp := range imps {
-			paths = append(paths, imp.Path())
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			if dep, ok := byPath[path]; ok && dep != p {
-				visit(dep)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, p := range roots {
-		visit(p)
-	}
-	return out
-}
-
-// RunPackage applies analyzers to a single package in isolation and returns
-// the unsuppressed diagnostics. It is the single-package view of
-// AnalyzePackages — module passes still run, but only see this one package
-// — kept for fixture tests and callers that do not need cross-package
-// facts.
+// RunPackage applies analyzers to a single package and returns the
+// unsuppressed diagnostics — the view fixture tests compare against.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	findings, err := AnalyzePackages([]*Package{pkg}, []*Package{pkg}, analyzers)
+	findings, err := AnalyzePackages([]*Package{pkg}, analyzers)
 	if err != nil {
 		return nil, err
 	}

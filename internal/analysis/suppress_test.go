@@ -13,7 +13,7 @@ import (
 // //fluxvet:allow comment for an analyzer that is not in the running set
 // must be left alone, not reported as stale. (Running a single analyzer —
 // as these fixture tests do — must not invalidate the tree's suppressions
-// for the other four.)
+// for the rest of the suite.)
 func TestSuppressionForIdleAnalyzerNotStale(t *testing.T) {
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", "wallclock"))
 	if err != nil {
@@ -42,15 +42,16 @@ func TestSuppressionForIdleAnalyzerNotStale(t *testing.T) {
 // TestSuppressEdgeCases runs the full suite over the suppress_edge fixture
 // module: a finding double-covered by a file-wide and a same-line allow
 // marks both as used (neither is stale), unknown and justification-less
-// directives are flagged, and a truly stale allow is reported.
+// directives are flagged, an allow naming an analyzer the suite does not
+// have is flagged, and a truly stale allow is reported.
 func TestSuppressEdgeCases(t *testing.T) {
 	analysistest.RunDir(t, analysistest.Fixture(t, "suppress_edge"), false, analysis.All())
 }
 
 // TestSubsetRunKeepsIdleSuppressions pins `-only` semantics over the same
 // fixture: with only maporder running, the wallclock allows go unused but
-// must not be reported stale, while directive-hygiene findings and the
-// stale maporder allow still fire.
+// must not be reported stale, while directive-hygiene findings (the
+// unknown-analyzer allow included) and the stale maporder allow still fire.
 func TestSubsetRunKeepsIdleSuppressions(t *testing.T) {
 	dir := analysistest.Fixture(t, "suppress_edge")
 	loader, err := analysis.NewLoader(dir)
@@ -61,11 +62,11 @@ func TestSubsetRunKeepsIdleSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := loader.Analyze(pkgs, []*analysis.Analyzer{analysis.MapOrder})
+	findings, err := analysis.AnalyzePackages(pkgs, []*analysis.Analyzer{analysis.MapOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var staleMapOrder, unknown, invalid int
+	var staleMapOrder, unknown, unknownAnalyzer, invalid int
 	for _, f := range findings {
 		msg := f.Message
 		switch {
@@ -75,21 +76,23 @@ func TestSubsetRunKeepsIdleSuppressions(t *testing.T) {
 			staleMapOrder++
 		case strings.Contains(msg, "unknown fluxvet directive"):
 			unknown++
+		case strings.Contains(msg, "names unknown analyzer"):
+			unknownAnalyzer++
 		case strings.Contains(msg, "needs an analyzer name and a written justification"):
 			invalid++
 		default:
 			t.Errorf("unexpected finding: %s", f.Format(loader.Fset()))
 		}
 	}
-	if staleMapOrder != 1 || unknown != 1 || invalid != 1 {
-		t.Fatalf("got stale=%d unknown=%d invalid=%d, want 1 each", staleMapOrder, unknown, invalid)
+	if staleMapOrder != 1 || unknown != 1 || unknownAnalyzer != 1 || invalid != 1 {
+		t.Fatalf("got stale=%d unknown=%d unknownAnalyzer=%d invalid=%d, want 1 each", staleMapOrder, unknown, unknownAnalyzer, invalid)
 	}
 }
 
 // TestAllOrderStable pins the suite listing: names are unique and the
 // order deterministic, since CI output diffs depend on it.
 func TestAllOrderStable(t *testing.T) {
-	want := []string{"maporder", "wallclock", "globalrand", "strictdecode", "sharedwrite", "hotalloc", "wsalias"}
+	want := []string{"maporder", "wallclock", "globalrand", "strictdecode", "sharedwrite"}
 	got := analysis.All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))

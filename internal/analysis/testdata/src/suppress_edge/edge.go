@@ -1,6 +1,7 @@
 // Package edgefix exercises suppression edge cases: duplicate coverage by a
 // file-wide and a same-line allow (both count as used), unknown and
-// justification-less directives, and a stale allow.
+// justification-less directives, an allow naming no analyzer of the suite,
+// and a stale allow.
 //
 //fluxvet:allow wallclock fixture-wide: this file stands in for a real-time harness where wall-clock reads are legitimate
 package edgefix
@@ -16,8 +17,11 @@ func doubleCovered() time.Time {
 
 var _ = doubleCovered
 
-// want `unknown fluxvet directive \(expected //fluxvet:allow, //fluxvet:unordered, or //fluxvet:hotpath\)`
+// want `unknown fluxvet directive \(expected //fluxvet:allow or //fluxvet:unordered\)`
 //fluxvet:nonsense this directive does not exist
+
+// want `suppression names unknown analyzer "walclock"`
+//fluxvet:allow walclock fixture: a typo'd analyzer name silences nothing and must not pass quietly
 
 // want `suppression needs an analyzer name and a written justification`
 //fluxvet:allow maporder

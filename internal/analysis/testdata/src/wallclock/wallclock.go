@@ -29,6 +29,10 @@ func pureConstruction() time.Time {
 	return time.Unix(1700000000, 0) // explicit instant, not the wall clock
 }
 
+func pureComparison(a, b time.Time) bool {
+	return a.After(b) // a method comparing two instants, not time.After
+}
+
 type conn interface{ SetReadDeadline(t time.Time) error }
 
 func justifiedDeadline(c conn) {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // WallClock forbids reading or waiting on the wall clock in simulation and
@@ -11,12 +12,9 @@ import (
 // and seed; a stray time.Now or time.Sleep makes timing (and anything
 // derived from it) differ between runs and machines.
 //
-// The check is transitive: a function whose body reads the wall clock
-// (including capturing time.Now as a value) taints every caller through the
-// call graph, so a wrapper in another package is flagged at each engine-side
-// call site, not just at the wrapper. Justifying the underlying site with
-// //fluxvet:allow stops the taint at its source; an allow on a call line
-// stops it at that edge.
+// The check is per site: a wrapper around time.Now is flagged inside the
+// wrapper, which must then be justified or removed, so callers never need
+// flagging.
 //
 // Command-line packages (…/cmd/…) are exempt — progress reporting on a
 // terminal is I/O surface, not simulation. Real I/O deadlines (socket
@@ -24,10 +22,9 @@ import (
 // bounds are legitimate wall-clock uses; they carry
 // //fluxvet:allow wallclock <reason> justifications.
 var WallClock = &Analyzer{
-	Name:      "wallclock",
-	Doc:       "forbids time.Now/Since/Sleep and friends outside internal/simtime, transitively through the call graph; simulated experiments must not read the wall clock",
-	Run:       runWallClock,
-	RunModule: runWallClockModule,
+	Name: "wallclock",
+	Doc:  "forbids time.Now/Since/Sleep and friends outside internal/simtime; simulated experiments must not read the wall clock",
+	Run:  runWallClock,
 }
 
 // wallClockFuncs are the package time functions that observe or wait on
@@ -51,47 +48,44 @@ func runWallClock(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		callFun := markCallFuns(f)
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			var enclosing *types.Func
-			if isFunc {
-				enclosing = funcForDecl(pass.TypesInfo, fd)
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				obj := pass.TypesInfo.Uses[sel.Sel]
-				if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-					return true
-				}
-				if !wallClockFuncs[obj.Name()] {
-					return true
-				}
-				if callFun[sel] {
-					pass.Reportf(sel.Pos(),
-						"time.%s reads the wall clock; simulated time must flow through internal/simtime (real I/O deadlines: //fluxvet:allow wallclock <reason>)",
-						obj.Name())
-				} else {
-					pass.Reportf(sel.Pos(),
-						"time.%s captured as a value reads the wall clock at every call; simulated time must flow through internal/simtime",
-						obj.Name())
-				}
-				if enclosing != nil && !pass.SuppressedAt(sel.Pos()) {
-					pass.ExportFact(enclosing, &taintFact{Origin: sel.Pos(), What: "time." + obj.Name()})
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			obj := pass.TypesInfo.Uses[sel.Sel]
+			if !isWallClockFunc(obj) {
+				return true
+			}
+			if callFun[sel] {
+				pass.Reportf(sel.Pos(),
+					"time.%s reads the wall clock; simulated time must flow through internal/simtime (real I/O deadlines: //fluxvet:allow wallclock <reason>)",
+					obj.Name())
+			} else {
+				pass.Reportf(sel.Pos(),
+					"time.%s captured as a value reads the wall clock at every call; simulated time must flow through internal/simtime",
+					obj.Name())
+			}
+			return true
+		})
 	}
 	return nil
 }
 
-func runWallClockModule(mp *ModulePass) error {
-	return runTaintModule(mp,
-		"reads the wall clock",
-		"simulated time must flow through internal/simtime", true)
+// isWallClockFunc reports whether obj is one of the package time functions
+// in wallClockFuncs. Methods are excluded: t.After(u) compares two instants
+// and reads no clock.
+func isWallClockFunc(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()] &&
+		fn.Type().(*types.Signature).Recv() == nil
+}
+
+// isCmdPackage reports whether path names a command package, which the
+// wallclock contract exempts (terminal progress reporting is I/O surface,
+// not simulation).
+func isCmdPackage(path string) bool {
+	return strings.HasPrefix(path, "cmd/") || strings.Contains(path, "/cmd/")
 }
 
 // markCallFuns returns the set of expressions occupying a call's function

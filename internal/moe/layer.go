@@ -112,10 +112,10 @@ func (l *Layer) routeToken(probs []float64, ws *Workspace, experts []int, weight
 		if pos >= 0 {
 			weights[pos] += probs[o] / sum
 		} else {
-			experts = append(experts, ei)           //fluxvet:allow hotalloc appends into a workspace-backed slice resliced to length 0; warm capacity covers top-k, so steady state never grows
-			weights = append(weights, probs[o]/sum) //fluxvet:allow hotalloc same workspace-backed slice discipline as experts above
+			experts = append(experts, ei)
+			weights = append(weights, probs[o]/sum)
 		}
-		orig = append(orig, o) //fluxvet:allow hotalloc same workspace-backed slice discipline as experts above
+		orig = append(orig, o)
 	}
 	return experts, weights, orig
 }
@@ -224,7 +224,6 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 		if stats != nil {
 			// Profiling-only branch: training and inference hot loops pass
 			// stats == nil, so recordToken's bookkeeping maps never run there.
-			//fluxvet:allow hotalloc stats is nil on the training/inference hot path; recordToken runs only during the per-round profiling pass
 			stats.recordToken(layerIdx, orig, ws.attnRecv[t], sampleID)
 		}
 	}

@@ -158,7 +158,9 @@ func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from int) *tensor.Ma
 // stop changes. SPSA probing uses this to re-evaluate the loss after
 // perturbing a single expert without recomputing the layers beneath it.
 //
-//fluxvet:hotpath SPSA probe prefix reuse; runs once per cached prefix inside the assignment search inner loop
+// Hot path: SPSA probe prefix reuse, once per cached prefix inside the
+// assignment search inner loop. A warm workspace stays 0 allocs/op, pinned by
+// TestForwardBackwardZeroAllocs.
 func (m *Model) ForwardPrefixWS(ws *Workspace, seq []int, stop int) *tensor.Matrix {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -188,7 +190,9 @@ func (m *Model) LayerInputWS(ws *Workspace, l int) *tensor.Matrix {
 // composition ForwardPrefixWS + LossSuffixWS is bit-identical to LossWS at
 // every split point.
 //
-//fluxvet:hotpath SPSA probe suffix; runs per probe per sequence in the assignment search inner loop
+// Hot path: the SPSA probe suffix, per probe per sequence in the assignment
+// search inner loop. A warm workspace stays 0 allocs/op, pinned by
+// TestForwardBackwardZeroAllocs.
 func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []int, mask []bool) float64 {
 	caches := ws.cachesFor(len(m.Layers))
 	for l := start; l < len(m.Layers); l++ {
@@ -208,7 +212,8 @@ func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []i
 // per-layer caches and pre-head layer-norm state the pass leaves in ws are
 // what lossBackward and OutputEmbedding read.
 //
-//fluxvet:hotpath per-sequence inference; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs)
+// Hot path: per-sequence inference. A warm workspace stays 0 allocs/op,
+// pinned by TestForwardBackwardZeroAllocs.
 func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, sampleID int) *tensor.Matrix {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -226,7 +231,8 @@ func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, samp
 // made *at* position t for token t+1). A nil mask scores all positions; a nil
 // ws allocates a private workspace.
 //
-//fluxvet:hotpath per-sequence eval loss; runs across the eval subset every round
+// Hot path: the per-sequence eval loss, across the eval subset every round. A
+// warm workspace stays 0 allocs/op, pinned by TestForwardBackwardZeroAllocs.
 func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -247,7 +253,9 @@ func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 // the whole pass performs zero heap allocations, and results are
 // bit-identical whether ws is fresh or reused.
 //
-//fluxvet:hotpath steady-state training step; warm workspaces must stay 0 allocs/op (TestForwardBackwardZeroAllocs, benchguard)
+// Hot path: the steady-state training step. A warm workspace stays 0
+// allocs/op, pinned by TestForwardBackwardZeroAllocs and
+// TestFrozenBackwardBitIdentity, and per round by cmd/benchguard.
 func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *Grads, stats *ActivationStats, sampleID int) float64 {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -376,7 +384,8 @@ func crossEntropy(logits *tensor.Matrix, seq []int, mask []bool, dLogits *tensor
 // ws.decLen to re-extend from an earlier position: rows at or beyond decLen
 // are never read before they are rewritten.
 //
-//fluxvet:hotpath incremental decode step of per-round evaluation; a warm workspace must stay 0 allocs/op (TestDecodeZeroAllocs)
+// Hot path: the incremental decode step of per-round evaluation. A warm
+// workspace stays 0 allocs/op, pinned by TestDecodeZeroAllocs.
 func (m *Model) extendWS(ws *Workspace, toks []int) *tensor.Matrix {
 	x := m.embedWS(ws, toks)
 	caches := ws.cachesFor(len(m.Layers))
@@ -420,7 +429,8 @@ func (m *Model) GenerateWS(ws *Workspace, prefix []int, n int) []int {
 // preferred; with an empty prefix an option's first token is unscored but
 // still counts in the mean. A nil ws allocates a private workspace.
 //
-//fluxvet:hotpath multiple-choice scoring of per-round evaluation; a warm workspace must stay 0 allocs/op (TestDecodeZeroAllocs)
+// Hot path: multiple-choice scoring of per-round evaluation. A warm workspace
+// stays 0 allocs/op, pinned by TestDecodeZeroAllocs.
 func (m *Model) ScoreOptionsWS(ws *Workspace, prefix []int, opts [][]int, scores []float64) {
 	if ws == nil {
 		ws = NewWorkspace()

@@ -185,7 +185,6 @@ func NewGrads(m *Model, trainEmbed bool) *Grads {
 
 func (g *Grads) expertGrad(layer, idx int, e *Expert) *ExpertGrad {
 	if g.Experts[layer][idx] == nil {
-		//fluxvet:allow hotalloc lazy one-time init: each touched expert allocates its grad buffer on first use, then the nil check short-circuits for the rest of the run
 		g.Experts[layer][idx] = NewExpertGrad(e)
 	}
 	return g.Experts[layer][idx]

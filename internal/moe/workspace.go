@@ -76,15 +76,12 @@ type Workspace struct {
 
 // NewWorkspace returns an empty workspace; buffers are allocated lazily on
 // first use and reused afterwards.
-//
-//fluxvet:allow hotalloc cold-start constructor: hot callers reach it only through their nil-workspace fallback, once per caller lifetime; warm callers pass their own workspace
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // cachesFor returns n per-layer caches, growing the pool while preserving
 // previously allocated cache buffers.
 func (ws *Workspace) cachesFor(n int) []*layerCache {
 	for len(ws.caches) < n {
-		//fluxvet:allow hotalloc pool growth to the layer-count high-water mark; once the pool is full the loop body never executes again
 		ws.caches = append(ws.caches, &layerCache{})
 	}
 	return ws.caches[:n]
@@ -98,7 +95,6 @@ type kvCache struct{ k, v *tensor.Matrix }
 // sequence of up to rows positions.
 func (ws *Workspace) resetDecode(layers, rows, dim int) {
 	for len(ws.kv) < layers {
-		//fluxvet:allow hotalloc pool growth to the layer-count high-water mark; once the pool is full the loop body never executes again
 		ws.kv = append(ws.kv, kvCache{})
 	}
 	for l := range ws.kv[:layers] {
@@ -128,7 +124,6 @@ func (ws *Workspace) Scores(n int) []float64 {
 // capacity suffices. Contents are unspecified; callers fully overwrite.
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		//fluxvet:allow hotalloc grow-on-demand: allocates only until the high-water capacity is reached, then the cap check short-circuits
 		return make([]float64, n)
 	}
 	return s[:n]
@@ -139,7 +134,6 @@ func growFloats(s []float64, n int) []float64 {
 // are preserved for reuse.
 func growOuterInts(s [][]int, n int) [][]int {
 	if cap(s) < n {
-		//fluxvet:allow hotalloc grow-on-demand: allocates only until the high-water capacity is reached, then the cap check short-circuits
 		ns := make([][]int, n)
 		copy(ns, s[:cap(s)])
 		return ns
@@ -150,7 +144,6 @@ func growOuterInts(s [][]int, n int) [][]int {
 // growOuterFloats is growOuterInts for [][]float64.
 func growOuterFloats(s [][]float64, n int) [][]float64 {
 	if cap(s) < n {
-		//fluxvet:allow hotalloc grow-on-demand: allocates only until the high-water capacity is reached, then the cap check short-circuits
 		ns := make([][]float64, n)
 		copy(ns, s[:cap(s)])
 		return ns
@@ -162,7 +155,6 @@ func growOuterFloats(s [][]float64, n int) [][]float64 {
 // buffers.
 func growOuterHidden(s [][][]float64, n int) [][][]float64 {
 	if cap(s) < n {
-		//fluxvet:allow hotalloc grow-on-demand: allocates only until the high-water capacity is reached, then the cap check short-circuits
 		ns := make([][][]float64, n)
 		copy(ns, s[:cap(s)])
 		return ns

@@ -114,9 +114,10 @@ func TestPrefixSuffixBitIdentity(t *testing.T) {
 	}
 }
 
-// TestForwardBackwardZeroAllocs asserts the tentpole contract: with a warm
-// workspace and warm gradient buffers, a full forward/backward pass performs
-// zero heap allocations.
+// TestForwardBackwardZeroAllocs asserts the workspace contract: with a warm
+// workspace and warm gradient buffers, a full forward/backward pass, an
+// inference pass, an eval loss and an SPSA prefix+suffix probe perform zero
+// heap allocations.
 func TestForwardBackwardZeroAllocs(t *testing.T) {
 	m := workspaceTestModel(t)
 	g := tensor.NewRNG(7)
@@ -142,5 +143,16 @@ func TestForwardBackwardZeroAllocs(t *testing.T) {
 		m.ForwardWS(ws, seq, nil, -1)
 	}); n != 0 {
 		t.Fatalf("warm ForwardWS allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		m.LossWS(ws, seq, nil)
+	}); n != 0 {
+		t.Fatalf("warm LossWS allocates %v times per run, want 0", n)
+	}
+	stop := len(m.Layers) / 2
+	if n := testing.AllocsPerRun(10, func() {
+		m.LossSuffixWS(ws, m.ForwardPrefixWS(ws, seq, stop), stop, seq, nil)
+	}); n != 0 {
+		t.Fatalf("warm ForwardPrefixWS+LossSuffixWS allocates %v times per run, want 0", n)
 	}
 }

@@ -36,7 +36,8 @@ package tensor
 // must not overlap x. It is the inner kernel of the weighted expert sum,
 // the trainable experts' weight gradients, MatMulTransAInto and SGD.
 //
-//fluxvet:hotpath innermost vector kernel of expert forward/backward and SGD
+// Hot path: the innermost vector kernel of expert forward/backward and SGD;
+// 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: axpy length mismatch")
@@ -53,7 +54,8 @@ func Axpy(a float64, x, y []float64) {
 // not overlap x or w. It is the inner kernel of MulScratch.MatMulInto, the
 // expert FFN's W1 sweep and attention's value sum.
 //
-//fluxvet:hotpath row-times-matrix kernel of every forward matmul and expert W1 sweep
+// Hot path: the row-times-matrix kernel of every forward matmul and expert W1
+// sweep; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
 func AxpyRows(y, x, w []float64, stride int) {
 	checkRowShape("axpyrows", y, x, w, stride)
 	axpyRows(y, x, w, stride)
@@ -71,7 +73,8 @@ func AxpyRows(y, x, w []float64, stride int) {
 // It is the inner kernel of the expert FFN's W2 sweep, where x is the ReLU
 // output and roughly half its units are closed.
 //
-//fluxvet:hotpath ReLU-sparse W2 sweep of every expert forward
+// Hot path: the ReLU-sparse W2 sweep of every expert forward; 0 allocs/op,
+// pinned by TestAxpyKernelsZeroAllocs.
 func AxpyNonzeroRows(y, x, w []float64, stride int) {
 	checkRowShape("axpynonzerorows", y, x, w, stride)
 	axpyNonzeroRows(y, x, w, stride)
@@ -86,7 +89,8 @@ func AxpyNonzeroRows(y, x, w []float64, stride int) {
 // MatMulTransBInto, attention scores, the expert backward's dh and dx, and
 // PCA's power iteration.
 //
-//fluxvet:hotpath matrix-times-vector kernel of attention scores and every backward dot product
+// Hot path: the matrix-times-vector kernel of attention scores and every
+// backward dot product; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
 func DotRows(y, x, w []float64, stride int) {
 	if stride < len(x) {
 		panic("tensor: dotrows stride shorter than a row")
@@ -105,7 +109,8 @@ func DotRows(y, x, w []float64, stride int) {
 // pre-activation defeats branch prediction. It is the expert FFN's
 // nonlinearity.
 //
-//fluxvet:hotpath ReLU clamp of every expert forward
+// Hot path: the ReLU clamp of every expert forward; 0 allocs/op, pinned by
+// TestAxpyKernelsZeroAllocs.
 func ReLU(y []float64) {
 	relu(y)
 }

@@ -409,6 +409,21 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
+
+	// MatMulInto on a warm scratch, through both the single-block path and
+	// the packed blocked path (b larger than one tile).
+	var ms MulScratch
+	g := NewRNG(5)
+	for _, sh := range [][3]int{{4, 24, 48}, {4, 2 * matmulTileK, matmulTileJ + 16}} {
+		a, b := NewMatrix(sh[0], sh[1]), NewMatrix(sh[1], sh[2])
+		a.RandInit(g, 1)
+		b.RandInit(g, 1)
+		out := NewMatrix(sh[0], sh[2])
+		ms.MatMulInto(out, a, b)
+		if n := testing.AllocsPerRun(100, func() { ms.MatMulInto(out, a, b) }); n != 0 {
+			t.Fatalf("warm MatMulInto %dx%d × %dx%d: %v allocs/op, want 0", sh[0], sh[1], sh[1], sh[2], n)
+		}
+	}
 }
 
 // BenchmarkAxpy runs Axpy at the model's two row lengths (dim 24, ffn 48).

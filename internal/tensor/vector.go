@@ -115,7 +115,6 @@ func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 		return idx[:0], used
 	}
 	if cap(used) < len(v) {
-		//fluxvet:allow hotalloc bitmap grows once to the expert-count high-water mark, then the cap check short-circuits
 		used = make([]bool, len(v))
 	} else {
 		used = used[:len(v)]
@@ -134,7 +133,7 @@ func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 			}
 		}
 		used[bi] = true
-		idx = append(idx, bi) //fluxvet:allow hotalloc appends into the caller's reused index slice resliced to length 0; capacity reaches k after the first call
+		idx = append(idx, bi)
 	}
 	return idx, used
 }
