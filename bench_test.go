@@ -109,13 +109,17 @@ func BenchmarkRound(b *testing.B) {
 		// state, and warmPool then touches every worker's scratch, so
 		// allocs/op is the steady state at any -benchtime instead of that
 		// warm-up amortised over b.N.
-		r.Round(env, 0)
+		if _, err := env.RunRound(r, 0); err != nil {
+			b.Fatal(err)
+		}
 		env.TakeRoundObs()
 		warmPool(b, env)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.Round(env, i+1)
+			if _, err := env.RunRound(r, i+1); err != nil {
+				b.Fatal(err)
+			}
 			env.TakeRoundObs()
 		}
 	}

@@ -13,22 +13,23 @@
 //     assembles an Experiment from composable settings.
 //   - Transports: the same Run(ctx) round loop drives an InProcess
 //     simulation or a real gob/TCP deployment (TCP), and cancelling the
-//     context stops either cleanly. Both reduce a round through
-//     Env.FinishRound — over TCP the validated arrivals become the
-//     SlotResults — so aggregation, traffic totals, the census and the
-//     participant records come from one core; a TCP round has no simulated
+//     context stops either cleanly. Both reduce a round through the one
+//     server core — over TCP the arrivals become the SlotResults, and
+//     both paths meet the same update check — so aggregation, traffic
+//     totals, the census and the participant records come from one core; a TCP round has no simulated
 //     phases, so SimHours stays zero there.
 //   - A method registry: Methods lists the available federated fine-tuning
 //     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more.
 //
 // Both extension points are fully public. A custom method implements
-// Rounder against Env and EngineConfig around one contract — fan the round's
-// cohort out with ForEachCohort, fill one SlotResult per slot (update,
-// modeled traffic, per-phase simulated seconds), and return
-// env.FinishRound(cohort, slots), which owns the server side of the round:
-// straggler deadline, aggregation in whichever mode the run selected,
-// traffic and census accounting, observability records, and the round's
-// phase map — and registers with RegisterMethod; a custom execution
+// Rounder against Env and EngineConfig around one contract — Round(env, r,
+// cohort) prepares the round and returns a Participant function that runs
+// one participant and returns its SlotResult (update, modeled traffic,
+// per-phase simulated seconds) — and registers with RegisterMethod.
+// env.RunRound owns the rest of the round: the cohort, the fan-out,
+// cancellation, the update check, straggler deadline, aggregation in
+// whichever mode the run selected, traffic and census accounting,
+// observability records, and the round's phase map. A custom execution
 // substrate implements Transport. Neither
 // requires code inside this module: examples/external_method is a complete
 // method in its own Go module, and package fluxtest is the conformance
@@ -41,9 +42,10 @@
 // (WithParallelism; the default is GOMAXPROCS) with a strict determinism
 // contract: convergence curves, observed traffic, and simulated phase
 // timings are bit-identical at every worker count. Rounders get the
-// same machinery through ForEachCohort — pre-split env.RNG per participant,
-// write only the slot's own SlotResult, and leave every cross-participant
-// reduction to FinishRound, which folds in cohort order — with per-worker
+// same machinery through RunRound — pre-split env.RNG per participant in
+// Round, have the Participant function write only its own per-participant
+// state, and leave every cross-participant reduction to the server core,
+// which folds in cohort order — with per-worker
 // Scratch buffers (local-model clone, gradient accumulator, update-flatten
 // arena) that persist across rounds to keep the hot path
 // allocation-lean. fluxtest's ParallelDeterminism check enforces the
@@ -102,7 +104,7 @@
 //
 // Server aggregation is a policy, not a barrier. An AggregationSpec
 // (WithAggregation; the "aggregation" scenario field; `fluxsim -agg`)
-// selects among three modes of the one server core (Env.FinishRound):
+// selects among three modes of the one server core (the end of RunRound):
 // "sync" (the default — one barrier per round over the slots that made the
 // deadline, every per-round output pinned by the golden fixtures), "async"
 // (FedBuff-style buffered aggregation: the server flushes every BufferK
@@ -127,8 +129,8 @@
 // globalrand (no process-global or wall-clock-seeded math/rand; split
 // streams from the experiment seed), strictdecode (config JSON must be
 // decoded with DisallowUnknownFields, as LoadScenario does), and
-// sharedwrite (ForEachOf/ForEachCohort callbacks write only
-// participant-indexed state). Each flags the offending site itself.
+// sharedwrite (ForEachOf/ForEachCohort callbacks and Participant function
+// literals write only participant-indexed state). Each flags the offending site itself.
 // Deliberate exceptions are annotated in source with
 // //fluxvet:unordered <reason> or //fluxvet:allow <analyzer> <reason>; an
 // empty reason, an unknown analyzer name or a stale suppression is itself

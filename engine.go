@@ -19,16 +19,15 @@ import (
 // is the same value the built-in methods, both transports, and the
 // experiment harness operate on — no translation layer, no drift.
 //
-// A method implementation has one shape: resolve the round's cohort
-// (env.Cohort), fan it out over the worker pool (ForEachCohort), and in each
-// slot clone the global model into the worker's Scratch, run local SGD over
-// env.Batch(i, r), extract the tuned experts, and fill one SlotResult — the
-// update, its modeled traffic, and the participant's per-phase simulated
-// seconds. Then `return env.FinishRound(cohort, slots)`: the server side of
-// the round (deadline, FedAvg, traffic and census accounting, the round's
-// simulated time, every aggregation mode) is the engine's, not the method's.
-// See examples/external_method for a complete out-of-module method, and
-// package fluxtest for the conformance suite every implementation should
+// A method implementation has one shape: Round prepares the round and returns
+// a Participant function, which clones the global model into the worker's
+// Scratch, runs local SGD over env.Batch(i, r), extracts the tuned experts,
+// and returns one SlotResult — the update, its modeled traffic, and the
+// participant's per-phase simulated seconds. Env.RunRound owns the rest of
+// the round (cohort, fan-out, cancellation, the update check, deadline,
+// FedAvg in every aggregation mode, traffic and census accounting, simulated
+// time). See examples/external_method for a complete out-of-module method,
+// and package fluxtest for the conformance suite every implementation should
 // pass.
 
 // EngineConfig is the engine-level configuration a Rounder constructor
@@ -43,34 +42,37 @@ func DefaultEngineConfig() EngineConfig { return fed.DefaultConfig() }
 
 // Env is a fully materialized federated experiment: the pre-trained global
 // model, per-participant non-IID shards and device profiles, a held-out test
-// set, and the server core. A Rounder reads env.Global during the fan-out
-// and never writes it: env.FinishRound is the model's one writer, and also
-// reports the round's traffic, census, and observability records. Drivers
-// score progress with Evaluate. Build one with NewEnv, or let Experiment.Run
-// build it for you.
+// set, and the server core. A Participant function reads env.Global and
+// never writes it: env.RunRound's server core is the model's one writer, and
+// also reports the round's traffic, census, and observability records.
+// Drivers score progress with Evaluate. Build one with NewEnv, or let
+// Experiment.Run build it for you.
 type Env = fed.Env
 
-// Rounder is a federated fine-tuning method. Round runs round r's cohort
-// and returns env.FinishRound's phase map — the simulated duration of the
-// round broken down by Phase — or nil when ForEachCohort reports
-// cancellation. Implementations must be deterministic in the environment's
-// seed: split env.RNG per participant before the fan-out, and have each
-// slot write only its own SlotResult and per-participant state. The
-// aggregation mode, the straggler deadline, and reduction order are
-// FinishRound's concern, not the method's. Package fluxtest checks these
-// contracts.
+// Rounder is a federated fine-tuning method. Round(env, r, cohort) prepares
+// round r for the cohort env.RunRound resolved and returns the Participant
+// function RunRound runs once per cohort slot. Implementations must be
+// deterministic in the environment's seed: split env.RNG per participant in
+// Round, and have the Participant function write only its own
+// per-participant state. Package fluxtest checks these contracts.
 type Rounder = fed.Rounder
+
+// Participant is one cohort member's round: on its worker's Scratch, for its
+// cohort slot and participant index i, it fine-tunes against the read-only
+// env.Global and returns the slot's SlotResult, whose update must name i.
+// env.RunRound fails the round on a malformed update, before aggregating.
+type Participant = fed.Participant
 
 // Update is one participant's contribution to a round: the flattened
 // parameters of each expert it fine-tuned plus its FedAvg weight.
 type Update = fed.Update
 
-// Scratch is the per-worker reusable memory ForEachCohort hands to a
-// participant body: a persistent local-model clone buffer (LocalClone), a
-// gradient accumulator (Grads), a forward/backward Workspace, and a flatten
-// arena (ExtractUpdate). Buffers persist across rounds of the same
-// environment; an update extracted into the arena is valid through the
-// round's FinishRound and no longer.
+// Scratch is the per-worker reusable memory the pool hands to a Participant
+// function: a persistent local-model clone buffer (LocalClone), a gradient
+// accumulator (Grads), a forward/backward Workspace, and a flatten arena
+// (ExtractUpdate). Buffers persist across rounds of the same environment; an
+// update extracted into the arena is valid through the round's reduction and
+// no longer.
 type Scratch = fed.Scratch
 
 // ExpertKey identifies an expert by layer and original index.
@@ -170,15 +172,10 @@ func NewGrads(m *Model) *Grads { return moe.NewGrads(m, false) }
 
 // ForEachCohort executes fn once for every listed participant over the
 // environment's worker pool (EngineConfig.Workers wide; zero means
-// GOMAXPROCS), handing each invocation its worker's Scratch,
-// the participant's slot in the cohort, and the participant index. It is the
-// first half of every Rounder: resolve the round's cohort with
-// env.Cohort(r), fan work out with ForEachCohort(env, cohort, ...), and have
-// each invocation fill slots[slot]. On a nil error the Rounder returns
-// env.FinishRound(cohort, slots); a non-nil error means the round was
-// canceled and the Rounder returns nil phases. Determinism: split env.RNG
-// per participant before the call, and have fn write only its own slot and
-// per-participant state against the read-only env.Global.
+// GOMAXPROCS), handing each invocation its worker's Scratch, the
+// participant's slot in the list, and the participant index, and returns the
+// context's error if the run was canceled. It is env.RunRound's fan-out, for
+// work outside a round, under the same determinism rules.
 func ForEachCohort(env *Env, cohort []int, fn func(s *Scratch, slot, participant int)) error {
 	return fed.ForEachOf(env, cohort, fn)
 }
@@ -208,10 +205,10 @@ const (
 	AggSemiSync = fed.ModeSemiSync
 )
 
-// SlotResult is one cohort slot's finished work, the second half of every
-// Rounder: the participant's update, its modeled uplink and downlink
+// SlotResult is one cohort slot's finished work, what a Participant function
+// returns: the participant's update, its modeled uplink and downlink
 // payloads, and its per-phase simulated seconds. The phases must sum to the
-// participant's end-to-end round time — Env.FinishRound tests that sum
+// participant's end-to-end round time — the server core tests that sum
 // against the straggler deadline and, under async/semisync aggregation,
 // orders arrivals at the server by it. The round's own phase map, traffic
 // totals, and census are all derived from the cohort's SlotResults.

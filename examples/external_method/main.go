@@ -1,7 +1,8 @@
 // Command external_method demonstrates that flux's extension surface is
 // fully public: it lives in its own Go module (see go.mod's replace
 // directive), implements a federated fine-tuning method against the public
-// flux.Env/flux.Rounder/flux.EngineConfig types, registers it with
+// flux.Env/flux.Rounder/flux.Participant/flux.EngineConfig types — a Round
+// that returns a participant function — registers it with
 // flux.RegisterMethod, and runs it over both the in-process and the TCP
 // transport. Its test runs the same method through the fluxtest conformance
 // suite.
@@ -21,20 +22,19 @@ import (
 // sample-count-weighted aggregation), which is what makes it wire-capable:
 // fluxtest asserts its in-process and TCP executions converge bit-identically.
 //
-// It has the shape of every method: fan the round's cohort out over the
-// worker pool, fill one SlotResult per slot, and hand the server side of the
-// round — deadline, aggregation mode, traffic and census accounting, the
-// round's simulated time — to env.FinishRound.
+// It has the shape of every method: Round prepares the round and returns the
+// participant function, which fills one SlotResult per cohort member. The
+// engine's env.RunRound owns the rest — the cohort, the worker pool, the
+// update check, deadline, aggregation mode, traffic and census accounting,
+// and the round's simulated time.
 type fedAvg struct{}
 
 func (fedAvg) Name() string { return "fedavg-lite" }
 
-func (fedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
+func (fedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 	tuning := flux.TuneAllExperts(env.Global)
 	down := flux.ModelBytes(env.Global) // the broadcast every participant receives
-	cohort := env.Cohort(round)
-	slots := make([]flux.SlotResult, len(cohort))
-	err := flux.ForEachCohort(env, cohort, func(ws *flux.Scratch, slot, i int) {
+	return func(ws *flux.Scratch, _, i int) flux.SlotResult {
 		dev := env.Devices[i]
 		local := ws.LocalClone(env.Global)
 		grads := ws.Grads(local)
@@ -50,18 +50,14 @@ func (fedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 		}
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := flux.UpdateBytes(u)
-		slots[slot] = flux.SlotResult{
+		return flux.SlotResult{
 			Update: u, Bytes: bytes, DownBytes: down,
 			Phases: map[flux.Phase]float64{
 				flux.PhaseFineTuning: dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
 				flux.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
 			},
 		}
-	})
-	if err != nil {
-		return nil // canceled: the driver discards the round
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 var (

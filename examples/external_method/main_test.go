@@ -52,8 +52,8 @@ func runFedAvgLite(t *testing.T, opts ...flux.Option) *flux.Result {
 	return res
 }
 
-// TestFedAvgLiteHonorsFleetAndAggregation checks what ending a round with
-// env.FinishRound buys a method for free: cohort selection shows up in the
+// TestFedAvgLiteHonorsFleetAndAggregation checks what leaving the round to
+// env.RunRound buys a method for free: cohort selection shows up in the
 // census, and the event-driven aggregation modes run without the method
 // knowing they exist.
 func TestFedAvgLiteHonorsFleetAndAggregation(t *testing.T) {

@@ -156,10 +156,10 @@ func TestRounder(t *testing.T, s RounderSpec) {
 	t.Run("ParallelDeterminism", func(t *testing.T) {
 		// The engine's parallel-execution contract: the convergence curve
 		// must be bit-identical whether participants run serially
-		// (workers=1) or over a saturated worker pool. A Rounder built on
-		// flux.ForEachCohort passes only if it pre-splits randomness and
-		// writes nothing but its own slot; env.FinishRound reduces in
-		// cohort order.
+		// (workers=1) or over a saturated worker pool. A Rounder passes
+		// only if its Round pre-splits randomness and its Participant
+		// function writes nothing but its own per-participant state;
+		// env.RunRound reduces in cohort order.
 		if reference == nil {
 			t.Skip("no reference run (Determinism failed)")
 		}
@@ -177,7 +177,7 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		// bit-identical — including the per-round participation census —
 		// and so are serial and pooled execution. A Rounder must derive
 		// per-participant randomness in cohort order; the deadline and the
-		// census are env.FinishRound's.
+		// census are env.RunRound's.
 		fcfg := QuickConfig("fluxtest/fleet/"+s.Name, method)
 		fcfg.Fleet = flux.FleetSpec{
 			Distribution: "tiered",
@@ -204,8 +204,8 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		// buffer smaller than the cohort, flush order is decided by modeled
 		// arrival times, never by worker scheduling — two runs, and any
 		// worker count, produce bit-identical curves, census, and staleness
-		// accounting. A Rounder that ignores the aggregation spec (doing its
-		// own synchronous aggregation) passes as long as it is deterministic.
+		// accounting. The server core does the aggregation, so a Rounder
+		// passes as long as its participants are deterministic.
 		acfg := QuickConfig("fluxtest/async/"+s.Name, method)
 		acfg.Fleet = flux.FleetSpec{Distribution: "tiered", Seed: "fluxtest"}
 		acfg.Aggregation = flux.AggregationSpec{Mode: flux.AggAsync, BufferK: 2, StalenessAlpha: 0.5}
@@ -228,8 +228,7 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		// every selected participant is either aggregated by the clock or
 		// carried into a later round's buffer. Conservation over the run:
 		// total selected == total completed + updates still buffered at the
-		// end. Holds trivially (pending 0) for Rounders that ignore the
-		// aggregation spec.
+		// end.
 		scfg := QuickConfig("fluxtest/semisync/"+s.Name, method)
 		scfg.Fleet = flux.FleetSpec{Distribution: "tiered", Deadline: 20000, Seed: "fluxtest"}
 		scfg.Aggregation = flux.AggregationSpec{Mode: flux.AggSemiSync, StalenessAlpha: 1}
@@ -296,59 +295,43 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		assertEventStream(t, reference)
 	})
 
-	t.Run("AsyncCancellation", func(t *testing.T) {
-		// Cancellation under an active aggregation spec: a pre-canceled
-		// context must abandon the round before anything reaches the
-		// server's buffer.
-		acfg := QuickConfig("fluxtest/async-cancel/"+s.Name, method)
-		acfg.Aggregation = flux.AggregationSpec{Mode: flux.AggAsync, BufferK: 2}
-		env, err := flux.NewEnv(context.Background(), acfg)
-		if err != nil {
-			t.Fatalf("NewEnv: %v", err)
-		}
-		r := s.New(env.Cfg)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		env.SetContext(ctx)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			r.Round(env, 0)
-		}()
-		select {
-		case <-done:
-		case <-time.After(bound):
-			t.Fatalf("Round did not observe the canceled context within %v", bound)
-		}
-		if obs := env.TakeRoundObs(); obs.ExpertsTouched != 0 || obs.Pending != 0 {
-			t.Errorf("Round aggregated %d experts and buffered %d updates despite a pre-canceled context",
-				obs.ExpertsTouched, obs.Pending)
-		}
-	})
-
-	t.Run("Cancellation", func(t *testing.T) {
-		env, err := flux.NewEnv(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("NewEnv: %v", err)
-		}
-		r := s.New(env.Cfg)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		env.SetContext(ctx)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			r.Round(env, 0)
-		}()
-		select {
-		case <-done:
-		case <-time.After(bound):
-			t.Fatalf("Round did not observe the canceled context within %v", bound)
-		}
-		if obs := env.TakeRoundObs(); obs.ExpertsTouched != 0 {
-			t.Errorf("Round aggregated %d experts despite a pre-canceled context", obs.ExpertsTouched)
-		}
-	})
+	// Cancellation, under an active aggregation spec and without one: a
+	// pre-canceled context must make env.RunRound return the context's
+	// error promptly, before anything reaches the server or its buffer.
+	acfg := QuickConfig("fluxtest/async-cancel/"+s.Name, method)
+	acfg.Aggregation = flux.AggregationSpec{Mode: flux.AggAsync, BufferK: 2}
+	for _, tc := range []struct {
+		name string
+		cfg  flux.Config
+	}{{"AsyncCancellation", acfg}, {"Cancellation", cfg}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := flux.NewEnv(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatalf("NewEnv: %v", err)
+			}
+			r := s.New(env.Cfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			env.SetContext(ctx)
+			done := make(chan error, 1)
+			go func() {
+				_, err := env.RunRound(r, 0)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("RunRound returned %v, want the context's error", err)
+				}
+			case <-time.After(bound):
+				t.Fatalf("RunRound did not observe the canceled context within %v", bound)
+			}
+			if obs := env.TakeRoundObs(); obs.ExpertsTouched != 0 || obs.Pending != 0 {
+				t.Errorf("RunRound aggregated %d experts and buffered %d updates despite a pre-canceled context",
+					obs.ExpertsTouched, obs.Pending)
+			}
+		})
+	}
 
 	if s.Wire {
 		t.Run("WireEquivalence", func(t *testing.T) {
@@ -670,7 +653,7 @@ func assertSameCurves(t *testing.T, a, b *flux.Result, aName, bName string) {
 // assertSameCensus requires two results to agree on the per-round
 // participation census (cohort selected / completed within deadline) and the
 // event-driven aggregation accounting (model version, stale merges, carry-over
-// buffer size). Both built-in transports report what Env.FinishRound counted,
+// buffer size). Both built-in transports report what the server core counted,
 // so the in-process and TCP runs of one configuration agree on it.
 func assertSameCensus(t *testing.T, a, b *flux.Result, aName, bName string) {
 	t.Helper()

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// knownOrphans are the exported functions under internal/ that no non-test
-// file references and that stay anyway. The list may only shrink:
+// knownOrphans are the functions under internal/ that no non-test file
+// references and that stay anyway. The list may only shrink:
 // TestNoOrphanExports fails on an orphan that is not listed and on an entry
 // that is no longer an orphan. What is left is test support and oracles.
 var knownOrphans = map[string]string{
@@ -26,11 +26,12 @@ var knownOrphans = map[string]string{
 	"(repro/internal/simtime.Device).Validate":           "input check, exercised by TestDeviceValidateRejects",
 }
 
-// TestNoOrphanExports fails when a package under internal/ exports a
-// function or method that no non-test file of the module references — an
-// allocating twin or a feature nothing reaches. Methods that satisfy an
-// interface are reached through it and exempt; so are packages whose name
-// ends in "test", which exist to be imported by tests.
+// TestNoOrphanExports fails when a package under internal/ declares a
+// function or method, exported or not, that no non-test file of the module
+// references — an allocating twin, a feature nothing reaches, or a helper a
+// refactor left behind. Methods that satisfy an interface are reached through
+// it and exempt, as are init and main; so are packages whose name ends in
+// "test", which exist to be imported by tests.
 func TestNoOrphanExports(t *testing.T) {
 	l, err := NewLoader("../..")
 	if err != nil {
@@ -97,7 +98,7 @@ func TestNoOrphanExports(t *testing.T) {
 		//fluxvet:unordered collected into a map and sorted before reporting
 		for id, obj := range p.Info.Defs {
 			fn, ok := obj.(*types.Func)
-			if ok && fn.Exported() && !used[fn] && !viaInterface(fn) {
+			if ok && fn.Name() != "init" && fn.Name() != "main" && !used[fn] && !viaInterface(fn) {
 				orphans[fn.FullName()] = l.Fset().Position(id.Pos()).String()
 			}
 		}
@@ -106,7 +107,7 @@ func TestNoOrphanExports(t *testing.T) {
 	//fluxvet:unordered messages are sorted before reporting
 	for name, pos := range orphans {
 		if _, ok := knownOrphans[name]; !ok {
-			msgs = append(msgs, pos+": "+name+" is exported but referenced only from _test.go files (or nowhere): delete it, unexport it, or move it into the tests")
+			msgs = append(msgs, pos+": "+name+" is referenced only from _test.go files (or nowhere): delete it, or move it into the tests")
 		}
 	}
 	//fluxvet:unordered messages are sorted before reporting

@@ -8,9 +8,11 @@ import (
 
 // SharedWrite enforces the disjoint-write half of the ForEachOf determinism
 // contract (internal/fed/parallel.go): a participant body runs concurrently
-// with its siblings, so it may write only per-participant state. Inside a
-// function literal passed to ForEachOf or its public alias ForEachCohort, an
-// assignment to a variable captured from the enclosing scope
+// with its siblings, so it may write only per-participant state. A body is a
+// function literal passed to ForEachOf or its public alias ForEachCohort, or
+// one used as a Participant — returned from a function whose result is a
+// Participant (a Rounder's Round), or converted with Participant(...). In a
+// body, an assignment to a variable captured from the enclosing scope
 // is flagged unless the write targets a slice or map element indexed by one
 // of the callback's parameters (the slot/participant index or something
 // derived from it) — the pattern that keeps writes disjoint across workers.
@@ -23,46 +25,73 @@ import (
 // -race CI leg backstops those.
 var SharedWrite = &Analyzer{
 	Name: "sharedwrite",
-	Doc:  "flags writes to captured variables inside ForEachOf/ForEachCohort bodies that are not element writes indexed by the participant",
+	Doc:  "flags writes to captured variables inside ForEachOf/ForEachCohort/Participant bodies that are not element writes indexed by the participant",
 	Run:  runSharedWrite,
 }
 
-// parallelEntrypoints are the worker-pool fan-out functions whose callback
-// bodies must keep writes disjoint. Matched by name so the check follows
-// the public flux alias and out-of-module callers too.
-var parallelEntrypoints = map[string]bool{
+// bodyCallees are the calls whose last function-literal argument is a
+// participant body: the worker-pool fan-outs and the conversion to the
+// Participant function type. Matched by name so the check follows the public
+// flux aliases and out-of-module callers too.
+var bodyCallees = map[string]bool{
 	"ForEachOf":     true,
 	"ForEachCohort": true,
+	"Participant":   true,
 }
 
 func runSharedWrite(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				name := lastName(n.Fun)
+				if bodyCallees[name] && len(n.Args) > 0 {
+					if lit, ok := n.Args[len(n.Args)-1].(*ast.FuncLit); ok {
+						checkBodyWrites(pass, name, lit)
+					}
+				}
+			case *ast.FuncDecl:
+				checkReturnedBodies(pass, n.Type, n.Body)
+			case *ast.FuncLit:
+				checkReturnedBodies(pass, n.Type, n.Body)
 			}
-			var name string
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-			default:
-				return true
-			}
-			if !parallelEntrypoints[name] {
-				return true
-			}
-			lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			checkBodyWrites(pass, name, lit)
 			return true
 		})
 	}
 	return nil
+}
+
+// lastName is the identifier an expression ends in: x for x and pkg.x, ""
+// for anything else.
+func lastName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
+}
+
+// checkReturnedBodies checks the function literals a function returns as
+// its single Participant result.
+func checkReturnedBodies(pass *Pass, typ *ast.FuncType, body *ast.BlockStmt) {
+	if body == nil || typ.Results == nil || len(typ.Results.List) != 1 || lastName(typ.Results.List[0].Type) != "Participant" {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // a nested function's returns are its own
+		case *ast.ReturnStmt:
+			if len(n.Results) == 1 {
+				if lit, ok := n.Results[0].(*ast.FuncLit); ok {
+					checkBodyWrites(pass, "Participant", lit)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // checkBodyWrites flags non-disjoint writes to captured variables inside

@@ -1,11 +1,12 @@
 // Fixture for the sharedwrite analyzer: participant bodies handed to
-// ForEachOf/ForEachCohort may write captured slice or map elements
-// indexed by a callback parameter, but never captured scalars, slices, or
-// pointers directly — those are races or order-dependent reductions.
+// ForEachOf/ForEachCohort, or returned or converted as a Participant, may
+// write captured slice or map elements indexed by a callback parameter, but
+// never captured scalars, slices, or pointers directly — those are races or
+// order-dependent reductions.
 //
-// The fan-out functions are stubbed locally with the real signatures; the
-// analyzer matches them by name so the check also follows the public flux
-// alias and out-of-module callers.
+// The fan-out functions and the Participant type are stubbed locally with
+// the real signatures; the analyzer matches them by name so the check also
+// follows the public flux aliases and out-of-module callers.
 package fed
 
 type Scratch struct{ buf []float64 }
@@ -23,6 +24,10 @@ func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participa
 type update struct {
 	weight float64
 }
+
+type Participant func(s *Scratch, slot, participant int) update
+
+type table struct{ utility []float64 }
 
 func disjointSlotWrites(env *Env, cohort []int) []update {
 	results := make([]update, len(cohort))
@@ -93,4 +98,41 @@ func justifiedReduction(env *Env) int {
 		serialOnly += i
 	})
 	return serialOnly
+}
+
+func returnedCapturedScalar(env *Env) Participant {
+	acc := 0
+	return func(s *Scratch, slot, participant int) update {
+		acc += 1 // want `writes captured "acc" without indexing by the participant`
+		return update{}
+	}
+}
+
+func returnedElementWrite(env *Env, n int) Participant {
+	tables := make([]*table, n)
+	return func(s *Scratch, _, i int) update {
+		if tables[i] == nil {
+			tables[i] = &table{} // per-participant state indexed by the participant
+		}
+		return update{weight: float64(i)}
+	}
+}
+
+func convertedCapturedAppend(env *Env) []int {
+	var order []int
+	p := Participant(func(s *Scratch, _, i int) update {
+		order = append(order, i) // want `writes captured "order" without indexing by the participant`
+		return update{}
+	})
+	_ = p
+	return order
+}
+
+func nestedReturnIsNotAParticipant(env *Env) Participant {
+	total := 0
+	sum := func() func() {
+		return func() { total++ } // returned by a func() func(), not as a Participant
+	}
+	sum()()
+	return nil
 }

@@ -10,8 +10,8 @@
 //     the most frequently activated experts are fine-tuned and the rest are
 //     discarded (their computation skipped).
 //
-// All three share the fed engine and differ only inside Round, so the
-// comparison against Flux is apples-to-apples.
+// All three share the fed engine and differ only in their participant
+// function, so the comparison against Flux is apples-to-apples.
 package baselines
 
 import (
@@ -32,14 +32,12 @@ type FMD struct{}
 func (FMD) Name() string { return "fmd" }
 
 // Round implements fed.Rounder.
-func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
+func (FMD) Round(env *fed.Env, round int, _ []int) fed.Participant {
 	cfg := env.Global.Cfg
 	tuning := fed.IdentityTuning(cfg)
 	total := env.TotalExperts()
 
-	cohort := env.Cohort(round)
-	slots := make([]fed.SlotResult, len(cohort))
-	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
+	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
 		local := ws.LocalClone(env.Global)
@@ -54,18 +52,14 @@ func (FMD) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := simtime.ModelBytes(cfg)
-		slots[slot] = fed.SlotResult{
+		return fed.SlotResult{
 			Update: u, Bytes: bytes, DownBytes: down,
 			Phases: map[simtime.Phase]float64{
 				simtime.PhaseFineTuning: trainSec + offloadSec,
 				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
 			},
 		}
-	})
-	if err != nil {
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 // FMQ fine-tunes an INT-quantized model.
@@ -81,7 +75,7 @@ func NewFMQ() FMQ { return FMQ{Bits: quant.Bits4} }
 func (q FMQ) Name() string { return "fmq" }
 
 // Round implements fed.Rounder.
-func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
+func (q FMQ) Round(env *fed.Env, round int, _ []int) fed.Participant {
 	cfg := env.Global.Cfg
 	tuning := fed.IdentityTuning(cfg)
 	bits := q.Bits
@@ -89,10 +83,8 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		bits = quant.Bits4
 	}
 
-	cohort := env.Cohort(round)
-	qm := env.QuantizedGlobal(bits) // shared read-only; each body trains its own copy
-	slots := make([]fed.SlotResult, len(cohort))
-	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
+	qm := env.QuantizedGlobal(bits) // shared read-only; each participant trains its own copy
+	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseFineTuning)
 		// The local working copy lives on the quantization grid.
@@ -115,18 +107,14 @@ func (q FMQ) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u) * float64(bits) / 32
 		down := simtime.ModelBytes(cfg) * float64(bits) / 32
-		slots[slot] = fed.SlotResult{
+		return fed.SlotResult{
 			Update: u, Bytes: bytes, DownBytes: down,
 			Phases: map[simtime.Phase]float64{
 				simtime.PhaseFineTuning: trainSec + dev.QuantizeSeconds(cfg),
 				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
 			},
 		}
-	})
-	if err != nil {
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 func requantizeExperts(m *moe.Model, bits quant.Bits) {
@@ -152,14 +140,12 @@ func NewFMES() FMES { return FMES{ProfileBits: quant.Bits4} }
 func (FMES) Name() string { return "fmes" }
 
 // Round implements fed.Rounder.
-func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
+func (s FMES) Round(env *fed.Env, round int, _ []int) fed.Participant {
 	cfg := env.Global.Cfg
 	prof := profile.Profiler{Bits: s.ProfileBits}
 
-	cohort := env.Cohort(round)
 	qm := env.QuantizedGlobal(prof.Bits) // one profiling model per round, shared read-only
-	slots := make([]fed.SlotResult, len(cohort))
-	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
+	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
 		env.MarkPhase(simtime.PhaseProfiling)
 		mws := ws.Workspace()
@@ -177,14 +163,14 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 
 		env.MarkPhase(simtime.PhaseFineTuning)
 		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
-		tuneFrac := float64(tune) / float64(maxiB(1, env.TotalExperts()))
+		tuneFrac := float64(tune) / float64(max(1, env.TotalExperts()))
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
 
 		env.MarkPhase(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := float64(tune) * simtime.ExpertBytes(cfg)
-		slots[slot] = fed.SlotResult{
+		return fed.SlotResult{
 			Update: u, Bytes: bytes, DownBytes: down,
 			Phases: map[simtime.Phase]float64{
 				simtime.PhaseProfiling:  profSec,
@@ -192,11 +178,7 @@ func (s FMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
 			},
 		}
-	})
-	if err != nil {
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 // topByFrequency picks the budget highest-frequency experts across all
@@ -299,11 +281,4 @@ func discardModel(global *moe.Model, tuning [][]int) (*moe.Model, error) {
 		}
 	}
 	return local, nil
-}
-
-func maxiB(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -45,6 +45,16 @@ func roundSeconds(phases map[simtime.Phase]float64) float64 {
 	return s
 }
 
+// runRound is env.RunRound for a round that must not fail.
+func runRound(t *testing.T, env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
+	t.Helper()
+	phases, err := env.RunRound(r, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phases
+}
+
 func TestNames(t *testing.T) {
 	if (FMD{}).Name() != "fmd" || NewFMQ().Name() != "fmq" || NewFMES().Name() != "fmes" {
 		t.Fatal("names wrong")
@@ -56,7 +66,7 @@ func TestFMDImprovesModel(t *testing.T) {
 	before := env.Evaluate()
 	var m FMD
 	for r := 0; r < 4; r++ {
-		m.Round(env, r)
+		runRound(t, env, m, r)
 	}
 	if after := env.Evaluate(); after <= before {
 		t.Fatalf("FMD did not improve: %v -> %v", before, after)
@@ -68,8 +78,8 @@ func TestFMDRoundSlowerThanFMES(t *testing.T) {
 	// subset. Per-round simulated time must reflect that.
 	envA := testEnv(t, "speed")
 	envB := envA.CloneForMethod("fmes")
-	tFMD := roundSeconds(FMD{}.Round(envA, 0))
-	tFMES := roundSeconds(NewFMES().Round(envB, 0))
+	tFMD := roundSeconds(runRound(t, envA, FMD{}, 0))
+	tFMES := roundSeconds(runRound(t, envB, NewFMES(), 0))
 	if tFMD <= tFMES {
 		t.Fatalf("FMD round (%v s) should be slower than FMES (%v s)", tFMD, tFMES)
 	}
@@ -78,7 +88,7 @@ func TestFMDRoundSlowerThanFMES(t *testing.T) {
 func TestFMQRequantizesExperts(t *testing.T) {
 	env := testEnv(t, "fmq")
 	q := NewFMQ()
-	q.Round(env, 0)
+	runRound(t, env, q, 0)
 	// After a round, aggregated global expert weights must lie close to the
 	// 4-bit grid of each participant's updates — in particular the model
 	// must still work and not be NaN.
@@ -115,8 +125,8 @@ func TestFMQWorseThanFMDOnQuality(t *testing.T) {
 	var d FMD
 	q := NewFMQ()
 	for r := 0; r < 4; r++ {
-		d.Round(envD, r)
-		q.Round(envQ, r)
+		runRound(t, envD, d, r)
+		runRound(t, envQ, q, r)
 	}
 	sd, sq := envD.Evaluate(), envQ.Evaluate()
 	if sq > sd+0.05 {
@@ -128,13 +138,13 @@ func TestFMQInvalidBitsFallsBack(t *testing.T) {
 	env := testEnv(t, "fmq-bits")
 	q := FMQ{Bits: quant.Bits(3)}
 	// Must not panic; falls back to 4-bit.
-	q.Round(env, 0)
+	runRound(t, env, q, 0)
 }
 
 func TestFMESKeepsBudget(t *testing.T) {
 	env := testEnv(t, "fmes-budget")
 	res := NewFMES()
-	phases := res.Round(env, 0)
+	phases := runRound(t, env, res, 0)
 	if phases[simtime.PhaseProfiling] <= 0 {
 		t.Fatal("FMES must pay serial profiling")
 	}

@@ -30,10 +30,7 @@ func fluxVariantRun(o Options, profileData data.Profile, seed string, mutate fun
 	if mutate != nil {
 		mutate(&opts)
 	}
-	r := flux.New(opts, cfg.Participants)
-	tr, clock := fed.Run(env, r, profileData.TargetAcc)
-	tta, reached := tr.TimeToTarget(profileData.TargetAcc)
-	return &methodRun{Tracker: tr, Hours: clock.Hours(), Final: tr.Final(), TTA: tta, Reached: reached, Phases: phaseMap(clock)}
+	return runMethod(env, flux.New(opts, cfg.Participants), profileData.TargetAcc, profileData.TargetAcc)
 }
 
 // Figure14 reproduces the stale-profiling ablation: estimation error and
@@ -61,7 +58,7 @@ func Figure14(o Options) *Table {
 		probe := env.Batch(0, 0)
 		stale := prof.Run(env.Global, probe)
 		envDrift := env.CloneForMethod("fig14drift")
-		(baselines.FMD{}).Round(envDrift, 0)
+		mustRunRound(envDrift, baselines.FMD{}, 0)
 		freshRef := prof.RunFull(envDrift.Global, probe)
 		freshEst := prof.Run(envDrift.Global, probe)
 		errFresh := 100 * freshEst.Stats.EstimationError(freshRef.Stats)
@@ -262,7 +259,7 @@ func Figure18(o Options) *Table {
 		var sum float64
 		n := 0
 		for r := 0; r < rounds; r++ {
-			fmd.Round(env, r)
+			mustRunRound(env, fmd, r)
 			// Measure on the most-active expert of a mid layer.
 			batch := env.Batch(0, r)
 			var seqs [][]int

@@ -22,6 +22,28 @@ func newRounder(name string, cfg fed.Config) fed.Rounder {
 	return r
 }
 
+// runMethod runs r on env until target (0: the whole round budget) and
+// summarizes the run against targetAcc. An experiment neither cancels nor
+// expects a rejected update, so a failed round is a programming error and
+// panics.
+func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64) *methodRun {
+	tr, clock, err := fed.Run(env, r, target)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	tta, reached := tr.TimeToTarget(targetAcc)
+	return &methodRun{Tracker: tr, Hours: clock.Hours(), Final: tr.Final(), TTA: tta, Reached: reached, Phases: phaseMap(clock)}
+}
+
+// mustRunRound is env.RunRound for an experiment; it panics like runMethod.
+func mustRunRound(env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
+	phases, err := env.RunRound(r, round)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return phases
+}
+
 // convergenceRun executes (or recalls) one (model, dataset, method,
 // participants) federated run to MaxRounds or the dataset target.
 func convergenceRun(o Options, model, method string, profile data.Profile, participants int, toTarget bool) *methodRun {
@@ -44,16 +66,7 @@ func convergenceRun(o Options, model, method string, profile data.Profile, parti
 	if toTarget {
 		target = profile.TargetAcc
 	}
-	tr, clock := fed.Run(env, newRounder(method, cfg), target)
-	tta, reached := tr.TimeToTarget(profile.TargetAcc)
-	run := &methodRun{
-		Tracker: tr,
-		Hours:   clock.Hours(),
-		Final:   tr.Final(),
-		TTA:     tta,
-		Reached: reached,
-		Phases:  phaseMap(clock),
-	}
+	run := runMethod(env, newRounder(method, cfg), target, profile.TargetAcc)
 	memoMu.Lock()
 	runMemo[key] = run
 	memoMu.Unlock()

@@ -137,8 +137,7 @@ func Figure3(o Options) *Table {
 			r = baselines.NewFMES()
 		}
 		env = env.CloneForMethod("fig3-" + fmt.Sprint(keep))
-		tr, _ := fed.Run(env, r, 0)
-		return tr
+		return runMethod(env, r, 0, p.TargetAcc).Tracker
 	}
 	discard := runArm(false)
 	keep := runArm(true)
@@ -162,13 +161,12 @@ type keepMergedFMES struct{}
 
 func (keepMergedFMES) Name() string { return "fmes-keep" }
 
-func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
+func (keepMergedFMES) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 	// Delegate everything to FMES but swap the discard for a merge by
 	// giving the merged expert the real average weights: reuse merge plan
 	// with single-expert budgets. RNG streams are split serially up front,
 	// keeping the curve bit-identical at every worker count.
 	cfg := env.Global.Cfg
-	cohort := env.Cohort(round)
 	rngs := make([]*tensor.RNG, len(cohort))
 	for slot, i := range cohort {
 		rngs[slot] = env.RNG.Split(fmt.Sprintf("fig3/%d/%d", i, round))
@@ -178,8 +176,7 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	// accuracy only).
 	prof := profile.Profiler{Bits: quant.Bits4, TrackSamples: true}
 	qm := env.QuantizedGlobal(prof.Bits)
-	slots := make([]fed.SlotResult, len(cohort))
-	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
+	return func(ws *fed.Scratch, slot, i int) fed.SlotResult {
 		dev := env.Devices[i]
 		mws := ws.Workspace()
 		batch := env.Batch(i, round)
@@ -199,13 +196,10 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 
-		total := env.TotalExperts()
-		if total < 1 {
-			total = 1
-		}
+		total := max(env.TotalExperts(), 1)
 		bytes := fed.UpdateBytes(u)
 		down := float64(tune) * simtime.ExpertBytes(cfg)
-		slots[slot] = fed.SlotResult{
+		return fed.SlotResult{
 			Update: u, Bytes: bytes, DownBytes: down,
 			Phases: map[simtime.Phase]float64{
 				simtime.PhaseProfiling:  res.Seconds(dev, cfg),
@@ -213,11 +207,7 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
 			},
 		}
-	})
-	if err != nil {
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 // Figure5 reproduces the activation-frequency estimation error of 2/4/8-bit
@@ -289,7 +279,7 @@ func Figure6(o Options) *Table {
 		}
 		prev = cur
 		if r < rounds {
-			fmd.Round(env, r)
+			mustRunRound(env, fmd, r)
 		}
 	}
 	xs, _ := metrics.CDF(changes)

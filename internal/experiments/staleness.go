@@ -7,7 +7,6 @@ import (
 	"repro/internal/fed"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/simtime"
 )
 
 // Staleness studies convergence under buffered-async aggregation as the
@@ -40,19 +39,9 @@ func Staleness(o Options) *Table {
 			panic(err)
 		}
 		env = env.CloneForMethod("fmd")
-		r := newRounder("fmd", cfg)
-		clock := simtime.NewClock()
-		tr = &metrics.Tracker{Target: p.MetricName}
-		tr.Record(0, clock.Hours(), env.Evaluate())
-		for round := 0; round < rounds; round++ {
-			phases := r.Round(env, round)
-			clock.AdvanceAll(phases)
-			obs := env.TakeRoundObs()
-			stale += obs.Stale
-			version = obs.ModelVersion
-			tr.Record(round+1, clock.Hours(), env.Evaluate())
-		}
-		return tr, clock.Hours(), stale, version
+		run := runMethod(env, newRounder("fmd", cfg), 0, p.TargetAcc)
+		obs := env.TakeRoundObs() // the whole run's: Stale sums, ModelVersion is the last
+		return run.Tracker, run.Hours, obs.Stale, obs.ModelVersion
 	}
 
 	// curve renders the per-round score series; at quick scale the coarse

@@ -77,8 +77,8 @@ func TestEvaluateWorkersBitIdentity(t *testing.T) {
 			env.Cfg.Workers = 2
 			r := flux.New(flux.DefaultOptions(cfg.MaxRounds), cfg.Participants)
 			for round := 0; round < cfg.MaxRounds; round++ {
-				if r.Round(env, round) == nil {
-					t.Fatalf("round %d abandoned", round)
+				if _, err := env.RunRound(r, round); err != nil {
+					t.Fatalf("round %d: %v", round, err)
 				}
 			}
 			if modelDigest(env.Global) == pretrained {

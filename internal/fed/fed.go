@@ -5,10 +5,10 @@
 // round.
 //
 // Method implementations (Flux and the FMD/FMQ/FMES baselines) plug in as
-// Rounders: the engine owns data, devices, evaluation, and the server side of
-// a round (Env.FinishRound — deadline, aggregation, traffic and census
-// accounting, the round's simulated time); a Rounder owns what happens inside
-// one participant's round.
+// Rounders: the engine owns data, devices, evaluation, and the round
+// (Env.RunRound — cohort, fan-out, the server core's check, deadline,
+// aggregation, accounting and simulated time); a Rounder owns one
+// participant's round, its Participant function.
 package fed
 
 import (
@@ -174,7 +174,7 @@ type envState struct {
 // envStateInit guards lazy state allocation for Env values assembled by
 // composite literal outside this package (everything in-repo goes through
 // NewEnv/CloneForMethod, which allocate state at construction). A global
-// mutex keeps the goroutine-safety promise of FinishRound/TakeRoundObs even
+// mutex keeps the goroutine-safety promise of RunRound/TakeRoundObs even
 // on such hand-built environments; it is taken once per round-level call, never
 // on a hot path.
 var envStateInit sync.Mutex
@@ -205,7 +205,7 @@ func (e *Env) scratches(n int) []*Scratch {
 	return st.scratch[:n]
 }
 
-// RoundObs is the per-round observability FinishRound reports: the payload
+// RoundObs is the per-round observability the server core reports: the payload
 // bytes participants uploaded, the number of distinct experts the server
 // aggregated, and the round's participation census. The driver drains it
 // after each round with TakeRoundObs.
@@ -230,8 +230,9 @@ type RoundObs struct {
 
 	// Event-driven aggregation observability (zero in synchronous mode):
 	// ModelVersion is the global model version after the round (one bump per
-	// buffer flush), Stale counts updates aggregated with staleness > 0, and
-	// Pending is the carry-over buffer size at the end of the round.
+	// buffer flush), Stale counts updates aggregated with staleness > 0 (like
+	// the traffic, summed until TakeRoundObs), and Pending is the carry-over
+	// buffer size at the end of the round.
 	ModelVersion int
 	Stale        int
 	Pending      int
@@ -249,9 +250,8 @@ func (o RoundObs) round(n int) obs.Round {
 	}
 }
 
-// SetContext attaches a cancellation context to the environment. Round
-// implementations poll Canceled between participants so a long round can be
-// abandoned promptly.
+// SetContext attaches a cancellation context to the environment: RunRound
+// starts no further participant once it is canceled, and returns its error.
 func (e *Env) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // Context returns the attached context, never nil.
@@ -261,9 +261,6 @@ func (e *Env) Context() context.Context {
 	}
 	return e.ctx
 }
-
-// Canceled reports whether the attached context has been canceled.
-func (e *Env) Canceled() bool { return e.Context().Err() != nil }
 
 // TakeRoundObs returns the counters accumulated since the last call and
 // resets them. It is goroutine-safe.
@@ -276,26 +273,15 @@ func (e *Env) TakeRoundObs() RoundObs {
 	return o
 }
 
-// SetRecorder attaches an observability recorder. FinishRound reports
-// per-participant and per-flush observations into it; the round driver owns its lifecycle (BeginRun/EndRound/Close). A nil
+// SetRecorder attaches an observability recorder. The server core reports
+// per-participant and per-flush observations into it; the round driver owns
+// its lifecycle (BeginRun/EndRound/Close). A nil
 // recorder detaches — the default, and the state every clone starts in.
 func (e *Env) SetRecorder(rec *obs.Recorder) {
 	st := e.st()
 	st.mu.Lock()
 	st.rec = rec
 	st.mu.Unlock()
-}
-
-// Obs returns the attached recorder, or nil when observability is off. The
-// nil case is the fast path: callers check once per round (never per
-// participant or per token) and skip all collection work, so a disabled
-// recorder costs one mutexed pointer read per round and zero allocations.
-func (e *Env) Obs() *obs.Recorder {
-	st := e.st()
-	st.mu.Lock()
-	rec := st.rec
-	st.mu.Unlock()
-	return rec
 }
 
 // MarkPhase tags the calling goroutine's CPU-profile samples with the given
@@ -482,7 +468,7 @@ func LocalSGD(local *moe.Model, ws *moe.Workspace, grads *moe.Grads, batch []*da
 // QuantizedGlobal round-trips a copy of the global model through bits-bit
 // quantization — the profiling model of §4.1 — in a buffer the environment
 // owns, and returns it. It is rebuilt on every call: a Rounder calls it once
-// per round, before ForEachOf, and every worker then shares the result
+// per round, in Round before the fan-out, and every worker then shares the result
 // read-only (a body that needs a mutable quantized model copies it with
 // Scratch.LocalClone). The next call overwrites it.
 //
@@ -588,60 +574,54 @@ func UpdateBytes(u Update) float64 {
 	return float64(params) * 4
 }
 
-// Rounder is a federated fine-tuning method: Round runs the round's cohort
-// (env.Cohort) over the pool (ForEachOf), fills one SlotResult per slot, and
-// returns env.FinishRound(cohort, slots) — the simulated duration of the
-// round broken down by phase — or nil when the pool reports cancellation.
+// Participant is one cohort member's round: participant i, in cohort slot
+// slot, trains on its worker's Scratch against the read-only global model and
+// returns its SlotResult. It runs on the worker pool under the determinism
+// contract of parallel.go.
+type Participant func(s *Scratch, slot, i int) SlotResult
+
+// Rounder is a federated fine-tuning method. Round does round r's serial
+// preparation for the cohort (per-participant RNG splits, the quantized
+// profiling model) and returns the participant function; Env.RunRound owns
+// the rest of the round.
 type Rounder interface {
 	Name() string
-	Round(env *Env, r int) map[simtime.Phase]float64
+	Round(env *Env, r int, cohort []int) Participant
+}
+
+// RunRound executes round r of m: the cohort (Cohort), m's preparation, the
+// participant function for every slot over the worker pool, and the server
+// core (finishRound). It returns the round's simulated phase map, or the
+// context's error on cancellation, or a rejected update's error.
+func (e *Env) RunRound(m Rounder, r int) (map[simtime.Phase]float64, error) {
+	cohort := e.Cohort(r)
+	participant := m.Round(e, r, cohort)
+	slots := make([]SlotResult, len(cohort))
+	if err := ForEachOf(e, cohort, func(s *Scratch, slot, i int) {
+		slots[slot] = participant(s, slot, i)
+	}); err != nil {
+		return nil, err
+	}
+	return e.finishRound(cohort, slots)
 }
 
 // Run drives a Rounder until the evaluation score reaches target or
 // MaxRounds elapse, recording a convergence curve against simulated time.
-// It returns the tracker and the final clock.
-func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock) {
-	tr, clock, _ := RunContext(context.Background(), env, m, target)
-	return tr, clock
-}
-
-// RunContext is Run with cancellation: the context is attached to the
-// environment (so Rounders can abandon a round early) and checked between
-// rounds. On cancellation it returns the curve recorded so far along with
-// the context's error.
-func RunContext(ctx context.Context, env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	env.SetContext(ctx)
+// It stops at the first failed round — the environment's context canceled
+// (SetContext) or an update rejected — and returns the curve recorded so far
+// with that error.
+func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, error) {
 	clock := simtime.NewClock()
 	tr := &metrics.Tracker{Target: env.Profile.MetricName}
-	score := env.Evaluate()
-	tr.Record(0, clock.Hours(), score)
-	rec := env.Obs() // nil when observability is off; one check per run/round
-	if rec != nil {
-		rec.BeginRun(obs.RunMeta{Method: m.Name(), Dataset: env.Profile.Name, Participants: env.Cfg.Participants})
-		rec.EndRound(obs.Round{Round: 0, Score: score})
-	}
+	tr.Record(0, clock.Hours(), env.Evaluate())
 	for r := 0; r < env.Cfg.MaxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return tr, clock, err
-		}
-		startSec := clock.Seconds()
-		phases := m.Round(env, r)
-		if err := ctx.Err(); err != nil {
-			// The round was abandoned mid-way; its partial work is discarded.
+		phases, err := env.RunRound(m, r)
+		if err != nil {
 			return tr, clock, err
 		}
 		clock.AdvanceAll(phases) // sorted: simulated time accumulates bit-reproducibly
-		o := env.TakeRoundObs()  // drained every round; drivers without a recorder discard it
 		score := env.Evaluate()
 		tr.Record(r+1, clock.Hours(), score)
-		if rec != nil {
-			rd := o.round(r + 1)
-			rd.StartSec, rd.EndSec, rd.Score, rd.Phases = startSec, clock.Seconds(), score, phaseStrings(phases)
-			rec.EndRound(rd)
-		}
 		if target > 0 && score >= target {
 			break
 		}

@@ -206,18 +206,26 @@ func TestExtractUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-// stubRounder advances one phase by a fixed time and improves the model
-// score by training on all shards (cheap single expert update).
+// stubRounder's participants upload an expert-less update and spend a fixed
+// time in one phase, so every round lasts exactly sec.
 type stubRounder struct{ sec float64 }
 
 func (s stubRounder) Name() string { return "stub" }
-func (s stubRounder) Round(env *Env, r int) map[simtime.Phase]float64 {
-	return map[simtime.Phase]float64{simtime.PhaseFineTuning: s.sec}
+func (s stubRounder) Round(*Env, int, []int) Participant {
+	return func(_ *Scratch, _, i int) SlotResult {
+		return SlotResult{
+			Update: Update{Participant: i},
+			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: s.sec},
+		}
+	}
 }
 
 func TestRunRecordsCurve(t *testing.T) {
 	env := newTestEnv(t)
-	tr, clock := Run(env, stubRounder{sec: 3600}, 0.999)
+	tr, clock, err := Run(env, stubRounder{sec: 3600}, 0.999)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tr.Points) != env.Cfg.MaxRounds+1 {
 		t.Fatalf("%d curve points", len(tr.Points))
 	}

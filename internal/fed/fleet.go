@@ -2,8 +2,8 @@
 //
 // The fleet subsystem (internal/fleet) decides WHO runs a round and WHEN the
 // server stops waiting; this file is the engine-side glue: Cohort resolves
-// the round's participant set for a Rounder to fan out over (ForEachOf), and
-// resolveStragglers applies the deadline inside FinishRound's synchronous
+// the round's participant set for RunRound to fan out over, and
+// resolveStragglers applies the deadline inside finishRound's synchronous
 // barrier. With an inactive fleet spec both degrade to full participation
 // with no deadline, bit-identical to runs predating the subsystem.
 package fed

@@ -87,7 +87,7 @@ func TestResolveStragglersAllWithinDeadline(t *testing.T) {
 // exceeds the deadline.
 func TestAddStragglerWait(t *testing.T) {
 	finish := func(spec fleet.Spec, results ...SlotResult) map[simtime.Phase]float64 {
-		return fleetEnv(t, spec).FinishRound(identityIndices(len(results)), results)
+		return mustFinish(t, fleetEnv(t, spec), identityIndices(len(results)), results)
 	}
 	drop := fleet.Spec{Deadline: 10, Drop: true}
 
@@ -110,7 +110,7 @@ func TestAddStragglerWait(t *testing.T) {
 	// barriered window may still overshoot — no negative idle time.
 	phases = finish(drop,
 		SlotResult{Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 8, simtime.PhaseComm: 1}},
-		SlotResult{Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 8}},
+		SlotResult{Update: Update{Participant: 1}, Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 8}},
 		slot(2, 100))
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("window (16) past deadline must add no idle time: %v", phases)
@@ -141,7 +141,7 @@ func TestObserveCohort(t *testing.T) {
 	for i := range results {
 		results[i].Bytes, results[i].DownBytes = 100, 400
 	}
-	env.FinishRound([]int{1, 3, 4}, results)
+	mustFinish(t, env, []int{1, 3, 4}, results)
 	obs := env.TakeRoundObs()
 	if obs.Selected != 3 || obs.Completed != 2 || obs.Dropped != 1 {
 		t.Fatalf("census %+v", obs)

@@ -39,7 +39,7 @@ func runStaleFlushes(t *testing.T, alpha float64) float64 {
 		return ExtractUpdate(c, p, 1, tuning)
 	}
 	// Round 1: three arrivals, K=2 — flush at the second, slot 2 carries over.
-	env.FinishRound([]int{0, 1, 2}, []SlotResult{
+	mustFinish(t, env, []int{0, 1, 2}, []SlotResult{
 		{Update: mk(0, 0.1), Phases: sec(10)},
 		{Update: mk(1, 0.2), Phases: sec(20)},
 		{Update: mk(2, 0.9), Phases: sec(30)},
@@ -47,7 +47,7 @@ func runStaleFlushes(t *testing.T, alpha float64) float64 {
 	env.TakeRoundObs()
 	// Round 2: the carried update (now stale) mixes with fresh arrivals in
 	// the first flush; a second flush follows.
-	env.FinishRound([]int{0, 1, 2}, []SlotResult{
+	mustFinish(t, env, []int{0, 1, 2}, []SlotResult{
 		{Update: mk(0, 0.3), Phases: sec(10)},
 		{Update: mk(1, 0.4), Phases: sec(20)},
 		{Update: mk(2, 0.5), Phases: sec(30)},

@@ -4,9 +4,10 @@
 // over one worker pool (fanOut, Cfg.Workers wide) while keeping results
 // bit-identical to a serial loop:
 //
-//   - The participant phase (ForEachOf): each participant profiles, merges,
-//     and fine-tunes against a read-only global model, and only server-side
-//     aggregation (FinishRound) mutates shared state.
+//   - The participant phase (Env.RunRound, over ForEachOf): each
+//     participant's function profiles, merges, and fine-tunes against a
+//     read-only global model, and only the server core (finishRound) mutates
+//     shared state.
 //   - Evaluation (Env.Evaluate): each test sample is scored on its worker's
 //     workspace against the read-only global model.
 //   - The quantized profiling model (Env.QuantizedGlobal): the embedding, the
@@ -14,19 +15,19 @@
 //     quantization scales every row on its own.
 //
 // The participant phase's determinism contract has three legs, the first two
-// the Rounder's and the third FinishRound's:
+// the Rounder's and the third the engine's:
 //
-//  1. Randomness: rounders split env.RNG once per participant *before*
-//     dispatching work (splitting advances the parent stream, so it must
-//     happen in participant order on one goroutine). A participant body
-//     consumes only its own pre-split stream.
-//  2. Disjoint writes: a body writes only per-participant state — its
-//     SlotResult, its utility table, its worker's scratch. The global model
-//     is read-only until the pool joins.
+//  1. Randomness: Rounder.Round splits env.RNG once per participant before
+//     it returns the participant function (splitting advances the parent
+//     stream, so it must happen in participant order on one goroutine). A
+//     participant function consumes only its own pre-split stream.
+//  2. Disjoint writes: a participant function writes only per-participant
+//     state — the SlotResult it returns, its own participant value, its
+//     worker's scratch. The global model is read-only until the pool joins.
 //  3. Ordered reduction: floating-point accumulation (uplink-byte sums,
-//     FedAvg aggregation, phase maxima) happens after the join, iterating
-//     slots in cohort order, so accumulation order never depends on
-//     scheduling.
+//     FedAvg aggregation, phase maxima) happens in finishRound after the
+//     join, iterating slots in cohort order, so accumulation order never
+//     depends on scheduling.
 //
 // Evaluation and quantization draw no randomness, and their legs are the
 // other two: evaluation writes each sample's score into that sample's slot
@@ -52,10 +53,10 @@ import (
 )
 
 // Scratch is the per-worker reusable memory ForEachOf hands to a participant
-// body. Its buffers persist across rounds of the same environment; a body may
-// freely overwrite them, but must not retain references past the round's
-// reduction — the next round's pool, and the evaluation between rounds,
-// reuse them.
+// function. Its buffers persist across rounds of the same environment; a
+// function may freely overwrite them, but must not retain references past the
+// round's reduction — the next round's pool, and the evaluation between
+// rounds, reuse them.
 type Scratch struct {
 	model *moe.Model
 	grads *moe.Grads
@@ -157,23 +158,23 @@ func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 // ForEachOf executes fn once for every listed participant over the
 // environment's worker pool, passing each invocation its worker's Scratch,
 // the participant's slot in the list, and the participant index itself.
-// Slots let a Rounder fill a cohort-sized []SlotResult that FinishRound
+// Slots let RunRound fill a cohort-sized []SlotResult that finishRound
 // reduces in cohort order, which — with cohorts sorted ascending — keeps
 // floating-point accumulation deterministic at every worker count.
 //
-// It returns the environment context's error if the round was canceled — the
-// caller must then abandon the round (return nil phases without calling
-// FinishRound), exactly as a serial loop polling env.Canceled would.
+// Once the environment's context is canceled no further participant starts,
+// and ForEachOf returns the context's error: the caller must then abandon the
+// round without reducing it.
 //
 // fn must follow the determinism contract documented at the top of this
 // file: consume only pre-split randomness, write only per-participant state,
-// and leave all cross-participant reduction to FinishRound.
+// and leave all cross-participant reduction until the pool joins.
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
 	for _, s := range env.scratches(env.workersFor(len(participants))) {
 		s.off = 0
 	}
 	env.fanOut(len(participants), "participants", func(s *Scratch, slot int) {
-		if !env.Canceled() {
+		if env.Context().Err() == nil {
 			fn(s, slot, participants[slot])
 		}
 	})

@@ -50,7 +50,7 @@ func modelDigest(m *moe.Model) uint64 {
 // LocalClone + Quantize it replaced; a round of each rounder that uses it,
 // fanned over eight workers, leaves it exactly as built (so the race leg
 // sees eight concurrent readers and would see any writer); and the next call
-// rebuilds it from the global model FinishRound changed.
+// rebuilds it from the global model the round changed.
 func TestQuantizedGlobalSharedReadOnly(t *testing.T) {
 	cfg := fed.DefaultConfig()
 	cfg.Participants = 8
@@ -91,8 +91,8 @@ func TestQuantizedGlobalSharedReadOnly(t *testing.T) {
 			qm := env.QuantizedGlobal(quant.Bits4)
 			want := modelDigest(qm)
 			global := modelDigest(env.Global)
-			if r.Round(env, 0) == nil {
-				t.Fatal("round abandoned")
+			if _, err := env.RunRound(r, 0); err != nil {
+				t.Fatal(err)
 			}
 			if modelDigest(env.Global) == global {
 				t.Fatal("the round did not change the global model; the checks below are vacuous")
@@ -105,7 +105,7 @@ func TestQuantizedGlobalSharedReadOnly(t *testing.T) {
 				t.Fatal("QuantizedGlobal did not reuse its buffer, so qm was not the model the round shared")
 			}
 			if got, fresh := modelDigest(again), perWorker(env, quant.Bits4); got != fresh || got == want {
-				t.Fatalf("after FinishRound: digest %x, LocalClone+Quantize of the new global %x, before the round %x", got, fresh, want)
+				t.Fatalf("after the round: digest %x, LocalClone+Quantize of the new global %x, before the round %x", got, fresh, want)
 			}
 		})
 	}

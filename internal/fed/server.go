@@ -1,33 +1,16 @@
 // The server core: the one round reduction.
 //
-// A Rounder owns what happens inside a participant's round; what the server
-// does with the cohort's results afterwards is method-independent and lives
-// here (the TCP Server's RunRound ends in the same call, its validated
-// arrivals as the slots). The contract is: fan the cohort out over the pool (ForEachOf), fill
-// one SlotResult per cohort slot, and end with
-//
-//	return env.FinishRound(cohort, slots)
-//
-// FinishRound owns the straggler deadline, FedAvg over the kept updates,
-// uplink/downlink and census accounting, the per-participant observability
-// records, and the round's simulated phase map — env.Global has exactly one
-// writer between pool join and round end. AggSpec picks the discipline:
-//
-//   - Sync ("sync", the zero value): one barrier per round. Participants past
-//     a drop deadline are cut, the rest aggregate once in slot order, and the
-//     round lasts the per-phase maxima over the kept slots plus the server's
-//     aggregation seconds (plus idle time up to the deadline if someone was
-//     dropped).
-//   - Buffered-async ("async", FedBuff-style): the server aggregates as soon
-//     as K updates sit in its buffer, tagging the global model with a version
-//     that increments per flush. Updates born against an older version are
-//     staleness-discounted (weight × 1/(1+staleness)^α). Nothing is ever
-//     dropped: arrivals that do not complete a buffer carry over into the
-//     next round's buffer.
-//   - Semi-sync ("semisync"): a fixed round clock (the fleet deadline). The
-//     server flushes exactly once per round — carried-over updates plus the
-//     on-time arrivals — and late arrivals carry into the next round's buffer
-//     instead of being dropped.
+// A Rounder owns what happens inside a participant's round, its Participant
+// function; the engine owns the rest. Env.RunRound resolves the cohort, runs
+// the participant function for every slot over the pool (ForEachOf), and
+// ends in finishRound, as does the TCP Server's RunRound with its arrivals as
+// the slots. finishRound is the server's edge: every fresh slot passes
+// checkUpdate before anything else happens, so in-process and wire updates
+// meet one rule. It then owns the straggler deadline, FedAvg in the AggSpec's
+// discipline (sync, buffered-async or semi-sync; see finishRound), traffic
+// and census accounting, the per-participant observability records, and the
+// round's simulated phase map — env.Global has exactly one writer between
+// pool join and round end.
 //
 // Determinism: every floating-point fold walks slot order, arrival order
 // (simulated total seconds, then slot), or a fixed phase order — never map or
@@ -41,6 +24,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -110,11 +94,10 @@ func (a AggSpec) bufferFor(n int) int {
 }
 
 // SlotResult is one cohort slot's finished work: the participant's update,
-// its modeled wire traffic, and its per-phase simulated seconds. A Rounder's
-// pool body fills one per slot and the Rounder hands the cohort's worth to
-// Env.FinishRound. The phase map must cover the participant's full
-// end-to-end round time — its sum is tested against the straggler deadline
-// and orders arrivals in the event-driven modes.
+// its modeled wire traffic, and its per-phase simulated seconds: what a
+// Participant function returns. The phase map must cover the participant's
+// full end-to-end round time — its sum is tested against the straggler
+// deadline and orders arrivals in the event-driven modes.
 type SlotResult struct {
 	Update Update
 	// Bytes is the uplink payload of Update (what the participant uploads).
@@ -322,11 +305,15 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 	}
 }
 
-// FinishRound is the round reduction every Rounder ends with: after the
-// participant fan-out joins it takes one SlotResult per cohort slot, owns
-// everything the server does with them, and returns the round's phase map.
-// It panics if results does not hold exactly one entry per slot of a
-// non-empty cohort. Behavior by Cfg.Agg mode:
+// finishRound is the round reduction Env.RunRound and Server.RunRound end
+// with: it takes one SlotResult per cohort slot, owns everything the server
+// does with them, and returns the round's phase map. It panics if results
+// does not hold exactly one entry per slot of a non-empty cohort.
+//
+// First every slot's update must pass checkUpdate with cohort[slot] as the
+// expected participant; the first slot that fails returns its error, naming
+// the participant, before anything touches the carry-over buffer, the global
+// model or the round report. Then, by Cfg.Agg mode:
 //
 //   - sync (the default): slots whose end-to-end seconds miss a drop deadline
 //     are cut (never all of them — see resolveStragglers); the kept updates
@@ -354,14 +341,21 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 // Completed = aggregated, Dropped = cut at a sync deadline — the event-driven
 // modes never drop), and under those modes the model version, stale-update
 // count, and carry-over buffer size (all zero in sync).
-func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]float64 {
+func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase]float64, error) {
 	if len(cohort) == 0 || len(results) != len(cohort) {
-		panic(fmt.Sprintf("fed: FinishRound needs one SlotResult per slot of a non-empty cohort: got %d results for a cohort of %d",
+		panic(fmt.Sprintf("fed: finishRound needs one SlotResult per slot of a non-empty cohort: got %d results for a cohort of %d",
 			len(results), len(cohort)))
 	}
-	rec := e.Obs() // fetched before taking st.mu (Obs locks it too)
+	for slot, p := range results {
+		if err := checkUpdate(e.Global, cohort[slot], p.Update); err != nil {
+			return nil, fmt.Errorf("fed: update from %d rejected: %w", cohort[slot], err)
+		}
+	}
 	st := e.st()
 	st.mu.Lock()
+	// Nil when observability is off: one pointer read per round, and no
+	// collection work or allocation below.
+	rec := st.rec
 	sr := serverRound{version: st.version, birth: st.version, track: rec != nil}
 	carried := st.pending
 	st.pending = nil
@@ -442,10 +436,59 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 	st.obs.Completed = sr.completed
 	st.obs.Dropped = dropped
 	st.obs.ModelVersion = sr.version
-	st.obs.Stale = sr.stale
+	st.obs.Stale += sr.stale
 	st.obs.Pending = len(leftovers)
 	st.mu.Unlock()
-	return phases
+	return phases, nil
+}
+
+// maxWireWeight bounds an update's aggregation weight (a sample count).
+// Together with the FP32 bound on parameters it keeps FedAvg's Σw·v / Σw
+// finite for any number of accepted updates.
+const maxWireWeight = 1 << 40
+
+// checkUpdate rejects an update that Aggregate could not apply safely:
+// one that claims another participant's id, carries a weight that is neither
+// zero (unweighted) nor in [1, maxWireWeight], names an expert the global
+// model does not have, or whose parameter slice has the wrong length or a
+// value outside the FP32 range the wire is priced at (NaN and ±Inf included).
+// With no global model (an accounting-only Env) only expert-less updates pass.
+func checkUpdate(global *moe.Model, participant int, u Update) error {
+	if u.Participant != participant {
+		return fmt.Errorf("claims participant %d", u.Participant)
+	}
+	if u.Weight != 0 && !(u.Weight >= 1 && u.Weight <= maxWireWeight) {
+		return fmt.Errorf("weight %v", u.Weight)
+	}
+	// Walk the model's experts rather than the update's map, so the first
+	// error found does not depend on map order.
+	var layers []*moe.Layer
+	if global != nil {
+		layers = global.Layers
+	}
+	known := 0
+	for l, layer := range layers {
+		for orig := range layer.Routing {
+			key := ExpertKey{Layer: l, Expert: orig}
+			params, ok := u.Experts[key]
+			if !ok {
+				continue
+			}
+			known++
+			if want := global.ExpertAt(l, orig).Params(); len(params) != want {
+				return fmt.Errorf("expert %+v has %d parameters, want %d", key, len(params), want)
+			}
+			for _, v := range params {
+				if !(math.Abs(v) <= math.MaxFloat32) { // also NaN and ±Inf
+					return fmt.Errorf("expert %+v has a parameter outside the FP32 range", key)
+				}
+			}
+		}
+	}
+	if known != len(u.Experts) {
+		return fmt.Errorf("names %d experts the model does not have", len(u.Experts)-known)
+	}
+	return nil
 }
 
 // finishSync is the synchronous barrier: cut the slots that miss a drop

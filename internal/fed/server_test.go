@@ -2,11 +2,14 @@ package fed
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/moe"
 	"repro/internal/simtime"
+	"repro/internal/tensor"
 )
 
 func TestAggSpecValidate(t *testing.T) {
@@ -95,6 +98,16 @@ func asyncEnv(t *testing.T, spec AggSpec, fl fleet.Spec) *Env {
 	return &Env{Cfg: cfg}
 }
 
+// mustFinish is finishRound for slots that must all pass the server's check.
+func mustFinish(t *testing.T, env *Env, cohort []int, results []SlotResult) map[simtime.Phase]float64 {
+	t.Helper()
+	phases, err := env.finishRound(cohort, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phases
+}
+
 // slot builds a SlotResult whose end-to-end time is sec seconds.
 func slot(participant int, sec float64) SlotResult {
 	return SlotResult{
@@ -109,7 +122,7 @@ func TestFinishRoundAsync(t *testing.T) {
 
 	// Arrival order by time: 1 (10s), 3 (20s), 0 (30s), 2 (40s). K=2 flushes
 	// at the second and fourth arrivals.
-	phases := env.FinishRound(cohort, []SlotResult{slot(0, 30), slot(1, 10), slot(2, 40), slot(3, 20)})
+	phases := mustFinish(t, env, cohort, []SlotResult{slot(0, 30), slot(1, 10), slot(2, 40), slot(3, 20)})
 	obs := env.TakeRoundObs()
 	if obs.ModelVersion != 2 {
 		t.Errorf("model version %d, want 2 flushes", obs.ModelVersion)
@@ -133,14 +146,14 @@ func TestFinishRoundAsyncCarryOver(t *testing.T) {
 	cohort := []int{0, 1, 2}
 
 	// Three arrivals, K=2: one flush, one leftover carried into round 2.
-	env.FinishRound(cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
+	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
 	obs := env.TakeRoundObs()
 	if obs.Completed != 2 || obs.Pending != 1 || obs.ModelVersion != 1 {
 		t.Fatalf("round 1: %+v, want 2 completed, 1 pending, version 1", obs)
 	}
 
 	// Round 2: the carried update plus the first arrival complete a buffer.
-	env.FinishRound(cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
+	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
 	obs = env.TakeRoundObs()
 	if obs.Completed != 4 || obs.Pending != 0 || obs.ModelVersion != 3 {
 		t.Fatalf("round 2: %+v, want the carried update aggregated (4 completed), version 3", obs)
@@ -157,7 +170,7 @@ func TestFinishRoundAsyncForcedFlush(t *testing.T) {
 	// A buffer that never fills still flushes once at the last arrival, so
 	// every round advances the model and observers always see aggregation.
 	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 4}, fleet.Spec{})
-	phases := env.FinishRound([]int{0, 1}, []SlotResult{slot(0, 10), slot(1, 20)})
+	phases := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 10), slot(1, 20)})
 	obs := env.TakeRoundObs()
 	if obs.ModelVersion != 1 || obs.Completed != 2 || obs.Pending != 0 {
 		t.Fatalf("forced flush: %+v, want one flush consuming both arrivals", obs)
@@ -172,7 +185,7 @@ func TestFinishRoundSemiSync(t *testing.T) {
 	cohort := []int{0, 1, 2}
 
 	// Clock 25: slots 0 (10s) and 1 (20s) are on time, slot 2 (40s) is late.
-	phases := env.FinishRound(cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 40)})
+	phases := mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 40)})
 	obs := env.TakeRoundObs()
 	if obs.Completed != 2 || obs.Pending != 1 || obs.Dropped != 0 || obs.ModelVersion != 1 {
 		t.Fatalf("round 1: %+v, want 2 on time, 1 carried, none dropped", obs)
@@ -186,7 +199,7 @@ func TestFinishRoundSemiSync(t *testing.T) {
 	}
 
 	// Round 2: the carried update (born v0) merges at v1 — stale.
-	env.FinishRound(cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 21)})
+	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 21)})
 	obs = env.TakeRoundObs()
 	if obs.Completed != 4 || obs.Pending != 0 || obs.Stale != 1 {
 		t.Fatalf("round 2: %+v, want the carried update aggregated stale", obs)
@@ -197,7 +210,7 @@ func TestFinishRoundSemiSyncAllLate(t *testing.T) {
 	// Nothing flushable at the clock: the server waits past it for the single
 	// fastest arrival; the rest carry over.
 	env := asyncEnv(t, AggSpec{Mode: ModeSemiSync}, fleet.Spec{Deadline: 5})
-	phases := env.FinishRound([]int{0, 1}, []SlotResult{slot(0, 30), slot(1, 10)})
+	phases := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 30), slot(1, 10)})
 	obs := env.TakeRoundObs()
 	if obs.Completed != 1 || obs.Pending != 1 {
 		t.Fatalf("%+v, want only the fastest late arrival aggregated", obs)
@@ -215,7 +228,7 @@ func TestFinishRoundObservesTraffic(t *testing.T) {
 	results := []SlotResult{slot(0, 10), slot(1, 20)}
 	results[0].Bytes, results[0].DownBytes = 100, 400
 	results[1].Bytes, results[1].DownBytes = 300, 400
-	env.FinishRound([]int{0, 1}, results)
+	mustFinish(t, env, []int{0, 1}, results)
 	obs := env.TakeRoundObs()
 	if obs.UplinkBytes != 400 {
 		t.Errorf("uplink %v, want every cohort member's upload (400)", obs.UplinkBytes)
@@ -226,7 +239,7 @@ func TestFinishRoundObservesTraffic(t *testing.T) {
 }
 
 // TestFinishRoundArgumentCheck pins the entry check of the one reduction
-// every method author calls: a cohort/results length mismatch or an empty
+// every round ends in: a cohort/results length mismatch or an empty
 // cohort panics once, up front, naming both lengths — in every mode.
 func TestFinishRoundArgumentCheck(t *testing.T) {
 	for _, tc := range []struct {
@@ -253,7 +266,76 @@ func TestFinishRoundArgumentCheck(t *testing.T) {
 						t.Errorf("panic %q, want it to contain %q", got, tc.want)
 					}
 				}()
-				env.FinishRound(tc.cohort, tc.results)
+				env.finishRound(tc.cohort, tc.results)
+			})
+		}
+	}
+}
+
+// corruptRounder's participants upload their full model with every expert's
+// W1 doubled, so any aggregation would move the global; participant 1's
+// update is then corrupted.
+type corruptRounder struct{ corrupt func(u *Update) }
+
+func (corruptRounder) Name() string { return "corrupt" }
+
+func (c corruptRounder) Round(env *Env, _ int, _ []int) Participant {
+	return func(s *Scratch, _, i int) SlotResult {
+		local := s.LocalClone(env.Global)
+		for _, layer := range local.Layers {
+			for _, e := range layer.Experts {
+				e.W1.Scale(2)
+			}
+		}
+		u := s.ExtractUpdate(local, i, 1, IdentityTuning(local.Cfg))
+		if i == 1 {
+			c.corrupt(&u)
+		}
+		return SlotResult{Update: u, Bytes: UpdateBytes(u), Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}}
+	}
+}
+
+// TestRunRoundRejectsMalformedInProcessUpdates is the in-process twin of
+// TestRunRoundRejectsMalformedUpdates: a Rounder whose participant 1 returns
+// an update naming a layer the model does not have, a short parameter slice,
+// or a NaN must fail the round with an error naming participant 1, leave the
+// global model bit for bit as it was, and leave no round report — in the
+// synchronous and the buffered-async core alike.
+func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
+	key := ExpertKey{Layer: 1, Expert: 2}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(u *Update)
+	}{
+		{"layer out of range", func(u *Update) { u.Experts[ExpertKey{Layer: 9, Expert: 0}] = u.Experts[key] }},
+		{"short parameter slice", func(u *Update) { u.Experts[key] = u.Experts[key][:3] }},
+		{"NaN parameter", func(u *Update) { u.Experts[key][5] = math.NaN() }},
+	} {
+		for _, mode := range []string{ModeSync, ModeAsync} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Participants = 2
+				cfg.Agg = AggSpec{Mode: mode, BufferK: 1}
+				global := moe.MustNew(moe.Uniform("inproc-bad", 48, 12, 16, 2, 4, 2, 32), tensor.Named("inproc-bad"))
+				snapshot := global.Clone()
+				env := &Env{Cfg: cfg, Global: global}
+				phases, err := env.RunRound(corruptRounder{tc.corrupt}, 0)
+				if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {
+					t.Fatalf("RunRound error = %v, want participant 1's update rejected", err)
+				}
+				if phases != nil {
+					t.Errorf("rejected round returned phases %v", phases)
+				}
+				for l, layer := range snapshot.Layers {
+					for e, want := range layer.Experts {
+						if !sameBits(global.Layers[l].Experts[e].FlattenTo(nil), want.FlattenTo(nil)) {
+							t.Fatalf("layer %d expert %d moved although the round failed", l, e)
+						}
+					}
+				}
+				if o := env.TakeRoundObs(); o != (RoundObs{}) {
+					t.Fatalf("rejected round left a round report behind: %+v", o)
+				}
 			})
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -24,8 +23,9 @@ import (
 // experiments use. The protocol is synchronous rounds, mirroring Figure 4:
 // server broadcasts the global model, each participant fine-tunes its tuning
 // experts locally (LocalSGD over BatchOf, the in-process loop) and uploads
-// them, and the server hands the validated arrivals to Env.FinishRound — the
-// same reduction, census and participant records as an in-process round.
+// them, and the server hands the arrivals to the server core (finishRound) —
+// the same check, reduction, census and participant records as an in-process
+// round.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish —
 // so an external driver owns the round loop; ServeContext composes the steps
@@ -55,12 +55,9 @@ type RoundMsg struct {
 	Model []byte // gob-encoded moe.Model
 }
 
-// UpdateMsg is a participant's reply: the experts it fine-tuned.
-type UpdateMsg struct {
-	Participant int
-	Weight      float64
-	Experts     map[ExpertKey][]float64
-}
+// UpdateMsg is a participant's reply: the Update it fine-tuned, the same
+// value an in-process participant returns.
+type UpdateMsg = Update
 
 type peer struct {
 	conn    net.Conn
@@ -87,7 +84,7 @@ type Server struct {
 	// Env is the run being deployed: Env.Global is the model broadcast and
 	// aggregated into, Env.Cfg.Participants the peers Accept waits for, and
 	// Env.Cfg.MaxRounds the rounds ServeContext runs (stepwise drivers may
-	// ignore it). Every round reduces through Env.FinishRound, so a driver
+	// ignore it). Every round reduces through the server core, so a driver
 	// reads the round's traffic and census from Env.TakeRoundObs.
 	Env *Env
 
@@ -198,11 +195,12 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 }
 
 // RunRound executes synchronous round r: broadcast the global model, collect
-// and validate one update from every participant, and reduce them through
-// Env.FinishRound with the peers (in id order) as the round's cohort. A peer
-// whose update fails checkUpdate fails the round with an error naming it, and
-// nothing from that round reaches the core. Cancelling ctx closes the peer
-// connections, aborting in-flight exchanges promptly.
+// one update from every participant, and reduce them through the server core
+// (finishRound) with the peers (in id order) as the round's cohort. A peer
+// whose update fails the core's check fails the round with an error naming
+// it, and nothing from that round is aggregated or reported — the same rule
+// an in-process round meets. Cancelling ctx closes the peer connections,
+// aborting in-flight exchanges promptly.
 func (s *Server) RunRound(ctx context.Context, r int) error {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
@@ -232,16 +230,11 @@ func (s *Server) RunRound(ctx context.Context, r int) error {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			var msg UpdateMsg
-			if err := p.recv(&msg); err != nil {
+			var u Update
+			if err := p.recv(&u); err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
 				return
 			}
-			if err := checkUpdate(s.Env.Global, p.id, msg); err != nil {
-				errs[i] = fmt.Errorf("fed: update from %d rejected: %w", p.id, err)
-				return
-			}
-			u := Update{Participant: msg.Participant, Weight: msg.Weight, Experts: msg.Experts}
 			slots[i] = SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: float64(len(blob))}
 		}(i, p)
 	}
@@ -253,54 +246,12 @@ func (s *Server) RunRound(ctx context.Context, r int) error {
 	}
 	// The returned phase map is dropped: without per-slot phases it holds
 	// only the modeled server seconds, and a deployment runs in real time.
-	s.Env.FinishRound(cohort, slots)
+	if _, err := s.Env.finishRound(cohort, slots); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.round = r + 1
 	s.mu.Unlock()
-	return nil
-}
-
-// maxWireWeight bounds an update's aggregation weight (a sample count).
-// Together with the FP32 bound on parameters it keeps FedAvg's Σw·v / Σw
-// finite for any number of accepted updates.
-const maxWireWeight = 1 << 40
-
-// checkUpdate rejects a decoded update that Aggregate could not apply safely:
-// one that claims another participant's id, carries a weight that is neither
-// zero (unweighted) nor in [1, maxWireWeight], names an expert the global
-// model does not have, or whose parameter slice has the wrong length or a
-// value outside the FP32 range the wire is priced at (NaN and ±Inf included).
-func checkUpdate(global *moe.Model, peerID int, u UpdateMsg) error {
-	if u.Participant != peerID {
-		return fmt.Errorf("claims participant %d", u.Participant)
-	}
-	if u.Weight != 0 && !(u.Weight >= 1 && u.Weight <= maxWireWeight) {
-		return fmt.Errorf("weight %v", u.Weight)
-	}
-	// Walk the model's experts rather than the update's map, so the first
-	// error found does not depend on map order.
-	known := 0
-	for l, layer := range global.Layers {
-		for orig := range layer.Routing {
-			key := ExpertKey{Layer: l, Expert: orig}
-			params, ok := u.Experts[key]
-			if !ok {
-				continue
-			}
-			known++
-			if want := global.ExpertAt(l, orig).Params(); len(params) != want {
-				return fmt.Errorf("expert %+v has %d parameters, want %d", key, len(params), want)
-			}
-			for _, v := range params {
-				if !(math.Abs(v) <= math.MaxFloat32) { // also NaN and ±Inf
-					return fmt.Errorf("expert %+v has a parameter outside the FP32 range", key)
-				}
-			}
-		}
-	}
-	if known != len(u.Experts) {
-		return fmt.Errorf("names %d experts the model does not have", len(u.Experts)-known)
-	}
 	return nil
 }
 
@@ -421,7 +372,7 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		LocalSGD(model, moe.NewWorkspace(), moe.NewGrads(model, false),
 			BatchOf(cfg.Shard, cfg.Batch, msg.Round), cfg.LocalIters, cfg.LR)
 		u := ExtractUpdate(model, cfg.Participant, float64(len(cfg.Shard)), IdentityTuning(model.Cfg))
-		if err := p.send(UpdateMsg{Participant: u.Participant, Weight: u.Weight, Experts: u.Experts}); err != nil {
+		if err := p.send(u); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
 	}

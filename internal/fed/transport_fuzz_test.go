@@ -16,9 +16,9 @@ import (
 // ExtractUpdate and with every malformed case TestRunRoundRejectsMalformedUpdates
 // rejects, so the fuzzer starts from one accepted and many refused inputs.
 //
-// Invariants: neither the decode nor checkUpdate panics; and every message
-// checkUpdate accepts can be reduced by FinishRound (on a clone of the model)
-// without a panic, leaving only finite parameters behind.
+// Invariants: neither the decode nor the server core panics; and every
+// message the core's check accepts is reduced by finishRound (on a clone of
+// the model), leaving only finite parameters behind.
 func FuzzCheckUpdate(f *testing.F) {
 	const peer = 1
 	global := moe.MustNew(moe.Uniform("fuzz-update", 8, 2, 2, 2, 3, 1, 4), tensor.Named("fuzz-update"))
@@ -48,12 +48,10 @@ func FuzzCheckUpdate(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&msg); err != nil {
 			return
 		}
-		if err := checkUpdate(global, peer, msg); err != nil {
+		env := &Env{Cfg: cfg, Global: global.Clone()}
+		if _, err := env.finishRound([]int{peer}, []SlotResult{{Update: msg, Bytes: UpdateBytes(msg)}}); err != nil {
 			return
 		}
-		env := &Env{Cfg: cfg, Global: global.Clone()}
-		u := Update{Participant: msg.Participant, Weight: msg.Weight, Experts: msg.Experts}
-		env.FinishRound([]int{peer}, []SlotResult{{Update: u, Bytes: UpdateBytes(u)}})
 		for l, layer := range env.Global.Layers {
 			for e, expert := range layer.Experts {
 				for _, v := range expert.FlattenTo(nil) {

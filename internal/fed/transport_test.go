@@ -443,8 +443,8 @@ var (
 // (peer 0, parameters moved off the global's so any aggregation would show)
 // and one malformed one (peer 1) per case. Every case must fail the round
 // with an error naming peer 1, without panicking, and leave Global bit for
-// bit as it was and the core's round report empty (nothing reached
-// FinishRound).
+// bit as it was and the core's round report empty (the core's check rejects
+// the round before it aggregates or reports anything).
 func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 	for _, tc := range malformedUpdates {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,24 +57,29 @@ func DefaultOptions(rounds int) Options {
 	}
 }
 
-// Runner executes Flux rounds. It keeps per-participant state: utility
-// tables, stale-profiling schedulers, and the latest profiling results.
+// Runner executes Flux rounds. Its state lives with the participants: one
+// participant value per fleet member.
 type Runner struct {
 	Opts Options
 
-	tables     []*assign.UtilityTable
-	schedulers []*profile.StaleScheduler
+	participants []participant
+}
+
+// participant is what one fleet member carries from round to round: §4.2's
+// stale-profiling scheduler, whose profile merging and assignment consume,
+// and §6's utility table, built from the first profile and refreshed by
+// backpropagation (exploited experts) and SPSA probes (explored ones). Only
+// that member's participant function touches it.
+type participant struct {
+	sched profile.StaleScheduler
+	table *assign.UtilityTable
 }
 
 // New creates a Flux runner for an environment with n participants.
 func New(opts Options, n int) *Runner {
-	r := &Runner{
-		Opts:       opts,
-		tables:     make([]*assign.UtilityTable, n),
-		schedulers: make([]*profile.StaleScheduler, n),
-	}
-	for i := range r.schedulers {
-		r.schedulers[i] = &profile.StaleScheduler{Enabled: opts.StaleProfiling}
+	r := &Runner{Opts: opts, participants: make([]participant, n)}
+	for i := range r.participants {
+		r.participants[i].sched.Enabled = opts.StaleProfiling
 	}
 	return r
 }
@@ -82,17 +87,14 @@ func New(opts Options, n int) *Runner {
 // Name implements fed.Rounder.
 func (r *Runner) Name() string { return "flux" }
 
-// Round implements fed.Rounder: one full Flux round across the round's
-// cohort (env.Cohort — the full fleet unless a fleet spec selects fewer),
-// returning the simulated per-phase durations. Participants execute over
-// the environment's worker pool (fed.ForEachOf), each filling its own slot;
-// per-participant RNG streams are split serially up front and the server
-// side of the round (env.FinishRound) reduces in cohort order after the pool
-// joins, so results are bit-identical at every worker count.
-func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
+// Round implements fed.Rounder: it prepares one Flux round for the cohort —
+// the round's ε, per-participant RNG streams split serially in cohort order,
+// and the quantized profiling model every participant shares read-only — and
+// returns the participant function: profile, assign, merge, fine-tune, probe,
+// upload.
+func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 	cfg := env.Global.Cfg
 	eps := r.Opts.Eps.Epsilon(round)
-	cohort := env.Cohort(round)
 
 	// Splitting advances env.RNG, so the per-participant streams must be
 	// derived in cohort order before any work is dispatched. Labels carry
@@ -107,8 +109,8 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	// built once, before the fan-out, and only read from then on.
 	qm := env.QuantizedGlobal(r.Opts.ProfileBits)
 
-	slots := make([]fed.SlotResult, len(cohort))
-	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
+	return func(ws *fed.Scratch, slot, i int) fed.SlotResult {
+		p := &r.participants[i]
 		dev := env.Devices[i]
 		rng := rngs[slot]
 		mws := ws.Workspace()
@@ -119,18 +121,17 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		shardSeqs := env.Batch(i, round)
 		res := prof.RunOn(qm, env.Global.Cfg, shardSeqs, mws)
 		profSec := res.Seconds(dev, cfg)
-		sched := r.schedulers[i]
-		sched.Complete(res)
-		stats := sched.Current().Stats
+		p.sched.Complete(res)
+		stats := p.sched.Current().Stats
 
-		if r.tables[i] == nil {
-			r.tables[i] = assign.NewUtilityTable(stats)
+		if p.table == nil {
+			p.table = assign.NewUtilityTable(stats)
 		}
 
 		// --- Expert role assignment (§6). ---
 		env.MarkPhase(simtime.PhaseAssignment)
 		capacity, tune := env.Budgets(i)
-		a := assign.Assign(r.tables[i], cfg.ExpertsPerLayer, tune, eps, rng.Split("assign"))
+		a := assign.Assign(p.table, cfg.ExpertsPerLayer, tune, eps, rng.Split("assign"))
 		tuning := a.Tuning(cfg.Layers())
 		assignSec := dev.Seconds(assignFlops(env.TotalExperts()))
 
@@ -162,15 +163,15 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 				local.ForwardBackwardWS(mws, seq, mask, grads, nil, -1)
 				tokens += len(seq)
 			}
-			r.refreshUtilities(i, local, grads, a)
+			p.refreshUtilities(local, grads, a)
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		tuneFrac := float64(len(a.Exploit)) / float64(maxi(1, env.TotalExperts()))
+		tuneFrac := float64(len(a.Exploit)) / float64(max(1, env.TotalExperts()))
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
 
 		// --- Forward-only gradient probes for exploration experts (§6.2).---
 		env.MarkPhase(simtime.PhaseAssignment) // probes are priced under assignment
-		spsaSec := r.probeExploration(i, local, mws, batch, a, dev, cfg, rng.Split("spsa"))
+		spsaSec := p.probeExploration(r.Opts, local, mws, batch, a, dev, cfg, rng.Split("spsa"))
 
 		// --- Upload tuning expert parameters. ---
 		env.MarkPhase(simtime.PhaseComm)
@@ -181,7 +182,7 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 
 		// Aggregation + assignment happen server-side while the next
 		// profile is computed locally; stale profiling hides the overlap.
-		visibleProf := sched.VisibleSeconds(profSec, commSec+assignSec)
+		visibleProf := p.sched.VisibleSeconds(profSec, commSec+assignSec)
 		if round == 0 {
 			visibleProf = profSec // bootstrap profile is on the critical path
 		}
@@ -190,7 +191,7 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		// of merging (the rounded difference is what the goldens pin), and
 		// the probes are billed under assignment as well.
 		localSec := mergeSec + trainSec + spsaSec
-		slots[slot] = fed.SlotResult{
+		return fed.SlotResult{
 			Update:    u,
 			Bytes:     bytes,
 			DownBytes: down,
@@ -202,12 +203,7 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 				simtime.PhaseComm:       commSec,
 			},
 		}
-	})
-	if err != nil {
-		// Abandon the round: the caller discards partial work.
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 // selectBatch applies §4.1's data selection: prefer local samples whose
@@ -245,26 +241,27 @@ func (r *Runner) selectBatch(env *fed.Env, i, round int, stats *moe.ActivationSt
 }
 
 // refreshUtilities folds real backpropagation gradients of exploited
-// experts into participant i's utility table (Eq. 3).
-func (r *Runner) refreshUtilities(i int, local *moe.Model, grads *moe.Grads, a assign.Assignment) {
+// experts into the participant's utility table (Eq. 3).
+func (p *participant) refreshUtilities(local *moe.Model, grads *moe.Grads, a assign.Assignment) {
 	for _, k := range a.Exploit {
 		pos := local.Layers[k.Layer].Routing[k.Expert]
 		c := grads.TokenGradCount[k.Layer][pos]
 		if c == 0 {
 			continue
 		}
-		r.tables[i].Set(assign.Key{Layer: k.Layer, Expert: k.Expert},
+		p.table.Set(assign.Key{Layer: k.Layer, Expert: k.Expert},
 			assign.Utility(c, grads.AvgTokenGradNorm(k.Layer, pos)))
 	}
 }
 
 // probeExploration runs SPSA gradient probes for exploration experts and
-// updates their utilities, returning the simulated probe cost.
-func (r *Runner) probeExploration(i int, local *moe.Model, mws *moe.Workspace, batch []*data.Sample, a assign.Assignment, dev simtime.Device, cfg moe.Config, rng *tensor.RNG) float64 {
-	if len(a.Explore) == 0 || r.Opts.SPSAProbes == 0 || len(batch) == 0 {
+// updates their utilities in the participant's table, returning the
+// simulated probe cost.
+func (p *participant) probeExploration(opts Options, local *moe.Model, mws *moe.Workspace, batch []*data.Sample, a assign.Assignment, dev simtime.Device, cfg moe.Config, rng *tensor.RNG) float64 {
+	if len(a.Explore) == 0 || opts.SPSAProbes == 0 || len(batch) == 0 {
 		return 0
 	}
-	n := r.Opts.SPSASeqs
+	n := opts.SPSASeqs
 	if n > len(batch) {
 		n = len(batch)
 	}
@@ -281,17 +278,17 @@ func (r *Runner) probeExploration(i int, local *moe.Model, mws *moe.Workspace, b
 	// sequence (the model is restored exactly after each probe, so the
 	// unperturbed activations never change); the simulated probe cost below
 	// already bills a single shared baseline.
-	results := assign.ProbeExploreSPSA(local, mws, a.Explore, seqs, masks, r.Opts.SPSAProbes, r.Opts.SPSASigma, func(k assign.Key) *tensor.RNG {
+	results := assign.ProbeExploreSPSA(local, mws, a.Explore, seqs, masks, opts.SPSAProbes, opts.SPSASigma, func(k assign.Key) *tensor.RNG {
 		return rng.Split(fmt.Sprintf("e%d.%d", k.Layer, k.Expert))
 	})
 	for j, k := range a.Explore {
 		// |D_e| for exploration experts comes from profiling counts; use the
 		// per-token norm estimate directly with the probe token count.
-		r.tables[i].Set(k, assign.Utility(float64(tokens), results[j].Norm/float64(maxi(1, tokens))))
+		p.table.Set(k, assign.Utility(float64(tokens), results[j].Norm/float64(max(1, tokens))))
 	}
 	// Each probe costs one forward pass over the probe sequences, plus one
 	// baseline pass shared across experts.
-	passes := 1 + len(a.Explore)*r.Opts.SPSAProbes
+	passes := 1 + len(a.Explore)*opts.SPSAProbes
 	return dev.Seconds(simtime.ForwardFlops(cfg, tokens)) * float64(passes)
 }
 
@@ -314,11 +311,4 @@ func mergeFlops(experts int, opt merge.Options) float64 {
 		base *= 40
 	}
 	return base
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -26,13 +26,23 @@ func testEnv(t *testing.T, seed string) *fed.Env {
 	return env
 }
 
+// runRound is env.RunRound for a round that must not fail.
+func runRound(t *testing.T, env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
+	t.Helper()
+	phases, err := env.RunRound(r, round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phases
+}
+
 func TestRoundRunsAndReportsPhases(t *testing.T) {
 	env := testEnv(t, "flux-round")
 	r := New(DefaultOptions(env.Cfg.MaxRounds), env.Cfg.Participants)
 	if r.Name() != "flux" {
 		t.Fatal("name wrong")
 	}
-	phases := r.Round(env, 0)
+	phases := runRound(t, env, r, 0)
 	for _, p := range []simtime.Phase{simtime.PhaseProfiling, simtime.PhaseMerging,
 		simtime.PhaseAssignment, simtime.PhaseFineTuning, simtime.PhaseComm} {
 		if phases[p] < 0 {
@@ -54,8 +64,8 @@ func TestStaleProfilingHidesCost(t *testing.T) {
 		opts := DefaultOptions(env.Cfg.MaxRounds)
 		opts.StaleProfiling = stale
 		r := New(opts, env.Cfg.Participants)
-		r.Round(env, 0)
-		phases := r.Round(env, 1) // steady-state round
+		runRound(t, env, r, 0)
+		phases := runRound(t, env, r, 1) // steady-state round
 		return phases[simtime.PhaseProfiling]
 	}
 	staleProf := mk(true, "flux-stale")
@@ -78,7 +88,7 @@ func TestFluxImprovesModel(t *testing.T) {
 	before := testLoss()
 	r := New(DefaultOptions(8), env.Cfg.Participants)
 	for round := 0; round < 6; round++ {
-		r.Round(env, round)
+		runRound(t, env, r, round)
 	}
 	after := testLoss()
 	if after >= before {
@@ -90,7 +100,7 @@ func TestFluxGlobalModelMutated(t *testing.T) {
 	env := testEnv(t, "flux-mutates")
 	snapshot := env.Global.Clone()
 	r := New(DefaultOptions(4), env.Cfg.Participants)
-	r.Round(env, 0)
+	runRound(t, env, r, 0)
 	changed := false
 	for l := range env.Global.Layers {
 		for e := range env.Global.Layers[l].Experts {
@@ -111,7 +121,10 @@ func TestFluxGlobalModelMutated(t *testing.T) {
 func TestRunToTargetViaEngine(t *testing.T) {
 	env := testEnv(t, "flux-engine")
 	r := New(DefaultOptions(env.Cfg.MaxRounds), env.Cfg.Participants)
-	tr, clock := fed.Run(env, r, 0) // no target: run all rounds
+	tr, clock, err := fed.Run(env, r, 0) // no target: run all rounds
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tr.Points) != env.Cfg.MaxRounds+1 {
 		t.Fatalf("%d points", len(tr.Points))
 	}
@@ -129,7 +142,7 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 		opts := DefaultOptions(4)
 		opts.DataSelection = sel
 		r := New(opts, env.Cfg.Participants)
-		phases := r.Round(env.CloneForMethod("sel"), 0)
+		phases := runRound(t, env.CloneForMethod("sel"), r, 0)
 		if phases[simtime.PhaseFineTuning] <= 0 {
 			t.Fatalf("selection=%v: training vanished", sel)
 		}

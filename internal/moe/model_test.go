@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -360,6 +361,65 @@ func TestEncodeDecodeBytes(t *testing.T) {
 	}
 	if _, err := DecodeBytes([]byte("garbage")); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// TestLoadRejectsMisshapenTensors corrupts one tensor of a saved model per
+// case; decoding must fail naming it, since ForwardWS would otherwise read
+// mis-strided rows. A customized (merged) model, whose layers hold fewer
+// experts than the gate spans, must still load.
+func TestLoadRejectsMisshapenTensors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *Model)
+		want    string
+	}{
+		{"embed twice as wide", func(m *Model) { m.Embed = tensor.NewMatrix(m.Cfg.VocabSize, 2*m.Cfg.Dim) }, "embed"},
+		{"head transposed", func(m *Model) { m.Head = tensor.NewMatrix(m.Cfg.VocabSize, m.Cfg.Dim) }, "head"},
+		{"short embed data", func(m *Model) { m.Embed.Data = m.Embed.Data[:5] }, "embed"},
+		{"missing layer", func(m *Model) { m.Layers = m.Layers[:1] }, "layers"},
+		{"wk shape", func(m *Model) { m.Layers[1].Wk = tensor.NewMatrix(m.Cfg.Dim, m.Cfg.Dim+1) }, "layer 1 attention"},
+		{"gate width", func(m *Model) { m.Layers[0].Gate = tensor.NewMatrix(m.Cfg.Dim, m.Layers[0].OrigExperts-1) }, "layer 0 gate"},
+		{"expert count", func(m *Model) { m.Layers[0].Experts = m.Layers[0].Experts[1:] }, "layer 0 has"},
+		{"routing length", func(m *Model) { m.Layers[1].Routing = m.Layers[1].Routing[1:] }, "layer 1 routes top-"},
+		{"routing past the experts", func(m *Model) { m.Layers[1].Routing[0] = len(m.Layers[1].Experts) }, "layer 1 routes expert 0"},
+		{"top-k", func(m *Model) { m.Layers[0].TopK = 0 }, "top-0"},
+		{"expert w1", func(m *Model) { m.Layers[0].Experts[1].W1 = tensor.NewMatrix(m.Cfg.FFNDim, m.Cfg.Dim) }, "expert 1 is not"},
+		{"expert w2 data", func(m *Model) { m.Layers[0].Experts[0].W2.Data = nil }, "expert 0 is not"},
+		{"expert bias", func(m *Model) { m.Layers[1].Experts[0].B1 = m.Layers[1].Experts[0].B1[1:] }, "expert 0 is not"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tinyModel(t, "load-shapes")
+			tc.corrupt(m)
+			b, err := m.EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeBytes(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("DecodeBytes error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+
+	m := tinyModel(t, "load-shapes")
+	specs := make([]LayerSpec, len(m.Layers))
+	for l, layer := range m.Layers {
+		rest := make([]int, 0, layer.OrigExperts-1)
+		for e := 1; e < layer.OrigExperts; e++ {
+			rest = append(rest, e)
+		}
+		specs[l] = LayerSpec{Tuning: []int{0}, MergeGroups: [][]int{rest}}
+	}
+	local, err := Customize(m, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := local.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBytes(b); err != nil {
+		t.Fatalf("a merged model must load: %v", err)
 	}
 }
 

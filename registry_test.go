@@ -9,9 +9,9 @@ import (
 
 type nopRounder struct{}
 
-func (nopRounder) Name() string                                { return "nop" }
-func (nopRounder) Round(*flux.Env, int) map[flux.Phase]float64 { return nil }
-func nopCtor(flux.EngineConfig) flux.Rounder                   { return nopRounder{} }
+func (nopRounder) Name() string                                 { return "nop" }
+func (nopRounder) Round(*flux.Env, int, []int) flux.Participant { return nil }
+func nopCtor(flux.EngineConfig) flux.Rounder                    { return nopRounder{} }
 
 func TestRegisterMethodErrors(t *testing.T) {
 	if err := flux.RegisterMethod("registry-test-ok", "registration fixture", false, nopCtor); err != nil {
@@ -84,19 +84,17 @@ func TestMethodsOrdering(t *testing.T) {
 }
 
 // pubFedAvg is the in-module twin of examples/external_method: a plain
-// FedAvg written purely against the public extension surface (cohort fan-out,
-// one SlotResult per slot, env.FinishRound). Running it through fluxtest here
-// keeps the public-API path covered by the root test suite (the external
-// module exercises the out-of-module path).
+// FedAvg written purely against the public extension surface (a Round that
+// returns a Participant function filling one SlotResult). Running it through
+// fluxtest here keeps the public-API path covered by the root test suite (the
+// external module exercises the out-of-module path).
 type pubFedAvg struct{}
 
 func (pubFedAvg) Name() string { return "pub-fedavg" }
 
-func (pubFedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
+func (pubFedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 	tuning := flux.TuneAllExperts(env.Global)
-	cohort := env.Cohort(round)
-	slots := make([]flux.SlotResult, len(cohort))
-	err := flux.ForEachCohort(env, cohort, func(ws *flux.Scratch, slot, i int) {
+	return func(ws *flux.Scratch, _, i int) flux.SlotResult {
 		local := ws.LocalClone(env.Global)
 		grads := ws.Grads(local)
 		batch := env.Batch(i, round)
@@ -110,17 +108,13 @@ func (pubFedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-		slots[slot] = flux.SlotResult{
+		return flux.SlotResult{
 			Update: u, Bytes: flux.UpdateBytes(u), DownBytes: flux.ModelBytes(env.Global),
 			Phases: map[flux.Phase]float64{
 				flux.PhaseFineTuning: env.Devices[i].Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
 			},
 		}
-	})
-	if err != nil {
-		return nil
 	}
-	return env.FinishRound(cohort, slots)
 }
 
 func TestPublicAPIMethodConformsOnBothTransports(t *testing.T) {

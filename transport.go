@@ -27,7 +27,7 @@ type RoundStats struct {
 	// ExpertsTouched is how many distinct experts aggregation updated.
 	ExpertsTouched int
 	// Selected/Completed/Dropped are the round's participation census (see
-	// RoundEvent). Both built-in transports report what Env.FinishRound
+	// RoundEvent). Both built-in transports report what the server core
 	// counted; over TCP the cohort is the connected peers, all of whom
 	// complete a synchronous round.
 	Selected  int
@@ -91,15 +91,15 @@ func (t *inProcess) Round(ctx context.Context, r int) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
-	phases := t.rounder.Round(t.env, r)
-	if err := ctx.Err(); err != nil {
+	phases, err := t.env.RunRound(t.rounder, r)
+	if err != nil {
 		return RoundStats{}, err
 	}
 	return roundStats(t.env.TakeRoundObs(), phases), nil
 }
 
 // roundStats is the one conversion from the round core's report to a
-// transport's RoundStats: whatever FinishRound recorded is what a round says
+// transport's RoundStats: whatever the server core recorded is what a round says
 // about itself, in-process and over TCP. phases is nil for a transport that
 // runs in real time.
 func roundStats(o fed.RoundObs, phases map[simtime.Phase]float64) RoundStats {
