@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/moe"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 	"repro/internal/tensor"
 )
 
@@ -177,7 +179,9 @@ type JoinResult struct {
 }
 
 // Join connects to the server, participates in every round with a locally
-// generated synthetic shard, and returns once the final model arrives.
+// generated synthetic shard — running fmd's participant function on its own
+// one-participant environment — and returns once the final model arrives. A
+// broadcast of another architecture than cfg.Model fails the join.
 // Cancelling ctx drops the connection and returns the context's error.
 func Join(ctx context.Context, cfg JoinConfig) (JoinResult, error) {
 	if ctx == nil {
@@ -214,6 +218,12 @@ func Join(ctx context.Context, cfg JoinConfig) (JoinResult, error) {
 	}
 	shard := data.Generate(profile, modelCfg.VocabSize, cfg.Samples,
 		tensor.Named("client-shard").Split(fmt.Sprintf("p%d", cfg.Participant)))
+	// A one-participant run of its own: the device tier NewEnv would give its
+	// id, and a placeholder model every broadcast must match.
+	env := &fed.Env{Cfg: fed.Config{Participants: 1, Batch: cfg.Batch, LocalIters: cfg.LocalIters, LR: cfg.LR},
+		Global:  moe.MustNew(modelCfg, tensor.Named("client-model")),
+		Shards:  [][]*data.Sample{shard.Samples},
+		Devices: []simtime.Device{simtime.TierFor(simtime.ConsumerTiers(), max(cfg.Participant, 0))}}
 	if cfg.Logf != nil {
 		cfg.Logf("flux: participant %d joining %s with %d %s samples",
 			cfg.Participant, cfg.Addr, cfg.Samples, cfg.Dataset)
@@ -221,10 +231,8 @@ func Join(ctx context.Context, cfg JoinConfig) (JoinResult, error) {
 	final, err := fed.RunClientContext(ctx, fed.ClientConfig{
 		Participant: cfg.Participant,
 		Addr:        cfg.Addr,
-		Shard:       shard.Samples,
-		Batch:       cfg.Batch,
-		LocalIters:  cfg.LocalIters,
-		LR:          cfg.LR,
+		Env:         env,
+		Method:      baselines.FMD{},
 		IOTimeout:   cfg.IOTimeout,
 	})
 	if err != nil {

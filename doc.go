@@ -13,13 +13,15 @@
 //     assembles an Experiment from composable settings.
 //   - Transports: the same Run(ctx) round loop drives an InProcess
 //     simulation or a real gob/TCP deployment (TCP), and cancelling the
-//     context stops either cleanly. Both reduce a round through the one
-//     server core — over TCP the arrivals become the SlotResults, and
-//     both paths meet the same update check — so aggregation, traffic
-//     totals, the census and the participant records come from one core; a TCP round has no simulated
-//     phases, so SimHours stays zero there.
+//     context stops either cleanly. Over TCP every participant runs the
+//     method's own participant function on its own replica of the
+//     environment and uploads the SlotResult, and both transports reduce a
+//     round through the one server core and its slot check, so every
+//     method's rounds — scores, traffic, census, simulated time, trace and
+//     run log — are bit-identical on both.
 //   - A method registry: Methods lists the available federated fine-tuning
-//     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more.
+//     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more, and
+//     every registered method runs on both transports.
 //
 // Both extension points are fully public. A custom method implements
 // Rounder against Env and EngineConfig around one contract — Round(env, r,
@@ -27,7 +29,7 @@
 // one participant and returns its SlotResult (update, modeled traffic,
 // per-phase simulated seconds) — and registers with RegisterMethod.
 // env.RunRound owns the rest of the round: the cohort, the fan-out,
-// cancellation, the update check, straggler deadline, aggregation in
+// cancellation, the slot check, straggler deadline, aggregation in
 // whichever mode the run selected, traffic and census accounting,
 // observability records, and the round's phase map. A custom execution
 // substrate implements Transport. Neither

@@ -24,7 +24,7 @@ import (
 // Scratch, runs local SGD over env.Batch(i, r), extracts the tuned experts,
 // and returns one SlotResult — the update, its modeled traffic, and the
 // participant's per-phase simulated seconds. Env.RunRound owns the rest of
-// the round (cohort, fan-out, cancellation, the update check, deadline,
+// the round (cohort, fan-out, cancellation, the slot check, deadline,
 // FedAvg in every aggregation mode, traffic and census accounting, simulated
 // time). See examples/external_method for a complete out-of-module method,
 // and package fluxtest for the conformance suite every implementation should
@@ -215,8 +215,7 @@ const (
 type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m
-// — the tuning set of a full-model method (pass it to Scratch.ExtractUpdate),
-// and exactly what a TCP wire client fine-tunes and uploads.
+// — the tuning set of a full-model method (pass it to Scratch.ExtractUpdate).
 func TuneAllExperts(m *Model) [][]int { return fed.IdentityTuning(m.Cfg) }
 
 // UpdateBytes returns the FP32 wire size of an update — a SlotResult's Bytes.

@@ -9,16 +9,16 @@ type RoundEvent struct {
 	Round int
 	// Score is the evaluation score of the global model after this round.
 	Score float64
-	// SimHours is the simulated clock (in-process transport only; the TCP
-	// transport runs in real time and leaves it zero).
+	// SimHours is the simulated clock: the sum of every round's Phases so
+	// far, the same on both built-in transports.
 	SimHours float64
 	// Elapsed is wall-clock time since Run started.
 	Elapsed time.Duration
 	// UplinkBytes is the update payload participants uploaded this round.
 	UplinkBytes float64
 	// DownlinkBytes is the payload the server broadcast to participants this
-	// round — modeled bytes in-process, actual wire bytes over TCP. Zero on
-	// round 0.
+	// round, as their participant functions modeled it (over TCP too). Zero
+	// on round 0.
 	DownlinkBytes float64
 	// ExpertsTouched is how many distinct experts aggregation updated.
 	ExpertsTouched int

@@ -4,8 +4,10 @@
 // flux.Env/flux.Rounder/flux.Participant/flux.EngineConfig types — a Round
 // that returns a participant function — registers it with
 // flux.RegisterMethod, and runs it over both the in-process and the TCP
-// transport. Its test runs the same method through the fluxtest conformance
-// suite.
+// transport, where every participant runs the same participant function on
+// its own replica of the environment. Its test runs the same method through
+// the fluxtest conformance suite, which requires both transports to agree bit
+// for bit.
 package main
 
 import (
@@ -17,10 +19,8 @@ import (
 	flux "repro"
 )
 
-// fedAvg is plain FedAvg over every expert — deliberately the exact behavior
-// of the TCP wire protocol (broadcast, local SGD over the round batch, upload,
-// sample-count-weighted aggregation), which is what makes it wire-capable:
-// fluxtest asserts its in-process and TCP executions converge bit-identically.
+// fedAvg is plain FedAvg over every expert: local SGD over the round batch,
+// upload, sample-count-weighted aggregation.
 //
 // It has the shape of every method: Round prepares the round and returns the
 // participant function, which fills one SlotResult per cohort member. The
@@ -71,7 +71,6 @@ func register() error {
 	registerOnce.Do(func() {
 		registerErr = flux.RegisterMethod("fedavg-lite",
 			"external example: plain FedAvg over every expert",
-			true, // wire-capable: the round IS the TCP protocol's exchange
 			func(cfg flux.EngineConfig) flux.Rounder { return fedAvg{} })
 	})
 	return registerErr

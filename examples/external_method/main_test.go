@@ -9,9 +9,9 @@ import (
 )
 
 // TestFedAvgLiteConformance runs the out-of-module method through the
-// conformance suite. Wire: true makes the suite execute it on both the
-// in-process and the TCP transport and require bit-identical convergence —
-// the acceptance bar for a public-API method.
+// conformance suite, which executes it on both the in-process and the TCP
+// transport and requires bit-identical rounds — the acceptance bar for a
+// public-API method.
 func TestFedAvgLiteConformance(t *testing.T) {
 	if err := register(); err != nil {
 		t.Fatal(err)
@@ -20,7 +20,6 @@ func TestFedAvgLiteConformance(t *testing.T) {
 		Name:       "fedavg-lite",
 		New:        func(cfg flux.EngineConfig) flux.Rounder { return fedAvg{} },
 		Registered: true,
-		Wire:       true,
 	})
 }
 

@@ -2,8 +2,8 @@
 // transport starts a parameter server and one goroutine per participant in
 // this process, all speaking the same gob/TCP wire protocol cmd/fluxserver
 // and cmd/fluxclient use across machines. The round loop, evaluation, and
-// events are identical to the in-process transport — and for a wire-capable
-// method the training math is bit-identical too.
+// events are identical to the in-process transport, and so is every round,
+// bit for bit, for any registered method.
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 func main() {
 	var baseline float64
 	exp, err := flux.New(
-		flux.WithMethod("fmd"), // full-model FedAvg, the wire-capable method
+		flux.WithMethod("fmd"), // full-model FedAvg; any registered method runs over TCP
 		flux.WithTransport(flux.TCP()),
 		flux.WithDataset("piqa"),
 		flux.WithSeed("tcp-example"),

@@ -113,7 +113,7 @@ type Result struct {
 	Best                   float64
 	Target                 float64
 	TargetReached          bool
-	SimHours               float64 // simulated time (in-process transport)
+	SimHours               float64 // simulated time
 	Elapsed                time.Duration
 	UplinkBytes            float64 // total update payload uploaded
 	DownlinkBytes          float64 // total payload broadcast to participants
@@ -252,6 +252,9 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		startSec := clock.Seconds()
 		stats, err := e.transport.Round(ctx, r)
 		if err != nil {
+			if e.metrics != nil && errors.Is(err, fed.ErrRejected) {
+				e.metrics.Counter(obs.MetricRejectedUpdates, "").Add(1)
+			}
 			runErr = fed.CtxErr(ctx, err)
 			break
 		}

@@ -3,7 +3,11 @@ package flux
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // quickOpts is a small-but-real configuration shared by the SDK tests: a
@@ -130,13 +134,34 @@ func TestTCPTransportIsSingleShot(t *testing.T) {
 	}
 }
 
-func TestTCPRejectsNonWireMethod(t *testing.T) {
-	e, err := New(quickOpts("sdk-wire-reject", WithMethod("flux"), WithTransport(TCP()))...)
+// nanPhase is a method whose every participant reports a NaN phase, which the
+// server core's check rejects.
+type nanPhase struct{}
+
+func (nanPhase) Name() string { return "nan-phase" }
+
+func (nanPhase) Round(*Env, int, []int) Participant {
+	return func(_ *Scratch, _, i int) SlotResult {
+		return SlotResult{Update: Update{Participant: i}, Phases: map[Phase]float64{PhaseComm: math.NaN()}}
+	}
+}
+
+// TestRunCountsRejectedUpdates: a rejected slot fails Run with the server
+// core's error, and Run counts it in the metrics registry.
+func TestRunCountsRejectedUpdates(t *testing.T) {
+	if err := RegisterMethod("nan-phase", "rejection fixture", func(EngineConfig) Rounder { return nanPhase{} }); err != nil {
+		t.Fatal(err)
+	}
+	metrics := NewMetricsRegistry()
+	e, err := New(quickOpts("sdk-reject", WithMethod("nan-phase"), WithMetrics(metrics))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(context.Background()); err == nil {
-		t.Fatal("flux method over TCP should be rejected")
+	if _, err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "update from 0 rejected") {
+		t.Fatalf("Run = %v, want participant 0's update rejected", err)
+	}
+	if n := metrics.Counter(obs.MetricRejectedUpdates, "").Value(); n != 1 {
+		t.Errorf("%s = %v after one rejected round, want 1", obs.MetricRejectedUpdates, n)
 	}
 }
 

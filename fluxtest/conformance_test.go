@@ -22,7 +22,6 @@ func TestBuiltinRoundersConform(t *testing.T) {
 				Name:       m.Name,
 				New:        m.New,
 				Registered: true,
-				Wire:       m.Wire,
 			})
 		})
 	}

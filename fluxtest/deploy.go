@@ -13,6 +13,7 @@ import (
 
 	flux "repro"
 	"repro/internal/fed"
+	"repro/internal/obs"
 )
 
 // TestDeployment exercises the robustness contracts of the public
@@ -31,7 +32,11 @@ import (
 //     same,
 //   - a participant whose update names an expert the model does not have
 //     and carries a NaN fails the deployment with an error naming it,
-//     instead of panicking the server or poisoning the model.
+//     instead of panicking the server or poisoning the model, and the
+//     rejection is counted in the metrics registry,
+//   - a participant that announces a message far beyond the model's size
+//     fails the deployment with an error naming it, before the server
+//     allocates the message.
 //
 // The battery is self-contained: call it from a single test function.
 func TestDeployment(t *testing.T) {
@@ -171,6 +176,39 @@ func TestDeployment(t *testing.T) {
 
 	t.Run("HostileUpdateFailsServe", func(t *testing.T) {
 		ln := listenLoopback(t)
+		metrics := flux.NewMetricsRegistry()
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 3,
+			PretrainSteps: 60, IOTimeout: 10 * time.Second, Metrics: metrics,
+		})
+		hostile := dialRaw(t, ln.Addr().String(), 0)
+		survivor := dialRaw(t, ln.Addr().String(), 1)
+		done1 := survivor.participateAsync()
+
+		var msg fed.RoundMsg
+		hostile.conn.SetReadDeadline(time.Now().Add(deployBound))
+		if err := hostile.dec.Decode(&msg); err != nil {
+			t.Fatalf("hostile peer never saw round 0: %v", err)
+		}
+		bad := fed.SlotResult{Update: fed.UpdateMsg{Participant: 0, Weight: 1, Experts: map[fed.ExpertKey][]float64{
+			{Layer: 1 << 20, Expert: -1}: {math.NaN()},
+		}}}
+		if err := hostile.enc.Encode(bad); err != nil {
+			t.Fatalf("hostile upload: %v", err)
+		}
+
+		err := waitErr(t, errc, "Serve")
+		if err == nil || !strings.Contains(err.Error(), "update from 0 rejected") {
+			t.Fatalf("Serve = %v, want an error rejecting participant 0's update", err)
+		}
+		if n := metrics.Counter(obs.MetricRejectedUpdates, "").Value(); n != 1 {
+			t.Errorf("%s = %v after one rejected update, want 1", obs.MetricRejectedUpdates, n)
+		}
+		waitErr(t, done1, "participant 1") // released by the teardown, not left hanging
+	})
+
+	t.Run("OversizeMessageFailsServe", func(t *testing.T) {
+		ln := listenLoopback(t)
 		errc := serveAsync(t, flux.ServerConfig{
 			Listener: ln, Clients: 2, Rounds: 3,
 			PretrainSteps: 60, IOTimeout: 10 * time.Second,
@@ -184,18 +222,18 @@ func TestDeployment(t *testing.T) {
 		if err := hostile.dec.Decode(&msg); err != nil {
 			t.Fatalf("hostile peer never saw round 0: %v", err)
 		}
-		bad := fed.UpdateMsg{Participant: 0, Weight: 1, Experts: map[fed.ExpertKey][]float64{
-			{Layer: 1 << 20, Expert: -1}: {math.NaN()},
-		}}
-		if err := hostile.enc.Encode(bad); err != nil {
+		// A gob length prefix announcing a 512 MiB message (0xFC: four
+		// big-endian length bytes follow), and nothing after it: the server
+		// must refuse at the prefix rather than allocate and wait.
+		if _, err := hostile.conn.Write([]byte{0xFC, 0x20, 0, 0, 0}); err != nil {
 			t.Fatalf("hostile upload: %v", err)
 		}
 
 		err := waitErr(t, errc, "Serve")
-		if err == nil || !strings.Contains(err.Error(), "update from 0 rejected") {
-			t.Fatalf("Serve = %v, want an error rejecting participant 0's update", err)
+		if err == nil || !strings.Contains(err.Error(), "update from 0") || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("Serve = %v, want an error naming participant 0's oversize message", err)
 		}
-		waitErr(t, done1, "participant 1") // released by the teardown, not left hanging
+		waitErr(t, done1, "participant 1")
 	})
 }
 
@@ -258,8 +296,9 @@ func dialRaw(t *testing.T, addr string, id int) *rawPeer {
 }
 
 // participateAsync plays a minimal well-behaved participant: for every
-// broadcast it returns an empty update (no experts tuned), until the final
-// model or a connection error arrives.
+// broadcast it replies with a slot holding an empty update (no experts
+// tuned, no traffic, no phases), until the final model or a connection error
+// arrives.
 func (p *rawPeer) participateAsync() <-chan error {
 	done := make(chan error, 1)
 	go func() {
@@ -275,7 +314,7 @@ func (p *rawPeer) participateAsync() <-chan error {
 				return
 			}
 			p.conn.SetWriteDeadline(time.Now().Add(deployBound))
-			if err := p.enc.Encode(fed.UpdateMsg{Participant: p.id, Weight: 1}); err != nil {
+			if err := p.enc.Encode(fed.SlotResult{Update: fed.UpdateMsg{Participant: p.id, Weight: 1}}); err != nil {
 				done <- err
 				return
 			}

@@ -21,8 +21,9 @@
 //     same floating-point accumulation regardless of connection order),
 //   - a well-formed event stream (rounds strictly increasing from 0,
 //     non-decreasing elapsed time, finite scores, observed traffic),
-//   - for wire-capable methods, bit-exact equivalence between the
-//     in-process and TCP executions, participation census included,
+//   - bit-exact equivalence between the in-process and TCP executions of
+//     every method: per-round scores, simulated time, traffic, phases and
+//     census, and the trace and run-log bytes,
 //   - for transports, one run-log participant record per participant per
 //     round and byte-identical sinks across same-seed runs,
 //   - for the Serve/Join deployment protocol, duplicate-participant
@@ -40,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -85,10 +87,6 @@ type RounderSpec struct {
 	// false, the suite registers New under a fresh "fluxtest/..." name so
 	// it can be driven through the full Experiment pipeline.
 	Registered bool
-	// Wire asserts the method's round behavior is exactly the synchronous
-	// FedAvg wire exchange: the suite additionally requires bit-identical
-	// convergence between the in-process and TCP transports.
-	Wire bool
 	// CancelBound overrides the default 30s cancellation bound.
 	CancelBound time.Duration
 }
@@ -106,7 +104,7 @@ func registerFresh(t *testing.T, s RounderSpec) string {
 	regSeq++
 	name := fmt.Sprintf("fluxtest/%s#%d", s.Name, regSeq)
 	regMu.Unlock()
-	if err := flux.RegisterMethod(name, "fluxtest conformance registration of "+s.Name, s.Wire, s.New); err != nil {
+	if err := flux.RegisterMethod(name, "fluxtest conformance registration of "+s.Name, s.New); err != nil {
 		t.Fatalf("fluxtest: registering %q: %v", name, err)
 	}
 	return name
@@ -333,16 +331,23 @@ func TestRounder(t *testing.T, s RounderSpec) {
 		})
 	}
 
-	if s.Wire {
-		t.Run("WireEquivalence", func(t *testing.T) {
-			if reference == nil {
-				reference = runOnce(t, cfg, nil)
-			}
-			tcp := runOnce(t, cfg, flux.TCP())
-			assertSameCurves(t, reference, tcp, "in-process", "tcp")
-			assertSameCensus(t, reference, tcp, "in-process", "tcp")
-		})
-	}
+	t.Run("WireEquivalence", func(t *testing.T) {
+		// A TCP run is the in-process run: the same rounds, and the same sink
+		// bytes but for the transport name in the run header.
+		ref, refTrace, refLog := runWithSinks(t, cfg, nil)
+		tcp, trace, runlog := runWithSinks(t, cfg, flux.TCP())
+		assertSameCurves(t, ref, tcp, "in-process", "tcp")
+		assertSameCensus(t, ref, tcp, "in-process", "tcp")
+		header := func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"transport":"tcp"`), []byte(`"transport":"in-process"`), 1)
+		}
+		if !bytes.Equal(refTrace, header(trace)) {
+			t.Error("trace bytes differ between the in-process and the TCP run beyond the transport name")
+		}
+		if !bytes.Equal(refLog, header(runlog)) {
+			t.Error("run-log bytes differ between the in-process and the TCP run beyond the transport name")
+		}
+	})
 }
 
 // TransportSpec describes a Transport implementation under conformance test.
@@ -352,8 +357,8 @@ type TransportSpec struct {
 	// New returns a fresh transport; the suite never reuses one across
 	// runs, so single-shot transports (like the built-in TCP) conform.
 	New func() flux.Transport
-	// Method is the registered, wire-capable method the suite drives the
-	// transport with; empty means "fmd".
+	// Method is the registered method the suite drives the transport with;
+	// empty means "fmd".
 	Method string
 	// CancelBound overrides the default 30s cancellation bound.
 	CancelBound time.Duration
@@ -451,7 +456,7 @@ func TestTransport(t *testing.T, s TransportSpec) {
 		// fleet spec all participants run and complete each round, so both
 		// counts equal the fleet size — over the built-in TCP the cohort is
 		// the connected peers. Downlink traffic must be
-		// observed too (modeled in-process, actual wire bytes over TCP).
+		// observed too (as the participant functions modeled it).
 		if reference == nil {
 			t.Skip("no reference run (Determinism failed)")
 		}
@@ -619,8 +624,8 @@ func runOnce(t *testing.T, cfg flux.Config, tr flux.Transport) *flux.Result {
 }
 
 // assertSameCurves requires two results to carry bit-identical convergence:
-// same curve length, per-round scores, uplink traffic, and aggregated
-// expert counts.
+// same curve length, per-round scores, simulated hours, uplink and downlink
+// traffic, aggregated expert counts and phase maps.
 func assertSameCurves(t *testing.T, a, b *flux.Result, aName, bName string) {
 	t.Helper()
 	if a == nil || b == nil {
@@ -642,6 +647,13 @@ func assertSameCurves(t *testing.T, a, b *flux.Result, aName, bName string) {
 		}
 		if ea.ExpertsTouched != eb.ExpertsTouched {
 			t.Fatalf("round %d: aggregated expert counts differ: %s=%d %s=%d", ea.Round, aName, ea.ExpertsTouched, bName, eb.ExpertsTouched)
+		}
+		if ea.SimHours != eb.SimHours || ea.DownlinkBytes != eb.DownlinkBytes {
+			t.Fatalf("round %d: simulated hours or downlink bytes differ: %s=%v/%v %s=%v/%v",
+				ea.Round, aName, ea.SimHours, ea.DownlinkBytes, bName, eb.SimHours, eb.DownlinkBytes)
+		}
+		if !maps.Equal(ea.Phases, eb.Phases) {
+			t.Fatalf("round %d: phases differ: %s=%v %s=%v", ea.Round, aName, ea.Phases, bName, eb.Phases)
 		}
 	}
 	if a.Final != b.Final || a.Baseline != b.Baseline {

@@ -12,7 +12,6 @@ import (
 // TestNoOrphanExports fails on an orphan that is not listed and on an entry
 // that is no longer an orphan. What is left is test support and oracles.
 var knownOrphans = map[string]string{
-	"repro/internal/moe.MustNew":                         "fixed-config constructor of eight test files and bench_test.go",
 	"repro/internal/tensor.FromSlice":                    "literal matrices in tensor and quant tests",
 	"(*repro/internal/tensor.Matrix).At":                 "element reads in tests",
 	"(*repro/internal/tensor.Matrix).Set":                "element writes in tests",

@@ -428,18 +428,11 @@ func (e *Env) Budgets(i int) (capacity, tune int) {
 	return capacity, tune
 }
 
-// Batch returns participant i's training mini-batch for round r.
+// Batch returns participant i's training mini-batch for round r: (at most)
+// Cfg.Batch samples, a deterministic rotation through the shard.
 func (e *Env) Batch(i, r int) []*data.Sample {
-	return BatchOf(e.Shards[i], e.Cfg.Batch, r)
-}
-
-// BatchOf returns round r's mini-batch of (at most) n samples: a
-// deterministic rotation through the shard, the same in-process and on a
-// wire client.
-func BatchOf(shard []*data.Sample, n, r int) []*data.Sample {
-	if n > len(shard) {
-		n = len(shard)
-	}
+	shard := e.Shards[i]
+	n := min(e.Cfg.Batch, len(shard))
 	out := make([]*data.Sample, 0, n)
 	for k := 0; k < n; k++ {
 		out = append(out, shard[(r*n+k)%len(shard)])
@@ -519,8 +512,7 @@ type Update struct {
 }
 
 // ExtractUpdate is (*Scratch).ExtractUpdate without a scratch: every expert's
-// parameters land in a fresh slice (the wire client's form, whose update
-// outlives any round).
+// parameters land in a fresh slice, for an update that outlives the round.
 func ExtractUpdate(local *moe.Model, participant int, weight float64, tuning [][]int) Update {
 	return (*Scratch)(nil).ExtractUpdate(local, participant, weight, tuning)
 }
@@ -583,7 +575,9 @@ type Participant func(s *Scratch, slot, i int) SlotResult
 // Rounder is a federated fine-tuning method. Round does round r's serial
 // preparation for the cohort (per-participant RNG splits, the quantized
 // profiling model) and returns the participant function; Env.RunRound owns
-// the rest of the round.
+// the rest of the round. A TCP client calls Round on its own replica of the
+// env and runs only its own slot, so neither may depend on state outside env
+// and the method value.
 type Rounder interface {
 	Name() string
 	Round(env *Env, r int, cohort []int) Participant

@@ -5,8 +5,8 @@
 // the participant function for every slot over the pool (ForEachOf), and
 // ends in finishRound, as does the TCP Server's RunRound with its arrivals as
 // the slots. finishRound is the server's edge: every fresh slot passes
-// checkUpdate before anything else happens, so in-process and wire updates
-// meet one rule. It then owns the straggler deadline, FedAvg in the AggSpec's
+// checkSlot before anything else happens, so in-process and wire slots meet
+// one rule. It then owns the straggler deadline, FedAvg in the AggSpec's
 // discipline (sync, buffered-async or semi-sync; see finishRound), traffic
 // and census accounting, the per-participant observability records, and the
 // round's simulated phase map — env.Global has exactly one writer between
@@ -19,6 +19,7 @@
 package fed
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -310,10 +311,11 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 // does with them, and returns the round's phase map. It panics if results
 // does not hold exactly one entry per slot of a non-empty cohort.
 //
-// First every slot's update must pass checkUpdate with cohort[slot] as the
-// expected participant; the first slot that fails returns its error, naming
-// the participant, before anything touches the carry-over buffer, the global
-// model or the round report. Then, by Cfg.Agg mode:
+// First every slot must pass checkSlot with cohort[slot] as the expected
+// participant; the first slot that fails returns its error, naming the
+// participant and wrapping ErrRejected, before anything touches the
+// carry-over buffer, the global model or the round report. Then, by Cfg.Agg
+// mode:
 //
 //   - sync (the default): slots whose end-to-end seconds miss a drop deadline
 //     are cut (never all of them — see resolveStragglers); the kept updates
@@ -347,8 +349,8 @@ func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase
 			len(results), len(cohort)))
 	}
 	for slot, p := range results {
-		if err := checkUpdate(e.Global, cohort[slot], p.Update); err != nil {
-			return nil, fmt.Errorf("fed: update from %d rejected: %w", cohort[slot], err)
+		if err := checkSlot(e.Global, cohort[slot], p); err != nil {
+			return nil, fmt.Errorf("fed: update from %d %w: %w", cohort[slot], ErrRejected, err)
 		}
 	}
 	st := e.st()
@@ -442,23 +444,40 @@ func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase
 	return phases, nil
 }
 
+// ErrRejected is wrapped by the error of a round whose slot failed the server
+// core's check, so drivers can count rejections.
+var ErrRejected = errors.New("rejected")
+
 // maxWireWeight bounds an update's aggregation weight (a sample count).
 // Together with the FP32 bound on parameters it keeps FedAvg's Σw·v / Σw
 // finite for any number of accepted updates.
 const maxWireWeight = 1 << 40
 
-// checkUpdate rejects an update that Aggregate could not apply safely:
-// one that claims another participant's id, carries a weight that is neither
-// zero (unweighted) nor in [1, maxWireWeight], names an expert the global
-// model does not have, or whose parameter slice has the wrong length or a
-// value outside the FP32 range the wire is priced at (NaN and ±Inf included).
-// With no global model (an accounting-only Env) only expert-less updates pass.
-func checkUpdate(global *moe.Model, participant int, u Update) error {
+// checkSlot rejects a slot whose update Aggregate could not apply safely, or
+// whose traffic or phases would leave the round's totals non-finite: an
+// update that claims another participant's id, carries a weight that is
+// neither zero (unweighted) nor in [1, maxWireWeight], names an expert the
+// global model does not have, or whose parameter slice has the wrong length
+// or a value outside the FP32 range the wire is priced at (NaN and ±Inf
+// included); or uplink or downlink bytes or a phase's seconds that are
+// negative or outside that range. With no global model (an accounting-only
+// Env) only expert-less updates pass.
+func checkSlot(global *moe.Model, participant int, p SlotResult) error {
+	u := p.Update
 	if u.Participant != participant {
 		return fmt.Errorf("claims participant %d", u.Participant)
 	}
 	if u.Weight != 0 && !(u.Weight >= 1 && u.Weight <= maxWireWeight) {
 		return fmt.Errorf("weight %v", u.Weight)
+	}
+	if !wireQuantity(p.Bytes) || !wireQuantity(p.DownBytes) {
+		return fmt.Errorf("traffic of %v bytes up, %v bytes down", p.Bytes, p.DownBytes)
+	}
+	//fluxvet:unordered any-match over the values; the error names no phase, so it does not depend on visit order
+	for _, v := range p.Phases {
+		if !wireQuantity(v) {
+			return errors.New("a phase's seconds are negative or outside the FP32 range")
+		}
 	}
 	// Walk the model's experts rather than the update's map, so the first
 	// error found does not depend on map order.
@@ -490,6 +509,9 @@ func checkUpdate(global *moe.Model, participant int, u Update) error {
 	}
 	return nil
 }
+
+// wireQuantity reports whether v is non-negative and inside the FP32 range.
+func wireQuantity(v float64) bool { return v >= 0 && v <= math.MaxFloat32 }
 
 // finishSync is the synchronous barrier: cut the slots that miss a drop
 // deadline, FedAvg the kept updates in slot order, and build the round's

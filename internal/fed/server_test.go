@@ -274,8 +274,8 @@ func TestFinishRoundArgumentCheck(t *testing.T) {
 
 // corruptRounder's participants upload their full model with every expert's
 // W1 doubled, so any aggregation would move the global; participant 1's
-// update is then corrupted.
-type corruptRounder struct{ corrupt func(u *Update) }
+// slot is then corrupted.
+type corruptRounder struct{ corrupt func(r *SlotResult) }
 
 func (corruptRounder) Name() string { return "corrupt" }
 
@@ -288,28 +288,32 @@ func (c corruptRounder) Round(env *Env, _ int, _ []int) Participant {
 			}
 		}
 		u := s.ExtractUpdate(local, i, 1, IdentityTuning(local.Cfg))
+		res := SlotResult{Update: u, Bytes: UpdateBytes(u), Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}}
 		if i == 1 {
-			c.corrupt(&u)
+			c.corrupt(&res)
 		}
-		return SlotResult{Update: u, Bytes: UpdateBytes(u), Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}}
+		return res
 	}
 }
 
 // TestRunRoundRejectsMalformedInProcessUpdates is the in-process twin of
 // TestRunRoundRejectsMalformedUpdates: a Rounder whose participant 1 returns
-// an update naming a layer the model does not have, a short parameter slice,
-// or a NaN must fail the round with an error naming participant 1, leave the
-// global model bit for bit as it was, and leave no round report — in the
-// synchronous and the buffered-async core alike.
+// an update naming a layer the model does not have, a short parameter slice
+// or a NaN, or a slot with a NaN phase or negative uplink bytes, must fail
+// the round with an error naming participant 1, leave the global model bit
+// for bit as it was, and leave no round report — in the synchronous and the
+// buffered-async core alike.
 func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 	key := ExpertKey{Layer: 1, Expert: 2}
 	for _, tc := range []struct {
 		name    string
-		corrupt func(u *Update)
+		corrupt func(r *SlotResult)
 	}{
-		{"layer out of range", func(u *Update) { u.Experts[ExpertKey{Layer: 9, Expert: 0}] = u.Experts[key] }},
-		{"short parameter slice", func(u *Update) { u.Experts[key] = u.Experts[key][:3] }},
-		{"NaN parameter", func(u *Update) { u.Experts[key][5] = math.NaN() }},
+		{"layer out of range", func(r *SlotResult) { r.Update.Experts[ExpertKey{Layer: 9, Expert: 0}] = r.Update.Experts[key] }},
+		{"short parameter slice", func(r *SlotResult) { r.Update.Experts[key] = r.Update.Experts[key][:3] }},
+		{"NaN parameter", func(r *SlotResult) { r.Update.Experts[key][5] = math.NaN() }},
+		{"NaN phase", func(r *SlotResult) { r.Phases[simtime.PhaseFineTuning] = math.NaN() }},
+		{"negative Bytes", func(r *SlotResult) { r.Bytes = -1 }},
 	} {
 		for _, mode := range []string{ModeSync, ModeAsync} {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {

@@ -1,18 +1,22 @@
 package fed
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/moe"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 )
 
 // This file implements a real network deployment of the federated loop: a
@@ -21,11 +25,13 @@ import (
 // (cmd/fluxserver, cmd/fluxclient) or driven round-by-round by the public
 // SDK's TCP transport, not only as the in-process simulation the
 // experiments use. The protocol is synchronous rounds, mirroring Figure 4:
-// server broadcasts the global model, each participant fine-tunes its tuning
-// experts locally (LocalSGD over BatchOf, the in-process loop) and uploads
-// them, and the server hands the arrivals to the server core (finishRound) —
-// the same check, reduction, census and participant records as an in-process
-// round.
+// the server broadcasts the global model; each participant runs its method's
+// own participant function on it, exactly as an in-process worker would, and
+// uploads the whole SlotResult; and the server hands the arrivals to the
+// server core (finishRound) — the same check, reduction, traffic, census,
+// simulated time and participant records as an in-process round. Every
+// message either end reads is bounded in size by the model config
+// (maxMessageBytes) before gob allocates it.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish —
 // so an external driver owns the round loop; ServeContext composes the steps
@@ -55,8 +61,9 @@ type RoundMsg struct {
 	Model []byte // gob-encoded moe.Model
 }
 
-// UpdateMsg is a participant's reply: the Update it fine-tuned, the same
-// value an in-process participant returns.
+// UpdateMsg is the Update a participant's reply carries. The reply itself is
+// the participant function's whole SlotResult: the update, its modeled
+// traffic and its per-phase simulated seconds.
 type UpdateMsg = Update
 
 type peer struct {
@@ -65,6 +72,75 @@ type peer struct {
 	dec     *gob.Decoder
 	id      int
 	timeout time.Duration
+}
+
+// newPeer wraps conn for a deployment of model config cfg: every message
+// read from it is bounded by maxMessageBytes(cfg).
+func newPeer(conn net.Conn, cfg moe.Config, timeout time.Duration) *peer {
+	return &peer{conn: conn, enc: gob.NewEncoder(conn), dec: newBoundedDecoder(conn, maxMessageBytes(cfg)), timeout: ioTimeout(timeout)}
+}
+
+// maxMessageBytes bounds one gob message of a deployment of model config
+// cfg. The largest legitimate messages are the broadcast (the encoded model)
+// and a full-model update, both about one float64 per parameter, which gob
+// writes in at most 9 bytes; 16 bytes per parameter plus 64 KiB leaves room
+// for keys, lengths and type descriptors.
+func maxMessageBytes(cfg moe.Config) int { return 16*cfg.TotalParams() + 1<<16 }
+
+// newBoundedDecoder returns a gob decoder on r that fails any message longer
+// than limit bytes when it reads the message's length prefix, before gob
+// allocates the message.
+func newBoundedDecoder(r io.Reader, limit int) *gob.Decoder {
+	return gob.NewDecoder(&boundedReader{r: bufio.NewReader(r), limit: limit})
+}
+
+// boundedReader passes a gob stream through unchanged while parsing each
+// message's length prefix (gob's unsigned-integer encoding: one byte below
+// 0x80, otherwise the negated count of big-endian bytes that follow).
+type boundedReader struct {
+	r     *bufio.Reader
+	limit int
+	left  int    // body bytes of the current message not yet passed on
+	hdr   []byte // length-prefix bytes not yet passed on
+	buf   [9]byte
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	if len(b.hdr) == 0 && b.left == 0 {
+		c, err := b.r.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		b.buf[0] = c
+		n, size := 0, uint64(c)
+		if c >= 0x80 {
+			if n = -int(int8(c)); n < 1 || n > 8 {
+				return 0, errors.New("malformed message length")
+			}
+			if _, err := io.ReadFull(b.r, b.buf[1:1+n]); err != nil {
+				return 0, err
+			}
+			size = 0
+			for _, d := range b.buf[1 : 1+n] {
+				size = size<<8 | uint64(d)
+			}
+		}
+		if size > uint64(b.limit) {
+			return 0, fmt.Errorf("message of %d bytes exceeds the %d-byte bound", size, b.limit)
+		}
+		b.hdr, b.left = b.buf[:1+n], int(size)
+	}
+	if len(b.hdr) > 0 {
+		n := copy(p, b.hdr)
+		b.hdr = b.hdr[n:]
+		return n, nil
+	}
+	if len(p) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.left -= n
+	return n, err
 }
 
 func (p *peer) send(v any) error {
@@ -156,7 +232,7 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 		if err != nil {
 			return fail(fmt.Errorf("fed: accept: %w", err))
 		}
-		p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: ioTimeout(s.IOTimeout)}
+		p := newPeer(conn, s.Env.Global.Cfg, s.IOTimeout)
 		stopConn := context.AfterFunc(ctx, func() { conn.Close() })
 		helloTimeout := min(ioTimeout(s.IOTimeout), maxHelloTimeout)
 		//fluxvet:allow wallclock real Hello-handshake deadline on the listener socket
@@ -195,32 +271,33 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 }
 
 // RunRound executes synchronous round r: broadcast the global model, collect
-// one update from every participant, and reduce them through the server core
-// (finishRound) with the peers (in id order) as the round's cohort. A peer
-// whose update fails the core's check fails the round with an error naming
-// it, and nothing from that round is aggregated or reported — the same rule
-// an in-process round meets. Cancelling ctx closes the peer connections,
-// aborting in-flight exchanges promptly.
-func (s *Server) RunRound(ctx context.Context, r int) error {
+// one SlotResult from every participant, and reduce them through the server
+// core (finishRound) with the peers (in id order) as the round's cohort. It
+// returns the round's simulated phase map. A peer whose slot fails the core's
+// check fails the round with an error naming it (counted in Metrics'
+// rejected-updates series), and nothing from that round is aggregated or
+// reported — the same rule an in-process round meets. Cancelling ctx closes
+// the peer connections, aborting in-flight exchanges promptly.
+func (s *Server) RunRound(ctx context.Context, r int) (map[simtime.Phase]float64, error) {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
-		return errors.New("fed: RunRound before Accept")
+		return nil, errors.New("fed: RunRound before Accept")
 	}
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
 	blob, err := s.Env.Global.EncodeBytes()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	msg := RoundMsg{Round: r, Model: blob}
 	for _, p := range peers {
 		if err := p.send(msg); err != nil {
-			return CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
+			return nil, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
 		}
 	}
 
-	// Collect updates concurrently; all must arrive (synchronous rounds).
+	// Collect slots concurrently; all must arrive (synchronous rounds).
 	cohort := make([]int, len(peers))
 	slots := make([]SlotResult, len(peers))
 	var wg sync.WaitGroup
@@ -230,29 +307,28 @@ func (s *Server) RunRound(ctx context.Context, r int) error {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			var u Update
-			if err := p.recv(&u); err != nil {
+			if err := p.recv(&slots[i]); err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
-				return
 			}
-			slots[i] = SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: float64(len(blob))}
 		}(i, p)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return CtxErr(ctx, err)
+			return nil, CtxErr(ctx, err)
 		}
 	}
-	// The returned phase map is dropped: without per-slot phases it holds
-	// only the modeled server seconds, and a deployment runs in real time.
-	if _, err := s.Env.finishRound(cohort, slots); err != nil {
-		return err
+	phases, err := s.Env.finishRound(cohort, slots)
+	if err != nil {
+		if s.Metrics != nil && errors.Is(err, ErrRejected) {
+			s.Metrics.Counter(obs.MetricRejectedUpdates, "").Add(1)
+		}
+		return nil, err
 	}
 	s.mu.Lock()
 	s.round = r + 1
 	s.mu.Unlock()
-	return nil
+	return phases, nil
 }
 
 // Finish broadcasts the final global model, releasing every participant,
@@ -306,7 +382,7 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := s.RunRound(ctx, r); err != nil {
+		if _, err := s.RunRound(ctx, r); err != nil {
 			return err
 		}
 		s.Metrics.ObserveRound(s.Env.TakeRoundObs().round(r + 1))
@@ -314,36 +390,45 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	return s.Finish(ctx)
 }
 
-// ClientConfig configures a TCP participant. Batch, LocalIters and LR have no
-// defaults here: RunClientContext rejects a non-positive one by name.
+// ClientConfig configures a TCP participant.
 type ClientConfig struct {
+	// Participant is the id the client's Hello claims and its updates carry.
 	Participant int
 	Addr        string
-	Shard       []*data.Sample
-	Batch       int
-	LocalIters  int
-	LR          float64
+	// Env is the client's replica of the run; every broadcast must hold a
+	// model of Env.Global's config, and is Env.Global for its round.
+	Env *Env
+	// Method is the client's own Rounder, and Index its participant index
+	// in Env.
+	Method Rounder
+	Index  int
 	// IOTimeout bounds every single message exchange; zero means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
 }
 
 // RunClientContext joins the server at cfg.Addr and participates until the
-// final model arrives, which it returns: every round it fine-tunes the whole
-// broadcast model with LocalSGD over BatchOf(cfg.Shard, cfg.Batch, round) and
-// uploads every expert. Cancelling ctx closes the connection, aborting
-// whatever exchange or wait is in flight.
+// final model arrives, which it returns. Every round it makes the broadcast
+// model cfg.Env.Global, calls cfg.Method.Round for Env's cohort, runs the
+// participant function for its own slot on one persistent Scratch, and
+// uploads the whole SlotResult under its Hello id — the slot an in-process
+// worker would have computed. A broadcast over the message bound, of another
+// model config, or of any round but the next fails the client with an error
+// naming the round. Cancelling ctx closes the connection, aborting whatever
+// exchange or wait is in flight.
 func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error) {
+	env := cfg.Env
 	switch {
-	case len(cfg.Shard) == 0:
+	case env == nil || env.Global == nil:
+		return nil, fmt.Errorf("fed: client %d: Env must hold a model", cfg.Participant)
+	case cfg.Method == nil:
+		return nil, fmt.Errorf("fed: client %d: Method is nil", cfg.Participant)
+	case cfg.Index < 0 || cfg.Index >= len(env.Shards):
+		return nil, fmt.Errorf("fed: client %d: Index %d is not one of Env's %d participants", cfg.Participant, cfg.Index, len(env.Shards))
+	case len(env.Shards[cfg.Index]) == 0:
 		return nil, fmt.Errorf("fed: client %d has no data", cfg.Participant)
-	case cfg.Batch <= 0:
-		return nil, fmt.Errorf("fed: client %d: Batch %d must be positive", cfg.Participant, cfg.Batch)
-	case cfg.LocalIters <= 0:
-		return nil, fmt.Errorf("fed: client %d: LocalIters %d must be positive", cfg.Participant, cfg.LocalIters)
-	case !(cfg.LR > 0):
-		return nil, fmt.Errorf("fed: client %d: LR %v must be positive", cfg.Participant, cfg.LR)
 	}
+	want := env.Global.Cfg
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
@@ -353,34 +438,46 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	p := &peer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), timeout: ioTimeout(cfg.IOTimeout)}
+	p := newPeer(conn, want, cfg.IOTimeout)
 	if err := p.send(Hello{Participant: cfg.Participant}); err != nil {
 		return nil, CtxErr(ctx, err)
 	}
-	for {
+	var s Scratch
+	for next := 0; ; {
 		var msg RoundMsg
 		if err := p.recv(&msg); err != nil {
-			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d recv: %w", cfg.Participant, err))
+			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: round %d broadcast from %s: %w", cfg.Participant, next, cfg.Addr, err))
+		}
+		if !msg.Final && msg.Round != next {
+			return nil, fmt.Errorf("fed: client %d: broadcast of round %d, want round %d", cfg.Participant, msg.Round, next)
 		}
 		model, err := moe.DecodeBytes(msg.Model)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fed: client %d: round %d broadcast: %w", cfg.Participant, msg.Round, err)
+		}
+		if !reflect.DeepEqual(model.Cfg, want) {
+			return nil, fmt.Errorf("fed: client %d: round %d broadcast holds model config %+v, want %+v", cfg.Participant, msg.Round, model.Cfg, want)
 		}
 		if msg.Final {
 			return model, nil
 		}
-		LocalSGD(model, moe.NewWorkspace(), moe.NewGrads(model, false),
-			BatchOf(cfg.Shard, cfg.Batch, msg.Round), cfg.LocalIters, cfg.LR)
-		u := ExtractUpdate(model, cfg.Participant, float64(len(cfg.Shard)), IdentityTuning(model.Cfg))
-		if err := p.send(u); err != nil {
+		env.Global = model
+		cohort := env.Cohort(msg.Round)
+		participant := cfg.Method.Round(env, msg.Round, cohort)
+		s.off = 0
+		res := participant(&s, slices.Index(cohort, cfg.Index), cfg.Index)
+		res.Update.Participant = cfg.Participant
+		if err := p.send(res); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
+		// Drop the round's model before the next broadcast is decoded, so two
+		// are never live at once.
+		env.Global, next = nil, msg.Round+1
 	}
 }
 
 // IdentityTuning returns per-layer expert-id lists naming every expert — the
-// tuning set of a full-model method, and what a wire client fine-tunes and
-// uploads.
+// tuning set of a full-model method.
 func IdentityTuning(cfg moe.Config) [][]int {
 	out := make([][]int, cfg.Layers())
 	for l, n := range cfg.ExpertsPerLayer {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/moe"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 	"repro/internal/tensor"
 )
 
@@ -28,11 +29,35 @@ func testServer(global *moe.Model, clients, rounds int) *Server {
 	return &Server{Env: &Env{Cfg: cfg, Global: global}, IOTimeout: 5 * time.Second}
 }
 
+// fullSGD is a full-model method without simulated time: local SGD over the
+// round's batch on every expert, every expert uploaded, the whole model
+// broadcast.
+type fullSGD struct{}
+
+func (fullSGD) Name() string { return "full-sgd" }
+
+func (fullSGD) Round(env *Env, r int, _ []int) Participant {
+	return func(s *Scratch, _, i int) SlotResult {
+		local := s.LocalClone(env.Global)
+		LocalSGD(local, s.Workspace(), s.Grads(local), env.Batch(i, r), env.Cfg.LocalIters, env.Cfg.LR)
+		u := s.ExtractUpdate(local, i, float64(len(env.Shards[i])), IdentityTuning(local.Cfg))
+		return SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: simtime.ModelBytes(local.Cfg)}
+	}
+}
+
+// clientEnv is a client's replica of a run of n participants on global's
+// architecture: shards over a synthetic dataset, batch 3, one local
+// iteration at learning rate 0.5.
+func clientEnv(global *moe.Model, n int) *Env {
+	cfg := DefaultConfig()
+	cfg.Participants, cfg.Batch, cfg.LocalIters, cfg.LR = n, 3, 1, 0.5
+	ds := data.Generate(data.GSM8K(), global.Cfg.VocabSize, 40, tensor.NewRNG(1))
+	return &Env{Cfg: cfg, Global: global.Clone(), Shards: data.PartitionNonIID(ds.Samples, n, 1.0, tensor.NewRNG(2))}
+}
+
 func TestTCPFederatedRound(t *testing.T) {
 	modelCfg := moe.Uniform("tcp-test", 48, 12, 16, 2, 4, 2, 64)
 	global := moe.MustNew(modelCfg, tensor.Named("tcp"))
-	ds := data.Generate(data.GSM8K(), 48, 40, tensor.NewRNG(1))
-	shards := data.PartitionNonIID(ds.Samples, 3, 1.0, tensor.NewRNG(2))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -56,10 +81,9 @@ func TestTCPFederatedRound(t *testing.T) {
 			finals[i], errs[i] = RunClientContext(context.Background(), ClientConfig{
 				Participant: i,
 				Addr:        ln.Addr().String(),
-				Shard:       shards[i],
-				Batch:       3,
-				LocalIters:  1,
-				LR:          0.5,
+				Env:         clientEnv(global, 3),
+				Method:      fullSGD{},
+				Index:       i,
 			})
 		}(i)
 	}
@@ -115,25 +139,28 @@ func TestTCPFederatedRound(t *testing.T) {
 }
 
 func TestRunClientNoData(t *testing.T) {
-	if _, err := RunClientContext(context.Background(), ClientConfig{Participant: 0, Addr: "127.0.0.1:1"}); err == nil {
+	env := clientEnv(moe.MustNew(moe.Uniform("tcp-empty", 48, 12, 16, 1, 2, 1, 32), tensor.Named("tcp-empty")), 1)
+	env.Shards[0] = nil
+	if _, err := RunClientContext(context.Background(), ClientConfig{Addr: "127.0.0.1:1", Env: env, Method: fullSGD{}}); err == nil {
 		t.Fatal("expected error for empty shard")
 	}
 }
 
-// TestRunClientRejectsBadConfig: the client has no training defaults of its
-// own — a non-positive Batch, LocalIters or LR is an error naming the field,
-// returned before anything is dialed.
+// TestRunClientRejectsBadConfig: a client without an Env holding a model,
+// without a Method, or with an Index outside its Env fails with an error
+// naming the field, before anything is dialed.
 func TestRunClientRejectsBadConfig(t *testing.T) {
-	ds := data.Generate(data.GSM8K(), 48, 8, tensor.NewRNG(5))
-	good := ClientConfig{Addr: "127.0.0.1:1", Shard: ds.Samples, Batch: 3, LocalIters: 1, LR: 0.5}
+	global := moe.MustNew(moe.Uniform("tcp-cfg", 48, 12, 16, 1, 2, 1, 32), tensor.Named("tcp-cfg"))
+	good := ClientConfig{Addr: "127.0.0.1:1", Env: clientEnv(global, 2), Method: fullSGD{}, Index: 1}
 	for _, tc := range []struct {
 		want   string
 		mutate func(c *ClientConfig)
 	}{
-		{"Batch", func(c *ClientConfig) { c.Batch = 0 }},
-		{"LocalIters", func(c *ClientConfig) { c.LocalIters = -1 }},
-		{"LR", func(c *ClientConfig) { c.LR = 0 }},
-		{"LR", func(c *ClientConfig) { c.LR = math.NaN() }},
+		{"Env", func(c *ClientConfig) { c.Env = nil }},
+		{"Env", func(c *ClientConfig) { e := *c.Env; e.Global = nil; c.Env = &e }},
+		{"Method", func(c *ClientConfig) { c.Method = nil }},
+		{"Index", func(c *ClientConfig) { c.Index = 2 }},
+		{"Index", func(c *ClientConfig) { c.Index = -1 }},
 	} {
 		cfg := good
 		tc.mutate(&cfg)
@@ -141,6 +168,60 @@ func TestRunClientRejectsBadConfig(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RunClientContext = %v, want an error naming %q", err, tc.want)
 		}
+	}
+}
+
+// TestRunClientValidatesBroadcast: a raw server sends a LLaMA-architecture
+// client a broadcast it must not train on. A DeepSeek model fails at the
+// message bound (it is the larger), a smaller model of another config fails
+// the config check, and a first broadcast of round 5 fails the round check;
+// each error names the round.
+func TestRunClientValidatesBroadcast(t *testing.T) {
+	llama := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("tcp-llama"))
+	small := moe.SimConfigLLaMATrain()
+	small.ExpertsPerLayer = []int{8, 8, 8, 8, 8}
+	for _, tc := range []struct {
+		name  string
+		cfg   moe.Config
+		round int
+		want  []string
+	}{
+		{"deepseek", moe.SimConfigDeepSeekTrain(), 0, []string{"round 0 broadcast from", "exceeds the"}},
+		{"five layers", small, 0, []string{"round 0 broadcast holds model config"}},
+		{"skipped rounds", llama.Cfg, 5, []string{"broadcast of round 5, want round 0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := moe.MustNew(tc.cfg, tensor.Named("tcp-other")).EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var h Hello
+				if gob.NewDecoder(conn).Decode(&h) == nil {
+					gob.NewEncoder(conn).Encode(RoundMsg{Round: tc.round, Model: blob})
+				}
+				var b [1]byte
+				conn.Read(b[:]) // hold the connection until the client leaves
+			}()
+			_, err = RunClientContext(context.Background(), ClientConfig{
+				Addr: ln.Addr().String(), Env: clientEnv(llama, 1), Method: fullSGD{}, IOTimeout: 10 * time.Second,
+			})
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("RunClientContext = %v, want an error containing %q", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -174,7 +255,7 @@ func TestTCPTuningSubset(t *testing.T) {
 		e.W1.Scale(2)
 	}
 	u := ExtractUpdate(moved, 0, 1, [][]int{{0, 1}, nil})
-	if err := gob.NewEncoder(conn).Encode(UpdateMsg{Participant: 0, Weight: 1, Experts: u.Experts}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(SlotResult{Update: u}); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec.Decode(&msg); err != nil || !msg.Final {
@@ -289,7 +370,7 @@ func TestHostilePeerID(t *testing.T) {
 		go func(id int) {
 			var msg RoundMsg
 			for dec.Decode(&msg) == nil && !msg.Final {
-				gob.NewEncoder(conn).Encode(UpdateMsg{Participant: id, Weight: 1})
+				gob.NewEncoder(conn).Encode(SlotResult{Update: UpdateMsg{Participant: id, Weight: 1}})
 			}
 		}(id)
 	}
@@ -389,17 +470,15 @@ func TestRunClientContextCancel(t *testing.T) {
 		}
 	}()
 
-	ds := data.Generate(data.GSM8K(), 48, 8, tensor.NewRNG(7))
+	global := moe.MustNew(moe.Uniform("tcp-cancel", 48, 12, 16, 1, 2, 1, 32), tensor.Named("tcp-cancel"))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunClientContext(ctx, ClientConfig{
 			Participant: 0,
 			Addr:        ln.Addr().String(),
-			Shard:       ds.Samples,
-			Batch:       3,
-			LocalIters:  1,
-			LR:          0.5,
+			Env:         clientEnv(global, 1),
+			Method:      fullSGD{},
 		})
 		done <- err
 	}()
@@ -481,7 +560,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 					if id == 1 {
 						tc.corrupt(&out)
 					}
-					if err := gob.NewEncoder(conn).Encode(out); err != nil {
+					if err := gob.NewEncoder(conn).Encode(SlotResult{Update: out, Bytes: UpdateBytes(out)}); err != nil {
 						t.Errorf("peer %d: %v", id, err)
 					}
 				}(id)
@@ -489,7 +568,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 			if err := srv.Accept(context.Background(), ln); err != nil {
 				t.Fatal(err)
 			}
-			err = srv.RunRound(context.Background(), 0)
+			_, err = srv.RunRound(context.Background(), 0)
 			wg.Wait()
 			if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {
 				t.Fatalf("RunRound error = %v, want peer 1's update rejected", err)

@@ -27,14 +27,7 @@ type Constructor func(cfg fed.Config) fed.Rounder
 type Method struct {
 	Name        string
 	Description string
-	// Wire reports whether the method's per-round behavior is exactly the
-	// plain synchronous FedAvg exchange the TCP wire protocol implements
-	// (broadcast, local SGD on the tuning experts, upload, aggregate).
-	// Methods with extra client-local machinery (quantized storage, merging,
-	// profiling pipelines) are in-process only until the protocol grows
-	// per-method messages.
-	Wire bool
-	New  Constructor
+	New         Constructor
 }
 
 var (
@@ -111,7 +104,6 @@ func init() {
 	MustRegister(Method{
 		Name:        "fmd",
 		Description: "baseline: full-model fine-tuning with dynamic expert offloading",
-		Wire:        true,
 		New:         func(fed.Config) fed.Rounder { return baselines.FMD{} },
 	})
 	MustRegister(Method{

@@ -21,6 +21,9 @@ const (
 	MetricModelVersion  = "flux_model_version"
 	MetricPending       = "flux_pending_updates"
 	MetricClients       = "flux_connected_clients"
+	// MetricRejectedUpdates counts the slots the server core rejected; a
+	// rejection fails its round, so at most one per round.
+	MetricRejectedUpdates = "flux_rejected_updates_total"
 )
 
 // Metric is one counter or gauge. The value is an atomic float64, so update
@@ -101,6 +104,7 @@ func RegisterStandard(r *Registry) {
 	r.Gauge(MetricModelVersion, "Global model version (aggregations applied).")
 	r.Gauge(MetricPending, "Updates buffered awaiting aggregation.")
 	r.Gauge(MetricClients, "Participants currently connected.")
+	r.Counter(MetricRejectedUpdates, "Participant updates the server core rejected.")
 }
 
 // ObserveRound records one completed round in the standard series — the one

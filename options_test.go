@@ -107,13 +107,7 @@ func TestMethodsRegistry(t *testing.T) {
 			t.Fatalf("built-in method %q missing from registry", want)
 		}
 	}
-	if !byName["fmd"].TCPCapable {
-		t.Fatal("fmd should be TCP-capable")
-	}
-	if byName["flux"].TCPCapable {
-		t.Fatal("flux must not claim TCP capability")
-	}
-	if err := RegisterMethod("flux", "dup", false, nil); err == nil {
+	if err := RegisterMethod("flux", "dup", nil); err == nil {
 		t.Fatal("re-registering a built-in name should fail")
 	}
 }

@@ -4,14 +4,11 @@ import (
 	"repro/internal/methods"
 )
 
-// MethodInfo describes one registered federated fine-tuning method.
+// MethodInfo describes one registered federated fine-tuning method. Every
+// registered method runs on both built-in transports.
 type MethodInfo struct {
 	Name        string
 	Description string
-	// TCPCapable reports whether the method can run over the TCP transport
-	// (its per-round behavior is exactly the synchronous FedAvg wire
-	// protocol). Every method runs on the InProcess transport.
-	TCPCapable bool
 }
 
 // Methods returns the registered methods in registration order; the
@@ -20,7 +17,7 @@ type MethodInfo struct {
 func Methods() []MethodInfo {
 	var out []MethodInfo
 	for _, m := range methods.All() {
-		out = append(out, MethodInfo{Name: m.Name, Description: m.Description, TCPCapable: m.Wire})
+		out = append(out, MethodInfo{Name: m.Name, Description: m.Description})
 	}
 	return out
 }
@@ -35,15 +32,8 @@ func Methods() []MethodInfo {
 // The signature names only public types, so methods can be implemented and
 // registered from outside this module; examples/external_method is a
 // complete out-of-module method, and package fluxtest is the conformance
-// suite a new method should pass. Declare tcpCapable only if the method's
-// round behavior is exactly the synchronous FedAvg wire exchange (broadcast,
-// local SGD on the tuning experts, upload, aggregate) — fluxtest's wire-
-// equivalence check asserts this bit-exactly.
-func RegisterMethod(name, description string, tcpCapable bool, ctor func(cfg EngineConfig) Rounder) error {
-	return methods.Register(methods.Method{
-		Name:        name,
-		Description: description,
-		Wire:        tcpCapable,
-		New:         ctor,
-	})
+// suite a new method should pass, which runs it over both transports and
+// requires them to agree bit for bit.
+func RegisterMethod(name, description string, ctor func(cfg EngineConfig) Rounder) error {
+	return methods.Register(methods.Method{Name: name, Description: description, New: ctor})
 }

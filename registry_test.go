@@ -14,7 +14,7 @@ func (nopRounder) Round(*flux.Env, int, []int) flux.Participant { return nil }
 func nopCtor(flux.EngineConfig) flux.Rounder                    { return nopRounder{} }
 
 func TestRegisterMethodErrors(t *testing.T) {
-	if err := flux.RegisterMethod("registry-test-ok", "registration fixture", false, nopCtor); err != nil {
+	if err := flux.RegisterMethod("registry-test-ok", "registration fixture", nopCtor); err != nil {
 		t.Fatalf("fresh registration failed: %v", err)
 	}
 	before := len(flux.Methods())
@@ -31,7 +31,7 @@ func TestRegisterMethodErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := flux.RegisterMethod(tc.method, "should not register", true, tc.ctor); err == nil {
+			if err := flux.RegisterMethod(tc.method, "should not register", tc.ctor); err == nil {
 				t.Fatalf("RegisterMethod(%q) succeeded; want error", tc.method)
 			}
 		})
@@ -43,7 +43,7 @@ func TestRegisterMethodErrors(t *testing.T) {
 		t.Fatalf("registry grew from %d to %d entries on failed registrations", before, len(ms))
 	}
 	for _, m := range ms {
-		if m.Name == "fmd" && (!m.TCPCapable || m.Description == "should not register") {
+		if m.Name == "fmd" && m.Description == "should not register" {
 			t.Fatalf("duplicate registration overwrote the fmd built-in: %+v", m)
 		}
 	}
@@ -60,11 +60,7 @@ func TestMethodsOrdering(t *testing.T) {
 			t.Fatalf("Methods()[%d] = %q, want built-in %q (registration order)", i, ms[i].Name, name)
 		}
 	}
-	wireCaps := map[string]bool{"flux": false, "fmd": true, "fmq": false, "fmes": false}
 	for _, m := range ms[:len(builtins)] {
-		if m.TCPCapable != wireCaps[m.Name] {
-			t.Errorf("%s: TCPCapable = %v, want %v", m.Name, m.TCPCapable, wireCaps[m.Name])
-		}
 		if m.Description == "" {
 			t.Errorf("%s: empty description", m.Name)
 		}
@@ -73,7 +69,7 @@ func TestMethodsOrdering(t *testing.T) {
 	// Custom methods append in registration order.
 	n := len(flux.Methods())
 	for _, name := range []string{"registry-order-a", "registry-order-b"} {
-		if err := flux.RegisterMethod(name, "ordering fixture", false, nopCtor); err != nil {
+		if err := flux.RegisterMethod(name, "ordering fixture", nopCtor); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,6 +117,5 @@ func TestPublicAPIMethodConformsOnBothTransports(t *testing.T) {
 	fluxtest.TestRounder(t, fluxtest.RounderSpec{
 		Name: "pub-fedavg",
 		New:  func(flux.EngineConfig) flux.Rounder { return pubFedAvg{} },
-		Wire: true, // the suite runs it over InProcess AND TCP, bit-compared
 	})
 }

@@ -3,7 +3,6 @@ package flux
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -16,13 +15,15 @@ import (
 // RoundStats is what a Transport reports back for one executed round.
 type RoundStats struct {
 	// Phases maps phase name → simulated seconds; nil when the transport
-	// does not model phase time (TCP runs in real time).
+	// does not model phase time. Both built-in transports report the server
+	// core's phase map.
 	Phases map[string]float64
-	// UplinkBytes is the update payload participants uploaded this round —
-	// modeled bytes in-process, actual wire bytes over TCP.
+	// UplinkBytes is the update payload participants uploaded this round, as
+	// their participant functions modeled it (on both built-in transports).
 	UplinkBytes float64
 	// DownlinkBytes is the payload the server broadcast to participants this
-	// round — modeled bytes in-process, actual wire bytes over TCP.
+	// round, as their participant functions modeled it: over TCP too, it is
+	// each participant's modeled payload, not the gob message's length.
 	DownlinkBytes float64
 	// ExpertsTouched is how many distinct experts aggregation updated.
 	ExpertsTouched int
@@ -48,8 +49,8 @@ type RoundStats struct {
 // The interface names only public types, so transports can be implemented
 // outside this module and selected with WithTransport. An implementation
 // must be deterministic in the environment's seed (fluxtest.TestTransport
-// checks the full contract, including that a wire-capable method's training
-// math is bit-identical to the in-process reference).
+// checks the full contract, including that a method's rounds are
+// bit-identical to the in-process reference).
 type Transport interface {
 	// Name identifies the transport in results ("in-process", "tcp").
 	Name() string
@@ -100,16 +101,12 @@ func (t *inProcess) Round(ctx context.Context, r int) (RoundStats, error) {
 
 // roundStats is the one conversion from the round core's report to a
 // transport's RoundStats: whatever the server core recorded is what a round says
-// about itself, in-process and over TCP. phases is nil for a transport that
-// runs in real time.
+// about itself, in-process and over TCP.
 func roundStats(o fed.RoundObs, phases map[simtime.Phase]float64) RoundStats {
-	var ps map[string]float64
-	if phases != nil {
-		ps = make(map[string]float64, len(phases))
-		//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
-		for p, v := range phases {
-			ps[string(p)] = v
-		}
+	ps := make(map[string]float64, len(phases))
+	//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
+	for p, v := range phases {
+		ps[string(p)] = v
 	}
 	return RoundStats{
 		Phases:         ps,
@@ -141,8 +138,10 @@ func TCPTimeout(d time.Duration) TCPOption { return func(t *tcpTransport) { t.ti
 // TCP returns the deployment transport: a parameter server listening on a
 // real socket and one goroutine per participant speaking the gob/TCP wire
 // protocol — the same protocol cmd/fluxserver and cmd/fluxclient use across
-// machines. Only wire-capable methods run over it (see Methods); training
-// math is bit-identical to the same method in-process.
+// machines. Each participant runs the method's participant function for its
+// slot on its own replica of the environment, so every registered method runs
+// over it and every round is bit-identical to the same run in-process.
+// Rounds are synchronous only, without a fleet.
 //
 // Like an Experiment, a TCP transport is single-shot: build a fresh one per
 // run.
@@ -179,13 +178,6 @@ func (t *tcpTransport) Start(ctx context.Context, env *Env, method string) error
 		// transport would skip the final broadcast and leak connections.
 		return errors.New("flux: TCP transport already used; build a fresh one per run")
 	}
-	m, ok := methods.Get(method)
-	if !ok {
-		return fmt.Errorf("flux: unknown method %q (known: %v)", method, methods.Names())
-	}
-	if !m.Wire {
-		return fmt.Errorf("flux: method %q cannot run over the TCP transport (its round logic is client-local); wire-capable methods: %v", method, wireMethodNames())
-	}
 	if env.Cfg.Fleet.Active() {
 		return errors.New("flux: the TCP transport does not model fleets (device profiles, cohort selection, deadlines); run fleet scenarios on the in-process transport")
 	}
@@ -204,21 +196,20 @@ func (t *tcpTransport) Start(ctx context.Context, env *Env, method string) error
 	clientCtx, cancel := context.WithCancel(ctx)
 	t.cancel = cancel
 	t.clientErrs = make([]error, env.Cfg.Participants)
-	for i := 0; i < env.Cfg.Participants; i++ {
+	for i := range env.Cfg.Participants {
+		rounder, err := methods.New(method, env.Cfg)
+		if err != nil {
+			return err
+		}
+		// Each participant's replica env starts the method's RNG stream
+		// afresh, so its per-participant splits are the in-process ones.
+		c := fed.ClientConfig{Participant: i, Addr: ln.Addr().String(), Env: env.CloneForMethod(method),
+			Method: rounder, Index: i, IOTimeout: t.timeout}
 		t.clients.Add(1)
-		go func(i int) {
+		go func() {
 			defer t.clients.Done()
-			_, err := fed.RunClientContext(clientCtx, fed.ClientConfig{
-				Participant: i,
-				Addr:        ln.Addr().String(),
-				Shard:       env.Shards[i],
-				Batch:       env.Cfg.Batch,
-				LocalIters:  env.Cfg.LocalIters,
-				LR:          env.Cfg.LR,
-				IOTimeout:   t.timeout,
-			})
-			t.clientErrs[i] = err
-		}(i)
+			_, t.clientErrs[i] = fed.RunClientContext(clientCtx, c)
+		}()
 	}
 	if err := t.srv.Accept(ctx, ln); err != nil {
 		return err
@@ -231,10 +222,11 @@ func (t *tcpTransport) Round(ctx context.Context, r int) (RoundStats, error) {
 	if t.srv == nil {
 		return RoundStats{}, errors.New("flux: TCP transport not started")
 	}
-	if err := t.srv.RunRound(ctx, r); err != nil {
+	phases, err := t.srv.RunRound(ctx, r)
+	if err != nil {
 		return RoundStats{}, err
 	}
-	return roundStats(t.srv.Env.TakeRoundObs(), nil), nil
+	return roundStats(t.srv.Env.TakeRoundObs(), phases), nil
 }
 
 // Close finishes the deployment: broadcast the final model so every
@@ -268,14 +260,4 @@ func (t *tcpTransport) Close() error {
 		t.closeErr = errors.Join(t.clientErrs...)
 	})
 	return t.closeErr
-}
-
-func wireMethodNames() []string {
-	var out []string
-	for _, m := range methods.All() {
-		if m.Wire {
-			out = append(out, m.Name)
-		}
-	}
-	return out
 }
