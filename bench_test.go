@@ -112,7 +112,6 @@ func BenchmarkRound(b *testing.B) {
 		if _, err := env.RunRound(r, 0); err != nil {
 			b.Fatal(err)
 		}
-		env.TakeRoundObs()
 		warmPool(b, env)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -120,7 +119,6 @@ func BenchmarkRound(b *testing.B) {
 			if _, err := env.RunRound(r, i+1); err != nil {
 				b.Fatal(err)
 			}
-			env.TakeRoundObs()
 		}
 	}
 	hetero := fleet.Spec{

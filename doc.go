@@ -31,8 +31,10 @@
 // env.RunRound owns the rest of the round: the cohort, the fan-out,
 // cancellation, the slot check, straggler deadline, aggregation in
 // whichever mode the run selected, traffic and census accounting,
-// observability records, and the round's phase map. A custom execution
-// substrate implements Transport. Neither
+// observability records, and the round's report: a RoundStats (phase
+// seconds, traffic, census, versions) returned by value, the same value a
+// Transport's Round returns. A custom execution substrate implements
+// Transport. Neither
 // requires code inside this module: examples/external_method is a complete
 // method in its own Go module, and package fluxtest is the conformance
 // suite (determinism, cancellation, aggregation order, event-stream shape,

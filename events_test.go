@@ -11,7 +11,7 @@ import (
 // RoundEvent.Phases copy contract, which promises handlers an independent
 // map per event.
 type reusingTransport struct {
-	phases map[string]float64
+	phases map[Phase]float64
 }
 
 func (t *reusingTransport) Name() string                              { return "reusing" }
@@ -23,7 +23,7 @@ func (t *reusingTransport) Round(_ context.Context, r int) (RoundStats, error) {
 		delete(t.phases, k)
 	}
 	t.phases["fine-tuning"] = float64(100 * (r + 1))
-	t.phases[fmt.Sprintf("extra-%d", r+1)] = 1
+	t.phases[Phase(fmt.Sprintf("extra-%d", r+1))] = 1
 	return RoundStats{Phases: t.phases, UplinkBytes: 1, DownlinkBytes: 1}, nil
 }
 
@@ -35,7 +35,7 @@ func TestRoundEventPhasesAreIsolated(t *testing.T) {
 	var retained []map[string]float64
 	opts := quickOpts("flux/events/phases-isolated",
 		WithRounds(3),
-		WithTransport(&reusingTransport{phases: make(map[string]float64)}),
+		WithTransport(&reusingTransport{phases: make(map[Phase]float64)}),
 		WithRoundEvents(func(ev RoundEvent) {
 			retained = append(retained, ev.Phases)
 			// A hostile handler: scribble over everything it was handed.

@@ -185,6 +185,10 @@ func TestScenarioParsing(t *testing.T) {
 		!strings.Contains(err.Error(), "rounds") {
 		t.Fatalf("negative rounds not rejected: %v", err)
 	}
+	if _, err := flux.ParseScenario([]byte(`{"name":"a","rounds":2} {"name":"b","rounds":-5} garbage`)); err == nil ||
+		!strings.Contains(err.Error(), "after the JSON value") {
+		t.Fatalf("data after the scenario not rejected: %v", err)
+	}
 	if _, err := flux.ParseScenario([]byte(`{"name":"bad","fleet":{"selector":{"k":8}}}`)); err == nil ||
 		!strings.Contains(err.Error(), "policy") {
 		t.Fatalf("selector k without a policy not rejected: %v", err)

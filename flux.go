@@ -155,17 +155,6 @@ func (e *Experiment) resolveTarget(p data.Profile) float64 {
 }
 
 func (e *Experiment) emit(res *Result, ev RoundEvent) {
-	if len(ev.Phases) > 0 {
-		// The event gets its own copy of the phase map: transports may reuse
-		// theirs, and a handler that mutates or retains Phases must not be
-		// able to corrupt the records of later rounds.
-		phases := make(map[string]float64, len(ev.Phases))
-		//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
-		for p, v := range ev.Phases {
-			phases[p] = v
-		}
-		ev.Phases = phases
-	}
 	res.Events = append(res.Events, ev)
 	for _, h := range e.handlers {
 		h(ev)
@@ -263,12 +252,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 			runErr = err
 			break
 		}
-		phases := make(map[simtime.Phase]float64, len(stats.Phases))
-		//fluxvet:unordered map-to-map copy; AdvanceAll sorts keys before folding time into the clock
-		for phase, sec := range stats.Phases {
-			phases[simtime.Phase(phase)] = sec
-		}
-		clock.AdvanceAll(phases) // sorted: simulated time accumulates bit-reproducibly
+		clock.AdvanceAll(stats.Phases) // sorted: simulated time accumulates bit-reproducibly
 		res.Rounds = r + 1
 		res.UplinkBytes += stats.UplinkBytes
 		res.DownlinkBytes += stats.DownlinkBytes
@@ -281,22 +265,11 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		if score > res.Best {
 			res.Best = score
 		}
-		rd := obs.Round{
-			Round:          r + 1,
-			StartSec:       startSec,
-			EndSec:         clock.Seconds(),
-			Score:          score,
-			UplinkBytes:    stats.UplinkBytes,
-			DownlinkBytes:  stats.DownlinkBytes,
-			ExpertsTouched: stats.ExpertsTouched,
-			Selected:       stats.Selected,
-			Completed:      stats.Completed,
-			Dropped:        stats.Dropped,
-			Pending:        stats.Pending,
-			ModelVersion:   stats.ModelVersion,
-			Stale:          stats.Stale,
-			Phases:         stats.Phases,
-		}
+		// rd.Phases is this round's own map: the recorder reads it without
+		// retaining it, and the event then owns it, so a handler that mutates
+		// or retains Phases cannot corrupt the records of later rounds.
+		rd := stats.Record(r + 1)
+		rd.StartSec, rd.EndSec, rd.Score = startSec, clock.Seconds(), score
 		rec.EndRound(rd)
 		e.metrics.ObserveRound(rd)
 		e.emit(res, RoundEvent{
@@ -314,7 +287,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 			ModelVersion:   stats.ModelVersion,
 			Stale:          stats.Stale,
 			Pending:        stats.Pending,
-			Phases:         stats.Phases,
+			Phases:         rd.Phases,
 		})
 		if target > 0 && score >= target {
 			res.TargetReached = true

@@ -295,7 +295,10 @@ func TestRounder(t *testing.T, s RounderSpec) {
 
 	// Cancellation, under an active aggregation spec and without one: a
 	// pre-canceled context must make env.RunRound return the context's
-	// error promptly, before anything reaches the server or its buffer.
+	// error promptly, before anything reaches the server or its buffer: the
+	// global model is bit-identical afterwards, and the next round's census
+	// holds only its own cohort (Completed + Dropped + Pending = Selected;
+	// a buffered update would have joined it).
 	acfg := QuickConfig("fluxtest/async-cancel/"+s.Name, method)
 	acfg.Aggregation = flux.AggregationSpec{Mode: flux.AggAsync, BufferK: 2}
 	for _, tc := range []struct {
@@ -308,6 +311,10 @@ func TestRounder(t *testing.T, s RounderSpec) {
 				t.Fatalf("NewEnv: %v", err)
 			}
 			r := s.New(env.Cfg)
+			before, err := env.Global.EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			env.SetContext(ctx)
@@ -324,9 +331,20 @@ func TestRounder(t *testing.T, s RounderSpec) {
 			case <-time.After(bound):
 				t.Fatalf("RunRound did not observe the canceled context within %v", bound)
 			}
-			if obs := env.TakeRoundObs(); obs.ExpertsTouched != 0 || obs.Pending != 0 {
-				t.Errorf("RunRound aggregated %d experts and buffered %d updates despite a pre-canceled context",
-					obs.ExpertsTouched, obs.Pending)
+			after, err := env.Global.EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("the global model moved despite a pre-canceled context")
+			}
+			env.SetContext(context.Background())
+			next, err := env.RunRound(r, 1)
+			if err != nil {
+				t.Fatalf("the round after the canceled one: %v", err)
+			}
+			if next.Completed+next.Dropped+next.Pending != next.Selected {
+				t.Errorf("the round after the canceled one carried an update in: %+v", next)
 			}
 		})
 	}

@@ -20,8 +20,6 @@ var knownOrphans = map[string]string{
 	"repro/internal/quant.Quantize":                      "materialised-code oracle of RoundTripInPlace",
 	"(*repro/internal/quant.QuantizedMatrix).Dequantize": "materialised-code oracle of RoundTripInPlace",
 	"(*repro/internal/moe.ExpertGrad).Norm":              "gradient-is-zero checks in moe and assign tests",
-	"(*repro/internal/simtime.Clock).PhaseSeconds":       "per-phase clock reads in simtime and flux tests",
-	"repro/internal/data.TopicHistogram":                 "non-IID skew measurement in the partition test",
 	"(repro/internal/simtime.Device).Validate":           "input check, exercised by TestDeviceValidateRejects",
 }
 

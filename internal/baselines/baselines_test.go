@@ -48,11 +48,11 @@ func roundSeconds(phases map[simtime.Phase]float64) float64 {
 // runRound is env.RunRound for a round that must not fail.
 func runRound(t *testing.T, env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
 	t.Helper()
-	phases, err := env.RunRound(r, round)
+	stats, err := env.RunRound(r, round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return phases
+	return stats.Phases
 }
 
 func TestNames(t *testing.T) {

@@ -291,14 +291,3 @@ func PartitionNonIID(samples []*Sample, parts int, alpha float64, g *tensor.RNG)
 	}
 	return out
 }
-
-// TopicHistogram counts samples per topic; useful for verifying non-IID skew.
-func TopicHistogram(samples []*Sample, topics int) []int {
-	h := make([]int, topics)
-	for _, s := range samples {
-		if s.Topic < topics {
-			h[s.Topic]++
-		}
-	}
-	return h
-}

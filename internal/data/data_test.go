@@ -246,3 +246,14 @@ func TestChainTokensInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TopicHistogram counts samples per topic; useful for verifying non-IID skew.
+func TopicHistogram(samples []*Sample, topics int) []int {
+	h := make([]int, topics)
+	for _, s := range samples {
+		if s.Topic < topics {
+			h[s.Topic]++
+		}
+	}
+	return h
+}

@@ -27,21 +27,24 @@ func newRounder(name string, cfg fed.Config) fed.Rounder {
 // expects a rejected update, so a failed round is a programming error and
 // panics.
 func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64) *methodRun {
-	tr, clock, err := fed.Run(env, r, target)
+	tr, clock, rounds, err := fed.Run(env, r, target)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
 	tta, reached := tr.TimeToTarget(targetAcc)
-	return &methodRun{Tracker: tr, Hours: clock.Hours(), Final: tr.Final(), TTA: tta, Reached: reached, Phases: phaseMap(clock)}
+	run := &methodRun{Tracker: tr, Hours: clock.Hours(), Final: tr.Final(), TTA: tta, Reached: reached, Phases: phaseMap(clock)}
+	for _, s := range rounds {
+		run.Stale += s.Stale
+		run.ModelVersion = s.ModelVersion
+	}
+	return run
 }
 
 // mustRunRound is env.RunRound for an experiment; it panics like runMethod.
-func mustRunRound(env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
-	phases, err := env.RunRound(r, round)
-	if err != nil {
+func mustRunRound(env *fed.Env, r fed.Rounder, round int) {
+	if _, err := env.RunRound(r, round); err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return phases
 }
 
 // convergenceRun executes (or recalls) one (model, dataset, method,

@@ -170,6 +170,9 @@ type methodRun struct {
 	TTA     float64
 	Reached bool
 	Phases  map[string]float64
+
+	// Stale sums the run's stale merges; ModelVersion is the final round's.
+	Stale, ModelVersion int
 }
 
 // datasetList returns the paper's four datasets.

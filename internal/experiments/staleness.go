@@ -40,8 +40,7 @@ func Staleness(o Options) *Table {
 		}
 		env = env.CloneForMethod("fmd")
 		run := runMethod(env, newRounder("fmd", cfg), 0, p.TargetAcc)
-		obs := env.TakeRoundObs() // the whole run's: Stale sums, ModelVersion is the last
-		return run.Tracker, run.Hours, obs.Stale, obs.ModelVersion
+		return run.Tracker, run.Hours, run.Stale, run.ModelVersion
 	}
 
 	// curve renders the per-round score series; at quick scale the coarse

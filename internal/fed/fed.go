@@ -14,6 +14,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"sync"
 
@@ -95,6 +96,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: batch %d / iters %d must be positive", c.Batch, c.LocalIters)
 	case c.LR <= 0:
 		return fmt.Errorf("fed: learning rate %v must be positive", c.LR)
+	case !(c.Alpha > 0 && c.Alpha <= math.MaxFloat64):
+		return fmt.Errorf("fed: alpha %v must be a positive finite number", c.Alpha)
+	case c.PretrainSteps < 0:
+		return fmt.Errorf("fed: pretrain steps %d must be non-negative", c.PretrainSteps)
 	case c.DatasetSize < c.Participants:
 		return fmt.Errorf("fed: dataset size %d below participant count", c.DatasetSize)
 	case c.MaxRounds <= 0:
@@ -147,7 +152,6 @@ type Env struct {
 // or sharing counters across clones.
 type envState struct {
 	mu      sync.Mutex
-	obs     RoundObs
 	scratch []*Scratch
 
 	// quantized is QuantizedGlobal's buffer. QuantizedGlobal rewrites it
@@ -174,8 +178,8 @@ type envState struct {
 // envStateInit guards lazy state allocation for Env values assembled by
 // composite literal outside this package (everything in-repo goes through
 // NewEnv/CloneForMethod, which allocate state at construction). A global
-// mutex keeps the goroutine-safety promise of RunRound/TakeRoundObs even
-// on such hand-built environments; it is taken once per round-level call, never
+// mutex keeps the goroutine-safety promise of RunRound/SetRecorder even on
+// such hand-built environments; it is taken once per round-level call, never
 // on a hot path.
 var envStateInit sync.Mutex
 
@@ -205,17 +209,19 @@ func (e *Env) scratches(n int) []*Scratch {
 	return st.scratch[:n]
 }
 
-// RoundObs is the per-round observability the server core reports: the payload
-// bytes participants uploaded, the number of distinct experts the server
-// aggregated, and the round's participation census. The driver drains it
-// after each round with TakeRoundObs.
-type RoundObs struct {
-	UplinkBytes    float64
-	ExpertsTouched int
+// RoundStats is the server core's report of one round, returned by value from
+// RunRound (in-process) and Server.RunRound (TCP); the core keeps no copy.
+type RoundStats struct {
+	// Phases is the round's simulated seconds by phase.
+	Phases map[simtime.Phase]float64
 
-	// DownlinkBytes is the modeled broadcast payload participants received
-	// this round (the model or expert subset the server pushed down).
-	DownlinkBytes float64
+	// UplinkBytes and DownlinkBytes are the update payload participants
+	// uploaded and the broadcast payload they received, as their participant
+	// functions modeled them (over TCP too: not the gob messages' lengths).
+	// ExpertsTouched is how many expert aggregations the server applied.
+	UplinkBytes    float64
+	DownlinkBytes  float64
+	ExpertsTouched int
 
 	// Selected is how many participants the cohort selector picked for the
 	// round; Completed is how many updates the server aggregated;
@@ -228,25 +234,25 @@ type RoundObs struct {
 	Completed int
 	Dropped   int
 
-	// Event-driven aggregation observability (zero in synchronous mode):
-	// ModelVersion is the global model version after the round (one bump per
-	// buffer flush), Stale counts updates aggregated with staleness > 0 (like
-	// the traffic, summed until TakeRoundObs), and Pending is the carry-over
-	// buffer size at the end of the round.
+	// Event-driven aggregation (zero in synchronous mode): ModelVersion is
+	// the global model version after the round (one bump per buffer flush),
+	// Stale counts this round's updates aggregated with staleness > 0, and
+	// Pending is the carry-over buffer size at the end of the round.
 	ModelVersion int
 	Stale        int
 	Pending      int
 }
 
-// round is the report as the observability record of (1-based) round n: its
-// traffic, census and versioning fields. Drivers add what only they know —
-// the round's window, score and phases.
-func (o RoundObs) round(n int) obs.Round {
+// Record is the report as the observability record of (1-based) round n,
+// with a fresh string-keyed copy of Phases the caller owns. Drivers add what
+// only they know: the round's window and score.
+func (s RoundStats) Record(n int) obs.Round {
 	return obs.Round{
-		Round: n, UplinkBytes: o.UplinkBytes, DownlinkBytes: o.DownlinkBytes,
-		ExpertsTouched: o.ExpertsTouched,
-		Selected:       o.Selected, Completed: o.Completed, Dropped: o.Dropped,
-		Pending: o.Pending, ModelVersion: o.ModelVersion, Stale: o.Stale,
+		Round: n, UplinkBytes: s.UplinkBytes, DownlinkBytes: s.DownlinkBytes,
+		ExpertsTouched: s.ExpertsTouched,
+		Selected:       s.Selected, Completed: s.Completed, Dropped: s.Dropped,
+		Pending: s.Pending, ModelVersion: s.ModelVersion, Stale: s.Stale,
+		Phases: phaseStrings(s.Phases),
 	}
 }
 
@@ -260,17 +266,6 @@ func (e *Env) Context() context.Context {
 		return context.Background()
 	}
 	return e.ctx
-}
-
-// TakeRoundObs returns the counters accumulated since the last call and
-// resets them. It is goroutine-safe.
-func (e *Env) TakeRoundObs() RoundObs {
-	st := e.st()
-	st.mu.Lock()
-	o := st.obs
-	st.obs = RoundObs{}
-	st.mu.Unlock()
-	return o
 }
 
 // SetRecorder attaches an observability recorder. The server core reports
@@ -325,9 +320,8 @@ func (e *Env) methodName() string {
 	return m
 }
 
-// phaseStrings converts a Rounder phase map to the string-keyed form the
-// observability layer serializes. Only called on recorder-enabled paths, so
-// the per-round allocation never taxes a disabled run.
+// phaseStrings converts a phase map to the string-keyed form the
+// observability layer serializes.
 func phaseStrings(phases map[simtime.Phase]float64) map[string]float64 {
 	if len(phases) == 0 {
 		return nil
@@ -585,40 +579,42 @@ type Rounder interface {
 
 // RunRound executes round r of m: the cohort (Cohort), m's preparation, the
 // participant function for every slot over the worker pool, and the server
-// core (finishRound). It returns the round's simulated phase map, or the
+// core (finishRound). It returns the core's report of the round, or the
 // context's error on cancellation, or a rejected update's error.
-func (e *Env) RunRound(m Rounder, r int) (map[simtime.Phase]float64, error) {
+func (e *Env) RunRound(m Rounder, r int) (RoundStats, error) {
 	cohort := e.Cohort(r)
 	participant := m.Round(e, r, cohort)
 	slots := make([]SlotResult, len(cohort))
 	if err := ForEachOf(e, cohort, func(s *Scratch, slot, i int) {
 		slots[slot] = participant(s, slot, i)
 	}); err != nil {
-		return nil, err
+		return RoundStats{}, err
 	}
 	return e.finishRound(cohort, slots)
 }
 
 // Run drives a Rounder until the evaluation score reaches target or
-// MaxRounds elapse, recording a convergence curve against simulated time.
-// It stops at the first failed round — the environment's context canceled
-// (SetContext) or an update rejected — and returns the curve recorded so far
-// with that error.
-func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, error) {
+// MaxRounds elapse, recording a convergence curve against simulated time and
+// each round's report. It stops at the first failed round — the environment's
+// context canceled (SetContext) or an update rejected — and returns what it
+// recorded so far with that error.
+func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, []RoundStats, error) {
 	clock := simtime.NewClock()
 	tr := &metrics.Tracker{Target: env.Profile.MetricName}
 	tr.Record(0, clock.Hours(), env.Evaluate())
+	var rounds []RoundStats
 	for r := 0; r < env.Cfg.MaxRounds; r++ {
-		phases, err := env.RunRound(m, r)
+		stats, err := env.RunRound(m, r)
 		if err != nil {
-			return tr, clock, err
+			return tr, clock, rounds, err
 		}
-		clock.AdvanceAll(phases) // sorted: simulated time accumulates bit-reproducibly
+		rounds = append(rounds, stats)
+		clock.AdvanceAll(stats.Phases) // sorted: simulated time accumulates bit-reproducibly
 		score := env.Evaluate()
 		tr.Record(r+1, clock.Hours(), score)
 		if target > 0 && score >= target {
 			break
 		}
 	}
-	return tr, clock, nil
+	return tr, clock, rounds, nil
 }

@@ -222,7 +222,7 @@ func (s stubRounder) Round(*Env, int, []int) Participant {
 
 func TestRunRecordsCurve(t *testing.T) {
 	env := newTestEnv(t)
-	tr, clock, err := Run(env, stubRounder{sec: 3600}, 0.999)
+	tr, clock, _, err := Run(env, stubRounder{sec: 3600}, 0.999)
 	if err != nil {
 		t.Fatal(err)
 	}

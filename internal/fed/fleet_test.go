@@ -87,7 +87,7 @@ func TestResolveStragglersAllWithinDeadline(t *testing.T) {
 // exceeds the deadline.
 func TestAddStragglerWait(t *testing.T) {
 	finish := func(spec fleet.Spec, results ...SlotResult) map[simtime.Phase]float64 {
-		return mustFinish(t, fleetEnv(t, spec), identityIndices(len(results)), results)
+		return mustFinish(t, fleetEnv(t, spec), identityIndices(len(results)), results).Phases
 	}
 	drop := fleet.Spec{Deadline: 10, Drop: true}
 
@@ -134,15 +134,14 @@ func TestAddStragglerWait(t *testing.T) {
 
 // TestObserveCohort pins the synchronous census: Selected is the cohort,
 // Completed the kept slots, Dropped the rest; uplink counts kept slots only,
-// downlink the whole cohort; and the counters reset once taken.
+// downlink the whole cohort.
 func TestObserveCohort(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
 	results := []SlotResult{slot(1, 5), slot(3, 100), slot(4, 7)}
 	for i := range results {
 		results[i].Bytes, results[i].DownBytes = 100, 400
 	}
-	mustFinish(t, env, []int{1, 3, 4}, results)
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, []int{1, 3, 4}, results)
 	if obs.Selected != 3 || obs.Completed != 2 || obs.Dropped != 1 {
 		t.Fatalf("census %+v", obs)
 	}
@@ -151,9 +150,6 @@ func TestObserveCohort(t *testing.T) {
 	}
 	if obs.ModelVersion != 0 || obs.Stale != 0 || obs.Pending != 0 {
 		t.Fatalf("sync mode reported event-driven accounting: %+v", obs)
-	}
-	if obs := env.TakeRoundObs(); obs.Selected != 0 {
-		t.Fatalf("census not reset: %+v", obs)
 	}
 }
 

@@ -44,15 +44,13 @@ func runStaleFlushes(t *testing.T, alpha float64) float64 {
 		{Update: mk(1, 0.2), Phases: sec(20)},
 		{Update: mk(2, 0.9), Phases: sec(30)},
 	})
-	env.TakeRoundObs()
 	// Round 2: the carried update (now stale) mixes with fresh arrivals in
 	// the first flush; a second flush follows.
-	mustFinish(t, env, []int{0, 1, 2}, []SlotResult{
+	obs := mustFinish(t, env, []int{0, 1, 2}, []SlotResult{
 		{Update: mk(0, 0.3), Phases: sec(10)},
 		{Update: mk(1, 0.4), Phases: sec(20)},
 		{Update: mk(2, 0.5), Phases: sec(30)},
 	})
-	obs := env.TakeRoundObs()
 	if obs.Stale == 0 {
 		t.Fatalf("no stale merges in the mixed round: %+v", obs)
 	}

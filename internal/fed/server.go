@@ -8,9 +8,10 @@
 // checkSlot before anything else happens, so in-process and wire slots meet
 // one rule. It then owns the straggler deadline, FedAvg in the AggSpec's
 // discipline (sync, buffered-async or semi-sync; see finishRound), traffic
-// and census accounting, the per-participant observability records, and the
-// round's simulated phase map — env.Global has exactly one writer between
-// pool join and round end.
+// and census accounting, the per-participant observability records and the
+// round's simulated phase map, and returns the round's report as one
+// RoundStats value — env.Global has exactly one writer between pool join and
+// round end.
 //
 // Determinism: every floating-point fold walks slot order, arrival order
 // (simulated total seconds, then slot), or a fixed phase order — never map or
@@ -308,14 +309,13 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 
 // finishRound is the round reduction Env.RunRound and Server.RunRound end
 // with: it takes one SlotResult per cohort slot, owns everything the server
-// does with them, and returns the round's phase map. It panics if results
+// does with them, and returns its report of the round. It panics if results
 // does not hold exactly one entry per slot of a non-empty cohort.
 //
 // First every slot must pass checkSlot with cohort[slot] as the expected
 // participant; the first slot that fails returns its error, naming the
 // participant and wrapping ErrRejected, before anything touches the
-// carry-over buffer, the global model or the round report. Then, by Cfg.Agg
-// mode:
+// carry-over buffer or the global model. Then, by Cfg.Agg mode:
 //
 //   - sync (the default): slots whose end-to-end seconds miss a drop deadline
 //     are cut (never all of them — see resolveStragglers); the kept updates
@@ -337,20 +337,20 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 //     nothing is flushable the server waits past the clock for the single
 //     fastest arrival.
 //
-// It also reports the round's observability, all folded in slot order:
+// The report's traffic and census are folded in slot order:
 // downlink over the whole cohort (the broadcast precedes any deadline),
 // uplink over every slot not dropped, the census (Selected = cohort,
 // Completed = aggregated, Dropped = cut at a sync deadline — the event-driven
 // modes never drop), and under those modes the model version, stale-update
 // count, and carry-over buffer size (all zero in sync).
-func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase]float64, error) {
+func (e *Env) finishRound(cohort []int, results []SlotResult) (RoundStats, error) {
 	if len(cohort) == 0 || len(results) != len(cohort) {
 		panic(fmt.Sprintf("fed: finishRound needs one SlotResult per slot of a non-empty cohort: got %d results for a cohort of %d",
 			len(results), len(cohort)))
 	}
 	for slot, p := range results {
 		if err := checkSlot(e.Global, cohort[slot], p); err != nil {
-			return nil, fmt.Errorf("fed: update from %d %w: %w", cohort[slot], ErrRejected, err)
+			return RoundStats{}, fmt.Errorf("fed: update from %d %w: %w", cohort[slot], ErrRejected, err)
 		}
 	}
 	st := e.st()
@@ -375,19 +375,22 @@ func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase
 		phases, keep = e.finishSync(results, &sr)
 	}
 
-	// Traffic is observed where it happens: every cohort member receives the
-	// broadcast, and every member the server did not cut uploads its update —
-	// whether or not an event-driven server consumes it before the round
-	// closes.
-	var upBytes, downBytes float64
-	dropped := 0
+	// The round's report. Traffic is observed where it happens: every cohort
+	// member receives the broadcast, and every member the server did not cut
+	// uploads its update — whether or not an event-driven server consumes it
+	// before the round closes.
+	stats := RoundStats{
+		Phases: phases, ExpertsTouched: sr.experts,
+		Selected: len(cohort), Completed: sr.completed,
+		ModelVersion: sr.version, Stale: sr.stale, Pending: len(leftovers),
+	}
 	for slot, p := range results {
-		downBytes += p.DownBytes
+		stats.DownlinkBytes += p.DownBytes
 		if keep != nil && !keep[slot] {
-			dropped++
+			stats.Dropped++
 			continue
 		}
-		upBytes += p.Bytes
+		stats.UplinkBytes += p.Bytes
 	}
 
 	if rec != nil {
@@ -431,17 +434,8 @@ func (e *Env) finishRound(cohort []int, results []SlotResult) (map[simtime.Phase
 	st.mu.Lock()
 	st.version = sr.version
 	st.pending = leftovers
-	st.obs.UplinkBytes += upBytes
-	st.obs.DownlinkBytes += downBytes
-	st.obs.ExpertsTouched = sr.experts
-	st.obs.Selected = len(cohort)
-	st.obs.Completed = sr.completed
-	st.obs.Dropped = dropped
-	st.obs.ModelVersion = sr.version
-	st.obs.Stale += sr.stale
-	st.obs.Pending = len(leftovers)
 	st.mu.Unlock()
-	return phases, nil
+	return stats, nil
 }
 
 // ErrRejected is wrapped by the error of a round whose slot failed the server

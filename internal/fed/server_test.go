@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,13 +100,13 @@ func asyncEnv(t *testing.T, spec AggSpec, fl fleet.Spec) *Env {
 }
 
 // mustFinish is finishRound for slots that must all pass the server's check.
-func mustFinish(t *testing.T, env *Env, cohort []int, results []SlotResult) map[simtime.Phase]float64 {
+func mustFinish(t *testing.T, env *Env, cohort []int, results []SlotResult) RoundStats {
 	t.Helper()
-	phases, err := env.finishRound(cohort, results)
+	stats, err := env.finishRound(cohort, results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return phases
+	return stats
 }
 
 // slot builds a SlotResult whose end-to-end time is sec seconds.
@@ -122,8 +123,8 @@ func TestFinishRoundAsync(t *testing.T) {
 
 	// Arrival order by time: 1 (10s), 3 (20s), 0 (30s), 2 (40s). K=2 flushes
 	// at the second and fourth arrivals.
-	phases := mustFinish(t, env, cohort, []SlotResult{slot(0, 30), slot(1, 10), slot(2, 40), slot(3, 20)})
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, cohort, []SlotResult{slot(0, 30), slot(1, 10), slot(2, 40), slot(3, 20)})
+	phases := obs.Phases
 	if obs.ModelVersion != 2 {
 		t.Errorf("model version %d, want 2 flushes", obs.ModelVersion)
 	}
@@ -146,15 +147,13 @@ func TestFinishRoundAsyncCarryOver(t *testing.T) {
 	cohort := []int{0, 1, 2}
 
 	// Three arrivals, K=2: one flush, one leftover carried into round 2.
-	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
 	if obs.Completed != 2 || obs.Pending != 1 || obs.ModelVersion != 1 {
 		t.Fatalf("round 1: %+v, want 2 completed, 1 pending, version 1", obs)
 	}
 
 	// Round 2: the carried update plus the first arrival complete a buffer.
-	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
-	obs = env.TakeRoundObs()
+	obs = mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 30)})
 	if obs.Completed != 4 || obs.Pending != 0 || obs.ModelVersion != 3 {
 		t.Fatalf("round 2: %+v, want the carried update aggregated (4 completed), version 3", obs)
 	}
@@ -170,8 +169,8 @@ func TestFinishRoundAsyncForcedFlush(t *testing.T) {
 	// A buffer that never fills still flushes once at the last arrival, so
 	// every round advances the model and observers always see aggregation.
 	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 4}, fleet.Spec{})
-	phases := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 10), slot(1, 20)})
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 10), slot(1, 20)})
+	phases := obs.Phases
 	if obs.ModelVersion != 1 || obs.Completed != 2 || obs.Pending != 0 {
 		t.Fatalf("forced flush: %+v, want one flush consuming both arrivals", obs)
 	}
@@ -185,8 +184,8 @@ func TestFinishRoundSemiSync(t *testing.T) {
 	cohort := []int{0, 1, 2}
 
 	// Clock 25: slots 0 (10s) and 1 (20s) are on time, slot 2 (40s) is late.
-	phases := mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 40)})
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 40)})
+	phases := obs.Phases
 	if obs.Completed != 2 || obs.Pending != 1 || obs.Dropped != 0 || obs.ModelVersion != 1 {
 		t.Fatalf("round 1: %+v, want 2 on time, 1 carried, none dropped", obs)
 	}
@@ -199,8 +198,7 @@ func TestFinishRoundSemiSync(t *testing.T) {
 	}
 
 	// Round 2: the carried update (born v0) merges at v1 — stale.
-	mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 21)})
-	obs = env.TakeRoundObs()
+	obs = mustFinish(t, env, cohort, []SlotResult{slot(0, 10), slot(1, 20), slot(2, 21)})
 	if obs.Completed != 4 || obs.Pending != 0 || obs.Stale != 1 {
 		t.Fatalf("round 2: %+v, want the carried update aggregated stale", obs)
 	}
@@ -210,8 +208,8 @@ func TestFinishRoundSemiSyncAllLate(t *testing.T) {
 	// Nothing flushable at the clock: the server waits past it for the single
 	// fastest arrival; the rest carry over.
 	env := asyncEnv(t, AggSpec{Mode: ModeSemiSync}, fleet.Spec{Deadline: 5})
-	phases := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 30), slot(1, 10)})
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, []int{0, 1}, []SlotResult{slot(0, 30), slot(1, 10)})
+	phases := obs.Phases
 	if obs.Completed != 1 || obs.Pending != 1 {
 		t.Fatalf("%+v, want only the fastest late arrival aggregated", obs)
 	}
@@ -228,8 +226,7 @@ func TestFinishRoundObservesTraffic(t *testing.T) {
 	results := []SlotResult{slot(0, 10), slot(1, 20)}
 	results[0].Bytes, results[0].DownBytes = 100, 400
 	results[1].Bytes, results[1].DownBytes = 300, 400
-	mustFinish(t, env, []int{0, 1}, results)
-	obs := env.TakeRoundObs()
+	obs := mustFinish(t, env, []int{0, 1}, results)
 	if obs.UplinkBytes != 400 {
 		t.Errorf("uplink %v, want every cohort member's upload (400)", obs.UplinkBytes)
 	}
@@ -300,9 +297,9 @@ func (c corruptRounder) Round(env *Env, _ int, _ []int) Participant {
 // TestRunRoundRejectsMalformedUpdates: a Rounder whose participant 1 returns
 // an update naming a layer the model does not have, a short parameter slice
 // or a NaN, or a slot with a NaN phase or negative uplink bytes, must fail
-// the round with an error naming participant 1, leave the global model bit
-// for bit as it was, and leave no round report — in the synchronous and the
-// buffered-async core alike.
+// the round with an error naming participant 1, return no round report, and
+// leave the global model bit for bit as it was and nothing buffered for the
+// next round — in the synchronous and the buffered-async core alike.
 func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 	key := ExpertKey{Layer: 1, Expert: 2}
 	for _, tc := range []struct {
@@ -323,12 +320,12 @@ func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 				global := moe.MustNew(moe.Uniform("inproc-bad", 48, 12, 16, 2, 4, 2, 32), tensor.Named("inproc-bad"))
 				snapshot := global.Clone()
 				env := &Env{Cfg: cfg, Global: global}
-				phases, err := env.RunRound(corruptRounder{tc.corrupt}, 0)
+				stats, err := env.RunRound(corruptRounder{tc.corrupt}, 0)
 				if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {
 					t.Fatalf("RunRound error = %v, want participant 1's update rejected", err)
 				}
-				if phases != nil {
-					t.Errorf("rejected round returned phases %v", phases)
+				if !reflect.DeepEqual(stats, RoundStats{}) {
+					t.Errorf("rejected round returned a report: %+v", stats)
 				}
 				for l, layer := range snapshot.Layers {
 					for e, want := range layer.Experts {
@@ -337,8 +334,12 @@ func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 						}
 					}
 				}
-				if o := env.TakeRoundObs(); o != (RoundObs{}) {
-					t.Fatalf("rejected round left a round report behind: %+v", o)
+				next, err := env.RunRound(corruptRounder{func(*SlotResult) {}}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.Selected != 2 || next.Completed+next.Pending != 2 {
+					t.Fatalf("the round after the rejected one carried an update in: %+v", next)
 				}
 			})
 		}

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/moe"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 )
 
 // This file implements a real network deployment of the federated loop: a
@@ -160,8 +159,8 @@ type Server struct {
 	// Env is the run being deployed: Env.Global is the model broadcast and
 	// aggregated into, Env.Cfg.Participants the peers Accept waits for, and
 	// Env.Cfg.MaxRounds the rounds ServeContext runs (stepwise drivers may
-	// ignore it). Every round reduces through the server core, so a driver
-	// reads the round's traffic and census from Env.TakeRoundObs.
+	// ignore it). Every round reduces through the server core, whose report
+	// RunRound returns.
 	Env *Env
 
 	// IOTimeout bounds every single message exchange (Hello, broadcast,
@@ -273,27 +272,27 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 // RunRound executes synchronous round r: broadcast the global model, collect
 // one SlotResult from every participant, and reduce them through the server
 // core (finishRound) with the peers (in id order) as the round's cohort. It
-// returns the round's simulated phase map. A peer whose slot fails the core's
+// returns the core's report of the round. A peer whose slot fails the core's
 // check fails the round with an error naming it (counted in Metrics'
 // rejected-updates series), and nothing from that round is aggregated or
 // reported — the same rule an in-process round meets. Cancelling ctx closes
 // the peer connections, aborting in-flight exchanges promptly.
-func (s *Server) RunRound(ctx context.Context, r int) (map[simtime.Phase]float64, error) {
+func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
-		return nil, errors.New("fed: RunRound before Accept")
+		return RoundStats{}, errors.New("fed: RunRound before Accept")
 	}
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
 	blob, err := s.Env.Global.EncodeBytes()
 	if err != nil {
-		return nil, err
+		return RoundStats{}, err
 	}
 	msg := RoundMsg{Round: r, Model: blob}
 	for _, p := range peers {
 		if err := p.send(msg); err != nil {
-			return nil, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
+			return RoundStats{}, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
 		}
 	}
 
@@ -315,20 +314,20 @@ func (s *Server) RunRound(ctx context.Context, r int) (map[simtime.Phase]float64
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, CtxErr(ctx, err)
+			return RoundStats{}, CtxErr(ctx, err)
 		}
 	}
-	phases, err := s.Env.finishRound(cohort, slots)
+	stats, err := s.Env.finishRound(cohort, slots)
 	if err != nil {
 		if s.Metrics != nil && errors.Is(err, ErrRejected) {
 			s.Metrics.Counter(obs.MetricRejectedUpdates, "").Add(1)
 		}
-		return nil, err
+		return RoundStats{}, err
 	}
 	s.mu.Lock()
 	s.round = r + 1
 	s.mu.Unlock()
-	return phases, nil
+	return stats, nil
 }
 
 // Finish broadcasts the final global model, releasing every participant,
@@ -382,10 +381,11 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := s.RunRound(ctx, r); err != nil {
+		stats, err := s.RunRound(ctx, r)
+		if err != nil {
 			return err
 		}
-		s.Metrics.ObserveRound(s.Env.TakeRoundObs().round(r + 1))
+		s.Metrics.ObserveRound(stats.Record(r + 1))
 	}
 	return s.Finish(ctx)
 }

@@ -55,7 +55,7 @@ func FuzzCheckUpdate(f *testing.F) {
 			return
 		}
 		env := &Env{Cfg: cfg, Global: global.Clone()}
-		phases, err := env.finishRound([]int{peer}, []SlotResult{slot})
+		o, err := env.finishRound([]int{peer}, []SlotResult{slot})
 		if err != nil {
 			return
 		}
@@ -68,10 +68,9 @@ func FuzzCheckUpdate(f *testing.F) {
 				}
 			}
 		}
-		o := env.TakeRoundObs()
-		for _, v := range []float64{o.UplinkBytes, o.DownlinkBytes, sortedPhaseSum(phases)} {
+		for _, v := range []float64{o.UplinkBytes, o.DownlinkBytes, sortedPhaseSum(o.Phases)} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("accepted slot left non-finite traffic or phases: %+v, phases %v", o, phases)
+				t.Fatalf("accepted slot left non-finite traffic or phases: %+v", o)
 			}
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -522,8 +523,8 @@ var (
 // (peer 0, parameters moved off the global's so any aggregation would show)
 // and one malformed one (peer 1) per case. Every case must fail the round
 // with an error naming peer 1, without panicking, and leave Global bit for
-// bit as it was and the core's round report empty (the core's check rejects
-// the round before it aggregates or reports anything).
+// bit as it was, with no round report (the core's check rejects the round
+// before it aggregates or reports anything).
 func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 	for _, tc := range malformedUpdates {
 		t.Run(tc.name, func(t *testing.T) {
@@ -568,7 +569,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 			if err := srv.Accept(context.Background(), ln); err != nil {
 				t.Fatal(err)
 			}
-			_, err = srv.RunRound(context.Background(), 0)
+			stats, err := srv.RunRound(context.Background(), 0)
 			wg.Wait()
 			if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {
 				t.Fatalf("RunRound error = %v, want peer 1's update rejected", err)
@@ -580,8 +581,8 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 					}
 				}
 			}
-			if o := srv.Env.TakeRoundObs(); o != (RoundObs{}) {
-				t.Fatalf("rejected round left a round report behind: %+v", o)
+			if !reflect.DeepEqual(stats, RoundStats{}) {
+				t.Fatalf("rejected round returned a report: %+v", stats)
 			}
 		})
 	}

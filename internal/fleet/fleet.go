@@ -19,7 +19,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -249,14 +251,18 @@ func (t *Trace) Available(r, n int) []int {
 }
 
 // ParseTrace decodes a JSON availability trace ({"rounds": [[0,1,2], ...]}),
-// rejecting unknown fields — a typo'd key in a trace file must fail loudly,
-// matching the flux.LoadScenario strict-decoding contract.
+// rejecting unknown fields and anything but whitespace after the one JSON
+// value — a typo'd key or a second document in a trace file must fail
+// loudly, matching the flux.LoadScenario strict-decoding contract.
 func ParseTrace(data []byte) (*Trace, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var t Trace
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("fleet: parsing trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("fleet: parsing trace: data after the JSON value")
 	}
 	if err := t.Validate(0); err != nil {
 		return nil, err

@@ -237,6 +237,12 @@ func TestParseTrace(t *testing.T) {
 	if _, err := ParseTrace([]byte(`not json`)); err == nil {
 		t.Fatal("malformed trace should be rejected")
 	}
+	if _, err := ParseTrace([]byte(`{"rounds":[[0]]} {"rounds":[[-1]]}`)); err == nil {
+		t.Fatal("data after the trace should be rejected")
+	}
+	if _, err := ParseTrace([]byte("{\"rounds\":[[0]]}\n\t ")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
 }
 
 func TestProfileApply(t *testing.T) {

@@ -304,11 +304,5 @@ func mergeFlops(experts int, opt merge.Options) float64 {
 	e := float64(experts)
 	d := float64(opt.SketchDims)
 	iters := float64(opt.KMeansIters)
-	base := e*d*iters*8 + d*d*float64(opt.PCADims)*40
-	if !opt.Fused {
-		// Per-layer clustering repeats initialization and bookkeeping; the
-		// 40× factor reproduces Figure 16's measured gap.
-		base *= 40
-	}
-	return base
+	return e*d*iters*8 + d*d*float64(opt.PCADims)*40
 }

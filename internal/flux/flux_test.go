@@ -29,11 +29,11 @@ func testEnv(t *testing.T, seed string) *fed.Env {
 // runRound is env.RunRound for a round that must not fail.
 func runRound(t *testing.T, env *fed.Env, r fed.Rounder, round int) map[simtime.Phase]float64 {
 	t.Helper()
-	phases, err := env.RunRound(r, round)
+	stats, err := env.RunRound(r, round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return phases
+	return stats.Phases
 }
 
 func TestRoundRunsAndReportsPhases(t *testing.T) {
@@ -121,7 +121,7 @@ func TestFluxGlobalModelMutated(t *testing.T) {
 func TestRunToTargetViaEngine(t *testing.T) {
 	env := testEnv(t, "flux-engine")
 	r := New(DefaultOptions(env.Cfg.MaxRounds), env.Cfg.Participants)
-	tr, clock, err := fed.Run(env, r, 0) // no target: run all rounds
+	tr, clock, _, err := fed.Run(env, r, 0) // no target: run all rounds
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunToTargetViaEngine(t *testing.T) {
 	if clock.Hours() <= 0 {
 		t.Fatal("clock did not advance")
 	}
-	if clock.PhaseSeconds(simtime.PhaseFineTuning) <= 0 {
+	if clock.Breakdown()[simtime.PhaseFineTuning] <= 0 {
 		t.Fatal("no fine-tuning time recorded")
 	}
 }

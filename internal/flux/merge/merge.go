@@ -64,14 +64,15 @@ func (s Strategy) String() string {
 	}
 }
 
-// Options configures the merging module.
+// Options configures the merging module. Clustering is always §5.2's fused
+// cross-layer K-Means; Figure 16 times the per-layer alternative by calling
+// cluster.PerLayerKMeans itself.
 type Options struct {
 	Policy      BudgetPolicy
 	Strategy    Strategy
 	SketchDims  int // parameter-sketch length fed to PCA
 	PCADims     int // feature dimensionality after PCA
 	KMeansIters int
-	Fused       bool // fused cross-layer clustering (§5.2) vs per-layer
 }
 
 // DefaultOptions returns Flux's configuration.
@@ -82,7 +83,6 @@ func DefaultOptions() Options {
 		SketchDims:  48,
 		PCADims:     6,
 		KMeansIters: 25,
-		Fused:       true,
 	}
 }
 
@@ -299,14 +299,7 @@ func clusterExperts(global *moe.Model, nonTuning [][]int, budgets []int, opt Opt
 	if opt.PCADims > 0 && opt.PCADims < opt.SketchDims {
 		feats = tensor.PCA(feats, opt.PCADims, g.Split("pca"))
 	}
-	budgetCopy := append([]int(nil), budgets...)
-	var res *cluster.FusedResult
-	var err error
-	if opt.Fused {
-		res, err = cluster.FusedKMeans(feats, points, budgetCopy, opt.KMeansIters, g.Split("kmeans"))
-	} else {
-		res, err = cluster.PerLayerKMeans(feats, points, budgetCopy, opt.KMeansIters, g.Split("kmeans"))
-	}
+	res, err := cluster.FusedKMeans(feats, points, append([]int(nil), budgets...), opt.KMeansIters, g.Split("kmeans"))
 	if err != nil {
 		return nil, err
 	}

@@ -156,6 +156,10 @@ func TestParseTraceRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseTrace(strings.NewReader(alien)); err == nil {
 		t.Fatal("ParseTrace accepted a trace with unknown fields")
 	}
+	const trailing = `{"traceEvents":[]} {"traceEvents":[],"otherField":1}`
+	if _, err := ParseTrace(strings.NewReader(trailing)); err == nil {
+		t.Fatal("ParseTrace accepted data after the trace")
+	}
 }
 
 func TestOrderedPhasesCanonicalFirstExtrasSorted(t *testing.T) {

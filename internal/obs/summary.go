@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -26,13 +27,17 @@ type traceFile struct {
 }
 
 // ParseTrace decodes a trace written by this package. Decoding is strict:
-// an unknown field means the bytes are not one of our traces.
+// an unknown field, or anything but whitespace after the one JSON value,
+// means the bytes are not one of our traces.
 func ParseTrace(r io.Reader) ([]TraceEvent, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var tf traceFile
 	if err := dec.Decode(&tf); err != nil {
 		return nil, fmt.Errorf("obs: parse trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("obs: parse trace: data after the JSON value")
 	}
 	return tf.TraceEvents, nil
 }

@@ -12,7 +12,8 @@ import (
 // with a real `fluxsim -trace` output (testdata/straggler-drop-trace.json,
 // written by `go run ./cmd/fluxsim -scenario scenarios/straggler-drop.json
 // -trace ...`), with this package's two-round recording (flush, straggler
-// wait, dropped participant), and with a few malformed documents.
+// wait, dropped participant), and with a few malformed documents (one with a
+// second document after the first).
 //
 // Invariants: ParseTrace never panics; every input it accepts, Summarize
 // accepts too and summarizes without a panic, and the summary prints.
@@ -27,6 +28,7 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte(`{"displayTimeUnit":"ms","traceEvents":[]}`))
 	f.Add([]byte(`{"traceEvents":[{"name":"p0","cat":"participant","ph":"X","ts":0,"dur":-1,"pid":1,"tid":-7,"args":{"device":3}}]}`))
 	f.Add([]byte(`{"displayTimeUnit":"ms","traceEvents":[`))
+	f.Add([]byte(`{"traceEvents":[]} {"traceEvents":[]}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

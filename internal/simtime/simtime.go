@@ -228,9 +228,6 @@ func (c *Clock) Seconds() float64 { return c.seconds }
 // Hours returns the current simulated time in hours.
 func (c *Clock) Hours() float64 { return c.seconds / 3600 }
 
-// PhaseSeconds returns the accumulated time of one phase.
-func (c *Clock) PhaseSeconds(p Phase) float64 { return c.byPhase[p] }
-
 // Breakdown returns a copy of the per-phase accumulation.
 func (c *Clock) Breakdown() map[Phase]float64 {
 	out := make(map[Phase]float64, len(c.byPhase))

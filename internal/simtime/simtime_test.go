@@ -130,15 +130,15 @@ func TestClock(t *testing.T) {
 	if c.Hours() != 60.0/3600 {
 		t.Fatalf("hours = %v", c.Hours())
 	}
-	if c.PhaseSeconds(PhaseFineTuning) != 50 {
-		t.Fatalf("phase seconds = %v", c.PhaseSeconds(PhaseFineTuning))
+	if got := c.Breakdown()[PhaseFineTuning]; got != 50 {
+		t.Fatalf("phase seconds = %v", got)
 	}
 	b := c.Breakdown()
 	if b[PhaseProfiling] != 10 {
 		t.Fatalf("breakdown = %v", b)
 	}
 	b[PhaseProfiling] = 999
-	if c.PhaseSeconds(PhaseProfiling) != 10 {
+	if c.Breakdown()[PhaseProfiling] != 10 {
 		t.Fatal("breakdown must be a copy")
 	}
 }

@@ -1,6 +1,7 @@
 package flux
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,11 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"empty seed", []Option{WithSeed("")}, "seed"},
 		{"negative target", []Option{WithTarget(-0.5)}, "target"},
 		{"dataset below fleet", []Option{WithParticipants(10), WithDatasetSize(5)}, "dataset size"},
+		{"negative pretrain steps", []Option{WithPretrainSteps(-2)}, "pretrain steps"},
+		{"zero alpha", []Option{WithAlpha(0)}, "alpha"},
+		{"negative alpha", []Option{WithAlpha(-1)}, "alpha"},
+		{"NaN alpha", []Option{WithAlpha(math.NaN())}, "alpha"},
+		{"infinite alpha", []Option{WithAlpha(math.Inf(1))}, "alpha"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

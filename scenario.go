@@ -3,7 +3,9 @@ package flux
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -46,13 +48,17 @@ type Scenario struct {
 	Aggregation AggregationSpec `json:"aggregation"`
 }
 
-// ParseScenario decodes a scenario from JSON, rejecting unknown fields.
+// ParseScenario decodes a scenario from JSON, rejecting unknown fields and
+// anything but whitespace after the one JSON value.
 func ParseScenario(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("flux: parsing scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("flux: parsing scenario: data after the JSON value")
 	}
 	if s.Name == "" {
 		return nil, fmt.Errorf("flux: scenario needs a name")

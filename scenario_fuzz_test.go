@@ -37,6 +37,7 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"description":"anonymous"}`))  // missing name → reject
 	f.Add([]byte(`{"name":"bad","rounds":-3}`))   // negative → reject
 	f.Add([]byte(`{"name":"min"}`))               // minimal accept
+	f.Add([]byte(`{"name":"a"} {"name":"b"} x`))  // data after the value → reject
 	f.Add([]byte(`{`))                            // truncated JSON
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))

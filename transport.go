@@ -9,37 +9,15 @@ import (
 
 	"repro/internal/fed"
 	"repro/internal/methods"
-	"repro/internal/simtime"
 )
 
-// RoundStats is what a Transport reports back for one executed round.
-type RoundStats struct {
-	// Phases maps phase name → simulated seconds; nil when the transport
-	// does not model phase time. Both built-in transports report the server
-	// core's phase map.
-	Phases map[string]float64
-	// UplinkBytes is the update payload participants uploaded this round, as
-	// their participant functions modeled it (on both built-in transports).
-	UplinkBytes float64
-	// DownlinkBytes is the payload the server broadcast to participants this
-	// round, as their participant functions modeled it: over TCP too, it is
-	// each participant's modeled payload, not the gob message's length.
-	DownlinkBytes float64
-	// ExpertsTouched is how many distinct experts aggregation updated.
-	ExpertsTouched int
-	// Selected/Completed/Dropped are the round's participation census (see
-	// RoundEvent). Both built-in transports report what the server core
-	// counted; over TCP the cohort is the connected peers, all of whom
-	// complete a synchronous round.
-	Selected  int
-	Completed int
-	Dropped   int
-	// ModelVersion/Stale/Pending describe event-driven aggregation (see
-	// RoundEvent); zero under synchronous aggregation.
-	ModelVersion int
-	Stale        int
-	Pending      int
-}
+// RoundStats is what a Transport reports back for one executed round: its
+// simulated seconds by Phase, traffic, participation census and, under an
+// active AggregationSpec, versioning (see RoundEvent for each field). Both
+// built-in transports return the server core's report as it is; over TCP
+// the cohort is the connected peers, all of whom complete a synchronous
+// round.
+type RoundStats = fed.RoundStats
 
 // Transport is an execution substrate for the synchronous round protocol.
 // The Experiment owns the loop — evaluation, early stopping, events — and
@@ -56,8 +34,11 @@ type Transport interface {
 	Name() string
 	// Start binds the transport to a materialized environment and method.
 	Start(ctx context.Context, env *Env, method string) error
-	// Round executes synchronous round r, mutating env.Global in place.
-	// Calling it before a successful Start is an error, not a panic.
+	// Round executes synchronous round r, mutating env.Global in place, and
+	// returns its report. The Experiment reads the report before the next
+	// call and hands no handler its Phases map, so a transport may reuse
+	// that map. Calling Round before a successful Start is an error, not a
+	// panic.
 	Round(ctx context.Context, r int) (RoundStats, error)
 	// Close releases resources; it must be safe to call repeatedly and
 	// after a failed Start.
@@ -92,34 +73,7 @@ func (t *inProcess) Round(ctx context.Context, r int) (RoundStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundStats{}, err
 	}
-	phases, err := t.env.RunRound(t.rounder, r)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	return roundStats(t.env.TakeRoundObs(), phases), nil
-}
-
-// roundStats is the one conversion from the round core's report to a
-// transport's RoundStats: whatever the server core recorded is what a round says
-// about itself, in-process and over TCP.
-func roundStats(o fed.RoundObs, phases map[simtime.Phase]float64) RoundStats {
-	ps := make(map[string]float64, len(phases))
-	//fluxvet:unordered map-to-map copy; per-key writes, element order irrelevant
-	for p, v := range phases {
-		ps[string(p)] = v
-	}
-	return RoundStats{
-		Phases:         ps,
-		UplinkBytes:    o.UplinkBytes,
-		DownlinkBytes:  o.DownlinkBytes,
-		ExpertsTouched: o.ExpertsTouched,
-		Selected:       o.Selected,
-		Completed:      o.Completed,
-		Dropped:        o.Dropped,
-		ModelVersion:   o.ModelVersion,
-		Stale:          o.Stale,
-		Pending:        o.Pending,
-	}
+	return t.env.RunRound(t.rounder, r)
 }
 
 func (t *inProcess) Close() error { return nil }
@@ -222,11 +176,7 @@ func (t *tcpTransport) Round(ctx context.Context, r int) (RoundStats, error) {
 	if t.srv == nil {
 		return RoundStats{}, errors.New("flux: TCP transport not started")
 	}
-	phases, err := t.srv.RunRound(ctx, r)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	return roundStats(t.srv.Env.TakeRoundObs(), phases), nil
+	return t.srv.RunRound(ctx, r)
 }
 
 // Close finishes the deployment: broadcast the final model so every
