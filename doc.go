@@ -12,7 +12,7 @@
 //   - Functional options: New(WithMethod("flux"), WithRounds(30), ...)
 //     assembles an Experiment from composable settings.
 //   - Transports: the same Run(ctx) round loop drives an InProcess
-//     simulation or a real gob/TCP deployment (TCP), and cancelling the
+//     simulation or a real TCP deployment (TCP), and cancelling the
 //     context stops either cleanly. Over TCP every participant runs the
 //     method's own participant function on its own replica of the
 //     environment and uploads the SlotResult, and both transports reduce a

@@ -1,6 +1,6 @@
 // Federated fine-tuning over real TCP, through the public SDK: the TCP
 // transport starts a parameter server and one goroutine per participant in
-// this process, all speaking the same gob/TCP wire protocol cmd/fluxserver
+// this process, all speaking the same TCP wire protocol cmd/fluxserver
 // and cmd/fluxclient use across machines. The round loop, evaluation, and
 // events are identical to the in-process transport, and so is every round,
 // bit for bit, for any registered method.

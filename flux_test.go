@@ -74,7 +74,7 @@ func TestRunInProcessStreamsEvents(t *testing.T) {
 
 // TestTransportDeterminism is the SDK's core guarantee: the same method,
 // seed, and settings yield bit-identical convergence whether rounds execute
-// in-process or over the real gob/TCP wire protocol.
+// in-process or over the real TCP wire protocol.
 func TestTransportDeterminism(t *testing.T) {
 	run := func(transport Transport) *Result {
 		t.Helper()

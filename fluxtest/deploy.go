@@ -270,7 +270,7 @@ func waitErr(t *testing.T, c <-chan error, what string) error {
 	}
 }
 
-// rawPeer speaks the gob/TCP wire protocol directly so the battery can
+// rawPeer speaks the TCP wire protocol directly so the battery can
 // misbehave in ways flux.Join never would.
 type rawPeer struct {
 	id   int

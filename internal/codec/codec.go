@@ -1,0 +1,144 @@
+// Package codec holds the primitives of the repository's one binary tensor
+// encoding, which the model checkpoint (moe.EncodeBytes) and the wire update
+// (fed.Update's gob form) are both written in: every integer is 8 bytes of
+// little-endian int64, every float its 8 IEEE-754 bits, and every sequence
+// its element count followed by the elements.
+//
+// Writers append to a caller-sized buffer. A Reader checks every count
+// against the bytes left before anything of that length is allocated, so a
+// hostile count costs an error, not memory.
+package codec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// IntSize is the encoded size of one integer or float.
+const IntSize = 8
+
+// SeqSize is the encoded size of a sequence of n integers or floats.
+func SeqSize(n int) int { return IntSize + IntSize*n }
+
+// AppendInt appends v as a little-endian int64.
+func AppendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+
+// AppendFloat appends v's bits.
+func AppendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// AppendInts appends the count of vs, then each value.
+func AppendInts(b []byte, vs []int) []byte {
+	b = AppendInt(b, len(vs))
+	for _, v := range vs {
+		b = AppendInt(b, v)
+	}
+	return b
+}
+
+// AppendFloats appends the count of vs, then each value's bits.
+func AppendFloats(b []byte, vs []float64) []byte {
+	b = slices.Grow(AppendInt(b, len(vs)), IntSize*len(vs))
+	w := b[len(b) : len(b)+IntSize*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(w[IntSize*i:], math.Float64bits(v))
+	}
+	return b[:len(b)+len(w)]
+}
+
+// Reader decodes from a byte slice, which it consumes. After the first
+// error every read returns zero values and Err keeps that error.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader returns a Reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Failf records a decoding error, unless one is recorded already.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// Err returns the first error, or an error naming any bytes left unread.
+func (r *Reader) Err() error {
+	if r.err == nil && len(r.b) > 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+// Bytes consumes the next n bytes; the result aliases the input.
+func (r *Reader) Bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.Failf("truncated: %d bytes wanted, %d left", n, len(r.b))
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// Int reads one integer.
+func (r *Reader) Int() int {
+	if b := r.Bytes(IntSize); b != nil {
+		return int(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// Float reads one float.
+func (r *Reader) Float() float64 {
+	if b := r.Bytes(IntSize); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// Count reads the length of a sequence named what whose elements take at
+// least size bytes each, refusing one the bytes left cannot hold.
+func (r *Reader) Count(what string, size int) int {
+	n := r.Int()
+	if r.err == nil && (n < 0 || n > len(r.b)/size) {
+		r.Failf("%s claims %d elements, %d bytes left", what, n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// Ints reads a sequence written by AppendInts; an empty one is nil.
+func (r *Reader) Ints(what string) []int {
+	n := r.Count(what, IntSize)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = r.Int()
+	}
+	return out
+}
+
+// Floats reads a sequence written by AppendFloats; an empty one is nil.
+func (r *Reader) Floats(what string) []float64 {
+	n := r.Count(what, IntSize)
+	if n == 0 {
+		return nil
+	}
+	b, out := r.Bytes(IntSize*n), make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[IntSize*i:]))
+	}
+	return out
+}

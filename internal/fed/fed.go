@@ -217,7 +217,7 @@ type RoundStats struct {
 
 	// UplinkBytes and DownlinkBytes are the update payload participants
 	// uploaded and the broadcast payload they received, as their participant
-	// functions modeled them (over TCP too: not the gob messages' lengths).
+	// functions modeled them (over TCP too: not the wire messages' lengths).
 	// ExpertsTouched is how many expert aggregations the server applied.
 	UplinkBytes    float64
 	DownlinkBytes  float64

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -14,31 +15,34 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/moe"
 	"repro/internal/obs"
 )
 
 // This file implements a real network deployment of the federated loop: a
-// parameter server and participants exchanging gob-encoded messages over
-// TCP. It exists so the system can actually be run as separate processes
-// (cmd/fluxserver, cmd/fluxclient) or driven round-by-round by the public
-// SDK's TCP transport, not only as the in-process simulation the
-// experiments use. The protocol is synchronous rounds, mirroring Figure 4:
-// the server broadcasts the global model; each participant runs its method's
-// own participant function on it, exactly as an in-process worker would, and
-// uploads the whole SlotResult; and the server hands the arrivals to the
-// server core (finishRound) — the same check, reduction, traffic, census,
-// simulated time and participant records as an in-process round. Every
-// message either end reads is bounded in size by the model config
-// (maxMessageBytes) before gob allocates it.
+// parameter server and participants exchanging messages over TCP. Each
+// message is a gob envelope (Hello, RoundMsg, SlotResult) whose tensors are
+// package codec's binary encoding: the model as moe.EncodeBytes writes it,
+// the update as Update.GobEncode does. It exists so the system can actually
+// be run as separate processes (cmd/fluxserver, cmd/fluxclient) or driven
+// round-by-round by the public SDK's TCP transport, not only as the
+// in-process simulation the experiments use. The protocol is synchronous
+// rounds, mirroring Figure 4: the server broadcasts the global model; each
+// participant runs its method's own participant function on it, exactly as
+// an in-process worker would, and uploads the whole SlotResult; and the
+// server hands the arrivals to the server core (finishRound) — the same
+// check, reduction, traffic, census, simulated time and participant records
+// as an in-process round. Every message either end reads is bounded in size
+// by the model config (maxMessageBytes) before gob allocates it.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish —
 // so an external driver owns the round loop; ServeContext composes the steps
 // for standalone use. Every message exchange carries a read/write deadline
 // and the whole lifecycle honors context cancellation.
 
-// DefaultIOTimeout bounds a single message exchange (one gob encode or
-// decode) when the caller does not set an explicit timeout. It must cover
+// DefaultIOTimeout bounds a single message exchange (one message encoded or
+// decoded) when the caller does not set an explicit timeout. It must cover
 // the slowest participant's local fine-tuning between two server messages.
 const DefaultIOTimeout = 2 * time.Minute
 
@@ -57,13 +61,63 @@ type Hello struct {
 type RoundMsg struct {
 	Round int
 	Final bool   // no more rounds; Model holds the final global model
-	Model []byte // gob-encoded moe.Model
+	Model []byte // the global model as moe.EncodeBytes writes it
 }
 
 // UpdateMsg is the Update a participant's reply carries. The reply itself is
 // the participant function's whole SlotResult: the update, its modeled
 // traffic and its per-phase simulated seconds.
 type UpdateMsg = Update
+
+// GobEncode writes u in package codec's encoding, which gob carries as one
+// byte string: the participant, the weight, the expert count, then per expert
+// in (layer, expert) order its key and parameters. The sorted order makes the
+// bytes a function of u's contents, which gob's own map encoding is not.
+func (u Update) GobEncode() ([]byte, error) {
+	keys := make([]ExpertKey, 0, len(u.Experts))
+	for k := range u.Experts {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareKeys)
+	n := 3 * codec.IntSize
+	for _, k := range keys {
+		n += 2*codec.IntSize + codec.SeqSize(len(u.Experts[k]))
+	}
+	b := codec.AppendFloat(codec.AppendInt(make([]byte, 0, n), u.Participant), u.Weight)
+	b = codec.AppendInt(b, len(keys))
+	for _, k := range keys {
+		b = codec.AppendFloats(codec.AppendInt(codec.AppendInt(b, k.Layer), k.Expert), u.Experts[k])
+	}
+	return b, nil
+}
+
+// GobDecode reads an update written by GobEncode. Every count is checked
+// against the bytes left before it is allocated; keys out of order (a
+// duplicate among them) and trailing bytes are errors.
+func (u *Update) GobDecode(b []byte) error {
+	r := codec.NewReader(b)
+	dec := Update{Participant: r.Int(), Weight: r.Float()}
+	if n := r.Count("experts", 3*codec.IntSize); n > 0 {
+		dec.Experts = make(map[ExpertKey][]float64, n)
+		var prev ExpertKey
+		for i := range n {
+			k := ExpertKey{Layer: r.Int(), Expert: r.Int()}
+			if i > 0 && compareKeys(prev, k) >= 0 {
+				r.Failf("expert %v follows %v", k, prev)
+			}
+			dec.Experts[k], prev = r.Floats("expert parameters"), k
+		}
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("fed: decode update: %w", err)
+	}
+	*u = dec
+	return nil
+}
+
+func compareKeys(a, b ExpertKey) int {
+	return cmp.Or(cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Expert, b.Expert))
+}
 
 type peer struct {
 	conn    net.Conn
@@ -80,11 +134,11 @@ func newPeer(conn net.Conn, cfg moe.Config, timeout time.Duration) *peer {
 }
 
 // maxMessageBytes bounds one gob message of a deployment of model config
-// cfg. The largest legitimate messages are the broadcast (the encoded model)
-// and a full-model update, both about one float64 per parameter, which gob
-// writes in at most 9 bytes; 16 bytes per parameter plus 64 KiB leaves room
-// for keys, lengths and type descriptors.
-func maxMessageBytes(cfg moe.Config) int { return 16*cfg.TotalParams() + 1<<16 }
+// cfg. The largest legitimate messages are the broadcast, whose model blob is
+// moe.EncodedSize(cfg) bytes, and a full-model SlotResult, whose update holds
+// only the experts' parameters and so is smaller; 64 KiB on top covers the
+// gob envelope and type descriptors.
+func maxMessageBytes(cfg moe.Config) int { return moe.EncodedSize(cfg) + 1<<16 }
 
 // newBoundedDecoder returns a gob decoder on r that fails any message longer
 // than limit bytes when it reads the message's length prefix, before gob
@@ -448,15 +502,9 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		if err := p.recv(&msg); err != nil {
 			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: round %d broadcast from %s: %w", cfg.Participant, next, cfg.Addr, err))
 		}
-		if !msg.Final && msg.Round != next {
-			return nil, fmt.Errorf("fed: client %d: broadcast of round %d, want round %d", cfg.Participant, msg.Round, next)
-		}
-		model, err := moe.DecodeBytes(msg.Model)
+		model, err := checkBroadcast(msg, next, want)
 		if err != nil {
-			return nil, fmt.Errorf("fed: client %d: round %d broadcast: %w", cfg.Participant, msg.Round, err)
-		}
-		if !reflect.DeepEqual(model.Cfg, want) {
-			return nil, fmt.Errorf("fed: client %d: round %d broadcast holds model config %+v, want %+v", cfg.Participant, msg.Round, model.Cfg, want)
+			return nil, fmt.Errorf("fed: client %d: %w", cfg.Participant, err)
 		}
 		if msg.Final {
 			return model, nil
@@ -474,6 +522,24 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		// are never live at once.
 		env.Global, next = nil, msg.Round+1
 	}
+}
+
+// checkBroadcast returns the model of msg, received by a client expecting
+// round next of model config want. A broadcast of another round (unless it
+// is the final one), a blob that does not decode, or a model of another
+// config is an error naming the round.
+func checkBroadcast(msg RoundMsg, next int, want moe.Config) (*moe.Model, error) {
+	if !msg.Final && msg.Round != next {
+		return nil, fmt.Errorf("broadcast of round %d, want round %d", msg.Round, next)
+	}
+	model, err := moe.DecodeBytes(msg.Model)
+	if err != nil {
+		return nil, fmt.Errorf("round %d broadcast: %w", msg.Round, err)
+	}
+	if !reflect.DeepEqual(model.Cfg, want) {
+		return nil, fmt.Errorf("round %d broadcast holds model config %+v, want %+v", msg.Round, model.Cfg, want)
+	}
+	return model, nil
 }
 
 // IdentityTuning returns per-layer expert-id lists naming every expert — the

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -585,5 +586,74 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 				t.Fatalf("rejected round returned a report: %+v", stats)
 			}
 		})
+	}
+}
+
+// TestUpdateEncodingIsCanonical: one update built in two map insertion
+// orders encodes to the same bytes, and decodes to its every bit, NaN
+// payloads and −0 included.
+func TestUpdateEncodingIsCanonical(t *testing.T) {
+	keys := []ExpertKey{{2, 1}, {0, 3}, {1, 0}, {0, 0}, {2, 0}}
+	params := func(k ExpertKey) []float64 {
+		return []float64{float64(k.Layer), math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(10*k.Layer+k.Expert)), math.Inf(-1)}
+	}
+	build := func(order []ExpertKey) Update {
+		u := Update{Participant: 7, Weight: 2.5, Experts: make(map[ExpertKey][]float64)}
+		for _, k := range order {
+			u.Experts[k] = params(k)
+		}
+		return u
+	}
+	reversed := slices.Clone(keys)
+	slices.Reverse(reversed)
+	forward, backward := build(keys), build(reversed)
+	a, err := forward.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := backward.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("insertion order changed the update's bytes")
+	}
+	var got Update
+	if err := got.GobDecode(a); err != nil {
+		t.Fatal(err)
+	}
+	if got.Participant != 7 || got.Weight != 2.5 || len(got.Experts) != len(keys) {
+		t.Fatalf("decoded %d/%v with %d experts", got.Participant, got.Weight, len(got.Experts))
+	}
+	for _, k := range keys {
+		if !sameBits(got.Experts[k], params(k)) {
+			t.Fatalf("expert %v decoded as %v", k, got.Experts[k])
+		}
+	}
+}
+
+// TestMessageBoundFitsFullModel: for both stand-ins, a full-model broadcast
+// and a full-model SlotResult, each the first message on its stream (so it
+// follows gob's type descriptors), pass the deployment's message bound.
+func TestMessageBoundFitsFullModel(t *testing.T) {
+	for _, cfg := range []moe.Config{moe.SimConfigLLaMATrain(), moe.SimConfigDeepSeekTrain()} {
+		m := moe.MustNew(cfg, tensor.Named("bound"))
+		blob, err := m.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := ExtractUpdate(m, 0, 1, IdentityTuning(cfg))
+		slot := SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 1,
+			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
+		for _, msg := range []any{RoundMsg{Round: 3, Model: blob}, slot} {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
+				t.Fatal(err)
+			}
+			dst := reflect.New(reflect.TypeOf(msg)).Interface()
+			if err := newBoundedDecoder(&buf, maxMessageBytes(cfg)).Decode(dst); err != nil {
+				t.Errorf("%s: a full-model %T fails the bound: %v", cfg.Name, msg, err)
+			}
+		}
 	}
 }

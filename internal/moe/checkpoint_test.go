@@ -1,0 +1,214 @@
+package moe
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// codecModel is a small model whose tensors hold the float values a codec
+// most easily mangles: NaNs with payloads (quiet and signalling), −0, ±Inf,
+// the smallest and largest subnormals, and the extremes of the normal range.
+func codecModel(t testing.TB) *Model {
+	m, err := New(Uniform("codec", 8, 2, 3, 2, 3, 2, 4), tensor.Named("codec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specials := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0123), // quiet NaN, payload
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff8_dead_beef_0000), // negative NaN
+		math.Copysign(0, -1),
+		math.Inf(1),
+		math.Inf(-1),
+		math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+		-math.SmallestNonzeroFloat64,
+		math.MaxFloat64,
+	}
+	targets := [][]float64{m.Embed.Data, m.Head.Data, m.Layers[0].Gate.Data, m.Layers[1].Wv.Data,
+		m.Layers[0].Experts[2].W1.Data, m.Layers[1].Experts[0].B1, m.Layers[1].Experts[1].W2.Data, m.Layers[0].Experts[0].B2}
+	for i, v := range specials {
+		d := targets[i%len(targets)]
+		d[i%len(d)] = v
+	}
+	return m
+}
+
+// customizedCodecModel is codecModel after Customize: in every layer expert 0
+// stays trainable and the rest merge into one frozen expert, so the layers
+// hold fewer experts than their gates span and carry MergedFrom lists.
+func customizedCodecModel(t testing.TB) *Model {
+	m := codecModel(t)
+	specs := make([]LayerSpec, len(m.Layers))
+	for l, layer := range m.Layers {
+		var rest []int
+		for e := 1; e < layer.OrigExperts; e++ {
+			rest = append(rest, e)
+		}
+		specs[l] = LayerSpec{Tuning: []int{0}, MergeGroups: [][]int{rest}}
+	}
+	local, err := Customize(m, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return local
+}
+
+// requireSameBits compares two models field by field, floats by their bits,
+// independently of the codec under test.
+func requireSameBits(t *testing.T, want, got *Model) {
+	t.Helper()
+	floats := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d values, want %d", what, len(b), len(a))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %#x, want %#x", what, i, math.Float64bits(b[i]), math.Float64bits(a[i]))
+			}
+		}
+	}
+	matrix := func(what string, a, b *tensor.Matrix) {
+		t.Helper()
+		if a.Rows != b.Rows || a.Cols != b.Cols {
+			t.Fatalf("%s is %d×%d, want %d×%d", what, b.Rows, b.Cols, a.Rows, a.Cols)
+		}
+		floats(what, a.Data, b.Data)
+	}
+	if !reflect.DeepEqual(want.Cfg, got.Cfg) {
+		t.Fatalf("config %+v, want %+v", got.Cfg, want.Cfg)
+	}
+	matrix("embed", want.Embed, got.Embed)
+	matrix("head", want.Head, got.Head)
+	if len(want.Layers) != len(got.Layers) {
+		t.Fatalf("%d layers, want %d", len(got.Layers), len(want.Layers))
+	}
+	for l, wl := range want.Layers {
+		gl := got.Layers[l]
+		matrix("wq", wl.Wq, gl.Wq)
+		matrix("wk", wl.Wk, gl.Wk)
+		matrix("wv", wl.Wv, gl.Wv)
+		matrix("gate", wl.Gate, gl.Gate)
+		if wl.OrigExperts != gl.OrigExperts || wl.TopK != gl.TopK || !reflect.DeepEqual(wl.Routing, gl.Routing) || len(wl.Experts) != len(gl.Experts) {
+			t.Fatalf("layer %d: got %d/%d/%v/%d experts, want %d/%d/%v/%d", l,
+				gl.OrigExperts, gl.TopK, gl.Routing, len(gl.Experts), wl.OrigExperts, wl.TopK, wl.Routing, len(wl.Experts))
+		}
+		for e, we := range wl.Experts {
+			ge := gl.Experts[e]
+			matrix("w1", we.W1, ge.W1)
+			floats("b1", we.B1, ge.B1)
+			matrix("w2", we.W2, ge.W2)
+			floats("b2", we.B2, ge.B2)
+			if we.Frozen != ge.Frozen || !reflect.DeepEqual(we.MergedFrom, ge.MergedFrom) {
+				t.Fatalf("layer %d expert %d: frozen %v merged %v, want %v %v", l, e, ge.Frozen, ge.MergedFrom, we.Frozen, we.MergedFrom)
+			}
+		}
+	}
+}
+
+// TestCodecRoundTripsBitForBit: a model holding NaN payloads, −0, ±Inf and
+// subnormals, and the same model customized, decode to their every bit, and
+// re-encoding the decoded model gives the same bytes.
+func TestCodecRoundTripsBitForBit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{{"specials", codecModel(t)}, {"customized", customizedCodecModel(t)}} {
+		m := tc.m
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := m.EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeBytes(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameBits(t, m, got)
+			again, err := got.EncodeBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, again) {
+				t.Fatal("encode → decode → encode changed the bytes")
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsTruncatedAndTrailing: every strict prefix of a valid blob,
+// and the blob with one byte appended, fail to decode with an error.
+func TestDecodeRejectsTruncatedAndTrailing(t *testing.T) {
+	for _, m := range []*Model{codecModel(t), customizedCodecModel(t)} {
+		blob, err := m.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range len(blob) {
+			if _, err := DecodeBytes(blob[:n]); err == nil {
+				t.Fatalf("a %d-byte prefix of a %d-byte blob decoded", n, len(blob))
+			}
+		}
+		if _, err := DecodeBytes(append(blob, 0)); err == nil {
+			t.Fatal("a blob with a trailing byte decoded")
+		}
+	}
+}
+
+// TestDecodeRefusesLengthBeyondInput: an embed tensor claiming one element
+// more than the bytes after its length field hold is refused before its
+// storage is allocated — with no more allocations than a claim of 2^60
+// elements, which no allocation could satisfy.
+func TestDecodeRefusesLengthBeyondInput(t *testing.T) {
+	m := tinyModel(t, "refuse")
+	blob, err := m.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengthAt := modelSize(m.Cfg, 0) - 2*matrixSize(0) - 8 + 16 // the embed matrix's element count
+	if got := binary.LittleEndian.Uint64(blob[lengthAt:]); got != uint64(len(m.Embed.Data)) {
+		t.Fatalf("length field reads %d, want the embed's %d", got, len(m.Embed.Data))
+	}
+	claim := func(n uint64) []byte {
+		bad := bytes.Clone(blob)
+		binary.LittleEndian.PutUint64(bad[lengthAt:], n)
+		if _, err := DecodeBytes(bad); err == nil {
+			t.Fatalf("an embed of %d elements decoded from %d bytes", n, len(bad))
+		}
+		return bad
+	}
+	oneMore := claim(uint64((len(blob)-lengthAt-8)/8 + 1))
+	huge := claim(1 << 60)
+	if raceEnabled {
+		t.Skip("allocation counts are not compared under the race detector")
+	}
+	if a, b := testing.AllocsPerRun(20, func() { DecodeBytes(oneMore) }), testing.AllocsPerRun(20, func() { DecodeBytes(huge) }); a != b {
+		t.Fatalf("refusing one element too many made %v allocations, refusing 2^60 %v", a, b)
+	}
+}
+
+// TestEncodedSize: EncodedSize is the exact length of EncodeBytes' output for
+// every stand-in config as New builds it, and encoding makes one allocation.
+func TestEncodedSize(t *testing.T) {
+	for _, cfg := range []Config{tinyConfig(), SimConfigLLaMATrain(), SimConfigDeepSeekTrain(), SimConfigLLaMAProfile()} {
+		m := MustNew(cfg, tensor.Named("size"))
+		blob, err := m.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) != EncodedSize(cfg) || cap(blob) != len(blob) {
+			t.Errorf("%s: EncodeBytes wrote %d bytes into %d, EncodedSize says %d", cfg.Name, len(blob), cap(blob), EncodedSize(cfg))
+		}
+		if cfg.Name == SimConfigLLaMATrain().Name {
+			if allocs := testing.AllocsPerRun(5, func() { m.EncodeBytes() }); allocs != 1 {
+				t.Errorf("EncodeBytes made %v allocations, want 1", allocs)
+			}
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package moe
 
 import (
-	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -335,11 +336,15 @@ func TestScoreContinuationPrefersLikely(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	m := tinyModel(t, "ckpt")
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := DecodeBytes(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +382,11 @@ func TestLoadRejectsMisshapenTensors(t *testing.T) {
 		{"embed twice as wide", func(m *Model) { m.Embed = tensor.NewMatrix(m.Cfg.VocabSize, 2*m.Cfg.Dim) }, "embed"},
 		{"head transposed", func(m *Model) { m.Head = tensor.NewMatrix(m.Cfg.VocabSize, m.Cfg.Dim) }, "head"},
 		{"short embed data", func(m *Model) { m.Embed.Data = m.Embed.Data[:5] }, "embed"},
+		{"vocab·dim overflows to the empty embed", func(m *Model) {
+			m.Cfg.VocabSize = 1 << 61 // 2^61 · 8 wraps to 0
+			m.Embed = &tensor.Matrix{Rows: m.Cfg.VocabSize, Cols: m.Cfg.Dim}
+			m.Head = &tensor.Matrix{Rows: m.Cfg.Dim, Cols: m.Cfg.VocabSize}
+		}, "embed"},
 		{"missing layer", func(m *Model) { m.Layers = m.Layers[:1] }, "layers"},
 		{"wk shape", func(m *Model) { m.Layers[1].Wk = tensor.NewMatrix(m.Cfg.Dim, m.Cfg.Dim+1) }, "layer 1 attention"},
 		{"gate width", func(m *Model) { m.Layers[0].Gate = tensor.NewMatrix(m.Cfg.Dim, m.Layers[0].OrigExperts-1) }, "layer 0 gate"},

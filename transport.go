@@ -90,8 +90,9 @@ func TCPAddr(addr string) TCPOption { return func(t *tcpTransport) { t.addr = ad
 func TCPTimeout(d time.Duration) TCPOption { return func(t *tcpTransport) { t.timeout = d } }
 
 // TCP returns the deployment transport: a parameter server listening on a
-// real socket and one goroutine per participant speaking the gob/TCP wire
-// protocol — the same protocol cmd/fluxserver and cmd/fluxclient use across
+// real socket and one goroutine per participant speaking the TCP wire
+// protocol (gob envelopes around a binary encoding of the model and the
+// update) — the same protocol cmd/fluxserver and cmd/fluxclient use across
 // machines. Each participant runs the method's participant function for its
 // slot on its own replica of the environment, so every registered method runs
 // over it and every round is bit-identical to the same run in-process.
