@@ -8,9 +8,11 @@
 //	go test -run '^$' -bench '^BenchmarkRound$' -benchmem -benchtime 2x -count 3 . \
 //	    | benchjson | benchguard -baseline bench/BENCH_round.json
 //
-// Benchmarks present on only one side are reported but never fatal, so
+// Benchmarks present on only one side are reported but not fatal, so
 // adding or retiring a sub-benchmark does not require a lockstep snapshot
-// update.
+// update; a run none of whose benchmarks has a baseline entry fails, since
+// it gated nothing. A snapshot entry without a name or with a negative
+// figure, or trailing data after the array, fails too.
 //
 // Duplicate entries for one benchmark name (from -count N) collapse to their
 // median allocs/op before comparison, on both the fresh and the baseline
@@ -22,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -137,10 +140,57 @@ func unmatched(base, fresh []result) []string {
 
 // decode reads a benchjson array; extra fields (iterations, bytes_per_op,
 // params) are deliberately tolerated so the two tools can evolve separately.
+// An entry without a name or with a negative figure, and anything after the
+// array, is an error: each would let a regression pass unseen.
 func decode(r io.Reader) ([]result, error) {
+	dec := json.NewDecoder(r)
 	var rs []result
 	//fluxvet:allow strictdecode benchjson output carries fields benchguard ignores by design; not a config file
-	return rs, json.NewDecoder(r).Decode(&rs)
+	if err := dec.Decode(&rs); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("trailing data after the benchmark array")
+	}
+	for i, r := range rs {
+		if r.Name == "" {
+			return nil, fmt.Errorf("entry %d has no name", i)
+		}
+		if r.NsPerOp < 0 || r.AllocsPerOp < 0 {
+			return nil, fmt.Errorf("%s: ns_per_op %v and allocs_per_op %v must be non-negative", r.Name, r.NsPerOp, r.AllocsPerOp)
+		}
+	}
+	return rs, nil
+}
+
+// check compares fresh against base (both as decoded; repeated runs collapse
+// to their medians), reporting skipped and passing benchmarks to w. It fails
+// when fresh is empty, when no fresh benchmark has a baseline entry — an
+// empty or unrelated baseline gates nothing — or when any allocs/op
+// regresses.
+func check(base, fresh []result, maxRatio float64, w io.Writer) error {
+	if len(fresh) == 0 {
+		return errors.New("no benchmark results on stdin")
+	}
+	base = aggregate(base)
+	fresh = aggregate(fresh)
+	missing := unmatched(base, fresh)
+	for _, name := range missing {
+		fmt.Fprintf(w, "benchguard: %s has no baseline entry (new benchmark?), skipping\n", name)
+	}
+	if len(missing) == len(fresh) {
+		return errors.New("no fresh benchmark matches a baseline entry")
+	}
+	regs := compare(base, fresh, maxRatio)
+	if len(regs) == 0 {
+		fmt.Fprintf(w, "benchguard: %d benchmarks within %.0f%% alloc budget\n", len(fresh)-len(missing), (maxRatio-1)*100)
+		return nil
+	}
+	msgs := make([]error, len(regs))
+	for i, r := range regs {
+		msgs[i] = fmt.Errorf("ALLOC REGRESSION %s", r)
+	}
+	return errors.Join(msgs...)
 }
 
 func main() {
@@ -164,23 +214,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard: stdin:", err)
 		os.Exit(1)
 	}
-	if len(fresh) == 0 {
-		fmt.Fprintln(os.Stderr, "benchguard: no benchmark results on stdin")
+	if err := check(base, fresh, *maxRatio, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *baseline, err)
 		os.Exit(1)
 	}
-	base = aggregate(base)
-	fresh = aggregate(fresh)
-	for _, name := range unmatched(base, fresh) {
-		fmt.Printf("benchguard: %s has no baseline entry (new benchmark?), skipping\n", name)
-	}
-	regs := compare(base, fresh, *maxRatio)
-	if len(regs) == 0 {
-		fmt.Printf("benchguard: %d benchmarks within %.0f%% alloc budget of %s\n",
-			len(fresh), (*maxRatio-1)*100, *baseline)
-		return
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "benchguard: ALLOC REGRESSION", r)
-	}
-	os.Exit(1)
 }

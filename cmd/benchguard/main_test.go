@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -118,4 +121,78 @@ func TestAggregateSingleRunsUnchanged(t *testing.T) {
 	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("aggregate changed single-run results: %+v -> %+v", in, out)
 	}
+}
+
+// TestDecodeRejectsUngatedInput: each input below would let any regression
+// pass — an entry with no name, a negative figure (a baseline of -1 allocs
+// makes every ratio negative), or trailing data after the array.
+func TestDecodeRejectsUngatedInput(t *testing.T) {
+	for _, in := range []string{
+		`[{"name":"","allocs_per_op":3}]`,
+		`[{"name":"a","allocs_per_op":-1}]`,
+		`[{"name":"a","ns_per_op":-5,"allocs_per_op":3}]`,
+		`[{"name":"a","allocs_per_op":3}] [{"name":"a","allocs_per_op":1}]`,
+		`[{"name":"a","allocs_per_op":3}]x`,
+	} {
+		if rs, err := decode(strings.NewReader(in)); err == nil {
+			t.Errorf("decode(%s) = %+v, want an error", in, rs)
+		}
+	}
+	if _, err := decode(strings.NewReader("[{\"name\":\"a\",\"allocs_per_op\":3}]\n")); err != nil {
+		t.Errorf("a trailing newline is not trailing data: %v", err)
+	}
+}
+
+// TestCheckNeedsAMatchingBaseline: a 137x regression against an empty or
+// unrelated baseline fails, because nothing gated it.
+func TestCheckNeedsAMatchingBaseline(t *testing.T) {
+	fresh := []result{res("a", 13700)}
+	for _, base := range [][]result{nil, {res("other", 100)}} {
+		if err := check(base, fresh, 1.10, io.Discard); err == nil || !strings.Contains(err.Error(), "matches") {
+			t.Errorf("check against %v = %v, want a no-match error", base, err)
+		}
+	}
+	if err := check([]result{res("a", 100)}, fresh, 1.10, io.Discard); err == nil || !strings.Contains(err.Error(), "ALLOC REGRESSION") {
+		t.Errorf("check = %v, want the regression", err)
+	}
+	if err := check([]result{res("a", 100)}, []result{res("a", 100), res("new", 5)}, 1.10, io.Discard); err != nil {
+		t.Errorf("check = %v, want a pass with one benchmark skipped", err)
+	}
+	if err := check([]result{res("a", 100)}, nil, 1.10, io.Discard); err == nil {
+		t.Error("check passed with no fresh results")
+	}
+}
+
+// FuzzDecode: every input decode accepts yields named, non-negative entries
+// that aggregate, unmatched and compare handle without panicking, and that
+// compare against themselves without a regression. Seeded with the committed
+// round snapshot.
+func FuzzDecode(f *testing.F) {
+	snap, err := os.ReadFile("../../bench/BENCH_round.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`[{"name":"a","allocs_per_op":-1}]`))
+	f.Add([]byte(`[{"name":"a","allocs_per_op":0},{"name":"a","allocs_per_op":2}] `))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rs, err := decode(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		agg := aggregate(rs)
+		for _, r := range append(rs, agg...) {
+			if r.Name == "" || !(r.NsPerOp >= 0) || !(r.AllocsPerOp >= 0) {
+				t.Fatalf("accepted entry %+v", r)
+			}
+		}
+		if got := unmatched(agg, rs); len(got) != 0 {
+			t.Fatalf("unmatched(aggregate(rs), rs) = %v", got)
+		}
+		if regs := compare(agg, agg, 1.10); len(regs) != 0 {
+			t.Fatalf("a snapshot regressed against itself: %v", regs)
+		}
+		compare(rs, agg, 1.10)
+	})
 }

@@ -3,6 +3,7 @@ package flux
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"time"
@@ -207,6 +208,10 @@ func Join(ctx context.Context, cfg JoinConfig) (JoinResult, error) {
 	}
 	if cfg.LR <= 0 {
 		cfg.LR = 2.0
+	}
+	if !(cfg.LR <= math.MaxFloat64) {
+		// Caught before dialing: one client's NaN would fail every round.
+		return JoinResult{}, fmt.Errorf("flux: learning rate %v must be a finite number", cfg.LR)
 	}
 	profile, err := data.ProfileByName(cfg.Dataset)
 	if err != nil {

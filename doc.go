@@ -11,9 +11,10 @@
 //
 //   - Functional options: New(WithMethod("flux"), WithRounds(30), ...)
 //     assembles an Experiment from composable settings.
-//   - Transports: the same Run(ctx) round loop drives an InProcess
-//     simulation or a real TCP deployment (TCP), and cancelling the
-//     context stops either cleanly. Over TCP every participant runs the
+//   - Transports: the engine's one round loop — behind Run(ctx), the
+//     figure runners and Serve alike — drives an InProcess simulation or a
+//     real TCP deployment (TCP), and cancelling the context stops either
+//     cleanly. Over TCP every participant runs the
 //     method's own participant function on its own replica of the
 //     environment and uploads the SlotResult, and both transports reduce a
 //     round through the one server core and its slot check, so every

@@ -1,6 +1,7 @@
 package flux
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/obs"
-	"repro/internal/simtime"
 )
 
 // Experiment is one configured federated fine-tuning run. Build it with
@@ -172,10 +172,11 @@ func (e *Experiment) observeStart() {
 	e.metrics.Gauge(obs.MetricClients, "").Set(float64(e.cfg.Participants))
 }
 
-// Run executes the experiment: one synchronous round protocol, driven over
-// whatever Transport the experiment was built with. Cancelling ctx stops
-// the run — including an in-flight TCP round — and returns the context's
-// error. On success the Result holds the full convergence curve.
+// Run executes the experiment: the engine's round loop (fed.Run) over
+// whatever Transport the experiment was built with, folded into a Result and
+// the event stream. Cancelling ctx stops the run — including an in-flight TCP
+// round — and returns the context's error. On success the Result holds the
+// full convergence curve.
 func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -214,8 +215,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	e.observeStart()
 
 	target := e.resolveTarget(env.Profile)
-	clock := simtime.NewClock()
-	//fluxvet:allow wallclock Result/RoundEvent.Elapsed report real wall time for observability; simulated time stays in clock
+	//fluxvet:allow wallclock Result/RoundEvent.Elapsed report real wall time for observability; simulated time stays in the loop's clock
 	start := time.Now()
 	res := &Result{
 		Method:    e.cfg.Method,
@@ -225,35 +225,16 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		Target:    target,
 		Phases:    make(map[string]float64),
 	}
-
-	score := env.Evaluate()
-	res.Baseline, res.Best = score, score
-	//fluxvet:allow wallclock wall-time observability in the event stream; never folded into results
-	e.emit(res, RoundEvent{Round: 0, Score: score, Elapsed: time.Since(start)})
-	rec.EndRound(obs.Round{Round: 0, Score: score})
-
-	var runErr error
-	for r := 0; r < e.cfg.Rounds; r++ {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
+	// rd.Phases is the round's own map: the recorder read it without
+	// retaining it, and the event then owns it, so a handler that mutates or
+	// retains Phases cannot corrupt the records of later rounds.
+	clock, runErr := fed.Run(ctx, env, e.transport.Round, target, e.metrics, func(stats RoundStats, rd obs.Round) {
+		res.Rounds, res.Final = rd.Round, rd.Score
+		if rd.Round == 0 {
+			res.Baseline, res.Best = rd.Score, rd.Score
+		} else if rd.Score > res.Best {
+			res.Best = rd.Score
 		}
-		startSec := clock.Seconds()
-		stats, err := e.transport.Round(ctx, r)
-		if err != nil {
-			if e.metrics != nil && errors.Is(err, fed.ErrRejected) {
-				e.metrics.Counter(obs.MetricRejectedUpdates, "").Add(1)
-			}
-			runErr = fed.CtxErr(ctx, err)
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			// The round was cut short; discard its partial state.
-			runErr = err
-			break
-		}
-		clock.AdvanceAll(stats.Phases) // sorted: simulated time accumulates bit-reproducibly
-		res.Rounds = r + 1
 		res.UplinkBytes += stats.UplinkBytes
 		res.DownlinkBytes += stats.DownlinkBytes
 		res.Selected += stats.Selected
@@ -261,21 +242,10 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		res.Dropped += stats.Dropped
 		res.Stale += stats.Stale
 		res.ModelVersion = stats.ModelVersion
-		score = env.Evaluate()
-		if score > res.Best {
-			res.Best = score
-		}
-		// rd.Phases is this round's own map: the recorder reads it without
-		// retaining it, and the event then owns it, so a handler that mutates
-		// or retains Phases cannot corrupt the records of later rounds.
-		rd := stats.Record(r + 1)
-		rd.StartSec, rd.EndSec, rd.Score = startSec, clock.Seconds(), score
-		rec.EndRound(rd)
-		e.metrics.ObserveRound(rd)
 		e.emit(res, RoundEvent{
-			Round:    r + 1,
-			Score:    score,
-			SimHours: clock.Hours(),
+			Round:    rd.Round,
+			Score:    rd.Score,
+			SimHours: rd.EndSec / 3600,
 			//fluxvet:allow wallclock wall-time observability in the event stream; never folded into results
 			Elapsed:        time.Since(start),
 			UplinkBytes:    stats.UplinkBytes,
@@ -289,27 +259,17 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 			Pending:        stats.Pending,
 			Phases:         rd.Phases,
 		})
-		if target > 0 && score >= target {
-			res.TargetReached = true
-			break
-		}
-	}
+	})
 
 	closeErr := e.transport.Close()
 	recErr := rec.Close()
 	if e.metrics != nil {
 		e.metrics.Gauge(obs.MetricClients, "").Set(0)
 	}
-	if runErr != nil {
-		return nil, runErr
+	if err := cmp.Or(runErr, closeErr, recErr); err != nil {
+		return nil, err
 	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	if recErr != nil {
-		return nil, recErr
-	}
-	res.Final = score
+	res.TargetReached = target > 0 && res.Final >= target
 	res.SimHours = clock.Hours()
 	//fluxvet:allow wallclock wall-time observability on the final Result; never folded into results
 	res.Elapsed = time.Since(start)

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/methods"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
@@ -23,20 +25,22 @@ func newRounder(name string, cfg fed.Config) fed.Rounder {
 }
 
 // runMethod runs r on env until target (0: the whole round budget) and
-// summarizes the run against targetAcc. An experiment neither cancels nor
-// expects a rejected update, so a failed round is a programming error and
-// panics.
+// summarizes the run against targetAcc, its curve built from the loop's
+// records. An experiment neither cancels nor expects a rejected update, so a
+// failed round is a programming error and panics.
 func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64) *methodRun {
-	tr, clock, rounds, err := fed.Run(env, r, target)
+	run := &methodRun{Tracker: &metrics.Tracker{Target: env.Profile.MetricName}}
+	round := func(_ context.Context, n int) (fed.RoundStats, error) { return env.RunRound(r, n) }
+	clock, err := fed.Run(context.TODO(), env, round, target, nil, func(s fed.RoundStats, rd obs.Round) {
+		run.Tracker.Record(rd.Round, rd.EndSec/3600, rd.Score)
+		run.Stale += s.Stale
+		run.ModelVersion = s.ModelVersion
+	})
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	tta, reached := tr.TimeToTarget(targetAcc)
-	run := &methodRun{Tracker: tr, Hours: clock.Hours(), Final: tr.Final(), TTA: tta, Reached: reached, Phases: phaseMap(clock)}
-	for _, s := range rounds {
-		run.Stale += s.Stale
-		run.ModelVersion = s.ModelVersion
-	}
+	run.Hours, run.Final, run.Phases = clock.Hours(), run.Tracker.Final(), clock.Breakdown()
+	run.TTA, run.Reached = run.Tracker.TimeToTarget(targetAcc)
 	return run
 }
 
@@ -74,15 +78,6 @@ func convergenceRun(o Options, model, method string, profile data.Profile, parti
 	runMemo[key] = run
 	memoMu.Unlock()
 	return run
-}
-
-func phaseMap(c *simtime.Clock) map[string]float64 {
-	out := make(map[string]float64)
-	//fluxvet:unordered Phase→string map copy; per-key writes, element order irrelevant
-	for p, v := range c.Breakdown() {
-		out[string(p)] = v
-	}
-	return out
 }
 
 // convergenceFigure renders Figures 10/11: relative-accuracy curves for the
@@ -213,11 +208,11 @@ func Figure20(o Options) *Table {
 		run := convergenceRun(o, "llama", "flux", p, trainConfig(o).Participants, true)
 		// Fold in sorted order: map iteration would accumulate the float
 		// total in randomized order and drift its last bit between runs.
-		keys := make([]string, 0, len(run.Phases))
+		keys := make([]simtime.Phase, 0, len(run.Phases))
 		for k := range run.Phases {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		var total float64
 		for _, k := range keys {
 			total += run.Phases[k]
@@ -226,7 +221,7 @@ func Figure20(o Options) *Table {
 			total = 1
 		}
 		pct := func(phase simtime.Phase) string {
-			return fmt.Sprintf("%.2f%%", 100*run.Phases[string(phase)]/total)
+			return fmt.Sprintf("%.2f%%", 100*run.Phases[phase]/total)
 		}
 		t.AddRow(p.Name, pct(simtime.PhaseProfiling), pct(simtime.PhaseMerging),
 			pct(simtime.PhaseAssignment), pct(simtime.PhaseFineTuning), pct(simtime.PhaseComm))

@@ -20,6 +20,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/moe"
+	"repro/internal/simtime"
 )
 
 // Options controls experiment scale.
@@ -169,7 +170,7 @@ type methodRun struct {
 	Final   float64
 	TTA     float64
 	Reached bool
-	Phases  map[string]float64
+	Phases  map[simtime.Phase]float64
 
 	// Stale sums the run's stale merges; ModelVersion is the final round's.
 	Stale, ModelVersion int

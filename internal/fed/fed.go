@@ -5,14 +5,16 @@
 // round.
 //
 // Method implementations (Flux and the FMD/FMQ/FMES baselines) plug in as
-// Rounders: the engine owns data, devices, evaluation, and the round
-// (Env.RunRound — cohort, fan-out, the server core's check, deadline,
-// aggregation, accounting and simulated time); a Rounder owns one
-// participant's round, its Participant function.
+// Rounders: the engine owns data, devices, the round (Env.RunRound — cohort,
+// fan-out, the server core's check, deadline, aggregation, accounting and
+// simulated time) and the run around it (Run — the one round loop behind
+// every run: the clock, evaluation, early stopping and the round records);
+// a Rounder owns one participant's round, its Participant function.
 package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime/pprof"
@@ -21,7 +23,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/eval"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/quant"
@@ -94,8 +95,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: participants %d must be positive", c.Participants)
 	case c.Batch <= 0 || c.LocalIters <= 0:
 		return fmt.Errorf("fed: batch %d / iters %d must be positive", c.Batch, c.LocalIters)
-	case c.LR <= 0:
-		return fmt.Errorf("fed: learning rate %v must be positive", c.LR)
+	case !(c.LR > 0 && c.LR <= math.MaxFloat64):
+		return fmt.Errorf("fed: learning rate %v must be a positive finite number", c.LR)
 	case !(c.Alpha > 0 && c.Alpha <= math.MaxFloat64):
 		return fmt.Errorf("fed: alpha %v must be a positive finite number", c.Alpha)
 	case c.PretrainSteps < 0:
@@ -104,8 +105,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: dataset size %d below participant count", c.DatasetSize)
 	case c.MaxRounds <= 0:
 		return fmt.Errorf("fed: max rounds %d must be positive", c.MaxRounds)
-	case c.ServerBw <= 0:
-		return fmt.Errorf("fed: server bandwidth %v must be positive", c.ServerBw)
+	case !(c.ServerBw > 0 && c.ServerBw <= math.MaxFloat64):
+		return fmt.Errorf("fed: server bandwidth %v must be a positive finite number", c.ServerBw)
 	case c.Workers < 0:
 		return fmt.Errorf("fed: workers %d must be non-negative (0 = GOMAXPROCS)", c.Workers)
 	}
@@ -534,7 +535,7 @@ func Aggregate(global *moe.Model, updates []Update) int {
 				accs[key] = a
 			}
 			for i, v := range params {
-				a.sum[i] += w * v
+				a.sum[i] += float64(w * v)
 			}
 			a.weight += w
 		}
@@ -593,28 +594,53 @@ func (e *Env) RunRound(m Rounder, r int) (RoundStats, error) {
 	return e.finishRound(cohort, slots)
 }
 
-// Run drives a Rounder until the evaluation score reaches target or
-// MaxRounds elapse, recording a convergence curve against simulated time and
-// each round's report. It stops at the first failed round — the environment's
-// context canceled (SetContext) or an update rejected — and returns what it
-// recorded so far with that error.
-func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, []RoundStats, error) {
+// Run is the federated run: the one round loop behind Experiment.Run (over
+// either transport), the figure runners and Server.ServeContext. It scores
+// the model (env.Evaluate, 0 for an env without a test set) as round 0, then
+// calls round for r = 0, 1, … within env.Cfg.MaxRounds. After each round it
+// advances the simulated clock by the round's phases, scores the model,
+// writes the round's record to env's recorder and to reg, and hands the
+// report and the record to observe (round 0 gets the zero report). It stops
+// after the first round whose score reaches target (> 0); the baseline score
+// never stops it. It also stops at the first failed round, returning its
+// error: ctx canceled before or during a round (a round cut short is
+// discarded even if round returned no error), or an update rejected (counted
+// in reg). reg and observe may be nil. The clock holds the completed rounds'
+// simulated time.
+func Run(ctx context.Context, env *Env, round func(context.Context, int) (RoundStats, error), target float64, reg *obs.Registry, observe func(RoundStats, obs.Round)) (*simtime.Clock, error) {
+	if observe == nil {
+		observe = func(RoundStats, obs.Round) {}
+	}
+	st := env.st()
+	st.mu.Lock()
+	rec := st.rec
+	st.mu.Unlock()
 	clock := simtime.NewClock()
-	tr := &metrics.Tracker{Target: env.Profile.MetricName}
-	tr.Record(0, clock.Hours(), env.Evaluate())
-	var rounds []RoundStats
+	rd := obs.Round{Score: env.Evaluate()}
+	rec.EndRound(rd)
+	observe(RoundStats{}, rd)
 	for r := 0; r < env.Cfg.MaxRounds; r++ {
-		stats, err := env.RunRound(m, r)
-		if err != nil {
-			return tr, clock, rounds, err
+		if err := ctx.Err(); err != nil {
+			return clock, err
 		}
-		rounds = append(rounds, stats)
+		stats, err := round(ctx, r)
+		if reg != nil && errors.Is(err, ErrRejected) {
+			reg.Counter(obs.MetricRejectedUpdates, "").Add(1)
+		}
+		// A round cut short by ctx is discarded, even one that returned no error.
+		if err = CtxErr(ctx, err); err != nil {
+			return clock, err
+		}
+		start := clock.Seconds()
 		clock.AdvanceAll(stats.Phases) // sorted: simulated time accumulates bit-reproducibly
-		score := env.Evaluate()
-		tr.Record(r+1, clock.Hours(), score)
-		if target > 0 && score >= target {
+		rd = stats.Record(r + 1)
+		rd.StartSec, rd.EndSec, rd.Score = start, clock.Seconds(), env.Evaluate()
+		rec.EndRound(rd)
+		reg.ObserveRound(rd)
+		observe(stats, rd)
+		if target > 0 && rd.Score >= target {
 			break
 		}
 	}
-	return tr, clock, rounds, nil
+	return clock, nil
 }

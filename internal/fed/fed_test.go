@@ -1,11 +1,16 @@
 package fed
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/tensor"
 )
@@ -42,9 +47,13 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Participants = 0 },
 		func(c *Config) { c.Batch = 0 },
 		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.DatasetSize = 1 },
 		func(c *Config) { c.MaxRounds = 0 },
 		func(c *Config) { c.ServerBw = 0 },
+		func(c *Config) { c.ServerBw = math.NaN() },
+		func(c *Config) { c.ServerBw = math.Inf(1) },
 	}
 	for i, mut := range bad {
 		c := DefaultConfig()
@@ -220,22 +229,93 @@ func (s stubRounder) Round(*Env, int, []int) Participant {
 	}
 }
 
+// stubRound is env.RunRound over stubRounder, as a round function for Run.
+func stubRound(env *Env, sec float64) func(context.Context, int) (RoundStats, error) {
+	return func(_ context.Context, r int) (RoundStats, error) { return env.RunRound(stubRounder{sec: sec}, r) }
+}
+
 func TestRunRecordsCurve(t *testing.T) {
 	env := newTestEnv(t)
-	tr, clock, _, err := Run(env, stubRounder{sec: 3600}, 0.999)
+	var recs []obs.Round
+	clock, err := Run(context.Background(), env, stubRound(env, 3600), 0.999, nil, func(_ RoundStats, rd obs.Round) {
+		recs = append(recs, rd)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Points) != env.Cfg.MaxRounds+1 {
-		t.Fatalf("%d curve points", len(tr.Points))
+	if len(recs) != env.Cfg.MaxRounds+1 {
+		t.Fatalf("%d curve points", len(recs))
 	}
 	if clock.Hours() != float64(env.Cfg.MaxRounds) {
 		t.Fatalf("clock = %v hours", clock.Hours())
 	}
-	// Times must be non-decreasing.
-	for i := 1; i < len(tr.Points); i++ {
-		if tr.Points[i].TimeHours < tr.Points[i-1].TimeHours {
-			t.Fatal("curve time went backwards")
+	// Times must be non-decreasing, each round starting where the last ended.
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Round != i || recs[i].StartSec != recs[i-1].EndSec || recs[i].EndSec < recs[i].StartSec {
+			t.Fatalf("record %d = round %d over [%v, %v] after one ending at %v", i, recs[i].Round, recs[i].StartSec, recs[i].EndSec, recs[i-1].EndSec)
 		}
+	}
+}
+
+// TestRunFailedRoundIsDiscarded pins the loop's contract for a round that
+// fails: a round whose context was canceled during it is discarded even when
+// the round function returns no error, and a rejected update is counted once.
+// Either way Run returns the error, observe sees only the baseline, and the
+// clock does not advance.
+func TestRunFailedRoundIsDiscarded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fail     func(cancel context.CancelFunc) error
+		want     error
+		rejected float64
+	}{
+		{"canceled", func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled, 0},
+		{"rejected", func(context.CancelFunc) error { return fmt.Errorf("fed: update from 0 %w", ErrRejected) }, ErrRejected, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newTestEnv(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reg := obs.NewRegistry()
+			round := func(context.Context, int) (RoundStats, error) {
+				err := tc.fail(cancel)
+				return RoundStats{Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 3600}}, err
+			}
+			var seen []int
+			clock, err := Run(ctx, env, round, 0, reg, func(_ RoundStats, rd obs.Round) { seen = append(seen, rd.Round) })
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Run = %v, want %v", err, tc.want)
+			}
+			if !slices.Equal(seen, []int{0}) {
+				t.Fatalf("observed rounds %v, want only the baseline", seen)
+			}
+			if clock.Seconds() != 0 {
+				t.Fatalf("clock advanced to %v s by a failed round", clock.Seconds())
+			}
+			if n := reg.Counter(obs.MetricRejectedUpdates, "").Value(); n != tc.rejected {
+				t.Fatalf("%s = %v, want %v", obs.MetricRejectedUpdates, n, tc.rejected)
+			}
+		})
+	}
+}
+
+// TestRunBaselineNeverStops: a baseline already at target still runs round 1,
+// and the first round whose score reaches target ends the run.
+func TestRunBaselineNeverStops(t *testing.T) {
+	env := newTestEnv(t)
+	baseline := env.Evaluate()
+	if baseline <= 0 {
+		t.Fatalf("baseline score %v; the test needs a positive target", baseline)
+	}
+	var seen []int
+	// stubRounder's updates carry no experts, so every round scores the
+	// baseline again.
+	if _, err := Run(context.Background(), env, stubRound(env, 1), baseline, nil, func(_ RoundStats, rd obs.Round) {
+		seen = append(seen, rd.Round)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seen, []int{0, 1}) {
+		t.Fatalf("observed rounds %v, want [0 1]", seen)
 	}
 }

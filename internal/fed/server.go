@@ -265,7 +265,7 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 		if w <= 0 {
 			w = 1 // Aggregate's convention for unweighted updates
 		}
-		u.Weight = w * staleScale(staleness, alpha)
+		u.Weight = float64(w * staleScale(staleness, alpha))
 		total += u.Weight
 		scaled = append(scaled, u)
 		bytes += p.bytes

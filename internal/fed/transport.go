@@ -36,10 +36,12 @@ import (
 // as an in-process round. Every message either end reads is bounded in size
 // by the model config (maxMessageBytes) before gob allocates it.
 //
-// The server is stepwise — Accept, then RunRound per round, then Finish —
-// so an external driver owns the round loop; ServeContext composes the steps
-// for standalone use. Every message exchange carries a read/write deadline
-// and the whole lifecycle honors context cancellation.
+// The server is stepwise — Accept, then RunRound per round, then Finish — and
+// its rounds run inside the engine's one round loop (Run): ServeContext is
+// Accept, Run over RunRound, Finish, and the SDK's TCP transport hands
+// RunRound to Experiment.Run, which calls the same loop. Every message
+// exchange carries a read/write deadline and the whole lifecycle honors
+// context cancellation.
 
 // DefaultIOTimeout bounds a single message exchange (one message encoded or
 // decoded) when the caller does not set an explicit timeout. It must cover
@@ -212,9 +214,8 @@ func (p *peer) recv(v any) error {
 type Server struct {
 	// Env is the run being deployed: Env.Global is the model broadcast and
 	// aggregated into, Env.Cfg.Participants the peers Accept waits for, and
-	// Env.Cfg.MaxRounds the rounds ServeContext runs (stepwise drivers may
-	// ignore it). Every round reduces through the server core, whose report
-	// RunRound returns.
+	// Env.Cfg.MaxRounds the rounds Run drives. Every round reduces through
+	// the server core, whose report RunRound returns.
 	Env *Env
 
 	// IOTimeout bounds every single message exchange (Hello, broadcast,
@@ -327,10 +328,10 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 // one SlotResult from every participant, and reduce them through the server
 // core (finishRound) with the peers (in id order) as the round's cohort. It
 // returns the core's report of the round. A peer whose slot fails the core's
-// check fails the round with an error naming it (counted in Metrics'
-// rejected-updates series), and nothing from that round is aggregated or
-// reported — the same rule an in-process round meets. Cancelling ctx closes
-// the peer connections, aborting in-flight exchanges promptly.
+// check fails the round with an error naming it, and nothing from that round
+// is aggregated or reported — the same rule an in-process round meets.
+// Cancelling ctx closes the peer connections, aborting in-flight exchanges
+// promptly.
 func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 	peers := s.peersSnapshot()
 	if len(peers) == 0 {
@@ -373,9 +374,6 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 	}
 	stats, err := s.Env.finishRound(cohort, slots)
 	if err != nil {
-		if s.Metrics != nil && errors.Is(err, ErrRejected) {
-			s.Metrics.Counter(obs.MetricRejectedUpdates, "").Add(1)
-		}
 		return RoundStats{}, err
 	}
 	s.mu.Lock()
@@ -422,24 +420,18 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// ServeContext accepts the deployment's participants on ln, runs
-// s.Env.Cfg.MaxRounds synchronous rounds, and leaves the aggregated result in
+// ServeContext is Accept, Run over RunRound, then Finish: it accepts the
+// deployment's participants on ln, runs s.Env.Cfg.MaxRounds synchronous rounds
+// (reporting each into s.Metrics), and leaves the aggregated result in
 // s.Env.Global. It returns after broadcasting the final model, or early with
-// the context's error if canceled.
+// the first failed round's error (the context's, if canceled).
 func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	if err := s.Accept(ctx, ln); err != nil {
 		return err
 	}
 	defer s.Close()
-	for r := 0; r < s.Env.Cfg.MaxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		stats, err := s.RunRound(ctx, r)
-		if err != nil {
-			return err
-		}
-		s.Metrics.ObserveRound(stats.Record(r + 1))
+	if _, err := Run(ctx, s.Env, s.RunRound, 0, s.Metrics, nil); err != nil {
+		return err
 	}
 	return s.Finish(ctx)
 }

@@ -1,11 +1,13 @@
 package flux
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/fed"
 	"repro/internal/moe"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
@@ -121,12 +123,14 @@ func TestFluxGlobalModelMutated(t *testing.T) {
 func TestRunToTargetViaEngine(t *testing.T) {
 	env := testEnv(t, "flux-engine")
 	r := New(DefaultOptions(env.Cfg.MaxRounds), env.Cfg.Participants)
-	tr, clock, _, err := fed.Run(env, r, 0) // no target: run all rounds
+	round := func(_ context.Context, n int) (fed.RoundStats, error) { return env.RunRound(r, n) }
+	points := 0
+	clock, err := fed.Run(context.Background(), env, round, 0, nil, func(fed.RoundStats, obs.Round) { points++ }) // no target: run all rounds
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Points) != env.Cfg.MaxRounds+1 {
-		t.Fatalf("%d points", len(tr.Points))
+	if points != env.Cfg.MaxRounds+1 {
+		t.Fatalf("%d points", points)
 	}
 	if clock.Hours() <= 0 {
 		t.Fatal("clock did not advance")

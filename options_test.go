@@ -1,7 +1,9 @@
 package flux
 
 import (
+	"context"
 	"math"
+	"net"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,11 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"negative participants", []Option{WithParticipants(-3)}, "participants"},
 		{"zero batch", []Option{WithBatch(0)}, "batch"},
 		{"negative lr", []Option{WithLearningRate(-1)}, "learning rate"},
+		{"NaN lr", []Option{WithLearningRate(math.NaN())}, "learning rate"},
+		{"infinite lr", []Option{WithLearningRate(math.Inf(1))}, "learning rate"},
+		{"zero server bandwidth", []Option{WithServerBandwidth(0)}, "server bandwidth"},
+		{"NaN server bandwidth", []Option{WithServerBandwidth(math.NaN())}, "server bandwidth"},
+		{"infinite server bandwidth", []Option{WithServerBandwidth(math.Inf(1))}, "server bandwidth"},
 		{"empty seed", []Option{WithSeed("")}, "seed"},
 		{"negative target", []Option{WithTarget(-0.5)}, "target"},
 		{"dataset below fleet", []Option{WithParticipants(10), WithDatasetSize(5)}, "dataset size"},
@@ -47,6 +54,24 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestJoinRejectsNonFiniteLR: Join refuses a NaN or infinite learning rate
+// before it dials. The address is a closed loopback port, so a Join that
+// dialed would fail with a connection error instead.
+func TestJoinRejectsNonFiniteLR(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for _, lr := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := Join(context.Background(), JoinConfig{Addr: addr, LR: lr})
+		if err == nil || !strings.Contains(err.Error(), "learning rate") {
+			t.Errorf("Join(LR: %v) = %v, want a learning-rate error", lr, err)
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 type RoundStats = fed.RoundStats
 
 // Transport is an execution substrate for the synchronous round protocol.
-// The Experiment owns the loop — evaluation, early stopping, events — and
-// calls the transport once per round; implementations own where and how the
+// The engine's round loop owns the run — the simulated clock, evaluation,
+// early stopping, the sinks — and Experiment.Run the events; the loop calls
+// the transport once per round, and implementations own where and how the
 // round's training actually happens.
 //
 // The interface names only public types, so transports can be implemented
