@@ -9,8 +9,6 @@ package flux
 // Use cmd/fluxsim (without -quick) for full-scale regeneration.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -447,9 +445,11 @@ func BenchmarkFedAggregate(b *testing.B) {
 }
 
 // BenchmarkModelCodec is the model codec on the LLaMA stand-in, both ends of
-// every TCP broadcast: op=encode is the server's EncodeBytes (one allocation,
-// the exactly sized buffer), op=decode a client's DecodeBytes with its
-// shape checks. CI publishes it into bench/BENCH_micro.json.
+// every TCP broadcast: op=encode is EncodeBytes (one allocation, the exactly
+// sized buffer), op=decode is DecodeBytes with its shape checks into a new
+// model, and op=decode-into is a client's DecodeInto of the same bytes into
+// the replica it keeps (no allocation). CI publishes it into
+// bench/BENCH_micro.json.
 func BenchmarkModelCodec(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-codec"))
 	blob, err := m.EncodeBytes()
@@ -472,35 +472,16 @@ func BenchmarkModelCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSlotResultGob is one full-model upload of the LLaMA stand-in (every
-// expert, as fmd sends it) through the TCP reply's gob round trip: encode on
-// one persistent encoder, decode on its persistent decoder, as the two ends
-// of one connection do after the first message has carried the type
-// descriptors. CI publishes it into bench/BENCH_micro.json.
-func BenchmarkSlotResultGob(b *testing.B) {
-	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-slot"))
-	u := fed.ExtractUpdate(m, 1, 6, fed.IdentityTuning(m.Cfg))
-	slot := fed.SlotResult{Update: u, Bytes: fed.UpdateBytes(u), DownBytes: 1,
-		Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
-	var conn bytes.Buffer
-	enc, dec := gob.NewEncoder(&conn), gob.NewDecoder(&conn)
-	roundTrip := func() {
-		if err := enc.Encode(slot); err != nil {
-			b.Fatal(err)
+	b.Run("op=decode-into", func(b *testing.B) {
+		replica := m.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := moe.DecodeInto(replica, blob); err != nil {
+				b.Fatal(err)
+			}
 		}
-		var got fed.SlotResult
-		if err := dec.Decode(&got); err != nil {
-			b.Fatal(err)
-		}
-	}
-	roundTrip()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundTrip()
-	}
+	})
 }
 
 // BenchmarkOffloadVsCompute reports the simulated cost ratio that motivates

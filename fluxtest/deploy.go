@@ -3,9 +3,14 @@
 package fluxtest
 
 import (
+	"bytes"
 	"context"
+	"encoding"
+	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"testing"
@@ -13,6 +18,7 @@ import (
 
 	flux "repro"
 	"repro/internal/fed"
+	"repro/internal/moe"
 	"repro/internal/obs"
 )
 
@@ -36,7 +42,13 @@ import (
 //     rejection is counted in the metrics registry,
 //   - a participant that announces a message far beyond the model's size
 //     fails the deployment with an error naming it, before the server
-//     allocates the message.
+//     allocates the message,
+//   - a participant that sends a well-framed reply of random bytes, or a
+//     reply that ends mid-expert before it hangs up, fails the deployment
+//     with an error naming it,
+//   - a connection whose Hello lacks the wire tag and protocol version — a
+//     client of the gob protocol that came before frames, or of another
+//     version — is dropped at the handshake and does not count.
 //
 // The battery is self-contained: call it from a single test function.
 func TestDeployment(t *testing.T) {
@@ -59,7 +71,7 @@ func TestDeployment(t *testing.T) {
 		// handshake, so it never sees a broadcast.
 		dup.conn.SetReadDeadline(time.Now().Add(deployBound))
 		var msg fed.RoundMsg
-		if err := dup.dec.Decode(&msg); err == nil {
+		if err := dup.recv(&msg); err == nil {
 			t.Error("duplicate participant received a round broadcast; want its connection closed")
 		}
 
@@ -138,7 +150,7 @@ func TestDeployment(t *testing.T) {
 		// Receive the first broadcast, then vanish instead of replying.
 		var msg fed.RoundMsg
 		quitter.conn.SetReadDeadline(time.Now().Add(deployBound))
-		if err := quitter.dec.Decode(&msg); err != nil {
+		if err := quitter.recv(&msg); err != nil {
 			t.Fatalf("quitter never saw round 0: %v", err)
 		}
 		quitter.conn.Close()
@@ -163,7 +175,7 @@ func TestDeployment(t *testing.T) {
 		// uploading; the per-message deadline must fail the round.
 		var msg fed.RoundMsg
 		staller.conn.SetReadDeadline(time.Now().Add(deployBound))
-		if err := staller.dec.Decode(&msg); err != nil {
+		if err := staller.recv(&msg); err != nil {
 			t.Fatalf("staller never saw round 0: %v", err)
 		}
 		defer staller.conn.Close()
@@ -185,15 +197,11 @@ func TestDeployment(t *testing.T) {
 		survivor := dialRaw(t, ln.Addr().String(), 1)
 		done1 := survivor.participateAsync()
 
-		var msg fed.RoundMsg
-		hostile.conn.SetReadDeadline(time.Now().Add(deployBound))
-		if err := hostile.dec.Decode(&msg); err != nil {
-			t.Fatalf("hostile peer never saw round 0: %v", err)
-		}
+		hostile.awaitRound0(t)
 		bad := fed.SlotResult{Update: fed.UpdateMsg{Participant: 0, Weight: 1, Experts: map[fed.ExpertKey][]float64{
 			{Layer: 1 << 20, Expert: -1}: {math.NaN()},
 		}}}
-		if err := hostile.enc.Encode(bad); err != nil {
+		if err := hostile.send(bad); err != nil {
 			t.Fatalf("hostile upload: %v", err)
 		}
 
@@ -217,15 +225,11 @@ func TestDeployment(t *testing.T) {
 		survivor := dialRaw(t, ln.Addr().String(), 1)
 		done1 := survivor.participateAsync()
 
-		var msg fed.RoundMsg
-		hostile.conn.SetReadDeadline(time.Now().Add(deployBound))
-		if err := hostile.dec.Decode(&msg); err != nil {
-			t.Fatalf("hostile peer never saw round 0: %v", err)
-		}
-		// A gob length prefix announcing a 512 MiB message (0xFC: four
-		// big-endian length bytes follow), and nothing after it: the server
-		// must refuse at the prefix rather than allocate and wait.
-		if _, err := hostile.conn.Write([]byte{0xFC, 0x20, 0, 0, 0}); err != nil {
+		hostile.awaitRound0(t)
+		// A frame length announcing a 512 MiB message, and nothing after
+		// it: the server must refuse at the prefix rather than allocate and
+		// wait.
+		if _, err := hostile.conn.Write(binary.LittleEndian.AppendUint64(nil, 512<<20)); err != nil {
 			t.Fatalf("hostile upload: %v", err)
 		}
 
@@ -234,6 +238,106 @@ func TestDeployment(t *testing.T) {
 			t.Fatalf("Serve = %v, want an error naming participant 0's oversize message", err)
 		}
 		waitErr(t, done1, "participant 1")
+	})
+
+	t.Run("GarbageMidRoundFailsServe", func(t *testing.T) {
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 3,
+			PretrainSteps: 60, IOTimeout: 10 * time.Second,
+		})
+		hostile := dialRaw(t, ln.Addr().String(), 0)
+		survivor := dialRaw(t, ln.Addr().String(), 1)
+		done1 := survivor.participateAsync()
+
+		hostile.awaitRound0(t)
+		// A valid length prefix, then that many random bytes.
+		garbage := make([]byte, 4096)
+		rand.NewChaCha8([32]byte{1}).Read(garbage)
+		if err := hostile.send(rawBody(garbage)); err != nil {
+			t.Fatalf("hostile upload: %v", err)
+		}
+
+		err := waitErr(t, errc, "Serve")
+		if err == nil || !strings.Contains(err.Error(), "update from 0") {
+			t.Fatalf("Serve = %v, want an error naming participant 0's garbage reply", err)
+		}
+		waitErr(t, done1, "participant 1")
+	})
+
+	t.Run("TruncatedUpdateFailsServe", func(t *testing.T) {
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 3,
+			PretrainSteps: 60, IOTimeout: 10 * time.Second,
+		})
+		hostile := dialRaw(t, ln.Addr().String(), 0)
+		survivor := dialRaw(t, ln.Addr().String(), 1)
+		done1 := survivor.participateAsync()
+
+		// A full-model reply whose frame announces every byte, cut in the
+		// middle, where an expert's parameters are (they are nearly all of
+		// it); then the peer hangs up.
+		model, err := moe.DecodeBytes(hostile.awaitRound0(t).Model)
+		if err != nil {
+			t.Fatalf("round 0 broadcast: %v", err)
+		}
+		u := fed.ExtractUpdate(model, 0, 1, fed.IdentityTuning(model.Cfg))
+		var buf bytes.Buffer
+		if err := writeMsg(&buf, fed.SlotResult{Update: u, Bytes: fed.UpdateBytes(u)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hostile.conn.Write(buf.Bytes()[:buf.Len()/2]); err != nil {
+			t.Fatalf("hostile upload: %v", err)
+		}
+		hostile.conn.Close()
+
+		err = waitErr(t, errc, "Serve")
+		if err == nil || !strings.Contains(err.Error(), "update from 0") {
+			t.Fatalf("Serve = %v, want an error naming participant 0's truncated reply", err)
+		}
+		waitErr(t, done1, "participant 1")
+	})
+
+	t.Run("ForeignHelloDropped", func(t *testing.T) {
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 1,
+			PretrainSteps: 60, IOTimeout: 1 * time.Second,
+		})
+		// A client of the gob protocol, and a framed Hello of another
+		// protocol version, both claiming id 0: were either counted, the
+		// real participant 0 would be turned away as a duplicate. Their
+		// write errors are dropped: the server may hang up on a foreign
+		// Hello before all of it is written.
+		gobConn := dialForeign(t, ln.Addr().String(), func(conn net.Conn) error {
+			gob.NewEncoder(conn).Encode(fed.Hello{Participant: 0})
+			return nil
+		})
+		versionConn := dialForeign(t, ln.Addr().String(), func(conn net.Conn) error {
+			hello, _ := fed.Hello{Participant: 0}.MarshalBinary()
+			hello[len(hello)-9]++ // the version byte precedes the 8-byte id
+			fed.WriteFrame(conn, hello)
+			return nil
+		})
+		done0 := dialRaw(t, ln.Addr().String(), 0).participateAsync()
+		done1 := dialRaw(t, ln.Addr().String(), 1).participateAsync()
+
+		if err := waitErr(t, errc, "Serve"); err != nil {
+			t.Fatalf("Serve with foreign Hellos failed: %v", err)
+		}
+		for i, conn := range []net.Conn{gobConn, versionConn} {
+			conn.SetReadDeadline(time.Now().Add(deployBound))
+			if n, err := conn.Read(make([]byte, 1)); err == nil {
+				t.Errorf("foreign connection %d read %d bytes; want it closed at the handshake", i, n)
+			}
+		}
+		if err := waitErr(t, done0, "participant 0"); err != nil {
+			t.Errorf("participant 0 failed: %v", err)
+		}
+		if err := waitErr(t, done1, "participant 1"); err != nil {
+			t.Errorf("participant 1 failed: %v", err)
+		}
 	})
 }
 
@@ -275,24 +379,69 @@ func waitErr(t *testing.T, c <-chan error, what string) error {
 type rawPeer struct {
 	id   int
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	buf  []byte
 }
+
+// maxFrame bounds the frames a rawPeer reads: the battery trusts the server
+// it tests.
+const maxFrame = 1 << 30
+
+// recv reads one broadcast into msg.
+func (p *rawPeer) recv(msg *fed.RoundMsg) error {
+	var err error
+	if p.buf, err = fed.ReadFrame(p.conn, p.buf, maxFrame); err != nil {
+		return err
+	}
+	return msg.UnmarshalBinary(p.buf)
+}
+
+// send writes one frame holding v's body.
+func (p *rawPeer) send(v encoding.BinaryMarshaler) error { return writeMsg(p.conn, v) }
+
+func writeMsg(w io.Writer, v encoding.BinaryMarshaler) error {
+	b, err := v.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	return fed.WriteFrame(w, b)
+}
+
+// awaitRound0 receives the first broadcast, under the battery watchdog.
+func (p *rawPeer) awaitRound0(t *testing.T) fed.RoundMsg {
+	t.Helper()
+	var msg fed.RoundMsg
+	p.conn.SetReadDeadline(time.Now().Add(deployBound))
+	if err := p.recv(&msg); err != nil {
+		t.Fatalf("peer %d never saw round 0: %v", p.id, err)
+	}
+	return msg
+}
+
+// rawBody is a frame body given as bytes.
+type rawBody []byte
+
+func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
 
 // dialRaw connects and completes the Hello handshake. Connections are
 // dialed sequentially, so the server's accept loop sees them in call order.
 func dialRaw(t *testing.T, addr string, id int) *rawPeer {
+	t.Helper()
+	conn := dialForeign(t, addr, func(conn net.Conn) error { return writeMsg(conn, fed.Hello{Participant: id}) })
+	return &rawPeer{id: id, conn: conn}
+}
+
+// dialForeign connects and says hello with the given function.
+func dialForeign(t *testing.T, addr string, hello func(net.Conn) error) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	p := &rawPeer{id: id, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	if err := p.enc.Encode(fed.Hello{Participant: id}); err != nil {
-		t.Fatalf("hello %d: %v", id, err)
+	if err := hello(conn); err != nil {
+		t.Fatalf("hello: %v", err)
 	}
-	return p
+	return conn
 }
 
 // participateAsync plays a minimal well-behaved participant: for every
@@ -305,7 +454,7 @@ func (p *rawPeer) participateAsync() <-chan error {
 		for {
 			p.conn.SetReadDeadline(time.Now().Add(deployBound))
 			var msg fed.RoundMsg
-			if err := p.dec.Decode(&msg); err != nil {
+			if err := p.recv(&msg); err != nil {
 				done <- err
 				return
 			}
@@ -314,7 +463,7 @@ func (p *rawPeer) participateAsync() <-chan error {
 				return
 			}
 			p.conn.SetWriteDeadline(time.Now().Add(deployBound))
-			if err := p.enc.Encode(fed.SlotResult{Update: fed.UpdateMsg{Participant: p.id, Weight: 1}}); err != nil {
+			if err := p.send(fed.SlotResult{Update: fed.UpdateMsg{Participant: p.id, Weight: 1}}); err != nil {
 				done <- err
 				return
 			}

@@ -83,7 +83,7 @@ func seedPlusPlus(x *tensor.Matrix, k int, g *tensor.RNG) *tensor.Matrix {
 					best = dd
 				}
 			}
-			dist[i] = best * best
+			dist[i] = float64(best * best)
 			sum += dist[i]
 		}
 		if sum == 0 {

@@ -1,12 +1,13 @@
 // Package codec holds the primitives of the repository's one binary tensor
-// encoding, which the model checkpoint (moe.EncodeBytes) and the wire update
-// (fed.Update's gob form) are both written in: every integer is 8 bytes of
+// encoding, which the model checkpoint (moe.EncodeBytes) and every TCP
+// message (package fed's frames) are written in: every integer is 8 bytes of
 // little-endian int64, every float its 8 IEEE-754 bits, and every sequence
 // its element count followed by the elements.
 //
 // Writers append to a caller-sized buffer. A Reader checks every count
 // against the bytes left before anything of that length is allocated, so a
-// hostile count costs an error, not memory.
+// hostile count costs an error, not memory, and reads a sequence into a
+// buffer the caller keeps when it has room.
 package codec
 
 import (
@@ -117,28 +118,38 @@ func (r *Reader) Count(what string, size int) int {
 	return n
 }
 
-// Ints reads a sequence written by AppendInts; an empty one is nil.
-func (r *Reader) Ints(what string) []int {
+// Ints reads a sequence written by AppendInts into dst, which it returns
+// resliced when dst holds enough elements and replaces with a new slice
+// otherwise; an empty sequence is nil. It never writes past len(dst), so dst
+// may be a window of a larger buffer.
+func (r *Reader) Ints(dst []int, what string) []int {
 	n := r.Count(what, IntSize)
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
+	if len(dst) < n {
+		dst = make([]int, n)
 	}
-	return out
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = r.Int()
+	}
+	return dst
 }
 
-// Floats reads a sequence written by AppendFloats; an empty one is nil.
-func (r *Reader) Floats(what string) []float64 {
+// Floats reads a sequence written by AppendFloats into dst, the way Ints
+// does.
+func (r *Reader) Floats(dst []float64, what string) []float64 {
 	n := r.Count(what, IntSize)
 	if n == 0 {
 		return nil
 	}
-	b, out := r.Bytes(IntSize*n), make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[IntSize*i:]))
+	if len(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out
+	b, dst := r.Bytes(IntSize*n), dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[IntSize*i:]))
+	}
+	return dst
 }

@@ -1,40 +1,34 @@
 package fed
 
 import (
-	"bufio"
-	"cmp"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/moe"
 	"repro/internal/obs"
 )
 
 // This file implements a real network deployment of the federated loop: a
-// parameter server and participants exchanging messages over TCP. Each
-// message is a gob envelope (Hello, RoundMsg, SlotResult) whose tensors are
-// package codec's binary encoding: the model as moe.EncodeBytes writes it,
-// the update as Update.GobEncode does. It exists so the system can actually
-// be run as separate processes (cmd/fluxserver, cmd/fluxclient) or driven
-// round-by-round by the public SDK's TCP transport, not only as the
-// in-process simulation the experiments use. The protocol is synchronous
-// rounds, mirroring Figure 4: the server broadcasts the global model; each
-// participant runs its method's own participant function on it, exactly as
-// an in-process worker would, and uploads the whole SlotResult; and the
-// server hands the arrivals to the server core (finishRound) — the same
-// check, reduction, traffic, census, simulated time and participant records
-// as an in-process round. Every message either end reads is bounded in size
-// by the model config (maxMessageBytes) before gob allocates it.
+// parameter server and participants exchanging messages over TCP. It exists
+// so the system can actually be run as separate processes (cmd/fluxserver,
+// cmd/fluxclient) or driven round-by-round by the public SDK's TCP transport,
+// not only as the in-process simulation the experiments use. The protocol is
+// synchronous rounds, mirroring Figure 4: the server broadcasts the global
+// model; each participant runs its method's own participant function on it,
+// exactly as an in-process worker would, and uploads the whole SlotResult;
+// and the server hands the arrivals to the server core (finishRound) — the
+// same check, reduction, traffic, census, simulated time and participant
+// records as an in-process round.
+//
+// Every message is one frame of the wire format in wire.go. The server
+// encodes the global model once per broadcast and writes those bytes to every
+// peer; a client decodes each broadcast into its replica's model in place.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish — and
 // its rounds run inside the engine's one round loop (Run): ServeContext is
@@ -43,9 +37,9 @@ import (
 // exchange carries a read/write deadline and the whole lifecycle honors
 // context cancellation.
 
-// DefaultIOTimeout bounds a single message exchange (one message encoded or
-// decoded) when the caller does not set an explicit timeout. It must cover
-// the slowest participant's local fine-tuning between two server messages.
+// DefaultIOTimeout bounds a single message exchange (one message written or
+// read) when the caller does not set an explicit timeout. It must cover the
+// slowest participant's local fine-tuning between two server messages.
 const DefaultIOTimeout = 2 * time.Minute
 
 // maxHelloTimeout caps how long Accept waits for a single connection's
@@ -54,160 +48,41 @@ const DefaultIOTimeout = 2 * time.Minute
 // not stall fleet formation for minutes.
 const maxHelloTimeout = 10 * time.Second
 
-// Hello is the first message a participant sends after connecting.
-type Hello struct {
-	Participant int
-}
-
-// RoundMsg is the server's per-round broadcast.
-type RoundMsg struct {
-	Round int
-	Final bool   // no more rounds; Model holds the final global model
-	Model []byte // the global model as moe.EncodeBytes writes it
-}
-
-// UpdateMsg is the Update a participant's reply carries. The reply itself is
-// the participant function's whole SlotResult: the update, its modeled
-// traffic and its per-phase simulated seconds.
-type UpdateMsg = Update
-
-// GobEncode writes u in package codec's encoding, which gob carries as one
-// byte string: the participant, the weight, the expert count, then per expert
-// in (layer, expert) order its key and parameters. The sorted order makes the
-// bytes a function of u's contents, which gob's own map encoding is not.
-func (u Update) GobEncode() ([]byte, error) {
-	keys := make([]ExpertKey, 0, len(u.Experts))
-	for k := range u.Experts {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareKeys)
-	n := 3 * codec.IntSize
-	for _, k := range keys {
-		n += 2*codec.IntSize + codec.SeqSize(len(u.Experts[k]))
-	}
-	b := codec.AppendFloat(codec.AppendInt(make([]byte, 0, n), u.Participant), u.Weight)
-	b = codec.AppendInt(b, len(keys))
-	for _, k := range keys {
-		b = codec.AppendFloats(codec.AppendInt(codec.AppendInt(b, k.Layer), k.Expert), u.Experts[k])
-	}
-	return b, nil
-}
-
-// GobDecode reads an update written by GobEncode. Every count is checked
-// against the bytes left before it is allocated; keys out of order (a
-// duplicate among them) and trailing bytes are errors.
-func (u *Update) GobDecode(b []byte) error {
-	r := codec.NewReader(b)
-	dec := Update{Participant: r.Int(), Weight: r.Float()}
-	if n := r.Count("experts", 3*codec.IntSize); n > 0 {
-		dec.Experts = make(map[ExpertKey][]float64, n)
-		var prev ExpertKey
-		for i := range n {
-			k := ExpertKey{Layer: r.Int(), Expert: r.Int()}
-			if i > 0 && compareKeys(prev, k) >= 0 {
-				r.Failf("expert %v follows %v", k, prev)
-			}
-			dec.Experts[k], prev = r.Floats("expert parameters"), k
-		}
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("fed: decode update: %w", err)
-	}
-	*u = dec
-	return nil
-}
-
-func compareKeys(a, b ExpertKey) int {
-	return cmp.Or(cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Expert, b.Expert))
-}
-
+// peer is one end of a deployment connection. It owns the buffer its frames
+// are read into and, on the server, the SlotResult a reply is decoded into:
+// the update's map, the arena its parameter slices are windows of, and the
+// phase map. The next read overwrites all of them, so whatever outlives the
+// round must be copied out first — finishRound deep-copies (cloneUpdate)
+// every update it carries over, and keeps nothing else of a slot.
 type peer struct {
 	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 	id      int
 	timeout time.Duration
+	limit   int    // maxMessageBytes of the deployment's model config
+	buf     []byte // the last frame read
+	slot    SlotResult
+	arena   []float64
 }
 
-// newPeer wraps conn for a deployment of model config cfg: every message
-// read from it is bounded by maxMessageBytes(cfg).
+// newPeer wraps conn for a deployment of model config cfg: every frame read
+// from it is bounded by maxMessageBytes(cfg).
 func newPeer(conn net.Conn, cfg moe.Config, timeout time.Duration) *peer {
-	return &peer{conn: conn, enc: gob.NewEncoder(conn), dec: newBoundedDecoder(conn, maxMessageBytes(cfg)), timeout: ioTimeout(timeout)}
+	return &peer{conn: conn, timeout: ioTimeout(timeout), limit: maxMessageBytes(cfg)}
 }
 
-// maxMessageBytes bounds one gob message of a deployment of model config
-// cfg. The largest legitimate messages are the broadcast, whose model blob is
-// moe.EncodedSize(cfg) bytes, and a full-model SlotResult, whose update holds
-// only the experts' parameters and so is smaller; 64 KiB on top covers the
-// gob envelope and type descriptors.
-func maxMessageBytes(cfg moe.Config) int { return moe.EncodedSize(cfg) + 1<<16 }
-
-// newBoundedDecoder returns a gob decoder on r that fails any message longer
-// than limit bytes when it reads the message's length prefix, before gob
-// allocates the message.
-func newBoundedDecoder(r io.Reader, limit int) *gob.Decoder {
-	return gob.NewDecoder(&boundedReader{r: bufio.NewReader(r), limit: limit})
-}
-
-// boundedReader passes a gob stream through unchanged while parsing each
-// message's length prefix (gob's unsigned-integer encoding: one byte below
-// 0x80, otherwise the negated count of big-endian bytes that follow).
-type boundedReader struct {
-	r     *bufio.Reader
-	limit int
-	left  int    // body bytes of the current message not yet passed on
-	hdr   []byte // length-prefix bytes not yet passed on
-	buf   [9]byte
-}
-
-func (b *boundedReader) Read(p []byte) (int, error) {
-	if len(b.hdr) == 0 && b.left == 0 {
-		c, err := b.r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		b.buf[0] = c
-		n, size := 0, uint64(c)
-		if c >= 0x80 {
-			if n = -int(int8(c)); n < 1 || n > 8 {
-				return 0, errors.New("malformed message length")
-			}
-			if _, err := io.ReadFull(b.r, b.buf[1:1+n]); err != nil {
-				return 0, err
-			}
-			size = 0
-			for _, d := range b.buf[1 : 1+n] {
-				size = size<<8 | uint64(d)
-			}
-		}
-		if size > uint64(b.limit) {
-			return 0, fmt.Errorf("message of %d bytes exceeds the %d-byte bound", size, b.limit)
-		}
-		b.hdr, b.left = b.buf[:1+n], int(size)
-	}
-	if len(b.hdr) > 0 {
-		n := copy(p, b.hdr)
-		b.hdr = b.hdr[n:]
-		return n, nil
-	}
-	if len(p) > b.left {
-		p = p[:b.left]
-	}
-	n, err := b.r.Read(p)
-	b.left -= n
-	return n, err
-}
-
-func (p *peer) send(v any) error {
+func (p *peer) send(parts ...[]byte) error {
 	//fluxvet:allow wallclock real socket write deadline; network I/O is outside simulated time
 	p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	return p.enc.Encode(v)
+	return WriteFrame(p.conn, parts...)
 }
 
-func (p *peer) recv(v any) error {
+// recv reads one frame into p.buf and returns its body.
+func (p *peer) recv() ([]byte, error) {
 	//fluxvet:allow wallclock real socket read deadline; network I/O is outside simulated time
 	p.conn.SetReadDeadline(time.Now().Add(p.timeout))
-	return p.dec.Decode(v)
+	var err error
+	p.buf, err = ReadFrame(p.conn, p.buf, p.limit)
+	return p.buf, err
 }
 
 // Server coordinates federated fine-tuning over TCP.
@@ -230,7 +105,8 @@ type Server struct {
 
 	mu    sync.Mutex
 	peers []*peer
-	round int // rounds completed, stamps the final broadcast
+	round int    // rounds completed, stamps the final broadcast
+	blob  []byte // the global model's encoding, rewritten for every broadcast
 }
 
 // ioTimeout resolves a per-message timeout setting: zero means
@@ -266,7 +142,8 @@ func CtxErr(ctx context.Context, err error) error {
 // Accept waits until s.Env.Cfg.Participants distinct participants have joined
 // on ln. A connection whose Hello carries an already-claimed participant id
 // is rejected (closed) and does not count; a connection that fails to deliver
-// a Hello within the I/O timeout is dropped the same way. Peers are ordered
+// a Hello of this protocol version within the I/O timeout is dropped the same
+// way. Peers are ordered
 // by participant id so aggregation order — and therefore floating-point
 // accumulation — is deterministic regardless of connection order.
 func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
@@ -292,11 +169,14 @@ func (s *Server) Accept(ctx context.Context, ln net.Listener) error {
 		//fluxvet:allow wallclock real Hello-handshake deadline on the listener socket
 		conn.SetReadDeadline(time.Now().Add(helloTimeout))
 		var h Hello
-		err = p.dec.Decode(&h)
+		body, err := ReadFrame(conn, nil, helloSize)
+		if err == nil {
+			err = h.UnmarshalBinary(body)
+		}
 		stopConn()
 		if err != nil {
-			// A connection that cannot produce a Hello in time must not
-			// stall the fleet; drop it and keep listening.
+			// A connection that cannot produce a Hello of this protocol in
+			// time must not stall the fleet; drop it and keep listening.
 			conn.Close()
 			if ctx.Err() != nil {
 				return fail(fmt.Errorf("fed: hello: %w", err))
@@ -340,13 +220,12 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	blob, err := s.Env.Global.EncodeBytes()
-	if err != nil {
+	if err := s.encodeGlobal(); err != nil {
 		return RoundStats{}, err
 	}
-	msg := RoundMsg{Round: r, Model: blob}
+	head := appendBroadcastHeader(nil, r, false)
 	for _, p := range peers {
-		if err := p.send(msg); err != nil {
+		if err := p.send(head, s.blob); err != nil {
 			return RoundStats{}, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
 		}
 	}
@@ -361,16 +240,21 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			if err := p.recv(&slots[i]); err != nil {
+			body, err := p.recv()
+			if err == nil {
+				err = p.decodeSlot(body)
+			}
+			if err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
 			}
 		}(i, p)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return RoundStats{}, CtxErr(ctx, err)
 		}
+		slots[i] = peers[i].slot
 	}
 	stats, err := s.Env.finishRound(cohort, slots)
 	if err != nil {
@@ -390,19 +274,25 @@ func (s *Server) Finish(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	blob, err := s.Env.Global.EncodeBytes()
-	if err != nil {
+	if err := s.encodeGlobal(); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	final := RoundMsg{Round: s.round, Final: true, Model: blob}
+	head := appendBroadcastHeader(nil, s.round, true)
 	s.mu.Unlock()
 	for _, p := range peers {
-		if err := p.send(final); err != nil {
+		if err := p.send(head, s.blob); err != nil {
 			return CtxErr(ctx, fmt.Errorf("fed: final to %d: %w", p.id, err))
 		}
 	}
 	return nil
+}
+
+// encodeGlobal encodes the global model into s.blob, once per broadcast.
+func (s *Server) encodeGlobal() error {
+	var err error
+	s.blob, err = s.Env.Global.AppendEncoded(s.blob[:0])
+	return err
 }
 
 // Close drops all peer connections. It is safe to call more than once.
@@ -442,7 +332,8 @@ type ClientConfig struct {
 	Participant int
 	Addr        string
 	// Env is the client's replica of the run; every broadcast must hold a
-	// model of Env.Global's config, and is Env.Global for its round.
+	// model of Env.Global's config, and is decoded into Env.Global in place,
+	// so nothing else may share that model.
 	Env *Env
 	// Method is the client's own Rounder, and Index its participant index
 	// in Env.
@@ -454,14 +345,15 @@ type ClientConfig struct {
 }
 
 // RunClientContext joins the server at cfg.Addr and participates until the
-// final model arrives, which it returns. Every round it makes the broadcast
-// model cfg.Env.Global, calls cfg.Method.Round for Env's cohort, runs the
-// participant function for its own slot on one persistent Scratch, and
-// uploads the whole SlotResult under its Hello id — the slot an in-process
-// worker would have computed. A broadcast over the message bound, of another
-// model config, or of any round but the next fails the client with an error
-// naming the round. Cancelling ctx closes the connection, aborting whatever
-// exchange or wait is in flight.
+// final model arrives, which it returns. Every round it decodes the broadcast
+// model into cfg.Env.Global in place, calls cfg.Method.Round for Env's
+// cohort, runs the participant function for its own slot on one persistent
+// Scratch, and uploads the whole SlotResult under its Hello id — the slot an
+// in-process worker would have computed. A broadcast over the message bound,
+// of another model config, or of any round but the next fails the client with
+// an error naming the round, and leaves Env.Global nil: a model decoded only
+// in part is never used. Cancelling ctx closes the connection, aborting
+// whatever exchange or wait is in flight.
 func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error) {
 	env := cfg.Env
 	switch {
@@ -474,7 +366,6 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 	case len(env.Shards[cfg.Index]) == 0:
 		return nil, fmt.Errorf("fed: client %d has no data", cfg.Participant)
 	}
-	want := env.Global.Cfg
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
@@ -484,54 +375,57 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	p := newPeer(conn, want, cfg.IOTimeout)
-	if err := p.send(Hello{Participant: cfg.Participant}); err != nil {
+	p := newPeer(conn, env.Global.Cfg, cfg.IOTimeout)
+	hello, _ := Hello{Participant: cfg.Participant}.MarshalBinary()
+	if err := p.send(hello); err != nil {
 		return nil, CtxErr(ctx, err)
 	}
 	var s Scratch
+	var reply []byte
 	for next := 0; ; {
-		var msg RoundMsg
-		if err := p.recv(&msg); err != nil {
+		body, err := p.recv()
+		if err != nil {
 			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: round %d broadcast from %s: %w", cfg.Participant, next, cfg.Addr, err))
 		}
-		model, err := checkBroadcast(msg, next, want)
+		round, final, err := checkBroadcast(body, next, env.Global)
 		if err != nil {
+			env.Global = nil
 			return nil, fmt.Errorf("fed: client %d: %w", cfg.Participant, err)
 		}
-		if msg.Final {
-			return model, nil
+		if final {
+			return env.Global, nil
 		}
-		env.Global = model
-		cohort := env.Cohort(msg.Round)
-		participant := cfg.Method.Round(env, msg.Round, cohort)
+		cohort := env.Cohort(round)
+		participant := cfg.Method.Round(env, round, cohort)
 		s.off = 0
 		res := participant(&s, slices.Index(cohort, cfg.Index), cfg.Index)
 		res.Update.Participant = cfg.Participant
-		if err := p.send(res); err != nil {
+		reply = appendSlot(reply[:0], res)
+		if err := p.send(reply); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
-		// Drop the round's model before the next broadcast is decoded, so two
-		// are never live at once.
-		env.Global, next = nil, msg.Round+1
+		next = round + 1
 	}
 }
 
-// checkBroadcast returns the model of msg, received by a client expecting
-// round next of model config want. A broadcast of another round (unless it
-// is the final one), a blob that does not decode, or a model of another
-// config is an error naming the round.
-func checkBroadcast(msg RoundMsg, next int, want moe.Config) (*moe.Model, error) {
-	if !msg.Final && msg.Round != next {
-		return nil, fmt.Errorf("broadcast of round %d, want round %d", msg.Round, next)
-	}
-	model, err := moe.DecodeBytes(msg.Model)
+// checkBroadcast decodes a broadcast body, received by a client expecting
+// round next, into model, the client's replica of the global model, and
+// returns the broadcast's round and final flag. A broadcast of another round
+// (unless it is the final one), a model that does not decode, or one of
+// another config than model's is an error naming the round, after which
+// model may be partly overwritten.
+func checkBroadcast(body []byte, next int, model *moe.Model) (round int, final bool, err error) {
+	round, final, blob, err := splitBroadcast(body)
 	if err != nil {
-		return nil, fmt.Errorf("round %d broadcast: %w", msg.Round, err)
+		return 0, false, err
 	}
-	if !reflect.DeepEqual(model.Cfg, want) {
-		return nil, fmt.Errorf("round %d broadcast holds model config %+v, want %+v", msg.Round, model.Cfg, want)
+	if !final && round != next {
+		return 0, false, fmt.Errorf("broadcast of round %d, want round %d", round, next)
 	}
-	return model, nil
+	if _, err := moe.DecodeInto(model, blob); err != nil {
+		return 0, false, fmt.Errorf("round %d broadcast: %w", round, err)
+	}
+	return round, final, nil
 }
 
 // IdentityTuning returns per-layer expert-id lists naming every expert — the

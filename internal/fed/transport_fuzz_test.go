@@ -2,7 +2,6 @@ package fed
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
@@ -12,39 +11,34 @@ import (
 )
 
 // FuzzCheckUpdate drives the one wire boundary that feeds the round core:
-// arbitrary bytes are decoded into a SlotResult the way RunRound's receive
-// path does (gob through the message bound, the update through
-// Update.GobDecode), then reduced by finishRound on a clone of the model. The
-// corpus is seeded with a real slot, with every malformed update
-// TestRunRoundRejectsMalformedUpdates rejects, with a NaN phase and negative
-// uplink bytes, and with the real slot's update payload cut short, so the
-// fuzzer starts from one accepted and many refused inputs.
+// arbitrary bytes are read the way RunRound's receive path reads a reply (a
+// frame through the message bound, decoded by decodeSlot into a peer whose
+// slot already holds a real reply), then reduced by finishRound on a clone of
+// the model. The corpus is seeded with a real slot, with every malformed
+// update TestRunRoundRejectsMalformedUpdates rejects, with a NaN phase and
+// negative uplink bytes, with the real slot's update payload cut short, and
+// with a slot of no experts and no phases, so the fuzzer starts from
+// accepted and refused inputs and from a reply smaller than the last.
 //
-// Invariants: neither the decode nor the server core panics; and every slot
-// the core's check accepts leaves only finite parameters, traffic totals and
-// phase seconds behind.
+// Invariants: neither the decode nor the server core panics; every reply the
+// decoder accepts re-encodes to the same bytes, so nothing of the previous
+// reply survives in the reused slot; and every slot the core's check accepts
+// leaves only finite parameters, traffic totals and phase seconds behind.
 func FuzzCheckUpdate(f *testing.F) {
-	const peer = 1
+	const peerID = 1
 	global := moe.MustNew(moe.Uniform("fuzz-update", 8, 2, 2, 2, 3, 1, 4), tensor.Named("fuzz-update"))
 	cfg := DefaultConfig()
 	cfg.Participants = 1
 
 	slot := func() SlotResult {
-		u := ExtractUpdate(global, peer, 3, IdentityTuning(global.Cfg))
+		u := ExtractUpdate(global, peerID, 3, IdentityTuning(global.Cfg))
 		return SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 9,
 			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 2, simtime.PhaseComm: 1}}
-	}
-	add := func(msg any) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
 	}
 	seed := func(corrupt func(r *SlotResult)) {
 		r := slot()
 		corrupt(&r)
-		add(r)
+		f.Add(frame(f, r))
 	}
 	seed(func(*SlotResult) {})
 	for _, tc := range malformedUpdates {
@@ -54,21 +48,30 @@ func FuzzCheckUpdate(f *testing.F) {
 	seed(func(r *SlotResult) { r.Phases[simtime.PhaseComm] = math.NaN() })
 	seed(func(r *SlotResult) { r.Bytes = -1 })
 	good := slot()
-	payload, err := good.Update.GobEncode()
-	if err != nil {
-		f.Fatal(err)
-	}
+	body, _ := good.MarshalBinary()
+	payload, _ := good.Update.MarshalBinary()
 	for _, n := range []int{0, 1, 8, 16, 23, 24, 40, len(payload) / 2, len(payload) - 1} {
-		add(rawSlot{Update: payload[:n], Bytes: good.Bytes, DownBytes: good.DownBytes, Phases: good.Phases})
+		f.Add(frame(f, rawBody(append(payload[:n:n], body[len(payload):]...))))
 	}
+	seed(func(r *SlotResult) { r.Update.Experts, r.Phases = nil, nil })
+	warm := frame(f, good)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var slot SlotResult
-		if err := newBoundedDecoder(bytes.NewReader(data), maxMessageBytes(global.Cfg)).Decode(&slot); err != nil {
-			return
+		p := &peer{limit: maxMessageBytes(global.Cfg)}
+		for _, in := range [][]byte{warm, data} {
+			var err error
+			if p.buf, err = ReadFrame(bytes.NewReader(in), p.buf, p.limit); err != nil {
+				return
+			}
+			if err := p.decodeSlot(p.buf); err != nil {
+				return
+			}
+			if again := appendSlot(nil, p.slot); !bytes.Equal(again, p.buf) {
+				t.Fatalf("accepted reply re-encodes differently")
+			}
 		}
 		env := &Env{Cfg: cfg, Global: global.Clone()}
-		o, err := env.finishRound([]int{peer}, []SlotResult{slot})
+		o, err := env.finishRound([]int{peerID}, []SlotResult{p.slot})
 		if err != nil {
 			return
 		}
@@ -89,31 +92,27 @@ func FuzzCheckUpdate(f *testing.F) {
 	})
 }
 
-// rawSlot is a SlotResult whose update payload is given bytes, encoded in
-// the same gob form.
-type rawSlot struct {
-	Update           rawPayload
-	Bytes, DownBytes float64
-	Phases           map[simtime.Phase]float64
-}
+// rawBody is a frame body given as bytes.
+type rawBody []byte
 
-type rawPayload []byte
-
-func (p rawPayload) GobEncode() ([]byte, error) { return p, nil }
+func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
 
 // FuzzRoundMsg drives the client's receive path: arbitrary bytes are read
-// the way RunClientContext reads a broadcast (gob through the message bound
-// into a RoundMsg), then checked by checkBroadcast for round 0 of the
-// client's model config. The corpus is seeded with a valid broadcast, the
-// final one, one of a later round, one of another config, and the valid
-// broadcast with its model blob cut short or its message cut short.
+// the way RunClientContext reads a broadcast (a frame through the message
+// bound), then checked by checkBroadcast for round 0, decoding in place into
+// a replica that holds a model of the client's config. The corpus is seeded
+// with a valid broadcast, the final one, one of a later round, one of another
+// config, and the valid broadcast with its model cut short or its frame cut
+// short.
 //
-// Invariants: nothing panics; every broadcast checkBroadcast accepts holds a
-// model of the client's config whose encoding is exactly the blob received
-// (the codec has one encoding per model), and ForwardWS runs on it.
+// Invariants: nothing panics; every broadcast checkBroadcast accepts leaves
+// the replica a model whose encoding is exactly the bytes received (the codec
+// has one encoding per model), and ForwardWS runs on it; every broadcast it
+// refuses comes back as an error.
 func FuzzRoundMsg(f *testing.F) {
 	want := moe.Uniform("fuzz-round", 8, 2, 3, 2, 3, 2, 4)
-	blob, err := moe.MustNew(want, tensor.Named("fuzz-round")).EncodeBytes()
+	warm := moe.MustNew(want, tensor.Named("fuzz-round"))
+	blob, err := warm.EncodeBytes()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -122,12 +121,9 @@ func FuzzRoundMsg(f *testing.F) {
 		f.Fatal(err)
 	}
 	add := func(msg RoundMsg) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		return buf.Bytes()
+		b := frame(f, msg)
+		f.Add(b)
+		return b
 	}
 	valid := add(RoundMsg{Model: blob})
 	add(RoundMsg{Round: 4, Final: true, Model: blob})
@@ -141,18 +137,18 @@ func FuzzRoundMsg(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var msg RoundMsg
-		if err := newBoundedDecoder(bytes.NewReader(data), maxMessageBytes(want)).Decode(&msg); err != nil {
-			return
-		}
-		model, err := checkBroadcast(msg, 0, want)
+		body, err := ReadFrame(bytes.NewReader(data), nil, maxMessageBytes(want))
 		if err != nil {
 			return
 		}
-		again, err := model.EncodeBytes()
-		if err != nil || !bytes.Equal(again, msg.Model) {
+		replica := warm.Clone()
+		if _, _, err := checkBroadcast(body, 0, replica); err != nil {
+			return
+		}
+		again, err := replica.AppendEncoded(nil)
+		if err != nil || !bytes.Equal(again, body[broadcastHeader:]) {
 			t.Fatalf("accepted broadcast re-encodes differently (err %v)", err)
 		}
-		model.ForwardWS(moe.NewWorkspace(), []int{0, 1, 2}, nil, -1)
+		replica.ForwardWS(moe.NewWorkspace(), []int{0, 1, 2}, nil, -1)
 	})
 }

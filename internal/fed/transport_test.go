@@ -5,7 +5,7 @@ package fed
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding"
 	"errors"
 	"math"
 	"net"
@@ -177,7 +177,8 @@ func TestRunClientRejectsBadConfig(t *testing.T) {
 // client a broadcast it must not train on. A DeepSeek model fails at the
 // message bound (it is the larger), a smaller model of another config fails
 // the config check, and a first broadcast of round 5 fails the round check;
-// each error names the round.
+// each error names the round. A client whose broadcast failed to decode drops
+// its replica's model.
 func TestRunClientValidatesBroadcast(t *testing.T) {
 	llama := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("tcp-llama"))
 	small := moe.SimConfigLLaMATrain()
@@ -189,7 +190,7 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 		want  []string
 	}{
 		{"deepseek", moe.SimConfigDeepSeekTrain(), 0, []string{"round 0 broadcast from", "exceeds the"}},
-		{"five layers", small, 0, []string{"round 0 broadcast holds model config"}},
+		{"five layers", small, 0, []string{"round 0 broadcast", "holds model config"}},
 		{"skipped rounds", llama.Cfg, 5, []string{"broadcast of round 5, want round 0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,20 +209,23 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				var h Hello
-				if gob.NewDecoder(conn).Decode(&h) == nil {
-					gob.NewEncoder(conn).Encode(RoundMsg{Round: tc.round, Model: blob})
+				if _, err := ReadFrame(conn, nil, helloSize); err == nil {
+					(&rawConn{Conn: conn}).send(RoundMsg{Round: tc.round, Model: blob})
 				}
 				var b [1]byte
 				conn.Read(b[:]) // hold the connection until the client leaves
 			}()
+			env := clientEnv(llama, 1)
 			_, err = RunClientContext(context.Background(), ClientConfig{
-				Addr: ln.Addr().String(), Env: clientEnv(llama, 1), Method: fullSGD{}, IOTimeout: 10 * time.Second,
+				Addr: ln.Addr().String(), Env: env, Method: fullSGD{}, IOTimeout: 10 * time.Second,
 			})
 			for _, want := range tc.want {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("RunClientContext = %v, want an error containing %q", err, want)
 				}
+			}
+			if tc.name == "five layers" && env.Global != nil {
+				t.Fatal("the replica's model outlived a broadcast that failed to decode into it")
 			}
 		})
 	}
@@ -243,10 +247,10 @@ func TestTCPTuningSubset(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
-	conn, dec := dialHello(t, ln.Addr().String(), 0)
+	conn := dialHello(t, ln.Addr().String(), 0)
 	defer conn.Close()
 	var msg RoundMsg
-	if err := dec.Decode(&msg); err != nil {
+	if err := conn.recv(&msg); err != nil {
 		t.Fatal(err)
 	}
 	moved, err := moe.DecodeBytes(msg.Model)
@@ -257,10 +261,10 @@ func TestTCPTuningSubset(t *testing.T) {
 		e.W1.Scale(2)
 	}
 	u := ExtractUpdate(moved, 0, 1, [][]int{{0, 1}, nil})
-	if err := gob.NewEncoder(conn).Encode(SlotResult{Update: u}); err != nil {
+	if err := conn.send(SlotResult{Update: u}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Decode(&msg); err != nil || !msg.Final {
+	if err := conn.recv(&msg); err != nil || !msg.Final {
 		t.Fatalf("final broadcast: %v (final=%v)", err, msg.Final)
 	}
 	if err := <-serveErr; err != nil {
@@ -292,17 +296,57 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// dialHello opens a raw gob connection and sends a Hello with the given id.
-func dialHello(t *testing.T, addr string, id int) (net.Conn, *gob.Decoder) {
+// rawConn speaks the frame protocol directly, so a test can send what a real
+// client never would.
+type rawConn struct {
+	net.Conn
+	buf []byte
+}
+
+// recv reads a broadcast into msg.
+func (c *rawConn) recv(msg *RoundMsg) error {
+	var err error
+	if c.buf, err = ReadFrame(c, c.buf, 1<<30); err != nil {
+		return err
+	}
+	return msg.UnmarshalBinary(c.buf)
+}
+
+// send writes one frame holding v's body.
+func (c *rawConn) send(v encoding.BinaryMarshaler) error {
+	b, err := v.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	return WriteFrame(c, b)
+}
+
+// frame returns the frame holding v's body.
+func frame(tb testing.TB, v encoding.BinaryMarshaler) []byte {
+	tb.Helper()
+	b, err := v.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, b); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dialHello opens a raw connection and sends a Hello with the given id.
+func dialHello(t *testing.T, addr string, id int) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(conn).Encode(Hello{Participant: id}); err != nil {
+	c := &rawConn{Conn: conn}
+	if err := c.send(Hello{Participant: id}); err != nil {
 		t.Fatal(err)
 	}
-	return conn, gob.NewDecoder(conn)
+	return c
 }
 
 func TestServeRejectsDuplicateHello(t *testing.T) {
@@ -318,25 +362,25 @@ func TestServeRejectsDuplicateHello(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
-	conn0, dec0 := dialHello(t, ln.Addr().String(), 0)
+	conn0 := dialHello(t, ln.Addr().String(), 0)
 	defer conn0.Close()
-	dup, dupDec := dialHello(t, ln.Addr().String(), 0) // same participant id
+	dup := dialHello(t, ln.Addr().String(), 0) // same participant id
 	defer dup.Close()
 
 	// The duplicate's connection must be closed without ever receiving a
 	// round message.
 	var dupMsg RoundMsg
 	dup.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dupDec.Decode(&dupMsg); err == nil {
+	if err := dup.recv(&dupMsg); err == nil {
 		t.Fatal("duplicate participant received a broadcast")
 	}
 
 	// A distinct id completes the fleet and the deployment proceeds.
-	conn1, dec1 := dialHello(t, ln.Addr().String(), 1)
+	conn1 := dialHello(t, ln.Addr().String(), 1)
 	defer conn1.Close()
-	for _, dec := range []*gob.Decoder{dec0, dec1} {
+	for _, conn := range []*rawConn{conn0, conn1} {
 		var msg RoundMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := conn.recv(&msg); err != nil {
 			t.Fatal(err)
 		}
 		if !msg.Final {
@@ -367,12 +411,12 @@ func TestHostilePeerID(t *testing.T) {
 	go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
 
 	for _, id := range []int{1 << 30, -7} {
-		conn, dec := dialHello(t, ln.Addr().String(), id)
+		conn := dialHello(t, ln.Addr().String(), id)
 		defer conn.Close()
 		go func(id int) {
 			var msg RoundMsg
-			for dec.Decode(&msg) == nil && !msg.Final {
-				gob.NewEncoder(conn).Encode(SlotResult{Update: UpdateMsg{Participant: id, Weight: 1}})
+			for conn.recv(&msg) == nil && !msg.Final {
+				conn.send(SlotResult{Update: UpdateMsg{Participant: id, Weight: 1}})
 			}
 		}(id)
 	}
@@ -417,7 +461,7 @@ func TestAcceptDropsSilentConnection(t *testing.T) {
 	defer silent.Close()
 	time.Sleep(250 * time.Millisecond) // let the hello deadline expire
 
-	conn, _ := dialHello(t, ln.Addr().String(), 0)
+	conn := dialHello(t, ln.Addr().String(), 0)
 	defer conn.Close()
 	select {
 	case err := <-acceptErr:
@@ -466,8 +510,7 @@ func TestRunClientContextCancel(t *testing.T) {
 		conn, err := ln.Accept()
 		if err == nil {
 			defer conn.Close()
-			var h Hello
-			gob.NewDecoder(conn).Decode(&h)
+			ReadFrame(conn, nil, helloSize)
 			time.Sleep(10 * time.Second)
 		}
 	}()
@@ -541,13 +584,13 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 
 			var wg sync.WaitGroup
 			for id := 0; id < 2; id++ {
-				conn, dec := dialHello(t, ln.Addr().String(), id)
+				conn := dialHello(t, ln.Addr().String(), id)
 				defer conn.Close()
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
 					var msg RoundMsg
-					if err := dec.Decode(&msg); err != nil {
+					if err := conn.recv(&msg); err != nil {
 						t.Errorf("peer %d: %v", id, err)
 						return
 					}
@@ -562,7 +605,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 					if id == 1 {
 						tc.corrupt(&out)
 					}
-					if err := gob.NewEncoder(conn).Encode(SlotResult{Update: out, Bytes: UpdateBytes(out)}); err != nil {
+					if err := conn.send(SlotResult{Update: out, Bytes: UpdateBytes(out)}); err != nil {
 						t.Errorf("peer %d: %v", id, err)
 					}
 				}(id)
@@ -607,11 +650,11 @@ func TestUpdateEncodingIsCanonical(t *testing.T) {
 	reversed := slices.Clone(keys)
 	slices.Reverse(reversed)
 	forward, backward := build(keys), build(reversed)
-	a, err := forward.GobEncode()
+	a, err := forward.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := backward.GobEncode()
+	b, err := backward.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +662,7 @@ func TestUpdateEncodingIsCanonical(t *testing.T) {
 		t.Fatal("insertion order changed the update's bytes")
 	}
 	var got Update
-	if err := got.GobDecode(a); err != nil {
+	if err := got.UnmarshalBinary(a); err != nil {
 		t.Fatal(err)
 	}
 	if got.Participant != 7 || got.Weight != 2.5 || len(got.Experts) != len(keys) {
@@ -633,8 +676,7 @@ func TestUpdateEncodingIsCanonical(t *testing.T) {
 }
 
 // TestMessageBoundFitsFullModel: for both stand-ins, a full-model broadcast
-// and a full-model SlotResult, each the first message on its stream (so it
-// follows gob's type descriptors), pass the deployment's message bound.
+// and a full-model reply, framed, pass the deployment's message bound.
 func TestMessageBoundFitsFullModel(t *testing.T) {
 	for _, cfg := range []moe.Config{moe.SimConfigLLaMATrain(), moe.SimConfigDeepSeekTrain()} {
 		m := moe.MustNew(cfg, tensor.Named("bound"))
@@ -645,15 +687,46 @@ func TestMessageBoundFitsFullModel(t *testing.T) {
 		u := ExtractUpdate(m, 0, 1, IdentityTuning(cfg))
 		slot := SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 1,
 			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
-		for _, msg := range []any{RoundMsg{Round: 3, Model: blob}, slot} {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-				t.Fatal(err)
-			}
-			dst := reflect.New(reflect.TypeOf(msg)).Interface()
-			if err := newBoundedDecoder(&buf, maxMessageBytes(cfg)).Decode(dst); err != nil {
+		for _, msg := range []encoding.BinaryMarshaler{RoundMsg{Round: 3, Model: blob}, slot} {
+			if _, err := ReadFrame(bytes.NewReader(frame(t, msg)), nil, maxMessageBytes(cfg)); err != nil {
 				t.Errorf("%s: a full-model %T fails the bound: %v", cfg.Name, msg, err)
 			}
 		}
+	}
+}
+
+// BenchmarkSlotResultWire is one full-model upload of the LLaMA stand-in
+// (every expert, as fmd sends it) through both ends of a reply: the client
+// appends the slot to the buffer it keeps and frames it, and the server reads
+// the frame into its peer's buffer and decodes it into the peer's slot, as
+// the two ends of one connection do once their buffers have grown. CI
+// publishes it into bench/BENCH_micro.json.
+func BenchmarkSlotResultWire(b *testing.B) {
+	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-slot"))
+	u := ExtractUpdate(m, 1, 6, IdentityTuning(m.Cfg))
+	slot := SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 1,
+		Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
+	var conn bytes.Buffer
+	var reply []byte
+	p := &peer{limit: maxMessageBytes(m.Cfg)}
+	roundTrip := func() {
+		reply = appendSlot(reply[:0], slot)
+		if err := WriteFrame(&conn, reply); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if p.buf, err = ReadFrame(&conn, p.buf, p.limit); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.decodeSlot(p.buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	roundTrip()
+	roundTrip() // the stand-in connection's buffer settles at its second write
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }

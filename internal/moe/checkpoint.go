@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/tensor"
@@ -85,12 +86,21 @@ func dataLen(m *tensor.Matrix) int {
 
 // EncodeBytes serializes the model in the codec above, into one buffer of
 // exactly the encoded size. A nil matrix encodes as an empty one.
-func (m *Model) EncodeBytes() ([]byte, error) {
+func (m *Model) EncodeBytes() ([]byte, error) { return m.AppendEncoded(nil) }
+
+// AppendEncoded appends the model's encoding to b, growing b at most once,
+// to exactly the room the encoding needs; a b with that room already is
+// written in place, so a caller that keeps its buffer encodes without
+// allocating.
+func (m *Model) AppendEncoded(b []byte) ([]byte, error) {
 	n, err := m.encodedSize()
 	if err != nil {
 		return nil, fmt.Errorf("moe: encode model: %w", err)
 	}
-	b := append(make([]byte, 0, n), codecMagic...)
+	if cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	b = append(b, codecMagic...)
 	b = append(codec.AppendInt(append(b, codecVersion), len(m.Cfg.Name)), m.Cfg.Name...)
 	for _, v := range []int{m.Cfg.VocabSize, m.Cfg.Dim, m.Cfg.FFNDim, m.Cfg.TopK, m.Cfg.MaxSeqLen} {
 		b = codec.AppendInt(b, v)
@@ -127,21 +137,40 @@ func appendMatrix(b []byte, m *tensor.Matrix) []byte {
 	return codec.AppendFloats(codec.AppendInt(codec.AppendInt(b, rows), cols), data)
 }
 
-// DecodeBytes deserializes a model written by EncodeBytes or SaveFile. Every
-// length is checked against the bytes left before anything of that length is
-// allocated, and trailing bytes are an error. A model whose tensors disagree
-// with its own Cfg (a matrix of the wrong shape or length, a layer or expert
-// missing, a routing table of the wrong length or pointing past the layer's
-// experts) is an error, never a model that reads mis-strided rows.
-func DecodeBytes(b []byte) (*Model, error) {
+// DecodeBytes deserializes a model written by EncodeBytes or SaveFile into a
+// new model: it is DecodeInto(nil, b).
+func DecodeBytes(b []byte) (*Model, error) { return DecodeInto(nil, b) }
+
+// DecodeInto deserializes a model written by EncodeBytes or AppendEncoded
+// and returns it. With m nil the model is new. Otherwise b must hold a model
+// of m.Cfg, and it is decoded into m: every tensor, slice and expert m
+// already holds is overwritten in place, so a model decoded into one of the
+// same shapes allocates nothing. On an error m is left partly overwritten
+// and must not be used again.
+//
+// Every length is checked against the bytes left before anything of that
+// length is allocated, and trailing bytes are an error. A model whose tensors
+// disagree with its own Cfg (a matrix of the wrong shape or length, a layer
+// or expert missing, a routing table of the wrong length or pointing past
+// the layer's experts) is an error, never a model that reads mis-strided
+// rows.
+func DecodeInto(m *Model, b []byte) (*Model, error) {
 	if len(b) < headerSize || string(b[:len(codecMagic)]) != codecMagic {
 		return nil, errors.New("moe: decode model: not a model encoding")
 	}
 	if v := b[len(codecMagic)]; v != codecVersion {
 		return nil, fmt.Errorf("moe: decode model: encoding version %d, want %d", v, codecVersion)
 	}
-	r := codec.NewReader(b[headerSize:])
-	m := decodeModel(r)
+	r, fresh := codec.NewReader(b[headerSize:]), m == nil
+	if fresh {
+		m = &Model{}
+	}
+	if cfg := decodeConfig(r, m.Cfg); fresh || cfg.equal(m.Cfg) {
+		m.Cfg = cfg
+		decodeModel(r, m)
+	} else {
+		r.Failf("holds model config %+v, want %+v", cfg, m.Cfg)
+	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("moe: decode model: %w", err)
 	}
@@ -154,42 +183,87 @@ func DecodeBytes(b []byte) (*Model, error) {
 	return m, nil
 }
 
-// decodeModel reads what EncodeBytes writes after the header. On a decoding
-// error, recorded in r, the model is partial.
-func decodeModel(r *codec.Reader) *Model {
-	m := &Model{}
-	m.Cfg.Name = string(r.Bytes(r.Count("name", 1)))
-	for _, v := range []*int{&m.Cfg.VocabSize, &m.Cfg.Dim, &m.Cfg.FFNDim, &m.Cfg.TopK, &m.Cfg.MaxSeqLen} {
+// decodeConfig reads the encoded config. Its name and experts-per-layer list
+// are prev's own when they are equal to prev's, so decoding a config equal
+// to prev allocates nothing.
+func decodeConfig(r *codec.Reader, prev Config) Config {
+	c := Config{Name: prev.Name, ExpertsPerLayer: prev.ExpertsPerLayer}
+	if name := r.Bytes(r.Count("name", 1)); string(name) != prev.Name {
+		c.Name = string(name)
+	}
+	for _, v := range []*int{&c.VocabSize, &c.Dim, &c.FFNDim, &c.TopK, &c.MaxSeqLen} {
 		*v = r.Int()
 	}
-	m.Cfg.ExpertsPerLayer = r.Ints("experts per layer")
-	m.Embed = decodeMatrix(r, "embed")
-	m.Head = decodeMatrix(r, "head")
-	m.Layers = make([]*Layer, r.Count("layers", layerSize(0, 0)))
-	for l := range m.Layers {
-		layer := &Layer{Wq: decodeMatrix(r, "wq"), Wk: decodeMatrix(r, "wk"), Wv: decodeMatrix(r, "wv"), Gate: decodeMatrix(r, "gate")}
+	mark := *r
+	same := r.Count("experts per layer", codec.IntSize) == len(prev.ExpertsPerLayer)
+	for i := 0; same && i < len(prev.ExpertsPerLayer); i++ {
+		same = r.Int() == prev.ExpertsPerLayer[i]
+	}
+	if !same {
+		*r = mark
+		c.ExpertsPerLayer = r.Ints(nil, "experts per layer")
+	}
+	return c
+}
+
+// equal reports whether c and o are the same config.
+func (c Config) equal(o Config) bool {
+	return c.Name == o.Name && c.VocabSize == o.VocabSize && c.Dim == o.Dim && c.FFNDim == o.FFNDim &&
+		c.TopK == o.TopK && c.MaxSeqLen == o.MaxSeqLen && slices.Equal(c.ExpertsPerLayer, o.ExpertsPerLayer)
+}
+
+// decodeModel reads the tensors AppendEncoded writes after the config into
+// m, reusing whatever layers, experts, matrices and slices m holds. On a
+// decoding error, recorded in r, m is partial.
+func decodeModel(r *codec.Reader, m *Model) {
+	m.Embed = decodeMatrix(r, m.Embed, "embed")
+	m.Head = decodeMatrix(r, m.Head, "head")
+	m.Layers = resize(m.Layers, r.Count("layers", layerSize(0, 0)))
+	for l, layer := range m.Layers {
+		if layer == nil {
+			layer = &Layer{}
+			m.Layers[l] = layer
+		}
+		layer.Wq, layer.Wk = decodeMatrix(r, layer.Wq, "wq"), decodeMatrix(r, layer.Wk, "wk")
+		layer.Wv, layer.Gate = decodeMatrix(r, layer.Wv, "wv"), decodeMatrix(r, layer.Gate, "gate")
 		layer.OrigExperts, layer.TopK = r.Int(), r.Int()
-		layer.Routing = r.Ints("routing")
-		layer.Experts = make([]*Expert, r.Count("experts", expertSize(0, 0)))
-		for e := range layer.Experts {
-			ex := &Expert{W1: decodeMatrix(r, "w1"), B1: r.Floats("b1"), W2: decodeMatrix(r, "w2"), B2: r.Floats("b2")}
+		layer.Routing = r.Ints(layer.Routing, "routing")
+		layer.Experts = resize(layer.Experts, r.Count("experts", expertSize(0, 0)))
+		for e, ex := range layer.Experts {
+			if ex == nil {
+				ex = &Expert{}
+				layer.Experts[e] = ex
+			}
+			ex.W1, ex.B1 = decodeMatrix(r, ex.W1, "w1"), r.Floats(ex.B1, "b1")
+			ex.W2, ex.B2 = decodeMatrix(r, ex.W2, "w2"), r.Floats(ex.B2, "b2")
 			switch frozen := r.Int(); frozen {
 			case 0, 1:
 				ex.Frozen = frozen == 1
 			default:
 				r.Failf("layer %d expert %d frozen flag %d", l, e, frozen)
 			}
-			ex.MergedFrom = r.Ints("merged-from")
-			layer.Experts[e] = ex
+			ex.MergedFrom = r.Ints(ex.MergedFrom, "merged-from")
 		}
-		m.Layers[l] = layer
 	}
-	return m
 }
 
-func decodeMatrix(r *codec.Reader, what string) *tensor.Matrix {
-	rows, cols := r.Int(), r.Int()
-	return &tensor.Matrix{Rows: rows, Cols: cols, Data: r.Floats(what)}
+// resize returns s with length n: its first n elements, then nil pointers
+// where s had fewer.
+func resize[T any](s []*T, n int) []*T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]*T, n-len(s))...)
+}
+
+// decodeMatrix reads a matrix into m, or into a new matrix if m is nil.
+func decodeMatrix(r *codec.Reader, m *tensor.Matrix, what string) *tensor.Matrix {
+	if m == nil {
+		m = &tensor.Matrix{}
+	}
+	m.Rows, m.Cols = r.Int(), r.Int()
+	m.Data = r.Floats(m.Data, what)
+	return m
 }
 
 // checkShapes reports the first tensor of m that disagrees with m.Cfg. A

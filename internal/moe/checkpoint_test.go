@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -139,6 +140,56 @@ func TestCodecRoundTripsBitForBit(t *testing.T) {
 				t.Fatal("encode → decode → encode changed the bytes")
 			}
 		})
+	}
+}
+
+// TestDecodeIntoOverwritesInPlace: a blob decoded into a model of its config
+// whose values differ leaves that model — its own tensors, not new ones —
+// holding the blob's every bit, for a plain and a customized model. A blob of
+// another config is refused, naming the config, and leaves the model as it
+// was.
+func TestDecodeIntoOverwritesInPlace(t *testing.T) {
+	other, err := tinyModel(t, "other").EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*Model{codecModel(t), customizedCodecModel(t)} {
+		blob, err := src.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := src.Clone()
+		dst.Embed.Data[1], dst.Layers[1].Experts[0].W2.Data[0] = 42, 42
+		embed, w2 := &dst.Embed.Data[0], &dst.Layers[1].Experts[0].W2.Data[0]
+		if got, err := DecodeInto(dst, blob); err != nil || got != dst {
+			t.Fatalf("DecodeInto = %p, %v; want the target %p", got, err, dst)
+		}
+		if &dst.Embed.Data[0] != embed || &dst.Layers[1].Experts[0].W2.Data[0] != w2 {
+			t.Fatal("DecodeInto replaced tensors it could have overwritten")
+		}
+		requireSameBits(t, src, dst)
+
+		if _, err := DecodeInto(dst, other); err == nil || !strings.Contains(err.Error(), "holds model config") {
+			t.Fatalf("DecodeInto of another config = %v, want an error naming the config", err)
+		}
+		requireSameBits(t, src, dst)
+	}
+}
+
+// TestDecodeIntoZeroAllocs: decoding the LLaMA stand-in into a model of its
+// config, as a TCP client does with every broadcast, allocates nothing.
+func TestDecodeIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not compared under the race detector")
+	}
+	m := MustNew(SimConfigLLaMATrain(), tensor.Named("into"))
+	blob, err := m.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := m.Clone()
+	if n := testing.AllocsPerRun(5, func() { DecodeInto(replica, blob) }); n != 0 {
+		t.Fatalf("DecodeInto into a model of the same config made %v allocations, want 0", n)
 	}
 }
 

@@ -88,9 +88,9 @@ func TierFor(tiers []Device, idx int) Device { return tiers[idx%len(tiers)] }
 func ForwardFlops(cfg moe.Config, tokens int) float64 {
 	d, f := float64(cfg.Dim), float64(cfg.FFNDim)
 	seq := float64(cfg.MaxSeqLen)
-	perTokenAttn := 3*2*d*d + 2*2*seq*d // projections + score/mix over the context
-	perTokenExpert := float64(cfg.TopK) * 2 * 2 * d * f
-	perTokenGate := 2 * d * avgExperts(cfg)
+	perTokenAttn := float64(3*2*d*d) + float64(2*2*seq*d) // projections + score/mix over the context
+	perTokenExpert := float64(float64(cfg.TopK) * 2 * 2 * d * f)
+	perTokenGate := float64(2 * d * avgExperts(cfg))
 	return float64(tokens) * float64(cfg.Layers()) * (perTokenAttn + perTokenExpert + perTokenGate)
 }
 

@@ -92,12 +92,12 @@ func TCPTimeout(d time.Duration) TCPOption { return func(t *tcpTransport) { t.ti
 
 // TCP returns the deployment transport: a parameter server listening on a
 // real socket and one goroutine per participant speaking the TCP wire
-// protocol (gob envelopes around a binary encoding of the model and the
-// update) — the same protocol cmd/fluxserver and cmd/fluxclient use across
-// machines. Each participant runs the method's participant function for its
-// slot on its own replica of the environment, so every registered method runs
-// over it and every round is bit-identical to the same run in-process.
-// Rounds are synchronous only, without a fleet.
+// protocol (length-prefixed frames holding a binary encoding of the model
+// and the update) — the same protocol cmd/fluxserver and cmd/fluxclient use
+// across machines. Each participant runs the method's participant function
+// for its slot on its own replica of the environment, so every registered
+// method runs over it and every round is bit-identical to the same run
+// in-process. Rounds are synchronous only, without a fleet.
 //
 // Like an Experiment, a TCP transport is single-shot: build a fresh one per
 // run.
