@@ -16,7 +16,6 @@ var knownOrphans = map[string]string{
 	"(*repro/internal/tensor.Matrix).At":                 "element reads in tests",
 	"(*repro/internal/tensor.Matrix).Set":                "element writes in tests",
 	"(*repro/internal/tensor.Matrix).Equal":              "matrix comparison in tests",
-	"repro/internal/tensor.TransposeInto":                "explicit-transpose oracle of the TransA/TransB kernel tests",
 	"repro/internal/quant.Quantize":                      "materialised-code oracle of RoundTripInPlace",
 	"(*repro/internal/quant.QuantizedMatrix).Dequantize": "materialised-code oracle of RoundTripInPlace",
 	"(*repro/internal/moe.ExpertGrad).Norm":              "gradient-is-zero checks in moe and assign tests",

@@ -46,7 +46,7 @@ func (FMD) Round(env *fed.Env, round int, _ []int) fed.Participant {
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, 1.0))
 		// Every step shuttles the uncached fraction of experts in and out.
 		loads := int(2 * (1 - dev.CapacityFrac) * float64(total))
-		offloadSec := float64(steps) * dev.OffloadSeconds(cfg, loads)
+		offloadSec := float64(float64(steps) * dev.OffloadSeconds(cfg, loads))
 
 		env.MarkPhase(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
@@ -101,7 +101,7 @@ func (q FMQ) Round(env *fed.Env, round int, _ []int) fed.Participant {
 			requantizeExperts(local, bits)
 		}
 		// Quantized kernels run ~32/bits faster.
-		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, 1.0)) * float64(bits) / 32
+		trainSec := float64(dev.Seconds(simtime.TrainFlops(cfg, tokens, 1.0)) * float64(bits) / 32)
 
 		env.MarkPhase(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)

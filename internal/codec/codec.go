@@ -8,14 +8,27 @@
 // against the bytes left before anything of that length is allocated, so a
 // hostile count costs an error, not memory, and reads a sequence into a
 // buffer the caller keeps when it has room.
+//
+// A float sequence is moved as one block: on a little-endian host a
+// []float64's memory already is its encoding, so AppendFloats and
+// (*Reader).Floats copy it whole through a byte view of the slice. Whether
+// the host is little-endian is decided once, at package init; a big-endian
+// host converts element by element (appendFloatsLoop, readFloatsLoop), and
+// both paths write and read the same bytes.
 package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
+
+// littleEndian reports whether the host stores a float64 in the wire's byte
+// order, which makes the block copy of a float sequence its encoding.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // IntSize is the encoded size of one integer or float.
 const IntSize = 8
@@ -44,10 +57,35 @@ func AppendInts(b []byte, vs []int) []byte {
 func AppendFloats(b []byte, vs []float64) []byte {
 	b = slices.Grow(AppendInt(b, len(vs)), IntSize*len(vs))
 	w := b[len(b) : len(b)+IntSize*len(vs)]
+	if littleEndian {
+		copy(w, floatBytes(vs))
+	} else {
+		appendFloatsLoop(w, vs)
+	}
+	return b[:len(b)+len(w)]
+}
+
+// floatBytes is the memory of vs as bytes, in the host's byte order.
+func floatBytes(vs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), IntSize*len(vs))
+}
+
+// appendFloatsLoop writes each value's bits into w, which holds exactly
+// IntSize bytes per value, one element at a time: the portable form of
+// AppendFloats' block copy.
+func appendFloatsLoop(w []byte, vs []float64) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(w[IntSize*i:], math.Float64bits(v))
 	}
-	return b[:len(b)+len(w)]
+}
+
+// readFloatsLoop reads dst's values from b, which holds exactly IntSize
+// bytes per value, one element at a time: the portable form of Floats'
+// block copy.
+func readFloatsLoop(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[IntSize*i:]))
+	}
 }
 
 // Reader decodes from a byte slice, which it consumes. After the first
@@ -55,7 +93,16 @@ func AppendFloats(b []byte, vs []float64) []byte {
 type Reader struct {
 	b   []byte
 	err error
+	// refused is the count Count turned down, kept unformatted (err is then
+	// errRefused) so that refusing a hostile count allocates nothing.
+	refused struct {
+		what        string
+		count, left int
+	}
 }
+
+// errRefused marks a Reader whose error is the count in its refused field.
+var errRefused = errors.New("refused count")
 
 // NewReader returns a Reader over b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
@@ -71,6 +118,10 @@ func (r *Reader) Failf(format string, args ...any) {
 func (r *Reader) Err() error {
 	if r.err == nil && len(r.b) > 0 {
 		return fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	if r.err == errRefused {
+		c := r.refused
+		return fmt.Errorf("%s claims %d elements, %d bytes left", c.what, c.count, c.left)
 	}
 	return r.err
 }
@@ -110,7 +161,8 @@ func (r *Reader) Float() float64 {
 func (r *Reader) Count(what string, size int) int {
 	n := r.Int()
 	if r.err == nil && (n < 0 || n > len(r.b)/size) {
-		r.Failf("%s claims %d elements, %d bytes left", what, n, len(r.b))
+		r.err = errRefused
+		r.refused.what, r.refused.count, r.refused.left = what, n, len(r.b)
 	}
 	if r.err != nil {
 		return 0
@@ -148,8 +200,10 @@ func (r *Reader) Floats(dst []float64, what string) []float64 {
 		dst = make([]float64, n)
 	}
 	b, dst := r.Bytes(IntSize*n), dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[IntSize*i:]))
+	if littleEndian {
+		copy(floatBytes(dst), b)
+	} else {
+		readFloatsLoop(dst, b)
 	}
 	return dst
 }

@@ -319,7 +319,7 @@ func Figure8(o Options) *Table {
 					half := len(all) / 2
 					w := map[int]float64{}
 					for _, e := range all {
-						w[e] = stats.Frequency(l, e)*stats.AvgAttention(l, e) + 1e-9
+						w[e] = float64(stats.Frequency(l, e)*stats.AvgAttention(l, e)) + 1e-9
 					}
 					specs[l] = moe.LayerSpec{MergeGroups: [][]int{all[:half], all[half:]}, MergeWeights: w}
 				} else {

@@ -514,41 +514,53 @@ func ExtractUpdate(local *moe.Model, participant int, weight float64, tuning [][
 
 // Aggregate applies FedAvg to the global model: for every expert touched by
 // at least one update, the new global parameters are the weight-averaged
-// participant parameters. Untouched experts are left as they are. It returns
-// the number of distinct experts updated.
+// participant parameters (a weight ≤ 0 counts as 1). Untouched experts are
+// left as they are. It returns the number of distinct experts updated.
+//
+// The mean is accumulated in the global expert's own storage: zeroed when
+// the first update naming it arrives, then each update's parameters added
+// with tensor.Axpy in update order, then scaled by 1/Σw — the same rounded
+// multiply-then-add and the same order as summing into a fresh buffer, so
+// nothing is allocated per expert. Every update's parameters must have the
+// expert's FlattenTo length (checkSlot rejects any other) and must not alias
+// the global model's storage, which the zeroing would clobber.
 func Aggregate(global *moe.Model, updates []Update) int {
-	type acc struct {
-		sum    []float64
-		weight float64
-	}
-	accs := make(map[ExpertKey]*acc)
+	weights := make(map[ExpertKey]float64)
 	for _, u := range updates {
 		w := u.Weight
 		if w <= 0 {
 			w = 1
 		}
-		//fluxvet:unordered per-key accumulators: each expert folds its float sum in update (outer-loop) order; key visit order only interleaves independent accs
+		//fluxvet:unordered per-key accumulators: each expert folds its float sum in update (outer-loop) order; key visit order only interleaves independent experts
 		for key, params := range u.Experts {
-			a := accs[key]
-			if a == nil {
-				a = &acc{sum: make([]float64, len(params))}
-				accs[key] = a
+			parts := expertParts(global.ExpertAt(key.Layer, key.Expert))
+			if _, ok := weights[key]; !ok {
+				for _, p := range parts {
+					clear(p)
+				}
 			}
-			for i, v := range params {
-				a.sum[i] += float64(w * v)
+			for _, p := range parts {
+				tensor.Axpy(w, params[:len(p)], p)
+				params = params[len(p):]
 			}
-			a.weight += w
+			weights[key] += w
 		}
 	}
 	//fluxvet:unordered disjoint per-expert writes into the global model; no cross-key accumulation
-	for key, a := range accs {
-		inv := 1 / a.weight
-		for i := range a.sum {
-			a.sum[i] *= inv
+	for key, w := range weights {
+		inv := 1 / w
+		for _, p := range expertParts(global.ExpertAt(key.Layer, key.Expert)) {
+			for i := range p {
+				p[i] *= inv
+			}
 		}
-		global.ExpertAt(key.Layer, key.Expert).LoadFlat(a.sum)
 	}
-	return len(accs)
+	return len(weights)
+}
+
+// expertParts is e's parameter storage in FlattenTo order.
+func expertParts(e *moe.Expert) [4][]float64 {
+	return [4][]float64{e.W1.Data, e.B1, e.W2.Data, e.B2}
 }
 
 // UpdateBytes returns the wire size of an update at FP32.

@@ -68,6 +68,13 @@ func TestTCPFederatedRound(t *testing.T) {
 	defer ln.Close()
 
 	snapshot := global.Clone()
+	// The replicas copy global before the server starts writing it: only
+	// the TCP exchange orders a copy made later before the server's
+	// aggregation, and the race detector does not see that order.
+	envs := make([]*Env, 3)
+	for i := range envs {
+		envs[i] = clientEnv(global, 3)
+	}
 	srv := testServer(global, 3, 2)
 	srv.Metrics = obs.NewRegistry()
 	serveErr := make(chan error, 1)
@@ -83,7 +90,7 @@ func TestTCPFederatedRound(t *testing.T) {
 			finals[i], errs[i] = RunClientContext(context.Background(), ClientConfig{
 				Participant: i,
 				Addr:        ln.Addr().String(),
-				Env:         clientEnv(global, 3),
+				Env:         envs[i],
 				Method:      fullSGD{},
 				Index:       i,
 			})

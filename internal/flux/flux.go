@@ -304,5 +304,5 @@ func mergeFlops(experts int, opt merge.Options) float64 {
 	e := float64(experts)
 	d := float64(opt.SketchDims)
 	iters := float64(opt.KMeansIters)
-	return e*d*iters*8 + d*d*float64(opt.PCADims)*40
+	return float64(e*d*iters*8) + float64(d*d*float64(opt.PCADims)*40)
 }

@@ -172,9 +172,11 @@ func (g *ExpertGrad) Norm() float64 {
 // summed in scratch and then added, so each dx[i] still takes its whole
 // sum in one add. The gate is a conditional move per unit, not a branch:
 // it runs for every expert, frozen ones included, and the ReLU pattern
-// defeats branch prediction. The weight gradients are one Axpy per row, in
-// their own pass that only a trainable expert makes: dW2 row j +=
-// hidden[j]·dy for the open units in ascending j, dW1 row i += x[i]·dh.
+// defeats branch prediction. The weight gradients are rank-1 updates, in
+// their own pass that only a trainable expert makes, each one tensor call
+// that is one Axpy per row: dW2 row j += hidden[j]·dy for the open units
+// (OuterNonzeroRows, branch-free over the ReLU pattern), dW1 row i +=
+// x[i]·dh for every row (OuterRows).
 // W1·dh and dW1 do not skip the zero entries of dh as a branch per term
 // would; for finite x and weights that changes no bit, because such a term
 // is ±0, and adding ±0 to an accumulator that started at +0 is a no-op —
@@ -197,12 +199,7 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 	}
 	if g != nil {
 		// dW2 += hiddenᵀ·dy over the open units
-		gw2 := g.W2.Data
-		for j, h := range hidden {
-			if h != 0 {
-				tensor.Axpy(h, dy, gw2[j*dim:(j+1)*dim])
-			}
-		}
+		tensor.OuterNonzeroRows(g.W2.Data, hidden, dy, dim)
 		// dB2 += dy; dB1 += dh; dW1 += xᵀ·dh
 		b2 := g.B2[:dim]
 		for k, d := range dy {
@@ -212,9 +209,7 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 		for j, d := range dh {
 			b1[j] += d
 		}
-		for i, xv := range x {
-			tensor.Axpy(xv, dh, g.W1.Data[i*ffn:(i+1)*ffn])
-		}
+		tensor.OuterRows(g.W1.Data, x, dh, ffn)
 	}
 	if dx == nil {
 		return

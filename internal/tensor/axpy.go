@@ -5,6 +5,9 @@ package tensor
 //   - Axpy form, y += a·x and y += xᵀW: every output element accumulates its
 //     own terms, and neighbouring outputs are independent. Axpy, AxpyRows
 //     and AxpyNonzeroRows.
+//   - Rank-1 form, G += x·yᵀ: one Axpy per row of G, so every element takes
+//     exactly one term. OuterRows and OuterNonzeroRows, the expert weight
+//     gradients.
 //   - Dot form, y = W·x: every output is one reduction, a single accumulator
 //     summed in ascending order from +0. DotRows (and Dot, its one-row case).
 //
@@ -21,16 +24,16 @@ package tensor
 // one operation; a NaN result stays a NaN in every form.
 //
 // The assembly vectorises across outputs and never along a reduction. The
-// Axpy forms put neighbouring columns in neighbouring lanes. DotRows keeps
-// four rows of W in the four lanes of one accumulator: it multiplies a 4×4
-// block of W by x elementwise and transposes the products in registers, so
-// each lane still adds its own row's terms in ascending order. Splitting one
-// row's sum across lanes would reorder it and change bits, which is why
-// Dot itself — a single reduction with no second output to vectorise
-// across — stays scalar, as do the layer-norm reductions. Softmax
-// vectorises its elementwise work, the exps and the divides, four lanes
-// wide, and adds each lane into its one scalar sum in ascending order; its
-// max is order-free.
+// Axpy and rank-1 forms put neighbouring columns in neighbouring lanes.
+// DotRows keeps four rows of W in the four lanes of one accumulator: it
+// multiplies a 4×4 block of W by x elementwise and transposes the products
+// in registers, so each lane still adds its own row's terms in ascending
+// order. Splitting one row's sum across lanes would reorder it and change
+// bits, which is why Dot itself — a single reduction with no second output
+// to vectorise across — stays scalar, as do the layer-norm reductions.
+// Softmax vectorises its elementwise work, the exps and the divides, four
+// lanes wide, and adds each lane into its one scalar sum in ascending order;
+// its max is order-free.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
 // must not overlap x. It is the inner kernel of the weighted expert sum,
@@ -78,6 +81,36 @@ func AxpyRows(y, x, w []float64, stride int) {
 func AxpyNonzeroRows(y, x, w []float64, stride int) {
 	checkRowShape("axpynonzerorows", y, x, w, stride)
 	axpyNonzeroRows(y, x, w, stride)
+}
+
+// OuterRows adds the outer product x·yᵀ into G: g[k·stride+j] += x[k]·y[j]
+// for every k < len(x) and j < len(y), where row k of G starts at
+// g[k·stride]. It is bit-identical to len(x) successive Axpy(x[k], y,
+// g[k·stride:k·stride+len(y)]) calls, but the assembly form keeps y in
+// registers across all rows and makes one call for the whole matrix. stride
+// must be at least len(y), g must hold the last row, and g must not overlap
+// x or y. It is the expert backward's dW1 sweep, dW1 += xᵀ·dh.
+//
+// Hot path: the W1 gradient of every trainable expert's backward; 0
+// allocs/op, pinned by TestAxpyKernelsZeroAllocs.
+func OuterRows(g, x, y []float64, stride int) {
+	checkRowShape("outerrows", y, x, g, stride)
+	outerRows(g, x, y, stride)
+}
+
+// OuterNonzeroRows is OuterRows over the rows whose x[k] is not zero: it is
+// bit-identical to one Axpy(x[k], y, row k of G) per k with x[k] != 0. As in
+// AxpyNonzeroRows the skip is the contract — a ±0 row would add ±0 terms,
+// flipping a -0 in G — a NaN x[k] is not zero, and the assembly form is
+// branch-free, compacting the nonzero rows first. The argument rules are
+// OuterRows'. It is the expert backward's dW2 sweep, dW2 += hiddenᵀ·dy over
+// the units the ReLU left open.
+//
+// Hot path: the W2 gradient of every trainable expert's backward; 0
+// allocs/op, pinned by TestAxpyKernelsZeroAllocs.
+func OuterNonzeroRows(g, x, y []float64, stride int) {
+	checkRowShape("outernonzerorows", y, x, g, stride)
+	outerNonzeroRows(g, x, y, stride)
 }
 
 // DotRows computes W·x into y: y[j] = Σₖ w[j·stride+k]·x[k] for every j <
@@ -159,6 +192,27 @@ func axpyNonzeroRowsGeneric(y, x, w []float64, stride int) {
 	for _, xv := range x {
 		if xv != 0 {
 			axpyGeneric(xv, w[off:off+len(y)], y)
+		}
+		off += stride
+	}
+}
+
+// outerRowsGeneric is the portable OuterRows: literally one Axpy per row.
+func outerRowsGeneric(g, x, y []float64, stride int) {
+	off := 0
+	for _, xv := range x {
+		axpyGeneric(xv, y, g[off:off+len(y)])
+		off += stride
+	}
+}
+
+// outerNonzeroRowsGeneric is the portable OuterNonzeroRows: one Axpy per
+// nonzero row.
+func outerNonzeroRowsGeneric(g, x, y []float64, stride int) {
+	off := 0
+	for _, xv := range x {
+		if xv != 0 {
+			axpyGeneric(xv, y, g[off:off+len(y)])
 		}
 		off += stride
 	}

@@ -32,6 +32,22 @@ func axpyNonzeroRows(y, x, w []float64, stride int) {
 	axpyNonzeroRowsGeneric(y, x, w, stride)
 }
 
+func outerRows(g, x, y []float64, stride int) {
+	if useAVX {
+		outerRowsAVX(g, x, y, stride)
+		return
+	}
+	outerRowsGeneric(g, x, y, stride)
+}
+
+func outerNonzeroRows(g, x, y []float64, stride int) {
+	if useAVX {
+		outerNonzeroRowsAVX(g, x, y, stride)
+		return
+	}
+	outerNonzeroRowsGeneric(g, x, y, stride)
+}
+
 func dotRows(y, x, w []float64, stride int) {
 	if useAVX {
 		dotRowsAVX(y, x, w, stride)
@@ -80,6 +96,21 @@ func axpyRowsAVX(y, x, w []float64, stride int)
 //
 //go:noescape
 func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
+
+// outerRowsAVX is outerRowsGeneric with y held in YMM registers across every
+// row of G: 16-column panels, then 8-, 4- and 1-column tails, each one pass
+// over the rows that multiplies the broadcast x[k] by the held y and adds
+// the products into row k. Lengths are the caller's check.
+//
+//go:noescape
+func outerRowsAVX(g, x, y []float64, stride int)
+
+// outerNonzeroRowsAVX is outerRowsAVX over a compacted row list, built per
+// chunk of up to 64 rows without a branch per row exactly as in
+// axpyNonzeroRowsAVX. Lengths are the caller's check.
+//
+//go:noescape
+func outerNonzeroRowsAVX(g, x, y []float64, stride int)
 
 // dotRowsAVX is dotRowsGeneric with four rows per YMM accumulator: each 4×4
 // block of W is multiplied by four elements of x and transposed in

@@ -362,6 +362,284 @@ nzdone:
 	VZEROUPPER
 	RET
 
+// func outerRowsAVX(g, x, y []float64, stride int)
+//
+// axpyRowsAVX's panels turned around: the panel's slice of y, not of the
+// output, is what stays in registers, and every row of G in the panel takes
+// one load, one add and one store. Per row the products x[k]·y go to Y5–Y8
+// and row k's values are the add's memory operand, as in axpyAVX.
+//
+// Register use: DI = &y[j], CX = columns left, SI = &x[0], BX = len(x),
+// DX = &g[j] (row 0 of the current panel), R8 = stride in bytes; per panel
+// R9 = &x[k], R10 = &g[k*stride+j], R11 = rows left.
+TEXT ·outerRowsAVX(SB), NOSPLIT, $0-80
+	MOVQ  g_base+0(FP), DX
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), BX
+	MOVQ  y_base+48(FP), DI
+	MOVQ  y_len+56(FP), CX
+	MOVQ  stride+72(FP), R8
+	SHLQ  $3, R8
+	TESTQ BX, BX
+	JEQ   outerdone
+
+opanel16:
+	CMPQ    CX, $16
+	JLT     opanel8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	MOVQ    BX, R11
+	PCALIGN $32
+
+orows16:
+	VBROADCASTSD (R9), Y0
+	VMULPD       Y1, Y0, Y5
+	VMULPD       Y2, Y0, Y6
+	VMULPD       Y3, Y0, Y7
+	VMULPD       Y4, Y0, Y8
+	VADDPD       (R10), Y5, Y5
+	VADDPD       32(R10), Y6, Y6
+	VADDPD       64(R10), Y7, Y7
+	VADDPD       96(R10), Y8, Y8
+	VMOVUPD      Y5, (R10)
+	VMOVUPD      Y6, 32(R10)
+	VMOVUPD      Y7, 64(R10)
+	VMOVUPD      Y8, 96(R10)
+	ADDQ         $8, R9
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          orows16
+	ADDQ         $128, DI
+	ADDQ         $128, DX
+	SUBQ         $16, CX
+	JMP          opanel16
+
+opanel8:
+	CMPQ    CX, $8
+	JLT     opanel4
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	MOVQ    BX, R11
+
+orows8:
+	VBROADCASTSD (R9), Y0
+	VMULPD       Y1, Y0, Y5
+	VMULPD       Y2, Y0, Y6
+	VADDPD       (R10), Y5, Y5
+	VADDPD       32(R10), Y6, Y6
+	VMOVUPD      Y5, (R10)
+	VMOVUPD      Y6, 32(R10)
+	ADDQ         $8, R9
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          orows8
+	ADDQ         $64, DI
+	ADDQ         $64, DX
+	SUBQ         $8, CX
+
+opanel4:
+	CMPQ    CX, $4
+	JLT     ocol1
+	VMOVUPD (DI), Y1
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	MOVQ    BX, R11
+
+orows4:
+	VBROADCASTSD (R9), Y0
+	VMULPD       Y1, Y0, Y5
+	VADDPD       (R10), Y5, Y5
+	VMOVUPD      Y5, (R10)
+	ADDQ         $8, R9
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          orows4
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	SUBQ         $4, CX
+
+ocol1:
+	TESTQ  CX, CX
+	JEQ    outerdone
+	VMOVSD (DI), X1
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   BX, R11
+
+orows1:
+	VMOVSD (R9), X0
+	VMULSD X1, X0, X5
+	VADDSD (R10), X5, X5
+	VMOVSD X5, (R10)
+	ADDQ   $8, R9
+	ADDQ   R8, R10
+	DECQ   R11
+	JNZ    orows1
+	ADDQ   $8, DI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    ocol1
+
+outerdone:
+	VZEROUPPER
+	RET
+
+// func outerNonzeroRowsAVX(g, x, y []float64, stride int)
+//
+// Per chunk of up to 64 rows, axpyNonzeroRowsAVX's compaction — the entry
+// {x[k], byte offset of row k in g} written at the list's end, the end
+// advanced by 16 bytes only when VCMPSD predicate 4 (NEQ_UQ: x[k] != 0, true
+// for NaN) sets the mask — then outerRowsAVX's panel sweep over the listed
+// rows alone. A zero row is never touched, exactly as in the portable loop,
+// and no branch depends on the zero pattern; a chunk whose list is empty is
+// passed over.
+//
+// Register use: SI = &x[k], BX = rows left, R8 = stride in bytes, R12 =
+// byte offset of row k, R9 = list end while compacting, R13 = list end
+// while sweeping; per chunk DI, CX and DX are y, len(y) and &g[0] advanced
+// by panel, and R10 walks the list. The list lives in the 1 KB frame.
+TEXT ·outerNonzeroRowsAVX(SB), $1024-80
+	MOVQ   x_base+24(FP), SI
+	MOVQ   x_len+32(FP), BX
+	MOVQ   stride+72(FP), R8
+	SHLQ   $3, R8
+	XORQ   R12, R12
+	VXORPD X10, X10, X10
+
+onzchunk:
+	TESTQ   BX, BX
+	JEQ     onzdone
+	MOVQ    $64, R11
+	CMPQ    BX, R11
+	CMOVQLT BX, R11
+	SUBQ    R11, BX
+	LEAQ    0(SP), R9
+
+onzcompact:
+	VMOVSD    (SI), X0
+	VCMPSD    $4, X10, X0, X1
+	VMOVMSKPD X1, AX
+	SHLQ      $4, AX
+	VMOVSD    X0, (R9)
+	MOVQ      R12, 8(R9)
+	ADDQ      AX, R9
+	ADDQ      $8, SI
+	ADDQ      R8, R12
+	DECQ      R11
+	JNZ       onzcompact
+	MOVQ      R9, R13
+	LEAQ      0(SP), R10
+	CMPQ      R10, R13
+	JEQ       onzchunk
+	MOVQ      y_base+48(FP), DI
+	MOVQ      y_len+56(FP), CX
+	MOVQ      g_base+0(FP), DX
+
+onzpanel16:
+	CMPQ    CX, $16
+	JLT     onzpanel8
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	LEAQ    0(SP), R10
+	PCALIGN $32
+
+onzrows16:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       Y1, Y0, Y5
+	VMULPD       Y2, Y0, Y6
+	VMULPD       Y3, Y0, Y7
+	VMULPD       Y4, Y0, Y8
+	VADDPD       (DX)(AX*1), Y5, Y5
+	VADDPD       32(DX)(AX*1), Y6, Y6
+	VADDPD       64(DX)(AX*1), Y7, Y7
+	VADDPD       96(DX)(AX*1), Y8, Y8
+	VMOVUPD      Y5, (DX)(AX*1)
+	VMOVUPD      Y6, 32(DX)(AX*1)
+	VMOVUPD      Y7, 64(DX)(AX*1)
+	VMOVUPD      Y8, 96(DX)(AX*1)
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          onzrows16
+	ADDQ         $128, DI
+	ADDQ         $128, DX
+	SUBQ         $16, CX
+	JMP          onzpanel16
+
+onzpanel8:
+	CMPQ    CX, $8
+	JLT     onzpanel4
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	LEAQ    0(SP), R10
+
+onzrows8:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       Y1, Y0, Y5
+	VMULPD       Y2, Y0, Y6
+	VADDPD       (DX)(AX*1), Y5, Y5
+	VADDPD       32(DX)(AX*1), Y6, Y6
+	VMOVUPD      Y5, (DX)(AX*1)
+	VMOVUPD      Y6, 32(DX)(AX*1)
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          onzrows8
+	ADDQ         $64, DI
+	ADDQ         $64, DX
+	SUBQ         $8, CX
+
+onzpanel4:
+	CMPQ    CX, $4
+	JLT     onzcol1
+	VMOVUPD (DI), Y1
+	LEAQ    0(SP), R10
+
+onzrows4:
+	VBROADCASTSD (R10), Y0
+	MOVQ         8(R10), AX
+	VMULPD       Y1, Y0, Y5
+	VADDPD       (DX)(AX*1), Y5, Y5
+	VMOVUPD      Y5, (DX)(AX*1)
+	ADDQ         $16, R10
+	CMPQ         R10, R13
+	JNE          onzrows4
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	SUBQ         $4, CX
+
+onzcol1:
+	TESTQ  CX, CX
+	JEQ    onzchunk
+	VMOVSD (DI), X1
+	LEAQ   0(SP), R10
+
+onzrows1:
+	VMOVSD (R10), X0
+	MOVQ   8(R10), AX
+	VMULSD X1, X0, X5
+	VADDSD (DX)(AX*1), X5, X5
+	VMOVSD X5, (DX)(AX*1)
+	ADDQ   $16, R10
+	CMPQ   R10, R13
+	JNE    onzrows1
+	ADDQ   $8, DI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    onzcol1
+
+onzdone:
+	VZEROUPPER
+	RET
+
 // DOTBLOCK adds one 4×4 block of W into the accumulator acc: the rows at
 // base, base+R8, base+AX and base+R12 (lanes 0–3), columns k..k+3. The
 // transpose is half done by the loads: each YMM gets two columns of two rows,

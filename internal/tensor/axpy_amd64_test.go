@@ -32,6 +32,14 @@ func TestAxpyNonzeroRowsAVXBitIdentity(t *testing.T) {
 	checkRows(t, false, true, axpyNonzeroRowsAVX, axpyNonzeroRowsGeneric)
 }
 
+func TestOuterRowsAVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkOuter(t, outerRowsAVX, outerRowsGeneric)
+	checkOuter(t, outerNonzeroRowsAVX, outerNonzeroRowsGeneric)
+}
+
 func TestReLUAVXBitIdentity(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this machine")

@@ -8,6 +8,10 @@ func axpyRows(y, x, w []float64, stride int) { axpyRowsGeneric(y, x, w, stride) 
 
 func axpyNonzeroRows(y, x, w []float64, stride int) { axpyNonzeroRowsGeneric(y, x, w, stride) }
 
+func outerRows(g, x, y []float64, stride int) { outerRowsGeneric(g, x, y, stride) }
+
+func outerNonzeroRows(g, x, y []float64, stride int) { outerNonzeroRowsGeneric(g, x, y, stride) }
+
 func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }
 
 func relu(y []float64) { reluGeneric(y) }

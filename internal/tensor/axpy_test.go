@@ -41,6 +41,24 @@ func scalarAxpyNonzeroRows(y, x, w []float64, stride int) {
 	}
 }
 
+// scalarOuterRows is OuterRows' specification: one scalarAxpy of y into
+// each row of g.
+func scalarOuterRows(g, x, y []float64, stride int) {
+	for k, xv := range x {
+		scalarAxpy(xv, y, g[k*stride:k*stride+len(y)])
+	}
+}
+
+// scalarOuterNonzeroRows is OuterNonzeroRows' specification: one scalarAxpy
+// of y into each row of g whose x[k] is not zero.
+func scalarOuterNonzeroRows(g, x, y []float64, stride int) {
+	for k, xv := range x {
+		if xv != 0 {
+			scalarAxpy(xv, y, g[k*stride:k*stride+len(y)])
+		}
+	}
+}
+
 // scalarDotRows is DotRows' specification: one accumulator per row, from +0,
 // one rounded multiply and one rounded add per term in ascending k.
 func scalarDotRows(y, x, w []float64, stride int) {
@@ -259,6 +277,58 @@ func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float6
 	}
 }
 
+// outerLens are the row lengths of the rank-1 grid: every length through
+// rowsFullGrid, then lengths on and around each panel boundary and the
+// expert FFN's 24 and 48, so every 16-, 8-, 4- and 1-column step of the
+// assembly and their combinations run.
+var outerLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+	23, 24, 25, 28, 31, 32, 33, 47, 48, 49, 63, 64, 67, axpyMaxLen}
+
+// checkOuter runs got and want on identical copies of every case of the
+// rank-1 grid and compares them bit for bit: every row length of outerLens
+// × 0–70 rows (more than one 64-row compaction chunk), x/y offsets 0–3 (G's
+// one more, mod 4) with axpyGuard guard elements on each side of G, and
+// strides n…n+3, where n is the row length. Short shapes run all 16 offset
+// × stride combinations and longer ones one each, cycling, as in
+// checkRows. mixedFill puts ±0 into x — rows the nonzero form must skip —
+// and -0 into G, where a skipped row must leave it; every x also gets one
+// NaN, a row both forms must apply.
+func checkOuter(t *testing.T, got, want func(g, x, y []float64, stride int)) {
+	t.Helper()
+	r := NewRNG(41)
+	xBuf := make([]float64, rowsMaxLen+3)
+	yBuf := make([]float64, axpyMaxLen+3)
+	gInit := make([]float64, axpyGuard+(axpyMaxLen+3)*(rowsMaxLen+3)+3+axpyGuard)
+	gGot := make([]float64, len(gInit))
+	gWant := make([]float64, len(gInit))
+	mixedFill(r, gInit)
+	for _, n := range outerLens {
+		mixedFill(r, yBuf)
+		for rows := 0; rows <= rowsMaxLen; rows++ {
+			mixedFill(r, xBuf)
+			xBuf[r.Intn(len(xBuf))] = x86NaN
+			for c := 0; c < 16; c++ {
+				if (n > rowsFullGrid || rows > rowsFullGrid) && c != (n*(rowsMaxLen+1)+rows)%16 {
+					continue
+				}
+				off, stride := c/4, n+c%4
+				offG := axpyGuard + (off+1)%4
+				gLen := 0
+				if rows > 0 {
+					gLen = (rows-1)*stride + n
+				}
+				used := offG + gLen + axpyGuard
+				copy(gGot[:used], gInit)
+				copy(gWant[:used], gInit)
+				x, y := xBuf[off:off+rows], yBuf[off:off+n]
+				got(gGot[offG:offG+gLen], x, y, stride)
+				want(gWant[offG:offG+gLen], x, y, stride)
+				sameBits(t, fmt.Sprintf("len(y) %d, len(x) %d, offset %d, stride %d", n, rows, off, stride), gGot[:used], gWant[:used])
+			}
+		}
+	}
+}
+
 // checkReLU runs got and want on identical copies of every ReLU case —
 // lengths 0–130 at offsets 0–3, axpyGuard guard elements on each side — and
 // compares the whole buffers bit for bit.
@@ -298,6 +368,13 @@ func TestDotRowsPortableBitIdentity(t *testing.T) {
 // to the one-Axpy-per-nonzero-row reference, NaN rows included.
 func TestAxpyNonzeroRowsPortableBitIdentity(t *testing.T) {
 	checkRows(t, false, true, axpyNonzeroRowsGeneric, scalarAxpyNonzeroRows)
+}
+
+// TestOuterRowsPortableBitIdentity pins the portable rank-1 kernels — one
+// Axpy per row, and per nonzero row — to their references.
+func TestOuterRowsPortableBitIdentity(t *testing.T) {
+	checkOuter(t, outerRowsGeneric, scalarOuterRows)
+	checkOuter(t, outerNonzeroRowsGeneric, scalarOuterNonzeroRows)
 }
 
 // TestReLUPortableBitIdentity pins the portable ReLU to its specification.
@@ -358,6 +435,53 @@ func TestAxpyNonzeroRowsSkipContract(t *testing.T) {
 	}
 }
 
+// TestOuterNonzeroRowsSkipContract is TestAxpyNonzeroRowsSkipContract for
+// the rank-1 form: ±0 rows leave a -0 in G untouched and a NaN row is
+// applied, through the exported kernel, over more rows than one compaction
+// chunk holds; OuterRows applies every row, the zero ones included.
+func TestOuterNonzeroRowsSkipContract(t *testing.T) {
+	const rows = 70
+	for _, n := range []int{1, 3, 4, 8, 13, 16, 24, 29, 48} {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = float64(i%5) - 2 // ±, and exact zeros too
+		}
+		x := make([]float64, rows)
+		for k := range x {
+			if k%2 == 1 {
+				x[k] = math.Copysign(0, -1)
+			}
+		}
+		x[66] = math.NaN()
+		negZero := math.Copysign(0, -1)
+		g := make([]float64, rows*n)
+		for i := range g {
+			g[i] = negZero
+		}
+		OuterNonzeroRows(g, x, y, n)
+		for i, v := range g {
+			if k := i / n; k == 66 {
+				if !math.IsNaN(v) {
+					t.Fatalf("n=%d: g[%d] = %v after the NaN row, want NaN", n, i, v)
+				}
+			} else if math.Float64bits(v) != 1<<63 {
+				t.Fatalf("n=%d: g[%d] = %v after a zero row, want -0", n, i, v)
+			}
+		}
+		for i := range g {
+			g[i] = negZero
+		}
+		x[66] = 0
+		OuterRows(g, x, y, n)
+		for i, v := range g {
+			// An even row is +0·y: where y > 0 its +0 term turns -0 into +0.
+			if k, j := i/n, i%n; k%2 == 0 && y[j] > 0 && math.Float64bits(v) != 0 {
+				t.Fatalf("n=%d: OuterRows left g[%d] = %v; the +0 row %d was skipped", n, i, v, k)
+			}
+		}
+	}
+}
+
 func TestAxpyKernelsPanic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -369,6 +493,10 @@ func TestAxpyKernelsPanic(t *testing.T) {
 		{"AxpyRows short w", func() { AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+3), 5) }},
 		{"AxpyNonzeroRows stride shorter than y", func() { AxpyNonzeroRows(make([]float64, 4), make([]float64, 2), make([]float64, 8), 3) }},
 		{"AxpyNonzeroRows short w", func() { AxpyNonzeroRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+3), 5) }},
+		{"OuterRows stride shorter than y", func() { OuterRows(make([]float64, 8), make([]float64, 2), make([]float64, 4), 3) }},
+		{"OuterRows short g", func() { OuterRows(make([]float64, 2*5+3), make([]float64, 3), make([]float64, 4), 5) }},
+		{"OuterNonzeroRows stride shorter than y", func() { OuterNonzeroRows(make([]float64, 8), make([]float64, 2), make([]float64, 4), 3) }},
+		{"OuterNonzeroRows short g", func() { OuterNonzeroRows(make([]float64, 2*5+3), make([]float64, 3), make([]float64, 4), 5) }},
 		{"DotRows stride shorter than x", func() { DotRows(make([]float64, 2), make([]float64, 4), make([]float64, 8), 3) }},
 		{"DotRows negative stride", func() { DotRows(make([]float64, 2), nil, make([]float64, 8), -1) }},
 		{"DotRows short w", func() { DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+3), 5) }},
@@ -389,6 +517,9 @@ func TestAxpyKernelsPanic(t *testing.T) {
 	AxpyRows(nil, make([]float64, 3), nil, 0)
 	AxpyRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+4), 5)
 	AxpyNonzeroRows(make([]float64, 4), make([]float64, 3), make([]float64, 2*5+4), 5)
+	OuterRows(make([]float64, 2*5+4), make([]float64, 3), make([]float64, 4), 5)
+	OuterNonzeroRows(make([]float64, 2*5+4), make([]float64, 3), make([]float64, 4), 5)
+	OuterRows(nil, nil, make([]float64, 4), 4)
 	DotRows(nil, make([]float64, 4), nil, 4)
 	DotRows(make([]float64, 3), nil, nil, 0)
 	DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+4), 5)
@@ -403,11 +534,13 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		AxpyRows(y, x, w, 48)
 		AxpyNonzeroRows(y, x, w, 48)
 		DotRows(x, y, w, 48)
+		OuterRows(w, x, y, 48)
+		OuterNonzeroRows(w, x, y, 48)
 		ReLU(y)
 		Softmax(y[:len(x)], x)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
 
 	// MatMulInto on a warm scratch, through both the single-block path and
@@ -541,4 +674,55 @@ func BenchmarkAxpyNonzeroRows(b *testing.B) {
 			AxpyNonzeroRows(y, x, w, cols)
 		}
 	})
+}
+
+// outerShapes are the expert backward's two rank-1 shapes, rows×cols: 24×48
+// (dW1 += xᵀ·dh, dim × ffn) and 48×24 (dW2 += hiddenᵀ·dy, ffn × dim).
+var outerShapes = []struct{ rows, cols int }{{24, 48}, {48, 24}}
+
+// BenchmarkOuterRows runs OuterRows at the expert weight-gradient shapes.
+func BenchmarkOuterRows(b *testing.B) {
+	for _, sh := range outerShapes {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			g := NewRNG(8)
+			x := make([]float64, sh.rows)
+			y := make([]float64, sh.cols)
+			w := make([]float64, sh.rows*sh.cols)
+			for i := range x {
+				x[i] = 1e-3 * g.Norm() // small: the gradient stays far from overflow
+			}
+			for i := range y {
+				y[i] = g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				OuterRows(w, x, y, sh.cols)
+			}
+		})
+	}
+}
+
+// BenchmarkOuterNonzeroRows runs OuterNonzeroRows at the same shapes with
+// about half of x zero, in a random pattern, as a ReLU output leaves it.
+func BenchmarkOuterNonzeroRows(b *testing.B) {
+	for _, sh := range outerShapes {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			g := NewRNG(9)
+			x := make([]float64, sh.rows)
+			y := make([]float64, sh.cols)
+			w := make([]float64, sh.rows*sh.cols)
+			for i := range x {
+				x[i] = 1e-3 * max(g.Norm(), 0)
+			}
+			for i := range y {
+				y[i] = g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				OuterNonzeroRows(w, x, y, sh.cols)
+			}
+		})
+	}
 }

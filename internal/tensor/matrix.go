@@ -204,20 +204,6 @@ func MatMulTransAInto(out, a, b *Matrix) {
 	}
 }
 
-// TransposeInto writes mᵀ into a preallocated out. Every element is
-// overwritten.
-func TransposeInto(out, m *Matrix) {
-	if out.Rows != m.Cols || out.Cols != m.Rows {
-		panic("tensor: transpose output shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
-		}
-	}
-}
-
 // Add computes m += other elementwise.
 func (m *Matrix) Add(other *Matrix) {
 	checkSameShape(m, other)

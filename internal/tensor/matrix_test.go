@@ -13,11 +13,26 @@ func mul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// transposeInto writes mᵀ into a preallocated out, overwriting every
+// element: the explicit transpose the TransA/TransB kernel tests check
+// against.
+func transposeInto(out, m *Matrix) {
+	if out.Rows != m.Cols || out.Cols != m.Rows {
+		panic("tensor: transpose output shape mismatch")
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			out.Data[j*out.Cols+i] = v
+		}
+	}
+}
+
 // transposed is mᵀ in a fresh matrix: the explicit-transpose oracle of the
 // TransA/TransB kernel tests.
 func transposed(m *Matrix) *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	TransposeInto(out, m)
+	transposeInto(out, m)
 	return out
 }
 

@@ -91,7 +91,7 @@ func TestMatMulTransIntoMatchesAlloc(t *testing.T) {
 	}{
 		{"MatMulTransBInto", 6, 5, func(out *Matrix) { MatMulTransBInto(out, a, b) }},
 		{"MatMulTransAInto", 4, 3, func(out *Matrix) { MatMulTransAInto(out, b, c) }},
-		{"TransposeInto", 4, 6, func(out *Matrix) { TransposeInto(out, a) }},
+		{"transposeInto", 4, 6, func(out *Matrix) { transposeInto(out, a) }},
 	}
 	for _, k := range kernels {
 		fresh := NewMatrix(k.rows, k.cols)
