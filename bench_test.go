@@ -374,9 +374,22 @@ func BenchmarkMatMul(b *testing.B) {
 // every fluxbench workload pre-trains for, which is most of fluxbench's
 // setup_s. It runs the all-trainable forward/backward path with embedding
 // gradients, which no other rung covers.
-func BenchmarkPretrain(b *testing.B) {
+func BenchmarkPretrain(b *testing.B) { benchPretrain(b, 0) }
+
+// BenchmarkPretrainWidth is BenchmarkPretrain at a pinned Config.Workers:
+// the width of moe.PretrainContext's wavefront, whose workers=1 row is the
+// serial schedule on the calling goroutine. The gap between the rows is
+// what the pool saves every cold setup.
+func BenchmarkPretrainWidth(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchPretrain(b, workers) })
+	}
+}
+
+func benchPretrain(b *testing.B, workers int) {
 	cfg := fed.DefaultConfig()
 	cfg.PretrainSteps = 24
+	cfg.Workers = workers
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fed.ResetBaseModelCache()
@@ -445,11 +458,11 @@ func BenchmarkFedAggregate(b *testing.B) {
 }
 
 // BenchmarkModelCodec is the model codec on the LLaMA stand-in, both ends of
-// every TCP broadcast: op=encode is EncodeBytes (one allocation, the exactly
-// sized buffer), op=decode is DecodeBytes with its shape checks into a new
-// model, and op=decode-into is a client's DecodeInto of the same bytes into
-// the replica it keeps (no allocation). CI publishes it into
-// bench/BENCH_micro.json.
+// every TCP broadcast: op=encode is the server's AppendEncoded into the
+// buffer it keeps across rounds (no allocation), op=decode is DecodeBytes
+// with its shape checks into a new model (the checkpoint-load path), and
+// op=decode-into is a client's DecodeInto of the same bytes into the replica
+// it keeps (no allocation). CI publishes it into bench/BENCH_micro.json.
 func BenchmarkModelCodec(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-codec"))
 	blob, err := m.EncodeBytes()
@@ -457,9 +470,11 @@ func BenchmarkModelCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("op=encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(blob))
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.EncodeBytes(); err != nil {
+			if buf, err = m.AppendEncoded(buf[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}

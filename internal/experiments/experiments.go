@@ -4,8 +4,8 @@
 // "quick" mode used by the benchmark harness (fewer rounds/samples, same
 // workload shapes).
 //
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-versus-measured discussion.
+// `fluxsim -list` prints the experiment index, and README's "Regenerating
+// the paper's evaluation" section shows how to run it.
 package experiments
 
 import (

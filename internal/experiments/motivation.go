@@ -49,7 +49,7 @@ func Table1(Options) *Table {
 	for _, e := range moe.Catalog() {
 		t.AddRow(e.Name, fmt.Sprintf("%d/%d", e.Layers, e.Experts), f2(e.Params), f2(e.SizeGB))
 	}
-	t.Notes = append(t.Notes, "reference metadata; runnable sim configs are scaled-down (see DESIGN.md)")
+	t.Notes = append(t.Notes, "reference metadata; the runnable sim configs are scaled-down stand-ins (moe.SimConfig*)")
 	return t
 }
 

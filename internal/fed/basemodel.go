@@ -33,6 +33,11 @@ func BaseModel(modelCfg moe.Config, cfg Config) (*moe.Model, error) {
 // BaseModelContext is BaseModel with cancellation: pre-training polls the
 // context between steps, and a canceled construction returns the context's
 // error without populating the cache.
+//
+// Pre-training runs each step's batch over cfg.Workers goroutines (zero
+// meaning GOMAXPROCS, clamped to the batch) as moe.PretrainContext's
+// wavefront, which is bit-identical at every width: the cache key leaves
+// the width out, so a model cached at one width serves every other.
 func BaseModelContext(ctx context.Context, modelCfg moe.Config, cfg Config) (*moe.Model, error) {
 	key := fmt.Sprintf("%s/%d/%d/%g", modelCfg.Name, cfg.PretrainSteps, cfg.PretrainBatch, cfg.PretrainLR)
 	baseMu.Lock()
@@ -52,7 +57,7 @@ func BaseModelContext(ctx context.Context, modelCfg moe.Config, cfg Config) (*mo
 		return seq
 	}
 	if _, err := moe.PretrainContext(ctx, model, sampler, cfg.PretrainSteps, cfg.PretrainBatch, cfg.PretrainLR,
-		tensor.Named("pretrain-run/"+modelCfg.Name)); err != nil {
+		tensor.Named("pretrain-run/"+modelCfg.Name), poolWidth(cfg.Workers, cfg.PretrainBatch)); err != nil {
 		return nil, err // partially trained; do not cache
 	}
 	baseCache[key] = model

@@ -37,6 +37,15 @@
 // a model never half-quantized. Only one fan-out runs at a time on an Env:
 // they share the worker scratch.
 //
+// Base-model pre-training (BaseModelContext) runs before any Env exists,
+// at the same width (poolWidth of Cfg.Workers, clamped to the batch), and
+// keeps the three legs inside each step of moe.PretrainContext: the step's
+// sequences are drawn in batch order before its wavefront starts, each
+// backward stage writes only its own gradient block, and ownership of a
+// block passes from sequence to sequence in batch order, so every block
+// accumulates in the serial order; the loss sum and the SGD update follow
+// the join. TestPretrainWidthBitIdentity (internal/moe) pins it.
+//
 // Each worker owns a Scratch whose buffers (local model clone, gradient
 // accumulator, workspace, update-flattening arena) persist across rounds, so
 // steady-state rounds stop allocating whole models.
@@ -135,18 +144,15 @@ func (s *Scratch) ExtractUpdate(local *moe.Model, participant int, weight float6
 // Cfg.Workers, with zero meaning GOMAXPROCS, clamped to n (the cohort for
 // the participant phase, the samples for Evaluate, the quantization units
 // for QuantizedGlobal).
-func (e *Env) workersFor(n int) int {
-	w := e.Cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+func (e *Env) workersFor(n int) int { return poolWidth(e.Cfg.Workers, n) }
+
+// poolWidth is a fan-out's width over n units for the Config.Workers value
+// workers: zero means GOMAXPROCS, and the width is clamped to [1, n].
+func poolWidth(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(workers, n))
 }
 
 // Workers is the width of a full round's participant fan-out: Cfg.Workers,

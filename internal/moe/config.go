@@ -11,11 +11,10 @@
 // at laptop scale.
 //
 // Two deliberate simplifications are made in the backward pass, both standard
-// practice and documented in DESIGN.md: gradients are not propagated through
-// the softmax routing probabilities (gates are frozen after pre-training, as
-// in the paper's expert-only fine-tuning), and attention probabilities are
-// treated as constants in backward (straight-through), so gradients flow
-// through the value path only.
+// practice: gradients are not propagated through the softmax routing
+// probabilities (gates are never trained, as in the paper's expert-only
+// fine-tuning), and attention probabilities are treated as constants in
+// backward (straight-through), so gradients flow through the value path only.
 package moe
 
 import "fmt"

@@ -68,7 +68,7 @@ func decodeVariants(t *testing.T, cfg Config) []decodeVariant {
 	fresh := MustNew(cfg, tensor.Named("decode/"+cfg.Name))
 	trained := fresh.Clone()
 	if _, err := PretrainContext(context.Background(), trained, func(g *tensor.RNG) []int { return wsSeq(g, cfg.VocabSize, 12) },
-		6, 2, 0.5, tensor.NewRNG(31)); err != nil {
+		6, 2, 0.5, tensor.NewRNG(31), 1); err != nil {
 		t.Fatal(err)
 	}
 	specs := make([]LayerSpec, cfg.Layers())

@@ -77,12 +77,29 @@ type layerCache struct {
 	x1    *tensor.Matrix // after attention residual
 	xMid  *tensor.Matrix // LN(x1), MoE input
 	out   *tensor.Matrix // layer output (next layer's input; kept alive per layer)
-	// Per token routing decisions and per-slot expert state.
-	routedExperts [][]int       // [t][slot] expert index (into Experts)
-	routedWeights [][]float64   // [t][slot] normalized gate weight
-	hidden        [][][]float64 // [t][slot] expert hidden activations
-	invStd1       []float64     // LN statistics for backward approximation
-	invStd2       []float64
+	// Per token routing decisions and per-slot expert state, flat so that a
+	// cache grows in a few allocations rather than a few per token: token
+	// t's slots are [t·slots, t·slots+nRouted[t]), and slot i's expert
+	// hidden activations are hidden[i·hStride:][:FFN width].
+	slots, hStride int
+	nRouted        []int     // [t] slots used: distinct experts routed to
+	routedExperts  []int     // [slot] expert index (into Experts)
+	routedWeights  []float64 // [slot] normalized gate weight
+	hidden         []float64
+	invStd1        []float64 // LN statistics for backward approximation
+	invStd2        []float64
+}
+
+// routes returns the first slot of token t and the experts it was routed
+// to, one per slot.
+func (c *layerCache) routes(t int) (int, []int) {
+	i := t * c.slots
+	return i, c.routedExperts[i : i+c.nRouted[t]]
+}
+
+// hiddenAt returns slot i's expert hidden activations.
+func (c *layerCache) hiddenAt(i int) []float64 {
+	return c.hidden[i*c.hStride : (i+1)*c.hStride]
 }
 
 // routeToken computes the top-k routing for gate probabilities over original
@@ -198,9 +215,15 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	out.CopyFrom(c.x1)
 	ws.gateLogits = tensor.Grow(ws.gateLogits, T, l.OrigExperts)
 	ws.mul.MatMulInto(ws.gateLogits, c.xMid, l.Gate)
-	c.routedExperts = growOuterInts(c.routedExperts, T)
-	c.routedWeights = growOuterFloats(c.routedWeights, T)
-	c.hidden = growOuterHidden(c.hidden, T)
+	// A token routes to at most TopK distinct experts.
+	c.slots, c.hStride = l.TopK, 0
+	for _, ex := range l.Experts {
+		c.hStride = max(c.hStride, len(ex.B1))
+	}
+	c.nRouted = growInts(c.nRouted, T)
+	c.routedExperts = growInts(c.routedExperts, T*c.slots)
+	c.routedWeights = growFloats(c.routedWeights, T*c.slots)
+	c.hidden = growFloats(c.hidden, T*c.slots*c.hStride)
 	ws.gateProbs = growFloats(ws.gateProbs, l.OrigExperts)
 	ws.eOut = growFloats(ws.eOut, D)
 	probs := ws.gateProbs
@@ -208,17 +231,15 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	for t := 0; t < T; t++ {
 		xt := c.xMid.Row(t)
 		tensor.Softmax(probs, ws.gateLogits.Row(t))
+		// routeToken appends in place: its slices have room for every slot.
+		i := t * c.slots
 		experts, weights, orig := l.routeToken(probs, ws,
-			c.routedExperts[t][:0], c.routedWeights[t][:0], ws.routeOrig[:0])
-		c.routedExperts[t] = experts
-		c.routedWeights[t] = weights
+			c.routedExperts[i:i:i+c.slots], c.routedWeights[i:i:i+c.slots], ws.routeOrig[:0])
+		c.nRouted[t] = len(experts)
 		ws.routeOrig = orig
-		c.hidden[t] = growOuterFloats(c.hidden[t], len(experts))
 		orow := out.Row(t)
 		for s, ei := range experts {
-			h := growFloats(c.hidden[t][s], l.Experts[ei].W1.Cols)
-			l.Experts[ei].Forward(xt, h, eOut)
-			c.hidden[t][s] = h
+			l.Experts[ei].Forward(xt, c.hiddenAt(i+s), eOut)
 			tensor.Axpy(weights[s], eOut[:D], orow[:D])
 		}
 		if stats != nil {
@@ -314,12 +335,13 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 		if propagate {
 			dx = ws.dXMid.Row(t)
 		}
-		for s, ei := range c.routedExperts[t] {
+		i, experts := c.routes(t)
+		for s, ei := range experts {
 			ex := l.Experts[ei]
 			if ex.Frozen && !propagate {
 				continue
 			}
-			w := c.routedWeights[t][s]
+			w := c.routedWeights[i+s]
 			for d := 0; d < D; d++ {
 				dyTok[d] = w * dorow[d]
 			}
@@ -329,7 +351,7 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 				grads.recordTokenGrad(layerIdx, ei, dyTok)
 				g = grads.expertGrad(layerIdx, ei, ex)
 			}
-			ex.Backward(g, xt, c.hidden[t][s], dyTok, dx, ws.dh)
+			ex.Backward(g, xt, c.hiddenAt(i+s), dyTok, dx, ws.dh)
 		}
 	}
 	if !propagate {

@@ -266,58 +266,88 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 // lossBackward is the rest of a training step after the forward pass that
 // produced logits on ws: it returns the masked mean cross-entropy of seq
 // and, unless grads is nil, runs the backward pass through the per-layer
-// caches and final layer-norm state that pass left in ws.
+// caches and final layer-norm state that pass left in ws, one
+// backwardStage after another.
 func (m *Model) lossBackward(ws *Workspace, logits *tensor.Matrix, seq []int, mask []bool, grads *Grads) float64 {
-	caches, normed, invStd := ws.caches[:len(m.Layers)], ws.normed, ws.invStd
+	loss, n := lossGrad(ws, logits, seq, mask)
+	if n == 0 || grads == nil {
+		return loss
+	}
+	// Only trainable experts and the embedding consume dL/dx, so unless the
+	// embedding trains the chain ends at the lowest layer holding a
+	// trainable expert: that layer gets a nil input gradient and the layers
+	// below are not visited.
+	stop := 0
+	if grads.Embed == nil {
+		stop = m.lowestTrainableLayer()
+	}
+	for s := range m.backwardStages() {
+		m.backwardStage(ws, s, stop, seq, grads)
+	}
+	return loss
+}
+
+// lossGrad returns the masked mean cross-entropy of seq under logits and
+// the number of scored positions, leaving dL/dlogits in ws for
+// backwardStage. With no scored position the loss is 0 and there is no
+// gradient to propagate.
+func lossGrad(ws *Workspace, logits *tensor.Matrix, seq []int, mask []bool) (float64, int) {
 	ws.dLogits = tensor.Grow(ws.dLogits, logits.Rows, logits.Cols)
 	ws.dLogits.Zero() // masked rows are never written by crossEntropy
 	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
-	loss, n := crossEntropy(logits, seq, mask, ws.dLogits, ws.ceProbs)
-	if n == 0 {
-		return 0
-	}
-	if grads == nil {
-		return loss
-	}
+	return crossEntropy(logits, seq, mask, ws.dLogits, ws.ceProbs)
+}
 
-	// Head backward: logits = normed × Head.
-	if grads.Head != nil {
-		ws.headGrad = tensor.Grow(ws.headGrad, normed.Cols, ws.dLogits.Cols)
-		tensor.MatMulTransAInto(ws.headGrad, normed, ws.dLogits)
-		grads.Head.Add(ws.headGrad)
-	}
-	ws.dNormed = tensor.Grow(ws.dNormed, ws.dLogits.Rows, m.Head.Rows)
-	tensor.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)
-	// Final LN backward (exact).
-	ws.dX[0] = tensor.Grow(ws.dX[0], ws.dNormed.Rows, ws.dNormed.Cols)
-	ws.dX[1] = tensor.Grow(ws.dX[1], ws.dNormed.Rows, ws.dNormed.Cols)
-	dX := ws.dX[0]
-	dX.Zero() // layerNormBackward accumulates
-	for t := 0; t < dX.Rows; t++ {
-		layerNormBackward(dX.Row(t), ws.dNormed.Row(t), normed.Row(t), invStd[t])
-	}
-	// The dL/dx chain ping-pongs between the two workspace matrices: layer
-	// l's input gradient becomes layer l-1's output gradient. Only trainable
-	// experts and the embedding consume it, so unless the embedding trains
-	// the chain ends at the lowest layer holding a trainable expert: that
-	// layer gets a nil input gradient and the layers below are not visited.
-	trainEmbed := grads.Embed != nil
-	stop := 0
-	if !trainEmbed {
-		stop = m.lowestTrainableLayer()
-	}
-	buf := 1
-	for l := len(m.Layers) - 1; l >= stop; l-- {
-		var dNext *tensor.Matrix
-		if l > stop || trainEmbed {
-			dNext = ws.dX[buf]
+// backwardStages is the number of stages of one sequence's backward pass:
+// the head, then every layer from the top, then the embedding.
+func (m *Model) backwardStages() int { return len(m.Layers) + 2 }
+
+// backwardStage runs stage s of the backward pass whose forward pass and
+// loss gradient (lossGrad) ws holds: stage 0 is the head and the final layer
+// norm, stage s in [1, L] is layer L−s, and stage L+1 is the embedding.
+// Stage s reads only what stage s−1 left in ws, and besides ws it writes
+// only its own block of grads: the head gradient, layer L−s's expert
+// gradients and token-gradient counters, or the embedding gradient. That is
+// what lets PretrainContext run one sequence's stage s while another
+// sequence runs a different stage on its own workspace. stop is the lowest
+// layer the pass visits (see lossBackward).
+func (m *Model) backwardStage(ws *Workspace, s, stop int, seq []int, grads *Grads) {
+	L := len(m.Layers)
+	switch {
+	case s == 0:
+		// Head backward: logits = normed × Head.
+		normed := ws.normed
+		if grads.Head != nil {
+			ws.headGrad = tensor.Grow(ws.headGrad, normed.Cols, ws.dLogits.Cols)
+			tensor.MatMulTransAInto(ws.headGrad, normed, ws.dLogits)
+			grads.Head.Add(ws.headGrad)
 		}
-		m.Layers[l].Backward(l, caches[l], dX, dNext, ws, grads)
-		dX = dNext
-		buf = 1 - buf
-	}
-	// Embedding backward.
-	if trainEmbed {
+		ws.dNormed = tensor.Grow(ws.dNormed, ws.dLogits.Rows, m.Head.Rows)
+		tensor.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)
+		// Final LN backward (exact).
+		ws.dX[0] = tensor.Grow(ws.dX[0], ws.dNormed.Rows, ws.dNormed.Cols)
+		ws.dX[1] = tensor.Grow(ws.dX[1], ws.dNormed.Rows, ws.dNormed.Cols)
+		dX := ws.dX[0]
+		dX.Zero() // layerNormBackward accumulates
+		for t := 0; t < dX.Rows; t++ {
+			layerNormBackward(dX.Row(t), ws.dNormed.Row(t), normed.Row(t), ws.invStd[t])
+		}
+	case s <= L:
+		// The dL/dx chain ping-pongs between the two workspace matrices:
+		// stage s reads dX[(s−1)%2] and writes layer L−s's input gradient,
+		// the next stage's output gradient, into dX[s%2].
+		l := L - s
+		if l < stop {
+			return
+		}
+		var dNext *tensor.Matrix
+		if l > stop || grads.Embed != nil {
+			dNext = ws.dX[s%2]
+		}
+		m.Layers[l].Backward(l, ws.caches[l], ws.dX[(s-1)%2], dNext, ws, grads)
+	case grads.Embed != nil:
+		// Embedding backward.
+		dX := ws.dX[L%2]
 		for t, tok := range seq {
 			row := grads.Embed.Row(tok)
 			src := dX.Row(t)
@@ -326,7 +356,6 @@ func (m *Model) lossBackward(ws *Workspace, logits *tensor.Matrix, seq []int, ma
 			}
 		}
 	}
-	return loss
 }
 
 // lowestTrainableLayer returns the index of the first layer holding a

@@ -627,7 +627,7 @@ func TestPretrainLearns(t *testing.T) {
 		}
 		return seq
 	}
-	losses, err := PretrainContext(context.Background(), m, sampler, 40, 4, 0.5, g)
+	losses, err := PretrainContext(context.Background(), m, sampler, 40, 4, 0.5, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

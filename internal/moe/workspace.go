@@ -129,35 +129,10 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// growOuterInts returns a length-n [][]int whose inner slices — including
-// those parked beyond the previous length from earlier high-water marks —
-// are preserved for reuse.
-func growOuterInts(s [][]int, n int) [][]int {
+// growInts is growFloats for []int.
+func growInts(s []int, n int) []int {
 	if cap(s) < n {
-		ns := make([][]int, n)
-		copy(ns, s[:cap(s)])
-		return ns
-	}
-	return s[:n]
-}
-
-// growOuterFloats is growOuterInts for [][]float64.
-func growOuterFloats(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		ns := make([][]float64, n)
-		copy(ns, s[:cap(s)])
-		return ns
-	}
-	return s[:n]
-}
-
-// growOuterHidden is growOuterInts for the [token][slot][unit] hidden-state
-// buffers.
-func growOuterHidden(s [][][]float64, n int) [][][]float64 {
-	if cap(s) < n {
-		ns := make([][][]float64, n)
-		copy(ns, s[:cap(s)])
-		return ns
+		return make([]int, n)
 	}
 	return s[:n]
 }

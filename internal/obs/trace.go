@@ -116,7 +116,7 @@ func (t *traceWriter) begin(meta RunMeta) error {
 // children on the server's round thread, flush spans on the aggregation
 // thread, and per-participant spans with sequential phase children.
 func (t *traceWriter) round(rd Round, parts []Participant) error {
-	start := rd.StartSec * 1e6
+	start := float64(rd.StartSec * 1e6)
 	if err := t.emit(spanEvent{
 		Name: fmt.Sprintf("round %d", rd.Round), Cat: "round", Ph: "X",
 		Ts: start, Dur: (rd.EndSec - rd.StartSec) * 1e6,
@@ -131,7 +131,7 @@ func (t *traceWriter) round(rd Round, parts []Participant) error {
 	}
 	cursor := start
 	for _, name := range orderedPhases(rd.Phases) {
-		dur := rd.Phases[name] * 1e6
+		dur := float64(rd.Phases[name] * 1e6)
 		if err := t.emit(spanEvent{
 			Name: name, Cat: "phase", Ph: "X",
 			Ts: cursor, Dur: dur, Pid: pidServer, Tid: tidRounds,
@@ -143,7 +143,7 @@ func (t *traceWriter) round(rd Round, parts []Participant) error {
 	for _, f := range rd.Flushes {
 		if err := t.emit(spanEvent{
 			Name: fmt.Sprintf("flush v%d", f.Version), Cat: "flush", Ph: "X",
-			Ts: start + f.At*1e6, Dur: f.Dur * 1e6,
+			Ts: start + float64(f.At*1e6), Dur: f.Dur * 1e6,
 			Pid: pidServer, Tid: tidAggregation,
 			Args: flushArgs{Size: f.Size, Carried: f.Carried, Stale: f.Stale, Version: f.Version},
 		}); err != nil {
@@ -175,11 +175,11 @@ func (t *traceWriter) participant(rd Round, p Participant) error {
 			return err
 		}
 	}
-	start := rd.StartSec * 1e6
+	start := float64(rd.StartSec * 1e6)
 	keys := orderedPhases(p.Phases)
 	var total float64
 	for _, k := range keys {
-		total += p.Phases[k] * 1e6
+		total += float64(p.Phases[k] * 1e6)
 	}
 	if err := t.emit(spanEvent{
 		Name: fmt.Sprintf("p%d", p.Index), Cat: "participant", Ph: "X",
@@ -193,7 +193,7 @@ func (t *traceWriter) participant(rd Round, p Participant) error {
 	}
 	cursor := start
 	for _, k := range keys {
-		dur := p.Phases[k] * 1e6
+		dur := float64(p.Phases[k] * 1e6)
 		if err := t.emit(spanEvent{
 			Name: k, Cat: "phase", Ph: "X",
 			Ts: cursor, Dur: dur, Pid: pidParticipants, Tid: p.Index,

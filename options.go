@@ -32,9 +32,11 @@ type Config struct {
 
 	// Workers sets the worker pool the in-process engine fans each round's
 	// participants, its evaluation samples and its quantized profiling model
-	// over. Zero (the default) uses GOMAXPROCS; one runs all three in order
-	// on one goroutine. Convergence results are bit-identical at every
-	// setting — parallelism changes wall-clock time, never the math.
+	// over, and the width of base-model pre-training. Zero (the default)
+	// uses GOMAXPROCS; one runs all four in order on one goroutine.
+	// Convergence results are bit-identical at every setting — parallelism
+	// changes wall-clock time, never the math (TestSerialParallelBitEquality
+	// pins the rounds, TestPretrainWidthBitIdentity pre-training).
 	Workers int
 
 	// Target stops the run early once the evaluation score reaches it;
@@ -190,8 +192,8 @@ func WithServerBandwidth(bw float64) Option {
 
 // WithParallelism sets the worker pool the in-process engine fans each
 // round's participants, evaluation samples and quantized profiling model
-// over: n == 1 runs them in order on one goroutine, n == 0 (the default)
-// uses GOMAXPROCS. Any setting produces bit-identical
+// over, and base-model pre-training's width: n == 1 runs them in order on
+// one goroutine, n == 0 (the default) uses GOMAXPROCS. Any setting produces bit-identical
 // convergence curves and phase timings; parallelism only changes wall-clock
 // time. Leave it at the default unless benchmarking the pool itself or
 // pinning the run to a CPU budget shared with other work.
