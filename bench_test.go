@@ -106,13 +106,13 @@ func BenchmarkRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		// One untimed round builds the worker pool and the rounder's own
-		// state, and warmPool then touches every worker's scratch, so
+		// state, and warmPool then grows every worker's scratch, so
 		// allocs/op is the steady state at any -benchtime instead of that
 		// warm-up amortised over b.N.
 		if _, err := env.RunRound(r, 0); err != nil {
 			b.Fatal(err)
 		}
-		warmPool(b, env)
+		warmPool(b, env, r)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -154,19 +154,22 @@ func BenchmarkRound(b *testing.B) {
 // warmPool grows every scratch of env's worker pool to its steady state: the
 // model clone, the update arena, and — over a few full-length random
 // sequences, enough to route tokens to every expert — the workspace and the
-// lazily allocated expert gradients. A round alone does not: the pool hands
-// out slots first come, first served, so on a box with fewer cores than
-// workers some scratches sit a round out and would do that growing inside
-// the timed region instead. The barrier holds each worker goroutine in its
-// first slot until all of them have one.
-func warmPool(b *testing.B, env *fed.Env) {
+// lazily allocated expert gradients; then it runs one participant of r on
+// each scratch, which grows what the method keeps per worker (Flux's
+// customized model, merge planner and probe buffers). A round alone does
+// not: the pool hands out slots first come, first served, so on a box with
+// fewer cores than workers some scratches sit a round out and would do that
+// growing inside the timed region instead. The barrier holds each worker
+// goroutine in its first slot until all of them have one.
+func warmPool(b *testing.B, env *fed.Env, r fed.Rounder) {
 	cohort := env.Cohort(0)
+	part := r.Round(env, 0, cohort)
 	workers := min(env.Workers(), len(cohort))
 	var arrived atomic.Int32
 	release := make(chan struct{})
 	cfg := env.Global.Cfg
 	tuning := fed.IdentityTuning(cfg)
-	err := fed.ForEachOf(env, cohort, func(s *fed.Scratch, _, i int) {
+	err := fed.ForEachOf(env, cohort, func(s *fed.Scratch, slot, i int) {
 		if int(arrived.Add(1)) == workers {
 			close(release)
 		}
@@ -182,6 +185,7 @@ func warmPool(b *testing.B, env *fed.Env) {
 			local.ForwardBackwardWS(s.Workspace(), seq, nil, grads, nil, -1)
 		}
 		s.ExtractUpdate(local, i, 1, tuning)
+		part(s, slot, i)
 	})
 	if err != nil {
 		b.Fatal(err)

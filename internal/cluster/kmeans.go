@@ -198,6 +198,7 @@ func FusedKMeans(feats *tensor.Matrix, points []LayerPoint, budget []int, maxIte
 		assign[i] = -1
 	}
 	res := &FusedResult{}
+	nonNeg := make([]int, len(points))
 	for iter := 0; iter < maxIters; iter++ {
 		res.Iters = iter + 1
 		changed := false
@@ -219,7 +220,7 @@ func FusedKMeans(feats *tensor.Matrix, points []LayerPoint, budget []int, maxIte
 				changed = true
 			}
 		}
-		updateCentroids(centMat, feats, assignNoNeg(assign), totalK)
+		updateCentroids(centMat, feats, assignNoNeg(nonNeg, assign), totalK)
 		if !changed && iter > 0 {
 			break
 		}
@@ -244,8 +245,9 @@ func FusedKMeans(feats *tensor.Matrix, points []LayerPoint, budget []int, maxIte
 	return res, nil
 }
 
-func assignNoNeg(assign []int) []int {
-	out := make([]int, len(assign))
+// assignNoNeg writes assign into out with unassigned points (−1) at
+// cluster 0, and returns out.
+func assignNoNeg(out, assign []int) []int {
 	for i, a := range assign {
 		if a < 0 {
 			a = 0

@@ -271,9 +271,9 @@ func Figure18(o Options) *Table {
 			}
 			key := mostActiveExpert(env.Global, seqs)
 			truth := assign.TrueExpertGradient(env.Global, key, seqs, masks)
-			est := assign.EstimateGradientSPSA(env.Global, nil, key, seqs, masks, probes, 0.01,
-				tensor.Named(fmt.Sprintf("fig18/%s/%d", p.Name, r)))
-			d := tensor.CosineDist(truth, est.Direction)
+			est := assign.ProbeExploreSPSA(env.Global, nil, []assign.Key{key}, seqs, masks, probes, 0.01,
+				func(assign.Key) *tensor.RNG { return tensor.Named(fmt.Sprintf("fig18/%s/%d", p.Name, r)) })
+			d := tensor.CosineDist(truth, est[0].Direction)
 			series += f2(d) + " "
 			sum += d
 			n++

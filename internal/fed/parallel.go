@@ -46,9 +46,10 @@
 // accumulates in the serial order; the loss sum and the SGD update follow
 // the join. TestPretrainWidthBitIdentity (internal/moe) pins it.
 //
-// Each worker owns a Scratch whose buffers (local model clone, gradient
-// accumulator, workspace, update-flattening arena) persist across rounds, so
-// steady-state rounds stop allocating whole models.
+// Each worker owns a Scratch whose buffers (local model clone, customized
+// local model, merge planner, gradient accumulator, workspace,
+// update-flattening arena) persist across rounds, so steady-state rounds
+// stop allocating whole models.
 package fed
 
 import (
@@ -58,6 +59,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/flux/merge"
 	"repro/internal/moe"
 )
 
@@ -67,11 +69,13 @@ import (
 // round's reduction — the next round's pool, and the evaluation between
 // rounds, reuse them.
 type Scratch struct {
-	model *moe.Model
-	grads *moe.Grads
-	ws    *moe.Workspace
-	arena []float64
-	off   int
+	model   *moe.Model
+	local   *moe.Model // Customize's, apart from LocalClone's full-layout model
+	planner merge.Planner
+	grads   *moe.Grads
+	ws      *moe.Workspace
+	arena   []float64
+	off     int
 }
 
 // Workspace returns the scratch's persistent forward/backward workspace.
@@ -93,10 +97,29 @@ func (s *Scratch) LocalClone(src *moe.Model) *moe.Model {
 	return s.model
 }
 
+// Customize builds the participant-local model of specs from global
+// (moe.CustomizeInto) into the scratch's persistent customized-model buffer
+// and returns it. Its layout changes from participant to participant, so it
+// is kept apart from LocalClone's full-layout buffer, and each is rebuilt in
+// place by its own kind of call.
+func (s *Scratch) Customize(global *moe.Model, specs []moe.LayerSpec) (*moe.Model, error) {
+	m, err := moe.CustomizeInto(s.local, global, specs)
+	if err != nil {
+		return nil, err
+	}
+	s.local = m
+	return m, nil
+}
+
+// Planner returns the scratch's persistent merge planner, whose buffers
+// every merge plan built on this worker reuses; a plan it builds is valid
+// until its next one.
+func (s *Scratch) Planner() *merge.Planner { return &s.planner }
+
 // Grads returns a zeroed gradient accumulator shaped like m, reusing the
-// scratch's persistent buffer when m's expert layout matches the previous
-// round's. Expert buffers are allocated by the backward pass, for trainable
-// experts only; a frozen expert never gets one.
+// scratch's persistent buffers whatever m's expert layout (moe.Grads.Reset).
+// Expert buffers are handed out by the backward pass, for trainable experts
+// only; a frozen expert never gets one.
 func (s *Scratch) Grads(m *moe.Model) *moe.Grads {
 	s.grads = s.grads.Reset(m)
 	return s.grads

@@ -7,7 +7,9 @@
 package assign
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/moe"
@@ -198,110 +200,30 @@ type SPSAResult struct {
 	Probes    int
 }
 
-// EstimateGradientSPSA estimates the gradient of the loss with respect to
-// one expert's parameters using only forward passes (§6.2, following
-// forward-gradient methods [1,17]): for each probe a random unit direction
-// u is applied as a σ-scaled perturbation, and the directional derivative
-// is approximated by the loss difference. E[(∇·u)u]·dim recovers ∇.
+// ProbeExploreSPSA estimates, for each of several experts of one model, the
+// gradient of the loss over one probe batch with respect to that expert's
+// parameters using only forward passes (§6.2, following forward-gradient
+// methods [1,17]): for each probe a random unit direction u is applied as a
+// σ-scaled perturbation, and the directional derivative is approximated by
+// the loss difference. E[(∇·u)u]·dim recovers ∇. Results are aligned with
+// keys; split supplies each expert's RNG, and every probe direction is drawn
+// up front, key by key (per-key streams are independent, so probe order does
+// not affect the draws).
 //
-// seqs/masks are the token sequences to measure loss on. The model is
-// restored exactly afterwards. ws provides forward-pass buffers (nil
-// allocates a private one).
-//
-// Since the perturbation touches only one expert in key.Layer, layers below
-// it produce bit-identical activations in every evaluation; each sequence's
-// forward prefix is therefore computed once and only the suffix from
-// key.Layer is re-run per probe. Results are bit-identical to perturbed full
-// forward passes.
-func EstimateGradientSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma float64, g *tensor.RNG) SPSAResult {
-	if ws == nil {
-		ws = moe.NewWorkspace()
-	}
-	ex := m.ExpertAt(key.Layer, key.Expert)
-	flat := ex.FlattenTo(nil)
-	dim := len(flat)
-
-	// Draw every probe direction up front. The RNG stream is unchanged from
-	// drawing them between evaluations (loss passes consume no randomness),
-	// and it lets one forward prefix per sequence serve the baseline and all
-	// probes. Zero-norm draws stay in the stream but are skipped, exactly as
-	// before.
-	us := make([]float64, probes*dim)
-	live := make([]bool, probes)
-	for p := 0; p < probes; p++ {
-		u := us[p*dim : (p+1)*dim]
-		for i := range u {
-			u[i] = g.Norm()
-		}
-		n := tensor.Norm2(u)
-		if n == 0 {
-			continue
-		}
-		live[p] = true
-		for i := range u {
-			u[i] /= n
-		}
-	}
-
-	pert := make([]float64, dim)
-	lossSum := make([]float64, probes)
-	var baseSum float64
-	for si, seq := range seqs {
-		var mask []bool
-		if masks != nil {
-			mask = masks[si]
-		}
-		x := m.ForwardPrefixWS(ws, seq, key.Layer)
-		baseSum += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
-		for p := 0; p < probes; p++ {
-			if !live[p] {
-				continue
-			}
-			u := us[p*dim : (p+1)*dim]
-			for i := range pert {
-				pert[i] = flat[i] + float64(sigma*u[i])
-			}
-			ex.LoadFlat(pert)
-			lossSum[p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
-			ex.LoadFlat(flat)
-		}
-	}
-	base := baseSum / float64(len(seqs))
-
-	dir := make([]float64, dim)
-	var sqSum float64
-	for p := 0; p < probes; p++ {
-		if !live[p] {
-			continue
-		}
-		u := us[p*dim : (p+1)*dim]
-		delta := (lossSum[p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
-		sqSum += float64(delta * delta)
-		for i := range dir {
-			dir[i] += float64(delta * u[i])
-		}
-	}
-	res := SPSAResult{Probes: probes, Direction: dir}
-	if probes > 0 {
-		// For random unit u in R^dim, E[(∇·u)²] = ‖∇‖²/dim.
-		res.Norm = math.Sqrt(sqSum / float64(probes) * float64(dim))
-		scale := float64(dim) / float64(probes)
-		for i := range dir {
-			dir[i] *= scale
-		}
-	}
-	return res
-}
-
-// ProbeExploreSPSA runs EstimateGradientSPSA for several experts of one
-// model over one probe batch, sharing forward state across them: a single
-// full pass per sequence (which doubles as the baseline) populates the
+// seqs/masks are the token sequences to measure loss on; the model is
+// restored exactly afterwards. Forward state is shared across the experts: a
+// single full pass per sequence (which doubles as the baseline) populates the
 // workspace layer caches, and experts are then probed in descending layer
 // order, so each perturbed suffix re-run clobbers only activations at or
 // above its own layer and every remaining expert's prefix stays cached.
-// Results are bit-identical to independent per-expert calls and are returned
-// aligned with keys; split supplies each expert's RNG (per-key streams are
-// independent, so probe order does not affect the draws).
+// Results are bit-identical to independent per-expert estimates with a full
+// forward pass per loss (assign_test.go keeps both as oracles).
+//
+// The probe directions, a flattened expert, the perturbation, the loss sums
+// and each result's Direction live in ws's probe buffer
+// (moe.Workspace.ProbeFloats; nil ws allocates a private workspace), so a
+// warm worker probes without allocating them: a Direction is valid until the
+// next probe on ws.
 func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int, masks [][]bool, probes int, sigma float64, split func(Key) *tensor.RNG) []SPSAResult {
 	if ws == nil {
 		ws = moe.NewWorkspace()
@@ -311,27 +233,29 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]].Layer > keys[order[b]].Layer })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(keys[b].Layer, keys[a].Layer) })
 
-	experts := make([]*moe.Expert, n)
-	flats := make([][]float64, n)
-	us := make([][]float64, n)   // per key: probes×dim unit directions
-	live := make([][]bool, n)    // per key: which probes drew a usable direction
-	sums := make([][]float64, n) // per key: per-probe loss sums over seqs
+	// Key i's probe p draws its unit direction into the window
+	// us[p*total+off[i]:][:dim], and its result's Direction is then written
+	// over probe 0's window.
+	off := make([]int, n+1)
 	var dimMax int
 	for i, key := range keys {
-		experts[i] = m.ExpertAt(key.Layer, key.Expert)
-		flats[i] = experts[i].FlattenTo(nil)
-		dim := len(flats[i])
-		if dim > dimMax {
-			dimMax = dim
-		}
+		dim := m.ExpertAt(key.Layer, key.Expert).Params()
+		off[i+1] = off[i] + dim
+		dimMax = max(dimMax, dim)
+	}
+	total := off[n]
+	buf := ws.ProbeFloats(max(probes, 1)*total + 2*dimMax + n*probes)
+	us, buf := buf[:max(probes, 1)*total], buf[max(probes, 1)*total:]
+	flatBuf, buf := buf[:dimMax:dimMax], buf[dimMax:]
+	pert, sums := buf[:dimMax], buf[dimMax:] // sums[i*probes+p]: key i's probe-p loss sum over seqs
+	clear(sums)
+	live := make([]bool, n*probes) // which probes drew a usable direction
+	for i, key := range keys {
 		g := split(key)
-		us[i] = make([]float64, probes*dim)
-		live[i] = make([]bool, probes)
-		sums[i] = make([]float64, probes)
 		for p := 0; p < probes; p++ {
-			u := us[i][p*dim : (p+1)*dim]
+			u := us[p*total+off[i] : p*total+off[i+1]]
 			for j := range u {
 				u[j] = g.Norm()
 			}
@@ -339,14 +263,13 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 			if nu == 0 {
 				continue
 			}
-			live[i][p] = true
+			live[i*probes+p] = true
 			for j := range u {
 				u[j] /= nu
 			}
 		}
 	}
 
-	pert := make([]float64, dimMax)
 	var baseSum float64
 	for si, seq := range seqs {
 		var mask []bool
@@ -357,18 +280,20 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 		for _, i := range order {
 			key := keys[i]
 			x := m.LayerInputWS(ws, key.Layer)
-			ex, flat := experts[i], flats[i]
-			dim := len(flat)
+			// Every probe restores the expert exactly, so its parameters
+			// flattened now are the ones it started with.
+			ex := m.ExpertAt(key.Layer, key.Expert)
+			flat := ex.FlattenTo(flatBuf[:0])
 			for p := 0; p < probes; p++ {
-				if !live[i][p] {
+				if !live[i*probes+p] {
 					continue
 				}
-				u := us[i][p*dim : (p+1)*dim]
+				u := us[p*total+off[i] : p*total+off[i+1]]
 				for j := range flat {
 					pert[j] = flat[j] + float64(sigma*u[j])
 				}
-				ex.LoadFlat(pert[:dim])
-				sums[i][p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
+				ex.LoadFlat(pert[:len(flat)])
+				sums[i*probes+p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
 				ex.LoadFlat(flat)
 			}
 		}
@@ -377,27 +302,35 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 
 	results := make([]SPSAResult, n)
 	for i := range keys {
-		dim := len(flats[i])
-		dir := make([]float64, dim)
+		dim := off[i+1] - off[i]
 		var sqSum float64
 		for p := 0; p < probes; p++ {
-			if !live[i][p] {
-				continue
+			if live[i*probes+p] {
+				delta := (sums[i*probes+p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
+				sqSum += float64(delta * delta)
+				sums[i*probes+p] = delta
 			}
-			u := us[i][p*dim : (p+1)*dim]
-			delta := (sums[i][p]/float64(len(seqs)) - base) / sigma
-			sqSum += float64(delta * delta)
-			for j := range dir {
-				dir[j] += float64(delta * u[j])
+		}
+		// Direction element j is Σ_p δ_p·u_p[j], scaled, and reads no
+		// other element, so it can overwrite probe 0's u[j].
+		scale := float64(dim) / float64(max(probes, 1))
+		dir := us[off[i]:off[i+1]]
+		for j := range dir {
+			var d float64
+			for p := 0; p < probes; p++ {
+				if live[i*probes+p] {
+					d += float64(sums[i*probes+p] * us[p*total+off[i]+j])
+				}
 			}
+			if probes > 0 {
+				d *= scale
+			}
+			dir[j] = d
 		}
 		results[i] = SPSAResult{Probes: probes, Direction: dir}
 		if probes > 0 {
+			// For random unit u in R^dim, E[(∇·u)²] = ‖∇‖²/dim.
 			results[i].Norm = math.Sqrt(sqSum / float64(probes) * float64(dim))
-			scale := float64(dim) / float64(probes)
-			for j := range dir {
-				dir[j] *= scale
-			}
 		}
 	}
 	return results

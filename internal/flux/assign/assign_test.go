@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -180,10 +181,15 @@ func TestRefreshFromGrads(t *testing.T) {
 	}
 }
 
+// probeOne is ProbeExploreSPSA on the single expert key, drawing from g.
+func probeOne(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma float64, g *tensor.RNG) SPSAResult {
+	return ProbeExploreSPSA(m, ws, []Key{key}, seqs, masks, probes, sigma, func(Key) *tensor.RNG { return g })[0]
+}
+
 func TestSPSARestoresModel(t *testing.T) {
 	m, seqs, masks := fixture(t)
 	before := m.ExpertAt(0, 0).FlattenTo(nil)
-	EstimateGradientSPSA(m, nil, Key{0, 0}, seqs[:2], masks[:2], 3, 0.01, tensor.NewRNG(5))
+	probeOne(m, nil, Key{0, 0}, seqs[:2], masks[:2], 3, 0.01, tensor.NewRNG(5))
 	after := m.ExpertAt(0, 0).FlattenTo(nil)
 	for i := range before {
 		if before[i] != after[i] {
@@ -214,7 +220,7 @@ func TestSPSAApproximatesTrueGradient(t *testing.T) {
 		}
 	}
 	truth := TrueExpertGradient(m, key, seqs, masks)
-	est := EstimateGradientSPSA(m, nil, key, seqs, masks, 24, 0.01, tensor.NewRNG(6))
+	est := probeOne(m, nil, key, seqs, masks, 24, 0.01, tensor.NewRNG(6))
 	d := tensor.CosineDist(truth, est.Direction)
 	if math.IsNaN(d) || d > 0.9 {
 		t.Fatalf("SPSA direction distance %v; not better than random", d)
@@ -222,6 +228,100 @@ func TestSPSAApproximatesTrueGradient(t *testing.T) {
 	if est.Norm <= 0 {
 		t.Fatal("SPSA norm should be positive for an active expert")
 	}
+}
+
+// estimateGradientSPSA is the single-expert SPSA estimate, kept as the
+// oracle ProbeExploreSPSA's batched sweep is held to bit for bit: for each
+// probe a random unit direction u is applied as a σ-scaled perturbation,
+// and the directional derivative is approximated by the loss difference.
+//
+// seqs/masks are the token sequences to measure loss on. The model is
+// restored exactly afterwards. ws provides forward-pass buffers (nil
+// allocates a private one).
+//
+// Since the perturbation touches only one expert in key.Layer, layers below
+// it produce bit-identical activations in every evaluation; each sequence's
+// forward prefix is therefore computed once and only the suffix from
+// key.Layer is re-run per probe. Results are bit-identical to perturbed full
+// forward passes.
+func estimateGradientSPSA(m *moe.Model, ws *moe.Workspace, key Key, seqs [][]int, masks [][]bool, probes int, sigma float64, g *tensor.RNG) SPSAResult {
+	if ws == nil {
+		ws = moe.NewWorkspace()
+	}
+	ex := m.ExpertAt(key.Layer, key.Expert)
+	flat := ex.FlattenTo(nil)
+	dim := len(flat)
+
+	// Draw every probe direction up front. The RNG stream is unchanged from
+	// drawing them between evaluations (loss passes consume no randomness),
+	// and it lets one forward prefix per sequence serve the baseline and all
+	// probes. Zero-norm draws stay in the stream but are skipped, exactly as
+	// before.
+	us := make([]float64, probes*dim)
+	live := make([]bool, probes)
+	for p := 0; p < probes; p++ {
+		u := us[p*dim : (p+1)*dim]
+		for i := range u {
+			u[i] = g.Norm()
+		}
+		n := tensor.Norm2(u)
+		if n == 0 {
+			continue
+		}
+		live[p] = true
+		for i := range u {
+			u[i] /= n
+		}
+	}
+
+	pert := make([]float64, dim)
+	lossSum := make([]float64, probes)
+	var baseSum float64
+	for si, seq := range seqs {
+		var mask []bool
+		if masks != nil {
+			mask = masks[si]
+		}
+		x := m.ForwardPrefixWS(ws, seq, key.Layer, nil, -1)
+		baseSum += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
+		for p := 0; p < probes; p++ {
+			if !live[p] {
+				continue
+			}
+			u := us[p*dim : (p+1)*dim]
+			for i := range pert {
+				pert[i] = flat[i] + float64(sigma*u[i])
+			}
+			ex.LoadFlat(pert)
+			lossSum[p] += m.LossSuffixWS(ws, x, key.Layer, seq, mask)
+			ex.LoadFlat(flat)
+		}
+	}
+	base := baseSum / float64(len(seqs))
+
+	dir := make([]float64, dim)
+	var sqSum float64
+	for p := 0; p < probes; p++ {
+		if !live[p] {
+			continue
+		}
+		u := us[p*dim : (p+1)*dim]
+		delta := (lossSum[p]/float64(len(seqs)) - base) / sigma // ≈ ∇·u
+		sqSum += float64(delta * delta)
+		for i := range dir {
+			dir[i] += float64(delta * u[i])
+		}
+	}
+	res := SPSAResult{Probes: probes, Direction: dir}
+	if probes > 0 {
+		// For random unit u in R^dim, E[(∇·u)²] = ‖∇‖²/dim.
+		res.Norm = math.Sqrt(sqSum / float64(probes) * float64(dim))
+		scale := float64(dim) / float64(probes)
+		for i := range dir {
+			dir[i] *= scale
+		}
+	}
+	return res
 }
 
 // referenceSPSA is the straightforward implementation — a full forward pass
@@ -275,15 +375,21 @@ func referenceSPSA(m *moe.Model, key Key, seqs [][]int, masks [][]bool, probes i
 }
 
 // TestSPSAPrefixCacheBitIdentity pins the prefix-cached SPSA (shared forward
-// prefix below the probed layer, pre-drawn directions) bit-identical to the reference full-forward implementation, for
-// experts at every layer depth.
+// prefix below the probed layer, pre-drawn directions, buffers reused on one
+// workspace) bit-identical to the reference full-forward implementation, for
+// experts at every layer depth, through both the single-key oracle and
+// ProbeExploreSPSA with one key.
 func TestSPSAPrefixCacheBitIdentity(t *testing.T) {
 	m, seqs, masks := fixture(t)
 	ws := moe.NewWorkspace()
 	for l := 0; l < len(m.Layers); l++ {
 		key := Key{l, 1}
 		want := referenceSPSA(m, key, seqs[:3], masks[:3], 4, 0.02, tensor.NewRNG(31))
-		got := EstimateGradientSPSA(m, ws, key, seqs[:3], masks[:3], 4, 0.02, tensor.NewRNG(31))
+		oracle := estimateGradientSPSA(m, ws, key, seqs[:3], masks[:3], 4, 0.02, tensor.NewRNG(31))
+		if oracle.Norm != want.Norm || !slices.Equal(oracle.Direction, want.Direction) {
+			t.Fatalf("layer %d: single-key oracle differs from the reference", l)
+		}
+		got := probeOne(m, ws, key, seqs[:3], masks[:3], 4, 0.02, tensor.NewRNG(31))
 		if got.Norm != want.Norm {
 			t.Fatalf("layer %d: norm %v != reference %v", l, got.Norm, want.Norm)
 		}
@@ -308,7 +414,7 @@ func TestProbeExploreSPSABatchedBitIdentity(t *testing.T) {
 	got := ProbeExploreSPSA(m, moe.NewWorkspace(), keys, seqs[:3], masks[:3], 3, 0.02, split)
 	after := m.ExpertAt(1, 0).FlattenTo(nil)
 	for i, key := range keys {
-		want := EstimateGradientSPSA(m, nil, key, seqs[:3], masks[:3], 3, 0.02, split(key))
+		want := estimateGradientSPSA(m, nil, key, seqs[:3], masks[:3], 3, 0.02, split(key))
 		if got[i].Norm != want.Norm {
 			t.Fatalf("key %v: batched norm %v != independent %v", key, got[i].Norm, want.Norm)
 		}
@@ -325,7 +431,7 @@ func TestProbeExploreSPSABatchedBitIdentity(t *testing.T) {
 
 func TestSPSAZeroProbes(t *testing.T) {
 	m, seqs, masks := fixture(t)
-	res := EstimateGradientSPSA(m, nil, Key{0, 0}, seqs[:1], masks[:1], 0, 0.01, tensor.NewRNG(7))
+	res := probeOne(m, nil, Key{0, 0}, seqs[:1], masks[:1], 0, 0.01, tensor.NewRNG(7))
 	if res.Norm != 0 {
 		t.Fatal("zero probes should give zero norm")
 	}

@@ -119,7 +119,7 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		// --- Profiling (§4): quantized, stale-pipelined. ---
 		env.MarkPhase(simtime.PhaseProfiling)
 		shardSeqs := env.Batch(i, round)
-		res := prof.RunOn(qm, env.Global.Cfg, shardSeqs, mws)
+		res := prof.RunInto(p.sched.Spare(), qm, env.Global.Cfg, shardSeqs, mws)
 		profSec := res.Seconds(dev, cfg)
 		p.sched.Complete(res)
 		stats := p.sched.Current().Stats
@@ -141,12 +141,12 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		if nonBudget < cfg.Layers() {
 			nonBudget = cfg.Layers()
 		}
-		plan, err := merge.BuildPlan(env.Global, stats, tuning, nonBudget, r.Opts.Merge, rng.Split("merge"))
+		plan, err := ws.Planner().Build(env.Global, stats, tuning, nonBudget, r.Opts.Merge, rng.Split("merge"))
 		if err != nil {
 			// A malformed plan is a programming error, not a runtime state.
 			panic(fmt.Sprintf("flux: merge plan: %v", err))
 		}
-		local, err := moe.Customize(env.Global, plan.Specs)
+		local, err := ws.Customize(env.Global, plan.Specs)
 		if err != nil {
 			panic(fmt.Sprintf("flux: customize: %v", err))
 		}

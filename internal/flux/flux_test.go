@@ -152,3 +152,53 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 		}
 	}
 }
+
+// warmParticipantAllocs is what one warm participant call allocated when it
+// was pinned (go1.24, linux/amd64).
+const warmParticipantAllocs = 156
+
+// TestWarmParticipantAllocs pins what a warm Flux participant allocates: one
+// fleet member's profile, assignment, merge plan, customized model,
+// fine-tuning, probes and upload, on a worker scratch and participant state
+// that earlier rounds grew to size. Profiling rebuilds the stale profile it
+// drops, the plan, the customized model and the gradients are rebuilt in
+// the worker's scratch, and the probes run in its workspace. What remains is small, per
+// call, and by count:
+//   - FullSequence's sequence and mask, per profiled, trained and probed
+//     sample;
+//   - cluster.FusedKMeans's index lists, centroids, counts and groups, and
+//     the planner's group lists, budgets and per-layer variances;
+//   - assign.Assign's expert lists, exploit map and sort swapper, and the
+//     assignment's per-layer tuning lists;
+//   - RNG splits: each derived stream seeds a fresh math/rand source
+//     (assign, merge, pca, kmeans, spsa and one per probed expert);
+//   - data selection's batch, relevant-sample map and sample-set slices;
+//   - CustomizeInto's per-layer spec checks, ProbeExploreSPSA's index lists
+//     and results, the update's map and the result's phase map;
+//   - ForEachOf's pprof labels.
+func TestWarmParticipantAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	env := testEnv(t, "flux-allocs")
+	r := New(DefaultOptions(env.Cfg.MaxRounds), env.Cfg.Participants)
+	for round := range 3 {
+		runRound(t, env, r, round)
+	}
+	cohort := make([]int, env.Cfg.Participants)
+	for i := range cohort {
+		cohort[i] = i
+	}
+	part := r.Round(env, 3, cohort)
+	const i = 1
+	run := func() {
+		if err := fed.ForEachOf(env, []int{i}, func(s *fed.Scratch, _, _ int) { part(s, i, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(20, run)
+	if got != warmParticipantAllocs {
+		t.Fatalf("warm participant allocates %v times per call, pinned at %v: a rise is a regression; after a fall, lower the pin", got, warmParticipantAllocs)
+	}
+}

@@ -207,45 +207,80 @@ type Plan struct {
 // merged experts with weights chosen by the strategy.
 //
 // stats supplies activation frequencies, attention scores, and per-layer
-// variances; it may come from a stale quantized profile.
+// variances; it may come from a stale quantized profile. It is Planner.Build
+// on a fresh planner.
 func BuildPlan(global *moe.Model, stats *moe.ActivationStats, tuning [][]int, totalBudget int, opt Options, g *tensor.RNG) (*Plan, error) {
+	return new(Planner).Build(global, stats, tuning, totalBudget, opt, g)
+}
+
+// Planner builds merge plans, keeping its buffers — the expert sketches, the
+// PCA scratch, the per-layer lists and the plan itself — from one Build to
+// the next, so a worker planning every round stops allocating them. The
+// zero value is ready to use. The plan a Build returns is valid until the
+// next Build; a Planner belongs to one goroutine at a time.
+type Planner struct {
+	plan      Plan
+	weights   []map[int]float64 // [layer] the plan's MergeWeights storage
+	nonTuning [][]int
+	counts    []int
+	variance  []float64
+	isTuning  []bool
+	covered   []bool
+	feats     *tensor.Matrix
+	points    []cluster.LayerPoint
+	pca       tensor.PCAScratch
+}
+
+// Build is BuildPlan with p's buffers.
+func (p *Planner) Build(global *moe.Model, stats *moe.ActivationStats, tuning [][]int, totalBudget int, opt Options, g *tensor.RNG) (*Plan, error) {
 	L := len(global.Layers)
 	if len(tuning) != L {
 		return nil, fmt.Errorf("merge: tuning has %d layers, model has %d", len(tuning), L)
 	}
 
 	// Non-tuning expert lists per layer.
-	nonTuning := make([][]int, L)
-	counts := make([]int, L)
-	variance := make([]float64, L)
+	p.nonTuning = resize(p.nonTuning, L)
+	p.counts = resize(p.counts, L)
+	p.variance = resize(p.variance, L)
+	nonTuning := p.nonTuning
 	for l, layer := range global.Layers {
-		isTuning := make([]bool, layer.OrigExperts)
+		p.isTuning = resize(p.isTuning, layer.OrigExperts)
+		clear(p.isTuning)
 		for _, id := range tuning[l] {
 			if id < 0 || id >= layer.OrigExperts {
 				return nil, fmt.Errorf("merge: tuning id %d out of range in layer %d", id, l)
 			}
-			isTuning[id] = true
+			p.isTuning[id] = true
 		}
+		nonTuning[l] = nonTuning[l][:0]
 		for e := 0; e < layer.OrigExperts; e++ {
-			if !isTuning[e] {
+			if !p.isTuning[e] {
 				nonTuning[l] = append(nonTuning[l], e)
 			}
 		}
-		counts[l] = len(nonTuning[l])
-		variance[l] = stats.LayerVariance(l)
+		p.counts[l] = len(nonTuning[l])
+		p.variance[l] = stats.LayerVariance(l)
 	}
-	budgets := LayerBudgets(opt.Policy, counts, variance, totalBudget)
+	budgets := LayerBudgets(opt.Policy, p.counts, p.variance, totalBudget)
 
-	groups, err := clusterExperts(global, nonTuning, budgets, opt, g)
+	groups, err := p.clusterExperts(global, budgets, opt, g)
 	if err != nil {
 		return nil, err
 	}
 
-	specs := make([]moe.LayerSpec, L)
+	p.plan.Specs = resize(p.plan.Specs, L)
+	p.plan.Budgets = budgets
+	for len(p.weights) < L {
+		p.weights = append(p.weights, make(map[int]float64))
+	}
 	for l := 0; l < L; l++ {
-		spec := moe.LayerSpec{Tuning: append([]int(nil), tuning[l]...)}
+		spec := &p.plan.Specs[l]
+		spec.Tuning = append(spec.Tuning[:0], tuning[l]...)
+		spec.MergeGroups = spec.MergeGroups[:0]
+		spec.MergeWeights = nil
 		if len(nonTuning[l]) > 0 {
-			spec.MergeWeights = make(map[int]float64)
+			spec.MergeWeights = p.weights[l]
+			clear(spec.MergeWeights)
 			for _, grp := range groups[l] {
 				if len(grp) == 0 {
 					continue
@@ -256,9 +291,17 @@ func BuildPlan(global *moe.Model, stats *moe.ActivationStats, tuning [][]int, to
 				}
 			}
 		}
-		specs[l] = spec
 	}
-	return &Plan{Specs: specs, Budgets: budgets}, nil
+	return &p.plan, nil
+}
+
+// resize returns s with length n: its first n elements, then zero values
+// where s had fewer.
+func resize[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // mergeWeight computes α_e for Eq. (2) under the chosen strategy.
@@ -275,38 +318,38 @@ func mergeWeight(s Strategy, stats *moe.ActivationStats, layer, expert int) floa
 	}
 }
 
-// clusterExperts groups each layer's non-tuning experts into its budget of
-// clusters using PCA sketches of expert parameters and (fused or per-layer)
+// clusterExperts groups each layer's non-tuning experts (p.nonTuning) into
+// its budget of clusters using PCA sketches of expert parameters and fused
 // K-Means.
-func clusterExperts(global *moe.Model, nonTuning [][]int, budgets []int, opt Options, g *tensor.RNG) ([][][]int, error) {
-	var points []cluster.LayerPoint
-	var rowsData [][]float64
+func (p *Planner) clusterExperts(global *moe.Model, budgets []int, opt Options, g *tensor.RNG) ([][][]int, error) {
+	nonTuning := p.nonTuning
+	p.points = p.points[:0]
 	for l, ids := range nonTuning {
 		for _, e := range ids {
-			ex := global.ExpertAt(l, e)
-			rowsData = append(rowsData, Sketch(ex, opt.SketchDims))
-			points = append(points, cluster.LayerPoint{Layer: l, Expert: e})
+			p.points = append(p.points, cluster.LayerPoint{Layer: l, Expert: e})
 		}
 	}
-	if len(points) == 0 {
+	if len(p.points) == 0 {
 		return make([][][]int, len(nonTuning)), nil
 	}
-	feats := tensor.NewMatrix(len(rowsData), opt.SketchDims)
-	for i, r := range rowsData {
-		copy(feats.Row(i), r)
+	p.feats = tensor.Grow(p.feats, len(p.points), opt.SketchDims)
+	feats := p.feats
+	for i, pt := range p.points {
+		sketchInto(feats.Row(i), global.ExpertAt(pt.Layer, pt.Expert))
 	}
 	// Dimensionality reduction (§5.2 step 1).
 	if opt.PCADims > 0 && opt.PCADims < opt.SketchDims {
-		feats = tensor.PCA(feats, opt.PCADims, g.Split("pca"))
+		feats = tensor.PCA(feats, opt.PCADims, g.Split("pca"), &p.pca)
 	}
-	res, err := cluster.FusedKMeans(feats, points, append([]int(nil), budgets...), opt.KMeansIters, g.Split("kmeans"))
+	res, err := cluster.FusedKMeans(feats, p.points, append([]int(nil), budgets...), opt.KMeansIters, g.Split("kmeans"))
 	if err != nil {
 		return nil, err
 	}
 	// Drop empty groups; guarantee every non-tuning expert is covered.
 	out := make([][][]int, len(nonTuning))
 	for l := range res.GroupsByLayer {
-		covered := make(map[int]bool)
+		covered := resize(p.covered, global.Layers[l].OrigExperts)
+		clear(covered)
 		for _, grp := range res.GroupsByLayer[l] {
 			if len(grp) == 0 {
 				continue
@@ -321,6 +364,7 @@ func clusterExperts(global *moe.Model, nonTuning [][]int, budgets []int, opt Opt
 				out[l] = append(out[l], []int{e})
 			}
 		}
+		p.covered = covered
 	}
 	return out, nil
 }
@@ -331,6 +375,13 @@ func clusterExperts(global *moe.Model, nonTuning [][]int, budgets []int, opt Opt
 // comparable across experts (same positions sampled everywhere).
 func Sketch(e *moe.Expert, dims int) []float64 {
 	out := make([]float64, dims)
+	sketchInto(out, e)
+	return out
+}
+
+// sketchInto writes e's len(out)-long Sketch into out.
+func sketchInto(out []float64, e *moe.Expert) {
+	dims := len(out)
 	// The sampled positions index the expert's FlattenTo layout, read in
 	// place rather than from a flattened copy.
 	parts := [...][]float64{e.W1.Data, e.B1, e.W2.Data, e.B2}
@@ -339,7 +390,8 @@ func Sketch(e *moe.Expert, dims int) []float64 {
 		n += len(p)
 	}
 	if n == 0 {
-		return out
+		clear(out)
+		return
 	}
 	stride := float64(n) / float64(dims)
 	if stride < 1 {
@@ -358,7 +410,6 @@ func Sketch(e *moe.Expert, dims int) []float64 {
 			idx -= len(p)
 		}
 	}
-	return out
 }
 
 // OutputError measures the mean cosine distance between final-token

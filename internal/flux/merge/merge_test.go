@@ -1,7 +1,9 @@
 package merge
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -258,7 +260,7 @@ func TestSketchMatchesFlatten(t *testing.T) {
 	for j := range a.B2 {
 		a.B2[j], b.B2[j] = g.Norm(), g.Norm()
 	}
-	merged := moe.MergeExperts([]*moe.Expert{a, b}, []float64{1, 3})
+	merged := moe.MergeExperts(nil, []*moe.Expert{a, b}, []float64{1, 3})
 	for _, e := range []*moe.Expert{a, merged} {
 		for _, dims := range []int{1, 48, e.Params() + 7} {
 			got, want := Sketch(e, dims), sketchByFlatten(e, dims)
@@ -280,5 +282,56 @@ func TestStringers(t *testing.T) {
 	}
 	if StrategyAvg.String() != "avg" || StrategyFreq.String() != "freq" || StrategyAttnFreq.String() != "attn+freq" {
 		t.Fatal("strategy strings wrong")
+	}
+}
+
+// TestPlannerReuseMatchesFresh runs one Planner through plans of differing
+// tuning sets, strategies and budgets and holds each to a fresh BuildPlan
+// with the same RNG stream: the same budgets, tuning lists, merge groups and
+// weights.
+func TestPlannerReuseMatchesFresh(t *testing.T) {
+	m, stats, _ := fixture(t)
+	var p Planner
+	cases := []struct {
+		tuning [][]int
+		budget int
+		opt    Options
+	}{
+		{[][]int{{0, 1}, {2}, {}, {5}}, 8, DefaultOptions()},
+		{[][]int{{}, {}, {}, {}}, 12, DefaultOptions()},
+		{[][]int{{0, 1, 2, 3, 4, 5}, {1}, {0, 3}, {}}, 5, Options{Policy: BudgetUniform, Strategy: StrategyFreq, SketchDims: 32, PCADims: 4, KMeansIters: 10}},
+		{[][]int{{3}, {0, 1, 2, 3, 4, 5}, {}, {2, 4}}, 6, Options{Policy: BudgetSingle, Strategy: StrategyAvg, SketchDims: 48, PCADims: 0, KMeansIters: 25}},
+		{[][]int{{0, 1}, {2}, {}, {5}}, 8, DefaultOptions()},
+	}
+	for i, c := range cases {
+		seed := fmt.Sprintf("planner/%d", i)
+		got, err := p.Build(m, stats, c.tuning, c.budget, c.opt, tensor.Named(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildPlan(m, stats, c.tuning, c.budget, c.opt, tensor.Named(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Budgets, want.Budgets) {
+			t.Fatalf("case %d: budgets %v, fresh %v", i, got.Budgets, want.Budgets)
+		}
+		for l, ws := range want.Specs {
+			gs := got.Specs[l]
+			if !slices.Equal(gs.Tuning, ws.Tuning) || len(gs.MergeGroups) != len(ws.MergeGroups) || len(gs.MergeWeights) != len(ws.MergeWeights) {
+				t.Fatalf("case %d layer %d: spec %+v, fresh %+v", i, l, gs, ws)
+			}
+			for k, grp := range ws.MergeGroups {
+				if !slices.Equal(gs.MergeGroups[k], grp) {
+					t.Fatalf("case %d layer %d: group %d is %v, fresh %v", i, l, k, gs.MergeGroups[k], grp)
+				}
+			}
+			//fluxvet:unordered per-key comparison of two maps
+			for e, w := range ws.MergeWeights {
+				if gw, ok := gs.MergeWeights[e]; !ok || math.Float64bits(gw) != math.Float64bits(w) {
+					t.Fatalf("case %d layer %d: weight of expert %d is %v, fresh %v", i, l, e, gw, w)
+				}
+			}
+		}
 	}
 }

@@ -52,19 +52,31 @@ func (p Profiler) RunFull(model *moe.Model, samples []*data.Sample) *Result {
 // the stats), drawing forward-pass buffers from ws (nil allocates a private
 // one). It only reads m's weights, so participant bodies all pass the
 // round's shared fed.Env.QuantizedGlobal plus their own worker workspace,
-// and steady-state profiling allocates neither a model nor activations.
+// and steady-state profiling allocates neither a model nor activations. It
+// is RunInto with no result to reuse.
 func (p Profiler) RunOn(m *moe.Model, cfg moe.Config, samples []*data.Sample, ws *moe.Workspace) *Result {
+	return p.RunInto(nil, m, cfg, samples, ws)
+}
+
+// RunInto is RunOn rebuilding r, a result nothing reads any more (such as
+// StaleScheduler.Spare), in place and returning it; a nil r allocates a new
+// one. Each sample runs through every layer and stops before the head, whose
+// logits profiling never reads.
+func (p Profiler) RunInto(r *Result, m *moe.Model, cfg moe.Config, samples []*data.Sample, ws *moe.Workspace) *Result {
 	if ws == nil {
 		ws = moe.NewWorkspace()
 	}
-	stats := moe.NewActivationStats(cfg, p.TrackSamples)
-	tokens := 0
+	if r == nil {
+		r = &Result{}
+	}
+	r.Stats = r.Stats.Reset(cfg, p.TrackSamples)
+	r.Tokens, r.Bits = 0, p.Bits
 	for _, s := range samples {
 		seq, _ := s.FullSequence()
-		m.ForwardWS(ws, seq, stats, s.ID)
-		tokens += len(seq)
+		m.ForwardPrefixWS(ws, seq, len(m.Layers), r.Stats, s.ID)
+		r.Tokens += len(seq)
 	}
-	return &Result{Stats: stats, Tokens: tokens, Bits: p.Bits}
+	return r
 }
 
 // Seconds prices a profiling pass (quantize + forward passes) on device d.
@@ -96,6 +108,16 @@ func (s *StaleScheduler) Current() *Result {
 		return s.prev
 	}
 	return s.cur
+}
+
+// Spare returns the result the next Complete drops, or nil when it drops
+// none, for RunInto to rebuild in place; the rebuilt result goes straight to
+// that Complete, before anything reads Current again.
+func (s *StaleScheduler) Spare() *Result {
+	if !s.Enabled {
+		return s.cur
+	}
+	return s.prev
 }
 
 // Complete installs the profile computed during this round. With staleness

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -130,5 +131,45 @@ func TestStaleVsFreshErrorSmall(t *testing.T) {
 	staleErr := before.Stats.EstimationError(after.Stats)
 	if staleErr > 0.4 {
 		t.Fatalf("stale profile error %v unexpectedly large", staleErr)
+	}
+}
+
+// TestRunIntoReusesSpare drives a scheduler through several rounds with
+// each profile rebuilt into the scheduler's spare, on one workspace, and
+// holds every round's result to a fresh RunOn: same tokens, counts,
+// attention sums and sample sets. With staleness the profile Current
+// returns after each Complete is the previous round's, untouched.
+func TestRunIntoReusesSpare(t *testing.T) {
+	m, samples := fixture(t)
+	p := Profiler{Bits: quant.Bits4, TrackSamples: true}
+	for _, stale := range []bool{true, false} {
+		s := &StaleScheduler{Enabled: stale}
+		ws := moe.NewWorkspace()
+		var last *Result // the result the previous round completed
+		for round := range 5 {
+			batch := samples[round*3 : round*3+9]
+			spare := s.Spare()
+			got := p.RunInto(spare, m, m.Cfg, batch, ws)
+			if spare != nil && got != spare {
+				t.Fatalf("round %d: RunInto did not rebuild the spare", round)
+			}
+			want := p.RunOn(m, m.Cfg, batch, nil)
+			if got.Tokens != want.Tokens || got.Stats.Tokens != want.Stats.Tokens {
+				t.Fatalf("round %d: tokens %d/%v, fresh %d/%v", round, got.Tokens, got.Stats.Tokens, want.Tokens, want.Stats.Tokens)
+			}
+			for l := range want.Stats.Counts {
+				for e := range want.Stats.Counts[l] {
+					if got.Stats.Counts[l][e] != want.Stats.Counts[l][e] || got.Stats.AttnSum[l][e] != want.Stats.AttnSum[l][e] ||
+						!slices.Equal(got.Stats.SampleSet(l, e), want.Stats.SampleSet(l, e)) {
+						t.Fatalf("stale=%v round %d layer %d expert %d: rebuilt stats differ from a fresh run", stale, round, l, e)
+					}
+				}
+			}
+			s.Complete(got)
+			if stale && round > 0 && s.Current() != last {
+				t.Fatalf("round %d: rebuilding the spare clobbered the visible profile", round)
+			}
+			last = got
+		}
 	}
 }

@@ -43,7 +43,7 @@ func referenceLayerForward(l *Layer, x *tensor.Matrix, c *layerCache, ws *Worksp
 	c.x1 = tensor.Grow(c.x1, T, D)
 	c.x1.CopyFrom(x)
 	c.x1.Add(ws.attnOut)
-	return l.moeBlock(-1, c, ws, nil, -1)
+	return l.moeBlock(-1, c, ws, nil, -1, 0, T)
 }
 
 // referenceForwardBackward is ForwardBackwardWS with every layer's forward
@@ -54,7 +54,7 @@ func referenceForwardBackward(m *Model, ws *Workspace, seq []int, mask []bool, g
 	for l, layer := range m.Layers {
 		x = referenceLayerForward(layer, x, caches[l], ws)
 	}
-	return m.lossBackward(ws, m.headLogits(ws, x, 0), seq, mask, grads)
+	return m.lossBackward(ws, m.headLogits(ws, x, 0, x.Rows), seq, mask, grads)
 }
 
 // TestCausalAttentionBitIdentity holds Forward's live-prefix attention to
@@ -84,7 +84,7 @@ func TestCausalAttentionBitIdentity(t *testing.T) {
 					xt.Data[i] = 3 * g.Norm()
 				}
 				for li, layer := range global.Layers {
-					got := layer.Forward(li, xt, &c, ws, nil, -1)
+					got := layer.Forward(li, xt, &c, ws, nil, -1, 0, T)
 					want := referenceLayerForward(layer, xt, &cRef, wsRef)
 					if !sameBits(got.Data, want.Data) {
 						t.Fatalf("T=%d layer %d: output bits differ from the full-row form", T, li)

@@ -247,13 +247,13 @@ func decodeModel(r *codec.Reader, m *Model) {
 	}
 }
 
-// resize returns s with length n: its first n elements, then nil pointers
+// resize returns s with length n: its first n elements, then zero values
 // where s had fewer.
-func resize[T any](s []*T, n int) []*T {
+func resize[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s[:n]
 	}
-	return append(s, make([]*T, n-len(s))...)
+	return append(s, make([]T, n-len(s))...)
 }
 
 // decodeMatrix reads a matrix into m, or into a new matrix if m is nil.

@@ -103,10 +103,24 @@ func TestGradsReset(t *testing.T) {
 			}
 		}
 	}
-	// Layout change forces reallocation.
+	// A layout change reuses the accumulator too, reshaped like the new
+	// model with no expert buffer handed out yet, as NewGrads leaves it.
 	other := MustNew(Uniform("grads-other", 24, 12, 24, 2, 6, 2, 32), tensor.Named("grads-other"))
-	if g.Reset(other) == g {
-		t.Fatal("Reset reused grads across a layout change")
+	if g.Reset(other) != g {
+		t.Fatal("Reset reallocated across a layout change")
+	}
+	if len(g.Experts) != len(other.Layers) {
+		t.Fatalf("Reset kept %d layers, want %d", len(g.Experts), len(other.Layers))
+	}
+	for l, layer := range other.Layers {
+		if len(g.Experts[l]) != len(layer.Experts) || len(g.TokenGradCount[l]) != len(layer.Experts) {
+			t.Fatalf("layer %d: Reset shaped %d experts, want %d", l, len(g.Experts[l]), len(layer.Experts))
+		}
+		for e, eg := range g.Experts[l] {
+			if eg != nil || g.TokenGradCount[l][e] != 0 || g.TokenGradNorm[l][e] != 0 {
+				t.Fatalf("layer %d expert %d: Reset left state behind", l, e)
+			}
+		}
 	}
 	// Pre-training accumulators (embedding/head) are never reused.
 	pre := NewGrads(m, true)

@@ -57,49 +57,48 @@ func (s LayerSpec) Validate(n int) error {
 	return nil
 }
 
-// MergeExperts returns a new frozen expert whose parameters are the
-// weighted average of the given experts (Eq. (2)). Weights are normalized
-// internally; a zero weight sum falls back to uniform averaging.
-func MergeExperts(experts []*Expert, weights []float64) *Expert {
+// MergeExperts writes into dst the frozen expert whose parameters are the
+// weighted average of the given experts (Eq. (2)) and returns it; a nil dst
+// allocates a new expert, any other has its storage reused. Weights are
+// normalized internally; a zero weight sum falls back to uniform averaging.
+// dst starts at +0 and accumulates the members in order, each scaled by its
+// normalized weight. The result lists no MergedFrom ids.
+func MergeExperts(dst *Expert, experts []*Expert, weights []float64) *Expert {
 	if len(experts) == 0 {
 		panic("moe: merge of zero experts")
 	}
 	if len(experts) != len(weights) {
 		panic("moe: experts/weights length mismatch")
 	}
+	if dst == nil {
+		dst = &Expert{}
+	}
 	var sum float64
 	for _, w := range weights {
 		sum += w
 	}
-	norm := make([]float64, len(weights))
-	if sum <= 0 {
-		for i := range norm {
-			norm[i] = 1 / float64(len(weights))
-		}
-	} else {
-		for i, w := range weights {
-			norm[i] = w / sum
-		}
-	}
-	out := experts[0].Clone()
-	out.W1.Zero()
-	out.W2.Zero()
-	for i := range out.B1 {
-		out.B1[i] = 0
-	}
-	for i := range out.B2 {
-		out.B2[i] = 0
-	}
-	out.Frozen = true
-	out.MergedFrom = nil
+	first := experts[0]
+	dst.W1 = tensor.Grow(dst.W1, first.W1.Rows, first.W1.Cols)
+	dst.W2 = tensor.Grow(dst.W2, first.W2.Rows, first.W2.Cols)
+	dst.B1 = growFloats(dst.B1, len(first.B1))
+	dst.B2 = growFloats(dst.B2, len(first.B2))
+	dst.W1.Zero()
+	dst.W2.Zero()
+	clear(dst.B1)
+	clear(dst.B2)
+	dst.Frozen = true
+	dst.MergedFrom = dst.MergedFrom[:0]
 	for i, e := range experts {
-		w := norm[i]
-		out.W1.AddScaled(e.W1, w)
-		out.W2.AddScaled(e.W2, w)
-		tensor.Axpy(w, e.B1, out.B1)
-		tensor.Axpy(w, e.B2, out.B2)
+		w := 1 / float64(len(weights))
+		if sum > 0 {
+			w = weights[i] / sum
+		}
+		dst.W1.AddScaled(e.W1, w)
+		dst.W2.AddScaled(e.W2, w)
+		tensor.Axpy(w, e.B1, dst.B1)
+		tensor.Axpy(w, e.B2, dst.B2)
 	}
-	return out
+	return dst
 }
 
 // Customize builds a participant-local compact model from the global model:
@@ -107,64 +106,107 @@ func MergeExperts(experts []*Expert, weights []float64) *Expert {
 // group becomes one frozen merged expert; the gate is re-routed so original
 // expert indices resolve to their new destinations (§7 "gate re-routing").
 //
-// The returned model shares no parameter storage with global.
+// The returned model shares no parameter storage with global. It is
+// CustomizeInto with no destination.
 func Customize(global *Model, specs []LayerSpec) (*Model, error) {
+	return CustomizeInto(nil, global, specs)
+}
+
+// CustomizeInto is Customize building into dst, a model nothing else reads
+// (nil allocates a fresh one), and returns the result. Every parameter buffer
+// of dst is reused whatever layout it held before: the embedding, head,
+// attention and gate matrices are overwritten, and each layer's experts are
+// rebuilt in place by position, whether an expert was tuning or merged last
+// time, with new ones allocated only where the layer now has more. The bytes
+// equal a fresh Customize's (TestCustomizeIntoWarmModel). On a spec error dst
+// is left untouched.
+func CustomizeInto(dst, global *Model, specs []LayerSpec) (*Model, error) {
 	if len(specs) != len(global.Layers) {
 		return nil, fmt.Errorf("moe: %d specs for %d layers", len(specs), len(global.Layers))
 	}
-	local := &Model{
-		Cfg:    global.Cfg,
-		Embed:  global.Embed.Clone(),
-		Head:   global.Head.Clone(),
-		Layers: make([]*Layer, len(global.Layers)),
-	}
-	local.Cfg.ExpertsPerLayer = append([]int(nil), global.Cfg.ExpertsPerLayer...)
 	for l, layer := range global.Layers {
-		spec := specs[l]
-		if err := spec.Validate(layer.OrigExperts); err != nil {
+		if err := specs[l].Validate(layer.OrigExperts); err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l, err)
 		}
-		nl := &Layer{
-			Wq:          layer.Wq.Clone(),
-			Wk:          layer.Wk.Clone(),
-			Wv:          layer.Wv.Clone(),
-			Gate:        layer.Gate.Clone(),
-			OrigExperts: layer.OrigExperts,
-			Routing:     make([]int, layer.OrigExperts),
-			TopK:        layer.TopK,
+	}
+	local := dst
+	if local == nil {
+		local = &Model{}
+	}
+	epl := local.Cfg.ExpertsPerLayer
+	local.Cfg = global.Cfg
+	local.Cfg.ExpertsPerLayer = append(epl[:0], global.Cfg.ExpertsPerLayer...)
+	local.Embed = copyMatrix(local.Embed, global.Embed)
+	local.Head = copyMatrix(local.Head, global.Head)
+	var members []*Expert // one merge group's experts and weights
+	var weights []float64
+	for len(local.Layers) < len(global.Layers) {
+		local.Layers = append(local.Layers, &Layer{})
+	}
+	local.Layers = local.Layers[:len(global.Layers)]
+	for l, layer := range global.Layers {
+		spec := specs[l]
+		nl := local.Layers[l]
+		nl.Wq = copyMatrix(nl.Wq, layer.Wq)
+		nl.Wk = copyMatrix(nl.Wk, layer.Wk)
+		nl.Wv = copyMatrix(nl.Wv, layer.Wv)
+		nl.Gate = copyMatrix(nl.Gate, layer.Gate)
+		nl.OrigExperts = layer.OrigExperts
+		nl.TopK = layer.TopK
+		nl.Routing = growInts(nl.Routing, layer.OrigExperts)
+		// Last layout's experts, reused by position; slots past its end
+		// (kept by an earlier, larger layout) are reused too.
+		pool := nl.Experts[:cap(nl.Experts)]
+		nl.Experts = nl.Experts[:0]
+		next := func() *Expert {
+			k := len(nl.Experts)
+			var e *Expert
+			if k < len(pool) && pool[k] != nil {
+				e = pool[k]
+			} else {
+				e = &Expert{}
+			}
+			nl.Experts = append(nl.Experts, e)
+			return e
 		}
 		for _, id := range spec.Tuning {
-			e := layer.Experts[layer.Routing[id]].Clone()
+			src := layer.Experts[layer.Routing[id]]
+			e := next()
+			e.W1 = copyMatrix(e.W1, src.W1)
+			e.W2 = copyMatrix(e.W2, src.W2)
+			e.B1 = append(e.B1[:0], src.B1...)
+			e.B2 = append(e.B2[:0], src.B2...)
 			e.Frozen = false
-			e.MergedFrom = nil
-			nl.Routing[id] = len(nl.Experts)
-			nl.Experts = append(nl.Experts, e)
+			e.MergedFrom = e.MergedFrom[:0]
+			nl.Routing[id] = len(nl.Experts) - 1
 		}
 		for _, grp := range spec.MergeGroups {
-			members := make([]*Expert, len(grp))
-			weights := make([]float64, len(grp))
-			for i, id := range grp {
-				members[i] = layer.Experts[layer.Routing[id]]
-				w := 1.0
-				if spec.MergeWeights != nil {
-					if mw, ok := spec.MergeWeights[id]; ok {
-						w = mw
-					}
-				}
-				weights[i] = w
-			}
-			merged := MergeExperts(members, weights)
-			merged.MergedFrom = append([]int(nil), grp...)
-			pos := len(nl.Experts)
-			nl.Experts = append(nl.Experts, merged)
+			members, weights = members[:0], weights[:0]
 			for _, id := range grp {
-				nl.Routing[id] = pos
+				w := 1.0
+				if mw, ok := spec.MergeWeights[id]; ok {
+					w = mw
+				}
+				members = append(members, layer.Experts[layer.Routing[id]])
+				weights = append(weights, w)
+			}
+			e := MergeExperts(next(), members, weights)
+			e.MergedFrom = append(e.MergedFrom, grp...)
+			for _, id := range grp {
+				nl.Routing[id] = len(nl.Experts) - 1
 			}
 		}
 		local.Cfg.ExpertsPerLayer[l] = len(nl.Experts)
-		local.Layers[l] = nl
 	}
 	return local, nil
+}
+
+// copyMatrix copies src into dst, reusing dst's storage when it has room,
+// and returns the copy.
+func copyMatrix(dst, src *tensor.Matrix) *tensor.Matrix {
+	dst = tensor.Grow(dst, src.Rows, src.Cols)
+	dst.CopyFrom(src)
+	return dst
 }
 
 // Quantize round-trips m's expert, gate, attention, and embedding weights

@@ -122,7 +122,7 @@ func decodeRows(m *Model, ws *Workspace, prefix []int, n int, read func(row []fl
 	ws.resetDecode(len(m.Layers), len(seq)+n, m.Cfg.Dim)
 	for i := 0; i < n; i++ {
 		x := m.extendWS(ws, seq[ws.decLen:])
-		row := m.headLogits(ws, x, x.Rows-1).Row(0)
+		row := m.headLogits(ws, x, x.Rows-1, x.Rows).Row(0)
 		read(append([]float64(nil), row...))
 		seq = append(seq, tensor.ArgMax(row))
 	}

@@ -139,9 +139,12 @@ func (l *Layer) routeToken(probs []float64, ws *Workspace, experts []int, weight
 
 // Forward runs the layer on x (T × D) with c caching activations for backward
 // and ws providing all transient buffers; it returns the layer output (owned
-// by c, valid until c is reused). If stats is non-nil, routing decisions and
-// attention scores are recorded under sampleID.
-func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID int) *tensor.Matrix {
+// by c, valid until c is reused). Every row is attended and routed, but the
+// experts run only on rows [lo, hi): the output's other rows hold the
+// attention residual alone, for a caller that reads none of them (the top
+// layer of a loss pass). If stats is non-nil, routing decisions and attention
+// scores are recorded under sampleID.
+func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID, lo, hi int) *tensor.Matrix {
 	T, D := x.Rows, x.Cols
 
 	// Pre-norm for attention.
@@ -190,15 +193,16 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 		}
 	}
 
-	return l.moeBlock(layerIdx, c, ws, stats, sampleID)
+	return l.moeBlock(layerIdx, c, ws, stats, sampleID, lo, hi)
 }
 
 // moeBlock is the second half of the layer, shared by Forward and extend:
-// pre-norm of the attention residual c.x1, gate softmax, top-k routing, the
-// routed experts' FFNs and the weighted residual sum into c.out, which it
-// returns. Every step is per row, so a row's output depends only on that
-// row of c.x1 — the property extend's bit-identity rests on.
-func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID int) *tensor.Matrix {
+// pre-norm of the attention residual c.x1, gate softmax and top-k routing on
+// every row, then the routed experts' FFNs and the weighted residual sum into
+// c.out, which it returns, on rows [lo, hi). Every step is per row, so a
+// row's output depends only on that row of c.x1 — the property extend's
+// bit-identity rests on.
+func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID, lo, hi int) *tensor.Matrix {
 	T, D := c.x1.Rows, c.x1.Cols
 
 	// Pre-norm for MoE.
@@ -237,10 +241,12 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 			c.routedExperts[i:i:i+c.slots], c.routedWeights[i:i:i+c.slots], ws.routeOrig[:0])
 		c.nRouted[t] = len(experts)
 		ws.routeOrig = orig
-		orow := out.Row(t)
-		for s, ei := range experts {
-			l.Experts[ei].Forward(xt, c.hiddenAt(i+s), eOut)
-			tensor.Axpy(weights[s], eOut[:D], orow[:D])
+		if lo <= t && t < hi {
+			orow := out.Row(t)
+			for s, ei := range experts {
+				l.Experts[ei].Forward(xt, c.hiddenAt(i+s), eOut)
+				tensor.Axpy(weights[s], eOut[:D], orow[:D])
+			}
 		}
 		if stats != nil {
 			// Profiling-only branch: training and inference hot loops pass
@@ -304,7 +310,7 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)
 	c.x1.Add(ws.attnOut)
-	return l.moeBlock(-1, c, ws, nil, -1) // no stats, so the layer index is unused
+	return l.moeBlock(-1, c, ws, nil, -1, 0, n) // no stats, so the layer index is unused
 }
 
 // Backward propagates dOut (gradient of the loss w.r.t. the layer output)
@@ -315,6 +321,17 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 // layer below consumes it: only the trainable experts' parameter gradients
 // are computed — no frozen-expert work, no LN2 or attention backward. All
 // scratch comes from ws.
+//
+// A row whose output gradient is exactly +0 — every row a loss pass leaves
+// unscored in the top layer, and below it every row past the last scored
+// one — only counts its routed tokens: every product it would feed into an
+// accumulator is ±0, and an accumulator that starts at +0 never holds −0, so
+// adding ±0 leaves it unchanged; its LN2 backward adds +0 to a +0 row. The
+// rows after the last live one carry +0 through the attention backward too
+// (their attention weights on live rows are +0 above the diagonal), so their
+// input gradient is +0 without computing it. The forward pass need not have
+// run the experts on such rows (Forward's lo/hi), since their hidden
+// activations are never read.
 func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix, ws *Workspace, grads *Grads) {
 	T, D := dOut.Rows, dOut.Cols
 	propagate := dXIn != nil
@@ -328,14 +345,24 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 	}
 	ws.dyTok = growFloats(ws.dyTok, D)
 	dyTok := ws.dyTok
+	first, end := T, 0 // the live rows: [first, end) holds every non-+0 one
 	for t := 0; t < T; t++ {
 		dorow := dOut.Row(t)
+		i, experts := c.routes(t)
+		if isPositiveZero(dorow) {
+			for _, ei := range experts {
+				if ex := l.Experts[ei]; !ex.Frozen {
+					grads.countToken(layerIdx, ei, ex)
+				}
+			}
+			continue
+		}
+		first, end = min(first, t), t+1
 		xt := c.xMid.Row(t)
 		var dx []float64
 		if propagate {
 			dx = ws.dXMid.Row(t)
 		}
-		i, experts := c.routes(t)
 		for s, ei := range experts {
 			ex := l.Experts[ei]
 			if ex.Frozen && !propagate {
@@ -353,25 +380,50 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 			}
 			ex.Backward(g, xt, c.hiddenAt(i+s), dyTok, dx, ws.dh)
 		}
+		if propagate {
+			// LN2 backward (exact).
+			layerNormBackward(ws.dX1.Row(t), dx, xt, c.invStd2[t])
+		}
 	}
 	if !propagate {
 		return
 	}
-	// LN2 backward (exact).
-	for t := 0; t < T; t++ {
-		layerNormBackward(ws.dX1.Row(t), ws.dXMid.Row(t), c.xMid.Row(t), c.invStd2[t])
+	dXIn.CopyFrom(ws.dX1)
+	if first >= end {
+		return // every row is +0, and so is the input gradient
 	}
 
 	// Attention backward with frozen probabilities:
 	// x1 = xIn + P · (xNorm·Wv)  ⇒  dxNorm = Pᵀ·dX1·Wvᵀ; dxIn = dX1 (+ LN1 path).
+	// Only the live rows of dX1 contribute, and only rows [0, end) of dV —
+	// hence of dxNorm and the LN1 path — are nonzero.
 	ws.dV = tensor.Grow(ws.dV, T, D)
-	tensor.MatMulTransAInto(ws.dV, c.attnP, ws.dX1) // (T×T)ᵀ × (T×D)
-	ws.dXNorm = tensor.Grow(ws.dXNorm, T, D)
-	tensor.MatMulTransBInto(ws.dXNorm, ws.dV, l.Wv)
-	dXIn.CopyFrom(ws.dX1)
-	for t := 0; t < T; t++ {
+	ws.pRows = rowView(ws.pRows, c.attnP, first, end)
+	ws.dX1Rows = rowView(ws.dX1Rows, ws.dX1, first, end)
+	tensor.MatMulTransAInto(ws.dV, &ws.pRows, &ws.dX1Rows) // (T×T)ᵀ × (T×D)
+	ws.dXNorm = tensor.Grow(ws.dXNorm, end, D)
+	ws.dVRows = rowView(ws.dVRows, ws.dV, 0, end)
+	tensor.MatMulTransBInto(ws.dXNorm, &ws.dVRows, l.Wv)
+	for t := 0; t < end; t++ {
 		layerNormBackward(dXIn.Row(t), ws.dXNorm.Row(t), c.xNorm.Row(t), c.invStd1[t])
 	}
+}
+
+// isPositiveZero reports whether every element of row is +0, bit for bit.
+func isPositiveZero(row []float64) bool {
+	for _, v := range row {
+		if math.Float64bits(v) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rowView returns v pointed at rows [from, to) of m, sharing its storage.
+func rowView(v tensor.Matrix, m *tensor.Matrix, from, to int) tensor.Matrix {
+	v.Rows, v.Cols = to-from, m.Cols
+	v.Data = m.Data[from*m.Cols : to*m.Cols]
+	return v
 }
 
 // layerNormBackward accumulates into dx the exact gradient of LayerNorm

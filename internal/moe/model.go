@@ -134,12 +134,13 @@ func (m *Model) embedWS(ws *Workspace, seq []int) *tensor.Matrix {
 }
 
 // headLogits applies the final pre-head layer norm (frozen-statistics
-// backward) and the output head to rows [from, x.Rows) of the last layer's
+// backward) and the output head to rows [from, to) of the last layer's
 // activation x, returning their logits (ws.normed and ws.invStd hold the LN
-// state for backward). Training and full-sequence inference pass from == 0;
-// decoding passes the first row whose logits it reads.
-func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from int) *tensor.Matrix {
-	T := x.Rows - from
+// state for backward, and ws.headFrom records from). Full-sequence inference
+// passes [0, x.Rows), a loss pass its scored span, and decoding the last row.
+func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from, to int) *tensor.Matrix {
+	T := to - from
+	ws.headFrom = from
 	ws.normed = tensor.Grow(ws.normed, T, m.Cfg.Dim)
 	ws.invStd = growFloats(ws.invStd, T)
 	for t := 0; t < T; t++ {
@@ -155,20 +156,20 @@ func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from int) *tensor.Ma
 // stop-1's workspace cache (the embedding buffer when stop == 0), which
 // LossSuffixWS calls resuming at start >= stop leave untouched — so one
 // prefix can serve many suffix evaluations as long as no parameter below
-// stop changes. SPSA probing uses this to re-evaluate the loss after
-// perturbing a single expert without recomputing the layers beneath it.
+// stop changes. Routing statistics are recorded into stats when non-nil,
+// with sampleID tagging the sequence (see ForwardWS). Profiling runs every
+// layer through it and stops before the head, whose logits it never reads.
 //
-// Hot path: SPSA probe prefix reuse, once per cached prefix inside the
-// assignment search inner loop. A warm workspace stays 0 allocs/op, pinned by
-// TestForwardBackwardZeroAllocs.
-func (m *Model) ForwardPrefixWS(ws *Workspace, seq []int, stop int) *tensor.Matrix {
+// Hot path: activation profiling and the prefix of every forward pass. A
+// warm workspace stays 0 allocs/op, pinned by TestForwardBackwardZeroAllocs.
+func (m *Model) ForwardPrefixWS(ws *Workspace, seq []int, stop int, stats *ActivationStats, sampleID int) *tensor.Matrix {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
 	x := m.embedWS(ws, seq)
 	caches := ws.cachesFor(len(m.Layers))
 	for l := 0; l < stop; l++ {
-		x = m.Layers[l].Forward(l, x, caches[l], ws, nil, -1)
+		x = m.Layers[l].Forward(l, x, caches[l], ws, stats, sampleID, 0, x.Rows)
 	}
 	return x
 }
@@ -184,33 +185,66 @@ func (m *Model) LayerInputWS(ws *Workspace, l int) *tensor.Matrix {
 	return ws.caches[l-1].out
 }
 
+// scoredSpan returns the rows [lo, hi) whose logits a loss over a length-T
+// sequence under mask reads: from the first scored position to one past the
+// last. Row T−1 predicts no token and is never scored; lo == hi when no
+// position is.
+func scoredSpan(T int, mask []bool) (lo, hi int) {
+	hi = max(T-1, 0)
+	if mask == nil {
+		return 0, hi
+	}
+	for hi > 0 && !mask[hi-1] {
+		hi--
+	}
+	for lo < hi && !mask[lo] {
+		lo++
+	}
+	return lo, hi
+}
+
+// lossLogits resumes a forward pass at layer start from x, the activation
+// entering it, and returns the head logits of the rows a loss over seq under
+// mask reads (scoredSpan; ws.headFrom is the first). Layers below the top
+// run in full. The top layer still routes every row, because the backward
+// pass counts every routed token in TokenGradCount, but runs its experts
+// only on the scored span: nothing reads its other rows.
+func (m *Model) lossLogits(ws *Workspace, x *tensor.Matrix, start int, seq []int, mask []bool, stats *ActivationStats, sampleID int) *tensor.Matrix {
+	lo, hi := scoredSpan(len(seq), mask)
+	caches := ws.cachesFor(len(m.Layers))
+	for l := start; l < len(m.Layers); l++ {
+		rlo, rhi := 0, x.Rows
+		if l == len(m.Layers)-1 {
+			rlo, rhi = lo, hi
+		}
+		x = m.Layers[l].Forward(l, x, caches[l], ws, stats, sampleID, rlo, rhi)
+	}
+	return m.headLogits(ws, x, lo, hi)
+}
+
 // LossSuffixWS resumes a forward pass at layer start from the activation x
 // (as produced by ForwardPrefixWS with stop == start on the same workspace)
 // and returns the masked mean next-token cross-entropy of seq. The
-// composition ForwardPrefixWS + LossSuffixWS is bit-identical to LossWS at
-// every split point.
+// composition ForwardPrefixWS + LossSuffixWS is LossWS at every split point.
 //
 // Hot path: the SPSA probe suffix, per probe per sequence in the assignment
 // search inner loop. A warm workspace stays 0 allocs/op, pinned by
 // TestForwardBackwardZeroAllocs.
 func (m *Model) LossSuffixWS(ws *Workspace, x *tensor.Matrix, start int, seq []int, mask []bool) float64 {
-	caches := ws.cachesFor(len(m.Layers))
-	for l := start; l < len(m.Layers); l++ {
-		x = m.Layers[l].Forward(l, x, caches[l], ws, nil, -1)
-	}
-	logits := m.headLogits(ws, x, 0)
+	logits := m.lossLogits(ws, x, start, seq, mask, nil, -1)
 	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
-	loss, _ := crossEntropy(logits, seq, mask, nil, ws.ceProbs)
+	loss, _ := crossEntropy(logits, ws.headFrom, seq, mask, nil, ws.ceProbs)
 	return loss
 }
 
 // ForwardWS runs inference on seq and returns the T × VocabSize logits, with
-// every temporary drawn from ws (nil allocates a private workspace). The
-// returned logits alias ws storage and are valid only until ws is next used.
+// every temporary drawn from ws (nil allocates a private workspace): every
+// layer through ForwardPrefixWS, then the head on every row. The returned
+// logits alias ws storage and are valid only until ws is next used.
 // Routing statistics are recorded into stats when non-nil; sampleID tags the
 // sequence for per-expert data-set tracking (pass -1 to skip). The
-// per-layer caches and pre-head layer-norm state the pass leaves in ws are
-// what lossBackward and OutputEmbedding read.
+// pre-head layer-norm state the pass leaves in ws is what OutputEmbedding
+// reads.
 //
 // Hot path: per-sequence inference. A warm workspace stays 0 allocs/op,
 // pinned by TestForwardBackwardZeroAllocs.
@@ -218,18 +252,14 @@ func (m *Model) ForwardWS(ws *Workspace, seq []int, stats *ActivationStats, samp
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	x := m.embedWS(ws, seq)
-	caches := ws.cachesFor(len(m.Layers))
-	for l, layer := range m.Layers {
-		x = layer.Forward(l, x, caches[l], ws, stats, sampleID)
-	}
-	return m.headLogits(ws, x, 0)
+	x := m.ForwardPrefixWS(ws, seq, len(m.Layers), stats, sampleID)
+	return m.headLogits(ws, x, 0, x.Rows)
 }
 
 // LossWS computes the mean next-token cross-entropy of seq under the model,
 // restricted to positions where mask is true (mask[t] gates the prediction
 // made *at* position t for token t+1). A nil mask scores all positions; a nil
-// ws allocates a private workspace.
+// ws allocates a private workspace. It is LossSuffixWS from the embedding.
 //
 // Hot path: the per-sequence eval loss, across the eval subset every round. A
 // warm workspace stays 0 allocs/op, pinned by TestForwardBackwardZeroAllocs.
@@ -237,10 +267,7 @@ func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	logits := m.ForwardWS(ws, seq, nil, -1)
-	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
-	loss, _ := crossEntropy(logits, seq, mask, nil, ws.ceProbs)
-	return loss
+	return m.LossSuffixWS(ws, m.embedWS(ws, seq), 0, seq, mask)
 }
 
 // ForwardBackwardWS runs a training step's forward and backward passes for
@@ -248,10 +275,13 @@ func (m *Model) LossWS(ws *Workspace, seq []int, mask []bool) float64 {
 // and returns the mean masked cross-entropy loss; a nil grads returns the
 // loss without a backward pass. Embedding/head gradients are accumulated
 // only when grads was created with trainEmbed; without them the backward
-// pass stops at the lowest layer holding a trainable expert. Every temporary
-// is drawn from ws (nil allocates a private workspace): with a warm workspace
-// the whole pass performs zero heap allocations, and results are
-// bit-identical whether ws is fresh or reused.
+// pass stops at the lowest layer holding a trainable expert. The pass
+// computes only what the loss reads (lossLogits) and its backward skips
+// rows whose gradient is exactly +0 (Layer.Backward); both are bit-identical
+// to the full pass, which TestLossTrimBitIdentity keeps as the oracle. Every
+// temporary is drawn from ws (nil allocates a private workspace): with a
+// warm workspace the whole pass performs zero heap allocations, and results
+// are bit-identical whether ws is fresh or reused.
 //
 // Hot path: the steady-state training step. A warm workspace stays 0
 // allocs/op, pinned by TestForwardBackwardZeroAllocs and
@@ -260,11 +290,12 @@ func (m *Model) ForwardBackwardWS(ws *Workspace, seq []int, mask []bool, grads *
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	return m.lossBackward(ws, m.ForwardWS(ws, seq, stats, sampleID), seq, mask, grads)
+	logits := m.lossLogits(ws, m.embedWS(ws, seq), 0, seq, mask, stats, sampleID)
+	return m.lossBackward(ws, logits, seq, mask, grads)
 }
 
 // lossBackward is the rest of a training step after the forward pass that
-// produced logits on ws: it returns the masked mean cross-entropy of seq
+// produced logits (rows from ws.headFrom on) on ws: it returns the masked mean cross-entropy of seq
 // and, unless grads is nil, runs the backward pass through the per-layer
 // caches and final layer-norm state that pass left in ws, one
 // backwardStage after another.
@@ -287,15 +318,15 @@ func (m *Model) lossBackward(ws *Workspace, logits *tensor.Matrix, seq []int, ma
 	return loss
 }
 
-// lossGrad returns the masked mean cross-entropy of seq under logits and
-// the number of scored positions, leaving dL/dlogits in ws for
-// backwardStage. With no scored position the loss is 0 and there is no
+// lossGrad returns the masked mean cross-entropy of seq under logits (rows
+// from ws.headFrom on) and the number of scored positions, leaving dL/dlogits
+// in ws for backwardStage. With no scored position the loss is 0 and there is no
 // gradient to propagate.
 func lossGrad(ws *Workspace, logits *tensor.Matrix, seq []int, mask []bool) (float64, int) {
 	ws.dLogits = tensor.Grow(ws.dLogits, logits.Rows, logits.Cols)
 	ws.dLogits.Zero() // masked rows are never written by crossEntropy
 	ws.ceProbs = growFloats(ws.ceProbs, logits.Cols)
-	return crossEntropy(logits, seq, mask, ws.dLogits, ws.ceProbs)
+	return crossEntropy(logits, ws.headFrom, seq, mask, ws.dLogits, ws.ceProbs)
 }
 
 // backwardStages is the number of stages of one sequence's backward pass:
@@ -315,7 +346,12 @@ func (m *Model) backwardStage(ws *Workspace, s, stop int, seq []int, grads *Grad
 	L := len(m.Layers)
 	switch {
 	case s == 0:
-		// Head backward: logits = normed × Head.
+		// Head backward: logits = normed × Head, over the rows from
+		// ws.headFrom the head computed. Every other row of dL/dlogits is +0,
+		// so its head-gradient terms are ±0 and its dL/dnormed row, and with
+		// it the final LN backward's dL/dx row, is +0: the rows left out of
+		// the products below and the zeroed dX rows are exactly what the
+		// full-row pass produces.
 		normed := ws.normed
 		if grads.Head != nil {
 			ws.headGrad = tensor.Grow(ws.headGrad, normed.Cols, ws.dLogits.Cols)
@@ -325,12 +361,12 @@ func (m *Model) backwardStage(ws *Workspace, s, stop int, seq []int, grads *Grad
 		ws.dNormed = tensor.Grow(ws.dNormed, ws.dLogits.Rows, m.Head.Rows)
 		tensor.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)
 		// Final LN backward (exact).
-		ws.dX[0] = tensor.Grow(ws.dX[0], ws.dNormed.Rows, ws.dNormed.Cols)
-		ws.dX[1] = tensor.Grow(ws.dX[1], ws.dNormed.Rows, ws.dNormed.Cols)
+		ws.dX[0] = tensor.Grow(ws.dX[0], len(seq), m.Cfg.Dim)
+		ws.dX[1] = tensor.Grow(ws.dX[1], len(seq), m.Cfg.Dim)
 		dX := ws.dX[0]
 		dX.Zero() // layerNormBackward accumulates
-		for t := 0; t < dX.Rows; t++ {
-			layerNormBackward(dX.Row(t), ws.dNormed.Row(t), normed.Row(t), ws.invStd[t])
+		for t := 0; t < ws.dNormed.Rows; t++ {
+			layerNormBackward(dX.Row(ws.headFrom+t), ws.dNormed.Row(t), normed.Row(t), ws.invStd[t])
 		}
 	case s <= L:
 		// The dL/dx chain ping-pongs between the two workspace matrices:
@@ -372,13 +408,15 @@ func (m *Model) lowestTrainableLayer() int {
 }
 
 // crossEntropy computes mean next-token cross-entropy over masked positions
-// and, if dLogits is non-nil, writes (softmax - onehot)/n into it. probs is
-// caller-provided softmax scratch of length logits.Cols.
-func crossEntropy(logits *tensor.Matrix, seq []int, mask []bool, dLogits *tensor.Matrix, probs []float64) (float64, int) {
-	T := logits.Rows
+// and, if dLogits is non-nil, writes (softmax - onehot)/n into it. logits
+// (and dLogits) hold the rows from position from on, which must cover every
+// scored position. probs is caller-provided softmax scratch of length
+// logits.Cols.
+func crossEntropy(logits *tensor.Matrix, from int, seq []int, mask []bool, dLogits *tensor.Matrix, probs []float64) (float64, int) {
+	end := min(from+logits.Rows, len(seq)-1)
 	var loss float64
 	var n int
-	for t := 0; t < T-1; t++ {
+	for t := from; t < end; t++ {
 		if mask != nil && !mask[t] {
 			continue
 		}
@@ -387,15 +425,15 @@ func crossEntropy(logits *tensor.Matrix, seq []int, mask []bool, dLogits *tensor
 	if n == 0 {
 		return 0, 0
 	}
-	for t := 0; t < T-1; t++ {
+	for t := from; t < end; t++ {
 		if mask != nil && !mask[t] {
 			continue
 		}
 		target := seq[t+1]
-		tensor.Softmax(probs, logits.Row(t))
+		tensor.Softmax(probs, logits.Row(t-from))
 		loss += -logProb(probs[target])
 		if dLogits != nil {
-			drow := dLogits.Row(t)
+			drow := dLogits.Row(t - from)
 			inv := 1 / float64(n)
 			for j, pv := range probs {
 				drow[j] = pv * inv
@@ -445,7 +483,7 @@ func (m *Model) GenerateWS(ws *Workspace, prefix []int, n int) []int {
 			ws.decLen = 0
 		}
 		x := m.extendWS(ws, buf[lo+ws.decLen:end])
-		buf[end] = tensor.ArgMax(m.headLogits(ws, x, x.Rows-1).Row(0))
+		buf[end] = tensor.ArgMax(m.headLogits(ws, x, x.Rows-1, x.Rows).Row(0))
 	}
 	return buf[len(prefix):]
 }
@@ -474,7 +512,7 @@ func (m *Model) ScoreOptionsWS(ws *Workspace, prefix []int, opts [][]int, scores
 	if len(prefix) > 0 {
 		// The prompt's last row predicts every option's first token.
 		x := m.extendWS(ws, prefix)
-		tensor.Softmax(probs, m.headLogits(ws, x, x.Rows-1).Row(0))
+		tensor.Softmax(probs, m.headLogits(ws, x, x.Rows-1, x.Rows).Row(0))
 	}
 	// First-token terms are taken now: the option rows below reuse probs.
 	for i, opt := range opts {
@@ -490,7 +528,8 @@ func (m *Model) ScoreOptionsWS(ws *Workspace, prefix []int, opts [][]int, scores
 		}
 		if len(opt) > 1 {
 			ws.decLen = len(prefix)
-			logits := m.headLogits(ws, m.extendWS(ws, opt[:len(opt)-1]), 0)
+			x := m.extendWS(ws, opt[:len(opt)-1])
+			logits := m.headLogits(ws, x, 0, x.Rows)
 			for j, tok := range opt[1:] {
 				tensor.Softmax(probs, logits.Row(j))
 				scores[i] += logProb(probs[tok])

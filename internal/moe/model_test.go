@@ -477,7 +477,7 @@ func TestMergeExpertsWeighted(t *testing.T) {
 	g := tensor.NewRNG(13)
 	a := NewExpert(4, 6, g)
 	b := NewExpert(4, 6, g)
-	merged := MergeExperts([]*Expert{a, b}, []float64{3, 1})
+	merged := MergeExperts(nil, []*Expert{a, b}, []float64{3, 1})
 	want := a.W1.At(0, 0)*0.75 + b.W1.At(0, 0)*0.25
 	if math.Abs(merged.W1.At(0, 0)-want) > 1e-12 {
 		t.Fatalf("weighted merge wrong: %v want %v", merged.W1.At(0, 0), want)
@@ -486,7 +486,7 @@ func TestMergeExpertsWeighted(t *testing.T) {
 		t.Fatal("merged expert should be frozen")
 	}
 	// Zero weights fall back to uniform.
-	u := MergeExperts([]*Expert{a, b}, []float64{0, 0})
+	u := MergeExperts(nil, []*Expert{a, b}, []float64{0, 0})
 	wantU := (a.W1.At(0, 0) + b.W1.At(0, 0)) / 2
 	if math.Abs(u.W1.At(0, 0)-wantU) > 1e-12 {
 		t.Fatal("zero-weight merge should average uniformly")

@@ -57,7 +57,7 @@ func PretrainContext(ctx context.Context, m *Model, sampler func(*tensor.RNG) []
 		for b := w; b < batch; b += workers {
 			seq := seqs[b]
 			var n int
-			seqLoss[b], n = lossGrad(ws, m.ForwardWS(ws, seq, nil, -1), seq, nil)
+			seqLoss[b], n = lossGrad(ws, m.lossLogits(ws, m.embedWS(ws, seq), 0, seq, nil, nil, -1), seq, nil)
 			for s := range stages {
 				if b > 0 {
 					<-turn[w][s]

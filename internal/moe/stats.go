@@ -44,6 +44,42 @@ func NewActivationStats(cfg Config, trackSamples bool) *ActivationStats {
 	return s
 }
 
+// Reset returns empty stats for cfg, reusing s's storage: the count and
+// attention rows are cleared in place, and with sample tracking each
+// per-expert sample set is emptied but kept, so a profile rebuilt every round
+// stops allocating once every expert has seen a sample. A nil receiver is
+// allowed and behaves like NewActivationStats.
+func (s *ActivationStats) Reset(cfg Config, trackSamples bool) *ActivationStats {
+	if s == nil {
+		return NewActivationStats(cfg, trackSamples)
+	}
+	L := cfg.Layers()
+	s.Counts = resize(s.Counts, L)
+	s.AttnSum = resize(s.AttnSum, L)
+	for l, e := range cfg.ExpertsPerLayer {
+		s.Counts[l] = growFloats(s.Counts[l], e)
+		s.AttnSum[l] = growFloats(s.AttnSum[l], e)
+		clear(s.Counts[l])
+		clear(s.AttnSum[l])
+	}
+	s.Tokens = 0
+	s.trackSamples = trackSamples
+	if !trackSamples {
+		return s
+	}
+	s.Samples = resize(s.Samples, L)
+	for l, e := range cfg.ExpertsPerLayer {
+		if s.Samples[l] == nil {
+			s.Samples[l] = make(map[int]map[int]struct{}, e)
+		}
+		//fluxvet:unordered clearing every set is order-free
+		for _, set := range s.Samples[l] {
+			clear(set)
+		}
+	}
+	return s
+}
+
 func (s *ActivationStats) recordToken(layer int, origIdxs []int, attnRecv float64, sampleID int) {
 	for _, o := range origIdxs {
 		s.Counts[layer][o]++
@@ -161,6 +197,8 @@ type Grads struct {
 	// tokens.
 	TokenGradNorm  [][]float64
 	TokenGradCount [][]float64
+
+	spare []*ExpertGrad // buffers Reset took back, handed out again by expertGrad
 }
 
 // NewGrads allocates a gradient accumulator shaped like m. Expert buffers
@@ -183,16 +221,41 @@ func NewGrads(m *Model, trainEmbed bool) *Grads {
 	return g
 }
 
+// expertGrad returns the gradient buffer of the expert e at (layer, idx),
+// taking a zeroed one — a spare when one fits e — on its first use.
 func (g *Grads) expertGrad(layer, idx int, e *Expert) *ExpertGrad {
-	if g.Experts[layer][idx] == nil {
-		g.Experts[layer][idx] = NewExpertGrad(e)
+	eg := g.Experts[layer][idx]
+	if eg != nil {
+		return eg
 	}
-	return g.Experts[layer][idx]
+	for eg == nil && len(g.spare) > 0 {
+		eg = g.spare[len(g.spare)-1]
+		g.spare = g.spare[:len(g.spare)-1]
+		if eg.W1.Rows != e.W1.Rows || eg.W1.Cols != e.W1.Cols || len(eg.B1) != len(e.B1) ||
+			eg.W2.Rows != e.W2.Rows || eg.W2.Cols != e.W2.Cols || len(eg.B2) != len(e.B2) {
+			eg = nil
+		}
+	}
+	if eg == nil {
+		eg = NewExpertGrad(e)
+	} else {
+		eg.Zero()
+	}
+	g.Experts[layer][idx] = eg
+	return eg
 }
 
 func (g *Grads) recordTokenGrad(layer, idx int, dy []float64) {
 	g.TokenGradNorm[layer][idx] += tensor.Norm2(dy)
 	g.TokenGradCount[layer][idx]++
+}
+
+// countToken is recordTokenGrad for a token whose gradient is +0: its norm
+// would add +0, which leaves TokenGradNorm unchanged. The expert's gradient
+// buffer is still taken, as the ±0 accumulation of the full pass takes it.
+func (g *Grads) countToken(layer, idx int, e *Expert) {
+	g.TokenGradCount[layer][idx]++
+	g.expertGrad(layer, idx, e)
 }
 
 // AvgTokenGradNorm returns the average per-token gradient magnitude for the
@@ -205,50 +268,35 @@ func (g *Grads) AvgTokenGradNorm(layer, idx int) float64 {
 	return g.TokenGradNorm[layer][idx] / c
 }
 
-// Reset returns a zeroed expert-gradient accumulator shaped like m, reusing
-// g's buffers when the expert layout matches and allocating fresh ones
-// otherwise. A nil receiver is allowed and behaves like NewGrads(m, false);
-// accumulators carrying embedding/head buffers are never reused (those exist
-// only during pre-training). Worker scratches use it so full-model methods
-// stop re-allocating gradient storage every round.
+// Reset returns an empty expert-gradient accumulator shaped like m,
+// equivalent to NewGrads(m, false) but reusing g's storage whatever m's
+// expert layout: every expert buffer g holds becomes a spare that the next
+// backward pass hands out, zeroed, to the first trainable expert it reaches,
+// so a worker whose local layout changes every round (Flux's customized
+// models) stops allocating gradient storage. A nil receiver is allowed and
+// behaves like NewGrads(m, false); accumulators carrying embedding/head
+// buffers are never reused (those exist only during pre-training).
 func (g *Grads) Reset(m *Model) *Grads {
-	if g == nil || g.Embed != nil || len(g.Experts) != len(m.Layers) {
+	if g == nil || g.Embed != nil {
 		return NewGrads(m, false)
 	}
+	L := len(m.Layers)
+	g.Experts = resize(g.Experts, L)
+	g.TokenGradNorm = resize(g.TokenGradNorm, L)
+	g.TokenGradCount = resize(g.TokenGradCount, L)
 	for l, layer := range m.Layers {
-		if len(g.Experts[l]) != len(layer.Experts) {
-			return NewGrads(m, false)
-		}
+		n := len(layer.Experts)
 		for e, eg := range g.Experts[l] {
-			if eg == nil {
-				continue
-			}
-			ex := layer.Experts[e]
-			if eg.W1.Rows != ex.W1.Rows || eg.W1.Cols != ex.W1.Cols ||
-				eg.W2.Rows != ex.W2.Rows || eg.W2.Cols != ex.W2.Cols {
-				return NewGrads(m, false)
-			}
-		}
-	}
-	g.Zero()
-	return g
-}
-
-// Zero clears all accumulated gradients.
-func (g *Grads) Zero() {
-	for l := range g.Experts {
-		for _, eg := range g.Experts[l] {
 			if eg != nil {
-				eg.Zero()
+				g.spare = append(g.spare, eg)
+				g.Experts[l][e] = nil
 			}
 		}
-		for e := range g.TokenGradNorm[l] {
-			g.TokenGradNorm[l][e] = 0
-			g.TokenGradCount[l][e] = 0
-		}
+		g.Experts[l] = resize(g.Experts[l], n)
+		g.TokenGradNorm[l] = growFloats(g.TokenGradNorm[l], n)
+		g.TokenGradCount[l] = growFloats(g.TokenGradCount[l], n)
+		clear(g.TokenGradNorm[l])
+		clear(g.TokenGradCount[l])
 	}
-	if g.Embed != nil {
-		g.Embed.Zero()
-		g.Head.Zero()
-	}
+	return g
 }

@@ -55,10 +55,11 @@ type Workspace struct {
 	eOut       []float64
 	attnRecv   []float64
 
-	// Final layer norm + head.
-	normed *tensor.Matrix
-	invStd []float64
-	logits *tensor.Matrix
+	// Final layer norm + head, over the rows from headFrom on.
+	normed   *tensor.Matrix
+	invStd   []float64
+	logits   *tensor.Matrix
+	headFrom int
 
 	// Loss and backward state.
 	ceProbs  []float64
@@ -72,6 +73,11 @@ type Workspace struct {
 	dXNorm   *tensor.Matrix
 	dyTok    []float64
 	dh       []float64 // Expert.Backward scratch: dh, then the dx partial sum
+
+	// Row views of the attention backward's live rows (Layer.Backward).
+	pRows, dX1Rows, dVRows tensor.Matrix
+
+	probe []float64 // ProbeFloats
 }
 
 // NewWorkspace returns an empty workspace; buffers are allocated lazily on
@@ -120,11 +126,22 @@ func (ws *Workspace) Scores(n int) []float64 {
 	return ws.scores
 }
 
+// ProbeFloats returns a length-n float64 scratch slice owned by ws, for the
+// forward-only gradient probes that run on it (assign.ProbeExploreSPSA),
+// valid until its next call. Contents are unspecified.
+func (ws *Workspace) ProbeFloats(n int) []float64 {
+	ws.probe = growFloats(ws.probe, n)
+	return ws.probe
+}
+
 // growFloats returns a length-n float64 slice, reusing s's storage when its
-// capacity suffices. Contents are unspecified; callers fully overwrite.
+// capacity suffices. When it does not, the new storage has room for twice
+// s's capacity, so a buffer that sees slowly rising lengths (sequences of a
+// varying length) reallocates a logarithmic number of times. Contents are
+// unspecified; callers fully overwrite.
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]float64, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -132,7 +149,7 @@ func growFloats(s []float64, n int) []float64 {
 // growInts is growFloats for []int.
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]int, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

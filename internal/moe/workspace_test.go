@@ -105,7 +105,7 @@ func TestPrefixSuffixBitIdentity(t *testing.T) {
 	}
 	want := m.LossWS(nil, seq, mask)
 	for stop := 0; stop <= len(m.Layers); stop++ {
-		x := m.ForwardPrefixWS(ws, seq, stop)
+		x := m.ForwardPrefixWS(ws, seq, stop, nil, -1)
 		for rep := 0; rep < 3; rep++ {
 			if got := m.LossSuffixWS(ws, x, stop, seq, mask); got != want {
 				t.Fatalf("split %d rep %d: loss %v != %v", stop, rep, got, want)
@@ -151,7 +151,7 @@ func TestForwardBackwardZeroAllocs(t *testing.T) {
 	}
 	stop := len(m.Layers) / 2
 	if n := testing.AllocsPerRun(10, func() {
-		m.LossSuffixWS(ws, m.ForwardPrefixWS(ws, seq, stop), stop, seq, nil)
+		m.LossSuffixWS(ws, m.ForwardPrefixWS(ws, seq, stop, nil, -1), stop, seq, nil)
 	}); n != 0 {
 		t.Fatalf("warm ForwardPrefixWS+LossSuffixWS allocates %v times per run, want 0", n)
 	}

@@ -28,17 +28,19 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // Grow returns a rows×cols matrix, reusing m's backing storage when its
-// capacity suffices and allocating otherwise (m may be nil). Element contents
-// are unspecified after a Grow — callers must fully overwrite or Zero before
-// reading. Workspaces use it so transient matrices stop allocating once their
-// high-water shape is reached.
+// capacity suffices and allocating otherwise (m may be nil). A reallocation
+// makes room for twice m's old capacity, so a matrix whose shape creeps
+// upwards (one row per longer sequence) reallocates a logarithmic number of
+// times. Element contents are unspecified after a Grow — callers must fully
+// overwrite or Zero before reading. Workspaces use it so transient matrices
+// stop allocating once their high-water shape is reached.
 func Grow(m *Matrix, rows, cols int) *Matrix {
 	n := rows * cols
 	if m == nil {
 		return NewMatrix(rows, cols)
 	}
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = make([]float64, n, max(n, 2*cap(m.Data)))
 	} else {
 		m.Data = m.Data[:n]
 	}

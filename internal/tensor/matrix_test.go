@@ -291,7 +291,7 @@ func TestPCAReducesDimsAndSeparates(t *testing.T) {
 			row[j] = g.Gauss(0, 0.1)
 		}
 	}
-	p := PCA(x, 2, g)
+	p := PCA(x, 2, g, nil)
 	if p.Rows != 40 || p.Cols != 2 {
 		t.Fatalf("pca shape %dx%d", p.Rows, p.Cols)
 	}
@@ -310,7 +310,7 @@ func TestPCAClampK(t *testing.T) {
 	g := NewRNG(10)
 	x := NewMatrix(5, 3)
 	x.RandInit(g, 1)
-	p := PCA(x, 10, g)
+	p := PCA(x, 10, g, nil)
 	if p.Cols != 3 {
 		t.Fatalf("pca should clamp k to cols, got %d", p.Cols)
 	}
@@ -339,5 +339,25 @@ func TestMatMulIntoReuse(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("clamp wrong")
+	}
+}
+
+// TestPCAScratchReuse runs PCA on inputs of several shapes through one
+// scratch and holds each result to a scratch-less call bit for bit.
+func TestPCAScratchReuse(t *testing.T) {
+	var s PCAScratch
+	for i, shape := range [][3]int{{40, 12, 4}, {9, 30, 6}, {40, 12, 4}, {3, 5, 10}, {25, 48, 6}} {
+		x := NewMatrix(shape[0], shape[1])
+		x.RandInit(NewRNG(int64(20+i)), 1)
+		want := PCA(x, shape[2], NewRNG(int64(30+i)), nil)
+		got := PCA(x, shape[2], NewRNG(int64(30+i)), &s)
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("shape %v: %dx%d, want %dx%d", shape, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for j, w := range want.Data {
+			if math.Float64bits(got.Data[j]) != math.Float64bits(w) {
+				t.Fatalf("shape %v: element %d is %v, want %v", shape, j, got.Data[j], w)
+			}
+		}
 	}
 }

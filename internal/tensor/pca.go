@@ -2,13 +2,27 @@ package tensor
 
 import "math"
 
+// PCAScratch holds PCA's working buffers, and its result, between calls.
+// The zero value is ready to use.
+type PCAScratch struct {
+	mean, v, tmp, av []float64
+	c, cov, comps    *Matrix
+	out              *Matrix
+}
+
 // PCA projects the rows of x (samples × features) onto their top k principal
 // components, returning a samples × k matrix. Components are found with power
 // iteration and deflation on the covariance, which is plenty for the small
 // feature counts used here (expert parameter sketches).
 //
-// Rows are mean-centered first. k is clamped to the feature count.
-func PCA(x *Matrix, k int, g *RNG) *Matrix {
+// Rows are mean-centered first. k is clamped to the feature count. With a
+// non-nil s every buffer, the result included, comes from s and is reused by
+// its next call, so a caller running PCA every round stops allocating; a nil
+// s allocates them afresh. The bits do not depend on s.
+func PCA(x *Matrix, k int, g *RNG, s *PCAScratch) *Matrix {
+	if s == nil {
+		s = &PCAScratch{}
+	}
 	n, d := x.Rows, x.Cols
 	if k > d {
 		k = d
@@ -18,7 +32,8 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	}
 
 	// Center.
-	mean := make([]float64, d)
+	s.mean = growZeroed(s.mean, d)
+	mean := s.mean
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		for j, v := range row {
@@ -28,7 +43,9 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	for j := range mean {
 		mean[j] /= float64(n)
 	}
-	c := x.Clone()
+	s.c = Grow(s.c, n, d)
+	c := s.c
+	c.CopyFrom(x)
 	for i := 0; i < n; i++ {
 		row := c.Row(i)
 		for j := range row {
@@ -37,16 +54,18 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	}
 
 	// Covariance (d×d). d is small by construction (parameter sketches).
-	cov := NewMatrix(d, d)
+	s.cov = Grow(s.cov, d, d)
+	cov := s.cov
 	MatMulTransAInto(cov, c, c)
 	cov.Scale(1 / float64(max(n-1, 1)))
 
-	comps := NewMatrix(k, d)
+	s.comps = Grow(s.comps, k, d)
+	comps := s.comps
 	for ci := 0; ci < k; ci++ {
-		vec := powerIteration(cov, g)
+		vec := s.powerIteration(cov, g)
 		copy(comps.Row(ci), vec)
 		// Deflate: cov -= λ v vᵀ.
-		lambda := rayleigh(cov, vec)
+		lambda := s.rayleigh(cov, vec)
 		for i := 0; i < d; i++ {
 			row := cov.Row(i)
 			for j := 0; j < d; j++ {
@@ -56,20 +75,23 @@ func PCA(x *Matrix, k int, g *RNG) *Matrix {
 	}
 
 	// Project centered data.
-	out := NewMatrix(n, k)
-	MatMulTransBInto(out, c, comps)
-	return out
+	s.out = Grow(s.out, n, k)
+	MatMulTransBInto(s.out, c, comps)
+	return s.out
 }
 
-// powerIteration finds the dominant eigenvector of the symmetric matrix a.
-func powerIteration(a *Matrix, g *RNG) []float64 {
+// powerIteration finds the dominant eigenvector of the symmetric matrix a,
+// returned in s.v.
+func (s *PCAScratch) powerIteration(a *Matrix, g *RNG) []float64 {
 	d := a.Rows
-	v := make([]float64, d)
+	if cap(s.v) < d {
+		s.v, s.tmp = make([]float64, d), make([]float64, d)
+	}
+	v, tmp := s.v[:d], s.tmp[:d] // both fully overwritten below
 	for i := range v {
 		v[i] = g.Gauss(0, 1)
 	}
 	normalizeVec(v)
-	tmp := make([]float64, d)
 	for iter := 0; iter < 100; iter++ {
 		DotRows(tmp, v, a.Data, d)
 		n := Norm2(tmp)
@@ -89,10 +111,21 @@ func powerIteration(a *Matrix, g *RNG) []float64 {
 	return v
 }
 
-func rayleigh(a *Matrix, v []float64) float64 {
-	av := make([]float64, a.Rows)
-	DotRows(av, v, a.Data, a.Cols)
-	return Dot(v, av)
+func (s *PCAScratch) rayleigh(a *Matrix, v []float64) float64 {
+	s.av = growZeroed(s.av, a.Rows)
+	DotRows(s.av, v, a.Data, a.Cols)
+	return Dot(v, s.av)
+}
+
+// growZeroed returns a zeroed length-n slice, reusing buf's storage when it
+// has room.
+func growZeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func normalizeVec(v []float64) {
