@@ -415,23 +415,58 @@ func BenchmarkQuantizeModel(b *testing.B) {
 }
 
 // BenchmarkQuantizedGlobal is the per-round profiling model as Rounders get
-// it: Env.QuantizedGlobal's serial clone into the environment's buffer, then
-// the quantization units fanned over workers={1,2}. BenchmarkQuantizeModel
-// above is the same work on one goroutine.
+// it, at workers={1,2}. op=full is a cold build: each iteration swaps
+// Env.Global for another model, so QuantizedGlobal clones it into the
+// environment's buffer and fans the quantization units over the pool
+// (BenchmarkQuantizeModel above is the same work on one goroutine).
+// op=incremental is the steady state: each iteration first runs an untimed
+// round whose update names 40% of the experts, about the share a flux-sync
+// round writes, and QuantizedGlobal then re-quantizes only those.
 func BenchmarkQuantizedGlobal(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			env := &fed.Env{
-				Cfg:    fed.Config{Workers: workers},
-				Global: moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant")),
-			}
-			env.QuantizedGlobal(quant.Bits4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	for _, op := range []string{"full", "incremental"} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("op=%s/workers=%d", op, workers), func(b *testing.B) {
+				models := [2]*moe.Model{moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant"))}
+				models[1] = models[0].Clone()
+				env := &fed.Env{Cfg: fed.Config{Participants: 1, Workers: workers}, Global: models[0]}
 				env.QuantizedGlobal(quant.Bits4)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if op == "full" {
+						env.Global = models[(i+1)%2]
+					} else {
+						b.StopTimer()
+						if _, err := env.RunRound(touchRounder{}, i); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					env.QuantizedGlobal(quant.Bits4)
+				}
+			})
+		}
+	}
+}
+
+// touchRounder is one participant whose update names 40% of the global
+// model's experts, at their current values, so a round marks them for
+// re-quantization without moving the model.
+type touchRounder struct{}
+
+func (touchRounder) Name() string { return "touch" }
+
+func (touchRounder) Round(env *fed.Env, _ int, _ []int) fed.Participant {
+	tuning := make([][]int, env.Global.Cfg.Layers())
+	for l, n := range env.Global.Cfg.ExpertsPerLayer {
+		for e := 0; e < n; e++ {
+			if (l+e)%5 < 2 {
+				tuning[l] = append(tuning[l], e)
 			}
-		})
+		}
+	}
+	return func(s *fed.Scratch, _, i int) fed.SlotResult {
+		return fed.SlotResult{Update: s.ExtractUpdate(env.Global, i, 1, tuning)}
 	}
 }
 

@@ -124,6 +124,10 @@ type Sample struct {
 	Completion []int   // generation reference
 	Options    [][]int // MC candidate continuations
 	Answer     int     // index into Options of the correct one
+
+	// seq and mask are FullSequence's result, built once by Generate.
+	seq  []int
+	mask []bool
 }
 
 // Dataset is a generated corpus plus the topic chains that produced it.
@@ -182,6 +186,7 @@ func (ds *Dataset) sample(id int, g *tensor.RNG) *Sample {
 			s.Options[o] = ds.walk(topic, start, p.TargetLen, g)
 		}
 	}
+	s.seq, s.mask = s.fullSequence()
 	return s
 }
 
@@ -204,9 +209,22 @@ func (ds *Dataset) walk(topic, start, n int, g *tensor.RNG) []int {
 
 // FullSequence returns the training sequence for s (prompt ++ completion)
 // and a loss mask that restricts the loss to completion predictions, i.e.
-// positions whose next token lies in the completion region.
+// positions whose next token lies in the completion region. A generated
+// sample returns the pair Generate built, shared by every caller, so
+// callers must not write to either slice (each has no room to append in
+// place); samples are read concurrently, so nothing is built on first use.
+// A sample built by hand gets a fresh pair on every call.
 func (s *Sample) FullSequence() (seq []int, mask []bool) {
-	seq = append(append([]int(nil), s.Prompt...), s.Completion...)
+	if s.seq != nil {
+		return s.seq, s.mask
+	}
+	return s.fullSequence()
+}
+
+// fullSequence builds FullSequence's pair, each slice at exactly its length.
+func (s *Sample) fullSequence() (seq []int, mask []bool) {
+	seq = make([]int, 0, len(s.Prompt)+len(s.Completion))
+	seq = append(append(seq, s.Prompt...), s.Completion...)
 	mask = make([]bool, len(seq))
 	for t := len(s.Prompt) - 1; t < len(seq)-1; t++ {
 		mask[t] = true

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,32 @@ func TestGenerateDeterminism(t *testing.T) {
 			if sa.Prompt[j] != sb.Prompt[j] {
 				t.Fatal("prompt tokens differ")
 			}
+		}
+	}
+}
+
+// TestFullSequenceBuiltOnce pins FullSequence's cache: a generated sample
+// returns the same slices, without allocating, equal to what a hand-built
+// copy of the sample computes afresh, and with no spare capacity an append
+// could write into.
+func TestFullSequenceBuiltOnce(t *testing.T) {
+	ds := Generate(MMLU(), 64, 4, tensor.NewRNG(4))
+	for _, s := range ds.Samples {
+		seq, mask := s.FullSequence()
+		again, againMask := s.FullSequence()
+		if &seq[0] != &again[0] || &mask[0] != &againMask[0] {
+			t.Fatal("a generated sample rebuilt its sequence")
+		}
+		if cap(seq) != len(seq) || cap(mask) != len(mask) {
+			t.Fatalf("cached slices have spare capacity: %d/%d and %d/%d", len(seq), cap(seq), len(mask), cap(mask))
+		}
+		fresh := &Sample{Prompt: s.Prompt, Completion: s.Completion}
+		wantSeq, wantMask := fresh.FullSequence()
+		if !slices.Equal(seq, wantSeq) || !slices.Equal(mask, wantMask) {
+			t.Fatal("the cached pair differs from one built afresh")
+		}
+		if n := testing.AllocsPerRun(10, func() { s.FullSequence() }); n != 0 {
+			t.Fatalf("FullSequence allocates %v times on a generated sample", n)
 		}
 	}
 }

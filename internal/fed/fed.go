@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
 	"repro/internal/data"
@@ -155,10 +156,14 @@ type envState struct {
 	mu      sync.Mutex
 	scratch []*Scratch
 
-	// quantized is QuantizedGlobal's buffer. QuantizedGlobal rewrites it
-	// before a round's participant fan-out; until that pool joins it is
+	// quantized is QuantizedGlobal's model. QuantizedGlobal brings it up to
+	// date before a round's participant fan-out; until that pool joins it is
 	// read-only.
-	quantized *moe.Model
+	quantized quantCache
+
+	// anchor holds the async flush's anchor parameters (Env.flush), reused
+	// from flush to flush.
+	anchor []float64
 
 	// Event-driven server core (AggSpec active): the global model's version
 	// (bumped once per buffer flush) and the carry-over buffer of updates
@@ -453,25 +458,95 @@ func LocalSGD(local *moe.Model, ws *moe.Workspace, grads *moe.Grads, batch []*da
 	return tokens, steps
 }
 
-// QuantizedGlobal round-trips a copy of the global model through bits-bit
+// QuantizedGlobal returns the global model round-tripped through bits-bit
 // quantization — the profiling model of §4.1 — in a buffer the environment
-// owns, and returns it. It is rebuilt on every call: a Rounder calls it once
-// per round, in Round before the fan-out, and every worker then shares the result
-// read-only (a body that needs a mutable quantized model copies it with
-// Scratch.LocalClone). The next call overwrites it.
+// owns. A Rounder calls it once per round, in Round before the fan-out, and
+// every worker then shares the result read-only (a body that needs a mutable
+// quantized model copies it with Scratch.LocalClone). The next call updates
+// it in place.
 //
-// The copy is made on the calling goroutine; its quantization units
-// (moe.QuantUnits) are then round-tripped over the worker pool. Each unit
-// scales its own rows, so the result is bit-identical to moe.Quantize at
-// every worker count, and every unit runs even on a canceled context.
+// The model is built in full on the first call, after a change of bits, and
+// when Env.Global is no longer the model it was built from: the copy is made
+// on the calling goroutine, and its quantization units (moe.QuantUnits) are
+// round-tripped over the worker pool. After that only the global experts the
+// server core aggregated since the last call are copied and re-quantized
+// (moe.QuantizeExpertFrom), one expert per pool unit; the embedding, head,
+// attention and gates, which nothing in a run writes, are not touched again.
+// Every unit scales its own rows, so the result is bit-identical to
+// moe.Quantize on a fresh copy of the global model at every worker count
+// (TestQuantizedGlobalIncremental), and every unit runs even on a canceled
+// context.
 func (e *Env) QuantizedGlobal(bits quant.Bits) *moe.Model {
-	st := e.st()
-	qm := e.Global.CloneInto(st.quantized)
-	st.quantized = qm
-	e.fanOut(moe.QuantUnits(qm), "quantize", func(_ *Scratch, u int) {
-		moe.QuantizeUnit(qm, u, bits)
+	q := &e.st().quantized
+	if q.model == nil || q.src != e.Global || q.bits != bits {
+		qm := e.Global.CloneInto(q.model)
+		e.fanOut(moe.QuantUnits(qm), "quantize", func(_ *Scratch, u int) {
+			moe.QuantizeUnit(qm, u, bits)
+		})
+		q.reset(qm, e.Global, bits)
+		return qm
+	}
+	q.list = q.list[:0]
+	for l, marks := range q.dirty {
+		for pos, d := range marks {
+			if d {
+				q.list = append(q.list, expertPos{l, pos})
+				marks[pos] = false
+			}
+		}
+	}
+	e.fanOut(len(q.list), "quantize", func(_ *Scratch, i int) {
+		p := q.list[i]
+		moe.QuantizeExpertFrom(q.model.Layers[p.layer].Experts[p.pos], e.Global.Layers[p.layer].Experts[p.pos], bits)
 	})
-	return qm
+	return q.model
+}
+
+// quantCache is QuantizedGlobal's state: the quantized model, the global
+// model and bit width it was built from, and which of that global model's
+// experts the server core has written since (dirty[layer][position]).
+// Env.aggregate marks them, and a writer of the global model that cannot
+// say what it wrote drops the cache instead (Env.dropQuantized).
+type quantCache struct {
+	model, src *moe.Model
+	bits       quant.Bits
+	dirty      [][]bool
+	list       []expertPos // QuantizedGlobal's fan-out units
+}
+
+// expertPos is an expert by layer and position in the layer's Experts.
+type expertPos struct{ layer, pos int }
+
+// reset records qm as built in full from src at bits, with nothing dirty.
+func (q *quantCache) reset(qm, src *moe.Model, bits quant.Bits) {
+	q.model, q.src, q.bits = qm, src, bits
+	q.dirty = slices.Grow(q.dirty[:0], len(src.Layers))[:len(src.Layers)]
+	for l, layer := range src.Layers {
+		n := len(layer.Experts)
+		q.dirty[l] = slices.Grow(q.dirty[l][:0], n)[:n]
+		clear(q.dirty[l])
+	}
+}
+
+// dropQuantized forgets the quantized model's source, so the next
+// QuantizedGlobal rebuilds it in full. Every in-place writer of Env.Global
+// other than aggregate calls it.
+func (e *Env) dropQuantized() { e.st().quantized.src = nil }
+
+// aggregate is Aggregate on the global model, the server core's one write to
+// it: it marks every expert the updates name as dirty in the quantized
+// model before averaging.
+func (e *Env) aggregate(updates []Update) int {
+	q := &e.st().quantized
+	if q.src != nil && q.src == e.Global {
+		for _, u := range updates {
+			//fluxvet:unordered setting a mark per key; order-free
+			for key := range u.Experts {
+				q.dirty[key.Layer][e.Global.Layers[key.Layer].Routing[key.Expert]] = true
+			}
+		}
+	}
+	return Aggregate(e.Global, updates)
 }
 
 // Evaluate scores the global model on the held-out test subset. The samples

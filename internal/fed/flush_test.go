@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/moe"
@@ -97,5 +98,42 @@ func TestFlushBlendsIntoGlobal(t *testing.T) {
 		if diff := after[i] - want; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("param %d: got %v, want the halfway blend %v (before %v)", i, after[i], want, before[i])
 		}
+	}
+}
+
+// TestAsyncFlushAnchorAllocs pins what the async core allocates per round
+// once warm: two flushes of one update each against a cohort of two, each
+// anchoring the three experts its update names at the global parameters.
+// The anchor is flattened into a buffer the env keeps, so a round allocates
+// far less than one anchored expert's parameters; flattening into fresh
+// slices allocated six experts' worth per round.
+func TestAsyncFlushAnchorAllocs(t *testing.T) {
+	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("anchor-allocs"))
+	cfg := DefaultConfig()
+	cfg.Participants = 2
+	cfg.Agg = AggSpec{Mode: ModeAsync, BufferK: 1}
+	env := &Env{Cfg: cfg, Global: m}
+	tuning := [][]int{{0, 1}, {2}}
+	results := make([]SlotResult, 2)
+	for p := range results {
+		results[p] = slot(p, float64(10+p))
+		results[p].Update = ExtractUpdate(m, p, 1, tuning)
+	}
+	round := func() {
+		if stats := mustFinish(t, env, []int{0, 1}, results); stats.ModelVersion == 0 || stats.Pending != 0 {
+			t.Fatalf("want two flushes and nothing carried, got %+v", stats)
+		}
+	}
+	round()
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+	if expert := uint64(8 * m.ExpertAt(0, 0).Params()); perRound >= expert {
+		t.Fatalf("a warm async round allocates %d bytes, one anchored expert is %d", perRound, expert)
 	}
 }

@@ -6,11 +6,15 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/data"
 	"repro/internal/fed"
+	"repro/internal/fleet"
 	"repro/internal/flux"
 	"repro/internal/moe"
 	"repro/internal/quant"
@@ -140,4 +144,153 @@ func TestQuantizedGlobalWorkersBitIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// freshQuantized is the digest of the profiling model built from scratch: a
+// fresh CloneInto of global, quantized whole by moe.Quantize.
+func freshQuantized(global *moe.Model, bits quant.Bits) uint64 {
+	m := global.CloneInto(nil)
+	moe.Quantize(m, bits)
+	return modelDigest(m)
+}
+
+// quantChecked wraps a Rounder and, in each Round after the wrapped one's,
+// holds the environment's quantized model (which the wrapped Round brought
+// up to date, so asking for it again re-quantizes nothing) to freshQuantized
+// of the global model the round starts from.
+type quantChecked struct {
+	fed.Rounder
+	t      *testing.T
+	bits   quant.Bits
+	checks *atomic.Int64
+}
+
+func (c quantChecked) Round(env *fed.Env, r int, cohort []int) fed.Participant {
+	p := c.Rounder.Round(env, r, cohort)
+	if got, want := modelDigest(env.QuantizedGlobal(c.bits)), freshQuantized(env.Global, c.bits); got != want {
+		c.t.Errorf("round %d: quantized global digest %x, fresh CloneInto+Quantize %x", r, got, want)
+	}
+	c.checks.Add(1)
+	return p
+}
+
+// TestQuantizedGlobalIncremental holds the incrementally updated quantized
+// model to one built from scratch before every round of a Flux run — the
+// synchronous barrier, the async core's flushes, a sampled longtail fleet
+// with a drop deadline, and a TCP deployment whose clients decode every
+// broadcast into their replica — at two workers. Between the synchronous
+// rounds it also switches the bit width and swaps Env.Global for another
+// model and back, each of which must rebuild the model in full.
+func TestQuantizedGlobalIncremental(t *testing.T) {
+	cfg := fed.DefaultConfig()
+	cfg.Participants = 6
+	cfg.Workers = 2
+	cfg.Batch = 2
+	cfg.LocalIters = 1
+	cfg.DatasetSize = 72
+	cfg.EvalSubset = 2
+	cfg.MaxRounds = 3
+	cfg.PretrainSteps = 5
+	newBase := func(t *testing.T, cfg fed.Config) *fed.Env {
+		base, err := fed.NewEnv(moe.SimConfigLLaMATrain(), data.GSM8K(), cfg, "quantized-incremental")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base
+	}
+	rounder := func(t *testing.T, checks *atomic.Int64) quantChecked {
+		return quantChecked{flux.New(flux.DefaultOptions(cfg.MaxRounds), cfg.Participants), t, quant.Bits4, checks}
+	}
+	inProcess := func(t *testing.T, cfg fed.Config, between func(env *fed.Env)) {
+		env := newBase(t, cfg).CloneForMethod("flux")
+		var checks atomic.Int64
+		r := rounder(t, &checks)
+		before := modelDigest(env.Global)
+		for round := range cfg.MaxRounds {
+			if _, err := env.RunRound(r, round); err != nil {
+				t.Fatal(err)
+			}
+			if between != nil {
+				between(env)
+			}
+		}
+		if checks.Load() != int64(cfg.MaxRounds) || modelDigest(env.Global) == before {
+			t.Fatalf("vacuous: %d checks, global moved %v", checks.Load(), modelDigest(env.Global) != before)
+		}
+	}
+
+	t.Run("sync", func(t *testing.T) {
+		other := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("quantized-swap"))
+		inProcess(t, cfg, func(env *fed.Env) {
+			for _, bits := range []quant.Bits{quant.Bits2, quant.Bits8, quant.Bits4} {
+				if got, want := modelDigest(env.QuantizedGlobal(bits)), freshQuantized(env.Global, bits); got != want {
+					t.Fatalf("switched to %d bits: digest %x, fresh %x", bits, got, want)
+				}
+			}
+			global := env.Global
+			for _, m := range []*moe.Model{other, global} {
+				env.Global = m
+				if got, want := modelDigest(env.QuantizedGlobal(quant.Bits4)), freshQuantized(m, quant.Bits4); got != want {
+					t.Fatalf("swapped Env.Global: digest %x, fresh %x", got, want)
+				}
+			}
+		})
+	})
+	t.Run("async", func(t *testing.T) {
+		c := cfg
+		c.Agg = fed.AggSpec{Mode: fed.ModeAsync, BufferK: 2, StalenessAlpha: 0.5}
+		inProcess(t, c, nil)
+	})
+	t.Run("fleet", func(t *testing.T) {
+		c := cfg
+		c.Fleet = fleet.Spec{
+			Distribution: "longtail",
+			Selector:     fleet.SelectorSpec{Policy: "uniform", K: 4},
+			Deadline:     8000,
+			Drop:         true,
+			Seed:         "quantized",
+		}
+		inProcess(t, c, nil)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		base := newBase(t, cfg)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		// The replicas copy the global model before the server starts
+		// writing it.
+		envs := make([]*fed.Env, cfg.Participants)
+		for i := range envs {
+			envs[i] = base.CloneForMethod("flux")
+		}
+		srv := &fed.Server{Env: base.CloneForMethod("flux")}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- srv.ServeContext(context.Background(), ln) }()
+		var checks atomic.Int64
+		var wg sync.WaitGroup
+		errs := make([]error, cfg.Participants)
+		for i := range envs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = fed.RunClientContext(context.Background(), fed.ClientConfig{
+					Participant: i, Addr: ln.Addr().String(), Env: envs[i], Method: rounder(t, &checks), Index: i,
+				})
+			}()
+		}
+		wg.Wait()
+		if err := <-serveErr; err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+		}
+		if want := int64(cfg.Participants * cfg.MaxRounds); checks.Load() != want {
+			t.Fatalf("%d checks, want %d", checks.Load(), want)
+		}
+	})
 }

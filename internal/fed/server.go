@@ -275,13 +275,30 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 			Weight:  total * float64(cohortN-len(buf)) / float64(len(buf)),
 			Experts: make(map[ExpertKey][]float64),
 		}
+		n := 0
 		for _, u := range scaled {
 			//fluxvet:unordered union of buffer expert keys into the anchor map; per-key writes, order irrelevant
 			for key := range u.Experts {
 				if _, ok := anchor.Experts[key]; !ok {
-					anchor.Experts[key] = e.Global.ExpertAt(key.Layer, key.Expert).FlattenTo(nil)
+					anchor.Experts[key] = nil
+					n += e.Global.ExpertAt(key.Layer, key.Expert).Params()
 				}
 			}
+		}
+		// The anchor's parameters are flattened into a buffer the env keeps
+		// from flush to flush: Aggregate has consumed them before the next
+		// flush begins.
+		st := e.st()
+		if cap(st.anchor) < n {
+			st.anchor = make([]float64, n)
+		}
+		off := 0
+		//fluxvet:unordered each key flattens into its own window; the values do not depend on visit order
+		for key := range anchor.Experts {
+			ex := e.Global.ExpertAt(key.Layer, key.Expert)
+			end := off + ex.Params()
+			anchor.Experts[key] = ex.FlattenTo(st.anchor[off:off:end])
+			off = end
 		}
 		if len(anchor.Experts) > 0 {
 			// Prepend so each expert's float fold starts from the anchor —
@@ -289,7 +306,7 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 			scaled = append([]Update{anchor}, scaled...)
 		}
 	}
-	sr.experts += Aggregate(e.Global, scaled)
+	sr.experts += e.aggregate(scaled)
 	sr.completed += len(buf)
 	sr.serverSec += bytes / e.Cfg.ServerBw
 	sr.version++
@@ -531,7 +548,7 @@ func (e *Env) finishSync(results []SlotResult, sr *serverRound) (phases map[simt
 			phases[ph] = math.Max(phases[ph], v)
 		}
 	}
-	sr.experts = Aggregate(e.Global, updates)
+	sr.experts = e.aggregate(updates)
 	sr.completed = len(updates)
 	sr.serverSec = bytes / e.Cfg.ServerBw
 

@@ -388,6 +388,7 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: round %d broadcast from %s: %w", cfg.Participant, next, cfg.Addr, err))
 		}
 		round, final, err := checkBroadcast(body, next, env.Global)
+		env.dropQuantized() // the decode rewrote the whole model in place
 		if err != nil {
 			env.Global = nil
 			return nil, fmt.Errorf("fed: client %d: %w", cfg.Participant, err)

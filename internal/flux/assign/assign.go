@@ -215,9 +215,14 @@ type SPSAResult struct {
 // single full pass per sequence (which doubles as the baseline) populates the
 // workspace layer caches, and experts are then probed in descending layer
 // order, so each perturbed suffix re-run clobbers only activations at or
-// above its own layer and every remaining expert's prefix stays cached.
-// Results are bit-identical to independent per-expert estimates with a full
-// forward pass per loss (assign_test.go keeps both as oracles).
+// above its own layer and every remaining expert's prefix stays cached. An
+// expert the baseline routed no row the loss reads to (moe.Model.RoutesToWS)
+// is not perturbed: each of its probes adds the sequence's baseline loss,
+// which is what its suffix pass returns. The baseline's routing stays valid
+// for every key, because a layer's routing reads only its input, which the
+// descending order leaves untouched. Results are bit-identical to
+// independent per-expert estimates with a full forward pass per loss
+// (assign_test.go keeps both as oracles).
 //
 // The probe directions, a flattened expert, the perturbation, the loss sums
 // and each result's Direction live in ws's probe buffer
@@ -276,9 +281,20 @@ func ProbeExploreSPSA(m *moe.Model, ws *moe.Workspace, keys []Key, seqs [][]int,
 		if masks != nil {
 			mask = masks[si]
 		}
-		baseSum += m.LossWS(ws, seq, mask) // populates every layer cache
+		seqBase := m.LossWS(ws, seq, mask) // populates every layer cache
+		baseSum += seqBase
 		for _, i := range order {
 			key := keys[i]
+			if !m.RoutesToWS(ws, key.Layer, key.Expert, mask) {
+				// No row the loss reads reaches the expert, so every probe's
+				// suffix pass would return the baseline bit for bit.
+				for p := 0; p < probes; p++ {
+					if live[i*probes+p] {
+						sums[i*probes+p] += seqBase
+					}
+				}
+				continue
+			}
 			x := m.LayerInputWS(ws, key.Layer)
 			// Every probe restores the expert exactly, so its parameters
 			// flattened now are the ones it started with.

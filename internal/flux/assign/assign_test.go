@@ -429,6 +429,65 @@ func TestProbeExploreSPSABatchedBitIdentity(t *testing.T) {
 	}
 }
 
+// TestProbeExploreSPSAUnroutedKeysBitIdentity probes every expert of a
+// model whose short sequences leave some experts unrouted, under one-row
+// masks that leave some top-layer experts routed only outside the scored
+// span, and holds each key to the single-key oracle, which runs every
+// probe's suffix pass. It fails if the sweep skips a routed key or scores a
+// skipped one as anything but the baseline.
+func TestProbeExploreSPSAUnroutedKeysBitIdentity(t *testing.T) {
+	cfg := moe.Uniform("assign-unrouted", 64, 10, 16, 3, 8, 2, 64)
+	m := moe.MustNew(cfg, tensor.Named("assign-unrouted"))
+	_, full, _ := fixture(t)
+	var seqs [][]int
+	var masks [][]bool
+	for k, seq := range full[:3] {
+		seq = seq[:6]
+		mask := make([]bool, len(seq))
+		mask[1+k] = true
+		seqs, masks = append(seqs, seq), append(masks, mask)
+	}
+	var keys []Key
+	for l, n := range cfg.ExpertsPerLayer {
+		for e := 0; e < n; e++ {
+			keys = append(keys, Key{l, e})
+		}
+	}
+
+	// The fixture must hold both kinds of key the sweep skips.
+	top := len(m.Layers) - 1
+	ws := moe.NewWorkspace()
+	var unrouted, outsideSpan int
+	for si, seq := range seqs {
+		stats := moe.NewActivationStats(cfg, false)
+		m.ForwardWS(nil, seq, stats, -1)
+		m.LossWS(ws, seq, masks[si])
+		for _, k := range keys {
+			if m.RoutesToWS(ws, k.Layer, k.Expert, masks[si]) {
+				continue
+			}
+			unrouted++
+			if k.Layer == top && stats.Counts[top][k.Expert] > 0 {
+				outsideSpan++
+			}
+		}
+	}
+	if unrouted == 0 || outsideSpan == 0 {
+		t.Fatalf("vacuous: %d unrouted (key, sequence) pairs, %d at the top layer routed only outside the span", unrouted, outsideSpan)
+	}
+
+	split := func(k Key) *tensor.RNG {
+		return tensor.Named("unrouted-test").Split(fmt.Sprintf("e%d.%d", k.Layer, k.Expert))
+	}
+	got := ProbeExploreSPSA(m, moe.NewWorkspace(), keys, seqs, masks, 3, 0.02, split)
+	for i, key := range keys {
+		want := estimateGradientSPSA(m, nil, key, seqs, masks, 3, 0.02, split(key))
+		if got[i].Norm != want.Norm || !slices.Equal(got[i].Direction, want.Direction) {
+			t.Fatalf("key %v: sweep norm %v, oracle %v (or directions differ)", key, got[i].Norm, want.Norm)
+		}
+	}
+}
+
 func TestSPSAZeroProbes(t *testing.T) {
 	m, seqs, masks := fixture(t)
 	res := probeOne(m, nil, Key{0, 0}, seqs[:1], masks[:1], 0, 0.01, tensor.NewRNG(7))

@@ -155,7 +155,7 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 
 // warmParticipantAllocs is what one warm participant call allocated when it
 // was pinned (go1.24, linux/amd64).
-const warmParticipantAllocs = 156
+const warmParticipantAllocs = 120
 
 // TestWarmParticipantAllocs pins what a warm Flux participant allocates: one
 // fleet member's profile, assignment, merge plan, customized model,
@@ -164,8 +164,6 @@ const warmParticipantAllocs = 156
 // drops, the plan, the customized model and the gradients are rebuilt in
 // the worker's scratch, and the probes run in its workspace. What remains is small, per
 // call, and by count:
-//   - FullSequence's sequence and mask, per profiled, trained and probed
-//     sample;
 //   - cluster.FusedKMeans's index lists, centroids, counts and groups, and
 //     the planner's group lists, budgets and per-layer variances;
 //   - assign.Assign's expert lists, exploit map and sort swapper, and the

@@ -60,8 +60,9 @@ func (p Profiler) RunOn(m *moe.Model, cfg moe.Config, samples []*data.Sample, ws
 
 // RunInto is RunOn rebuilding r, a result nothing reads any more (such as
 // StaleScheduler.Spare), in place and returning it; a nil r allocates a new
-// one. Each sample runs through every layer and stops before the head, whose
-// logits profiling never reads.
+// one. Each sample is routed through every layer (moe.Model.ProfileWS), and
+// neither the top layer's experts nor the head run, since profiling reads
+// none of their outputs.
 func (p Profiler) RunInto(r *Result, m *moe.Model, cfg moe.Config, samples []*data.Sample, ws *moe.Workspace) *Result {
 	if ws == nil {
 		ws = moe.NewWorkspace()
@@ -73,7 +74,7 @@ func (p Profiler) RunInto(r *Result, m *moe.Model, cfg moe.Config, samples []*da
 	r.Tokens, r.Bits = 0, p.Bits
 	for _, s := range samples {
 		seq, _ := s.FullSequence()
-		m.ForwardPrefixWS(ws, seq, len(m.Layers), r.Stats, s.ID)
+		m.ProfileWS(ws, seq, r.Stats, s.ID)
 		r.Tokens += len(seq)
 	}
 	return r

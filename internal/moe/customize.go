@@ -244,8 +244,27 @@ func QuantizeUnit(m *Model, u int, b quant.Bits) {
 		rt(layer.Wv)
 		rt(layer.Gate)
 		for _, e := range layer.Experts {
-			rt(e.W1)
-			rt(e.W2)
+			e.quantize(b)
 		}
 	}
+}
+
+// QuantizeExpertFrom overwrites dst, an expert of src's shape, with src
+// round-tripped the way QuantizeUnit round-trips an expert: W1 and W2
+// through b-bit quantization, the biases copied at full precision. It is
+// what re-quantizes one expert of a quantized model after the expert it was
+// built from changed, bit-identical to quantizing a fresh copy of the model.
+func QuantizeExpertFrom(dst, src *Expert, b quant.Bits) {
+	dst.W1.CopyFrom(src.W1)
+	dst.W2.CopyFrom(src.W2)
+	copy(dst.B1, src.B1)
+	copy(dst.B2, src.B2)
+	dst.quantize(b)
+}
+
+// quantize round-trips e's weight matrices through b-bit quantization in
+// place; its biases stay at full precision.
+func (e *Expert) quantize(b quant.Bits) {
+	quant.RoundTripInPlace(e.W1, b)
+	quant.RoundTripInPlace(e.W2, b)
 }

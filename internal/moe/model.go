@@ -151,27 +151,79 @@ func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from, to int) *tenso
 	return ws.logits
 }
 
+// forwardLayers runs layers [start, stop) on x, the activation entering
+// layer start, and returns the activation leaving layer stop-1. Every layer
+// attends and routes every row, and runs its experts on every row except the
+// top layer, which runs them only on rows [lo, hi): a caller that reads
+// none of its other rows (a loss pass, profiling) passes the rows it reads.
+// Routing statistics are recorded into stats when non-nil (see ForwardWS).
+func (m *Model) forwardLayers(ws *Workspace, x *tensor.Matrix, start, stop, lo, hi int, stats *ActivationStats, sampleID int) *tensor.Matrix {
+	caches := ws.cachesFor(len(m.Layers))
+	for l := start; l < stop; l++ {
+		rlo, rhi := 0, x.Rows
+		if l == len(m.Layers)-1 {
+			rlo, rhi = lo, hi
+		}
+		x = m.Layers[l].Forward(l, x, caches[l], ws, stats, sampleID, rlo, rhi)
+	}
+	return x
+}
+
 // ForwardPrefixWS runs the embedding and layers [0, stop), returning the
 // activation entering layer stop. The result aliases storage owned by layer
 // stop-1's workspace cache (the embedding buffer when stop == 0), which
 // LossSuffixWS calls resuming at start >= stop leave untouched — so one
 // prefix can serve many suffix evaluations as long as no parameter below
 // stop changes. Routing statistics are recorded into stats when non-nil,
-// with sampleID tagging the sequence (see ForwardWS). Profiling runs every
-// layer through it and stops before the head, whose logits it never reads.
+// with sampleID tagging the sequence (see ForwardWS).
 //
-// Hot path: activation profiling and the prefix of every forward pass. A
-// warm workspace stays 0 allocs/op, pinned by TestForwardBackwardZeroAllocs.
+// Hot path: the prefix of every inference pass. A warm workspace stays 0
+// allocs/op, pinned by TestForwardBackwardZeroAllocs.
 func (m *Model) ForwardPrefixWS(ws *Workspace, seq []int, stop int, stats *ActivationStats, sampleID int) *tensor.Matrix {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	x := m.embedWS(ws, seq)
-	caches := ws.cachesFor(len(m.Layers))
-	for l := 0; l < stop; l++ {
-		x = m.Layers[l].Forward(l, x, caches[l], ws, stats, sampleID, 0, x.Rows)
+	return m.forwardLayers(ws, m.embedWS(ws, seq), 0, stop, 0, len(seq), stats, sampleID)
+}
+
+// ProfileWS records the routing of seq into stats under sampleID: every
+// layer attends and routes every row, and every layer but the top runs its
+// experts. The top layer runs none, and the head does not run: a layer's
+// routing reads only the layer's input, and profiling reads no output of
+// the top layer. The stats equal those of ForwardPrefixWS through every
+// layer (TestProfileWSMatchesForwardPrefix).
+//
+// Hot path: activation profiling, per sample per participant per round. A
+// warm workspace stays 0 allocs/op, pinned by TestForwardBackwardZeroAllocs.
+func (m *Model) ProfileWS(ws *Workspace, seq []int, stats *ActivationStats, sampleID int) {
+	m.forwardLayers(ws, m.embedWS(ws, seq), 0, len(m.Layers), 0, 0, stats, sampleID)
+}
+
+// RoutesToWS reports whether the most recent loss pass of seq on ws (LossWS
+// or ForwardBackwardWS, under mask) routed a row the loss reads to the
+// expert serving original index orig in layer l: any row below the top
+// layer, and only a row of the mask's scored span in the top layer, whose
+// experts run on no other row. When it reports false, a loss pass resumed
+// at layer l with that expert changed returns the same loss bit for bit:
+// layer l's routing reads only the layer's input, so no row reaches the
+// expert. The answer stays valid across LossSuffixWS calls that resume at
+// start >= l, which rewrite layer l's routing from the same input.
+func (m *Model) RoutesToWS(ws *Workspace, l, orig int, mask []bool) bool {
+	c := ws.caches[l]
+	pos := m.Layers[l].Routing[orig]
+	lo, hi := 0, len(c.nRouted)
+	if l == len(m.Layers)-1 {
+		lo, hi = scoredSpan(len(c.nRouted), mask)
 	}
-	return x
+	for t := lo; t < hi; t++ {
+		_, experts := c.routes(t)
+		for _, ei := range experts {
+			if ei == pos {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // LayerInputWS returns the activation that entered layer l in the most
@@ -211,14 +263,7 @@ func scoredSpan(T int, mask []bool) (lo, hi int) {
 // only on the scored span: nothing reads its other rows.
 func (m *Model) lossLogits(ws *Workspace, x *tensor.Matrix, start int, seq []int, mask []bool, stats *ActivationStats, sampleID int) *tensor.Matrix {
 	lo, hi := scoredSpan(len(seq), mask)
-	caches := ws.cachesFor(len(m.Layers))
-	for l := start; l < len(m.Layers); l++ {
-		rlo, rhi := 0, x.Rows
-		if l == len(m.Layers)-1 {
-			rlo, rhi = lo, hi
-		}
-		x = m.Layers[l].Forward(l, x, caches[l], ws, stats, sampleID, rlo, rhi)
-	}
+	x = m.forwardLayers(ws, x, start, len(m.Layers), lo, hi, stats, sampleID)
 	return m.headLogits(ws, x, lo, hi)
 }
 

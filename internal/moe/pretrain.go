@@ -24,7 +24,7 @@ import (
 // Each step's batch runs as a wavefront over workers goroutines (values
 // below 1 mean 1, which runs on the calling goroutine), bit-identical at
 // every width. The step's sequences are drawn from sampler in batch order
-// first; a sampler must return a sequence it does not reuse. Worker w owns
+// first; a sampler must not overwrite a sequence it returned. Worker w owns
 // one workspace and takes sequences b = w, w+W, …. Sequence b's forward
 // pass runs freely, since the weights are fixed within a step; its backward
 // pass runs as backwardStages stages, and stage s of sequence b waits for

@@ -1,6 +1,8 @@
 package moe
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -116,8 +118,8 @@ func TestPrefixSuffixBitIdentity(t *testing.T) {
 
 // TestForwardBackwardZeroAllocs asserts the workspace contract: with a warm
 // workspace and warm gradient buffers, a full forward/backward pass, an
-// inference pass, an eval loss and an SPSA prefix+suffix probe perform zero
-// heap allocations.
+// inference pass, an eval loss, a profiling pass and an SPSA prefix+suffix
+// probe perform zero heap allocations.
 func TestForwardBackwardZeroAllocs(t *testing.T) {
 	m := workspaceTestModel(t)
 	g := tensor.NewRNG(7)
@@ -149,10 +151,109 @@ func TestForwardBackwardZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm LossWS allocates %v times per run, want 0", n)
 	}
+	stats := NewActivationStats(m.Cfg, false)
+	if n := testing.AllocsPerRun(10, func() {
+		m.ProfileWS(ws, seq, stats, -1)
+	}); n != 0 {
+		t.Fatalf("warm ProfileWS allocates %v times per run, want 0", n)
+	}
 	stop := len(m.Layers) / 2
 	if n := testing.AllocsPerRun(10, func() {
 		m.LossSuffixWS(ws, m.ForwardPrefixWS(ws, seq, stop, nil, -1), stop, seq, nil)
 	}); n != 0 {
 		t.Fatalf("warm ForwardPrefixWS+LossSuffixWS allocates %v times per run, want 0", n)
+	}
+}
+
+// TestProfileWSMatchesForwardPrefix pins the profiling pass, whose top layer
+// routes but runs no expert, to the full ForwardPrefixWS pass through every
+// layer: the same counts, attention sums, token total and sample sets, over
+// sequences of varying length accumulated into one stats value on one
+// workspace.
+func TestProfileWSMatchesForwardPrefix(t *testing.T) {
+	m := workspaceTestModel(t)
+	g := tensor.NewRNG(12)
+	want := NewActivationStats(m.Cfg, true)
+	got := NewActivationStats(m.Cfg, true)
+	ws := NewWorkspace()
+	for id, n := range []int{17, 32, 1, 9, 24} {
+		seq := wsSeq(g, m.Cfg.VocabSize, n)
+		m.ForwardPrefixWS(nil, seq, len(m.Layers), want, id)
+		m.ProfileWS(ws, seq, got, id)
+	}
+	if got.Tokens != want.Tokens {
+		t.Fatalf("tokens %v, full pass %v", got.Tokens, want.Tokens)
+	}
+	for l := range want.Counts {
+		for e := range want.Counts[l] {
+			if got.Counts[l][e] != want.Counts[l][e] || got.AttnSum[l][e] != want.AttnSum[l][e] ||
+				!slices.Equal(got.SampleSet(l, e), want.SampleSet(l, e)) {
+				t.Fatalf("layer %d expert %d: stats differ from the full pass", l, e)
+			}
+		}
+	}
+}
+
+// TestRoutesToWSUnroutedLossUnchanged holds RoutesToWS to its promise on
+// every expert of every layer, under masks that score every row, a
+// completion, and one row: an expert it calls unrouted can be perturbed
+// without moving the resumed loss by a bit, and one it calls routed is
+// routed to a row the loss reads. The masks must produce both answers, and
+// a top-layer expert routed only outside the scored span.
+func TestRoutesToWSUnroutedLossUnchanged(t *testing.T) {
+	m := workspaceTestModel(t)
+	g := tensor.NewRNG(13)
+	seq := wsSeq(g, m.Cfg.VocabSize, 12)
+	top := len(m.Layers) - 1
+	one := make([]bool, len(seq))
+	one[4] = true
+	completion := make([]bool, len(seq))
+	for t := 7; t < len(seq)-1; t++ {
+		completion[t] = true
+	}
+	ws := NewWorkspace()
+	var routed, unrouted, outsideSpan int
+	for _, mask := range [][]bool{nil, completion, one} {
+		lo, hi := scoredSpan(len(seq), mask)
+		base := m.LossWS(ws, seq, mask)
+		for l, layer := range m.Layers {
+			for orig := range layer.Routing {
+				ex := m.ExpertAt(l, orig)
+				pos := layer.Routing[orig]
+				var anywhere, inSpan bool
+				for r := 0; r < len(seq); r++ {
+					if _, experts := ws.caches[l].routes(r); slices.Contains(experts, pos) {
+						anywhere = true
+						inSpan = inSpan || l < top || (lo <= r && r < hi)
+					}
+				}
+				got := m.RoutesToWS(ws, l, orig, mask)
+				if got != inSpan {
+					t.Fatalf("layer %d expert %d: RoutesToWS %v, routed to a read row %v", l, orig, got, inSpan)
+				}
+				if got {
+					routed++
+					continue
+				}
+				unrouted++
+				if l == top && anywhere {
+					outsideSpan++
+				}
+				flat := ex.FlattenTo(nil)
+				pert := append([]float64(nil), flat...)
+				for i := range pert {
+					pert[i] += 0.5
+				}
+				ex.LoadFlat(pert)
+				loss := m.LossSuffixWS(ws, m.LayerInputWS(ws, l), l, seq, mask)
+				ex.LoadFlat(flat)
+				if math.Float64bits(loss) != math.Float64bits(base) {
+					t.Fatalf("layer %d expert %d unrouted, but perturbing it moved the loss %v to %v", l, orig, base, loss)
+				}
+			}
+		}
+	}
+	if routed == 0 || unrouted == 0 || outsideSpan == 0 {
+		t.Fatalf("vacuous: %d routed, %d unrouted, %d top-layer experts routed only outside the span", routed, unrouted, outsideSpan)
 	}
 }
