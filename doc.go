@@ -43,7 +43,8 @@
 // are tested against.
 //
 // The in-process engine executes each round's participant phase, its
-// evaluation and its quantized profiling model over one worker pool
+// evaluation and the update of its quantized profiling model (only the
+// experts the last aggregation wrote are re-quantized) over one worker pool
 // (WithParallelism; the default is GOMAXPROCS) with a strict determinism
 // contract: convergence curves, observed traffic, and simulated phase
 // timings are bit-identical at every worker count. Rounders get the

@@ -2,7 +2,7 @@
 //
 // Three steps of a round are embarrassingly parallel, and all three fan out
 // over one worker pool (fanOut, Cfg.Workers wide) while keeping results
-// bit-identical to a serial loop:
+// bit-identical to a serial loop (a fourth, setup's pre-training, is below):
 //
 //   - The participant phase (Env.RunRound, over ForEachOf): each
 //     participant's function profiles, merges, and fine-tunes against a
@@ -10,9 +10,11 @@
 //     shared state.
 //   - Evaluation (Env.Evaluate): each test sample is scored on its worker's
 //     workspace against the read-only global model.
-//   - The quantized profiling model (Env.QuantizedGlobal): the embedding, the
-//     head and each layer are round-tripped independently, since
-//     quantization scales every row on its own.
+//   - The quantized profiling model (Env.QuantizedGlobal): each expert the
+//     server core aggregated since the last call is copied and round-tripped
+//     on its own, and a full build round-trips the embedding, the head and
+//     each layer independently, since quantization scales every row on its
+//     own.
 //
 // The participant phase's determinism contract has three legs, the first two
 // the Rounder's and the third the engine's:
@@ -32,7 +34,8 @@
 // Evaluation and quantization draw no randomness, and their legs are the
 // other two: evaluation writes each sample's score into that sample's slot
 // and sums the slots in sample order after the join; quantization writes
-// only its own unit's matrices, and no value in one unit depends on another.
+// only its own unit's matrices (an expert, or the embedding, the head or a
+// layer), and no value in one unit depends on another.
 // Neither stops early on a canceled context, so a mean is never partial and
 // a model never half-quantized. Only one fan-out runs at a time on an Env:
 // they share the worker scratch.
@@ -166,7 +169,7 @@ func (s *Scratch) ExtractUpdate(local *moe.Model, participant int, weight float6
 // workersFor is the width of one fan-out over n independent units:
 // Cfg.Workers, with zero meaning GOMAXPROCS, clamped to n (the cohort for
 // the participant phase, the samples for Evaluate, the quantization units
-// for QuantizedGlobal).
+// for QuantizedGlobal: its dirty experts, or a full build's units).
 func (e *Env) workersFor(n int) int { return poolWidth(e.Cfg.Workers, n) }
 
 // poolWidth is a fan-out's width over n units for the Config.Workers value
