@@ -266,44 +266,6 @@ func BenchmarkForwardBackward(b *testing.B) {
 	})
 }
 
-// BenchmarkExpertBackward is one token's backward through one expert of
-// the LLaMA stand-in (dim 24, FFN 48), with dx wanted, as below a trainable
-// layer: expert=frozen is the gate and the two dot-form products alone,
-// what most experts of a flux participant run; expert=trainable adds the
-// weight gradients. Each iteration takes its input, ReLU output and
-// upstream gradient from one of 64 random rows, so the closed-unit pattern
-// changes from call to call as it does across tokens.
-func BenchmarkExpertBackward(b *testing.B) {
-	const rows = 64
-	cfg := moe.SimConfigLLaMATrain()
-	g := tensor.NewRNG(9)
-	e := moe.NewExpert(cfg.Dim, cfg.FFNDim, g)
-	x := make([]float64, rows*cfg.Dim)
-	hidden := make([]float64, rows*cfg.FFNDim)
-	dy := make([]float64, rows*cfg.Dim)
-	for i := range x {
-		x[i], dy[i] = g.Norm(), g.Norm()
-	}
-	for i := range hidden {
-		hidden[i] = max(g.Norm(), 0)
-	}
-	dx := make([]float64, cfg.Dim)
-	scratch := make([]float64, cfg.FFNDim+cfg.Dim)
-	for _, c := range []struct {
-		name  string
-		grads *moe.ExpertGrad
-	}{{"frozen", nil}, {"trainable", moe.NewExpertGrad(e)}} {
-		b.Run("expert="+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := i % rows
-				e.Backward(c.grads, x[r*cfg.Dim:(r+1)*cfg.Dim], hidden[r*cfg.FFNDim:(r+1)*cfg.FFNDim],
-					dy[r*cfg.Dim:(r+1)*cfg.Dim], dx, scratch)
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluate is the evaluation rung of the ladder: the sweep
 // Env.Evaluate runs after every round, over 16 held-out samples on warm
 // worker workspaces, fanned over workers={1,2}. task=generation

@@ -8,7 +8,9 @@ import (
 
 // Expert is a two-layer feed-forward network with a ReLU nonlinearity:
 // y = ReLU(x·W1 + b1)·W2 + b2. It is the unit of selection, merging, and
-// federated aggregation throughout the repository.
+// federated aggregation throughout the repository. Its forward pass runs
+// one token at a time (Forward); its backward pass runs inside
+// Layer.Backward, over blocks of up to four routed tokens (backwardBlock).
 type Expert struct {
 	W1 *tensor.Matrix // Dim × FFNDim
 	B1 []float64      // FFNDim
@@ -158,67 +160,77 @@ func (g *ExpertGrad) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Backward backpropagates one token through the expert given the input x,
-// the cached ReLU output hidden, and the upstream gradient dy (length Dim).
-// It has two outputs and computes each only when asked: parameter gradients
-// are accumulated into g unless g is nil (a frozen expert), and the gradient
-// with respect to x is accumulated into dx (length Dim) unless dx is nil
-// (nothing below consumes it). scratch is caller-provided, of length at
-// least FFNDim+Dim; its contents on entry are irrelevant.
+// backwardBlock backpropagates a block of up to four routed tokens through
+// the expert. slots names them, in token order, by their slot in c (token
+// slot/c.slots); dy holds their upstream gradients interleaved, token l in
+// lane l (Dim × 4, tensor.DotRows4's layout), and lanes past len(slots) are
+// set to +0 here. Parameter gradients are accumulated into g unless g is
+// nil (a frozen expert), and the gradients with respect to the tokens'
+// inputs are written, interleaved the same way, into sum (Dim × 4) unless
+// sum is nil (nothing below consumes them).
 //
 // Both products through the weights are dot form — one accumulator per
-// output, from +0, terms in ascending order — and run on tensor.DotRows:
-// dh = W2·dy, then zeroed where the ReLU gate is closed, and dx += W1·dh,
-// summed in scratch and then added, so each dx[i] still takes its whole
-// sum in one add. The gate is a conditional move per unit, not a branch:
+// output, from +0, terms in ascending order — and run on tensor.DotRows4,
+// each token in its own lane: dh = W2·dy, then zeroed where the token's
+// ReLU gate is closed, and sum = W1·dh, which the layer adds into dx in one
+// add per element. The gate is a conditional move per unit, not a branch:
 // it runs for every expert, frozen ones included, and the ReLU pattern
-// defeats branch prediction. The weight gradients are rank-1 updates, in
-// their own pass that only a trainable expert makes, each one tensor call
-// that is one Axpy per row: dW2 row j += hidden[j]·dy for the open units
-// (OuterNonzeroRows, branch-free over the ReLU pattern), dW1 row i +=
-// x[i]·dh for every row (OuterRows).
-// W1·dh and dW1 do not skip the zero entries of dh as a branch per term
-// would; for finite x and weights that changes no bit, because such a term
-// is ±0, and adding ±0 to an accumulator that started at +0 is a no-op —
-// such an accumulator never holds -0.
-func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
+// defeats branch prediction. The weight gradients are rank-1 updates, made
+// only for a trainable expert, lane by lane in token order, each one tensor
+// call that is one Axpy per row: dW2 row j += hidden[j]·dy for the open
+// units (OuterNonzeroRows, branch-free over the ReLU pattern), dW1 row i +=
+// x[i]·dh for every row (OuterRows). W1·dh and dW1 do not skip the zero
+// entries of dh as a branch per term would; for finite x and weights that
+// changes no bit, because such a term is ±0, and adding ±0 to an
+// accumulator that started at +0 is a no-op — such an accumulator never
+// holds -0.
+func (e *Expert) backwardBlock(g *ExpertGrad, c *layerCache, slots []int, dy, sum []float64, ws *Workspace) {
 	ffn := len(e.B1)
 	dim := len(e.B2)
-	dy = dy[:dim]
-	hidden = hidden[:ffn]
-	dh := scratch[:ffn]
-	tensor.DotRows(dh, dy, e.W2.Data, dim)
+	for l := len(slots); l < 4; l++ {
+		for d := 0; d < dim; d++ {
+			dy[d*4+l] = 0
+		}
+	}
+	ws.dhBlk = growFloats(ws.dhBlk, 4*ffn)
+	dh := ws.dhBlk
+	tensor.DotRows4(dh, dy, e.W2.Data, dim)
 	// ReLU gate closed (hidden ±0): no gradient through the unit. The select
 	// is on the bits, which the compiler lowers to a CMOV.
-	for j, h := range hidden {
-		b := math.Float64bits(dh[j])
-		if h == 0 {
-			b = 0
+	for l, slot := range slots {
+		for j, h := range c.hiddenAt(slot)[:ffn] {
+			b := math.Float64bits(dh[j*4+l])
+			if h == 0 {
+				b = 0
+			}
+			dh[j*4+l] = math.Float64frombits(b)
 		}
-		dh[j] = math.Float64frombits(b)
 	}
 	if g != nil {
-		// dW2 += hiddenᵀ·dy over the open units
-		tensor.OuterNonzeroRows(g.W2.Data, hidden, dy, dim)
-		// dB2 += dy; dB1 += dh; dW1 += xᵀ·dh
-		b2 := g.B2[:dim]
-		for k, d := range dy {
-			b2[k] += d
+		ws.dhTok = growFloats(ws.dhTok, ffn)
+		dyl, dhl := ws.dyTok[:dim], ws.dhTok
+		b1, b2 := g.B1[:ffn], g.B2[:dim]
+		for l, slot := range slots {
+			for d := range dyl {
+				dyl[d] = dy[d*4+l]
+			}
+			for j := range dhl {
+				dhl[j] = dh[j*4+l]
+			}
+			// dW2 += hiddenᵀ·dy over the open units
+			tensor.OuterNonzeroRows(g.W2.Data, c.hiddenAt(slot)[:ffn], dyl, dim)
+			// dB2 += dy; dB1 += dh; dW1 += xᵀ·dh
+			for k, d := range dyl {
+				b2[k] += d
+			}
+			for j, d := range dhl {
+				b1[j] += d
+			}
+			tensor.OuterRows(g.W1.Data, c.xMid.Row(slot/c.slots), dhl, ffn)
 		}
-		b1 := g.B1[:ffn]
-		for j, d := range dh {
-			b1[j] += d
-		}
-		tensor.OuterRows(g.W1.Data, x, dh, ffn)
 	}
-	if dx == nil {
-		return
-	}
-	sum := scratch[ffn : ffn+len(x)]
-	tensor.DotRows(sum, dh, e.W1.Data, ffn)
-	dx = dx[:len(x)]
-	for i, s := range sum {
-		dx[i] += s
+	if sum != nil {
+		tensor.DotRows4(sum, dh, e.W1.Data, ffn)
 	}
 }
 

@@ -322,6 +322,19 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 // are computed — no frozen-expert work, no LN2 or attention backward. All
 // scratch comes from ws.
 //
+// The MoE block runs in three passes, so that the expert products take
+// their routed tokens four at a time. The first, in token order, computes
+// each routed token's dy = w·dOut[t] straight into its expert's blocks of
+// four, each token a lane, and records the token-gradient norms and counts.
+// The second, by expert, runs each block through Expert.backwardBlock: both
+// products through the weights are tensor.DotRows4 calls, and the weight
+// gradients are accumulated lane by lane, so in token order. The third, in
+// token order again, adds each routed token's dx into the row's sum in slot
+// order and runs the LN2 backward. Every accumulator takes the same terms
+// in the same order as in a per-token pass, one Expert backward per routed
+// token; only which outputs share a kernel call changes, so the bits are
+// that pass's (TestLayerBackwardByExpertBitIdentity).
+//
 // A row whose output gradient is exactly +0 — every row a loss pass leaves
 // unscored in the top layer, and below it every row past the last scored
 // one — only counts its routed tokens: every product it would feed into an
@@ -337,19 +350,46 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 	propagate := dXIn != nil
 
 	// MoE block backward. out = x1 + Σ w_e · Expert_e(xMid).
-	if propagate {
-		ws.dX1 = tensor.Grow(ws.dX1, T, D)
-		ws.dX1.CopyFrom(dOut) // residual path
-		ws.dXMid = tensor.Grow(ws.dXMid, T, D)
-		ws.dXMid.Zero() // accumulated into per token-slot below
-	}
-	ws.dyTok = growFloats(ws.dyTok, D)
-	dyTok := ws.dyTok
+	//
+	// Count the live rows' routed tokens per expert, then give every expert
+	// consecutive positions from a multiple of four, so that each block of
+	// four positions belongs to one expert. A frozen expert's tokens get no
+	// position when nothing below reads dx.
+	ws.live = growBools(ws.live, T)
+	ws.blockStart = growInts(ws.blockStart, len(l.Experts))
+	ws.blockNext = growInts(ws.blockNext, len(l.Experts))
+	start, next := ws.blockStart, ws.blockNext
+	clear(next)
 	first, end := T, 0 // the live rows: [first, end) holds every non-+0 one
 	for t := 0; t < T; t++ {
-		dorow := dOut.Row(t)
+		ws.live[t] = !isPositiveZero(dOut.Row(t))
+		if !ws.live[t] {
+			continue
+		}
+		first, end = min(first, t), t+1
+		_, experts := c.routes(t)
+		for _, ei := range experts {
+			if propagate || !l.Experts[ei].Frozen {
+				next[ei]++
+			}
+		}
+	}
+	P := 0
+	for e, n := range next {
+		start[e], next[e] = P, P
+		P += (n + 3) &^ 3
+	}
+	ws.posSlot = growInts(ws.posSlot, P)
+	ws.slotPos = growInts(ws.slotPos, T*c.slots)
+	ws.dyBlk = growFloats(ws.dyBlk, P*D)
+	ws.dyTok = growFloats(ws.dyTok, D)
+	dyTok := ws.dyTok
+
+	// Pass 1, in token order: every routed token's dy into its lane of its
+	// expert's block, and the token-gradient counters.
+	for t := 0; t < T; t++ {
 		i, experts := c.routes(t)
-		if isPositiveZero(dorow) {
+		if !ws.live[t] {
 			for _, ei := range experts {
 				if ex := l.Experts[ei]; !ex.Frozen {
 					grads.countToken(layerIdx, ei, ex)
@@ -357,36 +397,72 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 			}
 			continue
 		}
-		first, end = min(first, t), t+1
-		xt := c.xMid.Row(t)
-		var dx []float64
-		if propagate {
-			dx = ws.dXMid.Row(t)
-		}
+		dorow := dOut.Row(t)
 		for s, ei := range experts {
 			ex := l.Experts[ei]
 			if ex.Frozen && !propagate {
 				continue
 			}
+			p := next[ei]
+			next[ei]++
+			ws.posSlot[p], ws.slotPos[i+s] = i+s, p
+			lane := blockLane(ws.dyBlk, p, D)
 			w := c.routedWeights[i+s]
-			for d := 0; d < D; d++ {
-				dyTok[d] = w * dorow[d]
+			if ex.Frozen {
+				for d, v := range dorow {
+					lane[d*4] = w * v
+				}
+				continue
 			}
-			ws.dh = growFloats(ws.dh, len(ex.B1)+D)
-			var g *ExpertGrad
-			if !ex.Frozen {
-				grads.recordTokenGrad(layerIdx, ei, dyTok)
-				g = grads.expertGrad(layerIdx, ei, ex)
+			for d, v := range dorow {
+				dyTok[d] = w * v
+				lane[d*4] = dyTok[d]
 			}
-			ex.Backward(g, xt, c.hiddenAt(i+s), dyTok, dx, ws.dh)
+			grads.recordTokenGrad(layerIdx, ei, dyTok)
+			grads.expertGrad(layerIdx, ei, ex)
 		}
-		if propagate {
-			// LN2 backward (exact).
-			layerNormBackward(ws.dX1.Row(t), dx, xt, c.invStd2[t])
+	}
+
+	// Pass 2, by expert: its blocks in token order.
+	if propagate {
+		ws.sumBlk = growFloats(ws.sumBlk, P*D)
+	}
+	for e, ex := range l.Experts {
+		var g *ExpertGrad
+		if !ex.Frozen {
+			g = grads.Experts[layerIdx][e]
+		}
+		for p := start[e]; p < next[e]; p += 4 {
+			var sum []float64
+			if propagate {
+				sum = ws.sumBlk[p*D : (p+4)*D]
+			}
+			ex.backwardBlock(g, c, ws.posSlot[p:min(p+4, next[e])], ws.dyBlk[p*D:(p+4)*D], sum, ws)
 		}
 	}
 	if !propagate {
 		return
+	}
+
+	// Pass 3, in token order: dx = Σ each routed token's sum, in slot order,
+	// then the LN2 backward (exact) onto the residual path.
+	ws.dX1 = tensor.Grow(ws.dX1, T, D)
+	ws.dX1.CopyFrom(dOut)
+	ws.dxTok = growFloats(ws.dxTok, D)
+	dx := ws.dxTok
+	for t := first; t < end; t++ {
+		if !ws.live[t] {
+			continue
+		}
+		clear(dx)
+		i, experts := c.routes(t)
+		for s := range experts {
+			lane := blockLane(ws.sumBlk, ws.slotPos[i+s], D)
+			for d := range dx {
+				dx[d] += lane[d*4]
+			}
+		}
+		layerNormBackward(ws.dX1.Row(t), dx, c.xMid.Row(t), c.invStd2[t])
 	}
 	dXIn.CopyFrom(ws.dX1)
 	if first >= end {
@@ -403,10 +479,17 @@ func (l *Layer) Backward(layerIdx int, c *layerCache, dOut, dXIn *tensor.Matrix,
 	tensor.MatMulTransAInto(ws.dV, &ws.pRows, &ws.dX1Rows) // (T×T)ᵀ × (T×D)
 	ws.dXNorm = tensor.Grow(ws.dXNorm, end, D)
 	ws.dVRows = rowView(ws.dVRows, ws.dV, 0, end)
-	tensor.MatMulTransBInto(ws.dXNorm, &ws.dVRows, l.Wv)
+	ws.mul.MatMulTransBInto(ws.dXNorm, &ws.dVRows, l.Wv)
 	for t := 0; t < end; t++ {
 		layerNormBackward(dXIn.Row(t), ws.dXNorm.Row(t), c.xNorm.Row(t), c.invStd1[t])
 	}
+}
+
+// blockLane returns position p's lane of b, which holds blocks of four
+// interleaved width-long vectors, position p in lane p mod 4 of block p/4:
+// the lane's element d is the returned slice's element 4·d.
+func blockLane(b []float64, p, width int) []float64 {
+	return b[(p&^3)*width+p&3:]
 }
 
 // isPositiveZero reports whether every element of row is +0, bit for bit.

@@ -404,7 +404,7 @@ func (m *Model) backwardStage(ws *Workspace, s, stop int, seq []int, grads *Grad
 			grads.Head.Add(ws.headGrad)
 		}
 		ws.dNormed = tensor.Grow(ws.dNormed, ws.dLogits.Rows, m.Head.Rows)
-		tensor.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)
+		ws.mul.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)
 		// Final LN backward (exact).
 		ws.dX[0] = tensor.Grow(ws.dX[0], len(seq), m.Cfg.Dim)
 		ws.dX[1] = tensor.Grow(ws.dX[1], len(seq), m.Cfg.Dim)

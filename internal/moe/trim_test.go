@@ -39,7 +39,7 @@ func untrimmedForwardBackward(m *Model, ws *Workspace, seq []int, mask []bool, g
 		grads.Head.Add(headGrad)
 	}
 	dNormed := tensor.NewMatrix(dLogits.Rows, m.Head.Rows)
-	tensor.MatMulTransBInto(dNormed, dLogits, m.Head)
+	ws.mul.MatMulTransBInto(dNormed, dLogits, m.Head)
 	dX := tensor.NewMatrix(dNormed.Rows, dNormed.Cols)
 	for t := 0; t < dX.Rows; t++ {
 		layerNormBackward(dX.Row(t), dNormed.Row(t), normed.Row(t), invStd[t])
@@ -111,7 +111,7 @@ func untrimmedLayerBackward(l *Layer, layerIdx int, c *layerCache, dOut, dXIn *t
 	dV := tensor.NewMatrix(T, D)
 	tensor.MatMulTransAInto(dV, c.attnP, dX1)
 	dXNorm := tensor.NewMatrix(T, D)
-	tensor.MatMulTransBInto(dXNorm, dV, l.Wv)
+	ws.mul.MatMulTransBInto(dXNorm, dV, l.Wv)
 	dXIn.CopyFrom(dX1)
 	for t := 0; t < T; t++ {
 		layerNormBackward(dXIn.Row(t), dXNorm.Row(t), c.xNorm.Row(t), c.invStd1[t])

@@ -68,11 +68,21 @@ type Workspace struct {
 	headGrad *tensor.Matrix
 	dX       [2]*tensor.Matrix // ping-pong dL/dx chain through the layers
 	dX1      *tensor.Matrix
-	dXMid    *tensor.Matrix
 	dV       *tensor.Matrix
 	dXNorm   *tensor.Matrix
-	dyTok    []float64
-	dh       []float64 // Expert.Backward scratch: dh, then the dx partial sum
+
+	// Layer.Backward's expert blocks. live[t] is whether row t's output
+	// gradient is not +0; each expert's routed tokens hold positions
+	// [blockStart[e], blockNext[e]), in token order; posSlot and slotPos map
+	// positions to routing slots and back; dyBlk and sumBlk hold each
+	// position's dy and dx sum, four positions interleaved per block
+	// (blockLane). dhBlk is one block's dh; dyTok, dhTok and dxTok are one
+	// token's dy, dh and dx.
+	live                  []bool
+	blockStart, blockNext []int
+	posSlot, slotPos      []int
+	dyBlk, sumBlk, dhBlk  []float64
+	dyTok, dhTok, dxTok   []float64
 
 	// Row views of the attention backward's live rows (Layer.Backward).
 	pRows, dX1Rows, dVRows tensor.Matrix
@@ -142,6 +152,14 @@ func (ws *Workspace) ProbeFloats(n int) []float64 {
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// growBools is growFloats for []bool.
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

@@ -1,6 +1,6 @@
 package tensor
 
-// Vector kernels. There are two forms of product in this engine:
+// Vector kernels. There are three forms of product in this engine:
 //
 //   - Axpy form, y += a·x and y += xᵀW: every output element accumulates its
 //     own terms, and neighbouring outputs are independent. Axpy, AxpyRows
@@ -9,7 +9,8 @@ package tensor
 //     exactly one term. OuterRows and OuterNonzeroRows, the expert weight
 //     gradients.
 //   - Dot form, y = W·x: every output is one reduction, a single accumulator
-//     summed in ascending order from +0. DotRows (and Dot, its one-row case).
+//     summed in ascending order from +0. DotRows (and Dot, its one-row case),
+//     and DotRows4, the same over four vectors at once.
 //
 // Beside them are one elementwise kernel, ReLU, the expert FFN's clamp,
 // and one row kernel, Softmax (vector.go), whose exp is Exp (exp.go).
@@ -24,20 +25,24 @@ package tensor
 // one operation; a NaN result stays a NaN in every form.
 //
 // The assembly vectorises across outputs and never along a reduction. The
-// Axpy and rank-1 forms put neighbouring columns in neighbouring lanes.
-// DotRows keeps four rows of W in the four lanes of one accumulator: it
-// multiplies a 4×4 block of W by x elementwise and transposes the products
-// in registers, so each lane still adds its own row's terms in ascending
-// order. Splitting one row's sum across lanes would reorder it and change
-// bits, which is why Dot itself — a single reduction with no second output
-// to vectorise across — stays scalar, as do the layer-norm reductions.
-// Softmax vectorises its elementwise work, the exps and the divides, four
-// lanes wide, and adds each lane into its one scalar sum in ascending order;
-// its max is order-free.
+// Axpy and rank-1 forms put neighbouring columns in neighbouring lanes; the
+// zero-skipping ones first turn x into a bit mask, 64 rows at a time, and
+// then visit only its set bits. DotRows4 puts four vectors in the four
+// lanes, so lane l is vector l's dot product with a row of W and no lane
+// ever mixes two sums: it runs at the Axpy form's rate. DotRows, with one
+// vector, keeps four rows of W in the four lanes of one accumulator instead:
+// it multiplies a 4×4 block of W by x elementwise and transposes the
+// products in registers, so each lane still adds its own row's terms in
+// ascending order, at about half that rate. Splitting one row's sum across
+// lanes would reorder it and change bits, which is why Dot itself — a single
+// reduction with no second output to vectorise across — stays scalar, as do
+// the layer-norm reductions. Softmax vectorises its elementwise work, the
+// exps and the divides, four lanes wide, and adds each lane into its one
+// scalar sum in ascending order; its max is order-free.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
-// must not overlap x. It is the inner kernel of the weighted expert sum,
-// the trainable experts' weight gradients, MatMulTransAInto and SGD.
+// must not overlap x. It is the inner kernel of the weighted expert sum
+// and SGD.
 //
 // Hot path: the innermost vector kernel of expert forward/backward and SGD;
 // 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
@@ -54,8 +59,9 @@ func Axpy(a float64, x, y []float64) {
 // element accumulates its terms in ascending k — but the assembly form keeps
 // y in registers across all rows instead of loading and storing it once per
 // row. stride must be at least len(y), w must hold the last row, and y must
-// not overlap x or w. It is the inner kernel of MulScratch.MatMulInto, the
-// expert FFN's W1 sweep and attention's value sum.
+// not overlap x or w. It is the inner kernel of MulScratch.MatMulInto and
+// MatMulTransBInto, the expert FFN's W1 sweep, attention's value sum and
+// PCA's power iteration.
 //
 // Hot path: the row-times-matrix kernel of every forward matmul and expert W1
 // sweep; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
@@ -69,10 +75,10 @@ func AxpyRows(y, x, w []float64, stride int) {
 // ascending k. Skipping is not an optimisation but the contract: a row with
 // x[k] == ±0 contributes ±0 terms, and a +0 added to a -0 in y would flip
 // its sign bit. A NaN x[k] is not zero, so its row is added. The assembly
-// form is branch-free — it first compacts the nonzero rows into a list
-// without a branch per row, then sweeps only those — because the zero
-// pattern of a ReLU output defeats branch prediction. The argument rules
-// are AxpyRows'.
+// form has no branch per row — it turns each chunk of up to 64 rows of x
+// into a bit mask, four rows per compare, then sweeps only the set bits,
+// lowest first — because the zero pattern of a ReLU output defeats branch
+// prediction. The argument rules are AxpyRows'.
 // It is the inner kernel of the expert FFN's W2 sweep, where x is the ReLU
 // output and roughly half its units are closed.
 //
@@ -101,10 +107,11 @@ func OuterRows(g, x, y []float64, stride int) {
 // OuterNonzeroRows is OuterRows over the rows whose x[k] is not zero: it is
 // bit-identical to one Axpy(x[k], y, row k of G) per k with x[k] != 0. As in
 // AxpyNonzeroRows the skip is the contract — a ±0 row would add ±0 terms,
-// flipping a -0 in G — a NaN x[k] is not zero, and the assembly form is
-// branch-free, compacting the nonzero rows first. The argument rules are
+// flipping a -0 in G — a NaN x[k] is not zero, and the assembly form
+// sweeps the set bits of the same per-chunk mask. The argument rules are
 // OuterRows'. It is the expert backward's dW2 sweep, dW2 += hiddenᵀ·dy over
-// the units the ReLU left open.
+// the units the ReLU left open, and MatMulTransAInto's one call per row of
+// a.
 //
 // Hot path: the W2 gradient of every trainable expert's backward; 0
 // allocs/op, pinned by TestAxpyKernelsZeroAllocs.
@@ -118,12 +125,12 @@ func OuterNonzeroRows(g, x, y []float64, stride int) {
 // y[j] is bit-identical to Dot(w[j·stride:j·stride+len(x)], x): one
 // accumulator per row, starting from +0, terms in ascending k. It is the
 // transpose dual of AxpyRows. stride must be at least len(x), w must hold
-// the last row, and y must not overlap x or w. It is the inner kernel of
-// MatMulTransBInto, attention scores, the expert backward's dh and dx, and
-// PCA's power iteration.
+// the last row, and y must not overlap x or w. It is the attention scores'
+// kernel, one query against every key row; where several vectors meet the
+// same W, DotRows4 takes them four at a time at twice the rate.
 //
-// Hot path: the matrix-times-vector kernel of attention scores and every
-// backward dot product; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
+// Hot path: the matrix-times-vector kernel of attention scores; 0 allocs/op,
+// pinned by TestAxpyKernelsZeroAllocs.
 func DotRows(y, x, w []float64, stride int) {
 	if stride < len(x) {
 		panic("tensor: dotrows stride shorter than a row")
@@ -132,6 +139,34 @@ func DotRows(y, x, w []float64, stride int) {
 		panic("tensor: dotrows weights shorter than the last row")
 	}
 	dotRows(y, x, w, stride)
+}
+
+// DotRows4 is DotRows over four vectors stored interleaved: x holds k
+// elements of each, vector l's element i at x[i·4+l], and y receives
+// len(y)/4 rows the same way. y[j·4+l] = Σᵢ w[j·stride+i]·x[i·4+l], bit-
+// identical to Dot(w[j·stride:j·stride+k], vector l): one accumulator per
+// output, from +0, terms in ascending i. It overwrites y. len(x) and len(y)
+// must be multiples of four, stride at least k = len(x)/4, w must hold the
+// last row, and y must not overlap x or w. The assembly form holds vector
+// l in lane l, so it multiplies a broadcast w element by a whole row of x
+// and needs no transpose, and keeps eight rows of W in flight. It is the
+// expert backward's kernel, dh = W2·dy and then dx = W1·dh, over blocks of
+// four routed tokens.
+//
+// Hot path: both products of every expert backward; 0 allocs/op, pinned by
+// TestAxpyKernelsZeroAllocs.
+func DotRows4(y, x, w []float64, stride int) {
+	k := len(x) / 4
+	if len(x)%4 != 0 || len(y)%4 != 0 {
+		panic("tensor: dotrows4 vectors not interleaved by four")
+	}
+	if stride < k {
+		panic("tensor: dotrows4 stride shorter than a row")
+	}
+	if len(y) > 0 && len(w) < (len(y)/4-1)*stride+k {
+		panic("tensor: dotrows4 weights shorter than the last row")
+	}
+	dotRows4(y, x, w, stride)
 }
 
 // ReLU clamps y in place: y[j] = +0 wherever y[j] < 0. Every other element
@@ -225,6 +260,27 @@ func reluGeneric(y []float64) {
 		if v < 0 {
 			y[j] = 0
 		}
+	}
+}
+
+// dotRows4Generic is the portable DotRows4: per row of W, four Dot
+// accumulators side by side, each reading its own lane of x. The float64
+// conversions forbid fused multiply-adds, as in axpyGeneric.
+func dotRows4Generic(y, x, w []float64, stride int) {
+	k := len(x) / 4
+	off := 0
+	for j := 0; j+4 <= len(y); j += 4 {
+		row := w[off : off+k]
+		var s0, s1, s2, s3 float64
+		for i, wv := range row {
+			xi := x[i*4 : i*4+4]
+			s0 += float64(wv * xi[0])
+			s1 += float64(wv * xi[1])
+			s2 += float64(wv * xi[2])
+			s3 += float64(wv * xi[3])
+		}
+		y[j], y[j+1], y[j+2], y[j+3] = s0, s1, s2, s3
+		off += stride
 	}
 }
 

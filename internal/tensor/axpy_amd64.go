@@ -56,6 +56,14 @@ func dotRows(y, x, w []float64, stride int) {
 	dotRowsGeneric(y, x, w, stride)
 }
 
+func dotRows4(y, x, w []float64, stride int) {
+	if useAVX {
+		dotRows4AVX(y, x, w, stride)
+		return
+	}
+	dotRows4Generic(y, x, w, stride)
+}
+
 func relu(y []float64) {
 	if useAVX {
 		reluAVX(y)
@@ -88,11 +96,12 @@ func axpyAVX(a float64, x, y []float64)
 //go:noescape
 func axpyRowsAVX(y, x, w []float64, stride int)
 
-// axpyNonzeroRowsAVX is axpyRowsAVX over a compacted row list: per chunk of
-// up to 64 rows, a VCMPSD not-equal mask (x[k] != 0, true for NaN) decides
-// without a branch whether row k's entry advances the end of a list on the
-// stack, and the panel sweep then runs over the listed rows alone, in
-// ascending k. Lengths are the caller's check.
+// axpyNonzeroRowsAVX is axpyRowsAVX over the set bits of a row mask: per
+// chunk of up to 64 rows, VCMPPD not-equal (x[k] != 0, true for NaN) and
+// VMOVMSKPD build a 64-bit mask four rows at a time, and each panel of y —
+// 24, 8, 4 or 1 columns — then visits the set bits lowest first (BSFQ, then
+// the lowest bit cleared), so in ascending k. Lengths are the caller's
+// check.
 //
 //go:noescape
 func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
@@ -105,9 +114,9 @@ func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
 //go:noescape
 func outerRowsAVX(g, x, y []float64, stride int)
 
-// outerNonzeroRowsAVX is outerRowsAVX over a compacted row list, built per
-// chunk of up to 64 rows without a branch per row exactly as in
-// axpyNonzeroRowsAVX. Lengths are the caller's check.
+// outerNonzeroRowsAVX is outerRowsAVX over the set bits of the per-chunk
+// row mask axpyNonzeroRowsAVX builds, in 24-, 8-, 4- and 1-column panels of
+// y. Lengths are the caller's check.
 //
 //go:noescape
 func outerNonzeroRowsAVX(g, x, y []float64, stride int)
@@ -121,6 +130,15 @@ func outerNonzeroRowsAVX(g, x, y []float64, stride int)
 //
 //go:noescape
 func dotRowsAVX(y, x, w []float64, stride int)
+
+// dotRows4AVX is dotRows4Generic with lane l holding vector l: per row of
+// W one YMM accumulator, from +0, and per term one broadcast element of the
+// row times the four-vector row of x, added in ascending order. Eight rows
+// are in flight at a time, then a 4-row group, then single rows. Lengths
+// are the caller's check.
+//
+//go:noescape
+func dotRows4AVX(y, x, w []float64, stride int)
 
 // reluAVX is reluGeneric as VMAXPD with +0 as the first source and y as the
 // second, over 16- and 4-element steps, then VMAXSD per element. MAXPD

@@ -200,163 +200,192 @@ rowsdone:
 
 // func axpyNonzeroRowsAVX(y, x, w []float64, stride int)
 //
-// Branch-free in two passes per chunk of up to 64 rows. The first compacts
-// the chunk: for every row it writes the entry {x[k], byte offset of row k
-// in w} at the list's end and advances the end by 16 bytes only when
-// VCMPSD predicate 4 (NEQ_UQ: x[k] != 0, true for NaN) sets the mask. The
-// second is axpyRowsAVX's panel sweep (y in registers, 16-, 8-, 4- and
-// 1-column panels) over the listed rows alone, in ascending k: a zero row is
-// never added, exactly as in the portable loop, and no branch depends on
-// the zero pattern.
+// Per chunk of up to 64 rows, two steps. The first builds the chunk's row
+// mask, bit i set when row i's x is not zero: VCMPPD predicate 4 (NEQ_UQ:
+// x[k] != 0, true for NaN) and VMOVMSKPD give four bits per compare, then a
+// VCMPSD one bit per row of a 1–3 row tail. The second is axpyRowsAVX's
+// panel sweep (y in registers, 24-, 8-, 4- and 1-column panels) over the
+// set bits alone: BSFQ finds the lowest, its row is added, and the bit is
+// cleared, so the rows are added in ascending k. A zero row is never added,
+// exactly as in the portable loop, no branch depends on the zero pattern
+// beyond the count of set bits, and a chunk without a set bit is passed
+// over. A 24-column panel covers the expert FFN's Dim-wide output in one
+// pass.
 //
-// Register use: SI = &x[k], BX = rows left, R8 = stride in bytes, R12 =
-// byte offset of row k, R9 = list end while compacting, R13 = list end
-// while sweeping; per chunk
-// DI, CX and DX are y, len(y) and &w[0] advanced by panel, and R10 walks the
-// list. The list lives in the 1 KB frame.
-TEXT ·axpyNonzeroRowsAVX(SB), $1024-80
+// Register use: SI = &x[chunk start], BX = rows after the chunk, R8 =
+// stride in bytes, R12 = &w[chunk start row], R10 = the chunk's rows (then
+// their bytes in w), R11 = the chunk mask, R9 = &x[k] while masking, then
+// &x[chunk end]; per panel DI = &y[j], CX = columns left, DX = R12 + 8·j,
+// R13 = the bits not yet visited and AX = the visited row. Y10 is +0.
+TEXT ·axpyNonzeroRowsAVX(SB), NOSPLIT, $0-80
 	MOVQ   x_base+24(FP), SI
 	MOVQ   x_len+32(FP), BX
+	MOVQ   w_base+48(FP), R12
 	MOVQ   stride+72(FP), R8
 	SHLQ   $3, R8
-	XORQ   R12, R12
 	VXORPD X10, X10, X10
 
 nzchunk:
 	TESTQ   BX, BX
 	JEQ     nzdone
-	MOVQ    $64, R11
-	CMPQ    BX, R11
-	CMOVQLT BX, R11
-	SUBQ    R11, BX
-	LEAQ    0(SP), R9
+	MOVQ    $64, R10
+	CMPQ    BX, R10
+	CMOVQLT BX, R10
+	SUBQ    R10, BX
+	XORQ    R11, R11
+	XORQ    CX, CX
+	MOVQ    SI, R9
+	PCALIGN $32
 
-nzcompact:
-	VMOVSD    (SI), X0
+nzmask4:
+	LEAQ      4(CX), AX
+	CMPQ      AX, R10
+	JGT       nzmask1
+	VMOVUPD   (R9), Y0
+	VCMPPD    $4, Y10, Y0, Y1
+	VMOVMSKPD Y1, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $32, R9
+	ADDQ      $4, CX
+	JMP       nzmask4
+
+nzmask1:
+	CMPQ      CX, R10
+	JGE       nzmasked
+	VMOVSD    (R9), X0
 	VCMPSD    $4, X10, X0, X1
 	VMOVMSKPD X1, AX
-	SHLQ      $4, AX
-	VMOVSD    X0, (R9)
-	MOVQ      R12, 8(R9)
-	ADDQ      AX, R9
-	ADDQ      $8, SI
-	ADDQ      R8, R12
-	DECQ      R11
-	JNZ       nzcompact
-	MOVQ      R9, R13
-	MOVQ      y_base+0(FP), DI
-	MOVQ      y_len+8(FP), CX
-	MOVQ      w_base+48(FP), DX
+	ANDL      $1, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $8, R9
+	INCQ      CX
+	JMP       nzmask1
 
-nzpanel16:
-	CMPQ    CX, $16
+nzmasked:
+	IMULQ R8, R10
+	TESTQ R11, R11
+	JEQ   nznext
+	MOVQ  y_base+0(FP), DI
+	MOVQ  y_len+8(FP), CX
+	MOVQ  R12, DX
+
+nzpanel24:
+	CMPQ    CX, $24
 	JLT     nzpanel8
 	VMOVUPD (DI), Y1
 	VMOVUPD 32(DI), Y2
 	VMOVUPD 64(DI), Y3
 	VMOVUPD 96(DI), Y4
-	LEAQ    0(SP), R10
-	CMPQ    R10, R13
-	JEQ     nzstore16
+	VMOVUPD 128(DI), Y5
+	VMOVUPD 160(DI), Y6
+	MOVQ    R11, R13
+	PCALIGN $32
 
-nzrows16:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       (DX)(AX*1), Y0, Y5
-	VMULPD       32(DX)(AX*1), Y0, Y6
-	VMULPD       64(DX)(AX*1), Y0, Y7
-	VMULPD       96(DX)(AX*1), Y0, Y8
-	VADDPD       Y5, Y1, Y1
-	VADDPD       Y6, Y2, Y2
-	VADDPD       Y7, Y3, Y3
-	VADDPD       Y8, Y4, Y4
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          nzrows16
-
-nzstore16:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	VMOVUPD Y3, 64(DI)
-	VMOVUPD Y4, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $16, CX
-	JMP     nzpanel16
+nzrows24:
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       (DX)(AX*1), Y0, Y7
+	VMULPD       32(DX)(AX*1), Y0, Y8
+	VMULPD       64(DX)(AX*1), Y0, Y9
+	VMULPD       96(DX)(AX*1), Y0, Y11
+	VMULPD       128(DX)(AX*1), Y0, Y12
+	VMULPD       160(DX)(AX*1), Y0, Y13
+	VADDPD       Y7, Y1, Y1
+	VADDPD       Y8, Y2, Y2
+	VADDPD       Y9, Y3, Y3
+	VADDPD       Y11, Y4, Y4
+	VADDPD       Y12, Y5, Y5
+	VADDPD       Y13, Y6, Y6
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          nzrows24
+	VMOVUPD      Y1, (DI)
+	VMOVUPD      Y2, 32(DI)
+	VMOVUPD      Y3, 64(DI)
+	VMOVUPD      Y4, 96(DI)
+	VMOVUPD      Y5, 128(DI)
+	VMOVUPD      Y6, 160(DI)
+	ADDQ         $192, DI
+	ADDQ         $192, DX
+	SUBQ         $24, CX
+	JMP          nzpanel24
 
 nzpanel8:
 	CMPQ    CX, $8
 	JLT     nzpanel4
 	VMOVUPD (DI), Y1
 	VMOVUPD 32(DI), Y2
-	LEAQ    0(SP), R10
-	CMPQ    R10, R13
-	JEQ     nzstore8
+	MOVQ    R11, R13
+	PCALIGN $32
 
 nzrows8:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       (DX)(AX*1), Y0, Y5
-	VMULPD       32(DX)(AX*1), Y0, Y6
-	VADDPD       Y5, Y1, Y1
-	VADDPD       Y6, Y2, Y2
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          nzrows8
-
-nzstore8:
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	SUBQ    $8, CX
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       (DX)(AX*1), Y0, Y7
+	VMULPD       32(DX)(AX*1), Y0, Y8
+	VADDPD       Y7, Y1, Y1
+	VADDPD       Y8, Y2, Y2
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          nzrows8
+	VMOVUPD      Y1, (DI)
+	VMOVUPD      Y2, 32(DI)
+	ADDQ         $64, DI
+	ADDQ         $64, DX
+	SUBQ         $8, CX
+	JMP          nzpanel8
 
 nzpanel4:
 	CMPQ    CX, $4
 	JLT     nzcol1
 	VMOVUPD (DI), Y1
-	LEAQ    0(SP), R10
-	CMPQ    R10, R13
-	JEQ     nzstore4
+	MOVQ    R11, R13
+	PCALIGN $32
 
 nzrows4:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       (DX)(AX*1), Y0, Y5
-	VADDPD       Y5, Y1, Y1
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          nzrows4
-
-nzstore4:
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, DX
-	SUBQ    $4, CX
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       (DX)(AX*1), Y0, Y7
+	VADDPD       Y7, Y1, Y1
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          nzrows4
+	VMOVUPD      Y1, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	SUBQ         $4, CX
 
 nzcol1:
 	TESTQ  CX, CX
-	JEQ    nzchunk
+	JEQ    nznext
 	VMOVSD (DI), X1
-	LEAQ   0(SP), R10
-	CMPQ   R10, R13
-	JEQ    nzstore1
+	MOVQ   R11, R13
+	PCALIGN $32
 
 nzrows1:
-	VMOVSD (R10), X0
-	MOVQ   8(R10), AX
-	VMULSD (DX)(AX*1), X0, X5
-	VADDSD X5, X1, X1
-	ADDQ   $16, R10
-	CMPQ   R10, R13
-	JNE    nzrows1
-
-nzstore1:
+	BSFQ   R13, AX
+	VMOVSD (SI)(AX*8), X0
+	IMULQ  R8, AX
+	VMULSD (DX)(AX*1), X0, X7
+	VADDSD X7, X1, X1
+	LEAQ   -1(R13), AX
+	ANDQ   AX, R13
+	JNZ    nzrows1
 	VMOVSD X1, (DI)
 	ADDQ   $8, DI
 	ADDQ   $8, DX
 	DECQ   CX
 	JMP    nzcol1
+
+nznext:
+	MOVQ R9, SI
+	ADDQ R10, R12
+	JMP  nzchunk
 
 nzdone:
 	VZEROUPPER
@@ -492,149 +521,187 @@ outerdone:
 
 // func outerNonzeroRowsAVX(g, x, y []float64, stride int)
 //
-// Per chunk of up to 64 rows, axpyNonzeroRowsAVX's compaction — the entry
-// {x[k], byte offset of row k in g} written at the list's end, the end
-// advanced by 16 bytes only when VCMPSD predicate 4 (NEQ_UQ: x[k] != 0, true
-// for NaN) sets the mask — then outerRowsAVX's panel sweep over the listed
-// rows alone. A zero row is never touched, exactly as in the portable loop,
-// and no branch depends on the zero pattern; a chunk whose list is empty is
-// passed over.
+// axpyNonzeroRowsAVX's per-chunk row mask, built the same way, then
+// outerRowsAVX's panel sweep (the panel's slice of y in registers, 24-, 8-,
+// 4- and 1-column panels) over its set bits alone, lowest first: every
+// nonzero row of G in the panel takes one load, one add and one store, a
+// zero row is never touched, exactly as in the portable loop, and a chunk
+// without a set bit is passed over.
 //
-// Register use: SI = &x[k], BX = rows left, R8 = stride in bytes, R12 =
-// byte offset of row k, R9 = list end while compacting, R13 = list end
-// while sweeping; per chunk DI, CX and DX are y, len(y) and &g[0] advanced
-// by panel, and R10 walks the list. The list lives in the 1 KB frame.
-TEXT ·outerNonzeroRowsAVX(SB), $1024-80
+// Register use: SI = &x[chunk start], BX = rows after the chunk, R8 =
+// stride in bytes, R12 = &g[chunk start row], R10 = the chunk's rows (then
+// their bytes in g), R11 = the chunk mask, R9 = &x[k] while masking, then
+// &x[chunk end]; per panel DI = &y[j], CX = columns left, DX = R12 + 8·j,
+// R13 = the bits not yet visited and AX = the visited row. Y10 is +0.
+TEXT ·outerNonzeroRowsAVX(SB), NOSPLIT, $0-80
+	MOVQ   g_base+0(FP), R12
 	MOVQ   x_base+24(FP), SI
 	MOVQ   x_len+32(FP), BX
 	MOVQ   stride+72(FP), R8
 	SHLQ   $3, R8
-	XORQ   R12, R12
 	VXORPD X10, X10, X10
 
 onzchunk:
 	TESTQ   BX, BX
 	JEQ     onzdone
-	MOVQ    $64, R11
-	CMPQ    BX, R11
-	CMOVQLT BX, R11
-	SUBQ    R11, BX
-	LEAQ    0(SP), R9
+	MOVQ    $64, R10
+	CMPQ    BX, R10
+	CMOVQLT BX, R10
+	SUBQ    R10, BX
+	XORQ    R11, R11
+	XORQ    CX, CX
+	MOVQ    SI, R9
+	PCALIGN $32
 
-onzcompact:
-	VMOVSD    (SI), X0
+onzmask4:
+	LEAQ      4(CX), AX
+	CMPQ      AX, R10
+	JGT       onzmask1
+	VMOVUPD   (R9), Y0
+	VCMPPD    $4, Y10, Y0, Y1
+	VMOVMSKPD Y1, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $32, R9
+	ADDQ      $4, CX
+	JMP       onzmask4
+
+onzmask1:
+	CMPQ      CX, R10
+	JGE       onzmasked
+	VMOVSD    (R9), X0
 	VCMPSD    $4, X10, X0, X1
 	VMOVMSKPD X1, AX
-	SHLQ      $4, AX
-	VMOVSD    X0, (R9)
-	MOVQ      R12, 8(R9)
-	ADDQ      AX, R9
-	ADDQ      $8, SI
-	ADDQ      R8, R12
-	DECQ      R11
-	JNZ       onzcompact
-	MOVQ      R9, R13
-	LEAQ      0(SP), R10
-	CMPQ      R10, R13
-	JEQ       onzchunk
-	MOVQ      y_base+48(FP), DI
-	MOVQ      y_len+56(FP), CX
-	MOVQ      g_base+0(FP), DX
+	ANDL      $1, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $8, R9
+	INCQ      CX
+	JMP       onzmask1
 
-onzpanel16:
-	CMPQ    CX, $16
+onzmasked:
+	IMULQ R8, R10
+	TESTQ R11, R11
+	JEQ   onznext
+	MOVQ  y_base+48(FP), DI
+	MOVQ  y_len+56(FP), CX
+	MOVQ  R12, DX
+
+onzpanel24:
+	CMPQ    CX, $24
 	JLT     onzpanel8
 	VMOVUPD (DI), Y1
 	VMOVUPD 32(DI), Y2
 	VMOVUPD 64(DI), Y3
 	VMOVUPD 96(DI), Y4
-	LEAQ    0(SP), R10
+	VMOVUPD 128(DI), Y5
+	VMOVUPD 160(DI), Y6
+	MOVQ    R11, R13
 	PCALIGN $32
 
-onzrows16:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       Y1, Y0, Y5
-	VMULPD       Y2, Y0, Y6
-	VMULPD       Y3, Y0, Y7
-	VMULPD       Y4, Y0, Y8
-	VADDPD       (DX)(AX*1), Y5, Y5
-	VADDPD       32(DX)(AX*1), Y6, Y6
-	VADDPD       64(DX)(AX*1), Y7, Y7
-	VADDPD       96(DX)(AX*1), Y8, Y8
-	VMOVUPD      Y5, (DX)(AX*1)
-	VMOVUPD      Y6, 32(DX)(AX*1)
-	VMOVUPD      Y7, 64(DX)(AX*1)
-	VMOVUPD      Y8, 96(DX)(AX*1)
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          onzrows16
-	ADDQ         $128, DI
-	ADDQ         $128, DX
-	SUBQ         $16, CX
-	JMP          onzpanel16
+onzrows24:
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       Y1, Y0, Y7
+	VMULPD       Y2, Y0, Y8
+	VMULPD       Y3, Y0, Y9
+	VMULPD       Y4, Y0, Y11
+	VMULPD       Y5, Y0, Y12
+	VMULPD       Y6, Y0, Y13
+	VADDPD       (DX)(AX*1), Y7, Y7
+	VADDPD       32(DX)(AX*1), Y8, Y8
+	VADDPD       64(DX)(AX*1), Y9, Y9
+	VADDPD       96(DX)(AX*1), Y11, Y11
+	VADDPD       128(DX)(AX*1), Y12, Y12
+	VADDPD       160(DX)(AX*1), Y13, Y13
+	VMOVUPD      Y7, (DX)(AX*1)
+	VMOVUPD      Y8, 32(DX)(AX*1)
+	VMOVUPD      Y9, 64(DX)(AX*1)
+	VMOVUPD      Y11, 96(DX)(AX*1)
+	VMOVUPD      Y12, 128(DX)(AX*1)
+	VMOVUPD      Y13, 160(DX)(AX*1)
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          onzrows24
+	ADDQ         $192, DI
+	ADDQ         $192, DX
+	SUBQ         $24, CX
+	JMP          onzpanel24
 
 onzpanel8:
 	CMPQ    CX, $8
 	JLT     onzpanel4
 	VMOVUPD (DI), Y1
 	VMOVUPD 32(DI), Y2
-	LEAQ    0(SP), R10
+	MOVQ    R11, R13
+	PCALIGN $32
 
 onzrows8:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       Y1, Y0, Y5
-	VMULPD       Y2, Y0, Y6
-	VADDPD       (DX)(AX*1), Y5, Y5
-	VADDPD       32(DX)(AX*1), Y6, Y6
-	VMOVUPD      Y5, (DX)(AX*1)
-	VMOVUPD      Y6, 32(DX)(AX*1)
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          onzrows8
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       Y1, Y0, Y7
+	VMULPD       Y2, Y0, Y8
+	VADDPD       (DX)(AX*1), Y7, Y7
+	VADDPD       32(DX)(AX*1), Y8, Y8
+	VMOVUPD      Y7, (DX)(AX*1)
+	VMOVUPD      Y8, 32(DX)(AX*1)
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          onzrows8
 	ADDQ         $64, DI
 	ADDQ         $64, DX
 	SUBQ         $8, CX
+	JMP          onzpanel8
 
 onzpanel4:
 	CMPQ    CX, $4
 	JLT     onzcol1
 	VMOVUPD (DI), Y1
-	LEAQ    0(SP), R10
+	MOVQ    R11, R13
+	PCALIGN $32
 
 onzrows4:
-	VBROADCASTSD (R10), Y0
-	MOVQ         8(R10), AX
-	VMULPD       Y1, Y0, Y5
-	VADDPD       (DX)(AX*1), Y5, Y5
-	VMOVUPD      Y5, (DX)(AX*1)
-	ADDQ         $16, R10
-	CMPQ         R10, R13
-	JNE          onzrows4
+	BSFQ         R13, AX
+	VBROADCASTSD (SI)(AX*8), Y0
+	IMULQ        R8, AX
+	VMULPD       Y1, Y0, Y7
+	VADDPD       (DX)(AX*1), Y7, Y7
+	VMOVUPD      Y7, (DX)(AX*1)
+	LEAQ         -1(R13), AX
+	ANDQ         AX, R13
+	JNZ          onzrows4
 	ADDQ         $32, DI
 	ADDQ         $32, DX
 	SUBQ         $4, CX
 
 onzcol1:
 	TESTQ  CX, CX
-	JEQ    onzchunk
+	JEQ    onznext
 	VMOVSD (DI), X1
-	LEAQ   0(SP), R10
+	MOVQ   R11, R13
+	PCALIGN $32
 
 onzrows1:
-	VMOVSD (R10), X0
-	MOVQ   8(R10), AX
-	VMULSD X1, X0, X5
-	VADDSD (DX)(AX*1), X5, X5
-	VMOVSD X5, (DX)(AX*1)
-	ADDQ   $16, R10
-	CMPQ   R10, R13
-	JNE    onzrows1
+	BSFQ   R13, AX
+	VMOVSD (SI)(AX*8), X0
+	IMULQ  R8, AX
+	VMULSD X1, X0, X7
+	VADDSD (DX)(AX*1), X7, X7
+	VMOVSD X7, (DX)(AX*1)
+	LEAQ   -1(R13), AX
+	ANDQ   AX, R13
+	JNZ    onzrows1
 	ADDQ   $8, DI
 	ADDQ   $8, DX
 	DECQ   CX
 	JMP    onzcol1
+
+onznext:
+	MOVQ R9, SI
+	ADDQ R10, R12
+	JMP  onzchunk
 
 onzdone:
 	VZEROUPPER
@@ -812,6 +879,152 @@ dstorepart:
 	VMOVSD       X0, 16(DI)
 
 ddone:
+	VZEROUPPER
+	RET
+
+// D4ROWS adds one term into the accumulators of four rows: the elements at
+// base, base+R8, base+2·R8 and base+R12 — column i of four consecutive rows
+// of W — each broadcast, times x's row i of four vectors in Y8.
+#define D4ROWS(base, a0, a1, a2, a3) \
+	VBROADCASTSD (base), Y9; \
+	VBROADCASTSD (base)(R8*1), Y10; \
+	VBROADCASTSD (base)(R8*2), Y11; \
+	VBROADCASTSD (base)(R12*1), Y12; \
+	VMULPD       Y8, Y9, Y9; \
+	VMULPD       Y8, Y10, Y10; \
+	VMULPD       Y8, Y11, Y11; \
+	VMULPD       Y8, Y12, Y12; \
+	VADDPD       Y9, a0, a0; \
+	VADDPD       Y10, a1, a1; \
+	VADDPD       Y11, a2, a2; \
+	VADDPD       Y12, a3, a3
+
+// func dotRows4AVX(y, x, w []float64, stride int)
+//
+// Lane l is vector l throughout: row j's accumulator takes w[j][i]
+// broadcast times the four-element row i of x, so each lane adds its own
+// dot product's terms in ascending i, from +0, and the result row stores as
+// it stands — no transpose. Eight rows are in flight (Y0–Y7), then one
+// group of four (Y0–Y3), then single rows (Y0).
+//
+// Register use: DI = &y[4j], CX = rows left, SI = &x[0], BX = terms per
+// row, DX = &w[j*stride], R8 = stride in bytes, R12 = 3·stride; per row
+// group R9 = &x[4i], R10 = &w[j*stride+i], R13 = R10 four rows down, R11 =
+// terms left.
+TEXT ·dotRows4AVX(SB), NOSPLIT, $0-80
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	SHRQ $2, CX
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), BX
+	SHRQ $2, BX
+	MOVQ w_base+48(FP), DX
+	MOVQ stride+72(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R12
+
+d4group8:
+	CMPQ    CX, $8
+	JLT     d4group4
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y5, Y5, Y5
+	VXORPD  Y6, Y6, Y6
+	VXORPD  Y7, Y7, Y7
+	MOVQ    SI, R9
+	MOVQ    DX, R10
+	LEAQ    (DX)(R8*4), R13
+	MOVQ    BX, R11
+	TESTQ   R11, R11
+	JEQ     d4store8
+	PCALIGN $32
+
+d4terms8:
+	VMOVUPD (R9), Y8
+	D4ROWS(R10, Y0, Y1, Y2, Y3)
+	D4ROWS(R13, Y4, Y5, Y6, Y7)
+	ADDQ    $32, R9
+	ADDQ    $8, R10
+	ADDQ    $8, R13
+	DECQ    R11
+	JNZ     d4terms8
+
+d4store8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	LEAQ    (DX)(R8*8), DX
+	SUBQ    $8, CX
+	JMP     d4group8
+
+d4group4:
+	CMPQ   CX, $4
+	JLT    d4row1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   BX, R11
+	TESTQ   R11, R11
+	JEQ     d4store4
+	PCALIGN $32
+
+d4terms4:
+	VMOVUPD (R9), Y8
+	D4ROWS(R10, Y0, Y1, Y2, Y3)
+	ADDQ    $32, R9
+	ADDQ    $8, R10
+	DECQ    R11
+	JNZ     d4terms4
+
+d4store4:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (DX)(R8*4), DX
+	SUBQ    $4, CX
+
+d4row1:
+	TESTQ  CX, CX
+	JEQ    d4done
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R9
+	MOVQ   DX, R10
+	MOVQ   BX, R11
+	TESTQ  R11, R11
+	JEQ    d4store1
+	PCALIGN $32
+
+d4terms1:
+	VBROADCASTSD (R10), Y9
+	VMULPD       (R9), Y9, Y9
+	VADDPD       Y9, Y0, Y0
+	ADDQ         $32, R9
+	ADDQ         $8, R10
+	DECQ         R11
+	JNZ          d4terms1
+
+d4store1:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    R8, DX
+	DECQ    CX
+	JMP     d4row1
+
+d4done:
 	VZEROUPPER
 	RET
 

@@ -25,11 +25,19 @@ func TestDotRowsAVXBitIdentity(t *testing.T) {
 	checkRows(t, true, false, dotRowsAVX, dotRowsGeneric)
 }
 
+func TestDotRows4AVXBitIdentity(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	checkDotRows4(t, dotRows4AVX, dotRows4Generic)
+}
+
 func TestAxpyNonzeroRowsAVXBitIdentity(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this machine")
 	}
 	checkRows(t, false, true, axpyNonzeroRowsAVX, axpyNonzeroRowsGeneric)
+	checkNonzeroChunks(t, false, axpyNonzeroRowsAVX, axpyNonzeroRowsGeneric)
 }
 
 func TestOuterRowsAVXBitIdentity(t *testing.T) {
@@ -38,6 +46,7 @@ func TestOuterRowsAVXBitIdentity(t *testing.T) {
 	}
 	checkOuter(t, outerRowsAVX, outerRowsGeneric)
 	checkOuter(t, outerNonzeroRowsAVX, outerNonzeroRowsGeneric)
+	checkNonzeroChunks(t, true, outerNonzeroRowsAVX, outerNonzeroRowsGeneric)
 }
 
 func TestReLUAVXBitIdentity(t *testing.T) {

@@ -14,6 +14,8 @@ func outerNonzeroRows(g, x, y []float64, stride int) { outerNonzeroRowsGeneric(g
 
 func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }
 
+func dotRows4(y, x, w []float64, stride int) { dotRows4Generic(y, x, w, stride) }
+
 func relu(y []float64) { reluGeneric(y) }
 
 func softmax(dst, src []float64) { softmaxGeneric(dst, src) }

@@ -71,6 +71,40 @@ func scalarDotRows(y, x, w []float64, stride int) {
 	}
 }
 
+// scalarDotRows4 is DotRows4's specification: per row of w and per lane l,
+// one accumulator from +0 over vector l's elements x[i·4+l], one rounded
+// multiply and one rounded add per term in ascending i.
+func scalarDotRows4(y, x, w []float64, stride int) {
+	k := len(x) / 4
+	for j := 0; j < len(y)/4; j++ {
+		for l := 0; l < 4; l++ {
+			var s float64
+			for i := 0; i < k; i++ {
+				s += float64(w[j*stride+i] * x[i*4+l])
+			}
+			y[j*4+l] = s
+		}
+	}
+}
+
+// fourDotRows is DotRows4 as four exported DotRows calls, one per lane: it
+// de-interleaves the vectors, runs DotRows on each and interleaves the
+// results.
+func fourDotRows(y, x, w []float64, stride int) {
+	k, rows := len(x)/4, len(y)/4
+	v := make([]float64, k)
+	out := make([]float64, rows)
+	for l := 0; l < 4; l++ {
+		for i := range v {
+			v[i] = x[i*4+l]
+		}
+		DotRows(out, v, w, stride)
+		for j, o := range out {
+			y[j*4+l] = o
+		}
+	}
+}
+
 // scalarReLU is ReLU's specification: +0 where an element compares below
 // zero, every other element's bits untouched.
 func scalarReLU(y []float64) {
@@ -329,6 +363,144 @@ func checkOuter(t *testing.T, got, want func(g, x, y []float64, stride int)) {
 	}
 }
 
+// dotSpecials are the values checkDotRows4 plants in its vector lanes: a
+// NaN, both infinities and both zeros.
+var dotSpecials = []float64{x86NaN, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+
+// checkDotRows4 runs got and want on identical copies of every case of the
+// four-vector dot grid and compares them bit for bit: 0–17 rows (two
+// eight-row groups, a four-row group and every single-row tail), 0–70
+// terms, y/x offsets 0–3 (w offset one more, mod 4) behind axpyGuard guard
+// elements, and strides k…k+3. Up to rowsFullGrid terms every offset ×
+// stride combination runs, above it one each, cycling, as in checkRows.
+// Every x gets a few of dotSpecials, in random lanes, besides the ±0,
+// subnormals and near-overflow magnitudes of mixedFill.
+func checkDotRows4(t *testing.T, got, want func(y, x, w []float64, stride int)) {
+	t.Helper()
+	const maxRows = 17
+	g := NewRNG(43)
+	xBuf := make([]float64, 4*rowsMaxLen+3)
+	wBuf := make([]float64, maxRows*(rowsMaxLen+3)+3)
+	yInit := make([]float64, axpyGuard+4*maxRows+3+axpyGuard)
+	yGot := make([]float64, len(yInit))
+	yWant := make([]float64, len(yInit))
+	mixedFill(g, wBuf)
+	for rows := 0; rows <= maxRows; rows++ {
+		mixedFill(g, yInit)
+		for k := 0; k <= rowsMaxLen; k++ {
+			mixedFill(g, xBuf)
+			for range 3 {
+				xBuf[g.Intn(len(xBuf))] = dotSpecials[g.Intn(len(dotSpecials))]
+			}
+			for c := 0; c < 16; c++ {
+				if k > rowsFullGrid && c != (rows*(rowsMaxLen+1)+k)%16 {
+					continue
+				}
+				off, stride := c/4, k+c%4
+				offW := (off + 1) % 4
+				wLen := 0
+				if rows > 0 {
+					wLen = (rows-1)*stride + k
+				}
+				x := xBuf[off : off+4*k]
+				w := wBuf[offW : offW+wLen]
+				copy(yGot, yInit)
+				copy(yWant, yInit)
+				got(yGot[axpyGuard+off:axpyGuard+off+4*rows], x, w, stride)
+				want(yWant[axpyGuard+off:axpyGuard+off+4*rows], x, w, stride)
+				sameBits(t, fmt.Sprintf("rows %d, terms %d, offset %d, stride %d", rows, k, off, stride), yGot, yWant)
+			}
+		}
+	}
+}
+
+// nonzeroChunkRows are row counts on either side of the zero-skipping
+// kernels' 64-row mask chunks: one short of a chunk, exactly one, one over,
+// and two chunks and a row.
+var nonzeroChunkRows = []int{63, 64, 65, 129}
+
+// checkNonzeroChunks runs got and want — both AxpyNonzeroRows-shaped, or
+// with outer both OuterNonzeroRows-shaped — on identical copies of every
+// chunk-edge case and compares the whole output buffers bit for bit: every
+// row count of nonzeroChunkRows × output widths on and around each panel
+// (1–9, 23–25, 31, 48, 49), with x all ±0, all nonzero, holding NaNs at
+// and beside the chunk edges among zeros, and holding −0 among nonzero
+// values. mixedFill's −0s in the output are what a wrongly applied zero row
+// would flip.
+func checkNonzeroChunks(t *testing.T, outer bool, got, want func(a, x, b []float64, stride int)) {
+	t.Helper()
+	g := NewRNG(47)
+	negZero := math.Copysign(0, -1)
+	patterns := []struct {
+		name string
+		fill func(x []float64)
+	}{
+		{"zero", func(x []float64) {
+			for k := range x {
+				x[k] = 0
+				if k%3 == 1 {
+					x[k] = negZero
+				}
+			}
+		}},
+		{"nonzero", func(x []float64) {
+			for k := range x {
+				x[k] = 0.5 + g.Float64()
+			}
+		}},
+		{"nan", func(x []float64) {
+			for k := range x {
+				x[k] = 0
+				if g.Intn(3) == 0 {
+					x[k] = g.Norm()
+				}
+			}
+			for _, k := range []int{0, 62, 63, 64, 127, 128, len(x) - 1} {
+				if k < len(x) {
+					x[k] = x86NaN
+				}
+			}
+		}},
+		{"negzero", func(x []float64) {
+			for k := range x {
+				x[k] = g.Norm()
+				if g.Intn(2) == 0 {
+					x[k] = negZero
+				}
+			}
+		}},
+	}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 24, 25, 31, 48, 49}
+	for _, rows := range nonzeroChunkRows {
+		x := make([]float64, rows)
+		for _, n := range widths {
+			for _, p := range patterns {
+				p.fill(x)
+				stride := n + rows%3
+				mat := make([]float64, (rows-1)*stride+n)
+				vec := make([]float64, n)
+				mixedFill(g, mat)
+				mixedFill(g, vec)
+				init := vec
+				if outer {
+					init = mat
+				}
+				gotOut := append([]float64(nil), init...)
+				wantOut := append([]float64(nil), init...)
+				what := fmt.Sprintf("rows %d, width %d, x %s", rows, n, p.name)
+				if outer {
+					got(gotOut, x, vec, stride)
+					want(wantOut, x, vec, stride)
+				} else {
+					got(gotOut, x, mat, stride)
+					want(wantOut, x, mat, stride)
+				}
+				sameBits(t, what, gotOut, wantOut)
+			}
+		}
+	}
+}
+
 // checkReLU runs got and want on identical copies of every ReLU case —
 // lengths 0–130 at offsets 0–3, axpyGuard guard elements on each side — and
 // compares the whole buffers bit for bit.
@@ -362,6 +534,23 @@ func TestAxpyPortableBitIdentity(t *testing.T) {
 // row — to the one-accumulator-per-row reference.
 func TestDotRowsPortableBitIdentity(t *testing.T) {
 	checkRows(t, true, false, dotRowsGeneric, scalarDotRows)
+}
+
+// TestDotRows4PortableBitIdentity pins the portable DotRows4 to its
+// one-accumulator-per-output specification, and the exported DotRows4 —
+// the assembly where it runs — to four exported DotRows calls, one per
+// vector.
+func TestDotRows4PortableBitIdentity(t *testing.T) {
+	checkDotRows4(t, dotRows4Generic, scalarDotRows4)
+	checkDotRows4(t, DotRows4, fourDotRows)
+}
+
+// TestNonzeroRowsChunkEdges pins the exported zero-skipping kernels — the
+// bit-mask assembly where it runs — to their one-Axpy-per-nonzero-row
+// specifications across the 64-row chunk edges of the mask.
+func TestNonzeroRowsChunkEdges(t *testing.T) {
+	checkNonzeroChunks(t, false, AxpyNonzeroRows, scalarAxpyNonzeroRows)
+	checkNonzeroChunks(t, true, OuterNonzeroRows, scalarOuterNonzeroRows)
 }
 
 // TestAxpyNonzeroRowsPortableBitIdentity pins the portable AxpyNonzeroRows
@@ -500,6 +689,10 @@ func TestAxpyKernelsPanic(t *testing.T) {
 		{"DotRows stride shorter than x", func() { DotRows(make([]float64, 2), make([]float64, 4), make([]float64, 8), 3) }},
 		{"DotRows negative stride", func() { DotRows(make([]float64, 2), nil, make([]float64, 8), -1) }},
 		{"DotRows short w", func() { DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+3), 5) }},
+		{"DotRows4 x not by four", func() { DotRows4(make([]float64, 4), make([]float64, 6), make([]float64, 8), 2) }},
+		{"DotRows4 y not by four", func() { DotRows4(make([]float64, 6), make([]float64, 8), make([]float64, 8), 2) }},
+		{"DotRows4 stride shorter than a row", func() { DotRows4(make([]float64, 8), make([]float64, 12), make([]float64, 8), 2) }},
+		{"DotRows4 short w", func() { DotRows4(make([]float64, 12), make([]float64, 16), make([]float64, 2*5+3), 5) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -523,24 +716,30 @@ func TestAxpyKernelsPanic(t *testing.T) {
 	DotRows(nil, make([]float64, 4), nil, 4)
 	DotRows(make([]float64, 3), nil, nil, 0)
 	DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+4), 5)
+	DotRows4(nil, make([]float64, 16), nil, 4)
+	DotRows4(make([]float64, 12), nil, nil, 0)
+	DotRows4(make([]float64, 12), make([]float64, 16), make([]float64, 2*5+4), 5)
 }
 
 func TestAxpyKernelsZeroAllocs(t *testing.T) {
 	x := make([]float64, 24)
 	y := make([]float64, 48)
 	w := make([]float64, 24*48)
+	x4 := make([]float64, 4*48)
+	y4 := make([]float64, 4*24)
 	allocs := testing.AllocsPerRun(100, func() {
 		Axpy(0.5, y[:24], x)
 		AxpyRows(y, x, w, 48)
 		AxpyNonzeroRows(y, x, w, 48)
 		DotRows(x, y, w, 48)
+		DotRows4(y4, x4, w, 48)
 		OuterRows(w, x, y, 48)
 		OuterNonzeroRows(w, x, y, 48)
 		ReLU(y)
 		Softmax(y[:len(x)], x)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + DotRows4 + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
 
 	// MatMulInto on a warm scratch, through both the single-block path and
@@ -555,6 +754,16 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		ms.MatMulInto(out, a, b)
 		if n := testing.AllocsPerRun(100, func() { ms.MatMulInto(out, a, b) }); n != 0 {
 			t.Fatalf("warm MatMulInto %dx%d × %dx%d: %v allocs/op, want 0", sh[0], sh[1], sh[1], sh[2], n)
+		}
+		// The same b as the transpose of a TransB operand, and a as a
+		// TransA one.
+		bt, outT := NewMatrix(sh[2], sh[1]), NewMatrix(sh[1], sh[2])
+		ms.MatMulTransBInto(out, a, bt)
+		if n := testing.AllocsPerRun(100, func() {
+			ms.MatMulTransBInto(out, a, bt)
+			MatMulTransAInto(outT, a, out)
+		}); n != 0 {
+			t.Fatalf("warm MatMulTransBInto and MatMulTransAInto at %v: %v allocs/op, want 0", sh, n)
 		}
 	}
 }
@@ -621,6 +830,39 @@ func BenchmarkDotRows(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				DotRows(y, x, w, sh.cols)
+			}
+		})
+	}
+}
+
+// BenchmarkDotRows4 runs DotRows4 at the expert backward's shapes on both
+// stand-ins — rows×terms = 48×24 and 64×24 (dh = W2·dy) and 24×48 and 24×64
+// (dx = W1·dh) — with method=four the same four products as four DotRows
+// calls, the per-token form it replaces.
+func BenchmarkDotRows4(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{48, 24}, {24, 48}, {64, 24}, {24, 64}} {
+		g := NewRNG(10)
+		x := make([]float64, 4*sh.cols)
+		w := make([]float64, sh.rows*sh.cols)
+		y := make([]float64, 4*sh.rows)
+		for i := range x {
+			x[i] = g.Norm()
+		}
+		for i := range w {
+			w[i] = g.Norm()
+		}
+		b.Run(fmt.Sprintf("shape=%dx%d/method=dotrows4", sh.rows, sh.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				DotRows4(y, x, w, sh.cols)
+			}
+		})
+		b.Run(fmt.Sprintf("shape=%dx%d/method=four", sh.rows, sh.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for l := 0; l < 4; l++ {
+					DotRows(y[l*sh.rows:(l+1)*sh.rows], x[l*sh.cols:(l+1)*sh.cols], w, sh.cols)
+				}
 			}
 		})
 	}

@@ -166,26 +166,46 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 	}
 }
 
-// MatMulTransBInto computes out = a×bᵀ into a preallocated matrix. Every
-// element is overwritten: row i of out is b times row i of a, one DotRows,
-// so each element is Dot(a row i, b row j) bit for bit.
-func MatMulTransBInto(out, a, b *Matrix) {
+// MatMulTransBInto computes out = a×bᵀ into a preallocated matrix,
+// overwriting every element. It packs bᵀ into ms's buffer once per call,
+// then runs one AxpyRows per row of a from +0, so every element is Dot(a row
+// i, b row j) bit for bit — one accumulator from +0, terms in ascending k —
+// at the Axpy form's rate rather than the dot form's.
+//
+// Hot path: the attention backward's dXNorm, the head's dL/dnormed and
+// PCA's projection; 0 allocs/op on a warm scratch, pinned by
+// TestAxpyKernelsZeroAllocs.
+func (ms *MulScratch) MatMulTransBInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: matmulT output shape mismatch")
 	}
+	n := b.Rows
+	if cap(ms.pack) < n*b.Cols {
+		ms.pack = make([]float64, n*b.Cols)
+	}
+	bt := ms.pack[:n*b.Cols]
+	for j := 0; j < n; j++ {
+		for k, v := range b.Row(j) {
+			bt[k*n+j] = v
+		}
+	}
+	out.Zero()
 	for i := 0; i < a.Rows; i++ {
-		DotRows(out.Row(i), a.Row(i), b.Data, b.Cols)
+		AxpyRows(out.Row(i), a.Row(i), bt, n)
 	}
 }
 
 // MatMulTransAInto computes out = aᵀ×b into a preallocated matrix (zeroed
-// first). The skip on zero a-elements is kept deliberately: the transposed
-// operands on the backward path (attention probabilities, masked logit
-// gradients) are genuinely sparse, and skipping zero terms cannot change the
-// accumulated bits for finite b.
+// first): one OuterNonzeroRows per row k of a, out += a[k]ᵀ·b[k], which
+// adds b's row k into every row i of out whose a[k][i] is not zero. The
+// skip on zero a-elements is kept deliberately: the transposed operands on
+// the backward path (attention probabilities, masked logit gradients) are
+// genuinely sparse, and skipping zero terms cannot change the accumulated
+// bits for finite b. Each element still takes its terms in ascending k, as
+// one Axpy per nonzero element would.
 func MatMulTransAInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTA shape mismatch (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -195,14 +215,7 @@ func MatMulTransAInto(out, a, b *Matrix) {
 	}
 	out.Zero()
 	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			Axpy(av, brow, out.Row(i))
-		}
+		OuterNonzeroRows(out.Data, a.Row(k), b.Row(k), out.Cols)
 	}
 }
 

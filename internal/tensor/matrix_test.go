@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -90,31 +91,90 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMatMulTransBMatchesExplicit(t *testing.T) {
-	g := NewRNG(3)
-	a := NewMatrix(4, 6)
-	b := NewMatrix(5, 6)
-	a.RandInit(g, 1)
-	b.RandInit(g, 1)
-	got := stale(4, 5)
-	MatMulTransBInto(got, a, b)
-	want := mul(a, transposed(b))
-	if !got.Equal(want, 1e-10) {
-		t.Fatal("A×Bᵀ mismatch")
+// matMulTransAPerElement is MatMulTransAInto as it was written before it
+// made one OuterNonzeroRows call per row of a: one Axpy per nonzero
+// element of a, rows of a in ascending order. It is the bit-level oracle of
+// TestMatMulTransABitIdentity.
+func matMulTransAPerElement(out, a, b *Matrix) {
+	out.Zero()
+	for k := 0; k < a.Rows; k++ {
+		brow := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			Axpy(av, brow, out.Row(i))
+		}
 	}
 }
 
+// transShapes are the TransA/TransB bit-identity tests' shapes, rows×inner
+// × cols: empty ones, single rows and columns, the model's attention and
+// head shapes, and a b wider than one matmul tile.
+var transShapes = [][3]int{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {4, 6, 5}, {7, 24, 24}, {48, 24, 48}, {5, 9, matmulTileJ + 9}}
+
+// TestMatMulTransBMatchesExplicit holds MatMulTransBInto, which packs bᵀ
+// and runs the Axpy form, to a×bᵀ through an explicit transpose and
+// MatMulInto, and to one Dot per element, bit for bit, over stale output
+// storage and one warm MulScratch across shapes.
+func TestMatMulTransBMatchesExplicit(t *testing.T) {
+	g := NewRNG(3)
+	var ms MulScratch
+	for _, sh := range transShapes {
+		a, b := NewMatrix(sh[0], sh[1]), NewMatrix(sh[2], sh[1])
+		mixedFill(g, a.Data)
+		mixedFill(g, b.Data)
+		got := stale(sh[0], sh[2])
+		ms.MatMulTransBInto(got, a, b)
+		want := mul(a, transposed(b))
+		sameBits(t, fmt.Sprintf("A×Bᵀ %v vs explicit transpose", sh), got.Data, want.Data)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Rows; j++ {
+				want.Set(i, j, Dot(a.Row(i), b.Row(j)))
+			}
+		}
+		sameBits(t, fmt.Sprintf("A×Bᵀ %v vs Dot", sh), got.Data, want.Data)
+	}
+}
+
+// TestMatMulTransAMatchesExplicit holds MatMulTransAInto to aᵀ×b through an
+// explicit transpose and MatMulInto, bit for bit, on finite operands with
+// zeros — where skipping a zero term cannot change a bit.
 func TestMatMulTransAMatchesExplicit(t *testing.T) {
 	g := NewRNG(4)
-	a := NewMatrix(6, 4)
-	b := NewMatrix(6, 5)
-	a.RandInit(g, 1)
-	b.RandInit(g, 1)
-	got := stale(4, 5)
-	MatMulTransAInto(got, a, b)
-	want := mul(transposed(a), b)
-	if !got.Equal(want, 1e-10) {
-		t.Fatal("Aᵀ×B mismatch")
+	for _, sh := range transShapes {
+		a, b := NewMatrix(sh[1], sh[0]), NewMatrix(sh[1], sh[2])
+		for i := range a.Data {
+			if g.Intn(3) > 0 {
+				a.Data[i] = g.Norm()
+			}
+		}
+		b.RandInit(g, 1)
+		got := stale(sh[0], sh[2])
+		MatMulTransAInto(got, a, b)
+		want := mul(transposed(a), b)
+		sameBits(t, fmt.Sprintf("Aᵀ×B %v", sh), got.Data, want.Data)
+	}
+}
+
+// TestMatMulTransABitIdentity holds MatMulTransAInto to the per-element
+// loop it replaced on any operands: ±0, NaN and infinite elements in a, and
+// the subnormals and near-overflow magnitudes of mixedFill in both.
+func TestMatMulTransABitIdentity(t *testing.T) {
+	g := NewRNG(6)
+	for _, sh := range transShapes {
+		a, b := NewMatrix(sh[1], sh[0]), NewMatrix(sh[1], sh[2])
+		mixedFill(g, a.Data)
+		mixedFill(g, b.Data)
+		for range 2 {
+			if len(a.Data) > 0 {
+				a.Data[g.Intn(len(a.Data))] = dotSpecials[g.Intn(len(dotSpecials))]
+			}
+		}
+		got, want := stale(sh[0], sh[2]), stale(sh[0], sh[2])
+		MatMulTransAInto(got, a, b)
+		matMulTransAPerElement(want, a, b)
+		sameBits(t, fmt.Sprintf("Aᵀ×B %v", sh), got.Data, want.Data)
 	}
 }
 

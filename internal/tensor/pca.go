@@ -6,8 +6,9 @@ import "math"
 // The zero value is ready to use.
 type PCAScratch struct {
 	mean, v, tmp, av []float64
-	c, cov, comps    *Matrix
-	out              *Matrix
+	c, cov, covT     *Matrix
+	comps, out       *Matrix
+	mul              MulScratch
 }
 
 // PCA projects the rows of x (samples × features) onto their top k principal
@@ -61,11 +62,22 @@ func PCA(x *Matrix, k int, g *RNG, s *PCAScratch) *Matrix {
 
 	s.comps = Grow(s.comps, k, d)
 	comps := s.comps
+	s.covT = Grow(s.covT, d, d)
 	for ci := 0; ci < k; ci++ {
-		vec := s.powerIteration(cov, g)
+		// Both products below are cov·v. Deflation leaves cov symmetric in
+		// value but not in bits — λ·v[i]·v[j] rounds differently from
+		// λ·v[j]·v[i] — so they read an explicit transpose, taken once per
+		// component, in the Axpy form: cov·v = vᵀ·covᵀ, each element still
+		// one sum in ascending order from +0.
+		for i := 0; i < d; i++ {
+			for j, v := range cov.Row(i) {
+				s.covT.Data[j*d+i] = v
+			}
+		}
+		vec := s.powerIteration(s.covT, g)
 		copy(comps.Row(ci), vec)
 		// Deflate: cov -= λ v vᵀ.
-		lambda := s.rayleigh(cov, vec)
+		lambda := s.rayleigh(s.covT, vec)
 		for i := 0; i < d; i++ {
 			row := cov.Row(i)
 			for j := 0; j < d; j++ {
@@ -76,14 +88,14 @@ func PCA(x *Matrix, k int, g *RNG, s *PCAScratch) *Matrix {
 
 	// Project centered data.
 	s.out = Grow(s.out, n, k)
-	MatMulTransBInto(s.out, c, comps)
+	s.mul.MatMulTransBInto(s.out, c, comps)
 	return s.out
 }
 
-// powerIteration finds the dominant eigenvector of the symmetric matrix a,
-// returned in s.v.
-func (s *PCAScratch) powerIteration(a *Matrix, g *RNG) []float64 {
-	d := a.Rows
+// powerIteration finds the dominant eigenvector of the symmetric matrix
+// whose transpose is at, returned in s.v.
+func (s *PCAScratch) powerIteration(at *Matrix, g *RNG) []float64 {
+	d := at.Rows
 	if cap(s.v) < d {
 		s.v, s.tmp = make([]float64, d), make([]float64, d)
 	}
@@ -93,7 +105,8 @@ func (s *PCAScratch) powerIteration(a *Matrix, g *RNG) []float64 {
 	}
 	normalizeVec(v)
 	for iter := 0; iter < 100; iter++ {
-		DotRows(tmp, v, a.Data, d)
+		clear(tmp)
+		AxpyRows(tmp, v, at.Data, d)
 		n := Norm2(tmp)
 		if n < 1e-12 {
 			break
@@ -111,9 +124,10 @@ func (s *PCAScratch) powerIteration(a *Matrix, g *RNG) []float64 {
 	return v
 }
 
-func (s *PCAScratch) rayleigh(a *Matrix, v []float64) float64 {
-	s.av = growZeroed(s.av, a.Rows)
-	DotRows(s.av, v, a.Data, a.Cols)
+// rayleigh returns vᵀ·a·v for the matrix a whose transpose is at.
+func (s *PCAScratch) rayleigh(at *Matrix, v []float64) float64 {
+	s.av = growZeroed(s.av, at.Rows)
+	AxpyRows(s.av, v, at.Data, at.Cols)
 	return Dot(v, s.av)
 }
 

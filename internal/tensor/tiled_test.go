@@ -89,7 +89,7 @@ func TestMatMulTransIntoMatchesAlloc(t *testing.T) {
 		rows, cols int
 		run        func(out *Matrix)
 	}{
-		{"MatMulTransBInto", 6, 5, func(out *Matrix) { MatMulTransBInto(out, a, b) }},
+		{"MatMulTransBInto", 6, 5, func(out *Matrix) { new(MulScratch).MatMulTransBInto(out, a, b) }},
 		{"MatMulTransAInto", 4, 3, func(out *Matrix) { MatMulTransAInto(out, b, c) }},
 		{"transposeInto", 4, 6, func(out *Matrix) { transposeInto(out, a) }},
 	}
