@@ -257,7 +257,7 @@ func Figure6(o Options) *Table {
 	stats := prof.RunFull(env.Global, probe).Stats
 	// Track the four most-activated layer-0 experts.
 	fr0 := stats.FrequencyMatrix()[0]
-	track := tensor.TopK(fr0, 4)
+	track, _ := tensor.TopKInto(nil, nil, fr0, 4)
 
 	t := &Table{
 		Title:  "Figure 6: activation frequency drift over rounds (layer-0 experts)",

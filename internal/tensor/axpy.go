@@ -17,9 +17,10 @@ package tensor
 //
 // Each output gets one rounded multiply and then one rounded add per term,
 // terms in ascending order — never a fused multiply-add — so every form of a
-// kernel gives the same bits: the AVX assembly on amd64 (axpy_amd64.s,
-// chosen at package init when the CPU and OS support it) and the portable
-// loops below, which run everywhere else and under the purego build tag, and
+// kernel gives the same bits: the assembly on amd64 (axpy_amd64.s, in an
+// AVX tier and, for the Axpy and rank-1 forms, an AVX-512 one, each chosen
+// at package init when the CPU and OS support it) and the portable loops
+// below, which run everywhere else and under the purego build tag, and
 // which are the oracle the assembly is tested against. The one thing the
 // contract leaves open is which NaN payload survives when two NaNs meet in
 // one operation; a NaN result stays a NaN in every form.
@@ -76,9 +77,9 @@ func AxpyRows(y, x, w []float64, stride int) {
 // x[k] == ±0 contributes ±0 terms, and a +0 added to a -0 in y would flip
 // its sign bit. A NaN x[k] is not zero, so its row is added. The assembly
 // form has no branch per row — it turns each chunk of up to 64 rows of x
-// into a bit mask, four rows per compare, then sweeps only the set bits,
-// lowest first — because the zero pattern of a ReLU output defeats branch
-// prediction. The argument rules are AxpyRows'.
+// into a bit mask, four or eight rows per compare, then sweeps only the
+// set bits, lowest first — because the zero pattern of a ReLU output
+// defeats branch prediction. The argument rules are AxpyRows'.
 // It is the inner kernel of the expert FFN's W2 sweep, where x is the ReLU
 // output and roughly half its units are closed.
 //

@@ -8,6 +8,14 @@ package tensor
 // loops run, with the same results.
 var useAVX = hasAVX()
 
+// useAVX512 selects the 512-bit forms of the Axpy and rank-1 kernels, the
+// ones that run most of a round. It is decided once, at package init, on
+// top of useAVX: the CPU must report AVX512F and the OS must have enabled
+// the opmask and ZMM register state in XCR0. Without it the 256-bit kernels
+// run, with the same results — a wider register holds more output elements,
+// each still its own chain of terms in ascending order.
+var useAVX512 = useAVX && hasAVX512()
+
 func axpy(a float64, x, y []float64) {
 	if useAVX {
 		axpyAVX(a, x, y)
@@ -16,36 +24,52 @@ func axpy(a float64, x, y []float64) {
 	axpyGeneric(a, x, y)
 }
 
+// A row of at most 8 outputs runs the AVX kernel: it is one ZMM register,
+// or two YMM ones, and in either tier each row's adds wait on the last
+// row's, so the wider register gains nothing, and the AVX kernel measured
+// faster there (BenchmarkAxpyRows/shape=24x8, the gate).
 func axpyRows(y, x, w []float64, stride int) {
-	if useAVX {
+	switch {
+	case useAVX512 && len(y) > 8:
+		axpyRowsAVX512(y, x, w, stride)
+	case useAVX:
 		axpyRowsAVX(y, x, w, stride)
-		return
+	default:
+		axpyRowsGeneric(y, x, w, stride)
 	}
-	axpyRowsGeneric(y, x, w, stride)
 }
 
 func axpyNonzeroRows(y, x, w []float64, stride int) {
-	if useAVX {
+	switch {
+	case useAVX512:
+		axpyNonzeroRowsAVX512(y, x, w, stride)
+	case useAVX:
 		axpyNonzeroRowsAVX(y, x, w, stride)
-		return
+	default:
+		axpyNonzeroRowsGeneric(y, x, w, stride)
 	}
-	axpyNonzeroRowsGeneric(y, x, w, stride)
 }
 
 func outerRows(g, x, y []float64, stride int) {
-	if useAVX {
+	switch {
+	case useAVX512:
+		outerRowsAVX512(g, x, y, stride)
+	case useAVX:
 		outerRowsAVX(g, x, y, stride)
-		return
+	default:
+		outerRowsGeneric(g, x, y, stride)
 	}
-	outerRowsGeneric(g, x, y, stride)
 }
 
 func outerNonzeroRows(g, x, y []float64, stride int) {
-	if useAVX {
+	switch {
+	case useAVX512:
+		outerNonzeroRowsAVX512(g, x, y, stride)
+	case useAVX:
 		outerNonzeroRowsAVX(g, x, y, stride)
-		return
+	default:
+		outerNonzeroRowsGeneric(g, x, y, stride)
 	}
-	outerNonzeroRowsGeneric(g, x, y, stride)
 }
 
 func dotRows(y, x, w []float64, stride int) {
@@ -82,6 +106,13 @@ func softmax(dst, src []float64) {
 
 // hasAVX reports whether 256-bit AVX instructions may be executed.
 func hasAVX() bool
+
+// hasAVX512 reports whether AVX-512F instructions may be executed: the
+// highest CPUID leaf reaches 7, leaf 1 reports OSXSAVE, leaf 7 reports
+// AVX512F (EBX bit 16), and XCR0 has the XMM, YMM, opmask and both ZMM
+// state bits set (0xE6). An OS that enables the ZMM state only on first
+// use — darwin does — leaves those bits clear, and the AVX tier runs.
+func hasAVX512() bool
 
 // axpyAVX is axpyGeneric in 256-bit AVX: a broadcast a, then VMULPD followed
 // by VADDPD over 8-, 4- and 1-element steps. Lengths are the caller's check.
@@ -158,3 +189,33 @@ func reluAVX(y []float64)
 //
 //go:noescape
 func softmaxAVX(dst, src []float64)
+
+// axpyRowsAVX512 is axpyRowsAVX with y held in ZMM registers: a panel of
+// one to four, six or eight registers, the narrowest that covers the
+// columns left, takes up to 64 columns in one pass over the rows, its last
+// registers under lane masks, so no narrower tail exists. Lengths are the
+// caller's check.
+//
+//go:noescape
+func axpyRowsAVX512(y, x, w []float64, stride int)
+
+// axpyNonzeroRowsAVX512 is axpyNonzeroRowsAVX with axpyRowsAVX512's panels:
+// the same per-chunk row mask, built eight rows per compare, and the same
+// walk over its set bits, lowest first. Lengths are the caller's check.
+//
+//go:noescape
+func axpyNonzeroRowsAVX512(y, x, w []float64, stride int)
+
+// outerRowsAVX512 is outerRowsAVX with the panel of y held in ZMM
+// registers, in axpyRowsAVX512's panels; a masked lane of G is neither read
+// nor written. Lengths are the caller's check.
+//
+//go:noescape
+func outerRowsAVX512(g, x, y []float64, stride int)
+
+// outerNonzeroRowsAVX512 is outerRowsAVX512 over the set bits of
+// axpyNonzeroRowsAVX512's per-chunk row mask. Lengths are the caller's
+// check.
+//
+//go:noescape
+func outerNonzeroRowsAVX512(g, x, y []float64, stride int)

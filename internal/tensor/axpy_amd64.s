@@ -7,8 +7,9 @@
 // same order as the portable loops in axpy.go — so the bits are theirs.
 // reluAVX does no arithmetic: a max selects one of its operands' bits.
 // softmaxAVX repeats exp.go's and softmaxGeneric's operations, operand for
-// operand (EXP4 below). Only AVX1 instructions are used: the integer work
-// of building 2ᵏ runs on 128-bit halves.
+// operand (EXP4 below). The AVX tier uses only AVX1 instructions (the
+// integer work of building 2ᵏ runs on 128-bit halves); the AVX-512 tier at
+// the end of the file uses AVX-512F alone.
 
 // func hasAVX() bool
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
@@ -1323,4 +1324,571 @@ smdone:
 	VZEROUPPER
 
 smret:
+	RET
+
+// The AVX-512 tier: axpyRowsAVX, axpyNonzeroRowsAVX, outerRowsAVX and
+// outerNonzeroRowsAVX with their panels of y in ZMM registers. The
+// instructions are the 256-bit ones at twice the width — VBROADCASTSD,
+// VMULPD, then VADDPD, never VFMADD — and each lane is still its own output
+// element, so only how many outputs share a pass changes, never the order
+// of any sum: the bits are the portable loops'.
+//
+// A panel is one to four, six or eight ZMM registers, 8 columns each, and
+// the narrowest that covers the columns left runs, so a row of up to 64
+// outputs takes one pass over the rows; wider rows take 64 columns a pass.
+// A panel's last one to four registers run under the lane masks K1–K4: a
+// masked-off lane is zeroed on load, never stored and cannot fault, so no
+// panel needs a narrower tail.
+//
+// Only Z0–Z15 are used. VZEROUPPER at return clears their upper halves but
+// not those of Z16–Z31, and a dirty register there slowed the 256-bit code
+// that follows: in a profile of one round, everything but these kernels
+// took about 13 % longer.
+
+// func hasAVX512() bool
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID                // the highest basic leaf, into AX
+	CMPL AX, $7
+	JLT  noavx512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX // OSXSAVE (bit 27): XGETBV may run
+	JEQ  noavx512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x10000, BX    // AVX512F (leaf 7, EBX bit 16)
+	JEQ  noavx512
+	XORL CX, CX
+	XGETBV               // XCR0 into DX:AX
+	ANDL $0xE6, AX       // XMM, YMM, opmask, ZMM0–15 upper and ZMM16–31 state
+	CMPL AX, $0xE6
+	JNE  noavx512
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx512:
+	MOVB $0, ret+0(FP)
+	RET
+
+// ZPANEL sets K1–K4 for the panel that covers the columns left in R12 and
+// branches to it: p1–p4, one to four registers, every one masked, for up
+// to 8, 16, 24 and 32 columns, or p6 for up to 48, the last two masked;
+// with more columns left it falls through to the eight-register panel, the
+// last four masked, which takes at most 64. The masked registers' columns,
+// at most 32, are the low CL bits of AX, eight per register.
+#define ZPANEL(p1, p2, p3, p4, p6) \
+	MOVQ    R12, CX; \
+	LEAQ    -32(R12), AX; \
+	CMPQ    R12, $32; \
+	CMOVQGT AX, CX; \
+	MOVL    $32, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVQ    $-1, AX; \
+	SHLQ    CX, AX; \
+	NOTQ    AX; \
+	KMOVW   AX, K1; \
+	SHRQ    $8, AX; \
+	KMOVW   AX, K2; \
+	SHRQ    $8, AX; \
+	KMOVW   AX, K3; \
+	SHRQ    $8, AX; \
+	KMOVW   AX, K4; \
+	CMPQ    R12, $8; \
+	JLE     p1; \
+	CMPQ    R12, $16; \
+	JLE     p2; \
+	CMPQ    R12, $24; \
+	JLE     p3; \
+	CMPQ    R12, $32; \
+	JLE     p4; \
+	CMPQ    R12, $48; \
+	JLE     p6
+
+// LOADZ1–LOADZ4 load a one- to four-register panel of y at b into Z1–Z4
+// under K1–K4; LOADZ6 and LOADZ8 load 32 columns unmasked into Z1–Z4 and
+// the next 16 or 32 into Z5–Z6 or Z5–Z8 under K1–K2 or K1–K4. The STOREZ
+// macros store the same registers under the same masks.
+#define LOADZ1(b) \
+	VMOVUPD.Z (b), K1, Z1
+
+#define LOADZ2(b) \
+	LOADZ1(b); \
+	VMOVUPD.Z 64(b), K2, Z2
+
+#define LOADZ3(b) \
+	LOADZ2(b); \
+	VMOVUPD.Z 128(b), K3, Z3
+
+#define LOADZ4(b) \
+	LOADZ3(b); \
+	VMOVUPD.Z 192(b), K4, Z4
+
+#define LOADZ6(b) \
+	VMOVUPD   (b), Z1; \
+	VMOVUPD   64(b), Z2; \
+	VMOVUPD   128(b), Z3; \
+	VMOVUPD   192(b), Z4; \
+	VMOVUPD.Z 256(b), K1, Z5; \
+	VMOVUPD.Z 320(b), K2, Z6
+
+#define LOADZ8(b) \
+	LOADZ6(b); \
+	VMOVUPD.Z 384(b), K3, Z7; \
+	VMOVUPD.Z 448(b), K4, Z8
+
+#define STOREZ1(b) \
+	VMOVUPD Z1, K1, (b)
+
+#define STOREZ2(b) \
+	STOREZ1(b); \
+	VMOVUPD Z2, K2, 64(b)
+
+#define STOREZ3(b) \
+	STOREZ2(b); \
+	VMOVUPD Z3, K3, 128(b)
+
+#define STOREZ4(b) \
+	STOREZ3(b); \
+	VMOVUPD Z4, K4, 192(b)
+
+#define STOREZ6(b) \
+	VMOVUPD Z1, (b); \
+	VMOVUPD Z2, 64(b); \
+	VMOVUPD Z3, 128(b); \
+	VMOVUPD Z4, 192(b); \
+	VMOVUPD Z5, K1, 256(b); \
+	VMOVUPD Z6, K2, 320(b)
+
+#define STOREZ8(b) \
+	STOREZ6(b); \
+	VMOVUPD Z7, K3, 384(b); \
+	VMOVUPD Z8, K4, 448(b)
+
+// AXPYZ adds one 8-column product of the broadcast Z0 and memory m into
+// acc through t; AXPYZK does it under the lane mask k, zeroing t's masked
+// lanes without reading their memory.
+#define AXPYZ(m, acc, t) \
+	VMULPD m, Z0, t; \
+	VADDPD t, acc, acc
+
+#define AXPYZK(m, k, acc, t) \
+	VMULPD.Z m, Z0, k, t; \
+	VADDPD   t, acc, acc
+
+// AXPYROW1–AXPYROW4, AXPYROW6 and AXPYROW8 add the broadcast Z0 times the
+// row of W at b into the panel of the same size.
+#define AXPYROW1(b) \
+	AXPYZK((b), K1, Z1, Z9)
+
+#define AXPYROW2(b) \
+	AXPYROW1(b); \
+	AXPYZK(64(b), K2, Z2, Z10)
+
+#define AXPYROW3(b) \
+	AXPYROW2(b); \
+	AXPYZK(128(b), K3, Z3, Z11)
+
+#define AXPYROW4(b) \
+	AXPYROW3(b); \
+	AXPYZK(192(b), K4, Z4, Z12)
+
+#define AXPYROW6(b) \
+	AXPYZ((b), Z1, Z9); \
+	AXPYZ(64(b), Z2, Z10); \
+	AXPYZ(128(b), Z3, Z11); \
+	AXPYZ(192(b), Z4, Z12); \
+	AXPYZK(256(b), K1, Z5, Z13); \
+	AXPYZK(320(b), K2, Z6, Z14)
+
+#define AXPYROW8(b) \
+	AXPYROW6(b); \
+	AXPYZK(384(b), K3, Z7, Z15); \
+	AXPYZK(448(b), K4, Z8, Z9)
+
+// OUTERZ adds one 8-column product of the broadcast Z0 and the held y into
+// memory m through t; OUTERZK does it under the lane mask k, so a masked
+// lane of m is neither read nor written.
+#define OUTERZ(m, y, t) \
+	VMULPD  y, Z0, t; \
+	VADDPD  m, t, t; \
+	VMOVUPD t, m
+
+#define OUTERZK(m, k, y, t) \
+	VMULPD   y, Z0, t; \
+	VADDPD.Z m, t, k, t; \
+	VMOVUPD  t, k, m
+
+// OUTERROW1–OUTERROW4, OUTERROW6 and OUTERROW8 add the broadcast Z0 times
+// the held panel of y into the row of G at b.
+#define OUTERROW1(b) \
+	OUTERZK((b), K1, Z1, Z9)
+
+#define OUTERROW2(b) \
+	OUTERROW1(b); \
+	OUTERZK(64(b), K2, Z2, Z10)
+
+#define OUTERROW3(b) \
+	OUTERROW2(b); \
+	OUTERZK(128(b), K3, Z3, Z11)
+
+#define OUTERROW4(b) \
+	OUTERROW3(b); \
+	OUTERZK(192(b), K4, Z4, Z12)
+
+#define OUTERROW6(b) \
+	OUTERZ((b), Z1, Z9); \
+	OUTERZ(64(b), Z2, Z10); \
+	OUTERZ(128(b), Z3, Z11); \
+	OUTERZ(192(b), Z4, Z12); \
+	OUTERZK(256(b), K1, Z5, Z13); \
+	OUTERZK(320(b), K2, Z6, Z14)
+
+#define OUTERROW8(b) \
+	OUTERROW6(b); \
+	OUTERZK(384(b), K3, Z7, Z15); \
+	OUTERZK(448(b), K4, Z8, Z9)
+
+// DENSEROWS is one panel's pass over every row, in ascending k, for the
+// dense kernels: R9 = &x[k], R10 = the panel's columns of row k, R11 =
+// rows left.
+#define DENSEROWS(lbl, row) \
+	MOVQ    SI, R9; \
+	MOVQ    DX, R10; \
+	MOVQ    BX, R11; \
+lbl: \
+	VBROADCASTSD (R9), Z0; \
+	row(R10); \
+	ADDQ         $8, R9; \
+	ADDQ         R8, R10; \
+	DECQ         R11; \
+	JNZ          lbl
+
+// func axpyRowsAVX512(y, x, w []float64, stride int)
+//
+// Register use: DI = &y[j], R12 = columns left, SI = &x[0], BX = len(x),
+// DX = &w[j] (row 0 of the current panel), R8 = stride in bytes; per panel
+// as DENSEROWS.
+TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ  y_base+0(FP), DI
+	MOVQ  y_len+8(FP), R12
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), BX
+	MOVQ  w_base+48(FP), DX
+	MOVQ  stride+72(FP), R8
+	SHLQ  $3, R8
+	TESTQ BX, BX
+	JEQ   zrdone
+	TESTQ R12, R12
+	JEQ   zrdone
+
+zrpanel:
+	ZPANEL(zrp1, zrp2, zrp3, zrp4, zrp6)
+	LOADZ8(DI)
+	DENSEROWS(zrrows8, AXPYROW8)
+	STOREZ8(DI)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $64, R12
+	JGT  zrpanel
+	JMP  zrdone
+
+zrp6:
+	LOADZ6(DI)
+	DENSEROWS(zrrows6, AXPYROW6)
+	STOREZ6(DI)
+	JMP zrdone
+
+zrp4:
+	LOADZ4(DI)
+	DENSEROWS(zrrows4, AXPYROW4)
+	STOREZ4(DI)
+	JMP zrdone
+
+zrp3:
+	LOADZ3(DI)
+	DENSEROWS(zrrows3, AXPYROW3)
+	STOREZ3(DI)
+	JMP zrdone
+
+zrp2:
+	LOADZ2(DI)
+	DENSEROWS(zrrows2, AXPYROW2)
+	STOREZ2(DI)
+	JMP zrdone
+
+zrp1:
+	LOADZ1(DI)
+	DENSEROWS(zrrows1, AXPYROW1)
+	STOREZ1(DI)
+
+zrdone:
+	VZEROUPPER
+	RET
+
+// func outerRowsAVX512(g, x, y []float64, stride int)
+//
+// axpyRowsAVX512's panels turned around, as outerRowsAVX is axpyRowsAVX's:
+// the panel's slice of y stays in registers, and every row of G in the
+// panel takes one load, one add and one store per register.
+//
+// Register use: DI = &y[j], R12 = columns left, SI = &x[0], BX = len(x),
+// DX = &g[j] (row 0 of the current panel), R8 = stride in bytes; per panel
+// as DENSEROWS.
+TEXT ·outerRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ  g_base+0(FP), DX
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), BX
+	MOVQ  y_base+48(FP), DI
+	MOVQ  y_len+56(FP), R12
+	MOVQ  stride+72(FP), R8
+	SHLQ  $3, R8
+	TESTQ BX, BX
+	JEQ   zodone
+	TESTQ R12, R12
+	JEQ   zodone
+
+zopanel:
+	ZPANEL(zop1, zop2, zop3, zop4, zop6)
+	LOADZ8(DI)
+	DENSEROWS(zorows8, OUTERROW8)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $64, R12
+	JGT  zopanel
+	JMP  zodone
+
+zop6:
+	LOADZ6(DI)
+	DENSEROWS(zorows6, OUTERROW6)
+	JMP zodone
+
+zop4:
+	LOADZ4(DI)
+	DENSEROWS(zorows4, OUTERROW4)
+	JMP zodone
+
+zop3:
+	LOADZ3(DI)
+	DENSEROWS(zorows3, OUTERROW3)
+	JMP zodone
+
+zop2:
+	LOADZ2(DI)
+	DENSEROWS(zorows2, OUTERROW2)
+	JMP zodone
+
+zop1:
+	LOADZ1(DI)
+	DENSEROWS(zorows1, OUTERROW1)
+
+zodone:
+	VZEROUPPER
+	RET
+
+// ZCHUNK builds the row mask of the next chunk of up to 64 rows of x, as
+// axpyNonzeroRowsAVX does but eight rows per compare: VCMPPD predicate 4
+// (NEQ_UQ: x[k] != 0, true for NaN) into K5, then KMOVW; the chunk's last
+// 1–7 rows load under the lane mask K6 with the rest zeroed, and a zeroed
+// lane compares equal to zero. It jumps to done when no rows are left and
+// to next when the chunk has no set bit.
+//
+// Register use: SI = &x[chunk start], BX = rows after the chunk; it leaves
+// R10 = the chunk's rows and R11 = its mask, with DI = &x[k] while
+// masking and Z9 = +0.
+#define ZCHUNK(mask8, masked, next, done) \
+	TESTQ     BX, BX; \
+	JEQ       done; \
+	VXORPD    X9, X9, X9; \
+	MOVQ      $64, R10; \
+	CMPQ      BX, R10; \
+	CMOVQLT   BX, R10; \
+	SUBQ      R10, BX; \
+	MOVQ      R10, CX; \
+	ANDQ      $7, CX; \
+	MOVL      $1, AX; \
+	SHLL      CX, AX; \
+	DECL      AX; \
+	KMOVW     AX, K6; \
+	XORQ      R11, R11; \
+	XORQ      CX, CX; \
+	MOVQ      SI, DI; \
+mask8: \
+	LEAQ      8(CX), AX; \
+	CMPQ      AX, R10; \
+	JGT       masked; \
+	VMOVUPD   (DI), Z0; \
+	VCMPPD    $4, Z9, Z0, K5; \
+	KMOVW     K5, AX; \
+	SHLQ      CX, AX; \
+	ORQ       AX, R11; \
+	ADDQ      $64, DI; \
+	ADDQ      $8, CX; \
+	JMP       mask8; \
+masked: \
+	VMOVUPD.Z (DI), K6, Z0; \
+	VCMPPD    $4, Z9, Z0, K5; \
+	KMOVW     K5, AX; \
+	SHLQ      CX, AX; \
+	ORQ       AX, R11; \
+	TESTQ     R11, R11; \
+	JEQ       next
+
+// ZNEXT moves SI and R9 — x and the matrix — past the chunk of R10 rows.
+#define ZNEXT \
+	LEAQ  (SI)(R10*8), SI; \
+	IMULQ R8, R10; \
+	ADDQ  R10, R9
+
+// SPARSEROWS is one panel's pass over the set bits of the chunk mask R11,
+// lowest first: AX = the visited row, then its address in the matrix, and
+// R13 = the bits not yet visited; DX = the panel's column in the chunk's
+// row 0.
+#define SPARSEROWS(lbl, row) \
+	MOVQ    R11, R13; \
+	PCALIGN $32; \
+lbl: \
+	BSFQ         R13, AX; \
+	VBROADCASTSD (SI)(AX*8), Z0; \
+	IMULQ        R8, AX; \
+	ADDQ         DX, AX; \
+	row(AX); \
+	LEAQ         -1(R13), AX; \
+	ANDQ         AX, R13; \
+	JNZ          lbl
+
+// func axpyNonzeroRowsAVX512(y, x, w []float64, stride int)
+//
+// axpyNonzeroRowsAVX with axpyRowsAVX512's panels: per chunk of up to 64
+// rows, ZCHUNK's mask, then each panel of y visits its set bits lowest
+// first, so the rows are added in ascending k and a zero row never is.
+//
+// Register use: as ZCHUNK and SPARSEROWS, with R8 = stride in bytes and R9
+// = &w[chunk start row]; per panel DI = &y[j], R12 = columns left and DX =
+// R9 + 8·j.
+TEXT ·axpyNonzeroRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ   x_base+24(FP), SI
+	MOVQ   x_len+32(FP), BX
+	MOVQ   w_base+48(FP), R9
+	MOVQ   stride+72(FP), R8
+	SHLQ   $3, R8
+
+zachunk:
+	ZCHUNK(zamask8, zamasked, zanext, zadone)
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), R12
+	MOVQ R9, DX
+
+zapanel:
+	ZPANEL(zap1, zap2, zap3, zap4, zap6)
+	LOADZ8(DI)
+	SPARSEROWS(zarows8, AXPYROW8)
+	STOREZ8(DI)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $64, R12
+	JGT  zapanel
+	JMP  zanext
+
+zap6:
+	LOADZ6(DI)
+	SPARSEROWS(zarows6, AXPYROW6)
+	STOREZ6(DI)
+	JMP zanext
+
+zap4:
+	LOADZ4(DI)
+	SPARSEROWS(zarows4, AXPYROW4)
+	STOREZ4(DI)
+	JMP zanext
+
+zap3:
+	LOADZ3(DI)
+	SPARSEROWS(zarows3, AXPYROW3)
+	STOREZ3(DI)
+	JMP zanext
+
+zap2:
+	LOADZ2(DI)
+	SPARSEROWS(zarows2, AXPYROW2)
+	STOREZ2(DI)
+	JMP zanext
+
+zap1:
+	LOADZ1(DI)
+	SPARSEROWS(zarows1, AXPYROW1)
+	STOREZ1(DI)
+
+zanext:
+	ZNEXT
+	JMP zachunk
+
+zadone:
+	VZEROUPPER
+	RET
+
+// func outerNonzeroRowsAVX512(g, x, y []float64, stride int)
+//
+// outerRowsAVX512's panels over the set bits of axpyNonzeroRowsAVX512's
+// chunk mask: every nonzero row of G in the panel takes one load, one add
+// and one store per register, and a zero row is never touched.
+//
+// Register use: as axpyNonzeroRowsAVX512, with R9 = &g[chunk start row].
+TEXT ·outerNonzeroRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ   g_base+0(FP), R9
+	MOVQ   x_base+24(FP), SI
+	MOVQ   x_len+32(FP), BX
+	MOVQ   stride+72(FP), R8
+	SHLQ   $3, R8
+
+zbchunk:
+	ZCHUNK(zbmask8, zbmasked, zbnext, zbdone)
+	MOVQ y_base+48(FP), DI
+	MOVQ y_len+56(FP), R12
+	MOVQ R9, DX
+
+zbpanel:
+	ZPANEL(zbp1, zbp2, zbp3, zbp4, zbp6)
+	LOADZ8(DI)
+	SPARSEROWS(zbrows8, OUTERROW8)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $64, R12
+	JGT  zbpanel
+	JMP  zbnext
+
+zbp6:
+	LOADZ6(DI)
+	SPARSEROWS(zbrows6, OUTERROW6)
+	JMP zbnext
+
+zbp4:
+	LOADZ4(DI)
+	SPARSEROWS(zbrows4, OUTERROW4)
+	JMP zbnext
+
+zbp3:
+	LOADZ3(DI)
+	SPARSEROWS(zbrows3, OUTERROW3)
+	JMP zbnext
+
+zbp2:
+	LOADZ2(DI)
+	SPARSEROWS(zbrows2, OUTERROW2)
+	JMP zbnext
+
+zbp1:
+	LOADZ1(DI)
+	SPARSEROWS(zbrows1, OUTERROW1)
+
+zbnext:
+	ZNEXT
+	JMP zbchunk
+
+zbdone:
+	VZEROUPPER
 	RET

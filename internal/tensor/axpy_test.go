@@ -312,11 +312,17 @@ func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float6
 }
 
 // outerLens are the row lengths of the rank-1 grid: every length through
-// rowsFullGrid, then lengths on and around each panel boundary and the
-// expert FFN's 24 and 48, so every 16-, 8-, 4- and 1-column step of the
-// assembly and their combinations run.
-var outerLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
-	23, 24, 25, 28, 31, 32, 33, 47, 48, 49, 63, 64, 67, axpyMaxLen}
+// 72, then 127–130, so every 16-, 8-, 4- and 1-column step of the AVX
+// assembly and their combinations run, and every AVX-512 panel — one to
+// four, six or eight registers — with each masked width 1–8 of its last
+// register, alone and after a full 64-column panel or two.
+var outerLens = func() []int {
+	var lens []int
+	for n := 0; n <= 72; n++ {
+		lens = append(lens, n)
+	}
+	return append(lens, 127, 128, 129, axpyMaxLen)
+}()
 
 // checkOuter runs got and want on identical copies of every case of the
 // rank-1 grid and compares them bit for bit: every row length of outerLens
@@ -423,9 +429,9 @@ var nonzeroChunkRows = []int{63, 64, 65, 129}
 // with outer both OuterNonzeroRows-shaped — on identical copies of every
 // chunk-edge case and compares the whole output buffers bit for bit: every
 // row count of nonzeroChunkRows × output widths on and around each panel
-// (1–9, 23–25, 31, 48, 49), with x all ±0, all nonzero, holding NaNs at
-// and beside the chunk edges among zeros, and holding −0 among nonzero
-// values. mixedFill's −0s in the output are what a wrongly applied zero row
+// of either tier (1–9, 15–17, 23–25, 31–33, 47–49, 57, 63–65), with x all
+// ±0, all nonzero, holding NaNs at and beside the chunk edges among zeros,
+// and holding −0 among nonzero values. mixedFill's −0s in the output are what a wrongly applied zero row
 // would flip.
 func checkNonzeroChunks(t *testing.T, outer bool, got, want func(a, x, b []float64, stride int)) {
 	t.Helper()
@@ -470,7 +476,7 @@ func checkNonzeroChunks(t *testing.T, outer bool, got, want func(a, x, b []float
 			}
 		}},
 	}
-	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 24, 25, 31, 48, 49}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 57, 63, 64, 65}
 	for _, rows := range nonzeroChunkRows {
 		x := make([]float64, rows)
 		for _, n := range widths {
@@ -787,10 +793,15 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
-// BenchmarkAxpyRows runs AxpyRows at the expert FFN's shapes: rows×cols =
-// 24×48 (the W1 sweep, dim → ffn) and 48×24 (a W2-shaped dense sweep).
+// modelShapes are the rows×cols the model runs the Axpy-form and rank-1
+// kernels at: the LLaMA stand-in's expert, 24×48 (W1, dim → ffn) and 48×24
+// (W2); the Q/K/V projections, 24×24; the gates, 24×8 and 24×16; and the
+// DeepSeek stand-in's expert, 24×64 and 64×24.
+var modelShapes = []struct{ rows, cols int }{{24, 48}, {48, 24}, {24, 24}, {24, 8}, {24, 16}, {24, 64}, {64, 24}}
+
+// BenchmarkAxpyRows runs AxpyRows at modelShapes.
 func BenchmarkAxpyRows(b *testing.B) {
-	for _, sh := range []struct{ rows, cols int }{{24, 48}, {48, 24}} {
+	for _, sh := range modelShapes {
 		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
 			g := NewRNG(4)
 			x := make([]float64, sh.rows)
@@ -894,37 +905,36 @@ func BenchmarkReLU(b *testing.B) {
 	}
 }
 
-// BenchmarkAxpyNonzeroRows runs AxpyNonzeroRows at the expert FFN's W2
-// sweep: 48 ReLU units (about half of them closed, in a random pattern) into
-// 24 outputs.
+// BenchmarkAxpyNonzeroRows runs AxpyNonzeroRows at modelShapes with about
+// half of x zero, in a random pattern, as the expert FFN's W2 sweep meets
+// its ReLU units (48×24 and 64×24 are that sweep).
 func BenchmarkAxpyNonzeroRows(b *testing.B) {
-	const rows, cols = 48, 24
-	b.Run(fmt.Sprintf("shape=%dx%d", rows, cols), func(b *testing.B) {
-		g := NewRNG(6)
-		x := make([]float64, rows)
-		w := make([]float64, rows*cols)
-		y := make([]float64, cols)
-		for i := range x {
-			x[i] = max(g.Norm(), 0)
-		}
-		for i := range w {
-			w[i] = g.Norm()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			AxpyNonzeroRows(y, x, w, cols)
-		}
-	})
+	for _, sh := range modelShapes {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			g := NewRNG(6)
+			x := make([]float64, sh.rows)
+			w := make([]float64, sh.rows*sh.cols)
+			y := make([]float64, sh.cols)
+			for i := range x {
+				x[i] = max(g.Norm(), 0)
+			}
+			for i := range w {
+				w[i] = g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AxpyNonzeroRows(y, x, w, sh.cols)
+			}
+		})
+	}
 }
 
-// outerShapes are the expert backward's two rank-1 shapes, rows×cols: 24×48
-// (dW1 += xᵀ·dh, dim × ffn) and 48×24 (dW2 += hiddenᵀ·dy, ffn × dim).
-var outerShapes = []struct{ rows, cols int }{{24, 48}, {48, 24}}
-
-// BenchmarkOuterRows runs OuterRows at the expert weight-gradient shapes.
+// BenchmarkOuterRows runs OuterRows at modelShapes; the expert weight
+// gradients are 24×48 and 24×64 (dW1 += xᵀ·dh) and 48×24 and 64×24 (dW2 +=
+// hiddenᵀ·dy).
 func BenchmarkOuterRows(b *testing.B) {
-	for _, sh := range outerShapes {
+	for _, sh := range modelShapes {
 		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
 			g := NewRNG(8)
 			x := make([]float64, sh.rows)
@@ -948,7 +958,7 @@ func BenchmarkOuterRows(b *testing.B) {
 // BenchmarkOuterNonzeroRows runs OuterNonzeroRows at the same shapes with
 // about half of x zero, in a random pattern, as a ReLU output leaves it.
 func BenchmarkOuterNonzeroRows(b *testing.B) {
-	for _, sh := range outerShapes {
+	for _, sh := range modelShapes {
 		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
 			g := NewRNG(9)
 			x := make([]float64, sh.rows)

@@ -248,14 +248,14 @@ func TestSoftmaxStability(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	v := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
-	got := TopK(v, 3)
+	got, _ := TopKInto(nil, nil, v, 3)
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
 		t.Fatalf("topk got %v", got)
 	}
-	if len(TopK(v, 99)) != len(v) {
+	if got, _ := TopKInto(nil, nil, v, 99); len(got) != len(v) {
 		t.Fatal("topk should clamp k")
 	}
-	if TopK(v, 0) != nil {
+	if got, _ := TopKInto(nil, nil, v, 0); got != nil {
 		t.Fatal("topk k=0 should be nil")
 	}
 }

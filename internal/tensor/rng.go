@@ -4,8 +4,8 @@
 //
 // Everything is float64 and row-major. The package is deliberately small and
 // allocation-conscious: the MoE models in this repo are tiny, and
-// determinism matters more than throughput. The one exception is the pair of
-// Axpy-form kernels (axpy.go), which have an AVX form on amd64 that is
+// determinism matters more than throughput. The one exception is the vector
+// kernels (axpy.go), which have AVX and AVX-512 forms on amd64 that are
 // bit-identical to the portable loops.
 //
 // Every multiply-add in the package is written s += float64(a*b): the

@@ -112,7 +112,8 @@ func TestMatMulTransIntoMatchesAlloc(t *testing.T) {
 	}
 }
 
-// TestTopKIntoReuse pins TopKInto's buffer reuse against fresh TopK calls.
+// TestTopKIntoReuse pins TopKInto's buffer reuse against fresh calls on nil
+// buffers.
 func TestTopKIntoReuse(t *testing.T) {
 	g := NewRNG(11)
 	var idx []int
@@ -124,7 +125,7 @@ func TestTopKIntoReuse(t *testing.T) {
 			v[i] = g.Gauss(0, 1)
 		}
 		k := iter % (n + 2)
-		want := TopK(v, k)
+		want, _ := TopKInto(nil, nil, v, k)
 		idx, used = TopKInto(idx, used, v, k)
 		if len(idx) != len(want) {
 			t.Fatalf("iter %d: len %d != %d", iter, len(idx), len(want))

@@ -93,20 +93,14 @@ func ArgMax(v []float64) int {
 	return bi
 }
 
-// TopK returns the indices of the k largest elements in descending value
-// order. k is clamped to len(v). Selection is deterministic: ties break
-// toward the lower index, and a NaN ranks below every number, so the result
-// is always k distinct valid indices (all-NaN or all −Inf rows included).
-func TopK(v []float64, k int) []int {
-	idx, _ := TopKInto(nil, nil, v, k)
-	return idx
-}
-
-// TopKInto is TopK with caller-owned buffers: idx receives the selected
-// indices (reused when capacity suffices) and used is the selection bitmap
-// (grown as needed, reset on entry). Either may be nil. It returns the index
-// slice and the used buffer for reuse; with warm buffers it does not
-// allocate.
+// TopKInto returns the indices of the k largest elements of v in
+// descending value order. k is clamped to len(v). Selection is
+// deterministic: ties break toward the lower index, and a NaN ranks below
+// every number, so the result is always k distinct valid indices (all-NaN
+// or all −Inf rows included). idx receives the indices (reused when its
+// capacity suffices) and used is the selection bitmap (grown as needed,
+// reset on entry); either may be nil. It returns both for reuse; with warm
+// buffers it does not allocate.
 func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 	if k > len(v) {
 		k = len(v)
