@@ -54,7 +54,11 @@ type Env = fed.Env
 // function RunRound runs once per cohort slot. Implementations must be
 // deterministic in the environment's seed: split env.RNG per participant in
 // Round, and have the Participant function write only its own
-// per-participant state. Package fluxtest checks these contracts.
+// per-participant state. Work whose result nothing in the round reads may
+// be handed back in SlotResult.After instead of done in the function: it
+// runs after the function returns, on any worker, before the round's
+// reduction (after the reply, over TCP), and it may write only its own
+// participant's state. Package fluxtest checks these contracts.
 type Rounder = fed.Rounder
 
 // Participant is one cohort member's round: on its worker's Scratch, for its
@@ -211,7 +215,9 @@ const (
 // participant's end-to-end round time — the server core tests that sum
 // against the straggler deadline and, under async/semisync aggregation,
 // orders arrivals at the server by it. The round's own phase map, traffic
-// totals, and census are all derived from the cohort's SlotResults.
+// totals, and census are all derived from the cohort's SlotResults. After
+// optionally hands work back to run once the function has returned (see
+// Rounder); it never goes on the wire.
 type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m

@@ -351,7 +351,12 @@ func TestRounder(t *testing.T, s RounderSpec) {
 
 	t.Run("WireEquivalence", func(t *testing.T) {
 		// A TCP run is the in-process run: the same rounds, and the same sink
-		// bytes but for the transport name in the run header.
+		// bytes but for the transport name in the run header. Three rounds,
+		// so that a round reads what a participant did after its reply in
+		// the round before (SlotResult.After, which a TCP client runs after
+		// sending).
+		cfg := cfg
+		cfg.Rounds = 3
 		ref, refTrace, refLog := runWithSinks(t, cfg, nil)
 		tcp, trace, runlog := runWithSinks(t, cfg, flux.TCP())
 		assertSameCurves(t, ref, tcp, "in-process", "tcp")

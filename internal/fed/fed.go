@@ -155,6 +155,9 @@ type Env struct {
 type envState struct {
 	mu      sync.Mutex
 	scratch []*Scratch
+	// handBack carries the work a fan-out's units hand back to its pool
+	// (fanOut); it is reused from fan-out to fan-out.
+	handBack chan func(*Scratch)
 
 	// quantized is QuantizedGlobal's model. QuantizedGlobal brings it up to
 	// date before a round's participant fan-out; until that pool joins it is
@@ -480,8 +483,9 @@ func (e *Env) QuantizedGlobal(bits quant.Bits) *moe.Model {
 	q := &e.st().quantized
 	if q.model == nil || q.src != e.Global || q.bits != bits {
 		qm := e.Global.CloneInto(q.model)
-		e.fanOut(moe.QuantUnits(qm), "quantize", func(_ *Scratch, u int) {
+		e.fanOut(moe.QuantUnits(qm), "quantize", func(_ *Scratch, u int) func(*Scratch) {
 			moe.QuantizeUnit(qm, u, bits)
+			return nil
 		})
 		q.reset(qm, e.Global, bits)
 		return qm
@@ -495,9 +499,10 @@ func (e *Env) QuantizedGlobal(bits quant.Bits) *moe.Model {
 			}
 		}
 	}
-	e.fanOut(len(q.list), "quantize", func(_ *Scratch, i int) {
+	e.fanOut(len(q.list), "quantize", func(_ *Scratch, i int) func(*Scratch) {
 		p := q.list[i]
 		moe.QuantizeExpertFrom(q.model.Layers[p.layer].Experts[p.pos], e.Global.Layers[p.layer].Experts[p.pos], bits)
+		return nil
 	})
 	return q.model
 }
@@ -561,8 +566,9 @@ func (e *Env) Evaluate() float64 {
 		sub = eval.Subset(e.Test, e.Cfg.EvalSubset)
 	}
 	scores := make([]float64, len(sub))
-	e.fanOut(len(sub), "evaluate", func(s *Scratch, i int) {
+	e.fanOut(len(sub), "evaluate", func(s *Scratch, i int) func(*Scratch) {
 		scores[i] = eval.Score(e.Global, s.Workspace(), e.Profile, sub[i])
+		return nil
 	})
 	return eval.Mean(scores)
 }
@@ -650,7 +656,8 @@ func UpdateBytes(u Update) float64 {
 
 // Participant is one cohort member's round: participant i, in cohort slot
 // slot, trains on its worker's Scratch against the read-only global model and
-// returns its SlotResult. It runs on the worker pool under the determinism
+// returns its SlotResult, which may hand back work nothing in the round
+// reads (SlotResult.After). It runs on the worker pool under the determinism
 // contract of parallel.go.
 type Participant func(s *Scratch, slot, i int) SlotResult
 
@@ -673,8 +680,12 @@ func (e *Env) RunRound(m Rounder, r int) (RoundStats, error) {
 	cohort := e.Cohort(r)
 	participant := m.Round(e, r, cohort)
 	slots := make([]SlotResult, len(cohort))
-	if err := ForEachOf(e, cohort, func(s *Scratch, slot, i int) {
-		slots[slot] = participant(s, slot, i)
+	if err := e.forEachSlot(len(cohort), func(s *Scratch, slot int) func(*Scratch) {
+		if e.Context().Err() != nil {
+			return nil
+		}
+		slots[slot] = participant(s, slot, cohort[slot])
+		return slots[slot].After
 	}); err != nil {
 		return RoundStats{}, err
 	}

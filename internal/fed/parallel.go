@@ -26,6 +26,13 @@
 //  2. Disjoint writes: a participant function writes only per-participant
 //     state — the SlotResult it returns, its own participant value, its
 //     worker's scratch. The global model is read-only until the pool joins.
+//     Work a function hands back in SlotResult.After owns less still: its
+//     participant's own value, and the Scratch it is run on. It starts only
+//     after its function has returned, on whichever worker is free once no
+//     function is left to hand out, and writes neither the update, nor the
+//     env, nor the global model; the join hands its participant back
+//     before the reduction, so the order in which hand-backs run never
+//     shows.
 //  3. Ordered reduction: floating-point accumulation (uplink-byte sums,
 //     FedAvg aggregation, phase maxima) happens in finishRound after the
 //     join, iterating slots in cohort order, so accumulation order never
@@ -35,10 +42,10 @@
 // other two: evaluation writes each sample's score into that sample's slot
 // and sums the slots in sample order after the join; quantization writes
 // only its own unit's matrices (an expert, or the embedding, the head or a
-// layer), and no value in one unit depends on another.
-// Neither stops early on a canceled context, so a mean is never partial and
-// a model never half-quantized. Only one fan-out runs at a time on an Env:
-// they share the worker scratch.
+// layer), and no value in one unit depends on another. Neither hands work
+// back, and neither stops early on a canceled context, so a mean is never
+// partial and a model never half-quantized. Only one fan-out runs at a time
+// on an Env: they share the worker scratch.
 //
 // Base-model pre-training (BaseModelContext) runs before any Env exists,
 // at the same width (poolWidth of Cfg.Workers, clamped to the batch), and
@@ -202,41 +209,61 @@ func (e *Env) Workers() int { return e.workersFor(e.Cfg.Participants) }
 // file: consume only pre-split randomness, write only per-participant state,
 // and leave all cross-participant reduction until the pool joins.
 func ForEachOf(env *Env, participants []int, fn func(s *Scratch, slot, participant int)) error {
-	for _, s := range env.scratches(env.workersFor(len(participants))) {
-		s.off = 0
-	}
-	env.fanOut(len(participants), "participants", func(s *Scratch, slot int) {
+	return env.forEachSlot(len(participants), func(s *Scratch, slot int) func(*Scratch) {
 		if env.Context().Err() == nil {
 			fn(s, slot, participants[slot])
 		}
+		return nil
 	})
-	return env.Context().Err()
+}
+
+// forEachSlot is the participant phase's fan-out over n slots, for ForEachOf
+// and RunRound: it rewinds every worker's update arena, runs fn over the
+// pool with the work each call hands back, and returns the context's error.
+// fn checks for cancellation itself.
+func (e *Env) forEachSlot(n int, fn func(s *Scratch, slot int) func(*Scratch)) error {
+	for _, s := range e.scratches(e.workersFor(n)) {
+		s.off = 0
+	}
+	e.fanOut(n, "participants", fn)
+	return e.Context().Err()
 }
 
 // fanOut runs fn(s, i) once for every i in [0, n) over workersFor(n) workers,
-// each with its own Scratch, and returns when every call has returned. With
-// one worker the calls run in order on the calling goroutine. Workers run
-// under the pprof labels {method, phase} so -cpuprofile samples are
-// attributable; bodies may refine the phase via env.MarkPhase.
+// each with its own Scratch, then runs the work each call handed back, and
+// returns when all of it has returned. A call hands work back by returning
+// a non-nil func: it starts only after that call has returned, on whichever
+// worker is free once no call is left to hand out, with that worker's
+// Scratch, unless the context has been canceled by then. With one worker
+// the calls run in order on the calling goroutine, then the handed-back
+// work, in the same order. Workers run under the pprof labels {method,
+// phase} so -cpuprofile samples are attributable; bodies may refine the
+// phase via env.MarkPhase.
 //
 // Every unit runs whatever the context says, so a reduction over the results
 // is never partial; a body that should give up on cancellation (a
 // participant's) checks for it itself. fanOut never rewinds a scratch's
-// update arena, and a panic in fn is re-raised on the calling goroutine.
-func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int)) {
+// update arena, and a panic in fn or in the work it hands back is re-raised
+// on the calling goroutine.
+func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int) func(*Scratch)) {
 	scratch := e.scratches(e.workersFor(n))
+	handed := e.handBack(n)
 	// A handful of label allocations per call, well inside the bench alloc
 	// budget, and zero behavioral effect.
 	labels := pprof.Labels("method", e.methodName(), "phase", phase)
-	var next atomic.Int64
+	ctx := e.Context()
+	// next hands out units; taken counts the values workers have claimed
+	// from handed, where every unit leaves exactly one.
+	var c struct{ next, taken atomic.Int64 }
 	work := func(s *Scratch) {
-		pprof.Do(e.Context(), labels, func(context.Context) {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+		pprof.Do(ctx, labels, func(context.Context) {
+			for i := int(c.next.Add(1)) - 1; i < n; i = int(c.next.Add(1)) - 1 {
+				runUnit(s, i, fn, handed)
+			}
+			for c.taken.Add(1) <= int64(n) {
+				if after := <-handed; after != nil && ctx.Err() == nil {
+					after(s)
 				}
-				fn(s, i)
 			}
 		})
 	}
@@ -266,4 +293,31 @@ func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int)) {
 		// goroutine like the serial loop would.
 		panic(panicked)
 	}
+}
+
+// runUnit runs fn(s, i) and sends what it hands back to handed — nil for
+// nothing, and for a call that panicked — so that every unit leaves exactly
+// one value there, and no worker waits for a value that never comes.
+func runUnit(s *Scratch, i int, fn func(s *Scratch, i int) func(*Scratch), handed chan<- func(*Scratch)) {
+	var after func(*Scratch)
+	defer func() { handed <- after }()
+	after = fn(s, i)
+}
+
+// handBack returns the environment's hand-back channel, empty and with room
+// for n values, so a unit never blocks on its send. The channel persists
+// across fan-outs, which run one at a time on an Env; values a fan-out cut
+// short by a panic left behind are dropped here.
+func (e *Env) handBack(n int) chan func(*Scratch) {
+	st := e.st()
+	st.mu.Lock()
+	if cap(st.handBack) < n {
+		st.handBack = make(chan func(*Scratch), n)
+	}
+	ch := st.handBack
+	st.mu.Unlock()
+	for len(ch) > 0 {
+		<-ch
+	}
+	return ch
 }

@@ -2,11 +2,15 @@ package fed
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/moe"
+	"repro/internal/simtime"
 )
 
 // parallelTestEnv returns a small materialized environment for pool tests.
@@ -212,5 +216,160 @@ func TestScratchBuffersReusedAcrossRounds(t *testing.T) {
 	}
 	if g1 != g2 {
 		t.Error("Grads allocated a fresh accumulator for an unchanged layout")
+	}
+}
+
+// handBackRounder's participants each hand work back (SlotResult.After):
+// the body uploads expert 0 of layer 0 plus one, and the work it hands back
+// records, in its participant's own slots, how often it ran, whether its
+// body had returned and every body had been handed out by then, and whether
+// the global model was still unaggregated. hook, when set, runs in each body
+// and in each handed-back work with the participant index.
+type handBackRounder struct {
+	n         int
+	started   atomic.Int64 // bodies started this round
+	returned  []bool       // [i] body i has returned
+	afterRuns []int        // [i] times i's handed-back work ran
+	bad       []string     // [i] what i's handed-back work saw out of order
+	global0   float64      // layer 0 expert 0's first parameter before the round
+	log       *[]string    // one-worker order log, or nil
+	body      func(env *Env, i int)
+	after     func(i int)
+}
+
+func (h *handBackRounder) Name() string { return "handback" }
+
+func (h *handBackRounder) Round(env *Env, r int, cohort []int) Participant {
+	h.started.Store(0)
+	h.global0 = env.Global.ExpertAt(0, 0).W1.Data[0]
+	tuning := make([][]int, env.Global.Cfg.Layers())
+	tuning[0] = []int{0}
+	return func(s *Scratch, slot, i int) SlotResult {
+		h.started.Add(1)
+		if h.body != nil {
+			h.body(env, i)
+		}
+		u := s.ExtractUpdate(env.Global, i, 1, tuning)
+		//fluxvet:unordered per-parameter increments of one expert; order cannot change them
+		for _, p := range u.Experts {
+			for j := range p {
+				p[j]++
+			}
+		}
+		if h.log != nil {
+			//fluxvet:allow sharedwrite the order log is kept only with one worker, where every body and hand-back runs on the calling goroutine
+			*h.log = append(*h.log, fmt.Sprintf("body %d", i))
+		}
+		h.returned[i] = true
+		return SlotResult{
+			Update: u,
+			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1},
+			After: func(*Scratch) {
+				h.afterRuns[i]++
+				switch {
+				case !h.returned[i]:
+					h.bad[i] = "ran before its body returned"
+				case h.started.Load() != int64(h.n):
+					h.bad[i] = "ran while a body was left to hand out"
+				case env.Global.ExpertAt(0, 0).W1.Data[0] != h.global0:
+					h.bad[i] = "ran after the round's reduction"
+				}
+				if h.log != nil {
+					//fluxvet:allow sharedwrite the order log is kept only with one worker, where every body and hand-back runs on the calling goroutine
+					*h.log = append(*h.log, fmt.Sprintf("after %d", i))
+				}
+				if h.after != nil {
+					h.after(i)
+				}
+			},
+		}
+	}
+}
+
+func newHandBack(n int) *handBackRounder {
+	return &handBackRounder{n: n, returned: make([]bool, n), afterRuns: make([]int, n), bad: make([]string, n)}
+}
+
+// TestHandedBackWorkRunsOnceBeforeTheReduction pins the hand-back seam at
+// pool widths 1, 2 and 8: each participant's handed-back work runs exactly
+// once, after its own body has returned and every body has been handed
+// out, and before the round's reduction writes the global model; with one
+// worker the bodies run, then the handed-back work, both in slot order.
+func TestHandedBackWorkRunsOnceBeforeTheReduction(t *testing.T) {
+	const n = 6
+	for _, workers := range []int{1, 2, 8} {
+		env := parallelTestEnv(t, n, workers)
+		h := newHandBack(n)
+		var log []string
+		if workers == 1 {
+			h.log = &log
+		}
+		if _, err := env.RunRound(h, 0); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range n {
+			if h.afterRuns[i] != 1 || h.bad[i] != "" {
+				t.Errorf("workers=%d: participant %d's handed-back work ran %d times (%s)", workers, i, h.afterRuns[i], h.bad[i])
+			}
+		}
+		if env.Global.ExpertAt(0, 0).W1.Data[0] == h.global0 {
+			t.Fatalf("workers=%d: the round did not aggregate; the before-the-reduction check is vacuous", workers)
+		}
+		if workers == 1 {
+			var want []string
+			for i := range n {
+				want = append(want, fmt.Sprintf("body %d", i))
+			}
+			for i := range n {
+				want = append(want, fmt.Sprintf("after %d", i))
+			}
+			if !slices.Equal(log, want) {
+				t.Errorf("one worker ran %v, want %v", log, want)
+			}
+		}
+	}
+}
+
+// TestHandedBackWorkCanceled checks that no handed-back work starts once the
+// context is canceled: every body cancels it before returning, so none may.
+func TestHandedBackWorkCanceled(t *testing.T) {
+	const n = 6
+	for _, workers := range []int{1, 4} {
+		env := parallelTestEnv(t, n, workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		env.SetContext(ctx)
+		h := newHandBack(n)
+		h.body = func(*Env, int) { cancel() }
+		if _, err := env.RunRound(h, 0); err == nil {
+			t.Fatalf("workers=%d: a round canceled by its bodies reported no error", workers)
+		}
+		for i := range n {
+			if h.afterRuns[i] != 0 {
+				t.Errorf("workers=%d: participant %d's handed-back work ran after cancellation", workers, i)
+			}
+		}
+		cancel()
+	}
+}
+
+// TestHandedBackWorkPanicPropagates checks that a panic in handed-back work
+// surfaces on the caller, like a body's, at one worker and at four.
+func TestHandedBackWorkPanicPropagates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		func() {
+			env := parallelTestEnv(t, 4, workers)
+			h := newHandBack(4)
+			h.after = func(i int) {
+				if i == 2 {
+					panic("handed-back work failure")
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: a panic in handed-back work did not reach the caller", workers)
+				}
+			}()
+			_, _ = env.RunRound(h, 0)
+		}()
 	}
 }

@@ -109,6 +109,14 @@ type SlotResult struct {
 	DownBytes float64
 	// Phases is this participant's simulated seconds by phase.
 	Phases map[simtime.Phase]float64
+	// After, when non-nil, is work the participant function hands back
+	// because nothing in this round reads its result: in process the pool
+	// runs it on any worker's Scratch once the function has returned, and
+	// joins it before the round's reduction; over TCP the client runs it
+	// after sending its reply, while the server aggregates. It may write
+	// only its own participant's state, never the update, the env or the
+	// global model. It never goes on the wire.
+	After func(*Scratch)
 }
 
 // pendingUpdate is a buffered update awaiting aggregation, carried across

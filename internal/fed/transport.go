@@ -349,7 +349,8 @@ type ClientConfig struct {
 // model into cfg.Env.Global in place, calls cfg.Method.Round for Env's
 // cohort, runs the participant function for its own slot on one persistent
 // Scratch, and uploads the whole SlotResult under its Hello id — the slot an
-// in-process worker would have computed. A broadcast over the message bound,
+// in-process worker would have computed — and then runs the work the
+// function handed back (SlotResult.After) while the server aggregates. A broadcast over the message bound,
 // of another model config, or of any round but the next fails the client with
 // an error naming the round, and leaves Env.Global nil: a model decoded only
 // in part is never used. Cancelling ctx closes the connection, aborting
@@ -404,6 +405,9 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		reply = appendSlot(reply[:0], res)
 		if err := p.send(reply); err != nil {
 			return nil, CtxErr(ctx, err)
+		}
+		if res.After != nil && ctx.Err() == nil {
+			res.After(&s) // while the server aggregates
 		}
 		next = round + 1
 	}

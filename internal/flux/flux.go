@@ -3,6 +3,12 @@
 // profiling (§4), adaptive merging of non-tuning experts (§5), and dynamic
 // expert role assignment with exploration–exploitation (§6) into the round
 // loop of the fed engine.
+//
+// §4.2's overlap happens in wall time too, not only in the simulated
+// clock: a participant merges and assigns from its previous participation's
+// profile, so it hands the round's own profiling pass back to the worker
+// pool (fed.SlotResult.After), which runs it beside the other participants
+// and before the aggregation; a TCP client runs it after sending its update.
 package flux
 
 import (
@@ -69,19 +75,49 @@ type Runner struct {
 // stale-profiling scheduler, whose profile merging and assignment consume,
 // and §6's utility table, built from the first profile and refreshed by
 // backpropagation (exploited experts) and SPSA probes (explored ones). Only
-// that member's participant function touches it.
+// that member's participant function, and the profiling pass it hands back
+// (pass, run by after), touch it.
 type participant struct {
 	sched profile.StaleScheduler
 	table *assign.UtilityTable
+
+	pass  profilePass
+	after func(*fed.Scratch) // p.runPass, bound once so a round allocates no closure
+}
+
+// profilePass is a round's profiling pass over batch on the quantized
+// global model qm, waiting to run.
+type profilePass struct {
+	env   *fed.Env
+	prof  profile.Profiler
+	qm    *moe.Model
+	batch []*data.Sample
 }
 
 // New creates a Flux runner for an environment with n participants.
 func New(opts Options, n int) *Runner {
 	r := &Runner{Opts: opts, participants: make([]participant, n)}
 	for i := range r.participants {
-		r.participants[i].sched.Enabled = opts.StaleProfiling
+		p := &r.participants[i]
+		p.sched.Enabled = opts.StaleProfiling
+		p.after = p.runPass
 	}
 	return r
+}
+
+// profile runs the pending pass into the scheduler's spare result on ws and
+// installs it as the latest profile.
+func (p *participant) profile(ws *moe.Workspace) {
+	j := p.pass
+	p.pass = profilePass{}
+	p.sched.Complete(j.prof.RunInto(p.sched.Spare(), j.qm, j.env.Global.Cfg, j.batch, ws))
+}
+
+// runPass is the pending pass as work handed back to the pool
+// (fed.SlotResult.After), on the scratch of whichever worker runs it.
+func (p *participant) runPass(s *fed.Scratch) {
+	p.pass.env.MarkPhase(simtime.PhaseProfiling)
+	p.profile(s.Workspace())
 }
 
 // Name implements fed.Rounder.
@@ -90,8 +126,11 @@ func (r *Runner) Name() string { return "flux" }
 // Round implements fed.Rounder: it prepares one Flux round for the cohort —
 // the round's ε, per-participant RNG streams split serially in cohort order,
 // and the quantized profiling model every participant shares read-only — and
-// returns the participant function: profile, assign, merge, fine-tune, probe,
-// upload.
+// returns the participant function: assign, merge, fine-tune, probe and
+// upload from the latest profile, then profile this round's model. That
+// pass runs first only for a participant's bootstrap profile and without
+// stale profiling; otherwise nothing in the round reads it, and the function
+// hands it back to run beside the rest of the round (§4.2).
 func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 	cfg := env.Global.Cfg
 	eps := r.Opts.Eps.Epsilon(round)
@@ -114,15 +153,20 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		dev := env.Devices[i]
 		rng := rngs[slot]
 		mws := ws.Workspace()
-		prof := profile.Profiler{Bits: r.Opts.ProfileBits, TrackSamples: true}
 
 		// --- Profiling (§4): quantized, stale-pipelined. ---
 		env.MarkPhase(simtime.PhaseProfiling)
+		prof := profile.Profiler{Bits: r.Opts.ProfileBits, TrackSamples: true}
 		shardSeqs := env.Batch(i, round)
-		res := prof.RunInto(p.sched.Spare(), qm, env.Global.Cfg, shardSeqs, mws)
-		profSec := res.Seconds(dev, cfg)
-		p.sched.Complete(res)
-		stats := p.sched.Current().Stats
+		profSec := prof.Seconds(dev, cfg, shardSeqs)
+		p.pass = profilePass{env: env, prof: prof, qm: qm, batch: shardSeqs}
+		var after func(*fed.Scratch)
+		if p.sched.Deferred() {
+			after = p.after // read only from the next participation on
+		} else {
+			p.profile(mws) // the bootstrap, or Figure 14's serial arm
+		}
+		stats := p.sched.Latest().Stats
 
 		if p.table == nil {
 			p.table = assign.NewUtilityTable(stats)
@@ -192,6 +236,7 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		// the probes are billed under assignment as well.
 		localSec := mergeSec + trainSec + spsaSec
 		return fed.SlotResult{
+			After:     after,
 			Update:    u,
 			Bytes:     bytes,
 			DownBytes: down,

@@ -2,10 +2,12 @@ package flux
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/fed"
+	"repro/internal/flux/profile"
 	"repro/internal/moe"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -157,13 +159,86 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 // was pinned (go1.24, linux/amd64).
 const warmParticipantAllocs = 120
 
+// TestProfilePassHandedBack pins when a participant's profiling pass runs,
+// with and without stale profiling, over three rounds in which participants
+// 0 and 1 take part every round and participant 3 first joins in round 2:
+//   - a participant's first pass, the bootstrap, runs inside its function,
+//     which reads its result, also for a member first picked after round 0;
+//   - with stale profiling, a later round reads the previous round's profile,
+//     and the function hands its own pass back (SlotResult.After) without
+//     having touched the latest profile; the pass installs this round's;
+//   - without it, every pass runs inside the function, first.
+//
+// After each round's function and handed-back pass the latest profile must
+// be a fresh profile of this round's batch.
+func TestProfilePassHandedBack(t *testing.T) {
+	env := testEnv(t, "flux-handback")
+	ws := &fed.Scratch{}
+	for _, stale := range []bool{true, false} {
+		opts := DefaultOptions(env.Cfg.MaxRounds)
+		opts.StaleProfiling = stale
+		r := New(opts, env.Cfg.Participants)
+		prof := profile.Profiler{Bits: opts.ProfileBits, TrackSamples: true}
+		fresh := func(i, round int) *profile.Result {
+			return prof.RunOn(env.QuantizedGlobal(opts.ProfileBits), env.Global.Cfg, env.Batch(i, round), nil)
+		}
+		for round := range 3 {
+			cohort := []int{0, 1}
+			if round == 2 {
+				cohort = append(cohort, 3)
+			}
+			part := r.Round(env, round, cohort)
+			for slot, i := range cohort {
+				p := &r.participants[i]
+				read := p.sched.Latest()
+				res := part(ws, slot, i)
+				if stale && read != nil {
+					if res.After == nil {
+						t.Fatalf("round %d participant %d: a stale round ran its pass inline", round, i)
+					}
+					if p.sched.Latest() != read {
+						t.Fatalf("round %d participant %d: the function installed its own profile", round, i)
+					}
+					if !sameProfile(read, fresh(i, round-1)) {
+						t.Fatalf("round %d participant %d: the round read a profile other than round %d's", round, i, round-1)
+					}
+					res.After(ws)
+				} else if res.After != nil {
+					t.Fatalf("stale=%v round %d participant %d: a first or non-stale pass was handed back", stale, round, i)
+				}
+				if !sameProfile(p.sched.Latest(), fresh(i, round)) {
+					t.Fatalf("stale=%v round %d participant %d: the latest profile is not this round's", stale, round, i)
+				}
+			}
+		}
+	}
+}
+
+// sameProfile reports whether two profiles hold the same tokens, counts,
+// attention sums and sample sets.
+func sameProfile(a, b *profile.Result) bool {
+	if a.Tokens != b.Tokens || a.Bits != b.Bits || a.Stats.Tokens != b.Stats.Tokens {
+		return false
+	}
+	for l := range b.Stats.Counts {
+		for e := range b.Stats.Counts[l] {
+			if a.Stats.Counts[l][e] != b.Stats.Counts[l][e] || a.Stats.AttnSum[l][e] != b.Stats.AttnSum[l][e] ||
+				!slices.Equal(a.Stats.SampleSet(l, e), b.Stats.SampleSet(l, e)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestWarmParticipantAllocs pins what a warm Flux participant allocates: one
-// fleet member's profile, assignment, merge plan, customized model,
-// fine-tuning, probes and upload, on a worker scratch and participant state
-// that earlier rounds grew to size. Profiling rebuilds the stale profile it
-// drops, the plan, the customized model and the gradients are rebuilt in
-// the worker's scratch, and the probes run in its workspace. What remains is small, per
-// call, and by count:
+// fleet member's assignment, merge plan, customized model, fine-tuning,
+// probes and upload, and the profiling pass it hands back, on a worker
+// scratch and participant state that earlier rounds grew to size. Profiling
+// rebuilds the spare profile in place and is handed back as a func bound
+// once per participant; the plan, the customized model and the gradients
+// are rebuilt in the worker's scratch, and the probes run in its workspace.
+// What remains is small, per call, and by count:
 //   - cluster.FusedKMeans's index lists, centroids, counts and groups, and
 //     the planner's group lists, budgets and per-layer variances;
 //   - assign.Assign's expert lists, exploit map and sort swapper, and the
@@ -190,7 +265,7 @@ func TestWarmParticipantAllocs(t *testing.T) {
 	part := r.Round(env, 3, cohort)
 	const i = 1
 	run := func() {
-		if err := fed.ForEachOf(env, []int{i}, func(s *fed.Scratch, _, _ int) { part(s, i, i) }); err != nil {
+		if err := fed.ForEachOf(env, []int{i}, func(s *fed.Scratch, _, _ int) { part(s, i, i).After(s) }); err != nil {
 			t.Fatal(err)
 		}
 	}

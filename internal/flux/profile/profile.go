@@ -85,52 +85,49 @@ func (r *Result) Seconds(d simtime.Device, cfg moe.Config) float64 {
 	return d.QuantizeSeconds(cfg) + d.ProfileSeconds(cfg, r.Tokens, int(r.Bits))
 }
 
-// StaleScheduler implements §4.2's pipelining. Without it, round r must wait
-// for profiling of the round-r model before merging (serial). With it,
-// merging at round r consumes the profile of the round-(r-1) model, and the
-// round-r profile is computed concurrently with server-side aggregation, so
-// its latency is hidden up to the aggregation time.
+// Seconds prices p's pass over samples on device d before it runs: the
+// price of a Result reads only its token count and bit width, which the
+// samples and p fix.
+func (p Profiler) Seconds(d simtime.Device, cfg moe.Config, samples []*data.Sample) float64 {
+	r := Result{Bits: p.Bits}
+	for _, s := range samples {
+		seq, _ := s.FullSequence()
+		r.Tokens += len(seq)
+	}
+	return r.Seconds(d, cfg)
+}
+
+// StaleScheduler holds one participant's profiles for §4.2's pipelining: the
+// latest completed one, which merging and assignment read, and a spare that
+// nothing reads any more, for the next pass to rebuild in place
+// (Profiler.RunInto). Without staleness, round r waits for profiling of the
+// round-r model before merging (serial). With it, round r merges from the
+// latest profile — the previous participation's — and its own pass runs
+// after that read, concurrently with server-side aggregation, so its
+// latency is hidden up to the aggregation time. A participant's first
+// profile, the bootstrap, is always on the critical path.
 type StaleScheduler struct {
 	Enabled bool
 
-	prev *Result // profile from the previous round (the stale one)
-	cur  *Result // profile computed this round, visible next round
+	latest, spare *Result
 }
 
-// Current returns the profiling result merging should use this round: the
-// previous round's profile when staleness is enabled (falling back to the
-// bootstrap profile in round 0), or the freshest profile otherwise. It is
-// nil before the first Complete.
-func (s *StaleScheduler) Current() *Result {
-	if !s.Enabled {
-		return s.cur
-	}
-	if s.prev != nil {
-		return s.prev
-	}
-	return s.cur
-}
+// Latest returns the latest completed profile, or nil before the first
+// Complete.
+func (s *StaleScheduler) Latest() *Result { return s.latest }
 
-// Spare returns the result the next Complete drops, or nil when it drops
-// none, for RunInto to rebuild in place; the rebuilt result goes straight to
-// that Complete, before anything reads Current again.
-func (s *StaleScheduler) Spare() *Result {
-	if !s.Enabled {
-		return s.cur
-	}
-	return s.prev
-}
+// Spare returns the result the next pass may rebuild in place, or nil when
+// there is none.
+func (s *StaleScheduler) Spare() *Result { return s.spare }
 
-// Complete installs the profile computed during this round. With staleness
-// enabled the result becomes visible at the next round; without it,
-// immediately.
-func (s *StaleScheduler) Complete(r *Result) {
-	if !s.Enabled {
-		s.cur = r
-		return
-	}
-	s.prev, s.cur = s.cur, r
-}
+// Complete installs r, typically the spare rebuilt, as the latest profile;
+// the profile it replaces becomes the spare.
+func (s *StaleScheduler) Complete(r *Result) { s.latest, s.spare = r, s.latest }
+
+// Deferred reports whether this round's pass may run after the round has
+// read Latest: staleness is enabled and the bootstrap profile exists.
+// Otherwise the pass must complete first, and the round reads its result.
+func (s *StaleScheduler) Deferred() bool { return s.Enabled && s.latest != nil }
 
 // VisibleSeconds returns how much of a profiling pass costing profileSec
 // contributes to the critical path of the round, given that aggregation and

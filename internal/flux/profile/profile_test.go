@@ -66,39 +66,46 @@ func TestProfileSecondsCheaperThanFull(t *testing.T) {
 	}
 }
 
-func TestStaleSchedulerDisabled(t *testing.T) {
-	s := &StaleScheduler{Enabled: false}
-	a := &Result{Tokens: 1}
-	b := &Result{Tokens: 2}
-	s.Complete(a)
-	if s.Current() != a {
-		t.Fatal("disabled scheduler should surface results immediately")
+// TestStaleSchedulerLatestAndSpare pins the scheduler's two slots: each
+// Complete installs the latest profile and turns the one it replaces into
+// the spare, and only the stale scheduler defers a pass, and only once a
+// bootstrap profile exists.
+func TestStaleSchedulerLatestAndSpare(t *testing.T) {
+	for _, stale := range []bool{true, false} {
+		s := &StaleScheduler{Enabled: stale}
+		if s.Latest() != nil || s.Spare() != nil || s.Deferred() {
+			t.Fatalf("stale=%v: a new scheduler holds a profile or defers the bootstrap", stale)
+		}
+		r0, r1, r2 := &Result{Tokens: 0}, &Result{Tokens: 1}, &Result{Tokens: 2}
+		s.Complete(r0)
+		if s.Latest() != r0 || s.Spare() != nil {
+			t.Fatalf("stale=%v: the bootstrap profile is not the latest", stale)
+		}
+		if s.Deferred() != stale {
+			t.Fatalf("stale=%v: Deferred after the bootstrap = %v", stale, s.Deferred())
+		}
+		s.Complete(r1)
+		if s.Latest() != r1 || s.Spare() != r0 {
+			t.Fatalf("stale=%v: after two passes latest/spare = %d/%d tokens", stale, s.Latest().Tokens, s.Spare().Tokens)
+		}
+		s.Complete(r2)
+		if s.Latest() != r2 || s.Spare() != r1 {
+			t.Fatalf("stale=%v: after three passes latest/spare = %d/%d tokens", stale, s.Latest().Tokens, s.Spare().Tokens)
+		}
 	}
-	s.Complete(b)
-	if s.Current() != b {
-		t.Fatal("disabled scheduler should replace results immediately")
-	}
-	if v := s.VisibleSeconds(10, 3); v != 10 {
+	if v := (&StaleScheduler{}).VisibleSeconds(10, 3); v != 10 {
 		t.Fatalf("disabled visible = %v want full cost", v)
 	}
 }
 
-func TestStaleSchedulerOneRoundLag(t *testing.T) {
-	s := &StaleScheduler{Enabled: true}
-	r0 := &Result{Tokens: 0}
-	r1 := &Result{Tokens: 1}
-	r2 := &Result{Tokens: 2}
-	s.Complete(r0)
-	if s.Current() != r0 {
-		t.Fatal("bootstrap profile should be visible immediately")
-	}
-	s.Complete(r1)
-	if s.Current() != r0 {
-		t.Fatal("round-1 profile must not be visible until round 2")
-	}
-	s.Complete(r2)
-	if s.Current() != r1 {
-		t.Fatalf("round 2 should see round-1 profile, got tokens=%d", s.Current().Tokens)
+// TestProfilerSecondsBeforeTheRun holds the price of a pass before it runs
+// to the price of its result.
+func TestProfilerSecondsBeforeTheRun(t *testing.T) {
+	m, samples := fixture(t)
+	dev := simtime.ConsumerTiers()[1]
+	p := Profiler{Bits: quant.Bits2}
+	if got, want := p.Seconds(dev, m.Cfg, samples), p.Run(m, samples).Seconds(dev, m.Cfg); got != want {
+		t.Fatalf("priced before the run %v, after %v", got, want)
 	}
 }
 
@@ -137,8 +144,8 @@ func TestStaleVsFreshErrorSmall(t *testing.T) {
 // TestRunIntoReusesSpare drives a scheduler through several rounds with
 // each profile rebuilt into the scheduler's spare, on one workspace, and
 // holds every round's result to a fresh RunOn: same tokens, counts,
-// attention sums and sample sets. With staleness the profile Current
-// returns after each Complete is the previous round's, untouched.
+// attention sums and sample sets. Rebuilding the spare leaves the latest
+// profile, the one a round reads while its pass runs, untouched.
 func TestRunIntoReusesSpare(t *testing.T) {
 	m, samples := fixture(t)
 	p := Profiler{Bits: quant.Bits4, TrackSamples: true}
@@ -146,10 +153,15 @@ func TestRunIntoReusesSpare(t *testing.T) {
 		s := &StaleScheduler{Enabled: stale}
 		ws := moe.NewWorkspace()
 		var last *Result // the result the previous round completed
+		var lastTokens int
+		var lastCounts []float64
 		for round := range 5 {
 			batch := samples[round*3 : round*3+9]
 			spare := s.Spare()
 			got := p.RunInto(spare, m, m.Cfg, batch, ws)
+			if round > 0 && s.Latest() != last {
+				t.Fatalf("round %d: rebuilding the spare clobbered the latest profile", round)
+			}
 			if spare != nil && got != spare {
 				t.Fatalf("round %d: RunInto did not rebuild the spare", round)
 			}
@@ -165,11 +177,12 @@ func TestRunIntoReusesSpare(t *testing.T) {
 					}
 				}
 			}
-			s.Complete(got)
-			if stale && round > 0 && s.Current() != last {
-				t.Fatalf("round %d: rebuilding the spare clobbered the visible profile", round)
+			if round > 0 && (last.Tokens != lastTokens || !slices.Equal(last.Stats.Counts[0], lastCounts)) {
+				t.Fatalf("round %d: rebuilding the spare changed the latest profile", round)
 			}
-			last = got
+			s.Complete(got)
+			last, lastTokens = got, got.Tokens
+			lastCounts = append(lastCounts[:0], got.Stats.Counts[0]...)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func referenceLayerForward(l *Layer, x *tensor.Matrix, c *layerCache, ws *Worksp
 	c.attnP = tensor.Grow(c.attnP, T, T)
 	for t := 0; t < T; t++ {
 		row := c.attnP.Row(t)
-		tensor.DotRows(row[:t+1], ws.q.Row(t), ws.k.Data, D)
+		dotRows(row[:t+1], ws.q.Row(t), ws.k.Data, D)
 		for u := 0; u <= t; u++ {
 			row[u] *= scale
 		}

@@ -20,7 +20,7 @@ import (
 // It is the per-token expert backward Layer.Backward ran before it took its
 // routed tokens by expert, four at a time (Expert.backwardBlock), and the
 // oracle of that form: untrimmedLayerBackward makes one call per routed
-// token. Both products through the weights are tensor.DotRows: dh = W2·dy,
+// token. Both products through the weights are dotRows: dh = W2·dy,
 // then zeroed where the ReLU gate is closed, and dx += W1·dh, summed in
 // scratch and then added, so each dx[i] takes its whole sum in one add. The
 // weight gradients are dW2 row j += hidden[j]·dy for the open units and
@@ -31,7 +31,7 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 	dy = dy[:dim]
 	hidden = hidden[:ffn]
 	dh := scratch[:ffn]
-	tensor.DotRows(dh, dy, e.W2.Data, dim)
+	dotRows(dh, dy, e.W2.Data, dim)
 	for j, h := range hidden {
 		b := math.Float64bits(dh[j])
 		if h == 0 {
@@ -55,10 +55,18 @@ func (e *Expert) Backward(g *ExpertGrad, x, hidden, dy, dx, scratch []float64) {
 		return
 	}
 	sum := scratch[ffn : ffn+len(x)]
-	tensor.DotRows(sum, dh, e.W1.Data, ffn)
+	dotRows(sum, dh, e.W1.Data, ffn)
 	dx = dx[:len(x)]
 	for i, s := range sum {
 		dx[i] += s
+	}
+}
+
+// dotRows writes W·x into y, one tensor.Dot per row: y[j] is the dot
+// product of x with row j of W, which starts at w[j·stride].
+func dotRows(y, x, w []float64, stride int) {
+	for j := range y {
+		y[j] = tensor.Dot(w[j*stride:j*stride+len(x)], x)
 	}
 }
 

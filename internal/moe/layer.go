@@ -150,17 +150,18 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	// Pre-norm for attention.
 	c.xNorm = tensor.Grow(c.xNorm, T, D)
 	c.invStd1 = growFloats(c.invStd1, T)
-	for t := 0; t < T; t++ {
-		c.invStd1[t] = layerNormRow(c.xNorm.Row(t), x.Row(t))
-	}
+	layerNormRows(c.xNorm, x, 0, c.invStd1)
 
-	// Single-head causal attention.
+	// Single-head causal attention. The keys are transposed (D × T) once,
+	// so that each row's scores are one AxpyRows; backward reads no key.
 	ws.q = tensor.Grow(ws.q, T, D)
 	ws.k = tensor.Grow(ws.k, T, D)
 	ws.v = tensor.Grow(ws.v, T, D)
 	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
 	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
 	ws.mul.MatMulInto(ws.v, c.xNorm, l.Wv)
+	ws.kT = tensor.Grow(ws.kT, D, T)
+	keyColumns(ws.kT, ws.k, 0)
 	// Row t attends over its live prefix [0, t] only; the masked positions
 	// above the diagonal get probability +0, which backward's
 	// MatMulTransAInto and the attnRecv sums below read.
@@ -170,7 +171,7 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	ws.attnOut.Zero()
 	for t := 0; t < T; t++ {
 		row := c.attnP.Row(t)
-		attendRow(ws.attnOut.Row(t), row[:t+1], ws.q.Row(t), ws.k.Data, ws.v.Data, scale)
+		attendRow(ws.attnOut.Row(t), row[:t+1], ws.q.Row(t), ws.kT, ws.v.Data, scale)
 		clear(row[t+1:])
 	}
 	c.x1 = tensor.Grow(c.x1, T, D)
@@ -208,9 +209,7 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	// Pre-norm for MoE.
 	c.xMid = tensor.Grow(c.xMid, T, D)
 	c.invStd2 = growFloats(c.invStd2, T)
-	for t := 0; t < T; t++ {
-		c.invStd2[t] = layerNormRow(c.xMid.Row(t), c.x1.Row(t))
-	}
+	layerNormRows(c.xMid, c.x1, 0, c.invStd2)
 
 	// MoE block. Gate logits for all tokens are one fused matmul (same
 	// ascending-i accumulation as the former per-token inner loop).
@@ -258,20 +257,24 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 }
 
 // attendRow computes one causal attention row over its live positions u =
-// 0…len(probs)-1: probs gets the scores of query q against key rows u of k,
-// scaled and softmaxed, and out (zeroed by the caller) gets the
-// probability-weighted sum of value rows u of v, in ascending u. k and v
-// hold len(q) columns per row. Forward and extend both attend through it,
-// so their rows agree bit for bit by construction. Leaving the masked
+// 0…len(probs)-1: probs gets the scores of query q against key columns u of
+// kT, scaled and softmaxed, and out (zeroed by the caller) gets the
+// probability-weighted sum of value rows u of v, in ascending u. kT holds
+// the keys transposed, one row of kT.Cols positions per dimension of q, and
+// v holds len(q) columns per row. Each score is one AxpyRows output from
+// +0, so it adds its terms in ascending dimension order, the bits of Dot
+// of q with the key row. Forward and extend both attend through it, so
+// their rows agree bit for bit by construction. Leaving the masked
 // positions out matches the full-row form — −Inf scores, a T-wide softmax
 // and a T×T value matmul — bit for bit whenever the live scores and values
 // are finite: a −Inf score never changes the row maximum, its exp is +0,
 // which leaves the sum unchanged, its probability is +0/sum = +0, and the
 // +0·v terms the matmul would add leave every accumulator unchanged (one
 // that starts at +0 never holds −0).
-func attendRow(out, probs, q, k, v []float64, scale float64) {
+func attendRow(out, probs, q []float64, kT *tensor.Matrix, v []float64, scale float64) {
 	D := len(q)
-	tensor.DotRows(probs, q, k, D)
+	clear(probs)
+	tensor.AxpyRows(probs, q, kT.Data, kT.Cols)
 	for u := range probs {
 		probs[u] *= scale
 	}
@@ -281,9 +284,9 @@ func attendRow(out, probs, q, k, v []float64, scale float64) {
 
 // extend is the inference-only incremental form of Forward: x holds the n
 // rows at positions [p, p+n) of a sequence whose first p rows already went
-// through this layer, leaving their key/value rows in kv. The new rows' keys
-// and values are written straight into cache rows [p, p+n) and new row t
-// attends over cache rows [0, p+t]. The output (n × D, owned by c) is
+// through this layer, leaving their keys and values in kv. The new rows'
+// keys are written into cache columns [p, p+n), their values straight into
+// cache rows [p, p+n), and new row t attends over positions [0, p+t]. The output (n × D, owned by c) is
 // bit-identical to rows [p, p+n) of Forward on the whole sequence: the
 // projections, layer norms and moeBlock are per row, and row t's attention
 // is the attendRow call Forward makes for position p+t, on the same key and
@@ -292,20 +295,21 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	n, D := x.Rows, x.Cols
 
 	c.xNorm = tensor.Grow(c.xNorm, n, D)
-	for t := 0; t < n; t++ {
-		layerNormRow(c.xNorm.Row(t), x.Row(t))
-	}
+	c.invStd1 = growFloats(c.invStd1, n)
+	layerNormRows(c.xNorm, x, 0, c.invStd1)
 
 	ws.q = tensor.Grow(ws.q, n, D)
+	ws.k = tensor.Grow(ws.k, n, D)
 	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
-	ws.mul.MatMulInto(ws.cacheRows(kv.k, p, n), c.xNorm, l.Wk)
+	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
+	keyColumns(kv.kT, ws.k, p)
 	ws.mul.MatMulInto(ws.cacheRows(kv.v, p, n), c.xNorm, l.Wv)
 	scale := 1 / math.Sqrt(float64(D))
 	ws.attnOut = tensor.Grow(ws.attnOut, n, D)
 	ws.attnOut.Zero()
 	ws.attnScores = growFloats(ws.attnScores, p+n)
 	for t := 0; t < n; t++ {
-		attendRow(ws.attnOut.Row(t), ws.attnScores[:p+t+1], ws.q.Row(t), kv.k.Data, kv.v.Data, scale)
+		attendRow(ws.attnOut.Row(t), ws.attnScores[:p+t+1], ws.q.Row(t), kv.kT, kv.v.Data, scale)
 	}
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)
@@ -525,10 +529,79 @@ func layerNormBackward(dx, dy, xhat []float64, inv float64) {
 	}
 }
 
+// keyColumns writes row t of the keys k into column p+t of kT, the keys
+// transposed: one row per dimension, one column per position.
+func keyColumns(kT, k *tensor.Matrix, p int) {
+	for d := 0; d < k.Cols; d++ {
+		col := kT.Data[d*kT.Cols+p : d*kT.Cols+p+k.Rows]
+		for t := range col {
+			col[t] = k.Data[t*k.Cols+d]
+		}
+	}
+}
+
+// layerNormRows writes LayerNorm of src's rows [from, from+dst.Rows) into
+// dst's rows, and each row's 1/std into inv. Each row is
+// layerNormRow's arithmetic, bit for bit, but the rows go four at a time
+// through layerNorm4, whose four mean and variance sums run interleaved:
+// each sum is one serial chain of dependent adds, so a row alone leaves the
+// adder waiting on its latency. Left-over rows go through layerNormRow.
+func layerNormRows(dst, src *tensor.Matrix, from int, inv []float64) {
+	T := dst.Rows
+	t := 0
+	for ; t+4 <= T; t += 4 {
+		inv[t], inv[t+1], inv[t+2], inv[t+3] = layerNorm4(
+			dst.Row(t), dst.Row(t+1), dst.Row(t+2), dst.Row(t+3),
+			src.Row(from+t), src.Row(from+t+1), src.Row(from+t+2), src.Row(from+t+3))
+	}
+	for ; t < T; t++ {
+		inv[t] = layerNormRow(dst.Row(t), src.Row(from+t))
+	}
+}
+
+// layerNormEps is the variance floor of every layer norm.
+const layerNormEps = 1e-5
+
+// layerNorm4 is layerNormRow on four rows of one width at once: each row's
+// mean and variance are still their own ascending sums from +0, in the
+// same rounded steps, but the four rows' chains share one loop.
+func layerNorm4(d0, d1, d2, d3, s0, s1, s2, s3 []float64) (i0, i1, i2, i3 float64) {
+	n := len(s0)
+	s1, s2, s3 = s1[:n], s2[:n], s3[:n]
+	d0, d1, d2, d3 = d0[:n], d1[:n], d2[:n], d3[:n]
+	var m0, m1, m2, m3 float64
+	for i, x := range s0 {
+		m0 += x
+		m1 += s1[i]
+		m2 += s2[i]
+		m3 += s3[i]
+	}
+	fn := float64(n)
+	m0, m1, m2, m3 = m0/fn, m1/fn, m2/fn, m3/fn
+	var v0, v1, v2, v3 float64
+	for i, x := range s0 {
+		e0, e1, e2, e3 := x-m0, s1[i]-m1, s2[i]-m2, s3[i]-m3
+		v0 += float64(e0 * e0)
+		v1 += float64(e1 * e1)
+		v2 += float64(e2 * e2)
+		v3 += float64(e3 * e3)
+	}
+	i0 = 1 / math.Sqrt(v0/fn+layerNormEps)
+	i1 = 1 / math.Sqrt(v1/fn+layerNormEps)
+	i2 = 1 / math.Sqrt(v2/fn+layerNormEps)
+	i3 = 1 / math.Sqrt(v3/fn+layerNormEps)
+	for i, x := range s0 {
+		d0[i] = (x - m0) * i0
+		d1[i] = (s1[i] - m1) * i1
+		d2[i] = (s2[i] - m2) * i2
+		d3[i] = (s3[i] - m3) * i3
+	}
+	return i0, i1, i2, i3
+}
+
 // layerNormRow writes LayerNorm(src) into dst and returns 1/std for the
 // frozen-statistics backward approximation.
 func layerNormRow(dst, src []float64) float64 {
-	const eps = 1e-5
 	m := tensor.Mean(src)
 	var va float64
 	for _, x := range src {
@@ -536,7 +609,7 @@ func layerNormRow(dst, src []float64) float64 {
 		va += float64(d * d)
 	}
 	va /= float64(len(src))
-	inv := 1 / math.Sqrt(va+eps)
+	inv := 1 / math.Sqrt(va+layerNormEps)
 	for i, x := range src {
 		dst[i] = (x - m) * inv
 	}

@@ -143,9 +143,7 @@ func (m *Model) headLogits(ws *Workspace, x *tensor.Matrix, from, to int) *tenso
 	ws.headFrom = from
 	ws.normed = tensor.Grow(ws.normed, T, m.Cfg.Dim)
 	ws.invStd = growFloats(ws.invStd, T)
-	for t := 0; t < T; t++ {
-		ws.invStd[t] = layerNormRow(ws.normed.Row(t), x.Row(from+t))
-	}
+	layerNormRows(ws.normed, x, from, ws.invStd)
 	ws.logits = tensor.Grow(ws.logits, T, m.Head.Cols)
 	ws.mul.MatMulInto(ws.logits, ws.normed, m.Head)
 	return ws.logits

@@ -92,6 +92,60 @@ func TestLayerNorm(t *testing.T) {
 	}
 }
 
+// TestLayerNormRowsBitIdentity holds layerNormRows — four rows a pass, with
+// left-over rows one at a time — to one layerNormRow per row, bit for bit:
+// every row count 0–9 (each remainder after the four-row groups), widths 1,
+// 3, 16 and 24, a source offset, and rows of ordinary values, constants,
+// ±0, magnitudes near 1e±150 and a NaN, in both outputs and the 1/stds.
+func TestLayerNormRowsBitIdentity(t *testing.T) {
+	g := tensor.NewRNG(43)
+	fill := func(row []float64) {
+		switch g.Intn(6) {
+		case 0:
+			for i := range row {
+				row[i] = 7 // zero variance: 1/std is 1/sqrt(eps)
+			}
+		case 1:
+			for i := range row {
+				row[i] = math.Copysign(0, -1)
+			}
+		case 2:
+			for i := range row {
+				row[i] = 1e150 * g.Norm()
+			}
+		case 3:
+			for i := range row {
+				row[i] = 1e-150 * g.Norm()
+			}
+		default:
+			for i := range row {
+				row[i] = 3 * g.Norm()
+			}
+		}
+		if g.Intn(8) == 0 {
+			row[g.Intn(len(row))] = math.NaN()
+		}
+	}
+	for _, D := range []int{1, 3, 16, 24} {
+		for T := 0; T <= 9; T++ {
+			const from = 2
+			src := tensor.NewMatrix(from+T, D)
+			for r := 0; r < src.Rows; r++ {
+				fill(src.Row(r))
+			}
+			got, want := tensor.NewMatrix(T, D), tensor.NewMatrix(T, D)
+			invGot, invWant := make([]float64, T), make([]float64, T)
+			layerNormRows(got, src, from, invGot)
+			for r := 0; r < T; r++ {
+				invWant[r] = layerNormRow(want.Row(r), src.Row(from+r))
+			}
+			if !sameBits(got.Data, want.Data) || !sameBits(invGot, invWant) {
+				t.Fatalf("D=%d T=%d: layerNormRows differs from layerNormRow per row", D, T)
+			}
+		}
+	}
+}
+
 func TestCatalogMatchesTable1(t *testing.T) {
 	cat := Catalog()
 	if len(cat) != 5 {

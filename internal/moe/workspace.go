@@ -34,11 +34,12 @@ type Workspace struct {
 	caches  []*layerCache
 	x       *tensor.Matrix // token embeddings (layer 0 input)
 	q, k, v *tensor.Matrix // attention projections (transient per layer)
+	kT      *tensor.Matrix // k transposed, D × T: one AxpyRows per row's scores
 	attnOut *tensor.Matrix
 
 	// Decode state (resetDecode / Model.extendWS): kv[l] holds layer l's
-	// key/value rows for the decLen positions already pushed through the
-	// model; kvNew is the MatMulInto target viewing the cache rows being
+	// keys and values for the decLen positions already pushed through the
+	// model; kvNew is the MatMulInto target viewing the value rows being
 	// written; attnScores is one new row's attention scores.
 	kv         []kvCache
 	decLen     int
@@ -103,9 +104,10 @@ func (ws *Workspace) cachesFor(n int) []*layerCache {
 	return ws.caches[:n]
 }
 
-// kvCache is one layer's attention keys and values, one row per cached
-// position.
-type kvCache struct{ k, v *tensor.Matrix }
+// kvCache is one layer's attention keys and values: the keys transposed,
+// one column per cached position (Dim × capacity), as attendRow reads them,
+// and the values one row per position.
+type kvCache struct{ kT, v *tensor.Matrix }
 
 // resetDecode empties the decode state and sizes every layer's cache for a
 // sequence of up to rows positions.
@@ -114,14 +116,14 @@ func (ws *Workspace) resetDecode(layers, rows, dim int) {
 		ws.kv = append(ws.kv, kvCache{})
 	}
 	for l := range ws.kv[:layers] {
-		ws.kv[l].k = tensor.Grow(ws.kv[l].k, rows, dim)
+		ws.kv[l].kT = tensor.Grow(ws.kv[l].kT, dim, rows)
 		ws.kv[l].v = tensor.Grow(ws.kv[l].v, rows, dim)
 	}
 	ws.decLen = 0
 }
 
 // cacheRows returns ws.kvNew pointed at rows [p, p+n) of the cache matrix m,
-// so a matmul writes new key/value rows straight into the cache. The view
+// so a matmul writes new value rows straight into the cache. The view
 // never leaves the layer that asked for it.
 func (ws *Workspace) cacheRows(m *tensor.Matrix, p, n int) *tensor.Matrix {
 	ws.kvNew.Rows, ws.kvNew.Cols = n, m.Cols

@@ -9,8 +9,11 @@ package tensor
 //     exactly one term. OuterRows and OuterNonzeroRows, the expert weight
 //     gradients.
 //   - Dot form, y = W·x: every output is one reduction, a single accumulator
-//     summed in ascending order from +0. DotRows (and Dot, its one-row case),
-//     and DotRows4, the same over four vectors at once.
+//     summed in ascending order from +0. Dot, and DotRows4, the same over
+//     four vectors at once. Where one vector meets a whole matrix — a query
+//     against every key — the caller transposes the matrix and takes the
+//     Axpy form instead: AxpyRows from a +0 output adds each output's terms
+//     in the same ascending order as Dot, so the bits are the same.
 //
 // Beside them are one elementwise kernel, ReLU, the expert FFN's clamp,
 // and one row kernel, Softmax (vector.go), whose exp is Exp (exp.go).
@@ -30,16 +33,13 @@ package tensor
 // zero-skipping ones first turn x into a bit mask, 64 rows at a time, and
 // then visit only its set bits. DotRows4 puts four vectors in the four
 // lanes, so lane l is vector l's dot product with a row of W and no lane
-// ever mixes two sums: it runs at the Axpy form's rate. DotRows, with one
-// vector, keeps four rows of W in the four lanes of one accumulator instead:
-// it multiplies a 4×4 block of W by x elementwise and transposes the
-// products in registers, so each lane still adds its own row's terms in
-// ascending order, at about half that rate. Splitting one row's sum across
-// lanes would reorder it and change bits, which is why Dot itself — a single
-// reduction with no second output to vectorise across — stays scalar, as do
-// the layer-norm reductions. Softmax vectorises its elementwise work, the
-// exps and the divides, four lanes wide, and adds each lane into its one
-// scalar sum in ascending order; its max is order-free.
+// ever mixes two sums: it runs at the Axpy form's rate. Splitting one sum
+// across lanes would reorder it and change bits, which is why Dot itself — a
+// single reduction with no second output to vectorise across — stays
+// scalar. The layer norms' reductions stay scalar too, but their caller
+// interleaves the chains of four rows. Softmax vectorises its elementwise
+// work, the exps and the divides, four lanes wide, and adds each lane into
+// its one scalar sum in ascending order; its max is order-free.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
 // must not overlap x. It is the inner kernel of the weighted expert sum
@@ -61,8 +61,8 @@ func Axpy(a float64, x, y []float64) {
 // y in registers across all rows instead of loading and storing it once per
 // row. stride must be at least len(y), w must hold the last row, and y must
 // not overlap x or w. It is the inner kernel of MulScratch.MatMulInto and
-// MatMulTransBInto, the expert FFN's W1 sweep, attention's value sum and
-// PCA's power iteration.
+// MatMulTransBInto, the expert FFN's W1 sweep, attention's scores (on
+// transposed keys) and value sum, and PCA's power iteration.
 //
 // Hot path: the row-times-matrix kernel of every forward matmul and expert W1
 // sweep; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
@@ -121,32 +121,12 @@ func OuterNonzeroRows(g, x, y []float64, stride int) {
 	outerNonzeroRows(g, x, y, stride)
 }
 
-// DotRows computes W·x into y: y[j] = Σₖ w[j·stride+k]·x[k] for every j <
-// len(y), where row j of W starts at w[j·stride]. It overwrites y, and each
-// y[j] is bit-identical to Dot(w[j·stride:j·stride+len(x)], x): one
-// accumulator per row, starting from +0, terms in ascending k. It is the
-// transpose dual of AxpyRows. stride must be at least len(x), w must hold
-// the last row, and y must not overlap x or w. It is the attention scores'
-// kernel, one query against every key row; where several vectors meet the
-// same W, DotRows4 takes them four at a time at twice the rate.
-//
-// Hot path: the matrix-times-vector kernel of attention scores; 0 allocs/op,
-// pinned by TestAxpyKernelsZeroAllocs.
-func DotRows(y, x, w []float64, stride int) {
-	if stride < len(x) {
-		panic("tensor: dotrows stride shorter than a row")
-	}
-	if len(y) > 0 && len(w) < (len(y)-1)*stride+len(x) {
-		panic("tensor: dotrows weights shorter than the last row")
-	}
-	dotRows(y, x, w, stride)
-}
-
-// DotRows4 is DotRows over four vectors stored interleaved: x holds k
+// DotRows4 computes W·x for four vectors stored interleaved: x holds k
 // elements of each, vector l's element i at x[i·4+l], and y receives
-// len(y)/4 rows the same way. y[j·4+l] = Σᵢ w[j·stride+i]·x[i·4+l], bit-
-// identical to Dot(w[j·stride:j·stride+k], vector l): one accumulator per
-// output, from +0, terms in ascending i. It overwrites y. len(x) and len(y)
+// len(y)/4 rows the same way, where row j of W starts at w[j·stride].
+// y[j·4+l] = Σᵢ w[j·stride+i]·x[i·4+l], bit-identical to
+// Dot(w[j·stride:j·stride+k], vector l): one accumulator per output, from
+// +0, terms in ascending i. It overwrites y. len(x) and len(y)
 // must be multiples of four, stride at least k = len(x)/4, w must hold the
 // last row, and y must not overlap x or w. The assembly form holds vector
 // l in lane l, so it multiplies a broadcast w element by a whole row of x
@@ -281,15 +261,6 @@ func dotRows4Generic(y, x, w []float64, stride int) {
 			s3 += float64(wv * xi[3])
 		}
 		y[j], y[j+1], y[j+2], y[j+3] = s0, s1, s2, s3
-		off += stride
-	}
-}
-
-// dotRowsGeneric is the portable DotRows: literally one Dot per row.
-func dotRowsGeneric(y, x, w []float64, stride int) {
-	off := 0
-	for j := range y {
-		y[j] = Dot(w[off:off+len(x)], x)
 		off += stride
 	}
 }

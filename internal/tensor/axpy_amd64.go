@@ -72,14 +72,6 @@ func outerNonzeroRows(g, x, y []float64, stride int) {
 	}
 }
 
-func dotRows(y, x, w []float64, stride int) {
-	if useAVX {
-		dotRowsAVX(y, x, w, stride)
-		return
-	}
-	dotRowsGeneric(y, x, w, stride)
-}
-
 func dotRows4(y, x, w []float64, stride int) {
 	if useAVX {
 		dotRows4AVX(y, x, w, stride)
@@ -151,16 +143,6 @@ func outerRowsAVX(g, x, y []float64, stride int)
 //
 //go:noescape
 func outerNonzeroRowsAVX(g, x, y []float64, stride int)
-
-// dotRowsAVX is dotRowsGeneric with four rows per YMM accumulator: each 4×4
-// block of W is multiplied by four elements of x and transposed in
-// registers, so lane i adds row i's terms in ascending order. Two such row
-// groups are in flight at a time, then a 4-row group, then 1-row tails; a
-// len(x) that is not a multiple of four finishes each group with
-// column-gathered single terms. Lengths are the caller's check.
-//
-//go:noescape
-func dotRowsAVX(y, x, w []float64, stride int)
 
 // dotRows4AVX is dotRows4Generic with lane l holding vector l: per row of
 // W one YMM accumulator, from +0, and per term one broadcast element of the

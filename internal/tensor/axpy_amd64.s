@@ -708,181 +708,6 @@ onzdone:
 	VZEROUPPER
 	RET
 
-// DOTBLOCK adds one 4×4 block of W into the accumulator acc: the rows at
-// base, base+R8, base+AX and base+R12 (lanes 0–3), columns k..k+3. The
-// transpose is half done by the loads: each YMM gets two columns of two rows,
-// lanes 0 and 2 or 1 and 3 (VMOVUPD, then VINSERTF128 from memory into the
-// upper half, both on the load ports). Multiplied by x[k..k+1] or
-// x[k+2..k+3] (broadcast per half in Y8/Y9), one VUNPCKLPD/VUNPCKHPD per
-// column then pairs the halves into a vector of four products, one per row,
-// and the four adds run in ascending k.
-#define DOTBLOCK(base, acc) \
-	VMOVUPD     (base), X0; \
-	VINSERTF128 $1, (base)(AX*1), Y0, Y0; \
-	VMOVUPD     (base)(R8*1), X1; \
-	VINSERTF128 $1, (base)(R12*1), Y1, Y1; \
-	VMOVUPD     16(base), X2; \
-	VINSERTF128 $1, 16(base)(AX*1), Y2, Y2; \
-	VMOVUPD     16(base)(R8*1), X3; \
-	VINSERTF128 $1, 16(base)(R12*1), Y3, Y3; \
-	VMULPD      Y8, Y0, Y0; \
-	VMULPD      Y8, Y1, Y1; \
-	VMULPD      Y9, Y2, Y2; \
-	VMULPD      Y9, Y3, Y3; \
-	VUNPCKLPD   Y1, Y0, Y4; \
-	VUNPCKHPD   Y1, Y0, Y5; \
-	VUNPCKLPD   Y3, Y2, Y6; \
-	VUNPCKHPD   Y3, Y2, Y7; \
-	VADDPD      Y4, acc, acc; \
-	VADDPD      Y5, acc, acc; \
-	VADDPD      Y6, acc, acc; \
-	VADDPD      Y7, acc, acc
-
-// DOTTERM adds one term into acc for the same four rows: column k, gathered
-// from the rows, times x[k] broadcast in Y8.
-#define DOTTERM(base, acc) \
-	VMOVSD      (base), X0; \
-	VMOVHPD     (base)(R8*1), X0, X0; \
-	VMOVSD      (base)(AX*1), X1; \
-	VMOVHPD     (base)(R12*1), X1, X1; \
-	VINSERTF128 $1, X1, Y0, Y0; \
-	VMULPD      Y8, Y0, Y0; \
-	VADDPD      Y0, acc, acc
-
-// func dotRowsAVX(y, x, w []float64, stride int)
-//
-// Register use: DI = &y[j], CX = rows left, SI = &x[0], BX = len(x),
-// DX = &w[j*stride]; R8, AX and R12 = the byte offsets of lanes 1, 2 and 3's
-// rows from lane 0's (stride, 2·stride and 3·stride); per row group R9 =
-// &x[k], R10 = &w[j*stride+k], R13 = R10 four rows down, R11 = terms left.
-// Y14 accumulates rows j..j+3 and Y15 rows j+4..j+7, each lane from +0. The
-// last 1–3 rows run as one more 4-row group whose missing lanes re-read the
-// last row, and only the real lanes are stored.
-TEXT ·dotRowsAVX(SB), NOSPLIT, $0-80
-	MOVQ y_base+0(FP), DI
-	MOVQ y_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), BX
-	MOVQ w_base+48(FP), DX
-	MOVQ stride+72(FP), R8
-	SHLQ $3, R8
-	LEAQ (R8)(R8*1), AX
-	LEAQ (R8)(R8*2), R12
-
-dgroup8:
-	CMPQ    CX, $8
-	JLT     dgroup4
-	VXORPD  Y14, Y14, Y14
-	VXORPD  Y15, Y15, Y15
-	MOVQ    SI, R9
-	MOVQ    DX, R10
-	LEAQ    (DX)(R8*4), R13
-	MOVQ    BX, R11
-	PCALIGN $32
-
-dblock8:
-	CMPQ           R11, $4
-	JLT            dterm8
-	VBROADCASTF128 (R9), Y8
-	VBROADCASTF128 16(R9), Y9
-	DOTBLOCK(R10, Y14)
-	DOTBLOCK(R13, Y15)
-	ADDQ           $32, R9
-	ADDQ           $32, R10
-	ADDQ           $32, R13
-	SUBQ           $4, R11
-	JMP            dblock8
-
-dterm8:
-	TESTQ        R11, R11
-	JEQ          dstore8
-	VBROADCASTSD (R9), Y8
-	DOTTERM(R10, Y14)
-	DOTTERM(R13, Y15)
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	ADDQ         $8, R13
-	DECQ         R11
-	JMP          dterm8
-
-dstore8:
-	VMOVUPD Y14, (DI)
-	VMOVUPD Y15, 32(DI)
-	ADDQ    $64, DI
-	LEAQ    (DX)(R8*8), DX
-	SUBQ    $8, CX
-	JMP     dgroup8
-
-dgroup4:
-	TESTQ CX, CX
-	JEQ   ddone
-	CMPQ  CX, $4
-	JGE   dacc4
-	MOVQ  R8, AX  // two rows left: lanes 1–3 read row 1
-	MOVQ  R8, R12
-	CMPQ  CX, $2
-	JEQ   dacc4
-	JGT   dlast3
-	XORL  R8, R8  // one row left: every lane reads row 0
-	XORL  AX, AX
-	XORL  R12, R12
-	JMP   dacc4
-
-dlast3:
-	LEAQ (R8)(R8*1), AX // three rows left: lanes 1–3 read rows 1, 2, 2
-	MOVQ AX, R12
-
-dacc4:
-	VXORPD  Y14, Y14, Y14
-	MOVQ    SI, R9
-	MOVQ    DX, R10
-	MOVQ    BX, R11
-	PCALIGN $32
-
-dblock4:
-	CMPQ           R11, $4
-	JLT            dterm4
-	VBROADCASTF128 (R9), Y8
-	VBROADCASTF128 16(R9), Y9
-	DOTBLOCK(R10, Y14)
-	ADDQ           $32, R9
-	ADDQ           $32, R10
-	SUBQ           $4, R11
-	JMP            dblock4
-
-dterm4:
-	TESTQ        R11, R11
-	JEQ          dstore4
-	VBROADCASTSD (R9), Y8
-	DOTTERM(R10, Y14)
-	ADDQ         $8, R9
-	ADDQ         $8, R10
-	DECQ         R11
-	JMP          dterm4
-
-dstore4:
-	CMPQ    CX, $4
-	JLT     dstorepart
-	VMOVUPD Y14, (DI)
-	ADDQ    $32, DI
-	LEAQ    (DX)(R8*4), DX
-	SUBQ    $4, CX
-	JMP     dgroup4
-
-dstorepart:
-	VMOVSD       X14, (DI)
-	CMPQ         CX, $2
-	JLT          ddone
-	VMOVHPD      X14, 8(DI)
-	CMPQ         CX, $3
-	JLT          ddone
-	VEXTRACTF128 $1, Y14, X0
-	VMOVSD       X0, 16(DI)
-
-ddone:
-	VZEROUPPER
-	RET
-
 // D4ROWS adds one term into the accumulators of four rows: the elements at
 // base, base+R8, base+2·R8 and base+R12 — column i of four consecutive rows
 // of W — each broadcast, times x's row i of four vectors in Y8.

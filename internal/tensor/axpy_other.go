@@ -12,8 +12,6 @@ func outerRows(g, x, y []float64, stride int) { outerRowsGeneric(g, x, y, stride
 
 func outerNonzeroRows(g, x, y []float64, stride int) { outerNonzeroRowsGeneric(g, x, y, stride) }
 
-func dotRows(y, x, w []float64, stride int) { dotRowsGeneric(y, x, w, stride) }
-
 func dotRows4(y, x, w []float64, stride int) { dotRows4Generic(y, x, w, stride) }
 
 func relu(y []float64) { reluGeneric(y) }

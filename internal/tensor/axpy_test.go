@@ -11,7 +11,7 @@ import (
 // the bits of the one-element reference loops below. The property tests run
 // every length 0–130 (all of the assembly's 16/8/4/1-wide steps and their
 // combinations), unaligned slice starts, row strides n…n+3 and 0–30 rows
-// (0–70 for the row kernels added with DotRows), over values chosen to
+// (0–70 for the zero-skipping row kernels), over values chosen to
 // expose any reordering or fusion: ±0, subnormals, and magnitudes near
 // 1e±300 whose products overflow to ±Inf or underflow. ReLU's grid adds
 // ±Inf and quiet and signalling NaNs of either sign, whose bits it must keep.
@@ -59,18 +59,6 @@ func scalarOuterNonzeroRows(g, x, y []float64, stride int) {
 	}
 }
 
-// scalarDotRows is DotRows' specification: one accumulator per row, from +0,
-// one rounded multiply and one rounded add per term in ascending k.
-func scalarDotRows(y, x, w []float64, stride int) {
-	for j := range y {
-		var s float64
-		for k, xv := range x {
-			s += float64(w[j*stride+k] * xv)
-		}
-		y[j] = s
-	}
-}
-
 // scalarDotRows4 is DotRows4's specification: per row of w and per lane l,
 // one accumulator from +0 over vector l's elements x[i·4+l], one rounded
 // multiply and one rounded add per term in ascending i.
@@ -87,20 +75,17 @@ func scalarDotRows4(y, x, w []float64, stride int) {
 	}
 }
 
-// fourDotRows is DotRows4 as four exported DotRows calls, one per lane: it
-// de-interleaves the vectors, runs DotRows on each and interleaves the
-// results.
-func fourDotRows(y, x, w []float64, stride int) {
-	k, rows := len(x)/4, len(y)/4
+// fourDots is DotRows4 as one exported Dot per output: it de-interleaves
+// the vectors and takes each one's dot product with every row of w.
+func fourDots(y, x, w []float64, stride int) {
+	k := len(x) / 4
 	v := make([]float64, k)
-	out := make([]float64, rows)
 	for l := 0; l < 4; l++ {
 		for i := range v {
 			v[i] = x[i*4+l]
 		}
-		DotRows(out, v, w, stride)
-		for j, o := range out {
-			y[j*4+l] = o
+		for j := 0; j < len(y)/4; j++ {
+			y[j*4+l] = Dot(w[j*stride:j*stride+k], v)
 		}
 	}
 }
@@ -146,7 +131,7 @@ func sign(g *RNG) float64 {
 const (
 	axpyMaxLen   = 130
 	axpyMaxRows  = 30
-	rowsMaxLen   = 70 // len(x) bound of the DotRows/AxpyNonzeroRows grids
+	rowsMaxLen   = 70 // len(x) bound of the AxpyNonzeroRows grid
 	rowsFullGrid = 20 // lengths up to which those grids cross every offset and stride
 	axpyGuard    = 5  // elements beside y that no kernel may write
 )
@@ -261,15 +246,14 @@ func checkAxpyRows(t *testing.T, got, want func(y, x, w []float64, stride int)) 
 // checkRows runs got and want on identical copies of every case of the row
 // kernel grid and compares them bit for bit: every len(y) 0–130 × len(x)
 // 0–70, y/x offsets 0–3 (w offset one more, mod 4) behind axpyGuard guard
-// elements, and strides n…n+3, where n is the row length — len(x) for a
-// dot-form kernel (rows of W are indexed by y), len(y) for an Axpy-form one
-// (rows are indexed by x). Lengths up to rowsFullGrid, which reach every
+// elements, and strides n…n+3, where n = len(y) is the row length. Lengths
+// up to rowsFullGrid, which reach every
 // panel, row group and tail of the assembly, run all 16 offset × stride
 // combinations; above it each length pair runs one, cycling through all 16,
 // which keeps the grid affordable under the race detector. w is cut to
-// exactly the length the last row needs. nanX puts a NaN into every x as
-// well as the zeros mixedFill gives.
-func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float64, stride int)) {
+// exactly the length the last row needs. Every x gets a NaN as well as the
+// zeros mixedFill gives.
+func checkRows(t *testing.T, got, want func(y, x, w []float64, stride int)) {
 	t.Helper()
 	g := NewRNG(31)
 	xBuf := make([]float64, rowsMaxLen+3)
@@ -282,13 +266,8 @@ func checkRows(t *testing.T, dotForm, nanX bool, got, want func(y, x, w []float6
 		mixedFill(g, yInit)
 		for nx := 0; nx <= rowsMaxLen; nx++ {
 			mixedFill(g, xBuf)
-			if nanX {
-				xBuf[g.Intn(len(xBuf))] = x86NaN
-			}
+			xBuf[g.Intn(len(xBuf))] = x86NaN
 			rows, n := nx, ny
-			if dotForm {
-				rows, n = ny, nx
-			}
 			for c := 0; c < 16; c++ {
 				if (ny > rowsFullGrid || nx > rowsFullGrid) && c != (ny*(rowsMaxLen+1)+nx)%16 {
 					continue
@@ -536,19 +515,12 @@ func TestAxpyPortableBitIdentity(t *testing.T) {
 	checkAxpyRows(t, axpyRowsGeneric, scalarAxpyRows)
 }
 
-// TestDotRowsPortableBitIdentity pins the portable DotRows — one Dot per
-// row — to the one-accumulator-per-row reference.
-func TestDotRowsPortableBitIdentity(t *testing.T) {
-	checkRows(t, true, false, dotRowsGeneric, scalarDotRows)
-}
-
 // TestDotRows4PortableBitIdentity pins the portable DotRows4 to its
 // one-accumulator-per-output specification, and the exported DotRows4 —
-// the assembly where it runs — to four exported DotRows calls, one per
-// vector.
+// the assembly where it runs — to one exported Dot per output.
 func TestDotRows4PortableBitIdentity(t *testing.T) {
 	checkDotRows4(t, dotRows4Generic, scalarDotRows4)
-	checkDotRows4(t, DotRows4, fourDotRows)
+	checkDotRows4(t, DotRows4, fourDots)
 }
 
 // TestNonzeroRowsChunkEdges pins the exported zero-skipping kernels — the
@@ -562,7 +534,7 @@ func TestNonzeroRowsChunkEdges(t *testing.T) {
 // TestAxpyNonzeroRowsPortableBitIdentity pins the portable AxpyNonzeroRows
 // to the one-Axpy-per-nonzero-row reference, NaN rows included.
 func TestAxpyNonzeroRowsPortableBitIdentity(t *testing.T) {
-	checkRows(t, false, true, axpyNonzeroRowsGeneric, scalarAxpyNonzeroRows)
+	checkRows(t, axpyNonzeroRowsGeneric, scalarAxpyNonzeroRows)
 }
 
 // TestOuterRowsPortableBitIdentity pins the portable rank-1 kernels — one
@@ -692,9 +664,6 @@ func TestAxpyKernelsPanic(t *testing.T) {
 		{"OuterRows short g", func() { OuterRows(make([]float64, 2*5+3), make([]float64, 3), make([]float64, 4), 5) }},
 		{"OuterNonzeroRows stride shorter than y", func() { OuterNonzeroRows(make([]float64, 8), make([]float64, 2), make([]float64, 4), 3) }},
 		{"OuterNonzeroRows short g", func() { OuterNonzeroRows(make([]float64, 2*5+3), make([]float64, 3), make([]float64, 4), 5) }},
-		{"DotRows stride shorter than x", func() { DotRows(make([]float64, 2), make([]float64, 4), make([]float64, 8), 3) }},
-		{"DotRows negative stride", func() { DotRows(make([]float64, 2), nil, make([]float64, 8), -1) }},
-		{"DotRows short w", func() { DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+3), 5) }},
 		{"DotRows4 x not by four", func() { DotRows4(make([]float64, 4), make([]float64, 6), make([]float64, 8), 2) }},
 		{"DotRows4 y not by four", func() { DotRows4(make([]float64, 6), make([]float64, 8), make([]float64, 8), 2) }},
 		{"DotRows4 stride shorter than a row", func() { DotRows4(make([]float64, 8), make([]float64, 12), make([]float64, 8), 2) }},
@@ -719,9 +688,6 @@ func TestAxpyKernelsPanic(t *testing.T) {
 	OuterRows(make([]float64, 2*5+4), make([]float64, 3), make([]float64, 4), 5)
 	OuterNonzeroRows(make([]float64, 2*5+4), make([]float64, 3), make([]float64, 4), 5)
 	OuterRows(nil, nil, make([]float64, 4), 4)
-	DotRows(nil, make([]float64, 4), nil, 4)
-	DotRows(make([]float64, 3), nil, nil, 0)
-	DotRows(make([]float64, 3), make([]float64, 4), make([]float64, 2*5+4), 5)
 	DotRows4(nil, make([]float64, 16), nil, 4)
 	DotRows4(make([]float64, 12), nil, nil, 0)
 	DotRows4(make([]float64, 12), make([]float64, 16), make([]float64, 2*5+4), 5)
@@ -737,7 +703,6 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		Axpy(0.5, y[:24], x)
 		AxpyRows(y, x, w, 48)
 		AxpyNonzeroRows(y, x, w, 48)
-		DotRows(x, y, w, 48)
 		DotRows4(y4, x4, w, 48)
 		OuterRows(w, x, y, 48)
 		OuterNonzeroRows(w, x, y, 48)
@@ -745,7 +710,7 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		Softmax(y[:len(x)], x)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows + DotRows4 + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows4 + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
 
 	// MatMulInto on a warm scratch, through both the single-block path and
@@ -822,34 +787,9 @@ func BenchmarkAxpyRows(b *testing.B) {
 	}
 }
 
-// BenchmarkDotRows runs DotRows at the expert backward's shapes: rows×len(x)
-// = 48×24 (dh = W2·dy) and 24×48 (dx = W1·dh).
-func BenchmarkDotRows(b *testing.B) {
-	for _, sh := range []struct{ rows, cols int }{{48, 24}, {24, 48}} {
-		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
-			g := NewRNG(5)
-			x := make([]float64, sh.cols)
-			w := make([]float64, sh.rows*sh.cols)
-			y := make([]float64, sh.rows)
-			for i := range x {
-				x[i] = g.Norm()
-			}
-			for i := range w {
-				w[i] = g.Norm()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				DotRows(y, x, w, sh.cols)
-			}
-		})
-	}
-}
-
 // BenchmarkDotRows4 runs DotRows4 at the expert backward's shapes on both
-// stand-ins — rows×terms = 48×24 and 64×24 (dh = W2·dy) and 24×48 and 24×64
-// (dx = W1·dh) — with method=four the same four products as four DotRows
-// calls, the per-token form it replaces.
+// stand-ins: rows×terms = 48×24 and 64×24 (dh = W2·dy) and 24×48 and 24×64
+// (dx = W1·dh).
 func BenchmarkDotRows4(b *testing.B) {
 	for _, sh := range []struct{ rows, cols int }{{48, 24}, {24, 48}, {64, 24}, {24, 64}} {
 		g := NewRNG(10)
@@ -862,18 +802,10 @@ func BenchmarkDotRows4(b *testing.B) {
 		for i := range w {
 			w[i] = g.Norm()
 		}
-		b.Run(fmt.Sprintf("shape=%dx%d/method=dotrows4", sh.rows, sh.cols), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shape=%dx%d", sh.rows, sh.cols), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				DotRows4(y, x, w, sh.cols)
-			}
-		})
-		b.Run(fmt.Sprintf("shape=%dx%d/method=four", sh.rows, sh.cols), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for l := 0; l < 4; l++ {
-					DotRows(y[l*sh.rows:(l+1)*sh.rows], x[l*sh.cols:(l+1)*sh.cols], w, sh.cols)
-				}
 			}
 		})
 	}

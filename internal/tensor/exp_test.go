@@ -313,20 +313,23 @@ func TestTopKNaN(t *testing.T) {
 // BenchmarkSoftmax runs Softmax at the models' row lengths: 8 and 16 (the
 // LLaMA and DeepSeek stand-ins' gate rows, and attention rows of that many
 // live positions) and 48 (a vocabulary row of the cross-entropy and of
-// option scoring).
+// option scoring), and at attention rows of 3, 9 and 20 live positions,
+// whose last elements take the assembly's masked tail. Rows are cut from
+// one matrix, as the model's are: a row in a small allocation of its own
+// reads markedly slower at the tail lengths.
 func BenchmarkSoftmax(b *testing.B) {
-	for _, n := range []int{8, 16, 48} {
+	const rows = 8
+	for _, n := range []int{3, 8, 9, 16, 20, 48} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := NewRNG(8)
-			src := make([]float64, n)
-			dst := make([]float64, n)
-			for i := range src {
-				src[i] = 2 * g.Norm()
+			src, dst := NewMatrix(rows, n), NewMatrix(rows, n)
+			for i := range src.Data {
+				src.Data[i] = 2 * g.Norm()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Softmax(dst, src)
+				Softmax(dst.Row(i%rows), src.Row(i%rows))
 			}
 		})
 	}

@@ -6,8 +6,9 @@ import "math"
 // accumulator from +0, terms in ascending order, and it stays scalar: a
 // single sum has no second output to vectorise across, and splitting it
 // across lanes would reorder it and change bits. Where many dot products
-// share one vector — W·x — DotRows vectorises across the rows instead, each
-// lane still one such accumulator, bit for bit.
+// share one vector — W·x — the callers run AxpyRows on Wᵀ instead, or
+// DotRows4 over four vectors, each output still one such accumulator, bit
+// for bit.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: dot length mismatch")

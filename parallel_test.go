@@ -3,6 +3,7 @@ package flux_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	flux "repro"
@@ -45,44 +46,90 @@ func runParallelCfg(t *testing.T, cfg flux.Config) *flux.Result {
 // serial path) and workers=8 (the pool). Any float that depends on worker
 // scheduling — accumulation order, RNG stream splitting, phase maxima —
 // breaks this test.
+//
+// Flux hands each round's profiling pass back to the pool, and the next
+// round reads it, so its arms run four rounds at pool widths 2 and 8: in
+// sync mode, under buffered-async aggregation, and on a longtail fleet with
+// a drop deadline.
 func TestSerialParallelBitEquality(t *testing.T) {
+	type arm struct {
+		name    string
+		cfg     func(workers int) flux.Config
+		workers []int
+	}
+	var arms []arm
 	for _, method := range []string{"flux", "fmd", "fmq", "fmes"} {
-		t.Run(method, func(t *testing.T) {
-			serial := runParallelCfg(t, parallelConfig(method, 1))
-			parallel := runParallelCfg(t, parallelConfig(method, 8))
-
-			if len(serial.Events) != len(parallel.Events) {
-				t.Fatalf("curve lengths differ: serial %d, parallel %d", len(serial.Events), len(parallel.Events))
+		arms = append(arms, arm{method, func(w int) flux.Config { return parallelConfig(method, w) }, []int{8}})
+	}
+	fluxArm := func(name string, edit func(*flux.Config)) arm {
+		return arm{"flux/" + name, func(w int) flux.Config {
+			cfg := parallelConfig("flux", w)
+			cfg.Rounds = 4
+			edit(&cfg)
+			return cfg
+		}, []int{2, 8}}
+	}
+	arms = append(arms,
+		fluxArm("sync", func(*flux.Config) {}),
+		fluxArm("async", func(c *flux.Config) {
+			c.Aggregation = flux.AggregationSpec{Mode: flux.AggAsync, BufferK: 3, StalenessAlpha: 0.5}
+		}),
+		fluxArm("longtail-drop", func(c *flux.Config) {
+			c.Participants = 12
+			c.DatasetSize = 120
+			c.Fleet = flux.FleetSpec{Distribution: "longtail", Seed: "parallel", Deadline: 300, Drop: true}
+		}),
+	)
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			serial := runParallelCfg(t, a.cfg(1))
+			if strings.HasSuffix(a.name, "-drop") && serial.Dropped == 0 {
+				t.Fatal("the deadline dropped no participant; the arm no longer exercises it")
 			}
-			for i := range serial.Events {
-				a, b := serial.Events[i], parallel.Events[i]
-				if a.Round != b.Round {
-					t.Fatalf("event %d: rounds %d vs %d", i, a.Round, b.Round)
-				}
-				if a.Score != b.Score {
-					t.Errorf("round %d: score %v (serial) != %v (parallel)", a.Round, a.Score, b.Score)
-				}
-				if a.UplinkBytes != b.UplinkBytes {
-					t.Errorf("round %d: uplink %v != %v", a.Round, a.UplinkBytes, b.UplinkBytes)
-				}
-				if a.ExpertsTouched != b.ExpertsTouched {
-					t.Errorf("round %d: experts touched %d != %d", a.Round, a.ExpertsTouched, b.ExpertsTouched)
-				}
-				if a.SimHours != b.SimHours {
-					t.Errorf("round %d: sim hours %v != %v", a.Round, a.SimHours, b.SimHours)
-				}
-				if err := samePhases(a.Phases, b.Phases); err != nil {
-					t.Errorf("round %d: %v", a.Round, err)
-				}
-			}
-			if serial.Final != parallel.Final || serial.Baseline != parallel.Baseline {
-				t.Errorf("summary scores differ: serial final=%v baseline=%v, parallel final=%v baseline=%v",
-					serial.Final, serial.Baseline, parallel.Final, parallel.Baseline)
-			}
-			if err := samePhases(serial.Phases, parallel.Phases); err != nil {
-				t.Errorf("aggregate phase breakdown: %v", err)
+			for _, w := range a.workers {
+				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+					sameRun(t, serial, runParallelCfg(t, a.cfg(w)))
+				})
 			}
 		})
+	}
+}
+
+// sameRun requires a pooled run to reproduce the serial one bit for bit:
+// every round's score, traffic, experts touched, simulated hours and
+// phases, and the summary.
+func sameRun(t *testing.T, serial, parallel *flux.Result) {
+	t.Helper()
+	if len(serial.Events) != len(parallel.Events) {
+		t.Fatalf("curve lengths differ: serial %d, parallel %d", len(serial.Events), len(parallel.Events))
+	}
+	for i := range serial.Events {
+		a, b := serial.Events[i], parallel.Events[i]
+		if a.Round != b.Round {
+			t.Fatalf("event %d: rounds %d vs %d", i, a.Round, b.Round)
+		}
+		if a.Score != b.Score {
+			t.Errorf("round %d: score %v (serial) != %v (parallel)", a.Round, a.Score, b.Score)
+		}
+		if a.UplinkBytes != b.UplinkBytes {
+			t.Errorf("round %d: uplink %v != %v", a.Round, a.UplinkBytes, b.UplinkBytes)
+		}
+		if a.ExpertsTouched != b.ExpertsTouched {
+			t.Errorf("round %d: experts touched %d != %d", a.Round, a.ExpertsTouched, b.ExpertsTouched)
+		}
+		if a.SimHours != b.SimHours {
+			t.Errorf("round %d: sim hours %v != %v", a.Round, a.SimHours, b.SimHours)
+		}
+		if err := samePhases(a.Phases, b.Phases); err != nil {
+			t.Errorf("round %d: %v", a.Round, err)
+		}
+	}
+	if serial.Final != parallel.Final || serial.Baseline != parallel.Baseline {
+		t.Errorf("summary scores differ: serial final=%v baseline=%v, parallel final=%v baseline=%v",
+			serial.Final, serial.Baseline, parallel.Final, parallel.Baseline)
+	}
+	if err := samePhases(serial.Phases, parallel.Phases); err != nil {
+		t.Errorf("aggregate phase breakdown: %v", err)
 	}
 }
 
