@@ -155,8 +155,9 @@ func BenchmarkRound(b *testing.B) {
 // model clone, the update arena, and — over a few full-length random
 // sequences, enough to route tokens to every expert — the workspace and the
 // lazily allocated expert gradients; then it runs one participant of r on
-// each scratch, which grows what the method keeps per worker (Flux's
-// customized model, merge planner and probe buffers). A round alone does
+// each scratch, and the work it hands back, which grows what the method
+// keeps per worker (Flux's customized model, merge planner, probe buffers
+// and spare profile). A round alone does
 // not: the pool hands out slots first come, first served, so on a box with
 // fewer cores than workers some scratches sit a round out and would do that
 // growing inside the timed region instead. The barrier holds each worker
@@ -185,7 +186,9 @@ func warmPool(b *testing.B, env *fed.Env, r fed.Rounder) {
 			local.ForwardBackwardWS(s.Workspace(), seq, nil, grads, nil, -1)
 		}
 		s.ExtractUpdate(local, i, 1, tuning)
-		part(s, slot, i)
+		if after := part(s, slot, i).After; after != nil {
+			after(s)
+		}
 	})
 	if err != nil {
 		b.Fatal(err)
