@@ -309,14 +309,17 @@ func BenchmarkEvaluate(b *testing.B) {
 
 // BenchmarkMatMul tracks the tiled kernel at the model's own shapes (small:
 // the 64×24 × 24×24 attention projection of the training config, on the
-// dense single-block fast path) and at a blocked shape large enough to
-// exercise the packing loop.
+// dense single-block fast path; a 22-token sequence's attention projection
+// and its gate logits over 8 experts, on the four-row tier where AVX-512F
+// runs) and at a blocked shape large enough to exercise the packing loop.
 func BenchmarkMatMul(b *testing.B) {
 	shapes := []struct {
 		name    string
 		m, k, n int
 	}{
 		{"shape=64x24x24", 64, 24, 24},
+		{"shape=22x24x8", 22, 24, 8},
+		{"shape=22x24x24", 22, 24, 24},
 		{"shape=256x192x160", 256, 192, 160},
 	}
 	for _, sh := range shapes {
@@ -370,7 +373,7 @@ func benchPretrain(b *testing.B, workers int) {
 
 func BenchmarkQuantizeModel(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant"))
-	qm := m.Clone() // the profiling clone, reused as a worker scratch reuses it
+	qm := m.CloneInto(nil) // the profiling clone, reused as a worker scratch reuses it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -392,7 +395,7 @@ func BenchmarkQuantizedGlobal(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("op=%s/workers=%d", op, workers), func(b *testing.B) {
 				models := [2]*moe.Model{moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-quant"))}
-				models[1] = models[0].Clone()
+				models[1] = models[0].CloneInto(nil)
 				env := &fed.Env{Cfg: fed.Config{Participants: 1, Workers: workers}, Global: models[0]}
 				env.QuantizedGlobal(quant.Bits4)
 				b.ReportAllocs()
@@ -492,7 +495,7 @@ func BenchmarkModelCodec(b *testing.B) {
 		}
 	})
 	b.Run("op=decode-into", func(b *testing.B) {
-		replica := m.Clone()
+		replica := m.CloneInto(nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

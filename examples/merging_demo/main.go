@@ -75,7 +75,7 @@ func main() {
 		merge.OutputError(local, global, seqs))
 
 	// Contrast: discarding instead of merging.
-	discard := local.Clone()
+	discard := local.CloneInto(nil)
 	for _, layer := range discard.Layers {
 		for _, e := range layer.Experts {
 			if len(e.MergedFrom) > 0 {

@@ -99,7 +99,7 @@ func TestFMQRequantizesExperts(t *testing.T) {
 
 	// requantizeExperts rounds in place; it must leave exactly the bits the
 	// materialised code matrix (Quantize then Dequantize) reconstructs.
-	m := env.Global.Clone()
+	m := env.Global.CloneInto(nil)
 	requantizeExperts(m, q.Bits)
 	for l, layer := range env.Global.Layers {
 		for e, src := range layer.Experts {

@@ -365,7 +365,7 @@ func Figure9(o Options) *Table {
 			step = 4
 		}
 		for e := 0; e < experts; e += step {
-			local := m.Clone()
+			local := m.CloneInto(nil)
 			ex := local.ExpertAt(l, e)
 			ex.W1.Zero()
 			ex.W2.Zero()

@@ -83,7 +83,7 @@ func TestAggregateMatchesOracle(t *testing.T) {
 		{Weight: 1e6, Experts: map[ExpertKey][]float64{}},
 	}
 	for cut := 0; cut <= len(updates); cut++ {
-		got, want := base.Clone(), base.Clone()
+		got, want := base.CloneInto(nil), base.CloneInto(nil)
 		nGot, nWant := Aggregate(got, updates[:cut]), aggregateOracle(want, updates[:cut])
 		if nGot != nWant {
 			t.Fatalf("%d updates: Aggregate updated %d experts, the oracle %d", cut, nGot, nWant)

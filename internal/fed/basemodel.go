@@ -43,7 +43,7 @@ func BaseModelContext(ctx context.Context, modelCfg moe.Config, cfg Config) (*mo
 	baseMu.Lock()
 	defer baseMu.Unlock()
 	if m, ok := baseCache[key]; ok {
-		return m.Clone(), nil
+		return m.CloneInto(nil), nil
 	}
 	model, err := moe.New(modelCfg, tensor.Named("base-model/"+modelCfg.Name))
 	if err != nil {
@@ -61,7 +61,7 @@ func BaseModelContext(ctx context.Context, modelCfg moe.Config, cfg Config) (*mo
 		return nil, err // partially trained; do not cache
 	}
 	baseCache[key] = model
-	return model.Clone(), nil
+	return model.CloneInto(nil), nil
 }
 
 // ResetBaseModelCache clears the cache; tests use it to measure cold-start

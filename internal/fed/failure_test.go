@@ -34,7 +34,7 @@ func TestAggregateTolerantOfDropout(t *testing.T) {
 		t.Fatalf("survivor average = %v want 2", got)
 	}
 	// A fully empty round is a no-op.
-	snapshot := global.Clone()
+	snapshot := global.CloneInto(nil)
 	if Aggregate(global, nil) != 0 {
 		t.Fatal("empty aggregation should touch nothing")
 	}

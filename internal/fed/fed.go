@@ -397,7 +397,7 @@ func NewEnvContext(ctx context.Context, modelCfg moe.Config, profile data.Profil
 // from an identical state.
 func (e *Env) CloneForMethod(method string) *Env {
 	c := *e
-	c.Global = e.Global.Clone()
+	c.Global = e.Global.CloneInto(nil)
 	c.RNG = tensor.Named("method/" + method).Split(e.Profile.Name)
 	c.state = &envState{method: method} // fresh counters and worker scratch, not shared
 	return &c

@@ -30,7 +30,7 @@ func runStaleFlushes(t *testing.T, alpha float64) float64 {
 		tuning[l] = []int{0}
 	}
 	mk := func(p int, shift float64) Update {
-		c := m.Clone()
+		c := m.CloneInto(nil)
 		ex := c.ExpertAt(0, 0)
 		flat := ex.FlattenTo(nil)
 		for i := range flat {
@@ -80,7 +80,7 @@ func TestFlushBlendsIntoGlobal(t *testing.T) {
 	env.Cfg.Agg = AggSpec{Mode: ModeAsync, BufferK: 1}
 	before := m.ExpertAt(0, 0).FlattenTo(nil)
 
-	c := m.Clone()
+	c := m.CloneInto(nil)
 	ex := c.ExpertAt(0, 0)
 	flat := ex.FlattenTo(nil)
 	for i := range flat {

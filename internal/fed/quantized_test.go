@@ -125,7 +125,7 @@ func TestQuantizedGlobalWorkersBitIdentity(t *testing.T) {
 	for _, mc := range []moe.Config{moe.SimConfigLLaMATrain(), moe.SimConfigDeepSeekTrain()} {
 		global := moe.MustNew(mc, tensor.Named("quantized-workers"))
 		for _, bits := range []quant.Bits{quant.Bits2, quant.Bits4, quant.Bits8} {
-			want := global.Clone()
+			want := global.CloneInto(nil)
 			moe.Quantize(want, bits)
 			wantDigest := modelDigest(want)
 			for _, workers := range []int{1, 2, 8} {

@@ -318,7 +318,7 @@ func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 				cfg.Participants = 2
 				cfg.Agg = AggSpec{Mode: mode, BufferK: 1}
 				global := moe.MustNew(moe.Uniform("inproc-bad", 48, 12, 16, 2, 4, 2, 32), tensor.Named("inproc-bad"))
-				snapshot := global.Clone()
+				snapshot := global.CloneInto(nil)
 				env := &Env{Cfg: cfg, Global: global}
 				stats, err := env.RunRound(corruptRounder{tc.corrupt}, 0)
 				if err == nil || !strings.Contains(err.Error(), "update from 1 rejected") {

@@ -70,7 +70,7 @@ func FuzzCheckUpdate(f *testing.F) {
 				t.Fatalf("accepted reply re-encodes differently")
 			}
 		}
-		env := &Env{Cfg: cfg, Global: global.Clone()}
+		env := &Env{Cfg: cfg, Global: global.CloneInto(nil)}
 		o, err := env.finishRound([]int{peerID}, []SlotResult{p.slot})
 		if err != nil {
 			return
@@ -141,7 +141,7 @@ func FuzzRoundMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		replica := warm.Clone()
+		replica := warm.CloneInto(nil)
 		if _, _, err := checkBroadcast(body, 0, replica); err != nil {
 			return
 		}

@@ -54,7 +54,7 @@ func clientEnv(global *moe.Model, n int) *Env {
 	cfg := DefaultConfig()
 	cfg.Participants, cfg.Batch, cfg.LocalIters, cfg.LR = n, 3, 1, 0.5
 	ds := data.Generate(data.GSM8K(), global.Cfg.VocabSize, 40, tensor.NewRNG(1))
-	return &Env{Cfg: cfg, Global: global.Clone(), Shards: data.PartitionNonIID(ds.Samples, n, 1.0, tensor.NewRNG(2))}
+	return &Env{Cfg: cfg, Global: global.CloneInto(nil), Shards: data.PartitionNonIID(ds.Samples, n, 1.0, tensor.NewRNG(2))}
 }
 
 func TestTCPFederatedRound(t *testing.T) {
@@ -67,7 +67,7 @@ func TestTCPFederatedRound(t *testing.T) {
 	}
 	defer ln.Close()
 
-	snapshot := global.Clone()
+	snapshot := global.CloneInto(nil)
 	// The replicas copy global before the server starts writing it: only
 	// the TCP exchange orders a copy made later before the server's
 	// aggregation, and the race detector does not see that order.
@@ -244,7 +244,7 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 func TestTCPTuningSubset(t *testing.T) {
 	modelCfg := moe.Uniform("tcp-sub", 48, 12, 16, 2, 4, 2, 64)
 	global := moe.MustNew(modelCfg, tensor.Named("tcp-sub"))
-	snapshot := global.Clone()
+	snapshot := global.CloneInto(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -580,7 +580,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 	for _, tc := range malformedUpdates {
 		t.Run(tc.name, func(t *testing.T) {
 			global := moe.MustNew(moe.Uniform("tcp-bad", 48, 12, 16, 2, 4, 2, 32), tensor.Named("tcp-bad"))
-			snapshot := global.Clone()
+			snapshot := global.CloneInto(nil)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -601,7 +601,7 @@ func TestRunRoundRejectsMalformedUpdates(t *testing.T) {
 						t.Errorf("peer %d: %v", id, err)
 						return
 					}
-					moved := snapshot.Clone()
+					moved := snapshot.CloneInto(nil)
 					for _, layer := range moved.Layers {
 						for _, e := range layer.Experts {
 							e.W1.Scale(2)

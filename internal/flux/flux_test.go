@@ -102,7 +102,7 @@ func TestFluxImprovesModel(t *testing.T) {
 
 func TestFluxGlobalModelMutated(t *testing.T) {
 	env := testEnv(t, "flux-mutates")
-	snapshot := env.Global.Clone()
+	snapshot := env.Global.CloneInto(nil)
 	r := New(DefaultOptions(4), env.Cfg.Participants)
 	runRound(t, env, r, 0)
 	changed := false

@@ -11,7 +11,7 @@ import (
 // referenceLayerForward is Layer.Forward with its attention in the full-row
 // form: every masked score set to −Inf, a T-wide softmax, and one T×T
 // MatMulInto for the value sum. It is the oracle the live-prefix attention
-// of Forward (attendRow) is held to bit for bit.
+// of Forward (attend) is held to bit for bit.
 func referenceLayerForward(l *Layer, x *tensor.Matrix, c *layerCache, ws *Workspace) *tensor.Matrix {
 	T, D := x.Rows, x.Cols
 	c.xNorm = tensor.Grow(c.xNorm, T, D)
@@ -20,23 +20,23 @@ func referenceLayerForward(l *Layer, x *tensor.Matrix, c *layerCache, ws *Worksp
 		c.invStd1[t] = layerNormRow(c.xNorm.Row(t), x.Row(t))
 	}
 	ws.q = tensor.Grow(ws.q, T, D)
-	ws.k = tensor.Grow(ws.k, T, D)
+	k := tensor.NewMatrix(T, D)
 	ws.v = tensor.Grow(ws.v, T, D)
 	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
-	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
+	ws.mul.MatMulInto(k, c.xNorm, l.Wk)
 	ws.mul.MatMulInto(ws.v, c.xNorm, l.Wv)
 	scale := 1 / math.Sqrt(float64(D))
 	c.attnP = tensor.Grow(c.attnP, T, T)
 	for t := 0; t < T; t++ {
 		row := c.attnP.Row(t)
-		dotRows(row[:t+1], ws.q.Row(t), ws.k.Data, D)
+		dotRows(row[:t+1], ws.q.Row(t), k.Data, D)
 		for u := 0; u <= t; u++ {
 			row[u] *= scale
 		}
 		for u := t + 1; u < T; u++ {
 			row[u] = math.Inf(-1)
 		}
-		tensor.SoftmaxInPlace(row)
+		tensor.Softmax(row, row)
 	}
 	ws.attnOut = tensor.Grow(ws.attnOut, T, D)
 	ws.mul.MatMulInto(ws.attnOut, c.attnP, ws.v)

@@ -158,7 +158,7 @@ func TestDecodeIntoOverwritesInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := src.Clone()
+		dst := src.CloneInto(nil)
 		dst.Embed.Data[1], dst.Layers[1].Experts[0].W2.Data[0] = 42, 42
 		embed, w2 := &dst.Embed.Data[0], &dst.Layers[1].Experts[0].W2.Data[0]
 		if got, err := DecodeInto(dst, blob); err != nil || got != dst {
@@ -187,7 +187,7 @@ func TestDecodeIntoZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := m.Clone()
+	replica := m.CloneInto(nil)
 	if n := testing.AllocsPerRun(5, func() { DecodeInto(replica, blob) }); n != 0 {
 		t.Fatalf("DecodeInto into a model of the same config made %v allocations, want 0", n)
 	}

@@ -134,7 +134,7 @@ func TestGradsReset(t *testing.T) {
 // materialised code matrix's reconstruction.
 func TestQuantizeMatchesQuantizedClone(t *testing.T) {
 	m := testModel(t, "quantize")
-	want := m.Clone()
+	want := m.CloneInto(nil)
 	rt := func(mat *tensor.Matrix) { mat.CopyFrom(quant.Quantize(mat, quant.Bits4).Dequantize()) }
 	rt(want.Embed)
 	rt(want.Head)
@@ -148,7 +148,7 @@ func TestQuantizeMatchesQuantizedClone(t *testing.T) {
 			rt(e.W2)
 		}
 	}
-	got := m.Clone()
+	got := m.CloneInto(nil)
 	Quantize(got, quant.Bits4)
 	modelsEqual(t, want, got)
 }

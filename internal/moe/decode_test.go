@@ -66,7 +66,7 @@ type decodeVariant struct {
 func decodeVariants(t *testing.T, cfg Config) []decodeVariant {
 	t.Helper()
 	fresh := MustNew(cfg, tensor.Named("decode/"+cfg.Name))
-	trained := fresh.Clone()
+	trained := fresh.CloneInto(nil)
 	if _, err := PretrainContext(context.Background(), trained, func(g *tensor.RNG) []int { return wsSeq(g, cfg.VocabSize, 12) },
 		6, 2, 0.5, tensor.NewRNG(31), 1); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func decodeVariants(t *testing.T, cfg Config) []decodeVariant {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quantized := trained.Clone()
+	quantized := trained.CloneInto(nil)
 	Quantize(quantized, quant.Bits4)
 	return []decodeVariant{
 		{"fresh", fresh},

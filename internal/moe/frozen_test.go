@@ -83,7 +83,7 @@ func TestFrozenBackwardBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle := local.Clone()
+				oracle := local.CloneInto(nil)
 				for _, layer := range oracle.Layers {
 					for _, e := range layer.Experts {
 						e.Frozen = false

@@ -152,27 +152,22 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	c.invStd1 = growFloats(c.invStd1, T)
 	layerNormRows(c.xNorm, x, 0, c.invStd1)
 
-	// Single-head causal attention. The keys are transposed (D × T) once,
-	// so that each row's scores are one AxpyRows; backward reads no key.
+	// Single-head causal attention. The keys land transposed (D × T), so
+	// that each row's scores are one AxpyRows; backward reads no key.
 	ws.q = tensor.Grow(ws.q, T, D)
-	ws.k = tensor.Grow(ws.k, T, D)
 	ws.v = tensor.Grow(ws.v, T, D)
-	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
-	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
-	ws.mul.MatMulInto(ws.v, c.xNorm, l.Wv)
 	ws.kT = tensor.Grow(ws.kT, D, T)
-	keyColumns(ws.kT, ws.k, 0)
+	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
+	ws.mul.MatMulIntoCols(ws.kT, 0, c.xNorm, l.Wk)
+	ws.mul.MatMulInto(ws.v, c.xNorm, l.Wv)
 	// Row t attends over its live prefix [0, t] only; the masked positions
 	// above the diagonal get probability +0, which backward's
 	// MatMulTransAInto and the attnRecv sums below read.
-	scale := 1 / math.Sqrt(float64(D))
 	c.attnP = tensor.Grow(c.attnP, T, T)
 	ws.attnOut = tensor.Grow(ws.attnOut, T, D)
-	ws.attnOut.Zero()
+	attend(ws.attnOut, c.attnP, 0, ws.q, ws.kT, ws.v.Data)
 	for t := 0; t < T; t++ {
-		row := c.attnP.Row(t)
-		attendRow(ws.attnOut.Row(t), row[:t+1], ws.q.Row(t), ws.kT, ws.v.Data, scale)
-		clear(row[t+1:])
+		clear(c.attnP.Row(t)[t+1:])
 	}
 	c.x1 = tensor.Grow(c.x1, T, D)
 	c.x1.CopyFrom(x)
@@ -212,12 +207,14 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	layerNormRows(c.xMid, c.x1, 0, c.invStd2)
 
 	// MoE block. Gate logits for all tokens are one fused matmul (same
-	// ascending-i accumulation as the former per-token inner loop).
+	// ascending-i accumulation as the former per-token inner loop), and
+	// their softmaxes one SoftmaxRows call, in place.
 	out := tensor.Grow(c.out, T, D)
 	c.out = out
 	out.CopyFrom(c.x1)
-	ws.gateLogits = tensor.Grow(ws.gateLogits, T, l.OrigExperts)
-	ws.mul.MatMulInto(ws.gateLogits, c.xMid, l.Gate)
+	ws.gateProbs = tensor.Grow(ws.gateProbs, T, l.OrigExperts)
+	ws.mul.MatMulInto(ws.gateProbs, c.xMid, l.Gate)
+	tensor.SoftmaxRows(ws.gateProbs, l.OrigExperts)
 	// A token routes to at most TopK distinct experts.
 	c.slots, c.hStride = l.TopK, 0
 	for _, ex := range l.Experts {
@@ -227,16 +224,13 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	c.routedExperts = growInts(c.routedExperts, T*c.slots)
 	c.routedWeights = growFloats(c.routedWeights, T*c.slots)
 	c.hidden = growFloats(c.hidden, T*c.slots*c.hStride)
-	ws.gateProbs = growFloats(ws.gateProbs, l.OrigExperts)
 	ws.eOut = growFloats(ws.eOut, D)
-	probs := ws.gateProbs
 	eOut := ws.eOut
 	for t := 0; t < T; t++ {
 		xt := c.xMid.Row(t)
-		tensor.Softmax(probs, ws.gateLogits.Row(t))
 		// routeToken appends in place: its slices have room for every slot.
 		i := t * c.slots
-		experts, weights, orig := l.routeToken(probs, ws,
+		experts, weights, orig := l.routeToken(ws.gateProbs.Row(t), ws,
 			c.routedExperts[i:i:i+c.slots], c.routedWeights[i:i:i+c.slots], ws.routeOrig[:0])
 		c.nRouted[t] = len(experts)
 		ws.routeOrig = orig
@@ -256,41 +250,50 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	return out
 }
 
-// attendRow computes one causal attention row over its live positions u =
-// 0…len(probs)-1: probs gets the scores of query q against key columns u of
-// kT, scaled and softmaxed, and out (zeroed by the caller) gets the
-// probability-weighted sum of value rows u of v, in ascending u. kT holds
-// the keys transposed, one row of kT.Cols positions per dimension of q, and
-// v holds len(q) columns per row. Each score is one AxpyRows output from
-// +0, so it adds its terms in ascending dimension order, the bits of Dot
-// of q with the key row. Forward and extend both attend through it, so
-// their rows agree bit for bit by construction. Leaving the masked
-// positions out matches the full-row form — −Inf scores, a T-wide softmax
-// and a T×T value matmul — bit for bit whenever the live scores and values
-// are finite: a −Inf score never changes the row maximum, its exp is +0,
-// which leaves the sum unchanged, its probability is +0/sum = +0, and the
-// +0·v terms the matmul would add leave every accumulator unchanged (one
-// that starts at +0 never holds −0).
-func attendRow(out, probs, q []float64, kT *tensor.Matrix, v []float64, scale float64) {
-	D := len(q)
-	clear(probs)
-	tensor.AxpyRows(probs, q, kT.Data, kT.Cols)
-	for u := range probs {
-		probs[u] *= scale
+// attend computes causal attention for the rows of q, which sit at
+// positions p, p+1, … of their sequence: row t's scores against key
+// columns u = 0…p+t of kT, scaled, go into row t of scores; all rows are
+// softmaxed in one tensor.SoftmaxRows call; then out's row t (overwritten)
+// gets the probability-weighted sum of value rows u of v, in ascending u.
+// kT holds the keys transposed, one row of kT.Cols positions per dimension
+// of q, and v holds q.Cols columns per row; scores needs p+q.Rows columns,
+// and its entries past each row's live prefix are left as they are. Each
+// score is one AxpyRows output from +0, so it adds its terms in ascending
+// dimension order, the bits of Dot of q with the key row. Forward and
+// extend both attend through it, so their rows agree bit for bit by
+// construction. Leaving the masked positions out matches the full-row
+// form — −Inf scores, a T-wide softmax and a T×T value matmul — bit for
+// bit whenever the live scores and values are finite: a −Inf score never
+// changes the row maximum, its exp is +0, which leaves the sum unchanged,
+// its probability is +0/sum = +0, and the +0·v terms the matmul would add
+// leave every accumulator unchanged (one that starts at +0 never holds −0).
+func attend(out, scores *tensor.Matrix, p int, q, kT *tensor.Matrix, v []float64) {
+	D := q.Cols
+	scale := 1 / math.Sqrt(float64(D))
+	for t := 0; t < q.Rows; t++ {
+		row := scores.Row(t)[:p+t+1]
+		clear(row)
+		tensor.AxpyRows(row, q.Row(t), kT.Data, kT.Cols)
+		for u := range row {
+			row[u] *= scale
+		}
 	}
-	tensor.SoftmaxInPlace(probs)
-	tensor.AxpyRows(out, probs, v, D)
+	tensor.SoftmaxRows(scores, p)
+	out.Zero()
+	for t := 0; t < q.Rows; t++ {
+		tensor.AxpyRows(out.Row(t), scores.Row(t)[:p+t+1], v, D)
+	}
 }
 
 // extend is the inference-only incremental form of Forward: x holds the n
 // rows at positions [p, p+n) of a sequence whose first p rows already went
 // through this layer, leaving their keys and values in kv. The new rows'
 // keys are written into cache columns [p, p+n), their values straight into
-// cache rows [p, p+n), and new row t attends over positions [0, p+t]. The output (n × D, owned by c) is
-// bit-identical to rows [p, p+n) of Forward on the whole sequence: the
-// projections, layer norms and moeBlock are per row, and row t's attention
-// is the attendRow call Forward makes for position p+t, on the same key and
-// value rows.
+// cache rows [p, p+n), and new row t attends over positions [0, p+t]. The
+// output (n × D, owned by c) is bit-identical to rows [p, p+n) of Forward
+// on the whole sequence: the projections, layer norms and moeBlock are per
+// row, and attend gives row t the bits Forward's attend gives position
+// p+t, on the same key and value rows.
 func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *Workspace) *tensor.Matrix {
 	n, D := x.Rows, x.Cols
 
@@ -299,18 +302,12 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	layerNormRows(c.xNorm, x, 0, c.invStd1)
 
 	ws.q = tensor.Grow(ws.q, n, D)
-	ws.k = tensor.Grow(ws.k, n, D)
 	ws.mul.MatMulInto(ws.q, c.xNorm, l.Wq)
-	ws.mul.MatMulInto(ws.k, c.xNorm, l.Wk)
-	keyColumns(kv.kT, ws.k, p)
+	ws.mul.MatMulIntoCols(kv.kT, p, c.xNorm, l.Wk)
 	ws.mul.MatMulInto(ws.cacheRows(kv.v, p, n), c.xNorm, l.Wv)
-	scale := 1 / math.Sqrt(float64(D))
+	ws.attnScores = tensor.Grow(ws.attnScores, n, p+n)
 	ws.attnOut = tensor.Grow(ws.attnOut, n, D)
-	ws.attnOut.Zero()
-	ws.attnScores = growFloats(ws.attnScores, p+n)
-	for t := 0; t < n; t++ {
-		attendRow(ws.attnOut.Row(t), ws.attnScores[:p+t+1], ws.q.Row(t), kv.kT, kv.v.Data, scale)
-	}
+	attend(ws.attnOut, ws.attnScores, p, ws.q, kv.kT, kv.v.Data)
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)
 	c.x1.Add(ws.attnOut)
@@ -526,17 +523,6 @@ func layerNormBackward(dx, dy, xhat []float64, inv float64) {
 	mDy, mDyXhat := sumDy/n, sumDyXhat/n
 	for i, d := range dy {
 		dx[i] += float64(inv * (d - mDy - float64(xhat[i]*mDyXhat)))
-	}
-}
-
-// keyColumns writes row t of the keys k into column p+t of kT, the keys
-// transposed: one row per dimension, one column per position.
-func keyColumns(kT, k *tensor.Matrix, p int) {
-	for d := 0; d < k.Cols; d++ {
-		col := kT.Data[d*kT.Cols+p : d*kT.Cols+p+k.Rows]
-		for t := range col {
-			col[t] = k.Data[t*k.Cols+d]
-		}
 	}
 }
 

@@ -43,31 +43,26 @@ func MustNew(cfg Config, g *tensor.RNG) *Model {
 	return m
 }
 
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{
-		Cfg:    m.Cfg,
-		Embed:  m.Embed.Clone(),
-		Head:   m.Head.Clone(),
-		Layers: make([]*Layer, len(m.Layers)),
-	}
-	// Deep-copy ExpertsPerLayer so merged clones can change it independently.
-	c.Cfg.ExpertsPerLayer = append([]int(nil), m.Cfg.ExpertsPerLayer...)
-	for l, layer := range m.Layers {
-		c.Layers[l] = layer.Clone()
-	}
-	return c
-}
-
 // CloneInto deep-copies m into dst, reusing dst's parameter storage when its
-// shape matches m exactly and falling back to a fresh Clone otherwise. It
-// returns the populated model (dst when reuse succeeded). The worker
-// scratches of the federated engine use it so per-round local clones of the
-// global model stop allocating once shapes stabilize; dst == nil is allowed
-// and behaves like Clone.
+// shape matches m exactly and allocating a fresh copy otherwise; dst == nil
+// makes a first copy. It returns the populated model (dst when reuse
+// succeeded). The worker scratches of the federated engine use it so
+// per-round local clones of the global model stop allocating once shapes
+// stabilize.
 func (m *Model) CloneInto(dst *Model) *Model {
 	if !m.sameShape(dst) {
-		return m.Clone()
+		c := &Model{
+			Cfg:    m.Cfg,
+			Embed:  m.Embed.Clone(),
+			Head:   m.Head.Clone(),
+			Layers: make([]*Layer, len(m.Layers)),
+		}
+		// Deep-copy ExpertsPerLayer so merged clones can change it independently.
+		c.Cfg.ExpertsPerLayer = append([]int(nil), m.Cfg.ExpertsPerLayer...)
+		for l, layer := range m.Layers {
+			c.Layers[l] = layer.Clone()
+		}
+		return c
 	}
 	epl := append(dst.Cfg.ExpertsPerLayer[:0], m.Cfg.ExpertsPerLayer...)
 	dst.Cfg = m.Cfg

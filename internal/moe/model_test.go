@@ -489,7 +489,7 @@ func TestLoadRejectsMisshapenTensors(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	m := tinyModel(t, "clone")
-	c := m.Clone()
+	c := m.CloneInto(nil)
 	for i := range c.Layers[0].Experts[0].W1.Data {
 		c.Layers[0].Experts[0].W1.Data[i] = 9
 	}
@@ -508,7 +508,7 @@ func TestQuantizedCloneApproximatesRouting(t *testing.T) {
 	full := NewActivationStats(m.Cfg, false)
 	q8 := NewActivationStats(m.Cfg, false)
 	q2 := NewActivationStats(m.Cfg, false)
-	qm8, qm2 := m.Clone(), m.Clone()
+	qm8, qm2 := m.CloneInto(nil), m.CloneInto(nil)
 	Quantize(qm8, quant.Bits8)
 	Quantize(qm2, quant.Bits2)
 	for i := 0; i < 20; i++ {
@@ -643,7 +643,7 @@ func TestMergedModelDriftsLessThanDiscard(t *testing.T) {
 	}
 
 	// Discarding = re-routing non-tuning experts to a zero expert.
-	discarded := merged.Clone()
+	discarded := merged.CloneInto(nil)
 	for _, layer := range discarded.Layers {
 		ze := layer.Experts[len(layer.Experts)-1]
 		ze.W1.Zero()

@@ -33,28 +33,28 @@ type Workspace struct {
 	// Forward state. caches[l] persists layer l's activations for backward.
 	caches  []*layerCache
 	x       *tensor.Matrix // token embeddings (layer 0 input)
-	q, k, v *tensor.Matrix // attention projections (transient per layer)
-	kT      *tensor.Matrix // k transposed, D × T: one AxpyRows per row's scores
+	q, v    *tensor.Matrix // attention projections (transient per layer)
+	kT      *tensor.Matrix // the keys transposed, D × T: one AxpyRows per row's scores
 	attnOut *tensor.Matrix
 
 	// Decode state (resetDecode / Model.extendWS): kv[l] holds layer l's
 	// keys and values for the decLen positions already pushed through the
 	// model; kvNew is the MatMulInto target viewing the value rows being
-	// written; attnScores is one new row's attention scores.
+	// written; attnScores holds the new rows' attention scores.
 	kv         []kvCache
 	decLen     int
 	kvNew      tensor.Matrix
-	attnScores []float64
+	attnScores *tensor.Matrix
 	scores     []float64 // Scores: the caller-facing per-option result buffer
 
-	// Routing scratch, reused across tokens.
-	gateLogits *tensor.Matrix
-	gateProbs  []float64
-	topkIdx    []int
-	topkUsed   []bool
-	routeOrig  []int
-	eOut       []float64
-	attnRecv   []float64
+	// Routing scratch, reused across tokens. gateProbs holds every row's
+	// gate logits, then their softmaxes.
+	gateProbs *tensor.Matrix
+	topkIdx   []int
+	topkUsed  []bool
+	routeOrig []int
+	eOut      []float64
+	attnRecv  []float64
 
 	// Final layer norm + head, over the rows from headFrom on.
 	normed   *tensor.Matrix
@@ -105,7 +105,7 @@ func (ws *Workspace) cachesFor(n int) []*layerCache {
 }
 
 // kvCache is one layer's attention keys and values: the keys transposed,
-// one column per cached position (Dim × capacity), as attendRow reads them,
+// one column per cached position (Dim × capacity), as attend reads them,
 // and the values one row per position.
 type kvCache struct{ kT, v *tensor.Matrix }
 

@@ -16,7 +16,8 @@ package tensor
 //     in the same ascending order as Dot, so the bits are the same.
 //
 // Beside them are one elementwise kernel, ReLU, the expert FFN's clamp,
-// and one row kernel, Softmax (vector.go), whose exp is Exp (exp.go).
+// and one row kernel, Softmax (vector.go), with its block form
+// SoftmaxRows, whose exp is Exp (exp.go).
 //
 // Each output gets one rounded multiply and then one rounded add per term,
 // terms in ascending order — never a fused multiply-add — so every form of a
@@ -39,7 +40,10 @@ package tensor
 // scalar. The layer norms' reductions stay scalar too, but their caller
 // interleaves the chains of four rows. Softmax vectorises its elementwise
 // work, the exps and the divides, four lanes wide, and adds each lane into
-// its one scalar sum in ascending order; its max is order-free.
+// its one scalar sum in ascending order; its max is order-free. Where
+// AVX-512F runs, SoftmaxRows instead gives each of eight rows a lane, and
+// MatMulInto runs four rows' Axpy-form chains side by side: a lane is
+// still one output's chain, so neither reorders a sum.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
 // must not overlap x. It is the inner kernel of the weighted expert sum

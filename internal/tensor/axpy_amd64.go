@@ -96,6 +96,48 @@ func softmax(dst, src []float64) {
 	softmaxGeneric(dst, src)
 }
 
+// softmaxRowsMin is the fewest rows of a block that softmaxRowsAVX512 takes;
+// a smaller block — a matrix's last rows past a multiple of eight, or a
+// one-row decode step — runs Softmax row by row. The kernel costs the same
+// whatever the rows in a block, its transposes and eight lanes of Exp, and
+// BenchmarkSoftmaxRowsCrossover (2-vCPU AVX-512 Xeon, go1.24.0) put the
+// crossover at 6 rows of 8 or 16 gate logits, and between 5 and 7 rows of
+// the last rows of a causal matrix of 22 positions, where the two read
+// within a few per cent of each other.
+const softmaxRowsMin = 6
+
+func softmaxRows(m *Matrix, lo int) {
+	full := 0
+	if useAVX512 {
+		full = m.Rows &^ 7
+		if m.Rows-full >= softmaxRowsMin {
+			full = m.Rows
+		}
+		if full > 0 {
+			softmaxRowsAVX512(m.Data, full, m.Cols, lo)
+		}
+	}
+	softmaxEachRow(m, lo, full)
+}
+
+// mulRows4Max is the widest output mulRows4AVX512 takes: three ZMM
+// accumulators a row, four rows.
+const mulRows4Max = 24
+
+// mulRows4 runs MatMulInto's four-row tier, where AVX-512F runs and the
+// output is at most mulRows4Max columns wide, on the rows of x it can take
+// in groups of four, and returns how many it took.
+func mulRows4(y, x, w []float64, k, n, ystride int, trans bool) int {
+	if !useAVX512 || n == 0 || n > mulRows4Max || k == 0 {
+		return 0
+	}
+	rows := len(x) / k &^ 3
+	if rows > 0 {
+		mulRows4AVX512(y, x[:rows*k], w, k, n, ystride, trans)
+	}
+	return rows
+}
+
 // hasAVX reports whether 256-bit AVX instructions may be executed.
 func hasAVX() bool
 
@@ -201,3 +243,30 @@ func outerRowsAVX512(g, x, y []float64, stride int)
 //
 //go:noescape
 func outerNonzeroRowsAVX512(g, x, y []float64, stride int)
+
+// softmaxRowsAVX512 is SoftmaxRows on the first rows rows of a rows×cols
+// matrix at data, eight rows a block, row i of a block in lane i: each
+// block's rows are loaded eight columns at a time under per-row lane masks,
+// dead lanes −Inf, and transposed in registers, so that one register holds
+// one column of eight rows. The row max (VMAXPD, the element as first
+// source) and then Exp's operation sequence and the ascending sum run down
+// the columns, the exps are transposed back and stored, and last every row
+// is divided by its lane's sum. A block of fewer than eight rows runs with
+// its missing lanes masked off. Shapes are the caller's check.
+//
+//go:noescape
+func softmaxRowsAVX512(data []float64, rows, cols, lo int)
+
+// mulRows4AVX512 is y = x·W for a rows×k matrix x, rows a multiple of four,
+// and a k×n matrix W, n ≤ 24, in groups of four rows: the group's outputs
+// are twelve ZMM accumulators at most, one to three a row under lane masks,
+// from +0, and each row k of W is broadcast-multiplied into all four rows
+// before the next, so every element is still one chain of products added
+// in ascending k — AxpyRows's bits — while four rows' chains run side by
+// side. y is row-major with n columns, or, with trans, transposed: output
+// (i, j) goes to y[j·ystride + i], each column of a group stored as four
+// consecutive elements after an in-register 4×8 transpose. Shapes, k ≥ 1,
+// are the caller's check.
+//
+//go:noescape
+func mulRows4AVX512(y, x, w []float64, k, n, ystride int, trans bool)

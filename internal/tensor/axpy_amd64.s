@@ -6,10 +6,10 @@
 // VMULPD/VMULSD, then one rounded VADDPD/VADDSD, never VFMADD, terms in the
 // same order as the portable loops in axpy.go — so the bits are theirs.
 // reluAVX does no arithmetic: a max selects one of its operands' bits.
-// softmaxAVX repeats exp.go's and softmaxGeneric's operations, operand for
-// operand (EXP4 below). The AVX tier uses only AVX1 instructions (the
-// integer work of building 2ᵏ runs on 128-bit halves); the AVX-512 tier at
-// the end of the file uses AVX-512F alone.
+// softmaxAVX and softmaxRowsAVX512 repeat exp.go's and softmaxGeneric's
+// operations, operand for operand (EXP4 and EXP8 below). The AVX tier uses
+// only AVX1 instructions (the integer work of building 2ᵏ runs on 128-bit
+// halves); the AVX-512 tier at the end of the file uses AVX-512F alone.
 
 // func hasAVX() bool
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
@@ -1715,5 +1715,637 @@ zbnext:
 	JMP zbchunk
 
 zbdone:
+	VZEROUPPER
+	RET
+
+// The AVX-512 tier's two block kernels, which have no AVX form:
+// softmaxRowsAVX512, eight rows a block, one row per lane, and
+// mulRows4AVX512, MatMulInto on four rows at once. Each lane still holds
+// one output's serial chain, in the portable loops' order.
+
+// softmaxRowsAVX512's constants: 1023 and 8 as quadwords, for .BCST
+// operands, and the lane numbers 0–7.
+DATA  zExpBias<>+0(SB)/8, $1023
+GLOBL zExpBias<>(SB), RODATA|NOPTR, $8
+DATA  zEight<>+0(SB)/8, $8
+GLOBL zEight<>(SB), RODATA|NOPTR, $8
+DATA  zIota<>+0(SB)/8, $0
+DATA  zIota<>+8(SB)/8, $1
+DATA  zIota<>+16(SB)/8, $2
+DATA  zIota<>+24(SB)/8, $3
+DATA  zIota<>+32(SB)/8, $4
+DATA  zIota<>+40(SB)/8, $5
+DATA  zIota<>+48(SB)/8, $6
+DATA  zIota<>+56(SB)/8, $7
+GLOBL zIota<>(SB), RODATA|NOPTR, $64
+
+// EXP8 sets out to Exp of each lane of Z0, bit for bit, and clobbers Z1–Z6
+// and K7: EXP4's operation sequence on eight lanes, every VSUBPD and VDIVPD
+// with the same operands in the same order, its constants broadcast from
+// EXP4's tables. 2ᵏ is built as exp.go's expScale builds it, in quadword
+// lanes: k sign-extended by VPMOVSXDQ, ⌊k/2⌋ by VPSRAQ, then (k' + 1023)
+// << 52. The special cases are merged in under K7, one range check of Exp
+// at a time, as EXP4 blends them.
+#define EXP8(out) \
+	VMULPD.BCST  expLog2e<>(SB), Z0, Z1; \
+	VPANDQ.BCST  expSign<>(SB), Z0, Z2; \
+	VPORQ.BCST   expHalf<>(SB), Z2, Z2; \
+	VADDPD       Z2, Z1, Z1; \
+	VCVTTPD2DQ   Z1, Y1; \
+	VCVTDQ2PD    Y1, Z2; \
+	VMULPD.BCST  expLn2Hi<>(SB), Z2, Z3; \
+	VSUBPD       Z3, Z0, Z3; \
+	VMULPD.BCST  expLn2Lo<>(SB), Z2, Z4; \
+	VSUBPD       Z4, Z3, Z2; \
+	VMULPD       Z2, Z2, Z5; \
+	VMULPD.BCST  expP5<>(SB), Z5, Z6; \
+	VADDPD.BCST  expP4<>(SB), Z6, Z6; \
+	VMULPD       Z6, Z5, Z6; \
+	VADDPD.BCST  expP3<>(SB), Z6, Z6; \
+	VMULPD       Z6, Z5, Z6; \
+	VADDPD.BCST  expP2<>(SB), Z6, Z6; \
+	VMULPD       Z6, Z5, Z6; \
+	VADDPD.BCST  expP1<>(SB), Z6, Z6; \
+	VMULPD       Z6, Z5, Z6; \
+	VSUBPD       Z6, Z2, Z6; \
+	VMULPD       Z6, Z2, Z2; \
+	VBROADCASTSD expTwo<>(SB), Z5; \
+	VSUBPD       Z6, Z5, Z5; \
+	VDIVPD       Z5, Z2, Z2; \
+	VSUBPD       Z2, Z4, Z2; \
+	VSUBPD       Z3, Z2, Z2; \
+	VBROADCASTSD expOne<>(SB), Z5; \
+	VSUBPD       Z2, Z5, out; \
+	VPMOVSXDQ    Y1, Z1; \
+	VPSRAQ       $1, Z1, Z3; \
+	VPSUBQ       Z3, Z1, Z1; \
+	VPADDQ.BCST  zExpBias<>(SB), Z3, Z3; \
+	VPADDQ.BCST  zExpBias<>(SB), Z1, Z1; \
+	VPSLLQ       $52, Z3, Z3; \
+	VPSLLQ       $52, Z1, Z1; \
+	VMULPD       Z3, out, out; \
+	VMULPD       Z1, out, out; \
+	VPANDQ.BCST  expAbs<>(SB), Z0, Z2; \
+	VCMPPD.BCST  $0x11, expNearZero<>(SB), Z2, K7; \
+	VADDPD.BCST  expOne<>(SB), Z0, K7, out; \
+	VCMPPD.BCST  $0x11, expUnderflow<>(SB), Z0, K7; \
+	VPXORQ       out, out, K7, out; \
+	VCMPPD.BCST  $0x1e, expOverflow<>(SB), Z0, K7; \
+	VBROADCASTSD expInf<>(SB), K7, out; \
+	VCMPPD       $3, Z0, Z0, K7; \
+	VMOVAPD      Z0, K7, out
+
+// TRANSPOSE8 transposes the 8×8 block in Z8–Z15 in place — register i's
+// lane j goes to register j's lane i — through Z0–Z6: pairs of rows
+// interleaved by VUNPCKLPD/VUNPCKHPD, then 128-bit lanes gathered by two
+// rounds of VSHUFF64X2. It is its own inverse.
+#define TRANSPOSE8 \
+	VUNPCKLPD  Z9, Z8, Z0; \
+	VUNPCKHPD  Z9, Z8, Z9; \
+	VUNPCKLPD  Z11, Z10, Z8; \
+	VUNPCKHPD  Z11, Z10, Z11; \
+	VUNPCKLPD  Z13, Z12, Z10; \
+	VUNPCKHPD  Z13, Z12, Z13; \
+	VUNPCKLPD  Z15, Z14, Z12; \
+	VUNPCKHPD  Z15, Z14, Z15; \
+	VSHUFF64X2 $0x88, Z8, Z0, Z1; \
+	VSHUFF64X2 $0xdd, Z8, Z0, Z2; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z3; \
+	VSHUFF64X2 $0xdd, Z11, Z9, Z4; \
+	VSHUFF64X2 $0x88, Z12, Z10, Z5; \
+	VSHUFF64X2 $0xdd, Z12, Z10, Z6; \
+	VSHUFF64X2 $0x88, Z15, Z13, Z0; \
+	VSHUFF64X2 $0xdd, Z15, Z13, Z14; \
+	VSHUFF64X2 $0x88, Z5, Z1, Z8; \
+	VSHUFF64X2 $0xdd, Z5, Z1, Z12; \
+	VSHUFF64X2 $0x88, Z0, Z3, Z9; \
+	VSHUFF64X2 $0xdd, Z0, Z3, Z13; \
+	VSHUFF64X2 $0x88, Z14, Z4, Z11; \
+	VSHUFF64X2 $0xdd, Z14, Z4, Z15; \
+	VSHUFF64X2 $0x88, Z6, Z2, Z10; \
+	VSHUFF64X2 $0xdd, Z6, Z2, Z14
+
+// func softmaxRowsAVX512(data []float64, rows, cols, lo int)
+//
+// Register use: DI = &data[0], BX = rows, DX = cols, SI = lo, R8 = one row
+// in bytes, R15 = the block's first row, R12 its address, R14 its rows
+// (1–8) and R13 its widest row's live count; CX = the chunk's first column,
+// R9–R11 its row pointers (SMLOAD8). The frame holds the eight lanes' max
+// at 0(SP), their sums at 64(SP) and their live counts n_i = min(lo + row
+// + 1, cols), 0 for a lane past the last row, at 128(SP), and pass 3's
+// column bound at 192(SP).
+TEXT ·softmaxRowsAVX512(SB), NOSPLIT, $200-48
+
+// The macros that address the frame are defined inside the function
+// body, whose frame they address.
+
+// SMROWMASK sets K2 to the live columns, among the eight in Z0 (one column
+// number a lane), of the block's row whose live count n sits at off(SP).
+#define SMROWMASK(off) \
+	VPCMPQ.BCST $1, off(SP), Z0, K2
+
+// SMLOAD8 loads columns CX…CX+7 of the block's eight rows into Z8–Z15,
+// each under its row's mask, its dead lanes −Inf and never read: rows 0–2
+// at R9 + 0, 1 and 2 rows, row 3 at R10, row 4 at R9 + 4 rows, rows 5–7
+// at R11 + 0, 1 and 2 rows (R8 = one row in bytes). SMSTORE8 stores them
+// under the same masks. A −Inf never wins a max, and where the max is
+// not −Inf its Exp(−Inf − max) is +0, which leaves a sum from +0
+// unchanged; where the max is −Inf every live element of the row is −Inf
+// or a NaN, so its sum is already a NaN when a dead lane's first reaches
+// it — dead lanes always follow the live ones. So the max and the sum run
+// over whole columns, no lane mask needed.
+#define SMLOADROW(off, m, z) \
+	VBROADCASTSD expNegInf<>(SB), z; \
+	SMROWMASK(off); \
+	VMOVUPD      m, K2, z
+
+#define SMLOAD8 \
+	VPBROADCASTQ CX, Z0; \
+	VPADDQ       zIota<>(SB), Z0, Z0; \
+	SMLOADROW(128, (R9), Z8); \
+	SMLOADROW(136, (R9)(R8*1), Z9); \
+	SMLOADROW(144, (R9)(R8*2), Z10); \
+	SMLOADROW(152, (R10), Z11); \
+	SMLOADROW(160, (R9)(R8*4), Z12); \
+	SMLOADROW(168, (R11), Z13); \
+	SMLOADROW(176, (R11)(R8*1), Z14); \
+	SMLOADROW(184, (R11)(R8*2), Z15)
+
+#define SMSTORE8 \
+	VPBROADCASTQ CX, Z0; \
+	VPADDQ       zIota<>(SB), Z0, Z0; \
+	SMROWMASK(128); \
+	VMOVUPD      Z8, K2, (R9); \
+	SMROWMASK(136); \
+	VMOVUPD      Z9, K2, (R9)(R8*1); \
+	SMROWMASK(144); \
+	VMOVUPD      Z10, K2, (R9)(R8*2); \
+	SMROWMASK(152); \
+	VMOVUPD      Z11, K2, (R10); \
+	SMROWMASK(160); \
+	VMOVUPD      Z12, K2, (R9)(R8*4); \
+	SMROWMASK(168); \
+	VMOVUPD      Z13, K2, (R11); \
+	SMROWMASK(176); \
+	VMOVUPD      Z14, K2, (R11)(R8*1); \
+	SMROWMASK(184); \
+	VMOVUPD      Z15, K2, (R11)(R8*2)
+
+// SMMAXCOL folds a column of the transposed block, z, into each lane's
+// running max in Z7.
+#define SMMAXCOL(z) \
+	VMAXPD Z7, z, Z7
+
+// SMEXPCOL replaces a column of the transposed block, z, with Exp(z − max)
+// and adds it into each lane's sum in Z7.
+#define SMEXPCOL(z) \
+	VSUBPD 0(SP), z, Z0; \
+	EXP8(z); \
+	VADDPD z, Z7, Z7
+
+// SMNEXT moves the chunk pointers R9–R11 eight columns on.
+#define SMNEXT \
+	ADDQ $8, CX; \
+	ADDQ $64, R9; \
+	ADDQ $64, R10; \
+	ADDQ $64, R11
+
+// SMCHUNK0 points R9–R11 at column 0 of the block at R12, CX = 0.
+#define SMCHUNK0 \
+	XORQ CX, CX; \
+	MOVQ R12, R9; \
+	LEAQ (R8)(R8*2), AX; \
+	LEAQ (R12)(AX*1), R10; \
+	LEAQ (R10)(R8*2), R11
+
+	MOVQ data_base+0(FP), DI
+	MOVQ rows+24(FP), BX
+	MOVQ cols+32(FP), DX
+	MOVQ lo+40(FP), SI
+	MOVQ DX, R8
+	SHLQ $3, R8
+	XORQ R15, R15
+	MOVQ DI, R12
+
+smrblock:
+	// The block's rows, its lanes' live counts and its widest row's.
+	MOVQ         BX, R14
+	SUBQ         R15, R14
+	MOVQ         $8, AX
+	CMPQ         R14, AX
+	CMOVQGT      AX, R14
+	LEAQ         1(SI)(R15*1), AX
+	VPBROADCASTQ AX, Z0
+	VPADDQ       zIota<>(SB), Z0, Z0
+	VPBROADCASTQ DX, Z1
+	VPMINSQ      Z1, Z0, Z0
+	MOVQ         $1, AX
+	MOVQ         R14, CX
+	SHLQ         CX, AX
+	DECQ         AX
+	KMOVW        AX, K3
+	VMOVDQA64.Z  Z0, K3, Z0
+	VMOVDQU64    Z0, 128(SP)
+	LEAQ         (SI)(R15*1), R13
+	ADDQ         R14, R13
+	CMPQ         R13, DX
+	CMOVQGT      DX, R13
+
+	// Pass 1: each lane's max over its live columns, in ascending order.
+	VBROADCASTSD expNegInf<>(SB), Z7
+	SMCHUNK0
+
+smrmax:
+	SMLOAD8
+	TRANSPOSE8
+	SMMAXCOL(Z8)
+	SMMAXCOL(Z9)
+	SMMAXCOL(Z10)
+	SMMAXCOL(Z11)
+	SMMAXCOL(Z12)
+	SMMAXCOL(Z13)
+	SMMAXCOL(Z14)
+	SMMAXCOL(Z15)
+	SMNEXT
+	CMPQ CX, R13
+	JLT  smrmax
+
+	// Pass 2: Exp(v − max) into every live element, each lane's sum in
+	// ascending order from +0. A block one chunk wide is still in Z8–Z15.
+	VMOVUPD Z7, 0(SP)
+	VPXORQ  Z7, Z7, Z7
+	SMCHUNK0
+	CMPQ    R13, $8
+	JLE     smrexpcols
+
+smrexp:
+	SMLOAD8
+	TRANSPOSE8
+
+smrexpcols:
+	SMEXPCOL(Z8)
+	SMEXPCOL(Z9)
+	SMEXPCOL(Z10)
+	SMEXPCOL(Z11)
+	SMEXPCOL(Z12)
+	SMEXPCOL(Z13)
+	SMEXPCOL(Z14)
+	SMEXPCOL(Z15)
+
+	// The last chunk's sums are complete: its columns are divided in
+	// place, each lane by its own sum, before they are stored.
+	LEAQ   8(CX), AX
+	CMPQ   AX, R13
+	JLT    smrexpstore
+	VDIVPD Z7, Z8, Z8
+	VDIVPD Z7, Z9, Z9
+	VDIVPD Z7, Z10, Z10
+	VDIVPD Z7, Z11, Z11
+	VDIVPD Z7, Z12, Z12
+	VDIVPD Z7, Z13, Z13
+	VDIVPD Z7, Z14, Z14
+	VDIVPD Z7, Z15, Z15
+
+smrexpstore:
+	TRANSPOSE8
+	SMSTORE8
+	SMNEXT
+	CMPQ CX, R13
+	JLT  smrexp
+
+	// Pass 3: each row's columns before the last chunk, L = CX − 8 of
+	// them, divided by its lane's sum, in row layout.
+	SUBQ    $8, CX
+	JEQ     smrnext
+	MOVQ    CX, 192(SP)
+	VMOVUPD Z7, 64(SP)
+	XORQ    AX, AX
+	MOVQ    R12, R9
+
+smrdivrow:
+	VBROADCASTSD 64(SP)(AX*8), Z1
+	VMOVDQU64    zIota<>(SB), Z0
+	MOVQ         128(SP)(AX*8), R13
+	CMPQ         R13, 192(SP)
+	CMOVQGT      192(SP), R13
+	MOVQ         R9, R10
+	XORQ         CX, CX
+
+smrdiv:
+	VPCMPQ.BCST $1, 128(SP)(AX*8), Z0, K2
+	VMOVUPD.Z   (R10), K2, Z2
+	VDIVPD      Z1, Z2, Z2
+	VMOVUPD     Z2, K2, (R10)
+	VPADDQ.BCST zEight<>(SB), Z0, Z0
+	ADDQ        $64, R10
+	ADDQ        $8, CX
+	CMPQ        CX, R13
+	JLT         smrdiv
+	ADDQ        R8, R9
+	INCQ        AX
+	CMPQ        AX, R14
+	JLT         smrdivrow
+
+smrnext:
+	MOVQ R8, AX
+	SHLQ $3, AX
+	ADDQ AX, R12
+	ADDQ R14, R15
+	CMPQ R15, BX
+	JLT  smrblock
+	VZEROUPPER
+	RET
+
+// mulRows4AVX512's constants: the VPERMI2PD indexes that gather columns
+// 0|2 (and 1|3) and 4|6 (and 5|7) of a 4×8 tile from its rows interleaved
+// in pairs.
+DATA  zT4Lo<>+0(SB)/8, $0
+DATA  zT4Lo<>+8(SB)/8, $1
+DATA  zT4Lo<>+16(SB)/8, $8
+DATA  zT4Lo<>+24(SB)/8, $9
+DATA  zT4Lo<>+32(SB)/8, $2
+DATA  zT4Lo<>+40(SB)/8, $3
+DATA  zT4Lo<>+48(SB)/8, $10
+DATA  zT4Lo<>+56(SB)/8, $11
+GLOBL zT4Lo<>(SB), RODATA|NOPTR, $64
+DATA  zT4Hi<>+0(SB)/8, $4
+DATA  zT4Hi<>+8(SB)/8, $5
+DATA  zT4Hi<>+16(SB)/8, $12
+DATA  zT4Hi<>+24(SB)/8, $13
+DATA  zT4Hi<>+32(SB)/8, $6
+DATA  zT4Hi<>+40(SB)/8, $7
+DATA  zT4Hi<>+48(SB)/8, $14
+DATA  zT4Hi<>+56(SB)/8, $15
+GLOBL zT4Hi<>(SB), RODATA|NOPTR, $64
+
+// M4ROW1–M4ROW3 add the broadcast element of x at xm times the row of W at
+// R10 into one row's one to three accumulators, under K1–K3.
+#define M4ROW1(xm, a1) \
+	VBROADCASTSD xm, Z0; \
+	AXPYZK((R10), K1, a1, Z13)
+
+#define M4ROW2(xm, a1, a2) \
+	M4ROW1(xm, a1); \
+	AXPYZK(64(R10), K2, a2, Z14)
+
+#define M4ROW3(xm, a1, a2, a3) \
+	M4ROW2(xm, a1, a2); \
+	AXPYZK(128(R10), K3, a3, Z15)
+
+// M4TSTORE stores the four rows a, b, c, d of an eight-column group
+// transposed — column j as four elements at AX + j·R15 — its first CX
+// columns only, each half of a register stored by VEXTRACTF64X4. Clobbers
+// a–d, Z0 and Z13–Z15.
+#define M4TSTORE(a, b, c, d, done) \
+	VUNPCKLPD     b, a, Z13; \
+	VUNPCKHPD     b, a, a; \
+	VUNPCKLPD     d, c, Z14; \
+	VUNPCKHPD     d, c, c; \
+	VMOVDQU64     zT4Lo<>(SB), Z15; \
+	VPERMI2PD     Z14, Z13, Z15; \
+	VMOVDQU64     zT4Hi<>(SB), Z0; \
+	VPERMI2PD     Z14, Z13, Z0; \
+	VMOVDQU64     zT4Lo<>(SB), b; \
+	VPERMI2PD     c, a, b; \
+	VMOVDQU64     zT4Hi<>(SB), d; \
+	VPERMI2PD     c, a, d; \
+	VEXTRACTF64X4 $0, Z15, (AX); \
+	CMPQ          CX, $1; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $0, b, (AX); \
+	CMPQ          CX, $2; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $1, Z15, (AX); \
+	CMPQ          CX, $3; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $1, b, (AX); \
+	CMPQ          CX, $4; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $0, Z0, (AX); \
+	CMPQ          CX, $5; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $0, d, (AX); \
+	CMPQ          CX, $6; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $1, Z0, (AX); \
+	CMPQ          CX, $7; \
+	JLE           done; \
+	ADDQ          R15, AX; \
+	VEXTRACTF64X4 $1, d, (AX)
+
+// M4ZERO1–M4ZERO3 set the four rows' one to three accumulators to +0:
+// row r's group g (columns 8g…8g+7) is Z(1+3r+g).
+#define M4ZERO1 \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z4, Z4, Z4; \
+	VPXORQ Z7, Z7, Z7; \
+	VPXORQ Z10, Z10, Z10
+
+#define M4ZERO2 \
+	M4ZERO1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z5, Z5, Z5; \
+	VPXORQ Z8, Z8, Z8; \
+	VPXORQ Z11, Z11, Z11
+
+#define M4ZERO3 \
+	M4ZERO2; \
+	VPXORQ Z3, Z3, Z3; \
+	VPXORQ Z6, Z6, Z6; \
+	VPXORQ Z9, Z9, Z9; \
+	VPXORQ Z12, Z12, Z12
+
+// M4START points R9 and R12 at rows 0 and 3 of the group's x, R10 at row 0
+// of W, and CX at the k rows of W to run.
+#define M4START \
+	MOVQ SI, R9; \
+	LEAQ (R11)(R11*2), AX; \
+	LEAQ (SI)(AX*1), R12; \
+	MOVQ DX, R10; \
+	MOVQ R14, CX
+
+// M4NEXT steps to the next row of W and the next element of each x row,
+// and loops to lbl while rows are left.
+#define M4NEXT(lbl) \
+	ADDQ $8, R9; \
+	ADDQ $8, R12; \
+	ADDQ R8, R10; \
+	DECQ CX; \
+	JNZ  lbl
+
+// M4STORE stores accumulator group g of the four rows in row-major order,
+// under group g's mask kg, at byte offset off of rows 0–3 of y (R8 bytes
+// apart; AX = row 3).
+#define M4STORE(off, kg, a, b, c, d) \
+	VMOVUPD a, kg, off(DI); \
+	VMOVUPD b, kg, off(DI)(R8*1); \
+	VMOVUPD c, kg, off(DI)(R8*2); \
+	VMOVUPD d, kg, off(AX)
+
+// M4COLS sets CX to the columns of group g, min(n − 8g, 8), and AX to
+// where its column 8g starts in the transposed y.
+#define M4COLS(g) \
+	LEAQ    -(8*g)(R13), CX; \
+	MOVQ    $8, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVQ    R15, AX; \
+	IMULQ   $(8*g), AX; \
+	ADDQ    DI, AX
+
+// func mulRows4AVX512(y, x, w []float64, k, n, ystride int, trans bool)
+//
+// Register use: SI = the group's first row of x, BX = the end of x, DI =
+// the group's first row of y (or, transposed, its first element of row 0),
+// DX = &w[0], R14 = k, R13 = n, R11 = a row of x in bytes, R8 = a row of W
+// (and of row-major y) in bytes, R15 = a row of transposed y in bytes; per
+// group as M4START. K1–K3 mask the 8-column groups to n columns.
+TEXT ·mulRows4AVX512(SB), NOSPLIT, $0-97
+	MOVQ  y_base+0(FP), DI
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), BX
+	MOVQ  w_base+48(FP), DX
+	MOVQ  k+72(FP), R14
+	MOVQ  n+80(FP), R13
+	MOVQ  ystride+88(FP), R15
+	SHLQ  $3, R15
+	LEAQ  (SI)(BX*8), BX
+	MOVQ  R13, R8
+	SHLQ  $3, R8
+	MOVQ  R14, R11
+	SHLQ  $3, R11
+	MOVQ  R13, CX
+	MOVQ  $-1, AX
+	SHLQ  CX, AX
+	NOTQ  AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+	SHRQ  $8, AX
+	KMOVW AX, K3
+	CMPQ  R13, $8
+	JLE   m4g1
+	CMPQ  R13, $16
+	JLE   m4g2
+
+m4g3:
+	M4ZERO3
+	M4START
+
+	// The hot loop of Dim-wide outputs starts on a 32-byte boundary; the
+	// padding also keeps fluxbench's calibration kernel at the address
+	// mod 64 it had before this kernel, which its timings depend on.
+	PCALIGN $32
+
+m4k3:
+	M4ROW3((R9), Z1, Z2, Z3)
+	M4ROW3((R9)(R11*1), Z4, Z5, Z6)
+	M4ROW3((R9)(R11*2), Z7, Z8, Z9)
+	M4ROW3((R12), Z10, Z11, Z12)
+	M4NEXT(m4k3)
+	CMPB  trans+96(FP), $0
+	JNE   m4t3
+	LEAQ  (R8)(R8*2), AX
+	ADDQ  DI, AX
+	M4STORE(0, K1, Z1, Z4, Z7, Z10)
+	M4STORE(64, K2, Z2, Z5, Z8, Z11)
+	M4STORE(128, K3, Z3, Z6, Z9, Z12)
+	LEAQ  (DI)(R8*4), DI
+	JMP   m4n3
+
+m4t3:
+	M4COLS(0)
+	M4TSTORE(Z1, Z4, Z7, Z10, m4t3g1)
+
+m4t3g1:
+	M4COLS(1)
+	M4TSTORE(Z2, Z5, Z8, Z11, m4t3g2)
+
+m4t3g2:
+	M4COLS(2)
+	M4TSTORE(Z3, Z6, Z9, Z12, m4t3n)
+
+m4t3n:
+	ADDQ $32, DI
+
+m4n3:
+	LEAQ (SI)(R11*4), SI
+	CMPQ SI, BX
+	JLT  m4g3
+	VZEROUPPER
+	RET
+
+m4g2:
+	M4ZERO2
+	M4START
+
+m4k2:
+	M4ROW2((R9), Z1, Z2)
+	M4ROW2((R9)(R11*1), Z4, Z5)
+	M4ROW2((R9)(R11*2), Z7, Z8)
+	M4ROW2((R12), Z10, Z11)
+	M4NEXT(m4k2)
+	CMPB  trans+96(FP), $0
+	JNE   m4t2
+	LEAQ  (R8)(R8*2), AX
+	ADDQ  DI, AX
+	M4STORE(0, K1, Z1, Z4, Z7, Z10)
+	M4STORE(64, K2, Z2, Z5, Z8, Z11)
+	LEAQ  (DI)(R8*4), DI
+	JMP   m4n2
+
+m4t2:
+	M4COLS(0)
+	M4TSTORE(Z1, Z4, Z7, Z10, m4t2g1)
+
+m4t2g1:
+	M4COLS(1)
+	M4TSTORE(Z2, Z5, Z8, Z11, m4t2n)
+
+m4t2n:
+	ADDQ $32, DI
+
+m4n2:
+	LEAQ (SI)(R11*4), SI
+	CMPQ SI, BX
+	JLT  m4g2
+	VZEROUPPER
+	RET
+
+m4g1:
+	M4ZERO1
+	M4START
+
+m4k1:
+	M4ROW1((R9), Z1)
+	M4ROW1((R9)(R11*1), Z4)
+	M4ROW1((R9)(R11*2), Z7)
+	M4ROW1((R12), Z10)
+	M4NEXT(m4k1)
+	CMPB  trans+96(FP), $0
+	JNE   m4t1
+	LEAQ  (R8)(R8*2), AX
+	ADDQ  DI, AX
+	M4STORE(0, K1, Z1, Z4, Z7, Z10)
+	LEAQ  (DI)(R8*4), DI
+	JMP   m4n1
+
+m4t1:
+	M4COLS(0)
+	M4TSTORE(Z1, Z4, Z7, Z10, m4t1n)
+
+m4t1n:
+	ADDQ $32, DI
+
+m4n1:
+	LEAQ (SI)(R11*4), SI
+	CMPQ SI, BX
+	JLT  m4g1
 	VZEROUPPER
 	RET

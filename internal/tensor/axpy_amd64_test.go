@@ -2,7 +2,10 @@
 
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The tests below pin the assembly kernels to the portable loops bit for bit
 // over the full property grids of axpy_test.go. They call the assembly
@@ -74,4 +77,59 @@ func TestAVX512BitIdentity(t *testing.T) {
 	checkOuter(t, outerRowsAVX512, outerRowsGeneric)
 	checkOuter(t, outerNonzeroRowsAVX512, outerNonzeroRowsGeneric)
 	checkNonzeroChunks(t, true, outerNonzeroRowsAVX512, outerNonzeroRowsGeneric)
+}
+
+// TestAVX512SoftmaxRowsBitIdentity pins the eight-row softmax kernel, called
+// on every row of every case, to one portable Softmax per row.
+func TestAVX512SoftmaxRowsBitIdentity(t *testing.T) {
+	t.Logf("AVX-512 detected: %v", useAVX512)
+	if !useAVX512 {
+		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
+	}
+	checkSoftmaxRows(t, func(m *Matrix, lo int) { softmaxRowsAVX512(m.Data, m.Rows, m.Cols, lo) })
+}
+
+// BenchmarkSoftmaxRowsCrossover times one block of 1–8 rows through the
+// eight-row kernel and through Softmax row by row, at the gate's width and
+// as the last rows of a causal matrix of 22 positions: the row count at
+// which the kernel starts to win is softmaxRowsMin.
+func BenchmarkSoftmaxRowsCrossover(b *testing.B) {
+	if !useAVX512 {
+		b.Skip("no AVX-512F on this machine")
+	}
+	for _, sh := range []struct {
+		name     string
+		cols, lo int
+	}{{"gate=8", 8, 8}, {"gate=16", 16, 16}, {"causal=22", 22, 14}} {
+		for rows := 1; rows <= 8; rows++ {
+			g := NewRNG(8)
+			m := NewMatrix(rows, sh.cols)
+			for i := range m.Data {
+				m.Data[i] = 2 * g.Norm()
+			}
+			b.Run(fmt.Sprintf("%s/rows=%d/kernel=rows", sh.name, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					softmaxRowsAVX512(m.Data, rows, sh.cols, sh.lo)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/rows=%d/kernel=each", sh.name, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					softmaxEachRow(m, sh.lo, 0)
+				}
+			})
+		}
+	}
+}
+
+// TestAVX512MatMulRows4BitIdentity pins MatMulInto's four-row tier, both
+// its row-major and its transposed store, to one portable AxpyRows per row.
+func TestAVX512MatMulRows4BitIdentity(t *testing.T) {
+	t.Logf("AVX-512 detected: %v", useAVX512)
+	if !useAVX512 {
+		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
+	}
+	if done := mulRows4(make([]float64, 4*8), make([]float64, 4*3), make([]float64, 3*8), 3, 8, 0, false); done != 4 {
+		t.Fatalf("the four-row tier took %d of 4 rows", done)
+	}
+	checkMatMulRows(t)
 }

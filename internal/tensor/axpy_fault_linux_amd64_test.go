@@ -14,21 +14,26 @@ import (
 // inaccessible page, so a masked-off lane that touched memory past the end
 // of its slice would crash the test. Every output width 1–72 runs, over
 // three rows with the middle one zero, checked against the portable loop
-// bit for bit.
+// bit for bit. The eight-row softmax then runs with its last row's last
+// live element flush against the page, the rest of that row beyond it, at
+// widths 1–72 and row offsets that leave the last row short and whole; and
+// the four-row matmul with each of its operands at the page, at every
+// output width 1–24, both stores.
 func TestAVX512MaskedLanesCannotFault(t *testing.T) {
 	if !useAVX512 {
 		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
 	}
+	// Two accessible pages, room for a 9×72 matrix, then the guard page.
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mem, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatalf("mmap: %v", err)
 	}
 	defer syscall.Munmap(mem)
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[2*page:], syscall.PROT_NONE); err != nil {
 		t.Fatalf("mprotect: %v", err)
 	}
-	guarded := unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), page/8)
+	guarded := unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), 2*page/8)
 	// atGuard copies v into the elements that end at the guard page.
 	atGuard := func(v []float64) []float64 {
 		return append(guarded[:len(guarded)-len(v)], v...)[len(guarded)-len(v):]
@@ -69,6 +74,60 @@ func TestAVX512MaskedLanesCannotFault(t *testing.T) {
 				}
 				k.got(a, xs, b, n)
 				sameBits(t, fmt.Sprintf("%s, width %d, %s operand at the guard page", k.name, n, place), a, want)
+			}
+		}
+	}
+
+	for cols := 1; cols <= 72; cols++ {
+		for _, rows := range []int{1, 7, 8, 9} {
+			for _, lo := range []int{0, cols / 2, cols} {
+				m := NewMatrix(rows, cols)
+				softmaxFill(g, m.Data, cols%5)
+				want := m.Clone()
+				softmaxRowsOracle(want, lo)
+				live := (rows-1)*cols + min(lo+rows, cols)
+				data := atGuard(m.Data[:live])
+				softmaxRowsAVX512(data, rows, cols, lo)
+				sameBits(t, fmt.Sprintf("SoftmaxRows, %dx%d, lo %d, last live element at the guard page", rows, cols, lo), data, want.Data[:live])
+			}
+		}
+	}
+
+	for n := 1; n <= mulRows4Max; n++ {
+		for _, k := range []int{1, 3} {
+			const rows = 8
+			x, w := make([]float64, rows*k), make([]float64, k*n)
+			mixedFill(g, x)
+			mixedFill(g, w)
+			want := make([]float64, rows*n)
+			for i := 0; i < rows; i++ {
+				axpyRowsGeneric(want[i*n:(i+1)*n], x[i*k:(i+1)*k], w, n)
+			}
+			wantT := make([]float64, n*rows)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < n; j++ {
+					wantT[j*rows+i] = want[i*n+j]
+				}
+			}
+			for _, trans := range []bool{false, true} {
+				for _, place := range []string{"written", "x", "read"} {
+					y, xs, ws := make([]float64, rows*n), x, w
+					switch place {
+					case "written":
+						y = atGuard(y)
+					case "x":
+						xs = atGuard(x)
+					case "read":
+						ws = atGuard(w)
+					}
+					mulRows4AVX512(y, xs, ws, k, n, rows, trans)
+					what := fmt.Sprintf("mulRows4, width %d, k %d, transposed %v, %s operand at the guard page", n, k, trans, place)
+					if trans {
+						sameBits(t, what, y, wantT)
+					} else {
+						sameBits(t, what, y, want)
+					}
+				}
 			}
 		}
 	}

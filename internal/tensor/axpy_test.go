@@ -737,6 +737,20 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 			t.Fatalf("warm MatMulTransBInto and MatMulTransAInto at %v: %v allocs/op, want 0", sh, n)
 		}
 	}
+
+	// The attention and routing block kernels at model shapes: 22 rows,
+	// the four-row tier's whole groups and two rows left over.
+	a, b := NewMatrix(22, 24), NewMatrix(24, 24)
+	a.RandInit(g, 1)
+	b.RandInit(g, 1)
+	kT, scores := NewMatrix(24, 22), NewMatrix(22, 22)
+	ms.MatMulIntoCols(kT, 0, a, b)
+	if n := testing.AllocsPerRun(100, func() {
+		ms.MatMulIntoCols(kT, 0, a, b)
+		SoftmaxRows(scores, 0)
+	}); n != 0 {
+		t.Fatalf("warm MatMulIntoCols and SoftmaxRows: %v allocs/op, want 0", n)
+	}
 }
 
 // BenchmarkAxpy runs Axpy at the model's two row lengths (dim 24, ffn 48).

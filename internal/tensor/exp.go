@@ -24,8 +24,8 @@ const (
 // on its own by an explicit float64 conversion, so no compiler may fuse it
 // into a multiply-add, and no assembly form of it runs. math.Exp promises
 // neither — on amd64 it switches to fused instructions when the CPU has
-// them. Softmax's AVX kernel computes the same operation sequence four
-// lanes at a time, bit for bit.
+// them. Softmax's AVX kernel and SoftmaxRows's AVX-512 one compute the same
+// operation sequence four and eight lanes at a time, bit for bit.
 //
 // Special cases: Exp(NaN) is that NaN, Exp(+Inf) = +Inf, Exp(-Inf) = +0,
 // x above 709.78… overflows to +Inf, x below -745.13… underflows to +0,

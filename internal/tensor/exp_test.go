@@ -234,6 +234,57 @@ func checkSoftmax(t *testing.T, got, want func(dst, src []float64)) {
 	}
 }
 
+// softmaxRowsOracle is SoftmaxRows as one softmaxGeneric per row.
+func softmaxRowsOracle(m *Matrix, lo int) {
+	for t := 0; t < m.Rows; t++ {
+		row := m.Row(t)[:min(lo+t+1, m.Cols)]
+		softmaxGeneric(row, row)
+	}
+}
+
+// softmaxRowsCounts are the row counts checkSoftmaxRows runs: every count
+// up to two full blocks of eight and one more, and three around 64.
+var softmaxRowsCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65}
+
+// checkSoftmaxRows runs got and the per-row oracle on identical copies of
+// every SoftmaxRows case — the row counts of softmaxRowsCounts, widths
+// 1–72 and every row offset lo from 0 to one past the width, the fill mode
+// turning over from case to case — with axpyGuard guard elements after the
+// matrix, and compares the whole buffers bit for bit: the entries past each
+// row's live prefix and the guards must keep their bits.
+func checkSoftmaxRows(t *testing.T, got func(m *Matrix, lo int)) {
+	t.Helper()
+	g := NewRNG(47)
+	maxRows := softmaxRowsCounts[len(softmaxRowsCounts)-1]
+	const maxCols = 72
+	init := make([]float64, maxRows*maxCols+axpyGuard)
+	bGot := make([]float64, len(init))
+	bWant := make([]float64, len(init))
+	mode := 0
+	for _, rows := range softmaxRowsCounts {
+		for cols := 1; cols <= maxCols; cols++ {
+			for lo := 0; lo <= cols+1; lo++ {
+				n := rows * cols
+				softmaxFill(g, init[:n], mode)
+				mixedFill(g, init[n:n+axpyGuard])
+				mode = (mode + 1) % 5
+				copy(bGot, init)
+				copy(bWant, init)
+				got(FromSlice(rows, cols, bGot[:n]), lo)
+				softmaxRowsOracle(FromSlice(rows, cols, bWant[:n]), lo)
+				sameBits(t, fmt.Sprintf("%dx%d, lo %d", rows, cols, lo), bGot[:n+axpyGuard], bWant[:n+axpyGuard])
+			}
+		}
+	}
+}
+
+// TestSoftmaxRowsBitIdentity holds SoftmaxRows — the AVX-512 kernel on its
+// blocks where it runs, Softmax on the rest — to one portable Softmax per
+// row.
+func TestSoftmaxRowsBitIdentity(t *testing.T) {
+	checkSoftmaxRows(t, SoftmaxRows)
+}
+
 // sameBitsOrNaN is sameBits for outputs whose NaNs may carry any payload:
 // which payload survives when two NaNs meet is outside the contract.
 func sameBitsOrNaN(t *testing.T, what string, got, want []float64) {
@@ -270,6 +321,20 @@ func FuzzSoftmax(f *testing.F) {
 		Softmax(got, src)
 		softmaxGeneric(want, src)
 		sameBitsOrNaN(t, fmt.Sprintf("len %d", len(src)), got, want)
+		// The rows form: the same values as a matrix of up to 72 columns,
+		// its row offset taken from the length.
+		if len(src) == 0 {
+			return
+		}
+		cols := 1 + len(src)%72
+		rows := (len(src) + cols - 1) / cols
+		lo := len(src) % (cols + 2)
+		gotM, wantM := NewMatrix(rows, cols), NewMatrix(rows, cols)
+		copy(gotM.Data, src)
+		copy(wantM.Data, src)
+		SoftmaxRows(gotM, lo)
+		softmaxRowsOracle(wantM, lo)
+		sameBitsOrNaN(t, fmt.Sprintf("%dx%d, lo %d", rows, cols, lo), gotM.Data, wantM.Data)
 	})
 }
 
@@ -310,6 +375,32 @@ func TestTopKNaN(t *testing.T) {
 	}
 }
 
+// TestTopTwoMatchesScan holds TopKInto's one-pass path for k = 1 and 2 to
+// the pass-per-pick scan on rows of 1–17 elements drawn from a small set of
+// values, so that ties are common, with NaNs, ±Inf and both zeros among
+// them.
+func TestTopTwoMatchesScan(t *testing.T) {
+	nan := math.NaN()
+	values := []float64{nan, math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), -1, 0.5, 0.5, 2}
+	g := NewRNG(71)
+	v := make([]float64, 17)
+	var got, want []int
+	var used []bool
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + trial%17
+		for i := range v[:n] {
+			v[i] = values[g.Intn(len(values))]
+		}
+		for k := 1; k <= 2; k++ {
+			got, used = TopKInto(got, used, v[:n], k)
+			want, used = topKScan(want[:0], used, v[:n], min(k, n))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("TopKInto(%v, %d) = %v, the scan gives %v", v[:n], k, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkSoftmax runs Softmax at the models' row lengths: 8 and 16 (the
 // LLaMA and DeepSeek stand-ins' gate rows, and attention rows of that many
 // live positions) and 48 (a vocabulary row of the cross-entropy and of
@@ -330,6 +421,33 @@ func BenchmarkSoftmax(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Softmax(dst.Row(i%rows), src.Row(i%rows))
+			}
+		})
+	}
+	// SoftmaxRows at the models' block shapes: the router's 22 rows of 8
+	// and of 16 gate logits, whole, and causal score matrices of 22 and 40
+	// positions. Softmax's output is a valid input, so the rows are
+	// softmaxed in place again and again.
+	for _, sh := range []struct {
+		name       string
+		rows, cols int
+		lo         int
+	}{
+		{"rows=22x8", 22, 8, 8},
+		{"rows=22x16", 22, 16, 16},
+		{"causal=22", 22, 22, 0},
+		{"causal=40", 40, 40, 0},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			g := NewRNG(8)
+			m := NewMatrix(sh.rows, sh.cols)
+			for i := range m.Data {
+				m.Data[i] = 2 * g.Norm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				SoftmaxRows(m, sh.lo)
 			}
 		})
 	}

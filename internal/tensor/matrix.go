@@ -115,6 +115,11 @@ type MulScratch struct {
 // accumulates its a[i][k]*b[k][j] terms in ascending-k order starting from
 // zero, exactly like the naive ikj loop, so results are bit-identical to the
 // reference kernel at every shape (TestMatMulTiledBitIdentity pins this).
+// Where AVX-512F runs and out is at most 24 columns wide — the attention
+// projections and the gate — rows go four at a time through one kernel
+// that runs their chains side by side, each element still one ascending
+// chain from +0 (TestAVX512MatMulRows4BitIdentity); the rows left over take
+// one AxpyRows each.
 //
 // Hot path: the innermost matmul kernel of every forward/backward. It reuses
 // the packed scratch and stays 0 allocs/op when warm, pinned by
@@ -126,14 +131,15 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: matmul output shape mismatch")
 	}
-	out.Zero()
-	if (b.Rows <= matmulTileK && b.Cols <= matmulTileJ) || b.Rows*b.Cols <= matmulTileK*matmulTileJ {
+	done := mulRows4(out.Data, a.Data, b.Data, a.Cols, b.Cols, 0, false)
+	clear(out.Data[done*out.Cols:])
+	if done > 0 || (b.Rows <= matmulTileK && b.Cols <= matmulTileJ) || b.Rows*b.Cols <= matmulTileK*matmulTileJ {
 		// Single-block case — b fits a tile's worth of cache even if one
 		// dimension overhangs (e.g. the thin dim×vocab head projection):
 		// direct dense ikj, one AxpyRows (out row += a row × b) per row of
 		// a. Element order per output is the same ascending-k pass as the
 		// blocked path, so path selection never changes bits.
-		for i := 0; i < a.Rows; i++ {
+		for i := done; i < a.Rows; i++ {
 			AxpyRows(out.Row(i), a.Row(i), b.Data, b.Cols)
 		}
 		return
@@ -162,6 +168,39 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 			for i := 0; i < a.Rows; i++ {
 				AxpyRows(out.Row(i)[j0:j0+jw], a.Row(i)[k0:k0+kw], pack, jw)
 			}
+		}
+	}
+}
+
+// MatMulIntoCols writes a×b transposed into columns [col, col+a.Rows) of
+// outT, which has b.Cols rows: outT[j][col+i] gets out[i][j] of MatMulInto,
+// bit for bit, and outT's other columns keep theirs. It is how attention
+// keys land transposed, one row per dimension and one column per position,
+// in the layer's key matrix and the decode cache. Where MatMulInto runs
+// four rows at a time, the same kernel stores each group's 4×8 tiles
+// transposed in registers; other rows take one AxpyRows each into ms's
+// buffer, scattered down the column.
+func (ms *MulScratch) MatMulIntoCols(outT *Matrix, col int, a, b *Matrix) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if outT.Rows != b.Cols || col < 0 || col+a.Rows > outT.Cols {
+		panic("tensor: matmul output columns out of range")
+	}
+	n := b.Cols
+	if n == 0 {
+		return
+	}
+	done := mulRows4(outT.Data[col:], a.Data, b.Data, a.Cols, n, outT.Cols, true)
+	if cap(ms.pack) < n {
+		ms.pack = make([]float64, n)
+	}
+	row := ms.pack[:n]
+	for i := done; i < a.Rows; i++ {
+		clear(row)
+		AxpyRows(row, a.Row(i), b.Data, n)
+		for j, v := range row {
+			outT.Data[j*outT.Cols+col+i] = v
 		}
 	}
 }

@@ -72,6 +72,53 @@ func TestMatMulTiledBitIdentity(t *testing.T) {
 	}
 }
 
+// checkMatMulRows holds MatMulInto and MatMulIntoCols to one portable
+// AxpyRows per row from +0, bit for bit, at every output width 0–26 (each
+// masked width of the four-row tier's one, two and three registers a row,
+// and two past it), 0–13 rows (whole groups of four and one to three left
+// over) and reductions of 1, 2, 5 and 24 terms, over values with zeros,
+// subnormals and magnitudes whose products overflow. MatMulIntoCols writes
+// into a stale matrix two columns wider on each side, whose other columns
+// must keep their bits.
+func checkMatMulRows(t *testing.T) {
+	t.Helper()
+	g := NewRNG(61)
+	var ms MulScratch
+	for n := 0; n <= 26; n++ {
+		for rows := 0; rows <= 13; rows++ {
+			for _, k := range []int{1, 2, 5, 24} {
+				a, b := NewMatrix(rows, k), NewMatrix(k, n)
+				mixedFill(g, a.Data)
+				mixedFill(g, b.Data)
+				want := NewMatrix(rows, n)
+				for i := 0; i < rows; i++ {
+					axpyRowsGeneric(want.Row(i), a.Row(i), b.Data, n)
+				}
+				what := fmt.Sprintf("%dx%dx%d", rows, k, n)
+				got := stale(rows, n)
+				ms.MatMulInto(got, a, b)
+				sameBits(t, what, got.Data, want.Data)
+
+				gotT, wantT := stale(n, rows+4), stale(n, rows+4)
+				copy(wantT.Data, gotT.Data)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						wantT.Set(j, 2+i, want.At(i, j))
+					}
+				}
+				ms.MatMulIntoCols(gotT, 2, a, b)
+				sameBits(t, what+", transposed", gotT.Data, wantT.Data)
+			}
+		}
+	}
+}
+
+// TestMatMulRowsBitIdentity runs checkMatMulRows through whichever tier
+// this host and build run.
+func TestMatMulRowsBitIdentity(t *testing.T) {
+	checkMatMulRows(t)
+}
+
 // TestMatMulTransIntoMatchesAlloc pins the full-overwrite contract of the
 // TransA/TransB/Transpose Into kernels: run over stale output contents they
 // give exactly what they give over a fresh zeroed output, and a mis-shaped

@@ -77,8 +77,32 @@ func softmaxGeneric(dst, src []float64) {
 	}
 }
 
-// SoftmaxInPlace replaces v with softmax(v).
-func SoftmaxInPlace(v []float64) { Softmax(v, v) }
+// SoftmaxRows softmaxes m in place, row t over its first min(lo+t+1,
+// m.Cols) entries, and leaves the entries after them as they are: lo = 0
+// is a causal score matrix, lo = p the scores of rows p, p+1, … of a
+// sequence whose first p positions are cached, and lo ≥ m.Cols-1 every row
+// whole. Each row gets Softmax's bits. Where AVX-512F runs, blocks of eight
+// rows take one kernel pass with a row in each lane, so the serial chains
+// of eight rows (the max, each Exp, the ascending sum) run side by side;
+// a last block of fewer than six rows runs Softmax row by row.
+func SoftmaxRows(m *Matrix, lo int) {
+	if lo < 0 {
+		panic("tensor: softmaxrows negative row offset")
+	}
+	if m.Cols == 0 {
+		return
+	}
+	softmaxRows(m, min(lo, m.Cols)) // any lo ≥ Cols-1 means whole rows
+}
+
+// softmaxEachRow is SoftmaxRows on rows [from, m.Rows) one Softmax at a
+// time: the whole of it where AVX-512F does not run.
+func softmaxEachRow(m *Matrix, lo, from int) {
+	for t := from; t < m.Rows; t++ {
+		row := m.Row(t)[:min(lo+t+1, m.Cols)]
+		softmax(row, row)
+	}
+}
 
 // ArgMax returns the index of the largest element, -1 for empty input.
 func ArgMax(v []float64) int {
@@ -99,9 +123,10 @@ func ArgMax(v []float64) int {
 // deterministic: ties break toward the lower index, and a NaN ranks below
 // every number, so the result is always k distinct valid indices (all-NaN
 // or all −Inf rows included). idx receives the indices (reused when its
-// capacity suffices) and used is the selection bitmap (grown as needed,
-// reset on entry); either may be nil. It returns both for reuse; with warm
-// buffers it does not allocate.
+// capacity suffices) and used is scratch for k > 2, a selection bitmap
+// (grown as needed); either may be nil. It returns both for reuse; with
+// warm buffers it does not allocate. A k of 1 or 2 — the router's — takes
+// one pass that keeps the best two so far; larger k one pass per pick.
 func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 	if k > len(v) {
 		k = len(v)
@@ -109,6 +134,15 @@ func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 	if k <= 0 {
 		return idx[:0], used
 	}
+	if k <= 2 {
+		return topTwo(idx[:0], v, k), used
+	}
+	return topKScan(idx, used, v, k)
+}
+
+// topKScan is TopKInto for any 1 ≤ k ≤ len(v), one pass over v per pick,
+// and the oracle of topTwo.
+func topKScan(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 	if cap(used) < len(v) {
 		used = make([]bool, len(v))
 	} else {
@@ -131,6 +165,30 @@ func TopKInto(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 		idx = append(idx, bi)
 	}
 	return idx, used
+}
+
+// topTwo appends to idx the indices of the k ≤ 2 largest elements of v,
+// 1 ≤ k ≤ len(v), in TopKInto's order, in one ascending pass. A later
+// element displaces an earlier one only by ranking strictly above it —
+// comparing greater, or being a number against a NaN — so of equal-ranked
+// elements the lower index stays ahead, as in the pass-per-pick scan.
+func topTwo(idx []int, v []float64, k int) []int {
+	i1, i2 := 0, -1
+	b1, b2 := v[0], 0.0
+	for i := 1; i < len(v); i++ {
+		x := v[i]
+		switch {
+		case x > b1 || (b1 != b1 && x == x):
+			i1, i2, b1, b2 = i, i1, x, b1
+		case i2 < 0 || x > b2 || (b2 != b2 && x == x):
+			i2, b2 = i, x
+		}
+	}
+	idx = append(idx, i1)
+	if k == 2 {
+		idx = append(idx, i2)
+	}
+	return idx
 }
 
 // Mean returns the arithmetic mean of v, or 0 for empty input.
