@@ -197,6 +197,9 @@ func warmPool(b *testing.B, env *fed.Env, r fed.Rounder) {
 
 // Micro-benchmarks for the substrate's hot paths.
 
+// BenchmarkMoEForward is one 48-token forward pass of the LLaMA stand-in:
+// ws=none on a fresh workspace per call, as a caller without one gets, and
+// ws=warm on a kept one, the engine's steady state, at zero allocations.
 func BenchmarkMoEForward(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-fwd"))
 	g := tensor.NewRNG(1)
@@ -204,10 +207,21 @@ func BenchmarkMoEForward(b *testing.B) {
 	for i := range seq {
 		seq[i] = g.Intn(m.Cfg.VocabSize)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardWS(nil, seq, nil, -1)
-	}
+	b.Run("ws=none", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.ForwardWS(nil, seq, nil, -1)
+		}
+	})
+	b.Run("ws=warm", func(b *testing.B) {
+		ws := moe.NewWorkspace()
+		m.ForwardWS(ws, seq, nil, -1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.ForwardWS(ws, seq, nil, -1)
+		}
+	})
 }
 
 // BenchmarkForwardBackward contrasts a nil workspace (ws=none: the pass
@@ -307,11 +321,12 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul tracks the tiled kernel at the model's own shapes (small:
-// the 64×24 × 24×24 attention projection of the training config, on the
-// dense single-block fast path; a 22-token sequence's attention projection
-// and its gate logits over 8 experts, on the four-row tier where AVX-512F
-// runs) and at a blocked shape large enough to exercise the packing loop.
+// BenchmarkMatMul tracks the matmul at the model's own shapes — the 64×24 ×
+// 24×24 attention projection of the training config; a 22-token
+// sequence's attention projection, its gate logits over 8 experts and its
+// 48-column head; and 4×24 × 24×48, one block of an expert's W1 sweep, all
+// on the four-row tier where AVX-512F runs — and at a shape large enough to
+// exercise the blocked path's packing loop everywhere else.
 func BenchmarkMatMul(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -320,6 +335,8 @@ func BenchmarkMatMul(b *testing.B) {
 		{"shape=64x24x24", 64, 24, 24},
 		{"shape=22x24x8", 22, 24, 8},
 		{"shape=22x24x24", 22, 24, 24},
+		{"shape=4x24x48", 4, 24, 48},
+		{"shape=22x24x48", 22, 24, 48},
 		{"shape=256x192x160", 256, 192, 160},
 	}
 	for _, sh := range shapes {

@@ -8,9 +8,11 @@ import (
 
 // Expert is a two-layer feed-forward network with a ReLU nonlinearity:
 // y = ReLU(x·W1 + b1)·W2 + b2. It is the unit of selection, merging, and
-// federated aggregation throughout the repository. Its forward pass runs
-// one token at a time (Forward); its backward pass runs inside
-// Layer.Backward, over blocks of up to four routed tokens (backwardBlock).
+// federated aggregation throughout the repository. Both its passes run by
+// expert, inside the layer: the forward over all of the expert's routed
+// tokens at once, four a kernel call (forwardRows, from Layer.moeBlock),
+// and the backward over blocks of up to four routed tokens (backwardBlock,
+// from Layer.Backward).
 type Expert struct {
 	W1 *tensor.Matrix // Dim × FFNDim
 	B1 []float64      // FFNDim
@@ -84,32 +86,46 @@ func (e *Expert) LoadFlat(src []float64) {
 	copy(e.B2, src)
 }
 
-// Forward computes the expert output for a single token vector x, storing
-// the hidden pre-activation in hidden (length FFNDim) for backward reuse.
-// out must have length Dim.
+// forwardRows runs the expert on the rows of x named by rows: hidden
+// receives their ReLU outputs, hs apart, and out their outputs, Dim apart,
+// in the order of rows.
 //
 // Both sweeps are Axpy form — every output element accumulates its own
-// terms in ascending order — and run on the tensor package's vector kernels,
-// as does the clamp between them.
-func (e *Expert) Forward(x, hidden, out []float64) {
-	ffn := len(e.B1)
-	dim := len(e.B2)
-	// hidden = ReLU(x·W1 + b1). The input is a layer-normed activation and
-	// essentially never zero, so the W1 sweep is unconditionally dense: one
-	// AxpyRows over every row of W1. tensor.ReLU then clamps the negative
-	// pre-activations to +0 without a branch per unit, whose sign pattern
-	// would mispredict about half the time.
-	hidden = hidden[:ffn]
-	copy(hidden, e.B1)
-	tensor.AxpyRows(hidden, x, e.W1.Data, ffn)
-	tensor.ReLU(hidden)
-	// out = hidden·W2 + b2 over the units the ReLU left open. A closed unit
-	// must be skipped, not added as 0·w: a +0 term added to a -0 bias changes
-	// its bits. AxpyNonzeroRows is exactly one Axpy per open unit, without a
-	// branch per unit.
-	out = out[:dim]
-	copy(out, e.B2)
-	tensor.AxpyNonzeroRows(out, hidden, e.W2.Data, dim)
+// terms in ascending order — and run on the tensor package's kernels, as
+// does the clamp between them. hidden = ReLU(x·W1 + b1): the input is a
+// layer-normed activation and essentially never zero, so the W1 sweep is
+// dense. It takes the tokens four at a time, their rows gathered into
+// ws.xBlk, through one tensor.MulRows from the bias, whose kernel runs the
+// four tokens' chains side by side where AVX-512F runs; a last one to three
+// tokens take one AxpyRows each. tensor.ReLU then clamps the negative
+// pre-activations to +0 without a branch per unit, whose sign pattern would
+// mispredict about half the time. out = hidden·W2 + b2 over the units the
+// ReLU left open, one AxpyNonzeroRows per token: a closed unit must be
+// skipped, not added as 0·w, because a +0 term added to a -0 bias changes
+// its bits. Each token's bits are the per-token forward's (Expert.Forward,
+// kept as the test oracle).
+func (e *Expert) forwardRows(x *tensor.Matrix, rows []int, hidden []float64, hs int, out []float64, ws *Workspace) {
+	ffn, dim := len(e.B1), len(e.B2)
+	r := 0
+	for ; r+4 <= len(rows); r += 4 {
+		ws.xBlk = growFloats(ws.xBlk, 4*dim)
+		for i, t := range rows[r : r+4] {
+			copy(ws.xBlk[i*dim:(i+1)*dim], x.Row(t))
+		}
+		tensor.MulRows(hidden[r*hs:], hs, ws.xBlk, dim, e.W1.Data, ffn, e.B1, 4, dim, ffn)
+	}
+	for ; r < len(rows); r++ {
+		h := hidden[r*hs : r*hs+ffn]
+		copy(h, e.B1)
+		tensor.AxpyRows(h, x.Row(rows[r]), e.W1.Data, ffn)
+	}
+	for r := range rows {
+		h := hidden[r*hs : r*hs+ffn]
+		tensor.ReLU(h)
+		o := out[r*dim : (r+1)*dim]
+		copy(o, e.B2)
+		tensor.AxpyNonzeroRows(o, h, e.W2.Data, dim)
+	}
 }
 
 // ExpertGrad accumulates gradients for one expert across a batch.

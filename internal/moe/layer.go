@@ -79,12 +79,14 @@ type layerCache struct {
 	out   *tensor.Matrix // layer output (next layer's input; kept alive per layer)
 	// Per token routing decisions and per-slot expert state, flat so that a
 	// cache grows in a few allocations rather than a few per token: token
-	// t's slots are [t·slots, t·slots+nRouted[t]), and slot i's expert
-	// hidden activations are hidden[i·hStride:][:FFN width].
+	// t's slots are [t·slots, t·slots+nRouted[t]). The experts' hidden
+	// activations are kept in the forward's by-expert position order
+	// (runExperts): slot i's are hidden[hiddenPos[i]·hStride:][:FFN width].
 	slots, hStride int
 	nRouted        []int     // [t] slots used: distinct experts routed to
 	routedExperts  []int     // [slot] expert index (into Experts)
 	routedWeights  []float64 // [slot] normalized gate weight
+	hiddenPos      []int     // [slot] position of its hidden activations
 	hidden         []float64
 	invStd1        []float64 // LN statistics for backward approximation
 	invStd2        []float64
@@ -97,9 +99,11 @@ func (c *layerCache) routes(t int) (int, []int) {
 	return i, c.routedExperts[i : i+c.nRouted[t]]
 }
 
-// hiddenAt returns slot i's expert hidden activations.
+// hiddenAt returns slot i's expert hidden activations. Only the slots of
+// the rows the forward ran the experts on have them.
 func (c *layerCache) hiddenAt(i int) []float64 {
-	return c.hidden[i*c.hStride : (i+1)*c.hStride]
+	p := c.hiddenPos[i]
+	return c.hidden[p*c.hStride : (p+1)*c.hStride]
 }
 
 // routeToken computes the top-k routing for gate probabilities over original
@@ -195,9 +199,17 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 // moeBlock is the second half of the layer, shared by Forward and extend:
 // pre-norm of the attention residual c.x1, gate softmax and top-k routing on
 // every row, then the routed experts' FFNs and the weighted residual sum into
-// c.out, which it returns, on rows [lo, hi). Every step is per row, so a
-// row's output depends only on that row of c.x1 — the property extend's
-// bit-identity rests on.
+// c.out, which it returns, on rows [lo, hi). Every output row depends only
+// on that row of c.x1 — the property extend's bit-identity rests on.
+//
+// It runs in three passes, as Layer.Backward does. The first, in token
+// order, routes every row and records its stats. The second, in
+// runExperts, runs each expert over its routed tokens in rows [lo, hi),
+// four tokens a kernel call, while its weights stay in cache. The third
+// adds each routed token's output into its row in slot order. Every hidden
+// and output element takes the same terms in the same order as one
+// Expert.Forward per routed token would give it, so the bits are that
+// loop's (TestMoEForwardByExpertBitIdentity).
 func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *ActivationStats, sampleID, lo, hi int) *tensor.Matrix {
 	T, D := c.x1.Rows, c.x1.Cols
 
@@ -206,12 +218,9 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	c.invStd2 = growFloats(c.invStd2, T)
 	layerNormRows(c.xMid, c.x1, 0, c.invStd2)
 
-	// MoE block. Gate logits for all tokens are one fused matmul (same
-	// ascending-i accumulation as the former per-token inner loop), and
-	// their softmaxes one SoftmaxRows call, in place.
-	out := tensor.Grow(c.out, T, D)
-	c.out = out
-	out.CopyFrom(c.x1)
+	// Gate logits for all tokens are one fused matmul (same ascending-i
+	// accumulation as a per-token inner loop), and their softmaxes one
+	// SoftmaxRows call, in place.
 	ws.gateProbs = tensor.Grow(ws.gateProbs, T, l.OrigExperts)
 	ws.mul.MatMulInto(ws.gateProbs, c.xMid, l.Gate)
 	tensor.SoftmaxRows(ws.gateProbs, l.OrigExperts)
@@ -223,28 +232,88 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 	c.nRouted = growInts(c.nRouted, T)
 	c.routedExperts = growInts(c.routedExperts, T*c.slots)
 	c.routedWeights = growFloats(c.routedWeights, T*c.slots)
-	c.hidden = growFloats(c.hidden, T*c.slots*c.hStride)
-	ws.eOut = growFloats(ws.eOut, D)
-	eOut := ws.eOut
 	for t := 0; t < T; t++ {
-		xt := c.xMid.Row(t)
 		// routeToken appends in place: its slices have room for every slot.
 		i := t * c.slots
-		experts, weights, orig := l.routeToken(ws.gateProbs.Row(t), ws,
+		experts, _, orig := l.routeToken(ws.gateProbs.Row(t), ws,
 			c.routedExperts[i:i:i+c.slots], c.routedWeights[i:i:i+c.slots], ws.routeOrig[:0])
 		c.nRouted[t] = len(experts)
 		ws.routeOrig = orig
-		if lo <= t && t < hi {
-			orow := out.Row(t)
-			for s, ei := range experts {
-				l.Experts[ei].Forward(xt, c.hiddenAt(i+s), eOut)
-				tensor.Axpy(weights[s], eOut[:D], orow[:D])
-			}
-		}
 		if stats != nil {
 			// Profiling-only branch: training and inference hot loops pass
 			// stats == nil, so recordToken's bookkeeping maps never run there.
 			stats.recordToken(layerIdx, orig, ws.attnRecv[t], sampleID)
+		}
+	}
+	return l.runExperts(c, ws, lo, hi)
+}
+
+// runExperts writes c.out: c.x1 plus, on rows [lo, hi), each routed
+// expert's output times its gate weight, under the routing c holds. Each
+// expert's routed tokens in those rows take consecutive positions, in token
+// order (ws.posRow maps a position to its row, c.hiddenPos a slot to its
+// position), and Expert.forwardRows runs them while the expert's weights
+// stay in cache, leaving their hidden activations in c.hidden, for
+// backward, and their outputs in ws.eOutBlk. Then every row adds its slots'
+// outputs in slot order. The other rows' slots get no position.
+func (l *Layer) runExperts(c *layerCache, ws *Workspace, lo, hi int) *tensor.Matrix {
+	T, D := c.x1.Rows, c.x1.Cols
+	out := tensor.Grow(c.out, T, D)
+	c.out = out
+	out.CopyFrom(c.x1)
+	c.hiddenPos = growInts(c.hiddenPos, T*c.slots)
+	c.hidden = growFloats(c.hidden, T*c.slots*c.hStride)
+	ws.posRow = growInts(ws.posRow, T*c.slots)
+	ws.eOutBlk = growFloats(ws.eOutBlk, T*c.slots*D)
+	if hi-lo == 1 {
+		// One row, a decode step: its experts are distinct, so each slot
+		// is its own position, in slot order, and its output is added as
+		// soon as it is made.
+		i, experts := c.routes(lo)
+		ws.posRow[0] = lo
+		for s, ei := range experts {
+			c.hiddenPos[i+s] = s
+			eOut := ws.eOutBlk[s*D : (s+1)*D]
+			l.Experts[ei].forwardRows(c.xMid, ws.posRow[:1], c.hidden[s*c.hStride:], c.hStride, eOut, ws)
+			tensor.Axpy(c.routedWeights[i+s], eOut, out.Row(lo))
+		}
+		return out
+	}
+
+	ws.blockStart = growInts(ws.blockStart, len(l.Experts))
+	ws.blockNext = growInts(ws.blockNext, len(l.Experts))
+	start, next := ws.blockStart, ws.blockNext
+	clear(next)
+	for t := lo; t < hi; t++ {
+		_, experts := c.routes(t)
+		for _, ei := range experts {
+			next[ei]++
+		}
+	}
+	P := 0
+	for e, n := range next {
+		start[e], next[e] = P, P
+		P += n
+	}
+	for t := lo; t < hi; t++ {
+		i, experts := c.routes(t)
+		for s, ei := range experts {
+			p := next[ei]
+			next[ei]++
+			c.hiddenPos[i+s], ws.posRow[p] = p, t
+		}
+	}
+	for e, ex := range l.Experts {
+		if p, q := start[e], next[e]; p < q {
+			ex.forwardRows(c.xMid, ws.posRow[p:q], c.hidden[p*c.hStride:], c.hStride, ws.eOutBlk[p*D:], ws)
+		}
+	}
+	for t := lo; t < hi; t++ {
+		i, experts := c.routes(t)
+		orow := out.Row(t)
+		for s := range experts {
+			p := c.hiddenPos[i+s]
+			tensor.Axpy(c.routedWeights[i+s], ws.eOutBlk[p*D:(p+1)*D], orow)
 		}
 	}
 	return out
@@ -256,32 +325,58 @@ func (l *Layer) moeBlock(layerIdx int, c *layerCache, ws *Workspace, stats *Acti
 // softmaxed in one tensor.SoftmaxRows call; then out's row t (overwritten)
 // gets the probability-weighted sum of value rows u of v, in ascending u.
 // kT holds the keys transposed, one row of kT.Cols positions per dimension
-// of q, and v holds q.Cols columns per row; scores needs p+q.Rows columns,
-// and its entries past each row's live prefix are left as they are. Each
-// score is one AxpyRows output from +0, so it adds its terms in ascending
-// dimension order, the bits of Dot of q with the key row. Forward and
-// extend both attend through it, so their rows agree bit for bit by
-// construction. Leaving the masked positions out matches the full-row
-// form — −Inf scores, a T-wide softmax and a T×T value matmul — bit for
-// bit whenever the live scores and values are finite: a −Inf score never
-// changes the row maximum, its exp is +0, which leaves the sum unchanged,
-// its probability is +0/sum = +0, and the +0·v terms the matmul would add
-// leave every accumulator unchanged (one that starts at +0 never holds −0).
+// of q, and v holds q.Cols columns per row; scores needs p+q.Rows columns.
+// Forward and extend both attend through it, so their rows agree bit for
+// bit by construction.
+//
+// Both products take the rows four at a time, through tensor.MulRows, and
+// a last one to three rows — every row of a decode step — one AxpyRows
+// each. Each block's scores run to the block's widest live prefix, so a
+// row's entries just past its own prefix may be written: Forward clears
+// them, and extend never reads them. Each score is one AxpyRows output from
+// +0, so it adds its terms in ascending dimension order, the bits of Dot of
+// q with the key row. The value sums run the block over its shortest live
+// prefix, from +0, and each longer row's remaining terms then follow in one
+// AxpyRows that continues the same chain: no row takes a term past its
+// prefix, not even a +0·v one, which would change the bits of a non-finite
+// value.
+// Leaving the masked positions out matches the full-row form — −Inf
+// scores, a T-wide softmax and a T×T value matmul — bit for bit whenever
+// the live scores and values are finite: a −Inf score never changes the
+// row maximum, its exp is +0, which leaves the sum unchanged, its
+// probability is +0/sum = +0, and the +0·v terms the matmul would add leave
+// every accumulator unchanged (one that starts at +0 never holds −0).
 func attend(out, scores *tensor.Matrix, p int, q, kT *tensor.Matrix, v []float64) {
-	D := q.Cols
+	T, D, S := q.Rows, q.Cols, scores.Cols
 	scale := 1 / math.Sqrt(float64(D))
-	for t := 0; t < q.Rows; t++ {
+	t := 0
+	for ; t+4 <= T; t += 4 {
+		tensor.MulRows(scores.Data[t*S:], S, q.Data[t*D:], D, kT.Data, kT.Cols, nil, 4, D, p+t+4)
+	}
+	for ; t < T; t++ {
 		row := scores.Row(t)[:p+t+1]
 		clear(row)
 		tensor.AxpyRows(row, q.Row(t), kT.Data, kT.Cols)
+	}
+	for t := range T {
+		row := scores.Row(t)[:p+t+1]
 		for u := range row {
 			row[u] *= scale
 		}
 	}
 	tensor.SoftmaxRows(scores, p)
-	out.Zero()
-	for t := 0; t < q.Rows; t++ {
-		tensor.AxpyRows(out.Row(t), scores.Row(t)[:p+t+1], v, D)
+	t = 0
+	for ; t+4 <= T; t += 4 {
+		k := p + t + 1
+		tensor.MulRows(out.Data[t*D:], D, scores.Data[t*S:], S, v, D, nil, 4, k, D)
+		for i := t + 1; i < t+4; i++ {
+			tensor.AxpyRows(out.Row(i), scores.Row(i)[k:p+i+1], v[k*D:], D)
+		}
+	}
+	for ; t < T; t++ {
+		row := out.Row(t)
+		clear(row)
+		tensor.AxpyRows(row, scores.Row(t)[:p+t+1], v, D)
 	}
 }
 

@@ -53,8 +53,14 @@ type Workspace struct {
 	topkIdx   []int
 	topkUsed  []bool
 	routeOrig []int
-	eOut      []float64
 	attnRecv  []float64
+
+	// The forward's expert positions (runExperts): posRow[p] is position
+	// p's row and eOutBlk its expert output, Dim wide; blockStart and
+	// blockNext, below, hold each expert's positions. xBlk holds a block of
+	// four positions' inputs for the W1 sweep (Expert.forwardRows).
+	posRow        []int
+	xBlk, eOutBlk []float64
 
 	// Final layer norm + head, over the rows from headFrom on.
 	normed   *tensor.Matrix

@@ -42,8 +42,8 @@ package tensor
 // work, the exps and the divides, four lanes wide, and adds each lane into
 // its one scalar sum in ascending order; its max is order-free. Where
 // AVX-512F runs, SoftmaxRows instead gives each of eight rows a lane, and
-// MatMulInto runs four rows' Axpy-form chains side by side: a lane is
-// still one output's chain, so neither reorders a sum.
+// MulRows runs four rows' Axpy-form chains side by side: a lane is still
+// one output's chain, so neither reorders a sum.
 
 // Axpy adds a*x elementwise into y: y[i] += a*x[i]. Lengths must match and y
 // must not overlap x. It is the inner kernel of the weighted expert sum
@@ -64,15 +64,58 @@ func Axpy(a float64, x, y []float64) {
 // element accumulates its terms in ascending k — but the assembly form keeps
 // y in registers across all rows instead of loading and storing it once per
 // row. stride must be at least len(y), w must hold the last row, and y must
-// not overlap x or w. It is the inner kernel of MulScratch.MatMulInto and
-// MatMulTransBInto, the expert FFN's W1 sweep, attention's scores (on
-// transposed keys) and value sum, and PCA's power iteration.
+// not overlap x or w. It is the inner kernel of MatMulTransBInto and PCA's
+// power iteration, and takes the rows MulRows leaves over: every row off
+// AVX-512F, and the last one to three rows of a block elsewhere — among
+// them a decode step's expert W1 sweeps and attention rows, and the tail of
+// each longer attention row past its block's shortest live prefix.
 //
-// Hot path: the row-times-matrix kernel of every forward matmul and expert W1
-// sweep; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
+// Hot path: the row-times-matrix kernel behind every forward matmul and
+// expert W1 sweep; 0 allocs/op, pinned by TestAxpyKernelsZeroAllocs.
 func AxpyRows(y, x, w []float64, stride int) {
 	checkRowShape("axpyrows", y, x, w, stride)
 	axpyRows(y, x, w, stride)
+}
+
+// MulRows writes y = bias + x·W over rows rows: row i of y, the n elements
+// from y[i·ystride], gets bias[j] — or +0 for a nil bias — plus x[i·xstride+k]
+// times w[k·wstride+j] for every k below the inner length kk, in ascending
+// k. Each row is bit-identical to copying the bias into it, or clearing it,
+// and then one AxpyRows(row, x row i, w, wstride). Where AVX-512F runs, the
+// rows go four at a time through one kernel that runs their chains side by
+// side, in panels of up to 24 columns, and the rows left over take one
+// AxpyRows each. Every stride must be at least the row it steps over
+// (xstride ≥ kk, wstride and ystride ≥ n), the slices must hold their last
+// rows, and y must not overlap x, w or bias. It is the kernel of MatMulInto,
+// of the expert FFN's W1 sweep over its routed tokens, and of attention's
+// scores and value sums.
+//
+// Hot path: every forward matmul, expert W1 sweep and attention product; 0
+// allocs/op, pinned by TestAxpyKernelsZeroAllocs.
+func MulRows(y []float64, ystride int, x []float64, xstride int, w []float64, wstride int, bias []float64, rows, kk, n int) {
+	switch {
+	case xstride < kk || wstride < n || ystride < n:
+		panic("tensor: mulrows stride shorter than a row")
+	case len(x) < (rows-1)*xstride+kk || len(y) < (rows-1)*ystride+n:
+		panic("tensor: mulrows rows shorter than the last row")
+	case kk > 0 && len(w) < (kk-1)*wstride+n:
+		panic("tensor: mulrows weights shorter than the last row")
+	case bias != nil && len(bias) < n:
+		panic("tensor: mulrows bias shorter than a row")
+	}
+	done := 0
+	if rows >= 4 {
+		done = mulRows4(y, x, w, bias, rows, kk, n, xstride, wstride, ystride, false)
+	}
+	for i := done; i < rows; i++ {
+		row := y[i*ystride : i*ystride+n]
+		if bias == nil {
+			clear(row)
+		} else {
+			copy(row, bias)
+		}
+		axpyRows(row, x[i*xstride:i*xstride+kk], w, wstride)
+	}
 }
 
 // AxpyNonzeroRows is AxpyRows over the rows whose x[k] is not zero: it is

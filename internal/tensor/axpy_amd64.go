@@ -120,22 +120,19 @@ func softmaxRows(m *Matrix, lo int) {
 	softmaxEachRow(m, lo, full)
 }
 
-// mulRows4Max is the widest output mulRows4AVX512 takes: three ZMM
-// accumulators a row, four rows.
-const mulRows4Max = 24
-
-// mulRows4 runs MatMulInto's four-row tier, where AVX-512F runs and the
-// output is at most mulRows4Max columns wide, on the rows of x it can take
-// in groups of four, and returns how many it took.
-func mulRows4(y, x, w []float64, k, n, ystride int, trans bool) int {
-	if !useAVX512 || n == 0 || n > mulRows4Max || k == 0 {
+// mulRows4 runs the four-row tier where AVX-512F runs: it writes rows
+// [0, done) of y = bias + x·W through mulRows4AVX512, done the largest
+// multiple of four up to rows, and returns done; the caller runs the rest.
+// With k or n zero it takes no row.
+func mulRows4(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool) int {
+	if !useAVX512 || n == 0 || k == 0 {
 		return 0
 	}
-	rows := len(x) / k &^ 3
-	if rows > 0 {
-		mulRows4AVX512(y, x[:rows*k], w, k, n, ystride, trans)
+	done := rows &^ 3
+	if done > 0 {
+		mulRows4AVX512(y, x, w, bias, done, k, n, xstride, wstride, ystride, trans)
 	}
-	return rows
+	return done
 }
 
 // hasAVX reports whether 256-bit AVX instructions may be executed.
@@ -257,16 +254,19 @@ func outerNonzeroRowsAVX512(g, x, y []float64, stride int)
 //go:noescape
 func softmaxRowsAVX512(data []float64, rows, cols, lo int)
 
-// mulRows4AVX512 is y = x·W for a rows×k matrix x, rows a multiple of four,
-// and a k×n matrix W, n ≤ 24, in groups of four rows: the group's outputs
-// are twelve ZMM accumulators at most, one to three a row under lane masks,
-// from +0, and each row k of W is broadcast-multiplied into all four rows
-// before the next, so every element is still one chain of products added
-// in ascending k — AxpyRows's bits — while four rows' chains run side by
-// side. y is row-major with n columns, or, with trans, transposed: output
-// (i, j) goes to y[j·ystride + i], each column of a group stored as four
-// consecutive elements after an in-register 4×8 transpose. Shapes, k ≥ 1,
-// are the caller's check.
+// mulRows4AVX512 is y = bias + x·W for rows rows of x, rows a multiple of
+// four, row i of x at x[i·xstride:], and a k×n matrix W, row k at
+// w[k·wstride:], in groups of four rows and, within a group, panels of up
+// to 24 columns: a panel's outputs are twelve ZMM accumulators at most, one
+// to three a row under lane masks, from the bias row's columns (or +0 when
+// bias is empty), and each row k of W is broadcast-multiplied into all four
+// rows before the next, so every element is still one chain of products
+// added in ascending k — AxpyRows's bits from the same start — while four
+// rows' chains run side by side. y is row-major, row i at y[i·ystride:],
+// or, with trans, transposed: output (i, j) goes to y[j·ystride + i], each
+// column of a group stored as four consecutive elements after an
+// in-register 4×8 transpose. Shapes, k ≥ 1 and n ≥ 1, are the caller's
+// check.
 //
 //go:noescape
-func mulRows4AVX512(y, x, w []float64, k, n, ystride int, trans bool)
+func mulRows4AVX512(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool)

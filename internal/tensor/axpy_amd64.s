@@ -2140,7 +2140,7 @@ GLOBL zT4Hi<>(SB), RODATA|NOPTR, $64
 	VEXTRACTF64X4 $1, d, (AX)
 
 // M4ZERO1–M4ZERO3 set the four rows' one to three accumulators to +0:
-// row r's group g (columns 8g…8g+7) is Z(1+3r+g).
+// row r's group g (columns 8g…8g+7 of the panel) is Z(1+3r+g).
 #define M4ZERO1 \
 	VPXORQ Z1, Z1, Z1; \
 	VPXORQ Z4, Z4, Z4; \
@@ -2161,14 +2161,48 @@ GLOBL zT4Hi<>(SB), RODATA|NOPTR, $64
 	VPXORQ Z9, Z9, Z9; \
 	VPXORQ Z12, Z12, Z12
 
-// M4START points R9 and R12 at rows 0 and 3 of the group's x, R10 at row 0
-// of W, and CX at the k rows of W to run.
-#define M4START \
+// M4BIAS1–M4BIAS3 set the four rows' one to three accumulators to the
+// panel's bias at AX, each group loaded once under its mask and copied.
+#define M4BIAS1 \
+	VMOVUPD.Z (AX), K1, Z1; \
+	VMOVAPD   Z1, Z4; \
+	VMOVAPD   Z1, Z7; \
+	VMOVAPD   Z1, Z10
+
+#define M4BIAS2 \
+	M4BIAS1; \
+	VMOVUPD.Z 64(AX), K2, Z2; \
+	VMOVAPD   Z2, Z5; \
+	VMOVAPD   Z2, Z8; \
+	VMOVAPD   Z2, Z11
+
+#define M4BIAS3 \
+	M4BIAS2; \
+	VMOVUPD.Z 128(AX), K3, Z3; \
+	VMOVAPD   Z3, Z6; \
+	VMOVAPD   Z3, Z9; \
+	VMOVAPD   Z3, Z12
+
+// M4INIT starts the panel's accumulators from the bias row's columns R14
+// on, or from +0 when the bias is empty, and then points R9 and R12 at rows
+// 0 and 3 of the group's x, R10 at the panel's columns of row 0 of W, and
+// CX at the k rows of W to run.
+#define M4INIT(zero, bias, lbias, lrun) \
+	MOVQ bias_len+80(FP), AX; \
+	TESTQ AX, AX; \
+	JNE  lbias; \
+	zero; \
+	JMP  lrun; \
+lbias: \
+	MOVQ bias_base+72(FP), AX; \
+	LEAQ (AX)(R14*8), AX; \
+	bias; \
+lrun: \
 	MOVQ SI, R9; \
 	LEAQ (R11)(R11*2), AX; \
 	LEAQ (SI)(AX*1), R12; \
-	MOVQ DX, R10; \
-	MOVQ R14, CX
+	LEAQ (DX)(R14*8), R10; \
+	MOVQ k+104(FP), CX
 
 // M4NEXT steps to the next row of W and the next element of each x row,
 // and loops to lbl while rows are left.
@@ -2179,68 +2213,81 @@ GLOBL zT4Hi<>(SB), RODATA|NOPTR, $64
 	DECQ CX; \
 	JNZ  lbl
 
-// M4STORE stores accumulator group g of the four rows in row-major order,
-// under group g's mask kg, at byte offset off of rows 0–3 of y (R8 bytes
-// apart; AX = row 3).
-#define M4STORE(off, kg, a, b, c, d) \
-	VMOVUPD a, kg, off(DI); \
-	VMOVUPD b, kg, off(DI)(R8*1); \
-	VMOVUPD c, kg, off(DI)(R8*2); \
-	VMOVUPD d, kg, off(AX)
+// M4ROWS points AX and R9 at the panel's columns of rows 0 and 3 of a
+// row-major y, R15 bytes apart.
+#define M4ROWS \
+	LEAQ (DI)(R14*8), AX; \
+	LEAQ (R15)(R15*2), R9; \
+	ADDQ AX, R9
 
-// M4COLS sets CX to the columns of group g, min(n − 8g, 8), and AX to
-// where its column 8g starts in the transposed y.
+// M4STORE stores accumulator group g of the four rows in row-major order,
+// under group g's mask kg, at byte offset off of rows 0–3 of y (AX, R15
+// bytes apart; R9 = row 3).
+#define M4STORE(off, kg, a, b, c, d) \
+	VMOVUPD a, kg, off(AX); \
+	VMOVUPD b, kg, off(AX)(R15*1); \
+	VMOVUPD c, kg, off(AX)(R15*2); \
+	VMOVUPD d, kg, off(R9)
+
+// M4COLS sets CX to the columns of the panel's group g, min(n − R14 − 8g,
+// 8), and AX to where its first column starts in the transposed y.
 #define M4COLS(g) \
 	LEAQ    -(8*g)(R13), CX; \
+	SUBQ    R14, CX; \
 	MOVQ    $8, AX; \
 	CMPQ    CX, AX; \
 	CMOVQGT AX, CX; \
-	MOVQ    R15, AX; \
-	IMULQ   $(8*g), AX; \
+	LEAQ    (8*g)(R14), AX; \
+	IMULQ   R15, AX; \
 	ADDQ    DI, AX
 
-// func mulRows4AVX512(y, x, w []float64, k, n, ystride int, trans bool)
+// func mulRows4AVX512(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool)
 //
-// Register use: SI = the group's first row of x, BX = the end of x, DI =
-// the group's first row of y (or, transposed, its first element of row 0),
-// DX = &w[0], R14 = k, R13 = n, R11 = a row of x in bytes, R8 = a row of W
-// (and of row-major y) in bytes, R15 = a row of transposed y in bytes; per
-// group as M4START. K1–K3 mask the 8-column groups to n columns.
-TEXT ·mulRows4AVX512(SB), NOSPLIT, $0-97
+// Register use: SI = the group's first row of x, BX = the end of x's
+// groups, DI = the group's first row of y (or, transposed, its first
+// element of row 0), DX = &w[0], R14 = the panel's first column, R13 = n,
+// R11, R8 and R15 = a row of x, W and y in bytes; per panel as M4INIT.
+// K1–K3 mask the panel's 8-column groups to its columns.
+TEXT ·mulRows4AVX512(SB), NOSPLIT, $0-145
 	MOVQ  y_base+0(FP), DI
 	MOVQ  x_base+24(FP), SI
-	MOVQ  x_len+32(FP), BX
 	MOVQ  w_base+48(FP), DX
-	MOVQ  k+72(FP), R14
-	MOVQ  n+80(FP), R13
-	MOVQ  ystride+88(FP), R15
-	SHLQ  $3, R15
-	LEAQ  (SI)(BX*8), BX
-	MOVQ  R13, R8
-	SHLQ  $3, R8
-	MOVQ  R14, R11
+	MOVQ  rows+96(FP), BX
+	MOVQ  n+112(FP), R13
+	MOVQ  xstride+120(FP), R11
 	SHLQ  $3, R11
-	MOVQ  R13, CX
-	MOVQ  $-1, AX
-	SHLQ  CX, AX
-	NOTQ  AX
-	KMOVW AX, K1
-	SHRQ  $8, AX
-	KMOVW AX, K2
-	SHRQ  $8, AX
-	KMOVW AX, K3
-	CMPQ  R13, $8
-	JLE   m4g1
-	CMPQ  R13, $16
-	JLE   m4g2
+	MOVQ  wstride+128(FP), R8
+	SHLQ  $3, R8
+	MOVQ  ystride+136(FP), R15
+	SHLQ  $3, R15
+	IMULQ R11, BX
+	ADDQ  SI, BX
 
-m4g3:
-	M4ZERO3
-	M4START
+m4group:
+	XORQ R14, R14
 
-	// The hot loop of Dim-wide outputs starts on a 32-byte boundary; the
-	// padding also keeps fluxbench's calibration kernel at the address
-	// mod 64 it had before this kernel, which its timings depend on.
+m4panel:
+	MOVQ    R13, CX
+	SUBQ    R14, CX
+	MOVQ    $24, AX
+	CMPQ    CX, AX
+	CMOVQGT AX, CX
+	MOVQ    $-1, AX
+	SHLQ    CX, AX
+	NOTQ    AX
+	KMOVW   AX, K1
+	SHRQ    $8, AX
+	KMOVW   AX, K2
+	SHRQ    $8, AX
+	KMOVW   AX, K3
+	CMPQ    CX, $8
+	JLE     m4g1
+	CMPQ    CX, $16
+	JLE     m4g2
+
+	M4INIT(M4ZERO3, M4BIAS3, m4b3, m4r3)
+
+	// The hot loop of Dim-wide outputs starts on a 32-byte boundary.
 	PCALIGN $32
 
 m4k3:
@@ -2249,15 +2296,13 @@ m4k3:
 	M4ROW3((R9)(R11*2), Z7, Z8, Z9)
 	M4ROW3((R12), Z10, Z11, Z12)
 	M4NEXT(m4k3)
-	CMPB  trans+96(FP), $0
-	JNE   m4t3
-	LEAQ  (R8)(R8*2), AX
-	ADDQ  DI, AX
+	CMPB trans+144(FP), $0
+	JNE  m4t3
+	M4ROWS
 	M4STORE(0, K1, Z1, Z4, Z7, Z10)
 	M4STORE(64, K2, Z2, Z5, Z8, Z11)
 	M4STORE(128, K3, Z3, Z6, Z9, Z12)
-	LEAQ  (DI)(R8*4), DI
-	JMP   m4n3
+	JMP  m4next
 
 m4t3:
 	M4COLS(0)
@@ -2269,21 +2314,11 @@ m4t3g1:
 
 m4t3g2:
 	M4COLS(2)
-	M4TSTORE(Z3, Z6, Z9, Z12, m4t3n)
-
-m4t3n:
-	ADDQ $32, DI
-
-m4n3:
-	LEAQ (SI)(R11*4), SI
-	CMPQ SI, BX
-	JLT  m4g3
-	VZEROUPPER
-	RET
+	M4TSTORE(Z3, Z6, Z9, Z12, m4next)
+	JMP m4next
 
 m4g2:
-	M4ZERO2
-	M4START
+	M4INIT(M4ZERO2, M4BIAS2, m4b2, m4r2)
 
 m4k2:
 	M4ROW2((R9), Z1, Z2)
@@ -2291,14 +2326,12 @@ m4k2:
 	M4ROW2((R9)(R11*2), Z7, Z8)
 	M4ROW2((R12), Z10, Z11)
 	M4NEXT(m4k2)
-	CMPB  trans+96(FP), $0
-	JNE   m4t2
-	LEAQ  (R8)(R8*2), AX
-	ADDQ  DI, AX
+	CMPB trans+144(FP), $0
+	JNE  m4t2
+	M4ROWS
 	M4STORE(0, K1, Z1, Z4, Z7, Z10)
 	M4STORE(64, K2, Z2, Z5, Z8, Z11)
-	LEAQ  (DI)(R8*4), DI
-	JMP   m4n2
+	JMP  m4next
 
 m4t2:
 	M4COLS(0)
@@ -2306,21 +2339,11 @@ m4t2:
 
 m4t2g1:
 	M4COLS(1)
-	M4TSTORE(Z2, Z5, Z8, Z11, m4t2n)
-
-m4t2n:
-	ADDQ $32, DI
-
-m4n2:
-	LEAQ (SI)(R11*4), SI
-	CMPQ SI, BX
-	JLT  m4g2
-	VZEROUPPER
-	RET
+	M4TSTORE(Z2, Z5, Z8, Z11, m4next)
+	JMP m4next
 
 m4g1:
-	M4ZERO1
-	M4START
+	M4INIT(M4ZERO1, M4BIAS1, m4b1, m4r1)
 
 m4k1:
 	M4ROW1((R9), Z1)
@@ -2328,24 +2351,31 @@ m4k1:
 	M4ROW1((R9)(R11*2), Z7)
 	M4ROW1((R12), Z10)
 	M4NEXT(m4k1)
-	CMPB  trans+96(FP), $0
-	JNE   m4t1
-	LEAQ  (R8)(R8*2), AX
-	ADDQ  DI, AX
+	CMPB trans+144(FP), $0
+	JNE  m4t1
+	M4ROWS
 	M4STORE(0, K1, Z1, Z4, Z7, Z10)
-	LEAQ  (DI)(R8*4), DI
-	JMP   m4n1
+	JMP  m4next
 
 m4t1:
 	M4COLS(0)
-	M4TSTORE(Z1, Z4, Z7, Z10, m4t1n)
+	M4TSTORE(Z1, Z4, Z7, Z10, m4next)
 
-m4t1n:
+m4next:
+	ADDQ $24, R14
+	CMPQ R14, R13
+	JLT  m4panel
+	LEAQ (SI)(R11*4), SI
+	CMPB trans+144(FP), $0
+	JNE  m4gt
+	LEAQ (DI)(R15*4), DI
+	JMP  m4gend
+
+m4gt:
 	ADDQ $32, DI
 
-m4n1:
-	LEAQ (SI)(R11*4), SI
+m4gend:
 	CMPQ SI, BX
-	JLT  m4g1
+	JLT  m4group
 	VZEROUPPER
 	RET

@@ -128,8 +128,20 @@ func TestAVX512MatMulRows4BitIdentity(t *testing.T) {
 	if !useAVX512 {
 		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
 	}
-	if done := mulRows4(make([]float64, 4*8), make([]float64, 4*3), make([]float64, 3*8), 3, 8, 0, false); done != 4 {
-		t.Fatalf("the four-row tier took %d of 4 rows", done)
+	if done := mulRows4(make([]float64, 4*8), make([]float64, 4*3), make([]float64, 3*8), nil, 5, 3, 8, 3, 8, 8, false); done != 4 {
+		t.Fatalf("the four-row tier took %d of 5 rows", done)
 	}
 	checkMatMulRows(t)
+}
+
+// TestAVX512MulRows4BitIdentity pins the four-row kernel itself, called on
+// whole groups of four, to one portable AxpyRows per row over
+// checkMulRows's grid: every output width 1–72, each stride at its row
+// length and longer, both bias modes and both stores.
+func TestAVX512MulRows4BitIdentity(t *testing.T) {
+	t.Logf("AVX-512 detected: %v", useAVX512)
+	if !useAVX512 {
+		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
+	}
+	checkMulRows(t, []int{4, 8}, true, mulRows4AVX512)
 }

@@ -17,8 +17,9 @@ import (
 // bit for bit. The eight-row softmax then runs with its last row's last
 // live element flush against the page, the rest of that row beyond it, at
 // widths 1–72 and row offsets that leave the last row short and whole; and
-// the four-row matmul with each of its operands at the page, at every
-// output width 1–24, both stores.
+// the four-row matmul with each of its operands, the bias included, at the
+// page, at every output width 1–72, each operand at its row length and at
+// a longer stride, both stores.
 func TestAVX512MaskedLanesCannotFault(t *testing.T) {
 	if !useAVX512 {
 		t.Skip("no AVX-512F on this machine: the 512-bit kernels were not run")
@@ -93,38 +94,41 @@ func TestAVX512MaskedLanesCannotFault(t *testing.T) {
 		}
 	}
 
-	for n := 1; n <= mulRows4Max; n++ {
+	for n := 1; n <= 72; n++ {
 		for _, k := range []int{1, 3} {
-			const rows = 8
-			x, w := make([]float64, rows*k), make([]float64, k*n)
-			mixedFill(g, x)
-			mixedFill(g, w)
-			want := make([]float64, rows*n)
-			for i := 0; i < rows; i++ {
-				axpyRowsGeneric(want[i*n:(i+1)*n], x[i*k:(i+1)*k], w, n)
-			}
-			wantT := make([]float64, n*rows)
-			for i := 0; i < rows; i++ {
-				for j := 0; j < n; j++ {
-					wantT[j*rows+i] = want[i*n+j]
-				}
-			}
-			for _, trans := range []bool{false, true} {
-				for _, place := range []string{"written", "x", "read"} {
-					y, xs, ws := make([]float64, rows*n), x, w
-					switch place {
-					case "written":
-						y = atGuard(y)
-					case "x":
-						xs = atGuard(x)
-					case "read":
-						ws = atGuard(w)
-					}
-					mulRows4AVX512(y, xs, ws, k, n, rows, trans)
-					what := fmt.Sprintf("mulRows4, width %d, k %d, transposed %v, %s operand at the guard page", n, k, trans, place)
+			for _, pad := range []int{0, 3} {
+				for _, trans := range []bool{false, true} {
+					const rows = 8
+					xs, wst, ys := k+pad, n+pad, n+pad
 					if trans {
-						sameBits(t, what, y, wantT)
-					} else {
+						ys = rows + pad
+					}
+					// The operands end at their last row's last element, as
+					// far as the kernel may read or write.
+					x, w, bias := make([]float64, (rows-1)*xs+k), make([]float64, (k-1)*wst+n), make([]float64, n)
+					mixedFill(g, x)
+					mixedFill(g, w)
+					mixedFill(g, bias)
+					size := (rows-1)*ys + n
+					if trans {
+						size = (n-1)*ys + rows
+					}
+					want := make([]float64, size)
+					mulRowsOracle(want, x, w, bias, rows, k, n, xs, wst, ys, trans)
+					for _, place := range []string{"written", "x", "read", "bias"} {
+						y, xg, wg, bg := make([]float64, size), x, w, bias
+						switch place {
+						case "written":
+							y = atGuard(y)
+						case "x":
+							xg = atGuard(x)
+						case "read":
+							wg = atGuard(w)
+						case "bias":
+							bg = atGuard(bias)
+						}
+						mulRows4AVX512(y, xg, wg, bg, rows, k, n, xs, wst, ys, trans)
+						what := fmt.Sprintf("mulRows4, width %d, k %d, strides %d/%d/%d, transposed %v, %s operand at the guard page", n, k, xs, wst, ys, trans, place)
 						sameBits(t, what, y, want)
 					}
 				}

@@ -20,4 +20,6 @@ func softmax(dst, src []float64) { softmaxGeneric(dst, src) }
 
 func softmaxRows(m *Matrix, lo int) { softmaxEachRow(m, lo, 0) }
 
-func mulRows4(y, x, w []float64, k, n, ystride int, trans bool) int { return 0 }
+func mulRows4(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool) int {
+	return 0
+}

@@ -699,10 +699,12 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 	w := make([]float64, 24*48)
 	x4 := make([]float64, 4*48)
 	y4 := make([]float64, 4*24)
+	y5 := make([]float64, 5*48)
 	allocs := testing.AllocsPerRun(100, func() {
 		Axpy(0.5, y[:24], x)
 		AxpyRows(y, x, w, 48)
 		AxpyNonzeroRows(y, x, w, 48)
+		MulRows(y5, 48, x4, 24, w, 48, y, 5, 24, 48)
 		DotRows4(y4, x4, w, 48)
 		OuterRows(w, x, y, 48)
 		OuterNonzeroRows(w, x, y, 48)
@@ -710,7 +712,7 @@ func TestAxpyKernelsZeroAllocs(t *testing.T) {
 		Softmax(y[:len(x)], x)
 	})
 	if allocs != 0 {
-		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + DotRows4 + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
+		t.Fatalf("Axpy + AxpyRows + AxpyNonzeroRows + MulRows + DotRows4 + OuterRows + OuterNonzeroRows + ReLU + Softmax: %v allocs/op, want 0", allocs)
 	}
 
 	// MatMulInto on a warm scratch, through both the single-block path and

@@ -115,11 +115,11 @@ type MulScratch struct {
 // accumulates its a[i][k]*b[k][j] terms in ascending-k order starting from
 // zero, exactly like the naive ikj loop, so results are bit-identical to the
 // reference kernel at every shape (TestMatMulTiledBitIdentity pins this).
-// Where AVX-512F runs and out is at most 24 columns wide — the attention
-// projections and the gate — rows go four at a time through one kernel
-// that runs their chains side by side, each element still one ascending
-// chain from +0 (TestAVX512MatMulRows4BitIdentity); the rows left over take
-// one AxpyRows each.
+// Where AVX-512F runs, rows go four at a time through MulRows's kernel,
+// which runs their chains side by side in panels of up to 24 columns, each
+// element still one ascending chain from +0
+// (TestAVX512MatMulRows4BitIdentity); the rows left over take one AxpyRows
+// each.
 //
 // Hot path: the innermost matmul kernel of every forward/backward. It reuses
 // the packed scratch and stays 0 allocs/op when warm, pinned by
@@ -131,7 +131,7 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: matmul output shape mismatch")
 	}
-	done := mulRows4(out.Data, a.Data, b.Data, a.Cols, b.Cols, 0, false)
+	done := mulRows4(out.Data, a.Data, b.Data, nil, a.Rows, a.Cols, b.Cols, a.Cols, b.Cols, b.Cols, false)
 	clear(out.Data[done*out.Cols:])
 	if done > 0 || (b.Rows <= matmulTileK && b.Cols <= matmulTileJ) || b.Rows*b.Cols <= matmulTileK*matmulTileJ {
 		// Single-block case — b fits a tile's worth of cache even if one
@@ -191,7 +191,7 @@ func (ms *MulScratch) MatMulIntoCols(outT *Matrix, col int, a, b *Matrix) {
 	if n == 0 {
 		return
 	}
-	done := mulRows4(outT.Data[col:], a.Data, b.Data, a.Cols, n, outT.Cols, true)
+	done := mulRows4(outT.Data[col:], a.Data, b.Data, nil, a.Rows, a.Cols, n, a.Cols, n, outT.Cols, true)
 	if cap(ms.pack) < n {
 		ms.pack = make([]float64, n)
 	}

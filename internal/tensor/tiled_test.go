@@ -73,9 +73,9 @@ func TestMatMulTiledBitIdentity(t *testing.T) {
 }
 
 // checkMatMulRows holds MatMulInto and MatMulIntoCols to one portable
-// AxpyRows per row from +0, bit for bit, at every output width 0–26 (each
-// masked width of the four-row tier's one, two and three registers a row,
-// and two past it), 0–13 rows (whole groups of four and one to three left
+// AxpyRows per row from +0, bit for bit, at every output width 0–50 (each
+// masked width of the four-row tier's one, two and three registers in a
+// first, second and third panel of 24 columns) and 71–72, 0–13 rows (whole groups of four and one to three left
 // over) and reductions of 1, 2, 5 and 24 terms, over values with zeros,
 // subnormals and magnitudes whose products overflow. MatMulIntoCols writes
 // into a stale matrix two columns wider on each side, whose other columns
@@ -84,7 +84,7 @@ func checkMatMulRows(t *testing.T) {
 	t.Helper()
 	g := NewRNG(61)
 	var ms MulScratch
-	for n := 0; n <= 26; n++ {
+	for _, n := range append(seq(0, 50), 71, 72) {
 		for rows := 0; rows <= 13; rows++ {
 			for _, k := range []int{1, 2, 5, 24} {
 				a, b := NewMatrix(rows, k), NewMatrix(k, n)
@@ -117,6 +117,98 @@ func checkMatMulRows(t *testing.T) {
 // this host and build run.
 func TestMatMulRowsBitIdentity(t *testing.T) {
 	checkMatMulRows(t)
+}
+
+// seq returns the integers [from, to].
+func seq(from, to int) []int {
+	s := make([]int, 0, to-from+1)
+	for i := from; i <= to; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// mulRowsFunc is MulRows's four-row kernel signature: trans stores the
+// output transposed, output (i, j) at y[j·ystride+i].
+type mulRowsFunc func(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool)
+
+// mulRowsOracle is one portable AxpyRows per row, from the bias or from +0.
+func mulRowsOracle(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, trans bool) {
+	row := make([]float64, n)
+	for i := 0; i < rows; i++ {
+		clear(row)
+		if bias != nil {
+			copy(row, bias)
+		}
+		axpyRowsGeneric(row, x[i*xstride:i*xstride+k], w, wstride)
+		for j, v := range row {
+			if trans {
+				y[j*ystride+i] = v
+			} else {
+				y[i*ystride+j] = v
+			}
+		}
+	}
+}
+
+// checkMulRows holds got to mulRowsOracle bit for bit at every output width
+// 1–72 — each masked width of one, two and three registers in a first,
+// second and third panel of 24 columns — over the given row counts,
+// reductions of 1, 3 and 24 terms, each operand at its row length and at a
+// longer stride, from the bias and from +0, row-major and, where transposed
+// is set, transposed; values have zeros, subnormals and magnitudes whose
+// products overflow. y starts stale, and the elements between its rows
+// must keep their bits.
+func checkMulRows(t *testing.T, rowCounts []int, transposed bool, got mulRowsFunc) {
+	t.Helper()
+	g := NewRNG(71)
+	stores := []bool{false}
+	if transposed {
+		stores = append(stores, true)
+	}
+	for n := 1; n <= 72; n++ {
+		for _, rows := range rowCounts {
+			for _, k := range []int{1, 3, 24} {
+				for _, pad := range []int{0, 3} {
+					for _, withBias := range []bool{false, true} {
+						for _, trans := range stores {
+							xs, wst, ys := k+pad, n+2*pad, n+pad
+							if trans {
+								ys = rows + pad
+							}
+							x, w := make([]float64, rows*xs), make([]float64, k*wst)
+							mixedFill(g, x)
+							mixedFill(g, w)
+							var bias []float64
+							if withBias {
+								bias = make([]float64, n)
+								mixedFill(g, bias)
+							}
+							size := rows * ys
+							if trans {
+								size = n * ys
+							}
+							y, want := stale(1, size).Data, stale(1, size).Data
+							mulRowsOracle(want, x, w, bias, rows, k, n, xs, wst, ys, trans)
+							got(y, x, w, bias, rows, k, n, xs, wst, ys, trans)
+							sameBits(t, fmt.Sprintf("%d rows, k %d, width %d, strides %d/%d/%d, bias %v, transposed %v",
+								rows, k, n, xs, wst, ys, withBias, trans), y, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulRowsBitIdentity runs checkMulRows through MulRows, on whichever
+// tier this host and build run: whole groups of four and one to three rows
+// left over.
+func TestMulRowsBitIdentity(t *testing.T) {
+	checkMulRows(t, []int{1, 3, 4, 5, 8, 11}, false,
+		func(y, x, w, bias []float64, rows, k, n, xstride, wstride, ystride int, _ bool) {
+			MulRows(y, ystride, x, xstride, w, wstride, bias, rows, k, n)
+		})
 }
 
 // TestMatMulTransIntoMatchesAlloc pins the full-overwrite contract of the

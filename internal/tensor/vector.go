@@ -171,24 +171,41 @@ func topKScan(idx []int, used []bool, v []float64, k int) ([]int, []bool) {
 // 1 ≤ k ≤ len(v), in TopKInto's order, in one ascending pass. A later
 // element displaces an earlier one only by ranking strictly above it —
 // comparing greater, or being a number against a NaN — so of equal-ranked
-// elements the lower index stays ahead, as in the pass-per-pick scan.
+// elements the lower index stays ahead, as in the pass-per-pick scan. The
+// comparisons run on rankKey's integers and every update is a select, which
+// the compiler lowers to conditional moves: the router's gate probabilities
+// fall in no pattern a branch predictor could learn.
 func topTwo(idx []int, v []float64, k int) []int {
-	i1, i2 := 0, -1
-	b1, b2 := v[0], 0.0
+	i1, i2 := 0, 0
+	k1, k2 := rankKey(v[0]), int64(math.MinInt64) // below every key: any element fills slot two
 	for i := 1; i < len(v); i++ {
-		x := v[i]
-		switch {
-		case x > b1 || (b1 != b1 && x == x):
-			i1, i2, b1, b2 = i, i1, x, b1
-		case i2 < 0 || x > b2 || (b2 != b2 && x == x):
-			i2, b2 = i, x
+		x := rankKey(v[i])
+		j2, m2 := i2, k2
+		if x > k2 {
+			j2, m2 = i, x
 		}
+		if x > k1 {
+			j2, m2, i1, k1 = i1, k1, i, x
+		}
+		i2, k2 = j2, m2
 	}
 	idx = append(idx, i1)
 	if k == 2 {
 		idx = append(idx, i2)
 	}
 	return idx
+}
+
+// rankKey maps x to an integer whose order is TopKInto's rank order: the
+// numbers in their order, the two zeros one key, and every NaN one key
+// below −Inf's and above math.MinInt64.
+func rankKey(x float64) int64 {
+	b := int64(math.Float64bits(x + 0)) // −0 + 0 = +0: the zeros tie
+	b ^= int64(uint64(b>>63) >> 1)      // a negative number's magnitude bits count down
+	if x != x {
+		b = math.MinInt64 + 1
+	}
+	return b
 }
 
 // Mean returns the arithmetic mean of v, or 0 for empty input.
