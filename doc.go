@@ -27,8 +27,9 @@
 // Both extension points are fully public. A custom method implements
 // Rounder against Env and EngineConfig around one contract — Round(env, r,
 // cohort) prepares the round and returns a Participant function that runs
-// one participant and returns its SlotResult (update, modeled traffic,
-// per-phase simulated seconds) — and registers with RegisterMethod.
+// one participant, bills its simulated seconds phase by phase on its
+// Scratch (Mark, Bill), and returns its SlotResult (update, modeled
+// traffic) — and registers with RegisterMethod.
 // env.RunRound owns the rest of the round: the cohort, the fan-out,
 // cancellation, the slot check, straggler deadline, aggregation in
 // whichever mode the run selected, traffic and census accounting,

@@ -22,8 +22,9 @@ import (
 // A method implementation has one shape: Round prepares the round and returns
 // a Participant function, which clones the global model into the worker's
 // Scratch, runs local SGD over env.Batch(i, r), extracts the tuned experts,
-// and returns one SlotResult — the update, its modeled traffic, and the
-// participant's per-phase simulated seconds. Env.RunRound owns the rest of
+// bills its per-phase simulated seconds on the Scratch (Mark, Bill), and
+// returns one SlotResult — the update and its modeled traffic; the engine
+// adds the billed phases. Env.RunRound owns the rest of
 // the round (cohort, fan-out, cancellation, the slot check, deadline,
 // FedAvg in every aggregation mode, traffic and census accounting, simulated
 // time). See examples/external_method for a complete out-of-module method,
@@ -63,7 +64,8 @@ type Rounder = fed.Rounder
 
 // Participant is one cohort member's round: on its worker's Scratch, for its
 // cohort slot and participant index i, it fine-tunes against the read-only
-// env.Global and returns the slot's SlotResult, whose update must name i.
+// env.Global, bills its simulated time on the Scratch (Mark, Bill), and
+// returns the slot's SlotResult, whose update must name i.
 // env.RunRound fails the round on a malformed update, before aggregating.
 type Participant = fed.Participant
 
@@ -76,7 +78,8 @@ type Update = fed.Update
 // accumulator (Grads), a forward/backward Workspace, and a flatten arena
 // (ExtractUpdate). Buffers persist across rounds of the same environment; an
 // update extracted into the arena is valid through the round's reduction and
-// no longer.
+// no longer. A participant reports simulated time only through it:
+// Mark(phase) on entering a phase, Bill(seconds) for what it prices there.
 type Scratch = fed.Scratch
 
 // ExpertKey identifies an expert by layer and original index.
@@ -211,8 +214,9 @@ const (
 
 // SlotResult is one cohort slot's finished work, what a Participant function
 // returns: the participant's update, its modeled uplink and downlink
-// payloads, and its per-phase simulated seconds. The phases must sum to the
-// participant's end-to-end round time — the server core tests that sum
+// payloads, and its per-phase simulated seconds, which only the engine fills
+// in, from the Scratch's bills. They must sum to the participant's
+// end-to-end round time — the server core tests that sum
 // against the straggler deadline and, under async/semisync aggregation,
 // orders arrivals at the server by it. The round's own phase map, traffic
 // totals, and census are all derived from the cohort's SlotResults. After

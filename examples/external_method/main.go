@@ -23,7 +23,9 @@ import (
 // upload, sample-count-weighted aggregation.
 //
 // It has the shape of every method: Round prepares the round and returns the
-// participant function, which fills one SlotResult per cohort member. The
+// participant function, which fills one SlotResult per cohort member and
+// bills its simulated seconds on its Scratch, marking each phase it enters
+// (Mark) and billing what it prices there (Bill). The
 // engine's env.RunRound owns the rest — the cohort, the worker pool, the
 // update check, deadline, aggregation mode, traffic and census accounting,
 // and the round's simulated time.
@@ -36,6 +38,7 @@ func (fedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 	down := flux.ModelBytes(env.Global) // the broadcast every participant receives
 	return func(ws *flux.Scratch, _, i int) flux.SlotResult {
 		dev := env.Devices[i]
+		ws.Mark(flux.PhaseFineTuning)
 		local := ws.LocalClone(env.Global)
 		grads := ws.Grads(local)
 		batch := env.Batch(i, round)
@@ -48,15 +51,13 @@ func (fedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
+		ws.Bill(dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)))
+
+		ws.Mark(flux.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := flux.UpdateBytes(u)
-		return flux.SlotResult{
-			Update: u, Bytes: bytes, DownBytes: down,
-			Phases: map[flux.Phase]float64{
-				flux.PhaseFineTuning: dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
-				flux.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
-			},
-		}
+		ws.Bill(dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down))
+		return flux.SlotResult{Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 

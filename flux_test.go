@@ -141,8 +141,10 @@ type nanPhase struct{}
 func (nanPhase) Name() string { return "nan-phase" }
 
 func (nanPhase) Round(*Env, int, []int) Participant {
-	return func(_ *Scratch, _, i int) SlotResult {
-		return SlotResult{Update: Update{Participant: i}, Phases: map[Phase]float64{PhaseComm: math.NaN()}}
+	return func(s *Scratch, _, i int) SlotResult {
+		s.Mark(PhaseComm)
+		s.Bill(math.NaN())
+		return SlotResult{Update: Update{Participant: i}}
 	}
 }
 

@@ -39,7 +39,7 @@ func (FMD) Round(env *fed.Env, round int, _ []int) fed.Participant {
 
 	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
-		env.MarkPhase(simtime.PhaseFineTuning)
+		ws.Mark(simtime.PhaseFineTuning)
 		local := ws.LocalClone(env.Global)
 		tokens, steps := fed.LocalSGD(local, ws.Workspace(), ws.Grads(local),
 			env.Batch(i, round), env.Cfg.LocalIters, env.Cfg.LR)
@@ -47,18 +47,14 @@ func (FMD) Round(env *fed.Env, round int, _ []int) fed.Participant {
 		// Every step shuttles the uncached fraction of experts in and out.
 		loads := int(2 * (1 - dev.CapacityFrac) * float64(total))
 		offloadSec := float64(float64(steps) * dev.OffloadSeconds(cfg, loads))
+		ws.Bill(trainSec + offloadSec)
 
-		env.MarkPhase(simtime.PhaseComm)
+		ws.Mark(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := simtime.ModelBytes(cfg)
-		return fed.SlotResult{
-			Update: u, Bytes: bytes, DownBytes: down,
-			Phases: map[simtime.Phase]float64{
-				simtime.PhaseFineTuning: trainSec + offloadSec,
-				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
-			},
-		}
+		ws.Bill(dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down))
+		return fed.SlotResult{Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 
@@ -86,7 +82,7 @@ func (q FMQ) Round(env *fed.Env, round int, _ []int) fed.Participant {
 	qm := env.QuantizedGlobal(bits) // shared read-only; each participant trains its own copy
 	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
-		env.MarkPhase(simtime.PhaseFineTuning)
+		ws.Mark(simtime.PhaseFineTuning)
 		// The local working copy lives on the quantization grid.
 		local := ws.LocalClone(qm)
 		grads := ws.Grads(local)
@@ -102,18 +98,14 @@ func (q FMQ) Round(env *fed.Env, round int, _ []int) fed.Participant {
 		}
 		// Quantized kernels run ~32/bits faster.
 		trainSec := float64(dev.Seconds(simtime.TrainFlops(cfg, tokens, 1.0)) * float64(bits) / 32)
+		ws.Bill(trainSec + dev.QuantizeSeconds(cfg))
 
-		env.MarkPhase(simtime.PhaseComm)
+		ws.Mark(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u) * float64(bits) / 32
 		down := simtime.ModelBytes(cfg) * float64(bits) / 32
-		return fed.SlotResult{
-			Update: u, Bytes: bytes, DownBytes: down,
-			Phases: map[simtime.Phase]float64{
-				simtime.PhaseFineTuning: trainSec + dev.QuantizeSeconds(cfg),
-				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
-			},
-		}
+		ws.Bill(dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down))
+		return fed.SlotResult{Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 
@@ -147,12 +139,12 @@ func (s FMES) Round(env *fed.Env, round int, _ []int) fed.Participant {
 	qm := env.QuantizedGlobal(prof.Bits) // one profiling model per round, shared read-only
 	return func(ws *fed.Scratch, _, i int) fed.SlotResult {
 		dev := env.Devices[i]
-		env.MarkPhase(simtime.PhaseProfiling)
+		ws.Mark(simtime.PhaseProfiling)
 		mws := ws.Workspace()
 		batch := env.Batch(i, round)
 		// Fresh profiling each round (FMES has no stale pipeline).
 		res := prof.RunOn(qm, cfg, batch, mws)
-		profSec := res.Seconds(dev, cfg)
+		ws.Bill(res.Seconds(dev, cfg))
 
 		_, tune := env.Budgets(i)
 		tuning := TopByFrequency(res.Stats, cfg, tune)
@@ -161,23 +153,17 @@ func (s FMES) Round(env *fed.Env, round int, _ []int) fed.Participant {
 			panic(fmt.Sprintf("fmes: %v", err))
 		}
 
-		env.MarkPhase(simtime.PhaseFineTuning)
+		ws.Mark(simtime.PhaseFineTuning)
 		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
 		tuneFrac := float64(tune) / float64(max(1, env.TotalExperts()))
-		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
+		ws.Bill(dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac)))
 
-		env.MarkPhase(simtime.PhaseComm)
+		ws.Mark(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := float64(tune) * simtime.ExpertBytes(cfg)
-		return fed.SlotResult{
-			Update: u, Bytes: bytes, DownBytes: down,
-			Phases: map[simtime.Phase]float64{
-				simtime.PhaseProfiling:  profSec,
-				simtime.PhaseFineTuning: trainSec,
-				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
-			},
-		}
+		ws.Bill(dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down))
+		return fed.SlotResult{Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 

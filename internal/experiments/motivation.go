@@ -180,7 +180,9 @@ func (keepMergedFMES) Round(env *fed.Env, round int, cohort []int) fed.Participa
 		dev := env.Devices[i]
 		mws := ws.Workspace()
 		batch := env.Batch(i, round)
+		ws.Mark(simtime.PhaseProfiling)
 		res := prof.RunOn(qm, cfg, batch, mws)
+		ws.Bill(res.Seconds(dev, cfg))
 		_, tune := env.Budgets(i)
 		tuning := baselines.TopByFrequency(res.Stats, cfg, tune)
 		opt := merge.DefaultOptions()
@@ -193,20 +195,17 @@ func (keepMergedFMES) Round(env *fed.Env, round int, cohort []int) fed.Participa
 		if err != nil {
 			panic(err)
 		}
+		ws.Mark(simtime.PhaseFineTuning)
 		tokens, _ := fed.LocalSGD(local, mws, ws.Grads(local), batch, env.Cfg.LocalIters, env.Cfg.LR)
-		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-
 		total := max(env.TotalExperts(), 1)
+		ws.Bill(dev.Seconds(simtime.TrainFlops(cfg, tokens, float64(tune)/float64(total))))
+
+		ws.Mark(simtime.PhaseComm)
+		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := float64(tune) * simtime.ExpertBytes(cfg)
-		return fed.SlotResult{
-			Update: u, Bytes: bytes, DownBytes: down,
-			Phases: map[simtime.Phase]float64{
-				simtime.PhaseProfiling:  res.Seconds(dev, cfg),
-				simtime.PhaseFineTuning: dev.Seconds(simtime.TrainFlops(cfg, tokens, float64(tune)/float64(total))),
-				simtime.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
-			},
-		}
+		ws.Bill(dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down))
+		return fed.SlotResult{Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 

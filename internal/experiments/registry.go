@@ -1,69 +1,54 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Generator regenerates one table or figure.
 type Generator func(Options) *Table
 
-// Registry maps experiment ids ("table1", "figure10", ...) to generators,
-// in the paper's order.
-func Registry() map[string]Generator {
-	return map[string]Generator{
-		"table1":    Table1,
-		"figure1":   Figure1,
-		"figure2":   Figure2,
-		"figure3":   Figure3,
-		"figure5":   Figure5,
-		"figure6":   Figure6,
-		"figure8":   Figure8,
-		"figure9":   Figure9,
-		"figure10":  Figure10,
-		"figure11":  Figure11,
-		"table2":    Table2,
-		"figure12":  Figure12,
-		"figure13":  Figure13,
-		"figure14":  Figure14,
-		"figure15":  Figure15,
-		"figure16":  Figure16,
-		"figure17":  Figure17,
-		"figure18":  Figure18,
-		"figure19":  Figure19,
-		"figure20":  Figure20,
-		"staleness": Staleness,
-	}
+// registry names every experiment ("table1", "figure10", ...) with its
+// generator, in the paper's presentation order.
+var registry = []struct {
+	id  string
+	gen Generator
+}{
+	{"table1", Table1},
+	{"figure1", Figure1},
+	{"figure2", Figure2},
+	{"figure3", Figure3},
+	{"figure5", Figure5},
+	{"figure6", Figure6},
+	{"figure8", Figure8},
+	{"figure9", Figure9},
+	{"figure10", Figure10},
+	{"figure11", Figure11},
+	{"table2", Table2},
+	{"figure12", Figure12},
+	{"figure13", Figure13},
+	{"figure14", Figure14},
+	{"figure15", Figure15},
+	{"figure16", Figure16},
+	{"figure17", Figure17},
+	{"figure18", Figure18},
+	{"figure19", Figure19},
+	{"figure20", Figure20},
+	{"staleness", Staleness},
 }
 
 // Order returns experiment ids in presentation order.
 func Order() []string {
-	ids := make([]string, 0, len(Registry()))
-	for id := range Registry() {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
-	sort.Slice(ids, func(i, j int) bool { return rank(ids[i]) < rank(ids[j]) })
 	return ids
-}
-
-func rank(id string) int {
-	order := []string{"table1", "figure1", "figure2", "figure3", "figure5",
-		"figure6", "figure8", "figure9", "figure10", "figure11", "table2",
-		"figure12", "figure13", "figure14", "figure15", "figure16",
-		"figure17", "figure18", "figure19", "figure20", "staleness"}
-	for i, x := range order {
-		if x == id {
-			return i
-		}
-	}
-	return len(order)
 }
 
 // Run looks up and executes one experiment.
 func Run(id string, o Options) (*Table, error) {
-	gen, ok := Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, Order())
+	for _, e := range registry {
+		if e.id == id {
+			return e.gen(o), nil
+		}
 	}
-	return gen(o), nil
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, Order())
 }

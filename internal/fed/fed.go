@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -177,11 +176,10 @@ type envState struct {
 
 	// Observability: the attached span/run-log recorder (nil when no sink is
 	// configured — the common case, and the one the hot path is tuned for),
-	// the method label CloneForMethod stamped for CPU-profile attribution,
-	// and the lazily built per-phase pprof label contexts.
+	// and the method label CloneForMethod stamped for CPU-profile
+	// attribution.
 	rec    *obs.Recorder
 	method string
-	labels map[simtime.Phase]context.Context
 }
 
 // envStateInit guards lazy state allocation for Env values assembled by
@@ -213,7 +211,7 @@ func (e *Env) scratches(n int) []*Scratch {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for len(st.scratch) < n {
-		st.scratch = append(st.scratch, &Scratch{})
+		st.scratch = append(st.scratch, newScratch(st.method))
 	}
 	return st.scratch[:n]
 }
@@ -288,34 +286,6 @@ func (e *Env) SetRecorder(rec *obs.Recorder) {
 	st.mu.Unlock()
 }
 
-// MarkPhase tags the calling goroutine's CPU-profile samples with the given
-// round phase (and the environment's method label), so -cpuprofile output is
-// attributable per phase. Label contexts are prebuilt once per environment;
-// steady-state calls are a map lookup plus pprof.SetGoroutineLabels, which
-// does not allocate. Unknown phases leave the current labels in place.
-// Purely a profiling annotation — it never changes behavior or results.
-func (e *Env) MarkPhase(p simtime.Phase) {
-	st := e.st()
-	st.mu.Lock()
-	if st.labels == nil {
-		method := st.method
-		if method == "" {
-			method = "env"
-		}
-		canonical := simtime.CanonicalPhases()
-		st.labels = make(map[simtime.Phase]context.Context, len(canonical))
-		for _, ph := range canonical {
-			st.labels[ph] = pprof.WithLabels(context.Background(),
-				pprof.Labels("method", method, "phase", string(ph)))
-		}
-	}
-	ctx, ok := st.labels[p]
-	st.mu.Unlock()
-	if ok {
-		pprof.SetGoroutineLabels(ctx)
-	}
-}
-
 // methodName returns the label CloneForMethod stamped on this environment,
 // or "env" for hand-built environments, for CPU-profile attribution.
 func (e *Env) methodName() string {
@@ -323,6 +293,12 @@ func (e *Env) methodName() string {
 	st.mu.Lock()
 	m := st.method
 	st.mu.Unlock()
+	return methodLabel(m)
+}
+
+// methodLabel is the CPU-profile label of the method named m, or "env" for
+// a hand-built environment, which has no name.
+func methodLabel(m string) string {
 	if m == "" {
 		return "env"
 	}
@@ -655,8 +631,9 @@ func UpdateBytes(u Update) float64 {
 }
 
 // Participant is one cohort member's round: participant i, in cohort slot
-// slot, trains on its worker's Scratch against the read-only global model and
-// returns its SlotResult, which may hand back work nothing in the round
+// slot, trains on its worker's Scratch against the read-only global model,
+// bills its simulated time on that Scratch (Mark, Bill), and returns its
+// SlotResult without Phases, which may hand back work nothing in the round
 // reads (SlotResult.After). It runs on the worker pool under the determinism
 // contract of parallel.go.
 type Participant func(s *Scratch, slot, i int) SlotResult
@@ -673,23 +650,35 @@ type Rounder interface {
 }
 
 // RunRound executes round r of m: the cohort (Cohort), m's preparation, the
-// participant function for every slot over the worker pool, and the server
-// core (finishRound). It returns the core's report of the round, or the
-// context's error on cancellation, or a rejected update's error.
+// participant phase (RunSlots) and the server core (finishRound). It returns
+// the core's report of the round, or the context's error on cancellation, or
+// a rejected update's error.
 func (e *Env) RunRound(m Rounder, r int) (RoundStats, error) {
 	cohort := e.Cohort(r)
-	participant := m.Round(e, r, cohort)
+	slots, err := e.RunSlots(m.Round(e, r, cohort), cohort)
+	if err != nil {
+		return RoundStats{}, err
+	}
+	return e.finishRound(cohort, slots)
+}
+
+// RunSlots is a round's participant phase: p for every slot of cohort over
+// the worker pool, each through the slot runner (Scratch.run), and the work
+// each hands back. It returns the slots' results in cohort order, or the
+// context's error on cancellation, after which no further slot starts and
+// the results must not be reduced.
+func (e *Env) RunSlots(p Participant, cohort []int) ([]SlotResult, error) {
 	slots := make([]SlotResult, len(cohort))
 	if err := e.forEachSlot(len(cohort), func(s *Scratch, slot int) func(*Scratch) {
 		if e.Context().Err() != nil {
 			return nil
 		}
-		slots[slot] = participant(s, slot, cohort[slot])
+		slots[slot] = s.run(p, slot, cohort[slot])
 		return slots[slot].After
 	}); err != nil {
-		return RoundStats{}, err
+		return nil, err
 	}
-	return e.finishRound(cohort, slots)
+	return slots, nil
 }
 
 // Run is the federated run: the one round loop behind Experiment.Run (over

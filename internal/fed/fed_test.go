@@ -221,11 +221,10 @@ type stubRounder struct{ sec float64 }
 
 func (s stubRounder) Name() string { return "stub" }
 func (s stubRounder) Round(*Env, int, []int) Participant {
-	return func(_ *Scratch, _, i int) SlotResult {
-		return SlotResult{
-			Update: Update{Participant: i},
-			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: s.sec},
-		}
+	return func(ws *Scratch, _, i int) SlotResult {
+		ws.Mark(simtime.PhaseFineTuning)
+		ws.Bill(s.sec)
+		return SlotResult{Update: Update{Participant: i}}
 	}
 }
 

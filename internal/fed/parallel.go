@@ -71,13 +71,16 @@ import (
 
 	"repro/internal/flux/merge"
 	"repro/internal/moe"
+	"repro/internal/simtime"
 )
 
 // Scratch is the per-worker reusable memory ForEachOf hands to a participant
 // function. Its buffers persist across rounds of the same environment; a
 // function may freely overwrite them, but must not retain references past the
 // round's reduction — the next round's pool, and the evaluation between
-// rounds, reuse them.
+// rounds, reuse them. It also keeps the slot's phase ledger: a participant
+// function reports its simulated time only by marking each phase it enters
+// (Mark) and billing the seconds it prices there (Bill).
 type Scratch struct {
 	model   *moe.Model
 	local   *moe.Model // Customize's, apart from LocalClone's full-layout model
@@ -86,6 +89,62 @@ type Scratch struct {
 	ws      *moe.Workspace
 	arena   []float64
 	off     int
+
+	// The slot's phase ledger (Mark, Bill), and each canonical phase's
+	// pprof label context.
+	phase  simtime.Phase
+	ledger map[simtime.Phase]float64
+	labels map[simtime.Phase]context.Context
+}
+
+// newScratch returns an empty scratch whose Mark labels CPU-profile samples
+// with the method named method (methodLabel) and the marked phase.
+func newScratch(method string) *Scratch {
+	canonical := simtime.CanonicalPhases()
+	s := &Scratch{labels: make(map[simtime.Phase]context.Context, len(canonical))}
+	for _, p := range canonical {
+		s.labels[p] = pprof.WithLabels(context.Background(),
+			pprof.Labels("method", methodLabel(method), "phase", string(p)))
+	}
+	return s
+}
+
+// Mark starts phase p: Bill charges p until the next Mark, and the calling
+// goroutine's CPU-profile samples carry p (if canonical) and the method as
+// labels. It takes no lock and does not allocate.
+func (s *Scratch) Mark(p simtime.Phase) {
+	s.phase = p
+	if ctx, ok := s.labels[p]; ok {
+		pprof.SetGoroutineLabels(ctx)
+	}
+}
+
+// Bill charges sec simulated seconds to the phase last marked; bills to one
+// phase add up in call order, and a zero bill still reports its phase
+// (SlotResult.Phases). Bill before any Mark in the slot panics. Work handed
+// back (SlotResult.After) runs after its slot, so it may Mark but not Bill.
+func (s *Scratch) Bill(sec float64) {
+	if s.phase == "" {
+		panic("fed: Scratch.Bill before Scratch.Mark: no phase to bill")
+	}
+	if s.ledger == nil {
+		s.ledger = make(map[simtime.Phase]float64)
+	}
+	s.ledger[s.phase] += sec
+}
+
+// run is the slot runner, the one way a round runs a participant function
+// (RunSlots, RunClientContext): it clears the ledger and the marked phase,
+// runs p, and installs the ledger as the result's Phases, which only it
+// writes.
+func (s *Scratch) run(p Participant, slot, i int) SlotResult {
+	s.phase, s.ledger = "", nil
+	res := p(s, slot, i)
+	if res.Phases != nil {
+		panic("fed: a participant function returned its own SlotResult.Phases; report simulated time with Scratch.Mark and Scratch.Bill")
+	}
+	res.Phases, s.ledger = s.ledger, nil
+	return res
 }
 
 // Workspace returns the scratch's persistent forward/backward workspace.
@@ -237,8 +296,9 @@ func (e *Env) forEachSlot(n int, fn func(s *Scratch, slot int) func(*Scratch)) e
 // Scratch, unless the context has been canceled by then. With one worker
 // the calls run in order on the calling goroutine, then the handed-back
 // work, in the same order. Workers run under the pprof labels {method,
-// phase} so -cpuprofile samples are attributable; bodies may refine the
-// phase via env.MarkPhase.
+// phase}, the phase named by the fan-out, so -cpuprofile samples are
+// attributable; a participant function refines the phase with Scratch.Mark
+// until its worker leaves the fan-out.
 //
 // Every unit runs whatever the context says, so a reduction over the results
 // is never partial; a body that should give up on cancellation (a

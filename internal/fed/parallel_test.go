@@ -261,9 +261,10 @@ func (h *handBackRounder) Round(env *Env, r int, cohort []int) Participant {
 			*h.log = append(*h.log, fmt.Sprintf("body %d", i))
 		}
 		h.returned[i] = true
+		s.Mark(simtime.PhaseFineTuning)
+		s.Bill(1)
 		return SlotResult{
 			Update: u,
-			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1},
 			After: func(*Scratch) {
 				h.afterRuns[i]++
 				switch {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/moe"
@@ -96,10 +95,9 @@ func (a AggSpec) bufferFor(n int) int {
 }
 
 // SlotResult is one cohort slot's finished work: the participant's update,
-// its modeled wire traffic, and its per-phase simulated seconds: what a
-// Participant function returns. The phase map must cover the participant's
-// full end-to-end round time — its sum is tested against the straggler
-// deadline and orders arrivals in the event-driven modes.
+// its modeled wire traffic, and its per-phase simulated seconds. A
+// Participant function returns it with Phases left nil; the engine fills
+// Phases from what the function billed.
 type SlotResult struct {
 	Update Update
 	// Bytes is the uplink payload of Update (what the participant uploads).
@@ -107,7 +105,11 @@ type SlotResult struct {
 	// DownBytes is the modeled broadcast payload this participant received
 	// at the start of the round.
 	DownBytes float64
-	// Phases is this participant's simulated seconds by phase.
+	// Phases is this participant's simulated seconds by phase: exactly the
+	// phases its function billed (Scratch.Bill), zero bills included, as
+	// only the engine's slot runner writes it. Its sum, the participant's
+	// end-to-end round time, is tested against the straggler deadline and
+	// orders arrivals in the event-driven modes.
 	Phases map[simtime.Phase]float64
 	// After, when non-nil, is work the participant function hands back
 	// because nothing in this round reads its result: in process the pool
@@ -163,32 +165,15 @@ func sortedPhaseSum(phases map[simtime.Phase]float64) float64 {
 }
 
 // canonicalPhaseSum folds a phase map into seconds in execution order
-// (simtime.CanonicalPhases, then method-specific phases sorted) — the order
-// the observability layer lays a round out in. The synchronous barrier totals
-// slots and its kept window this way; the fold order is part of the
-// bit-identity contract, so it must not be swapped for sortedPhaseSum.
+// (simtime.PhaseOrder) — the order the observability layer lays a round out
+// in. The synchronous barrier totals slots and its kept window this way; the
+// fold order is part of the bit-identity contract, so it must not be swapped
+// for sortedPhaseSum.
 func canonicalPhaseSum(phases map[simtime.Phase]float64) float64 {
-	canonical := simtime.CanonicalPhases()
+	var keys [8]simtime.Phase
 	var sec float64
-	extra := len(phases)
-	for _, p := range canonical {
-		if v, ok := phases[p]; ok {
-			sec += v
-			extra--
-		}
-	}
-	if extra > 0 {
-		keys := make([]string, 0, extra)
-		//fluxvet:unordered keys are collected then sorted before the float fold
-		for p := range phases {
-			if !slices.Contains(canonical, p) {
-				keys = append(keys, string(p))
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			sec += phases[simtime.Phase(k)]
-		}
+	for _, p := range simtime.PhaseOrder(keys[:0], phases) {
+		sec += phases[p]
 	}
 	return sec
 }

@@ -272,7 +272,9 @@ func TestFinishRoundArgumentCheck(t *testing.T) {
 // corruptRounder's participants upload their full model with every expert's
 // W1 doubled, so any aggregation would move the global; participant 1's
 // slot is then corrupted.
-type corruptRounder struct{ corrupt func(r *SlotResult) }
+type corruptRounder struct {
+	corrupt func(s *Scratch, r *SlotResult)
+}
 
 func (corruptRounder) Name() string { return "corrupt" }
 
@@ -285,9 +287,11 @@ func (c corruptRounder) Round(env *Env, _ int, _ []int) Participant {
 			}
 		}
 		u := s.ExtractUpdate(local, i, 1, IdentityTuning(local.Cfg))
-		res := SlotResult{Update: u, Bytes: UpdateBytes(u), Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}}
+		s.Mark(simtime.PhaseFineTuning)
+		s.Bill(1)
+		res := SlotResult{Update: u, Bytes: UpdateBytes(u)}
 		if i == 1 {
-			c.corrupt(&res)
+			c.corrupt(s, &res)
 		}
 		return res
 	}
@@ -304,13 +308,15 @@ func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 	key := ExpertKey{Layer: 1, Expert: 2}
 	for _, tc := range []struct {
 		name    string
-		corrupt func(r *SlotResult)
+		corrupt func(s *Scratch, r *SlotResult)
 	}{
-		{"layer out of range", func(r *SlotResult) { r.Update.Experts[ExpertKey{Layer: 9, Expert: 0}] = r.Update.Experts[key] }},
-		{"short parameter slice", func(r *SlotResult) { r.Update.Experts[key] = r.Update.Experts[key][:3] }},
-		{"NaN parameter", func(r *SlotResult) { r.Update.Experts[key][5] = math.NaN() }},
-		{"NaN phase", func(r *SlotResult) { r.Phases[simtime.PhaseFineTuning] = math.NaN() }},
-		{"negative Bytes", func(r *SlotResult) { r.Bytes = -1 }},
+		{"layer out of range", func(_ *Scratch, r *SlotResult) {
+			r.Update.Experts[ExpertKey{Layer: 9, Expert: 0}] = r.Update.Experts[key]
+		}},
+		{"short parameter slice", func(_ *Scratch, r *SlotResult) { r.Update.Experts[key] = r.Update.Experts[key][:3] }},
+		{"NaN parameter", func(_ *Scratch, r *SlotResult) { r.Update.Experts[key][5] = math.NaN() }},
+		{"NaN phase", func(s *Scratch, _ *SlotResult) { s.Bill(math.NaN()) }},
+		{"negative Bytes", func(_ *Scratch, r *SlotResult) { r.Bytes = -1 }},
 	} {
 		for _, mode := range []string{ModeSync, ModeAsync} {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
@@ -334,7 +340,7 @@ func TestRunRoundRejectsMalformedInProcessUpdates(t *testing.T) {
 						}
 					}
 				}
-				next, err := env.RunRound(corruptRounder{func(*SlotResult) {}}, 1)
+				next, err := env.RunRound(corruptRounder{func(*Scratch, *SlotResult) {}}, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

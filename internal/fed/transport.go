@@ -381,7 +381,7 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 	if err := p.send(hello); err != nil {
 		return nil, CtxErr(ctx, err)
 	}
-	var s Scratch
+	s := newScratch(env.methodName())
 	var reply []byte
 	for next := 0; ; {
 		body, err := p.recv()
@@ -400,14 +400,14 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		cohort := env.Cohort(round)
 		participant := cfg.Method.Round(env, round, cohort)
 		s.off = 0
-		res := participant(&s, slices.Index(cohort, cfg.Index), cfg.Index)
+		res := s.run(participant, slices.Index(cohort, cfg.Index), cfg.Index)
 		res.Update.Participant = cfg.Participant
 		reply = appendSlot(reply[:0], res)
 		if err := p.send(reply); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
 		if res.After != nil && ctx.Err() == nil {
-			res.After(&s) // while the server aggregates
+			res.After(s) // while the server aggregates
 		}
 		next = round + 1
 	}

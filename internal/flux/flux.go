@@ -116,7 +116,7 @@ func (p *participant) profile(ws *moe.Workspace) {
 // runPass is the pending pass as work handed back to the pool
 // (fed.SlotResult.After), on the scratch of whichever worker runs it.
 func (p *participant) runPass(s *fed.Scratch) {
-	p.pass.env.MarkPhase(simtime.PhaseProfiling)
+	s.Mark(simtime.PhaseProfiling)
 	p.profile(s.Workspace())
 }
 
@@ -154,8 +154,8 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		rng := rngs[slot]
 		mws := ws.Workspace()
 
-		// --- Profiling (§4): quantized, stale-pipelined. ---
-		env.MarkPhase(simtime.PhaseProfiling)
+		// --- Profiling (§4): quantized, stale-pipelined; billed last. ---
+		ws.Mark(simtime.PhaseProfiling)
 		prof := profile.Profiler{Bits: r.Opts.ProfileBits, TrackSamples: true}
 		shardSeqs := env.Batch(i, round)
 		profSec := prof.Seconds(dev, cfg, shardSeqs)
@@ -173,14 +173,15 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		}
 
 		// --- Expert role assignment (§6). ---
-		env.MarkPhase(simtime.PhaseAssignment)
+		ws.Mark(simtime.PhaseAssignment)
 		capacity, tune := env.Budgets(i)
 		a := assign.Assign(p.table, cfg.ExpertsPerLayer, tune, eps, rng.Split("assign"))
 		tuning := a.Tuning(cfg.Layers())
 		assignSec := dev.Seconds(assignFlops(env.TotalExperts()))
+		ws.Bill(assignSec)
 
 		// --- Adaptive merging of non-tuning experts (§5). ---
-		env.MarkPhase(simtime.PhaseMerging)
+		ws.Mark(simtime.PhaseMerging)
 		nonBudget := capacity - len(a.Exploit)
 		if nonBudget < cfg.Layers() {
 			nonBudget = cfg.Layers()
@@ -195,9 +196,10 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 			panic(fmt.Sprintf("flux: customize: %v", err))
 		}
 		mergeSec := dev.Seconds(mergeFlops(env.TotalExperts(), r.Opts.Merge))
+		ws.Bill(mergeSec)
 
 		// --- Local fine-tuning (§3) with data selection (§4.1). ---
-		env.MarkPhase(simtime.PhaseFineTuning)
+		ws.Mark(simtime.PhaseFineTuning)
 		batch := r.selectBatch(env, i, round, stats, a)
 		grads := ws.Grads(local)
 		tokens := 0
@@ -214,15 +216,24 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
 
 		// --- Forward-only gradient probes for exploration experts (§6.2).---
-		env.MarkPhase(simtime.PhaseAssignment) // probes are priced under assignment
+		ws.Mark(simtime.PhaseAssignment) // probes are priced under assignment
 		spsaSec := p.probeExploration(r.Opts, local, mws, batch, a, dev, cfg, rng.Split("spsa"))
+		ws.Bill(spsaSec)
+
+		// Fine-tuning is billed as local time (merging + tuning + probes) net
+		// of merging, the rounded difference the goldens pin, so the probes
+		// are billed a second time here: the double count item 1 of
+		// ROADMAP.md removes by billing trainSec alone.
+		ws.Mark(simtime.PhaseFineTuning)
+		ws.Bill(mergeSec + trainSec + spsaSec - mergeSec)
 
 		// --- Upload tuning expert parameters. ---
-		env.MarkPhase(simtime.PhaseComm)
+		ws.Mark(simtime.PhaseComm)
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 		bytes := fed.UpdateBytes(u)
 		down := float64(capacity) * simtime.ExpertBytes(cfg) // model sync down
 		commSec := dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down)
+		ws.Bill(commSec)
 
 		// Aggregation + assignment happen server-side while the next
 		// profile is computed locally; stale profiling hides the overlap.
@@ -230,24 +241,9 @@ func (r *Runner) Round(env *fed.Env, round int, cohort []int) fed.Participant {
 		if round == 0 {
 			visibleProf = profSec // bootstrap profile is on the critical path
 		}
-
-		// Local time is merging + tuning + probes; fine-tuning reports it net
-		// of merging (the rounded difference is what the goldens pin), and
-		// the probes are billed under assignment as well.
-		localSec := mergeSec + trainSec + spsaSec
-		return fed.SlotResult{
-			After:     after,
-			Update:    u,
-			Bytes:     bytes,
-			DownBytes: down,
-			Phases: map[simtime.Phase]float64{
-				simtime.PhaseProfiling:  visibleProf,
-				simtime.PhaseMerging:    mergeSec,
-				simtime.PhaseAssignment: assignSec + spsaSec,
-				simtime.PhaseFineTuning: localSec - mergeSec,
-				simtime.PhaseComm:       commSec,
-			},
-		}
+		ws.Mark(simtime.PhaseProfiling)
+		ws.Bill(visibleProf)
+		return fed.SlotResult{After: after, Update: u, Bytes: bytes, DownBytes: down}
 	}
 }
 

@@ -157,7 +157,7 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 
 // warmParticipantAllocs is what one warm participant call allocated when it
 // was pinned (go1.24, linux/amd64).
-const warmParticipantAllocs = 120
+const warmParticipantAllocs = 119
 
 // TestProfilePassHandedBack pins when a participant's profiling pass runs,
 // with and without stale profiling, over three rounds in which participants
@@ -247,8 +247,12 @@ func sameProfile(a, b *profile.Result) bool {
 //     (assign, merge, pca, kmeans, spsa and one per probed expert);
 //   - data selection's batch, relevant-sample map and sample-set slices;
 //   - CustomizeInto's per-layer spec checks, ProbeExploreSPSA's index lists
-//     and results, the update's map and the result's phase map;
-//   - ForEachOf's pprof labels.
+//     and results, the update's map and the slot's phase ledger, which the
+//     slot runner hands over as the result's Phases;
+//   - the fan-out's pprof labels and its one-slot result slice.
+//
+// The call runs through the engine's slot path (Env.RunSlots), as a round
+// runs it.
 func TestWarmParticipantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
@@ -258,14 +262,10 @@ func TestWarmParticipantAllocs(t *testing.T) {
 	for round := range 3 {
 		runRound(t, env, r, round)
 	}
-	cohort := make([]int, env.Cfg.Participants)
-	for i := range cohort {
-		cohort[i] = i
-	}
+	cohort := []int{1}
 	part := r.Round(env, 3, cohort)
-	const i = 1
 	run := func() {
-		if err := fed.ForEachOf(env, []int{i}, func(s *fed.Scratch, _, _ int) { part(s, i, i).After(s) }); err != nil {
+		if _, err := env.RunSlots(part, cohort); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,8 +42,17 @@ func referenceLayerForward(l *Layer, x *tensor.Matrix, c *layerCache, ws *Worksp
 	ws.mul.MatMulInto(ws.attnOut, c.attnP, ws.v)
 	c.x1 = tensor.Grow(c.x1, T, D)
 	c.x1.CopyFrom(x)
-	c.x1.Add(ws.attnOut)
+	addInto(c.x1, ws.attnOut)
 	return l.moeBlock(-1, c, ws, nil, -1, 0, T)
+}
+
+// addInto adds src into dst element by element, in a plain scalar loop, so
+// the reference oracles sum residuals without the Axpy kernel the model
+// uses.
+func addInto(dst, src *tensor.Matrix) {
+	for i, v := range src.Data {
+		dst.Data[i] += v
+	}
 }
 
 // referenceForwardBackward is ForwardBackwardWS with every layer's forward

@@ -175,7 +175,7 @@ func (l *Layer) Forward(layerIdx int, x *tensor.Matrix, c *layerCache, ws *Works
 	}
 	c.x1 = tensor.Grow(c.x1, T, D)
 	c.x1.CopyFrom(x)
-	c.x1.Add(ws.attnOut)
+	c.x1.AddScaled(ws.attnOut, 1)
 
 	// Per-token attention "received" score: how much total attention mass
 	// other tokens place on this token. This is the ā_e signal of §5.3,
@@ -405,7 +405,7 @@ func (l *Layer) extend(x *tensor.Matrix, p int, kv *kvCache, c *layerCache, ws *
 	attend(ws.attnOut, ws.attnScores, p, ws.q, kv.kT, kv.v.Data)
 	c.x1 = tensor.Grow(c.x1, n, D)
 	c.x1.CopyFrom(x)
-	c.x1.Add(ws.attnOut)
+	c.x1.AddScaled(ws.attnOut, 1)
 	return l.moeBlock(-1, c, ws, nil, -1, 0, n) // no stats, so the layer index is unused
 }
 

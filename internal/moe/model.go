@@ -394,7 +394,7 @@ func (m *Model) backwardStage(ws *Workspace, s, stop int, seq []int, grads *Grad
 		if grads.Head != nil {
 			ws.headGrad = tensor.Grow(ws.headGrad, normed.Cols, ws.dLogits.Cols)
 			tensor.MatMulTransAInto(ws.headGrad, normed, ws.dLogits)
-			grads.Head.Add(ws.headGrad)
+			grads.Head.AddScaled(ws.headGrad, 1)
 		}
 		ws.dNormed = tensor.Grow(ws.dNormed, ws.dLogits.Rows, m.Head.Rows)
 		ws.mul.MatMulTransBInto(ws.dNormed, ws.dLogits, m.Head)

@@ -36,7 +36,7 @@ func untrimmedForwardBackward(m *Model, ws *Workspace, seq []int, mask []bool, g
 	if grads.Head != nil {
 		headGrad := tensor.NewMatrix(normed.Cols, dLogits.Cols)
 		tensor.MatMulTransAInto(headGrad, normed, dLogits)
-		grads.Head.Add(headGrad)
+		addInto(grads.Head, headGrad)
 	}
 	dNormed := tensor.NewMatrix(dLogits.Rows, m.Head.Rows)
 	ws.mul.MatMulTransBInto(dNormed, dLogits, m.Head)

@@ -20,9 +20,6 @@ package obs
 
 import (
 	"io"
-	"sort"
-
-	"repro/internal/simtime"
 )
 
 // RunMeta identifies a run in the trace and run-log headers.
@@ -206,33 +203,4 @@ func (r *Recorder) keep(err error) {
 	if err != nil && r.err == nil {
 		r.err = err
 	}
-}
-
-// orderedPhases returns the keys of a phase map in canonical execution
-// order (simtime.CanonicalPhases), with any method-specific extras appended
-// in sorted order. Stable key order is what makes serialized phase data
-// byte-reproducible.
-func orderedPhases(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for _, p := range simtime.CanonicalPhases() {
-		if _, ok := m[string(p)]; ok {
-			out = append(out, string(p))
-		}
-	}
-	if len(out) < len(m) {
-		canonical := make(map[string]bool, len(out))
-		for _, k := range out {
-			canonical[k] = true
-		}
-		var extras []string
-		//fluxvet:unordered keys are collected then sorted before use
-		for k := range m {
-			if !canonical[k] {
-				extras = append(extras, k)
-			}
-		}
-		sort.Strings(extras)
-		out = append(out, extras...)
-	}
-	return out
 }

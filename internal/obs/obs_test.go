@@ -162,21 +162,6 @@ func TestParseTraceRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-func TestOrderedPhasesCanonicalFirstExtrasSorted(t *testing.T) {
-	got := orderedPhases(map[string]float64{
-		"zeta": 1, "communication": 1, "fine-tuning": 1, "alpha": 1, "profiling": 1,
-	})
-	want := []string{"profiling", "fine-tuning", "communication", "alpha", "zeta"}
-	if len(got) != len(want) {
-		t.Fatalf("orderedPhases = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("orderedPhases = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MetricRounds, "Rounds completed.").Add(3)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/simtime"
 )
 
 // TraceEvent is one decoded Chrome trace event; the reading half of the
@@ -143,10 +145,10 @@ func (s *Summary) WriteText(w io.Writer, topK int) error {
 	if len(s.PhaseSeconds) > 0 {
 		fmt.Fprintln(w, "phase totals:")
 		var total float64
-		for _, k := range orderedPhases(s.PhaseSeconds) {
+		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds) {
 			total += s.PhaseSeconds[k]
 		}
-		for _, k := range orderedPhases(s.PhaseSeconds) {
+		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds) {
 			v := s.PhaseSeconds[k]
 			pct := 0.0
 			if total > 0 {

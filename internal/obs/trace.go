@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/simtime"
 )
 
 // Chrome trace-event layout. Process 0 is the server: thread 0 carries the
@@ -130,7 +132,7 @@ func (t *traceWriter) round(rd Round, parts []Participant) error {
 		return err
 	}
 	cursor := start
-	for _, name := range orderedPhases(rd.Phases) {
+	for _, name := range simtime.PhaseOrder(nil, rd.Phases) {
 		dur := float64(rd.Phases[name] * 1e6)
 		if err := t.emit(spanEvent{
 			Name: name, Cat: "phase", Ph: "X",
@@ -176,7 +178,7 @@ func (t *traceWriter) participant(rd Round, p Participant) error {
 		}
 	}
 	start := float64(rd.StartSec * 1e6)
-	keys := orderedPhases(p.Phases)
+	keys := simtime.PhaseOrder(nil, p.Phases)
 	var total float64
 	for _, k := range keys {
 		total += float64(p.Phases[k] * 1e6)

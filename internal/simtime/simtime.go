@@ -14,6 +14,7 @@ package simtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/moe"
@@ -185,6 +186,33 @@ const (
 // sorted order after the canonical ones.
 func CanonicalPhases() []Phase {
 	return []Phase{PhaseProfiling, PhaseMerging, PhaseAssignment, PhaseFineTuning, PhaseComm, PhaseStraggler}
+}
+
+// PhaseOrder appends the keys of phases to dst in canonical execution order
+// (CanonicalPhases), then every other key sorted, and returns the extended
+// slice: the order the observability layer serializes phases in and the
+// synchronous barrier folds them in, part of the bit-identity contract. A
+// dst with room for every key keeps the call allocation-free.
+func PhaseOrder[K ~string, V any](dst []K, phases map[K]V) []K {
+	dst = slices.Grow(dst, len(phases))
+	canonical := CanonicalPhases()
+	n := len(dst)
+	for _, p := range canonical {
+		if _, ok := phases[K(p)]; ok {
+			dst = append(dst, K(p))
+		}
+	}
+	if len(dst)-n < len(phases) {
+		extras := len(dst)
+		//fluxvet:unordered keys are collected then sorted before use
+		for k := range phases {
+			if !slices.Contains(canonical, Phase(k)) {
+				dst = append(dst, k)
+			}
+		}
+		slices.Sort(dst[extras:])
+	}
+	return dst
 }
 
 // Clock is a simulated wall clock with a per-phase breakdown.

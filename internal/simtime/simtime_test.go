@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/moe"
@@ -172,5 +173,25 @@ func TestModelExpertBytes(t *testing.T) {
 	c := cfg()
 	if ExpertBytes(c) <= 0 || ModelBytes(c) <= ExpertBytes(c) {
 		t.Fatal("byte accounting wrong")
+	}
+}
+
+// TestPhaseOrder pins the one phase order, canonical phases first and extras
+// sorted after, for both key types that use it, and that a destination with
+// room for every key is all the call needs.
+func TestPhaseOrder(t *testing.T) {
+	want := []string{"profiling", "fine-tuning", "communication", "alpha", "zeta"}
+	byName := map[string]float64{"zeta": 1, "communication": 1, "fine-tuning": 1, "alpha": 1, "profiling": 1}
+	if got := PhaseOrder(nil, byName); !slices.Equal(got, want) {
+		t.Fatalf("PhaseOrder = %v, want %v", got, want)
+	}
+	byPhase := map[Phase]float64{"zeta": 1, PhaseComm: 1, PhaseFineTuning: 1, "alpha": 1, PhaseProfiling: 1}
+	got := PhaseOrder([]Phase{"kept"}, byPhase)
+	if !slices.Equal(got, []Phase{"kept", "profiling", "fine-tuning", "communication", "alpha", "zeta"}) {
+		t.Fatalf("PhaseOrder after a kept key = %v", got)
+	}
+	var buf [8]Phase
+	if n := testing.AllocsPerRun(10, func() { PhaseOrder(buf[:0], byPhase) }); n != 0 {
+		t.Fatalf("PhaseOrder into a roomy destination allocates %v times", n)
 	}
 }

@@ -258,14 +258,6 @@ func MatMulTransAInto(out, a, b *Matrix) {
 	}
 }
 
-// Add computes m += other elementwise.
-func (m *Matrix) Add(other *Matrix) {
-	checkSameShape(m, other)
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-}
-
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {

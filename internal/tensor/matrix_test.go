@@ -181,7 +181,7 @@ func TestMatMulTransABitIdentity(t *testing.T) {
 func TestAddSubScale(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{4, 5, 6})
-	a.Add(b)
+	a.AddScaled(b, 1)
 	if a.At(0, 1) != 7 {
 		t.Fatalf("add got %v", a.Data)
 	}

@@ -91,6 +91,7 @@ func (pubFedAvg) Name() string { return "pub-fedavg" }
 func (pubFedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 	tuning := flux.TuneAllExperts(env.Global)
 	return func(ws *flux.Scratch, _, i int) flux.SlotResult {
+		ws.Mark(flux.PhaseFineTuning)
 		local := ws.LocalClone(env.Global)
 		grads := ws.Grads(local)
 		batch := env.Batch(i, round)
@@ -103,13 +104,9 @@ func (pubFedAvg) Round(env *flux.Env, round int, _ []int) flux.Participant {
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
+		ws.Bill(env.Devices[i].Seconds(flux.TrainFlops(env.Global, tokens, 1.0)))
 		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-		return flux.SlotResult{
-			Update: u, Bytes: flux.UpdateBytes(u), DownBytes: flux.ModelBytes(env.Global),
-			Phases: map[flux.Phase]float64{
-				flux.PhaseFineTuning: env.Devices[i].Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
-			},
-		}
+		return flux.SlotResult{Update: u, Bytes: flux.UpdateBytes(u), DownBytes: flux.ModelBytes(env.Global)}
 	}
 }
 
