@@ -53,7 +53,7 @@ func main() {
 	fmt.Println("3. per-layer merged-expert budgets (Eq. 1):", plan.Budgets)
 
 	// 4. Build the compact local model; the gate is re-routed automatically.
-	local, err := moe.Customize(global, plan.Specs)
+	local, err := moe.CustomizeInto(nil, global, plan.Specs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -245,7 +245,7 @@ func discardModel(global *moe.Model, tuning [][]int) (*moe.Model, error) {
 		}
 		specs[l] = spec
 	}
-	local, err := moe.Customize(global, specs)
+	local, err := moe.CustomizeInto(nil, global, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/data"
-	"repro/internal/fed"
 	"repro/internal/flux"
 	"repro/internal/flux/assign"
 	"repro/internal/flux/merge"
@@ -21,16 +20,11 @@ import (
 // tracker plus the clock.
 func fluxVariantRun(o Options, profileData data.Profile, seed string, mutate func(*flux.Options)) *methodRun {
 	cfg := trainConfig(o)
-	env, err := fed.NewEnv(modelByName("llama"), profileData, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	env = env.CloneForMethod(seed)
 	opts := flux.DefaultOptions(cfg.MaxRounds)
 	if mutate != nil {
 		mutate(&opts)
 	}
-	return runMethod(env, flux.New(opts, cfg.Participants), profileData.TargetAcc, profileData.TargetAcc)
+	return runMethod(newEnv("llama", profileData, cfg, seed, seed), flux.New(opts, cfg.Participants), profileData.TargetAcc, profileData.TargetAcc, nil)
 }
 
 // Figure14 reproduces the stale-profiling ablation: estimation error and
@@ -41,26 +35,18 @@ func Figure14(o Options) *Table {
 		Header: []string{"dataset", "err w/o stale (%)", "err w/ stale (%)", "round w/o stale (s)", "round w/ stale (s)"},
 		Notes:  []string{"paper: <2% extra error, ~28% round-time reduction"},
 	}
-	rounds := 5
-	if o.Quick {
-		rounds = 3
-	}
 	for _, p := range ablationDatasets(o) {
-		cfg := trainConfig(o)
-		cfg.MaxRounds = rounds
-		env, err := fed.NewEnv(modelByName("llama"), p, cfg, "fig14/"+p.Name)
-		if err != nil {
-			panic(err)
-		}
 		// Estimation error of a one-round-stale 2-bit profile vs a fresh
 		// full-precision profile after one round of drift.
+		cfg := trainConfig(o)
+		cfg.MaxRounds = 1
+		env := newEnv("llama", p, cfg, "fig14/"+p.Name, "fig14drift")
 		prof := profile.Profiler{Bits: quant.Bits2}
 		probe := env.Batch(0, 0)
 		stale := prof.Run(env.Global, probe)
-		envDrift := env.CloneForMethod("fig14drift")
-		mustRunRound(envDrift, baselines.FMD{}, 0)
-		freshRef := prof.RunFull(envDrift.Global, probe)
-		freshEst := prof.Run(envDrift.Global, probe)
+		runMethod(env, baselines.FMD{}, 0, p.TargetAcc, nil)
+		freshRef := prof.RunFull(env.Global, probe)
+		freshEst := prof.Run(env.Global, probe)
 		errFresh := 100 * freshEst.Stats.EstimationError(freshRef.Stats)
 		errStale := 100 * stale.Stats.EstimationError(freshRef.Stats)
 
@@ -80,40 +66,49 @@ func Figure14(o Options) *Table {
 // Figure15 reproduces the adaptive-expert-layer-size ablation: single
 // merged expert vs uniform budgets vs Eq. (1).
 func Figure15(o Options) *Table {
-	t := &Table{
+	return mergeAblation(o, &Table{
 		Title:  "Figure 15: impact of adaptive expert layer size",
 		Header: []string{"dataset", "err single", "err uniform", "err adaptive", "tta single (h)", "tta uniform (h)", "tta adaptive (h)"},
 		Notes:  []string{"paper: adaptive budgets cut output error (e.g. -47.6% vs uniform on GSM8K) and reach targets sooner"},
-	}
+	}, "fig15", []merge.BudgetPolicy{merge.BudgetSingle, merge.BudgetUniform, merge.BudgetAdaptive},
+		func(opt *merge.Options, pol merge.BudgetPolicy) { opt.Policy = pol })
+}
+
+// Figure17 reproduces the merging-strategy ablation: plain averaging vs
+// frequency weighting vs frequency × attention (Eq. 2).
+func Figure17(o Options) *Table {
+	return mergeAblation(o, &Table{
+		Title:  "Figure 17: efficiency of merging strategies",
+		Header: []string{"dataset", "err avg", "err freq", "err attn+freq", "tta avg (h)", "tta freq (h)", "tta attn+freq (h)"},
+		Notes:  []string{"paper: attn+freq lowers output error (e.g. -34.4% vs avg on Dolly) and speeds convergence"},
+	}, "fig17", []merge.Strategy{merge.StrategyAvg, merge.StrategyFreq, merge.StrategyAttnFreq},
+		func(opt *merge.Options, s merge.Strategy) { opt.Strategy = s })
+}
+
+// mergeAblation fills t with one row per ablation dataset: each arm's merged
+// output error (mergedOutputError), then each arm's Flux time to accuracy,
+// where an arm is merge.DefaultOptions with set applied for it.
+func mergeAblation[A any](o Options, t *Table, fig string, arms []A, set func(*merge.Options, A)) *Table {
 	for _, p := range ablationDatasets(o) {
 		row := []string{p.Name}
-		var errs, ttas []string
-		for _, pol := range []merge.BudgetPolicy{merge.BudgetSingle, merge.BudgetUniform, merge.BudgetAdaptive} {
-			errs = append(errs, f3(mergedOutputError(o, p, pol, merge.StrategyAttnFreq)))
-			run := fluxVariantRun(o, p, fmt.Sprintf("fig15/%s/%s", p.Name, pol), func(op *flux.Options) {
-				op.Merge.Policy = pol
+		var ttas []string
+		for _, arm := range arms {
+			row = append(row, f3(mergedOutputError(o, p, func(opt *merge.Options) { set(opt, arm) })))
+			run := fluxVariantRun(o, p, fmt.Sprintf("%s/%s/%v", fig, p.Name, arm), func(op *flux.Options) {
+				set(&op.Merge, arm)
 			})
-			if run.Reached {
-				ttas = append(ttas, f2(run.TTA))
-			} else {
-				ttas = append(ttas, fmt.Sprintf(">%.1f", run.Hours))
-			}
+			ttas = append(ttas, run.ttaCell())
 		}
-		row = append(row, errs...)
-		row = append(row, ttas...)
-		t.AddRow(row...)
+		t.AddRow(append(row, ttas...)...)
 	}
 	return t
 }
 
-// mergedOutputError builds a Flux-style compact model under the given
-// merging configuration and measures its forward output error.
-func mergedOutputError(o Options, p data.Profile, pol merge.BudgetPolicy, strat merge.Strategy) float64 {
-	cfg := trainConfig(o)
-	env, err := fed.NewEnv(modelByName("llama"), p, cfg, "merr/"+p.Name)
-	if err != nil {
-		panic(err)
-	}
+// mergedOutputError builds a Flux-style compact model under
+// merge.DefaultOptions with set applied and measures its forward output
+// error.
+func mergedOutputError(o Options, p data.Profile, set func(*merge.Options)) float64 {
+	env := newEnv("llama", p, trainConfig(o), "merr/"+p.Name, "merr")
 	m := env.Global
 	samples := env.Batch(0, 0)
 	stats := profile.Profiler{Bits: quant.Bits8, TrackSamples: true}.RunFull(m, samples).Stats
@@ -124,13 +119,12 @@ func mergedOutputError(o Options, p data.Profile, pol merge.BudgetPolicy, strat 
 	tuning := a.Tuning(m.Cfg.Layers())
 
 	opt := merge.DefaultOptions()
-	opt.Policy = pol
-	opt.Strategy = strat
+	set(&opt)
 	plan, err := merge.BuildPlan(m, stats, tuning, capacity-len(a.Exploit), opt, tensor.Named("merr2/"+p.Name))
 	if err != nil {
 		panic(err)
 	}
-	local, err := moe.Customize(m, plan.Specs)
+	local, err := moe.CustomizeInto(nil, m, plan.Specs)
 	if err != nil {
 		panic(err)
 	}
@@ -201,35 +195,6 @@ func Figure16(o Options) *Table {
 	return t
 }
 
-// Figure17 reproduces the merging-strategy ablation: plain averaging vs
-// frequency weighting vs frequency × attention (Eq. 2).
-func Figure17(o Options) *Table {
-	t := &Table{
-		Title:  "Figure 17: efficiency of merging strategies",
-		Header: []string{"dataset", "err avg", "err freq", "err attn+freq", "tta avg (h)", "tta freq (h)", "tta attn+freq (h)"},
-		Notes:  []string{"paper: attn+freq lowers output error (e.g. -34.4% vs avg on Dolly) and speeds convergence"},
-	}
-	for _, p := range ablationDatasets(o) {
-		row := []string{p.Name}
-		var errs, ttas []string
-		for _, strat := range []merge.Strategy{merge.StrategyAvg, merge.StrategyFreq, merge.StrategyAttnFreq} {
-			errs = append(errs, f3(mergedOutputError(o, p, merge.BudgetAdaptive, strat)))
-			run := fluxVariantRun(o, p, fmt.Sprintf("fig17/%s/%s", p.Name, strat), func(op *flux.Options) {
-				op.Merge.Strategy = strat
-			})
-			if run.Reached {
-				ttas = append(ttas, f2(run.TTA))
-			} else {
-				ttas = append(ttas, fmt.Sprintf(">%.1f", run.Hours))
-			}
-		}
-		row = append(row, errs...)
-		row = append(row, ttas...)
-		t.AddRow(row...)
-	}
-	return t
-}
-
 // Figure18 reproduces the gradient-estimation study: cosine distance
 // between SPSA estimates and backprop gradients across fine-tuning rounds.
 func Figure18(o Options) *Table {
@@ -249,18 +214,15 @@ func Figure18(o Options) *Table {
 	for _, p := range ablationDatasets(o) {
 		cfg := trainConfig(o)
 		cfg.MaxRounds = rounds
-		env, err := fed.NewEnv(modelByName("llama"), p, cfg, "fig18/"+p.Name)
-		if err != nil {
-			panic(err)
-		}
-		env = env.CloneForMethod("fig18")
-		var fmd baselines.FMD
+		env := newEnv("llama", p, cfg, "fig18/"+p.Name, "fig18")
 		var series string
 		var sum float64
-		n := 0
-		for r := 0; r < rounds; r++ {
-			mustRunRound(env, fmd, r)
-			// Measure on the most-active expert of a mid layer.
+		runMethod(env, baselines.FMD{}, 0, p.TargetAcc, func(done int) {
+			if done == 0 {
+				return
+			}
+			// Measure round r on the most-active expert of a mid layer.
+			r := done - 1
 			batch := env.Batch(0, r)
 			var seqs [][]int
 			var masks [][]bool
@@ -276,9 +238,8 @@ func Figure18(o Options) *Table {
 			d := tensor.CosineDist(truth, est[0].Direction)
 			series += f2(d) + " "
 			sum += d
-			n++
-		}
-		t.AddRow(p.Name, series, f2(sum/float64(n)))
+		})
+		t.AddRow(p.Name, series, f2(sum/float64(rounds)))
 	}
 	return t
 }
@@ -314,11 +275,7 @@ func Figure19(o Options) *Table {
 			run := fluxVariantRun(o, p, fmt.Sprintf("fig19/%s/%s", p.Name, arm.name), func(op *flux.Options) {
 				op.Eps = arm.eps
 			})
-			tta := fmt.Sprintf(">%.1f", run.Hours)
-			if run.Reached {
-				tta = f2(run.TTA)
-			}
-			t.AddRow(p.Name, arm.name, f3(run.Final), tta)
+			t.AddRow(p.Name, arm.name, f3(run.Final), run.ttaCell())
 		}
 	}
 	return t

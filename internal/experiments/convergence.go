@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/data"
 	"repro/internal/fed"
@@ -26,15 +25,20 @@ func newRounder(name string, cfg fed.Config) fed.Rounder {
 
 // runMethod runs r on env until target (0: the whole round budget) and
 // summarizes the run against targetAcc, its curve built from the loop's
-// records. An experiment neither cancels nor expects a rejected update, so a
-// failed round is a programming error and panics.
-func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64) *methodRun {
+// records. after, if non-nil, is called each time the model has been scored
+// with the number of rounds run so far, from 0 for the baseline on. An
+// experiment neither cancels nor expects a rejected update, so a failed round
+// is a programming error and panics.
+func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64, after func(rounds int)) *methodRun {
 	run := &methodRun{Tracker: &metrics.Tracker{Target: env.Profile.MetricName}}
 	round := func(_ context.Context, n int) (fed.RoundStats, error) { return env.RunRound(r, n) }
 	clock, err := fed.Run(context.TODO(), env, round, target, nil, func(s fed.RoundStats, rd obs.Round) {
 		run.Tracker.Record(rd.Round, rd.EndSec/3600, rd.Score)
 		run.Stale += s.Stale
 		run.ModelVersion = s.ModelVersion
+		if after != nil {
+			after(rd.Round)
+		}
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
@@ -44,17 +48,10 @@ func runMethod(env *fed.Env, r fed.Rounder, target, targetAcc float64) *methodRu
 	return run
 }
 
-// mustRunRound is env.RunRound for an experiment; it panics like runMethod.
-func mustRunRound(env *fed.Env, r fed.Rounder, round int) {
-	if _, err := env.RunRound(r, round); err != nil {
-		panic("experiments: " + err.Error())
-	}
-}
-
 // convergenceRun executes (or recalls) one (model, dataset, method,
 // participants) federated run to MaxRounds or the dataset target.
 func convergenceRun(o Options, model, method string, profile data.Profile, participants int, toTarget bool) *methodRun {
-	key := fmt.Sprintf("%s/%s/%s/p%d/q%v/t%v/f%s/a%s", model, method, profile.Name, participants, o.Quick, toTarget, fleetKey(o.Fleet), aggKey(o.Agg))
+	key := fmt.Sprintf("%s/%s/%s/p%d/q%v/t%v/f%s/a%s", model, method, profile.Name, participants, o.Quick, toTarget, specKey(o.Fleet), specKey(o.Agg))
 	memoMu.Lock()
 	if r, ok := runMemo[key]; ok {
 		memoMu.Unlock()
@@ -64,16 +61,12 @@ func convergenceRun(o Options, model, method string, profile data.Profile, parti
 
 	cfg := trainConfig(o)
 	cfg.Participants = participants
-	env, err := fed.NewEnv(modelByName(model), profile, cfg, fmt.Sprintf("conv/%s/%s/p%d", model, profile.Name, participants))
-	if err != nil {
-		panic(err)
-	}
-	env = env.CloneForMethod(method)
+	env := newEnv(model, profile, cfg, fmt.Sprintf("conv/%s/%s/p%d", model, profile.Name, participants), method)
 	target := 0.0
 	if toTarget {
 		target = profile.TargetAcc
 	}
-	run := runMethod(env, newRounder(method, cfg), target, profile.TargetAcc)
+	run := runMethod(env, newRounder(method, cfg), target, profile.TargetAcc, nil)
 	memoMu.Lock()
 	runMemo[key] = run
 	memoMu.Unlock()
@@ -171,12 +164,7 @@ func scalabilityFigure(o Options, model, title string) *Table {
 		for _, m := range methodNames {
 			row := []string{p.Name, m}
 			for _, n := range counts {
-				run := convergenceRun(o, model, m, p, n, true)
-				if run.Reached {
-					row = append(row, f2(run.TTA))
-				} else {
-					row = append(row, fmt.Sprintf(">%.1f", run.Hours))
-				}
+				row = append(row, convergenceRun(o, model, m, p, n, true).ttaCell())
 			}
 			t.AddRow(row...)
 		}
@@ -208,13 +196,8 @@ func Figure20(o Options) *Table {
 		run := convergenceRun(o, "llama", "flux", p, trainConfig(o).Participants, true)
 		// Fold in sorted order: map iteration would accumulate the float
 		// total in randomized order and drift its last bit between runs.
-		keys := make([]simtime.Phase, 0, len(run.Phases))
-		for k := range run.Phases {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
 		var total float64
-		for _, k := range keys {
+		for _, k := range simtime.PhaseOrder(nil, run.Phases, nil) {
 			total += run.Phases[k]
 		}
 		if total == 0 {

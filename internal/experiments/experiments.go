@@ -48,20 +48,9 @@ type Options struct {
 	Agg fed.AggSpec
 }
 
-// fleetKey fingerprints the fleet spec for memoization keys.
-func fleetKey(s fleet.Spec) string {
-	if !s.Active() {
-		return ""
-	}
-	blob, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Sprintf("%+v", s)
-	}
-	return string(blob)
-}
-
-// aggKey fingerprints the aggregation spec for memoization keys.
-func aggKey(s fed.AggSpec) string {
+// specKey fingerprints an optional spec (Options.Fleet, Options.Agg) for
+// memoization keys: empty while the spec is inactive.
+func specKey(s interface{ Active() bool }) string {
 	if !s.Active() {
 		return ""
 	}
@@ -149,12 +138,20 @@ func ablationDatasets(o Options) []data.Profile {
 	return datasetList()
 }
 
-// modelByName maps the experiment model axis to sim configs.
-func modelByName(name string) moe.Config {
-	if name == "deepseek" {
-		return moe.SimConfigDeepSeekTrain()
+// newEnv builds the environment named seed for model ("llama" or
+// "deepseek") on dataset p under cfg, and returns its copy for method
+// (fed.Env.CloneForMethod): a run trains its own global model, never the
+// pre-trained base model environments share.
+func newEnv(model string, p data.Profile, cfg fed.Config, seed, method string) *fed.Env {
+	modelCfg := moe.SimConfigLLaMATrain()
+	if model == "deepseek" {
+		modelCfg = moe.SimConfigDeepSeekTrain()
 	}
-	return moe.SimConfigLLaMATrain()
+	env, err := fed.NewEnv(modelCfg, p, cfg, seed)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return env.CloneForMethod(method)
 }
 
 // runMemo caches convergence runs within a process so Table 2 and the
@@ -174,6 +171,15 @@ type methodRun struct {
 
 	// Stale sums the run's stale merges; ModelVersion is the final round's.
 	Stale, ModelVersion int
+}
+
+// ttaCell renders the run's time to accuracy in hours, or ">h" with its
+// simulated hours when it did not reach the target within its round budget.
+func (r *methodRun) ttaCell() string {
+	if r.Reached {
+		return f2(r.TTA)
+	}
+	return fmt.Sprintf(">%.1f", r.Hours)
 }
 
 // datasetList returns the paper's four datasets.

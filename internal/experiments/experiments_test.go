@@ -115,7 +115,7 @@ func TestOptionsFleetIsLive(t *testing.T) {
 	if got := trainConfig(Options{Fleet: spec}).Fleet.Distribution; got != "longtail" {
 		t.Fatalf("fleet not plumbed into the train config: %q", got)
 	}
-	if fleetKey(spec) == fleetKey(fleet.Spec{}) {
+	if specKey(spec) == specKey(fleet.Spec{}) {
 		t.Fatal("memo key ignores the fleet spec")
 	}
 }

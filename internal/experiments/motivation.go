@@ -126,18 +126,11 @@ func Figure3(o Options) *Table {
 	p := data.GSM8K()
 
 	runArm := func(keep bool) *metrics.Tracker {
-		env, err := fed.NewEnv(modelByName("llama"), p, cfg, "fig3")
-		if err != nil {
-			panic(err)
-		}
-		var r fed.Rounder
+		var r fed.Rounder = baselines.NewFMES()
 		if keep {
 			r = keepMergedFMES{}
-		} else {
-			r = baselines.NewFMES()
 		}
-		env = env.CloneForMethod("fig3-" + fmt.Sprint(keep))
-		return runMethod(env, r, 0, p.TargetAcc).Tracker
+		return runMethod(newEnv("llama", p, cfg, "fig3", "fig3-"+fmt.Sprint(keep)), r, 0, p.TargetAcc, nil).Tracker
 	}
 	discard := runArm(false)
 	keep := runArm(true)
@@ -191,7 +184,7 @@ func (keepMergedFMES) Round(env *fed.Env, round int, cohort []int) fed.Participa
 		if err != nil {
 			panic(err)
 		}
-		local, err := moe.Customize(env.Global, plan.Specs)
+		local, err := moe.CustomizeInto(nil, env.Global, plan.Specs)
 		if err != nil {
 			panic(err)
 		}
@@ -245,29 +238,22 @@ func Figure6(o Options) *Table {
 	cfg := trainConfig(o)
 	cfg.MaxRounds = rounds
 	p := data.GSM8K()
-	env, err := fed.NewEnv(modelByName("llama"), p, cfg, "fig6")
-	if err != nil {
-		panic(err)
-	}
-	env = env.CloneForMethod("fig6")
+	env := newEnv("llama", p, cfg, "fig6", "fig6")
 	prof := profile.Profiler{Bits: quant.Bits8}
 	probe, _ := sampleSeqs(p, env.Global.Cfg.VocabSize, 24, "fig6/probe")
 
-	stats := prof.RunFull(env.Global, probe).Stats
 	// Track the four most-activated layer-0 experts.
-	fr0 := stats.FrequencyMatrix()[0]
-	track, _ := tensor.TopKInto(nil, nil, fr0, 4)
+	prev := prof.RunFull(env.Global, probe).Stats.FrequencyMatrix()[0]
+	track, _ := tensor.TopKInto(nil, nil, prev, 4)
 
 	t := &Table{
 		Title:  "Figure 6: activation frequency drift over rounds (layer-0 experts)",
 		Header: []string{"round", "exp-1", "exp-2", "exp-3", "exp-4"},
 	}
-	var fmd baselines.FMD
 	var changes []float64
-	prev := fr0
-	for r := 0; r <= rounds; r++ {
+	runMethod(env, baselines.FMD{}, 0, p.TargetAcc, func(done int) {
 		cur := prof.RunFull(env.Global, probe).Stats.FrequencyMatrix()[0]
-		t.AddRow(fmt.Sprintf("%d", r),
+		t.AddRow(fmt.Sprintf("%d", done),
 			f3(cur[track[0]]), f3(cur[track[1]]), f3(cur[track[2]]), f3(cur[track[3]]))
 		for e := range cur {
 			d := cur[e] - prev[e]
@@ -277,10 +263,7 @@ func Figure6(o Options) *Table {
 			changes = append(changes, 100*d)
 		}
 		prev = cur
-		if r < rounds {
-			mustRunRound(env, fmd, r)
-		}
-	}
+	})
 	xs, _ := metrics.CDF(changes)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("CDF of per-round |Δfreq|: p50=%.2f p90=%.2f p100=%.2f (percentage points)",
@@ -325,7 +308,7 @@ func Figure8(o Options) *Table {
 					specs[l] = moe.LayerSpec{Tuning: all}
 				}
 			}
-			local, err := moe.Customize(m, specs)
+			local, err := moe.CustomizeInto(nil, m, specs)
 			if err != nil {
 				panic(err)
 			}

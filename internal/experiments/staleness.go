@@ -33,14 +33,8 @@ func Staleness(o Options) *Table {
 	cfg.Fleet = fleet.Spec{Distribution: "longtail", Seed: "staleness"}
 	p := data.GSM8K()
 
-	runArm := func(cfg fed.Config) (tr *metrics.Tracker, hours float64, stale, version int) {
-		env, err := fed.NewEnv(modelByName("llama"), p, cfg, "staleness")
-		if err != nil {
-			panic(err)
-		}
-		env = env.CloneForMethod("fmd")
-		run := runMethod(env, newRounder("fmd", cfg), 0, p.TargetAcc)
-		return run.Tracker, run.Hours, run.Stale, run.ModelVersion
+	runArm := func(cfg fed.Config) *methodRun {
+		return runMethod(newEnv("llama", p, cfg, "staleness", "fmd"), newRounder("fmd", cfg), 0, p.TargetAcc, nil)
 	}
 
 	// curve renders the per-round score series; at quick scale the coarse
@@ -67,8 +61,8 @@ func Staleness(o Options) *Table {
 		},
 	}
 
-	sync, hours, _, _ := runArm(cfg)
-	t.AddRow("sync", f3(sync.Final()), f3(sync.Best()), f2(hours), "0", "-", curve(sync))
+	sync := runArm(cfg)
+	t.AddRow("sync", f3(sync.Final), f3(sync.Tracker.Best()), f2(sync.Hours), "0", "-", curve(sync.Tracker))
 
 	for _, alpha := range []float64{0, 0.5, 1, 2} {
 		acfg := cfg
@@ -82,10 +76,10 @@ func Staleness(o Options) *Table {
 			BufferK:        2 * cfg.Participants / 3,
 			StalenessAlpha: alpha,
 		}
-		tr, hours, stale, version := runArm(acfg)
+		run := runArm(acfg)
 		t.AddRow(fmt.Sprintf("async alpha=%.1f", alpha),
-			f3(tr.Final()), f3(tr.Best()), f2(hours),
-			fmt.Sprintf("%d", stale), fmt.Sprintf("%d", version), curve(tr))
+			f3(run.Final), f3(run.Tracker.Best()), f2(run.Hours),
+			fmt.Sprintf("%d", run.Stale), fmt.Sprintf("%d", run.ModelVersion), curve(run.Tracker))
 	}
 	return t
 }

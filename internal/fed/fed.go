@@ -105,6 +105,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fed: dataset size %d below participant count", c.DatasetSize)
 	case c.MaxRounds <= 0:
 		return fmt.Errorf("fed: max rounds %d must be positive", c.MaxRounds)
+	case c.EvalSubset < 0:
+		return fmt.Errorf("fed: eval subset %d must be non-negative (0 = the whole test set)", c.EvalSubset)
 	case !(c.ServerBw > 0 && c.ServerBw <= math.MaxFloat64):
 		return fmt.Errorf("fed: server bandwidth %v must be a positive finite number", c.ServerBw)
 	case c.Workers < 0:
@@ -176,10 +178,11 @@ type envState struct {
 
 	// Observability: the attached span/run-log recorder (nil when no sink is
 	// configured — the common case, and the one the hot path is tuned for),
-	// and the method label CloneForMethod stamped for CPU-profile
-	// attribution.
+	// the method label CloneForMethod stamped for CPU-profile attribution,
+	// and each fan-out's pprof label context (fanLabels).
 	rec    *obs.Recorder
 	method string
+	labels map[string]context.Context
 }
 
 // envStateInit guards lazy state allocation for Env values assembled by

@@ -51,6 +51,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.DatasetSize = 1 },
 		func(c *Config) { c.MaxRounds = 0 },
+		func(c *Config) { c.EvalSubset = -3 },
 		func(c *Config) { c.ServerBw = 0 },
 		func(c *Config) { c.ServerBw = math.NaN() },
 		func(c *Config) { c.ServerBw = math.Inf(1) },

@@ -308,26 +308,26 @@ func (e *Env) forEachSlot(n int, fn func(s *Scratch, slot int) func(*Scratch)) e
 func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int) func(*Scratch)) {
 	scratch := e.scratches(e.workersFor(n))
 	handed := e.handBack(n)
-	// A handful of label allocations per call, well inside the bench alloc
-	// budget, and zero behavioral effect.
-	labels := pprof.Labels("method", e.methodName(), "phase", phase)
+	labels := e.fanLabels(phase)
 	ctx := e.Context()
 	// next hands out units; taken counts the values workers have claimed
 	// from handed, where every unit leaves exactly one.
 	var c struct{ next, taken atomic.Int64 }
 	work := func(s *Scratch) {
-		pprof.Do(ctx, labels, func(context.Context) {
-			for i := int(c.next.Add(1)) - 1; i < n; i = int(c.next.Add(1)) - 1 {
-				runUnit(s, i, fn, handed)
+		pprof.SetGoroutineLabels(labels)
+		for i := int(c.next.Add(1)) - 1; i < n; i = int(c.next.Add(1)) - 1 {
+			runUnit(s, i, fn, handed)
+		}
+		for c.taken.Add(1) <= int64(n) {
+			if after := <-handed; after != nil && ctx.Err() == nil {
+				after(s)
 			}
-			for c.taken.Add(1) <= int64(n) {
-				if after := <-handed; after != nil && ctx.Err() == nil {
-					after(s)
-				}
-			}
-		})
+		}
 	}
 	if len(scratch) == 1 {
+		// The calling goroutine leaves with the labels of ctx, as pprof.Do
+		// leaves it.
+		defer pprof.SetGoroutineLabels(ctx)
 		work(scratch[0])
 		return
 	}
@@ -353,6 +353,24 @@ func (e *Env) fanOut(n int, phase string, fn func(s *Scratch, i int) func(*Scrat
 		// goroutine like the serial loop would.
 		panic(panicked)
 	}
+}
+
+// fanLabels returns the pprof label context {method, phase} of the fan-out
+// named phase, built on the environment's first such fan-out and reused by
+// every later one.
+func (e *Env) fanLabels(phase string) context.Context {
+	st := e.st()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ctx, ok := st.labels[phase]
+	if !ok {
+		if st.labels == nil {
+			st.labels = make(map[string]context.Context)
+		}
+		ctx = pprof.WithLabels(context.Background(), pprof.Labels("method", methodLabel(st.method), "phase", phase))
+		st.labels[phase] = ctx
+	}
+	return ctx
 }
 
 // runUnit runs fn(s, i) and sends what it hands back to handed — nil for

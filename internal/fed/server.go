@@ -151,28 +151,23 @@ func staleScale(staleness int, alpha float64) float64 {
 // sortedPhaseSum folds a phase map into seconds in sorted-key order, so the
 // float total is bit-reproducible run to run. The event-driven modes total
 // arrivals this way.
-func sortedPhaseSum(phases map[simtime.Phase]float64) float64 {
-	keys := make([]string, 0, len(phases))
-	for p := range phases {
-		keys = append(keys, string(p))
-	}
-	sort.Strings(keys)
-	var sec float64
-	for _, k := range keys {
-		sec += phases[simtime.Phase(k)]
-	}
-	return sec
-}
+func sortedPhaseSum(phases map[simtime.Phase]float64) float64 { return phaseSum(phases, nil) }
 
 // canonicalPhaseSum folds a phase map into seconds in execution order
-// (simtime.PhaseOrder) — the order the observability layer lays a round out
-// in. The synchronous barrier totals slots and its kept window this way; the
-// fold order is part of the bit-identity contract, so it must not be swapped
-// for sortedPhaseSum.
+// (simtime.CanonicalPhases) — the order the observability layer lays a round
+// out in. The synchronous barrier totals slots and its kept window this way;
+// the fold order is part of the bit-identity contract, so it must not be
+// swapped for sortedPhaseSum.
 func canonicalPhaseSum(phases map[simtime.Phase]float64) float64 {
+	return phaseSum(phases, simtime.CanonicalPhases())
+}
+
+// phaseSum folds a phase map into seconds in simtime.PhaseOrder's order for
+// first, without allocating.
+func phaseSum(phases map[simtime.Phase]float64, first []simtime.Phase) float64 {
 	var keys [8]simtime.Phase
 	var sec float64
-	for _, p := range simtime.PhaseOrder(keys[:0], phases) {
+	for _, p := range simtime.PhaseOrder(keys[:0], phases, first) {
 		sec += phases[p]
 	}
 	return sec

@@ -189,7 +189,8 @@ func (res SlotResult) MarshalBinary() ([]byte, error) { return appendSlot(nil, r
 
 func appendSlot(b []byte, res SlotResult) []byte {
 	b = codec.AppendFloat(codec.AppendFloat(appendUpdate(b, res.Update), res.Bytes), res.DownBytes)
-	phases := slices.Sorted(maps.Keys(res.Phases))
+	var keys [8]simtime.Phase
+	phases := simtime.PhaseOrder(keys[:0], res.Phases, nil)
 	b = codec.AppendInt(b, len(phases))
 	for _, ph := range phases {
 		b = codec.AppendFloat(append(codec.AppendInt(b, len(ph)), ph...), res.Phases[ph])

@@ -157,7 +157,7 @@ func TestDataSelectionTogglePreservesBatchSize(t *testing.T) {
 
 // warmParticipantAllocs is what one warm participant call allocated when it
 // was pinned (go1.24, linux/amd64).
-const warmParticipantAllocs = 119
+const warmParticipantAllocs = 116
 
 // TestProfilePassHandedBack pins when a participant's profiling pass runs,
 // with and without stale profiling, over three rounds in which participants
@@ -249,7 +249,7 @@ func sameProfile(a, b *profile.Result) bool {
 //   - CustomizeInto's per-layer spec checks, ProbeExploreSPSA's index lists
 //     and results, the update's map and the slot's phase ledger, which the
 //     slot runner hands over as the result's Phases;
-//   - the fan-out's pprof labels and its one-slot result slice.
+//   - the fan-out's one-slot result slice.
 //
 // The call runs through the engine's slot path (Env.RunSlots), as a round
 // runs it.

@@ -145,10 +145,10 @@ func (s *Summary) WriteText(w io.Writer, topK int) error {
 	if len(s.PhaseSeconds) > 0 {
 		fmt.Fprintln(w, "phase totals:")
 		var total float64
-		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds) {
+		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds, simtime.CanonicalPhases()) {
 			total += s.PhaseSeconds[k]
 		}
-		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds) {
+		for _, k := range simtime.PhaseOrder(nil, s.PhaseSeconds, simtime.CanonicalPhases()) {
 			v := s.PhaseSeconds[k]
 			pct := 0.0
 			if total > 0 {

@@ -132,7 +132,7 @@ func (t *traceWriter) round(rd Round, parts []Participant) error {
 		return err
 	}
 	cursor := start
-	for _, name := range simtime.PhaseOrder(nil, rd.Phases) {
+	for _, name := range simtime.PhaseOrder(nil, rd.Phases, simtime.CanonicalPhases()) {
 		dur := float64(rd.Phases[name] * 1e6)
 		if err := t.emit(spanEvent{
 			Name: name, Cat: "phase", Ph: "X",
@@ -178,7 +178,7 @@ func (t *traceWriter) participant(rd Round, p Participant) error {
 		}
 	}
 	start := float64(rd.StartSec * 1e6)
-	keys := simtime.PhaseOrder(nil, p.Phases)
+	keys := simtime.PhaseOrder(nil, p.Phases, simtime.CanonicalPhases())
 	var total float64
 	for _, k := range keys {
 		total += float64(p.Phases[k] * 1e6)

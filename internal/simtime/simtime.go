@@ -15,7 +15,6 @@ package simtime
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/moe"
 )
@@ -188,16 +187,19 @@ func CanonicalPhases() []Phase {
 	return []Phase{PhaseProfiling, PhaseMerging, PhaseAssignment, PhaseFineTuning, PhaseComm, PhaseStraggler}
 }
 
-// PhaseOrder appends the keys of phases to dst in canonical execution order
-// (CanonicalPhases), then every other key sorted, and returns the extended
-// slice: the order the observability layer serializes phases in and the
-// synchronous barrier folds them in, part of the bit-identity contract. A
-// dst with room for every key keeps the call allocation-free.
-func PhaseOrder[K ~string, V any](dst []K, phases map[K]V) []K {
+// PhaseOrder appends the keys of phases to dst, first those named in first,
+// in that order, then every other key sorted, and returns the extended
+// slice. Both orders a phase map is folded in are part of the bit-identity
+// contract: with first = CanonicalPhases() it is execution order, the order
+// the observability layer serializes phases in and the synchronous barrier
+// folds them in; with first = nil it is plain sorted order, the order a
+// Clock advances in, the event-driven modes fold arrivals in and the wire
+// carries phases in. A dst with room for every key keeps the call
+// allocation-free.
+func PhaseOrder[K ~string, V any](dst []K, phases map[K]V, first []Phase) []K {
 	dst = slices.Grow(dst, len(phases))
-	canonical := CanonicalPhases()
 	n := len(dst)
-	for _, p := range canonical {
+	for _, p := range first {
 		if _, ok := phases[K(p)]; ok {
 			dst = append(dst, K(p))
 		}
@@ -206,7 +208,7 @@ func PhaseOrder[K ~string, V any](dst []K, phases map[K]V) []K {
 		extras := len(dst)
 		//fluxvet:unordered keys are collected then sorted before use
 		for k := range phases {
-			if !slices.Contains(canonical, Phase(k)) {
+			if !slices.Contains(first, Phase(k)) {
 				dst = append(dst, k)
 			}
 		}
@@ -240,13 +242,9 @@ func (c *Clock) Advance(phase Phase, sec float64) {
 // must fold a phase map through this method to keep simulated time
 // bit-reproducible.
 func (c *Clock) AdvanceAll(phases map[Phase]float64) {
-	keys := make([]string, 0, len(phases))
-	for p := range phases {
-		keys = append(keys, string(p))
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c.Advance(Phase(k), phases[Phase(k)])
+	var keys [8]Phase
+	for _, p := range PhaseOrder(keys[:0], phases, nil) {
+		c.Advance(p, phases[p])
 	}
 }
 

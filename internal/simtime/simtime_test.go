@@ -176,22 +176,33 @@ func TestModelExpertBytes(t *testing.T) {
 	}
 }
 
-// TestPhaseOrder pins the one phase order, canonical phases first and extras
-// sorted after, for both key types that use it, and that a destination with
-// room for every key is all the call needs.
+// TestPhaseOrder pins the two phase orders, canonical phases first and
+// extras sorted after, and plain sorted order, for both key types that use
+// them, and that a destination with room for every key is all the call
+// needs.
 func TestPhaseOrder(t *testing.T) {
 	want := []string{"profiling", "fine-tuning", "communication", "alpha", "zeta"}
 	byName := map[string]float64{"zeta": 1, "communication": 1, "fine-tuning": 1, "alpha": 1, "profiling": 1}
-	if got := PhaseOrder(nil, byName); !slices.Equal(got, want) {
+	if got := PhaseOrder(nil, byName, CanonicalPhases()); !slices.Equal(got, want) {
 		t.Fatalf("PhaseOrder = %v, want %v", got, want)
 	}
 	byPhase := map[Phase]float64{"zeta": 1, PhaseComm: 1, PhaseFineTuning: 1, "alpha": 1, PhaseProfiling: 1}
-	got := PhaseOrder([]Phase{"kept"}, byPhase)
+	got := PhaseOrder([]Phase{"kept"}, byPhase, CanonicalPhases())
 	if !slices.Equal(got, []Phase{"kept", "profiling", "fine-tuning", "communication", "alpha", "zeta"}) {
 		t.Fatalf("PhaseOrder after a kept key = %v", got)
 	}
+	got = PhaseOrder([]Phase{"kept"}, byPhase, nil)
+	if !slices.Equal(got, []Phase{"kept", "alpha", "communication", "fine-tuning", "profiling", "zeta"}) {
+		t.Fatalf("sorted PhaseOrder after a kept key = %v", got)
+	}
 	var buf [8]Phase
-	if n := testing.AllocsPerRun(10, func() { PhaseOrder(buf[:0], byPhase) }); n != 0 {
-		t.Fatalf("PhaseOrder into a roomy destination allocates %v times", n)
+	for _, first := range [][]Phase{CanonicalPhases(), nil} {
+		if n := testing.AllocsPerRun(10, func() { PhaseOrder(buf[:0], byPhase, first) }); n != 0 {
+			t.Fatalf("PhaseOrder(first %v) into a roomy destination allocates %v times", first, n)
+		}
+	}
+	c := NewClock()
+	if n := testing.AllocsPerRun(10, func() { c.AdvanceAll(byPhase) }); n != 0 {
+		t.Fatalf("AdvanceAll allocates %v times", n)
 	}
 }
