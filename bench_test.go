@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/fed"
@@ -481,12 +482,13 @@ func BenchmarkFedAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkModelCodec is the model codec on the LLaMA stand-in, both ends of
-// every TCP broadcast: op=encode is the server's AppendEncoded into the
-// buffer it keeps across rounds (no allocation), op=decode is DecodeBytes
-// with its shape checks into a new model (the checkpoint-load path), and
-// op=decode-into is a client's DecodeInto of the same bytes into the replica
-// it keeps (no allocation). CI publishes it into bench/BENCH_micro.json.
+// BenchmarkModelCodec is the model codec on the LLaMA stand-in: op=encode is
+// AppendEncoded into a buffer kept across calls (no allocation; the TCP
+// server writes the same walk as views of the model instead of copies),
+// op=decode is DecodeBytes with its shape checks into a new model (the
+// checkpoint-load path), and op=decode-into is DecodeInto of the same bytes
+// into a replica it keeps (no allocation; a TCP client decodes the same way
+// from its connection). CI publishes it into bench/BENCH_micro.json.
 func BenchmarkModelCodec(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-codec"))
 	blob, err := m.EncodeBytes()
@@ -494,11 +496,12 @@ func BenchmarkModelCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("op=encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(blob))
+		w := codec.Writer{Buf: make([]byte, 0, len(blob))}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if buf, err = m.AppendEncoded(buf[:0]); err != nil {
+			w.Reset()
+			if err := m.AppendEncoded(&w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -516,7 +519,7 @@ func BenchmarkModelCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := moe.DecodeInto(replica, blob); err != nil {
+			if _, err := moe.DecodeInto(replica, codec.NewReader(blob)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -299,6 +299,52 @@ func TestDeployment(t *testing.T) {
 		waitErr(t, done1, "participant 1")
 	})
 
+	t.Run("SlowHelloDropped", func(t *testing.T) {
+		ln := listenLoopback(t)
+		errc := serveAsync(t, flux.ServerConfig{
+			Listener: ln, Clients: 2, Rounds: 1,
+			PretrainSteps: 60, IOTimeout: 1 * time.Second,
+		})
+		// A Hello claiming id 0 trickled one byte every 100 ms: each gap is
+		// well inside the 1 s Hello deadline, the whole Hello far beyond it.
+		// The deadline bounds the whole Hello, not each read, so the
+		// connection is dropped and the real participant 0 is not turned
+		// away as a duplicate. The trickle stops at its first failed write.
+		hello, _ := fed.Hello{Participant: 0}.MarshalBinary()
+		var frame bytes.Buffer
+		fed.WriteFrame(&frame, hello)
+		trickled := make(chan struct{})
+		slowConn := dialForeign(t, ln.Addr().String(), func(conn net.Conn) error {
+			go func() {
+				defer close(trickled)
+				for _, b := range frame.Bytes() {
+					if _, err := conn.Write([]byte{b}); err != nil {
+						return
+					}
+					time.Sleep(100 * time.Millisecond)
+				}
+			}()
+			return nil
+		})
+		done0 := dialRaw(t, ln.Addr().String(), 0).participateAsync()
+		done1 := dialRaw(t, ln.Addr().String(), 1).participateAsync()
+
+		if err := waitErr(t, errc, "Serve"); err != nil {
+			t.Fatalf("Serve with a slow Hello failed: %v", err)
+		}
+		<-trickled
+		slowConn.SetReadDeadline(time.Now().Add(deployBound))
+		if n, err := slowConn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("the slow connection read %d bytes; want it closed at the handshake", n)
+		}
+		if err := waitErr(t, done0, "participant 0"); err != nil {
+			t.Errorf("participant 0 failed: %v", err)
+		}
+		if err := waitErr(t, done1, "participant 1"); err != nil {
+			t.Errorf("participant 1 failed: %v", err)
+		}
+	})
+
 	t.Run("ForeignHelloDropped", func(t *testing.T) {
 		ln := listenLoopback(t)
 		errc := serveAsync(t, flux.ServerConfig{

@@ -86,14 +86,15 @@ func Figure17(o Options) *Table {
 }
 
 // mergeAblation fills t with one row per ablation dataset: each arm's merged
-// output error (mergedOutputError), then each arm's Flux time to accuracy,
-// where an arm is merge.DefaultOptions with set applied for it.
+// output error (mergeBase.outputError), then each arm's Flux time to
+// accuracy, where an arm is merge.DefaultOptions with set applied for it.
 func mergeAblation[A any](o Options, t *Table, fig string, arms []A, set func(*merge.Options, A)) *Table {
 	for _, p := range ablationDatasets(o) {
 		row := []string{p.Name}
 		var ttas []string
+		base := newMergeBase(o, p)
 		for _, arm := range arms {
-			row = append(row, f3(mergedOutputError(o, p, func(opt *merge.Options) { set(opt, arm) })))
+			row = append(row, f3(base.outputError(func(opt *merge.Options) { set(opt, arm) })))
 			run := fluxVariantRun(o, p, fmt.Sprintf("%s/%s/%v", fig, p.Name, arm), func(op *flux.Options) {
 				set(&op.Merge, arm)
 			})
@@ -104,10 +105,20 @@ func mergeAblation[A any](o Options, t *Table, fig string, arms []A, set func(*m
 	return t
 }
 
-// mergedOutputError builds a Flux-style compact model under
-// merge.DefaultOptions with set applied and measures its forward output
-// error.
-func mergedOutputError(o Options, p data.Profile, set func(*merge.Options)) float64 {
+// mergeBase is what every arm of a merge ablation on one dataset shares:
+// participant 0's model, profile, expert assignment and batch.
+type mergeBase struct {
+	name   string
+	m      *moe.Model
+	stats  *moe.ActivationStats
+	tuning [][]int
+	budget int // the merged experts' capacity: the device's minus the exploited experts
+	seqs   [][]int
+}
+
+// newMergeBase builds participant 0's environment for dataset p and
+// profiles and assigns its model once, for every arm.
+func newMergeBase(o Options, p data.Profile) *mergeBase {
 	env := newEnv("llama", p, trainConfig(o), "merr/"+p.Name, "merr")
 	m := env.Global
 	samples := env.Batch(0, 0)
@@ -116,24 +127,29 @@ func mergedOutputError(o Options, p data.Profile, set func(*merge.Options)) floa
 	capacity, tune := env.Budgets(0)
 	tb := assign.NewUtilityTable(stats)
 	a := assign.Assign(tb, m.Cfg.ExpertsPerLayer, tune, 1.0, tensor.Named("merr/"+p.Name))
-	tuning := a.Tuning(m.Cfg.Layers())
-
-	opt := merge.DefaultOptions()
-	set(&opt)
-	plan, err := merge.BuildPlan(m, stats, tuning, capacity-len(a.Exploit), opt, tensor.Named("merr2/"+p.Name))
-	if err != nil {
-		panic(err)
-	}
-	local, err := moe.CustomizeInto(nil, m, plan.Specs)
-	if err != nil {
-		panic(err)
-	}
 	var seqs [][]int
 	for _, s := range samples {
 		seq, _ := s.FullSequence()
 		seqs = append(seqs, seq)
 	}
-	return merge.OutputError(local, m, seqs)
+	return &mergeBase{name: p.Name, m: m, stats: stats, tuning: a.Tuning(m.Cfg.Layers()),
+		budget: capacity - len(a.Exploit), seqs: seqs}
+}
+
+// outputError builds a Flux-style compact model under merge.DefaultOptions
+// with set applied and measures its forward output error.
+func (b *mergeBase) outputError(set func(*merge.Options)) float64 {
+	opt := merge.DefaultOptions()
+	set(&opt)
+	plan, err := merge.BuildPlan(b.m, b.stats, b.tuning, b.budget, opt, tensor.Named("merr2/"+b.name))
+	if err != nil {
+		panic(err)
+	}
+	local, err := moe.CustomizeInto(nil, b.m, plan.Specs)
+	if err != nil {
+		panic(err)
+	}
+	return merge.OutputError(local, b.m, b.seqs)
 }
 
 // Figure16 measures the clustering cost of fused cross-layer K-Means

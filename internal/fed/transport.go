@@ -1,15 +1,18 @@
 package fed
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/moe"
 	"repro/internal/obs"
 )
@@ -27,8 +30,10 @@ import (
 // records as an in-process round.
 //
 // Every message is one frame of the wire format in wire.go. The server
-// encodes the global model once per broadcast and writes those bytes to every
-// peer; a client decodes each broadcast into its replica's model in place.
+// writes each broadcast straight from the global model's tensors, one list of
+// parts for every peer; a client decodes each broadcast into its replica's
+// model in place as it arrives, and the server decodes each reply where it
+// lands.
 //
 // The server is stepwise — Accept, then RunRound per round, then Finish — and
 // its rounds run inside the engine's one round loop (Run): ServeContext is
@@ -48,20 +53,30 @@ const DefaultIOTimeout = 2 * time.Minute
 // not stall fleet formation for minutes.
 const maxHelloTimeout = 10 * time.Second
 
-// peer is one end of a deployment connection. It owns the buffer its frames
-// are read into and, on the server, the SlotResult a reply is decoded into:
-// the update's map, the arena its parameter slices are windows of, and the
-// phase map. The next read overwrites all of them, so whatever outlives the
-// round must be copied out first — finishRound deep-copies (cloneUpdate)
-// every update it carries over, and keeps nothing else of a slot.
+// peer is one end of a deployment connection. On the server it owns the
+// SlotResult a reply is decoded into: the update's map, the arena whose
+// memory the reply is read into and its parameter slices are windows of, and
+// the phase map. The next read overwrites all of them, so whatever outlives
+// the round must be copied out first — finishRound deep-copies (cloneUpdate)
+// every update it carries over, and keeps nothing else of a slot. On a
+// client it owns the read-ahead buffer a broadcast is decoded through and the
+// writer its reply is encoded with.
 type peer struct {
 	conn    net.Conn
 	id      int
 	timeout time.Duration
-	limit   int    // maxMessageBytes of the deployment's model config
-	buf     []byte // the last frame read
-	slot    SlotResult
-	arena   []float64
+	limit   int                 // maxMessageBytes of the deployment's model config
+	word    [codec.IntSize]byte // a frame's length, as read
+
+	slot  SlotResult
+	arena []float64
+
+	stream *bufio.Reader
+	body   io.LimitedReader // the frame stream reads from
+	enc    codec.Writer
+	keys   []ExpertKey
+
+	iov, out net.Buffers // a frame's parts, and the copy of them a write consumes
 }
 
 // newPeer wraps conn for a deployment of model config cfg: every frame read
@@ -70,19 +85,28 @@ func newPeer(conn net.Conn, cfg moe.Config, timeout time.Duration) *peer {
 	return &peer{conn: conn, timeout: ioTimeout(timeout), limit: maxMessageBytes(cfg)}
 }
 
-func (p *peer) send(parts ...[]byte) error {
+// send writes one frame, built by beginFrame and frameParts, in one
+// vectored write.
+func (p *peer) send(parts net.Buffers) error {
 	//fluxvet:allow wallclock real socket write deadline; network I/O is outside simulated time
 	p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	return WriteFrame(p.conn, parts...)
+	return p.write(p.conn, parts)
 }
 
-// recv reads one frame into p.buf and returns its body.
-func (p *peer) recv() ([]byte, error) {
+// write writes parts to w through p's copy of the list, which the write
+// consumes; parts itself is left for the next peer.
+func (p *peer) write(w io.Writer, parts net.Buffers) error {
+	p.iov = append(p.iov[:0], parts...)
+	p.out = p.iov
+	_, err := p.out.WriteTo(w)
+	return err
+}
+
+// reading is p's connection with the read deadline of one message set.
+func (p *peer) reading() net.Conn {
 	//fluxvet:allow wallclock real socket read deadline; network I/O is outside simulated time
 	p.conn.SetReadDeadline(time.Now().Add(p.timeout))
-	var err error
-	p.buf, err = ReadFrame(p.conn, p.buf, p.limit)
-	return p.buf, err
+	return p.conn
 }
 
 // Server coordinates federated fine-tuning over TCP.
@@ -105,8 +129,8 @@ type Server struct {
 
 	mu    sync.Mutex
 	peers []*peer
-	round int    // rounds completed, stamps the final broadcast
-	blob  []byte // the global model's encoding, rewritten for every broadcast
+	round int          // rounds completed, stamps the final broadcast
+	enc   codec.Writer // a broadcast's words and its parts, kept across rounds
 }
 
 // ioTimeout resolves a per-message timeout setting: zero means
@@ -220,12 +244,12 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	if err := s.encodeGlobal(); err != nil {
+	parts, err := s.broadcast(r, false)
+	if err != nil {
 		return RoundStats{}, err
 	}
-	head := appendBroadcastHeader(nil, r, false)
 	for _, p := range peers {
-		if err := p.send(head, s.blob); err != nil {
+		if err := p.send(parts); err != nil {
 			return RoundStats{}, CtxErr(ctx, fmt.Errorf("fed: send round %d to %d: %w", r, p.id, err))
 		}
 	}
@@ -240,11 +264,7 @@ func (s *Server) RunRound(ctx context.Context, r int) (RoundStats, error) {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			body, err := p.recv()
-			if err == nil {
-				err = p.decodeSlot(body)
-			}
-			if err != nil {
+			if err := p.readSlot(p.reading()); err != nil {
 				errs[i] = fmt.Errorf("fed: update from %d: %w", p.id, err)
 			}
 		}(i, p)
@@ -274,25 +294,32 @@ func (s *Server) Finish(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, s.closePeers)
 	defer stop()
 
-	if err := s.encodeGlobal(); err != nil {
+	s.mu.Lock()
+	round := s.round
+	s.mu.Unlock()
+	parts, err := s.broadcast(round, true)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	head := appendBroadcastHeader(nil, s.round, true)
-	s.mu.Unlock()
 	for _, p := range peers {
-		if err := p.send(head, s.blob); err != nil {
+		if err := p.send(parts); err != nil {
 			return CtxErr(ctx, fmt.Errorf("fed: final to %d: %w", p.id, err))
 		}
 	}
 	return nil
 }
 
-// encodeGlobal encodes the global model into s.blob, once per broadcast.
-func (s *Server) encodeGlobal() error {
-	var err error
-	s.blob, err = s.Env.Global.AppendEncoded(s.blob[:0])
-	return err
+// broadcast returns the frame of round's broadcast as the parts of one
+// vectored write, built once and written to every peer: its words are kept
+// in s.enc, and its floats are views of s.Env.Global's tensors, which nothing
+// writes until every reply is in.
+func (s *Server) broadcast(round int, final bool) (net.Buffers, error) {
+	beginFrame(&s.enc)
+	s.enc.Buf = appendBroadcastHeader(s.enc.Buf, round, final)
+	if err := s.Env.Global.AppendEncoded(&s.enc); err != nil {
+		return nil, err
+	}
+	return frameParts(&s.enc), nil
 }
 
 // Close drops all peer connections. It is safe to call more than once.
@@ -346,15 +373,17 @@ type ClientConfig struct {
 
 // RunClientContext joins the server at cfg.Addr and participates until the
 // final model arrives, which it returns. Every round it decodes the broadcast
-// model into cfg.Env.Global in place, calls cfg.Method.Round for Env's
-// cohort, runs the participant function for its own slot on one persistent
-// Scratch, and uploads the whole SlotResult under its Hello id — the slot an
-// in-process worker would have computed — and then runs the work the
-// function handed back (SlotResult.After) while the server aggregates. A broadcast over the message bound,
-// of another model config, or of any round but the next fails the client with
-// an error naming the round, and leaves Env.Global nil: a model decoded only
-// in part is never used. Cancelling ctx closes the connection, aborting
-// whatever exchange or wait is in flight.
+// model from the connection into cfg.Env.Global in place as it arrives, calls
+// cfg.Method.Round for Env's cohort, runs the participant function for its
+// own slot on one persistent Scratch, and uploads the whole SlotResult under
+// its Hello id — the slot an in-process worker would have computed — written
+// straight from the update's parameters, and then runs the work the function
+// handed back (SlotResult.After) while the server aggregates. A broadcast over
+// the message bound fails the client with an error naming the round. One cut
+// short, of another model config, or of any round but the next fails it the
+// same way and leaves Env.Global nil: a model decoded only in part is never
+// used. Cancelling ctx closes the connection, aborting whatever exchange or
+// wait is in flight.
 func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error) {
 	env := cfg.Env
 	switch {
@@ -378,21 +407,23 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 
 	p := newPeer(conn, env.Global.Cfg, cfg.IOTimeout)
 	hello, _ := Hello{Participant: cfg.Participant}.MarshalBinary()
-	if err := p.send(hello); err != nil {
+	beginFrame(&p.enc)
+	p.enc.Buf = append(p.enc.Buf, hello...)
+	if err := p.send(frameParts(&p.enc)); err != nil {
 		return nil, CtxErr(ctx, err)
 	}
 	s := newScratch(env.methodName())
-	var reply []byte
 	for next := 0; ; {
-		body, err := p.recv()
+		src := p.reading()
+		n, err := readLength(src, p.word[:], p.limit)
 		if err != nil {
 			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: round %d broadcast from %s: %w", cfg.Participant, next, cfg.Addr, err))
 		}
-		round, final, err := checkBroadcast(body, next, env.Global)
+		round, final, err := p.decodeBroadcast(src, n, next, env.Global)
 		env.dropQuantized() // the decode rewrote the whole model in place
 		if err != nil {
 			env.Global = nil
-			return nil, fmt.Errorf("fed: client %d: %w", cfg.Participant, err)
+			return nil, CtxErr(ctx, fmt.Errorf("fed: client %d: %w", cfg.Participant, err))
 		}
 		if final {
 			return env.Global, nil
@@ -402,8 +433,9 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		s.off = 0
 		res := s.run(participant, slices.Index(cohort, cfg.Index), cfg.Index)
 		res.Update.Participant = cfg.Participant
-		reply = appendSlot(reply[:0], res)
-		if err := p.send(reply); err != nil {
+		beginFrame(&p.enc)
+		p.keys = encodeSlot(&p.enc, res, p.keys)
+		if err := p.send(frameParts(&p.enc)); err != nil {
 			return nil, CtxErr(ctx, err)
 		}
 		if res.After != nil && ctx.Err() == nil {
@@ -411,26 +443,6 @@ func RunClientContext(ctx context.Context, cfg ClientConfig) (*moe.Model, error)
 		}
 		next = round + 1
 	}
-}
-
-// checkBroadcast decodes a broadcast body, received by a client expecting
-// round next, into model, the client's replica of the global model, and
-// returns the broadcast's round and final flag. A broadcast of another round
-// (unless it is the final one), a model that does not decode, or one of
-// another config than model's is an error naming the round, after which
-// model may be partly overwritten.
-func checkBroadcast(body []byte, next int, model *moe.Model) (round int, final bool, err error) {
-	round, final, blob, err := splitBroadcast(body)
-	if err != nil {
-		return 0, false, err
-	}
-	if !final && round != next {
-		return 0, false, fmt.Errorf("broadcast of round %d, want round %d", round, next)
-	}
-	if _, err := moe.DecodeInto(model, blob); err != nil {
-		return 0, false, fmt.Errorf("round %d broadcast: %w", round, err)
-	}
-	return round, final, nil
 }
 
 // IdentityTuning returns per-layer expert-id lists naming every expert — the

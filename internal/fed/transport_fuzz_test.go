@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/moe"
 	"repro/internal/simtime"
 	"repro/internal/tensor"
@@ -12,18 +13,22 @@ import (
 
 // FuzzCheckUpdate drives the one wire boundary that feeds the round core:
 // arbitrary bytes are read the way RunRound's receive path reads a reply (a
-// frame through the message bound, decoded by decodeSlot into a peer whose
-// slot already holds a real reply), then reduced by finishRound on a clone of
-// the model. The corpus is seeded with a real slot, with every malformed
-// update TestRunRoundRejectsMalformedUpdates rejects, with a NaN phase and
-// negative uplink bytes, with the real slot's update payload cut short, and
-// with a slot of no experts and no phases, so the fuzzer starts from
-// accepted and refused inputs and from a reply smaller than the last.
+// frame through the message bound, read into the memory of the arena of a
+// peer whose slot already holds a real reply and decoded there by readSlot),
+// then reduced by finishRound on a clone of the model. The corpus is seeded
+// with a real slot, with every malformed update
+// TestRunRoundRejectsMalformedUpdates rejects, with a NaN phase and negative
+// uplink bytes, with the real slot's update payload cut short, with a slot of
+// no experts and no phases, with a slot larger than the real one (the arena
+// regrows between two decodes), and with the real frame cut short of the
+// length it announces, so the fuzzer starts from accepted and refused inputs
+// and from a reply smaller and larger than the last.
 //
 // Invariants: neither the decode nor the server core panics; every reply the
-// decoder accepts re-encodes to the same bytes, so nothing of the previous
-// reply survives in the reused slot; and every slot the core's check accepts
-// leaves only finite parameters, traffic totals and phase seconds behind.
+// decoder accepts re-encodes to the bytes received, so nothing of the
+// previous reply survives in the reused slot or arena; and every slot the
+// core's check accepts leaves only finite parameters, traffic totals and
+// phase seconds behind.
 func FuzzCheckUpdate(f *testing.F) {
 	const peerID = 1
 	global := moe.MustNew(moe.Uniform("fuzz-update", 8, 2, 2, 2, 3, 1, 4), tensor.Named("fuzz-update"))
@@ -54,19 +59,21 @@ func FuzzCheckUpdate(f *testing.F) {
 		f.Add(frame(f, rawBody(append(payload[:n:n], body[len(payload):]...))))
 	}
 	seed(func(r *SlotResult) { r.Update.Experts, r.Phases = nil, nil })
+	seed(func(r *SlotResult) {
+		k := ExpertKey{Layer: 1, Expert: 2}
+		r.Update.Experts[k] = append(r.Update.Experts[k], make([]float64, 64)...)
+	})
 	warm := frame(f, good)
+	f.Add(warm[:len(warm)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &peer{limit: maxMessageBytes(global.Cfg)}
 		for _, in := range [][]byte{warm, data} {
-			var err error
-			if p.buf, err = ReadFrame(bytes.NewReader(in), p.buf, p.limit); err != nil {
+			if err := p.readSlot(bytes.NewReader(in)); err != nil {
 				return
 			}
-			if err := p.decodeSlot(p.buf); err != nil {
-				return
-			}
-			if again := appendSlot(nil, p.slot); !bytes.Equal(again, p.buf) {
+			body := in[codec.IntSize:][:codec.NewReader(in[:codec.IntSize]).Int()]
+			if again, _ := p.slot.MarshalBinary(); !bytes.Equal(again, body) {
 				t.Fatalf("accepted reply re-encodes differently")
 			}
 		}
@@ -98,14 +105,14 @@ type rawBody []byte
 func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
 
 // FuzzRoundMsg drives the client's receive path: arbitrary bytes are read
-// the way RunClientContext reads a broadcast (a frame through the message
-// bound), then checked by checkBroadcast for round 0, decoding in place into
-// a replica that holds a model of the client's config. The corpus is seeded
-// with a valid broadcast, the final one, one of a later round, one of another
-// config, and the valid broadcast with its model cut short or its frame cut
-// short.
+// the way RunClientContext reads a broadcast (a frame's length through the
+// message bound), then decoded by decodeBroadcast for round 0 from the
+// stream, in place into a replica that holds a model of the client's config.
+// The corpus is seeded with a valid broadcast, the final one, one of a later
+// round, one of another config, and the valid broadcast with its model cut
+// short or its frame cut short of the length it announces.
 //
-// Invariants: nothing panics; every broadcast checkBroadcast accepts leaves
+// Invariants: nothing panics; every broadcast decodeBroadcast accepts leaves
 // the replica a model whose encoding is exactly the bytes received (the codec
 // has one encoding per model), and ForwardWS runs on it; every broadcast it
 // refuses comes back as an error.
@@ -137,16 +144,18 @@ func FuzzRoundMsg(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := ReadFrame(bytes.NewReader(data), nil, maxMessageBytes(want))
+		p := &peer{limit: maxMessageBytes(want)}
+		src := bytes.NewReader(data)
+		n, err := readLength(src, p.word[:], p.limit)
 		if err != nil {
 			return
 		}
 		replica := warm.CloneInto(nil)
-		if _, _, err := checkBroadcast(body, 0, replica); err != nil {
+		if _, _, err := p.decodeBroadcast(src, n, 0, replica); err != nil {
 			return
 		}
-		again, err := replica.AppendEncoded(nil)
-		if err != nil || !bytes.Equal(again, body[broadcastHeader:]) {
+		again, err := replica.EncodeBytes()
+		if err != nil || !bytes.Equal(again, data[codec.IntSize+broadcastHeader:codec.IntSize+n]) {
 			t.Fatalf("accepted broadcast re-encodes differently (err %v)", err)
 		}
 		replica.ForwardWS(moe.NewWorkspace(), []int{0, 1, 2}, nil, -1)

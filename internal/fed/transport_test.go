@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding"
 	"errors"
+	"maps"
 	"math"
 	"net"
 	"reflect"
@@ -183,9 +184,10 @@ func TestRunClientRejectsBadConfig(t *testing.T) {
 // TestRunClientValidatesBroadcast: a raw server sends a LLaMA-architecture
 // client a broadcast it must not train on. A DeepSeek model fails at the
 // message bound (it is the larger), a smaller model of another config fails
-// the config check, and a first broadcast of round 5 fails the round check;
-// each error names the round. A client whose broadcast failed to decode drops
-// its replica's model.
+// the config check, a first broadcast of round 5 fails the round check, and
+// a broadcast whose connection closes mid-tensor fails the decode; each
+// error names the round. A client whose broadcast failed to decode drops its
+// replica's model.
 func TestRunClientValidatesBroadcast(t *testing.T) {
 	llama := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("tcp-llama"))
 	small := moe.SimConfigLLaMATrain()
@@ -194,16 +196,22 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 		name  string
 		cfg   moe.Config
 		round int
+		cut   bool // send the frame's first half, then close
 		want  []string
 	}{
-		{"deepseek", moe.SimConfigDeepSeekTrain(), 0, []string{"round 0 broadcast from", "exceeds the"}},
-		{"five layers", small, 0, []string{"round 0 broadcast", "holds model config"}},
-		{"skipped rounds", llama.Cfg, 5, []string{"broadcast of round 5, want round 0"}},
+		{"deepseek", moe.SimConfigDeepSeekTrain(), 0, false, []string{"round 0 broadcast from", "exceeds the"}},
+		{"five layers", small, 0, false, []string{"round 0 broadcast", "holds model config"}},
+		{"skipped rounds", llama.Cfg, 5, false, []string{"broadcast of round 5, want round 0"}},
+		{"cut mid-tensor", llama.Cfg, 0, true, []string{"round 0 broadcast", "unexpected EOF"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob, err := moe.MustNew(tc.cfg, tensor.Named("tcp-other")).EncodeBytes()
 			if err != nil {
 				t.Fatal(err)
+			}
+			msg := frame(t, RoundMsg{Round: tc.round, Model: blob})
+			if tc.cut {
+				msg = msg[:len(msg)/2]
 			}
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -216,8 +224,12 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				if _, err := ReadFrame(conn, nil, helloSize); err == nil {
-					(&rawConn{Conn: conn}).send(RoundMsg{Round: tc.round, Model: blob})
+				if _, err := ReadFrame(conn, nil, helloSize); err != nil {
+					return
+				}
+				conn.Write(msg)
+				if tc.cut {
+					return
 				}
 				var b [1]byte
 				conn.Read(b[:]) // hold the connection until the client leaves
@@ -231,7 +243,7 @@ func TestRunClientValidatesBroadcast(t *testing.T) {
 					t.Fatalf("RunClientContext = %v, want an error containing %q", err, want)
 				}
 			}
-			if tc.name == "five layers" && env.Global != nil {
+			if (tc.name == "five layers" || tc.cut) && env.Global != nil {
 				t.Fatal("the replica's model outlived a broadcast that failed to decode into it")
 			}
 		})
@@ -702,33 +714,109 @@ func TestMessageBoundFitsFullModel(t *testing.T) {
 	}
 }
 
+// replyWire returns one reply of slot through both ends of a connection,
+// conn standing in for the socket, and the server's end: the client writes
+// the frame as the parts of one vectored write, its parameters views of the
+// update's own, and the server reads it into its arena's memory and decodes
+// it there into its slot, as the two ends of one connection do every round.
+func replyWire(tb testing.TB, slot SlotResult, limit int) (roundTrip func(), server *peer) {
+	var conn bytes.Buffer
+	client := &peer{}
+	server = &peer{limit: limit}
+	return func() {
+		beginFrame(&client.enc)
+		client.keys = encodeSlot(&client.enc, slot, client.keys)
+		if err := client.write(&conn, frameParts(&client.enc)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := server.readSlot(&conn); err != nil {
+			tb.Fatal(err)
+		}
+	}, server
+}
+
+// fullSlot is a full-model upload of m (every expert, as fmd sends it).
+func fullSlot(m *moe.Model) SlotResult {
+	u := ExtractUpdate(m, 1, 6, IdentityTuning(m.Cfg))
+	return SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 1,
+		Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
+}
+
+// TestReplyWireZeroAllocs: once both ends' buffers have grown, a full-model
+// reply of the LLaMA stand-in is written and read without allocating, and
+// the server's slot holds the update's every bit in windows of its arena.
+func TestReplyWireZeroAllocs(t *testing.T) {
+	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("reply-allocs"))
+	slot := fullSlot(m)
+	roundTrip, server := replyWire(t, slot, maxMessageBytes(m.Cfg))
+	roundTrip()
+	if n := testing.AllocsPerRun(5, roundTrip); n != 0 {
+		t.Fatalf("a warm reply made %v allocations, want 0", n)
+	}
+	got := server.slot
+	if got.Update.Participant != 1 || got.Update.Weight != 6 || len(got.Update.Experts) != len(slot.Update.Experts) ||
+		got.Bytes != slot.Bytes || got.DownBytes != slot.DownBytes || !maps.Equal(got.Phases, slot.Phases) {
+		t.Fatalf("decoded slot %+v", got)
+	}
+	inArena := make(map[*float64]bool, len(server.arena))
+	for i := range server.arena {
+		inArena[&server.arena[i]] = true
+	}
+	//fluxvet:unordered each expert is checked on its own
+	for k, want := range slot.Update.Experts {
+		params := got.Update.Experts[k]
+		if !sameBits(params, want) {
+			t.Fatalf("expert %v decoded differently", k)
+		}
+		if !inArena[&params[0]] {
+			t.Fatalf("expert %v's parameters are not a window of the arena", k)
+		}
+	}
+}
+
+// TestBroadcastWireZeroAllocs: once both ends' buffers have grown, the
+// server's broadcast of the LLaMA stand-in is built and written, and a
+// client decodes it from the stream into its replica, without allocating;
+// the replica then holds the global model's every bit.
+func TestBroadcastWireZeroAllocs(t *testing.T) {
+	global := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("broadcast-allocs"))
+	replica := moe.MustNew(global.Cfg, tensor.Named("broadcast-replica"))
+	srv := &Server{Env: &Env{Global: global}}
+	var conn bytes.Buffer
+	server, client := &peer{}, &peer{limit: maxMessageBytes(global.Cfg)}
+	round := func() {
+		parts, err := srv.broadcast(3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.write(&conn, parts); err != nil {
+			t.Fatal(err)
+		}
+		n, err := readLength(&conn, client.word[:], client.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, final, err := client.decodeBroadcast(&conn, n, 3, replica); err != nil || r != 3 || final {
+			t.Fatalf("decodeBroadcast = %d, %v, %v", r, final, err)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(5, round); n != 0 {
+		t.Fatalf("a warm broadcast made %v allocations, want 0", n)
+	}
+	want, _ := global.EncodeBytes()
+	if got, _ := replica.EncodeBytes(); !bytes.Equal(got, want) {
+		t.Fatal("the replica does not hold the global model")
+	}
+}
+
 // BenchmarkSlotResultWire is one full-model upload of the LLaMA stand-in
-// (every expert, as fmd sends it) through both ends of a reply: the client
-// appends the slot to the buffer it keeps and frames it, and the server reads
-// the frame into its peer's buffer and decodes it into the peer's slot, as
-// the two ends of one connection do once their buffers have grown. CI
+// (every expert, as fmd sends it) through both ends of a reply (replyWire),
+// as the two ends of one connection do once their buffers have grown. CI
 // publishes it into bench/BENCH_micro.json.
 func BenchmarkSlotResultWire(b *testing.B) {
 	m := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("bench-slot"))
-	u := ExtractUpdate(m, 1, 6, IdentityTuning(m.Cfg))
-	slot := SlotResult{Update: u, Bytes: UpdateBytes(u), DownBytes: 1,
-		Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: 1, simtime.PhaseComm: 1}}
-	var conn bytes.Buffer
-	var reply []byte
-	p := &peer{limit: maxMessageBytes(m.Cfg)}
-	roundTrip := func() {
-		reply = appendSlot(reply[:0], slot)
-		if err := WriteFrame(&conn, reply); err != nil {
-			b.Fatal(err)
-		}
-		var err error
-		if p.buf, err = ReadFrame(&conn, p.buf, p.limit); err != nil {
-			b.Fatal(err)
-		}
-		if err := p.decodeSlot(p.buf); err != nil {
-			b.Fatal(err)
-		}
-	}
+	roundTrip, _ := replyWire(b, fullSlot(m), maxMessageBytes(m.Cfg))
 	roundTrip()
 	roundTrip() // the stand-in connection's buffer settles at its second write
 	b.ReportAllocs()

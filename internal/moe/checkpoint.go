@@ -30,7 +30,8 @@ import (
 const (
 	codecMagic   = "FLUXMOE"
 	codecVersion = 1
-	headerSize   = len(codecMagic) + 1
+	codecHeader  = codecMagic + "\x01" // the magic, then the version byte
+	headerSize   = len(codecHeader)
 )
 
 // Encoded sizes of the codec's pieces, with params the floats a piece's
@@ -86,82 +87,103 @@ func dataLen(m *tensor.Matrix) int {
 
 // EncodeBytes serializes the model in the codec above, into one buffer of
 // exactly the encoded size. A nil matrix encodes as an empty one.
-func (m *Model) EncodeBytes() ([]byte, error) { return m.AppendEncoded(nil) }
-
-// AppendEncoded appends the model's encoding to b, growing b at most once,
-// to exactly the room the encoding needs; a b with that room already is
-// written in place, so a caller that keeps its buffer encodes without
-// allocating.
-func (m *Model) AppendEncoded(b []byte) ([]byte, error) {
+func (m *Model) EncodeBytes() ([]byte, error) {
 	n, err := m.encodedSize()
 	if err != nil {
 		return nil, fmt.Errorf("moe: encode model: %w", err)
 	}
-	if cap(b)-len(b) < n {
-		b = append(make([]byte, 0, len(b)+n), b...)
+	w := codec.Writer{Buf: make([]byte, 0, n)}
+	m.encode(&w)
+	return w.Buf, nil
+}
+
+// AppendEncoded writes the model's encoding to w: appended to w.Buf, so a
+// caller that keeps w encodes without allocating once Buf has grown, or with
+// w.Views as the parts of one vectored write whose floats are views of the
+// model's own tensors, valid while nothing writes the model.
+func (m *Model) AppendEncoded(w *codec.Writer) error {
+	if _, err := m.encodedSize(); err != nil {
+		return fmt.Errorf("moe: encode model: %w", err)
 	}
-	b = append(b, codecMagic...)
-	b = append(codec.AppendInt(append(b, codecVersion), len(m.Cfg.Name)), m.Cfg.Name...)
+	m.encode(w)
+	return nil
+}
+
+// encode is the codec's one walker: it writes the model, which encodedSize
+// has checked holds every layer and expert, to w in the layout above.
+func (m *Model) encode(w *codec.Writer) {
+	w.Raw(codecHeader)
+	w.Int(len(m.Cfg.Name))
+	w.Raw(m.Cfg.Name)
 	for _, v := range []int{m.Cfg.VocabSize, m.Cfg.Dim, m.Cfg.FFNDim, m.Cfg.TopK, m.Cfg.MaxSeqLen} {
-		b = codec.AppendInt(b, v)
+		w.Int(v)
 	}
-	b = codec.AppendInts(b, m.Cfg.ExpertsPerLayer)
-	b = appendMatrix(appendMatrix(b, m.Embed), m.Head)
-	b = codec.AppendInt(b, len(m.Layers))
+	w.Ints(m.Cfg.ExpertsPerLayer)
+	encodeMatrix(w, m.Embed)
+	encodeMatrix(w, m.Head)
+	w.Int(len(m.Layers))
 	for _, layer := range m.Layers {
-		for _, w := range []*tensor.Matrix{layer.Wq, layer.Wk, layer.Wv, layer.Gate} {
-			b = appendMatrix(b, w)
+		for _, t := range []*tensor.Matrix{layer.Wq, layer.Wk, layer.Wv, layer.Gate} {
+			encodeMatrix(w, t)
 		}
-		b = codec.AppendInt(codec.AppendInt(b, layer.OrigExperts), layer.TopK)
-		b = codec.AppendInts(b, layer.Routing)
-		b = codec.AppendInt(b, len(layer.Experts))
+		w.Int(layer.OrigExperts)
+		w.Int(layer.TopK)
+		w.Ints(layer.Routing)
+		w.Int(len(layer.Experts))
 		for _, ex := range layer.Experts {
-			b = codec.AppendFloats(appendMatrix(b, ex.W1), ex.B1)
-			b = codec.AppendFloats(appendMatrix(b, ex.W2), ex.B2)
+			encodeMatrix(w, ex.W1)
+			w.Floats(ex.B1)
+			encodeMatrix(w, ex.W2)
+			w.Floats(ex.B2)
 			frozen := 0
 			if ex.Frozen {
 				frozen = 1
 			}
-			b = codec.AppendInts(codec.AppendInt(b, frozen), ex.MergedFrom)
+			w.Int(frozen)
+			w.Ints(ex.MergedFrom)
 		}
 	}
-	return b, nil
 }
 
-func appendMatrix(b []byte, m *tensor.Matrix) []byte {
+func encodeMatrix(w *codec.Writer, m *tensor.Matrix) {
 	var rows, cols int
 	var data []float64
 	if m != nil {
 		rows, cols, data = m.Rows, m.Cols, m.Data
 	}
-	return codec.AppendFloats(codec.AppendInt(codec.AppendInt(b, rows), cols), data)
+	w.Int(rows)
+	w.Int(cols)
+	w.Floats(data)
 }
 
 // DecodeBytes deserializes a model written by EncodeBytes or SaveFile into a
-// new model: it is DecodeInto(nil, b).
-func DecodeBytes(b []byte) (*Model, error) { return DecodeInto(nil, b) }
+// new model: it is DecodeInto(nil, codec.NewReader(b)).
+func DecodeBytes(b []byte) (*Model, error) { return DecodeInto(nil, codec.NewReader(b)) }
 
 // DecodeInto deserializes a model written by EncodeBytes or AppendEncoded
-// and returns it. With m nil the model is new. Otherwise b must hold a model
-// of m.Cfg, and it is decoded into m: every tensor, slice and expert m
-// already holds is overwritten in place, so a model decoded into one of the
-// same shapes allocates nothing. On an error m is left partly overwritten
-// and must not be used again.
+// from r, which must end where the model does, and returns it. r is a byte
+// slice's or a stream's (codec.NewStreamReader), so a model is decoded from a
+// connection without its bytes ever being held whole. With m nil the model is
+// new. Otherwise r must hold a model of m.Cfg, and it is decoded into m: every
+// tensor, slice and expert m already holds is overwritten in place, so a
+// model decoded into one of the same shapes allocates nothing. On an error m
+// is left partly overwritten and must not be used again.
 //
 // Every length is checked against the bytes left before anything of that
-// length is allocated, and trailing bytes are an error. A model whose tensors
-// disagree with its own Cfg (a matrix of the wrong shape or length, a layer
-// or expert missing, a routing table of the wrong length or pointing past
-// the layer's experts) is an error, never a model that reads mis-strided
-// rows.
-func DecodeInto(m *Model, b []byte) (*Model, error) {
-	if len(b) < headerSize || string(b[:len(codecMagic)]) != codecMagic {
+// length is read or allocated, and trailing bytes are an error. A model whose
+// tensors disagree with its own Cfg (a matrix of the wrong shape or length, a
+// layer or expert missing, a routing table of the wrong length or pointing
+// past the layer's experts) is an error, never a model that reads
+// mis-strided rows.
+func DecodeInto(m *Model, r *codec.Reader) (*Model, error) {
+	h := r.Bytes(headerSize)
+	if h == nil || string(h[:len(codecMagic)]) != codecMagic {
 		return nil, errors.New("moe: decode model: not a model encoding")
 	}
-	if v := b[len(codecMagic)]; v != codecVersion {
+	if v := h[len(codecMagic)]; v != codecVersion {
 		return nil, fmt.Errorf("moe: decode model: encoding version %d, want %d", v, codecVersion)
 	}
-	r, fresh := codec.NewReader(b[headerSize:]), m == nil
+	fresh := m == nil
 	if fresh {
 		m = &Model{}
 	}
@@ -194,14 +216,19 @@ func decodeConfig(r *codec.Reader, prev Config) Config {
 	for _, v := range []*int{&c.VocabSize, &c.Dim, &c.FFNDim, &c.TopK, &c.MaxSeqLen} {
 		*v = r.Int()
 	}
-	mark := *r
-	same := r.Count("experts per layer", codec.IntSize) == len(prev.ExpertsPerLayer)
-	for i := 0; same && i < len(prev.ExpertsPerLayer); i++ {
-		same = r.Int() == prev.ExpertsPerLayer[i]
-	}
+	n := r.Count("experts per layer", codec.IntSize)
+	same := n == len(prev.ExpertsPerLayer)
 	if !same {
-		*r = mark
-		c.ExpertsPerLayer = r.Ints(nil, "experts per layer")
+		c.ExpertsPerLayer = nil
+	}
+	for i := range n {
+		v := r.Int()
+		if same && v != prev.ExpertsPerLayer[i] {
+			same, c.ExpertsPerLayer = false, slices.Clone(prev.ExpertsPerLayer[:i])
+		}
+		if !same {
+			c.ExpertsPerLayer = append(c.ExpertsPerLayer, v)
+		}
 	}
 	return c
 }

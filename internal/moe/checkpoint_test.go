@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math"
@@ -8,8 +9,21 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/tensor"
 )
+
+// sources are the two byte sources a model decodes from: a byte slice, and
+// a stream read through a buffer smaller than most tensors.
+var sources = []struct {
+	name   string
+	reader func(b []byte) *codec.Reader
+}{
+	{"bytes", codec.NewReader},
+	{"stream", func(b []byte) *codec.Reader {
+		return codec.NewStreamReader(bufio.NewReaderSize(bytes.NewReader(b), 16), len(b))
+	}},
+}
 
 // codecModel is a small model whose tensors hold the float values a codec
 // most easily mangles: NaNs with payloads (quiet and signalling), −0, ±Inf,
@@ -145,14 +159,20 @@ func TestCodecRoundTripsBitForBit(t *testing.T) {
 
 // TestDecodeIntoOverwritesInPlace: a blob decoded into a model of its config
 // whose values differ leaves that model — its own tensors, not new ones —
-// holding the blob's every bit, for a plain and a customized model. A blob of
-// another config is refused, naming the config, and leaves the model as it
-// was.
+// holding the blob's every bit, for a plain and a customized model, from
+// bytes and from a stream. A blob of another config is refused, naming the
+// config, and leaves the model as it was.
 func TestDecodeIntoOverwritesInPlace(t *testing.T) {
 	other, err := tinyModel(t, "other").EncodeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, source := range sources {
+		t.Run(source.name, func(t *testing.T) { decodeIntoOverwritesInPlace(t, other, source.reader) })
+	}
+}
+
+func decodeIntoOverwritesInPlace(t *testing.T, other []byte, reader func([]byte) *codec.Reader) {
 	for _, src := range []*Model{codecModel(t), customizedCodecModel(t)} {
 		blob, err := src.EncodeBytes()
 		if err != nil {
@@ -161,7 +181,7 @@ func TestDecodeIntoOverwritesInPlace(t *testing.T) {
 		dst := src.CloneInto(nil)
 		dst.Embed.Data[1], dst.Layers[1].Experts[0].W2.Data[0] = 42, 42
 		embed, w2 := &dst.Embed.Data[0], &dst.Layers[1].Experts[0].W2.Data[0]
-		if got, err := DecodeInto(dst, blob); err != nil || got != dst {
+		if got, err := DecodeInto(dst, reader(blob)); err != nil || got != dst {
 			t.Fatalf("DecodeInto = %p, %v; want the target %p", got, err, dst)
 		}
 		if &dst.Embed.Data[0] != embed || &dst.Layers[1].Experts[0].W2.Data[0] != w2 {
@@ -169,7 +189,7 @@ func TestDecodeIntoOverwritesInPlace(t *testing.T) {
 		}
 		requireSameBits(t, src, dst)
 
-		if _, err := DecodeInto(dst, other); err == nil || !strings.Contains(err.Error(), "holds model config") {
+		if _, err := DecodeInto(dst, reader(other)); err == nil || !strings.Contains(err.Error(), "holds model config") {
 			t.Fatalf("DecodeInto of another config = %v, want an error naming the config", err)
 		}
 		requireSameBits(t, src, dst)
@@ -188,8 +208,67 @@ func TestDecodeIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	replica := m.CloneInto(nil)
-	if n := testing.AllocsPerRun(5, func() { DecodeInto(replica, blob) }); n != 0 {
+	if n := testing.AllocsPerRun(5, func() { DecodeInto(replica, codec.NewReader(blob)) }); n != 0 {
 		t.Fatalf("DecodeInto into a model of the same config made %v allocations, want 0", n)
+	}
+}
+
+// TestDecodeStreamZeroAllocs: decoding the LLaMA stand-in from a stream, as a
+// TCP client decodes every broadcast from its connection, into a model of
+// its config allocates nothing once the stream's buffer exists, and leaves
+// the replica holding the model's every bit.
+func TestDecodeStreamZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not compared under the race detector")
+	}
+	m := MustNew(SimConfigLLaMATrain(), tensor.Named("stream"))
+	blob, err := m.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := MustNew(SimConfigLLaMATrain(), tensor.Named("stream-replica"))
+	src := bytes.NewReader(blob)
+	buf := bufio.NewReaderSize(src, 64<<10)
+	decode := func() {
+		src.Reset(blob)
+		buf.Reset(src)
+		if _, err := DecodeInto(replica, codec.NewStreamReader(buf, len(blob))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, decode); n != 0 {
+		t.Fatalf("a stream decode into a model of the same config made %v allocations, want 0", n)
+	}
+	requireSameBits(t, m, replica)
+}
+
+// TestEncodeViewsMatchBytes: the model written as the parts of a vectored
+// write is EncodeBytes' encoding, its floats views of the model's tensors, and
+// a kept Writer writes it again without allocating.
+func TestEncodeViewsMatchBytes(t *testing.T) {
+	for _, m := range []*Model{codecModel(t), customizedCodecModel(t), MustNew(SimConfigLLaMATrain(), tensor.Named("views"))} {
+		blob, err := m.EncodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := codec.Writer{Views: true}
+		encode := func() {
+			w.Reset()
+			if err := m.AppendEncoded(&w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		if !bytes.Equal(bytes.Join(w.Parts(), nil), blob) {
+			t.Fatalf("%s: the parts differ from EncodeBytes' bytes", m.Cfg.Name)
+		}
+		views := w.Parts()[1]
+		if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && &views[0] != &codec.FloatBytes(m.Embed.Data)[0] {
+			t.Fatalf("%s: the embedding was copied, not viewed", m.Cfg.Name)
+		}
+		if n := testing.AllocsPerRun(5, encode); !raceEnabled && n != 0 {
+			t.Fatalf("%s: a kept Writer made %v allocations, want 0", m.Cfg.Name, n)
+		}
 	}
 }
 
