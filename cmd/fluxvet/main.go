@@ -2,7 +2,7 @@
 // over package patterns, like a project-specific go vet:
 //
 //	fluxvet ./...                  # whole module, from the module root
-//	fluxvet ./internal/fed         # one package
+//	fluxvet ./internal/fed         # one package (or repro/internal/fed)
 //	fluxvet -tests=false ./...     # skip _test.go files
 //	fluxvet -json ./...            # machine-readable findings
 //	fluxvet -list                  # describe the analyzers
@@ -12,11 +12,12 @@
 // determinism contract covers the suite too — and can be excluded with
 // -tests=false.
 //
-// It exits non-zero if any finding survives suppression filtering, so CI
-// can enforce a clean tree. Run it from inside the module to check (it also
-// works from examples/external_method, whose go.mod replace directive the
-// loader understands), and see the README's "Determinism contract" section
-// for what each analyzer enforces and how to justify exceptions.
+// Patterns mean what they mean to go vet: the go command lists the packages,
+// so it works from inside any module, examples/external_method and its
+// replace directive included. It exits non-zero if any finding survives
+// suppression filtering, so CI can enforce a clean tree. See the README's
+// "Determinism contract" section for what each analyzer enforces and how to
+// justify exceptions.
 package main
 
 import (

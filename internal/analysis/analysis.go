@@ -9,11 +9,11 @@
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) so each checker reads like a standard
-// go/analysis analyzer, but it is self-contained on the standard library:
-// this module carries no external dependencies, and the loader in
-// loader.go type-checks packages with go/build + go/types directly. Every
-// analyzer is intraprocedural and sees one requested package at a time;
-// dependencies are type-checked but not analyzed.
+// go/analysis analyzer, but the module carries no external dependencies:
+// the loader in loader.go gets its packages from `go list` and type-checks
+// them with go/types. Every analyzer is intraprocedural and sees one
+// requested package at a time; dependencies are type-checked but not
+// analyzed.
 //
 // # Suppressions
 //

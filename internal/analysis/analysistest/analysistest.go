@@ -14,6 +14,7 @@
 package analysistest
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,14 +50,61 @@ func Run(t *testing.T, dir, asPath string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
+	match(t, loader.Fset(), diags, dir, false)
+}
 
-	var wants []*expectation
-	for _, name := range fixtureFiles(t, pkg.Dir) {
-		wants = append(wants, parseWants(t, name)...)
+// RunDir loads the fixture module rooted at dir — the directory must hold
+// its own go.mod — analyzes every package under it with the given analyzer
+// set, and compares the unsuppressed findings against the `// want`
+// comments of every fixture file. Unlike Run, this goes through pattern
+// expansion and the fixture's own module path, as fluxvet does. With
+// includeTests, _test.go files are loaded and their want comments counted.
+func RunDir(t *testing.T, dir string, includeTests bool, analyzers []*analysis.Analyzer) {
+	t.Helper()
+	loader, err := analysis.NewLoader(dir)
+	if err != nil {
+		t.Fatalf("loader: %v", err)
 	}
+	if root := loader.ModuleRoot(); root != dir {
+		t.Fatalf("fixture %s holds no go.mod of its own (its module is at %s)", dir, root)
+	}
+	loader.IncludeTests = includeTests
+	pkgs, err := loader.LoadPatterns(dir, "./...")
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	findings, err := analysis.AnalyzePackages(pkgs, analyzers)
+	if err != nil {
+		t.Fatalf("analyzing fixture module %s: %v", dir, err)
+	}
+	var diags []analysis.Diagnostic
+	for _, f := range findings {
+		if !f.Suppressed {
+			diags = append(diags, f.Diagnostic)
+		}
+	}
+	match(t, loader.Fset(), diags, dir, includeTests)
+}
 
+// match reports every diagnostic that no `// want` comment of the Go files
+// under dir expects, and every want that no diagnostic matched. The wants
+// come from a walk of dir, not from the loaded files, so a want in a file
+// the loader wrongly skipped still fails; _test.go files count with
+// includeTests.
+func match(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic, dir string, includeTests bool) {
+	t.Helper()
+	var wants []*expectation
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && (includeTests || !strings.HasSuffix(path, "_test.go")) {
+			wants = append(wants, parseWants(t, path)...)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("walking fixture: %v", err)
+	}
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		text := d.Analyzer + ": " + d.Message
 		matched := false
 		for _, w := range wants {
@@ -74,97 +122,6 @@ func Run(t *testing.T, dir, asPath string, a *analysis.Analyzer) {
 			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
 		}
 	}
-}
-
-// RunDir loads the fixture module rooted at dir — the directory must hold
-// its own go.mod — analyzes every package under it with the given analyzer
-// set, and compares the unsuppressed findings against the `// want`
-// comments of every fixture file. Unlike Run, this goes through pattern
-// expansion and the fixture's own module path, as fluxvet does. With
-// includeTests, _test.go files are loaded and their want comments counted.
-func RunDir(t *testing.T, dir string, includeTests bool, analyzers []*analysis.Analyzer) {
-	t.Helper()
-	loader, err := analysis.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	loader.IncludeTests = includeTests
-	pkgs, err := loader.LoadPatterns(dir, "./...")
-	if err != nil {
-		t.Fatalf("loading fixture module %s: %v", dir, err)
-	}
-	findings, err := analysis.AnalyzePackages(pkgs, analyzers)
-	if err != nil {
-		t.Fatalf("analyzing fixture module %s: %v", dir, err)
-	}
-
-	var wants []*expectation
-	for _, name := range fixtureTree(t, dir, includeTests) {
-		wants = append(wants, parseWants(t, name)...)
-	}
-
-	for _, f := range findings {
-		if f.Suppressed {
-			continue
-		}
-		pos := loader.Fset().Position(f.Pos)
-		text := f.Analyzer + ": " + f.Message
-		matched := false
-		for _, w := range wants {
-			if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(text) {
-				w.matched = true
-				matched = true
-			}
-		}
-		if !matched {
-			t.Errorf("unexpected finding at %s: %s", pos, text)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
-		}
-	}
-}
-
-// fixtureTree lists every Go file under the fixture module root,
-// optionally including _test.go files.
-func fixtureTree(t *testing.T, dir string, includeTests bool) []string {
-	t.Helper()
-	var out []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(d.Name(), ".go") {
-			return nil
-		}
-		if !includeTests && strings.HasSuffix(d.Name(), "_test.go") {
-			return nil
-		}
-		out = append(out, path)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("walking fixture module: %v", err)
-	}
-	return out
-}
-
-// fixtureFiles lists the non-test Go files of the fixture directory.
-func fixtureFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	return out
 }
 
 // parseWants extracts `// want "re" "re"...` expectations from one file.
@@ -194,31 +151,13 @@ func parseWants(t *testing.T, name string) []*expectation {
 				target++
 			}
 		}
-		rest := strings.TrimSpace(after)
-		for rest != "" {
-			var lit string
-			var err error
-			switch rest[0] {
-			case '"':
-				end := strings.Index(rest[1:], `"`)
-				if end < 0 {
-					t.Fatalf("%s:%d: unterminated want string", name, i+1)
-				}
-				lit, err = strconv.Unquote(rest[:end+2])
-				rest = strings.TrimSpace(rest[end+2:])
-			case '`':
-				end := strings.Index(rest[1:], "`")
-				if end < 0 {
-					t.Fatalf("%s:%d: unterminated want string", name, i+1)
-				}
-				lit = rest[1 : end+1]
-				rest = strings.TrimSpace(rest[end+2:])
-			default:
+		for rest := strings.TrimSpace(after); rest != ""; {
+			lit, err := strconv.QuotedPrefix(rest)
+			if err != nil || lit[0] == '\'' {
 				t.Fatalf("%s:%d: malformed want clause at %q", name, i+1, rest)
 			}
-			if err != nil {
-				t.Fatalf("%s:%d: bad want string: %v", name, i+1, err)
-			}
+			rest = strings.TrimSpace(rest[len(lit):])
+			lit, _ = strconv.Unquote(lit) // cannot fail: QuotedPrefix found a valid literal
 			re, err := regexp.Compile(lit)
 			if err != nil {
 				t.Fatalf("%s:%d: bad want regexp: %v", name, i+1, err)
@@ -234,13 +173,12 @@ func parseWants(t *testing.T, name string) []*expectation {
 // test), and fails if it does not exist.
 func Fixture(t *testing.T, name string) string {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	if _, err := os.Stat(dir); err != nil {
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+	if err == nil {
+		_, err = os.Stat(dir)
+	}
+	if err != nil {
 		t.Fatalf("missing fixture: %v", err)
 	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("fixture path: %v", err)
-	}
-	return abs
+	return dir
 }

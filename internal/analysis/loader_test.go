@@ -1,57 +1,41 @@
 package analysis
 
 import (
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
-func TestParseGoMod(t *testing.T) {
-	mods, err := parseGoMod(`// leading comment
-module example.com/app
-
-go 1.24
-
-require repro v0.0.0
-
-replace repro => ../lib
-
-replace (
-	other.example/dep v1.2.3 => ./vendor-local
-	remote.example/x => remote.example/fork v1.0.0
-)
-`, "/work/app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPath := make(map[string]string, len(mods))
-	for _, m := range mods {
-		byPath[m.path] = m.dir
-	}
-	if got := byPath["example.com/app"]; got != "/work/app" {
-		t.Errorf("main module dir = %q, want /work/app", got)
-	}
-	if got := byPath["repro"]; got != filepath.Clean("/work/lib") {
-		t.Errorf("replace repro dir = %q, want /work/lib", got)
-	}
-	if got := byPath["other.example/dep"]; got != filepath.Join("/work/app", "vendor-local") {
-		t.Errorf("block replace dir = %q", got)
-	}
-	// A module-path replacement (no local directory) is not loadable and
-	// must not produce a mapping.
-	if _, ok := byPath["remote.example/x"]; ok {
-		t.Errorf("remote replacement should be ignored")
-	}
-	// Longest-path-first ordering lets nested module paths win.
-	for i := 1; i < len(mods); i++ {
-		if len(mods[i-1].path) < len(mods[i].path) {
-			t.Errorf("modules not sorted longest-first: %v", mods)
+// TestLoadPatternsAsGoVet: patterns mean what they mean to go vet, so an
+// import path and a directory name the same package, and a pattern that
+// matches nothing fails with an error that names it.
+func TestLoadPatternsAsGoVet(t *testing.T) {
+	load := func(pattern string) ([]*Package, error) {
+		l, err := NewLoader("../..")
+		if err != nil {
+			t.Fatal(err)
 		}
+		return l.LoadPatterns(l.ModuleRoot(), pattern)
 	}
-}
-
-func TestParseGoModRejectsMissingModule(t *testing.T) {
-	if _, err := parseGoMod("go 1.24\n", "/work"); err == nil {
-		t.Fatal("expected error for go.mod without module directive")
+	files := func(pattern string) []string {
+		pkgs, err := load(pattern)
+		if err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		if len(pkgs) != 1 || pkgs[0].Path != "repro/internal/fed" {
+			t.Fatalf("%s: loaded %d packages, want repro/internal/fed alone", pattern, len(pkgs))
+		}
+		var names []string
+		for _, f := range pkgs[0].Files {
+			names = append(names, pkgs[0].Fset.Position(f.Package).Filename)
+		}
+		return names
+	}
+	byPath, byDir := files("repro/internal/fed"), files("./internal/fed")
+	if strings.Join(byPath, "\n") != strings.Join(byDir, "\n") {
+		t.Errorf("import path loaded %v, directory loaded %v", byPath, byDir)
+	}
+	if _, err := load("./internal/nonexistent"); err == nil || !strings.Contains(err.Error(), "internal/nonexistent") {
+		t.Errorf("pattern matching nothing: err = %v, want an error naming internal/nonexistent", err)
 	}
 }
 
