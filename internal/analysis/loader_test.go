@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,5 +70,45 @@ func TestParseSuppression(t *testing.T) {
 		if s.analyzer != tc.analyzer || s.reason != tc.reason {
 			t.Errorf("%q: got (%q, %q), want (%q, %q)", tc.text, s.analyzer, s.reason, tc.analyzer, tc.reason)
 		}
+	}
+}
+
+// TestLoadResolvesReplaceTarget: a module that imports repro through a
+// `replace repro => ../..` directive (examples/external_method) type-checks
+// against the replace target, the repo's own root package.
+func TestLoadResolvesReplaceTarget(t *testing.T) {
+	l, err := NewLoader("../../examples/external_method")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := filepath.Abs("../../examples/external_method")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.ModuleRoot() != want {
+		t.Fatalf("ModuleRoot = %q, want %q", l.ModuleRoot(), want)
+	}
+	pkgs, err := l.LoadPatterns(l.ModuleRoot(), ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "example.com/fluxmethod" {
+		t.Fatalf("loaded %d packages, want example.com/fluxmethod alone", len(pkgs))
+	}
+	repro, ok := l.cache["repro"]
+	if !ok {
+		t.Fatal("repro was not loaded as a dependency of example.com/fluxmethod")
+	}
+	if root := filepath.Dir(filepath.Dir(want)); repro.Dir != root {
+		t.Errorf("repro loaded from %q, want the replace target %q", repro.Dir, root)
+	}
+}
+
+// TestNewLoaderRejectsDirOutsideModule: a directory that no go.mod covers
+// has no module to root the loader at.
+func TestNewLoaderRejectsDirOutsideModule(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewLoader(dir); err == nil || !strings.Contains(err.Error(), "not inside a module") {
+		t.Fatalf("NewLoader(%s): err = %v, want a not-inside-a-module error", dir, err)
 	}
 }
